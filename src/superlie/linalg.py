@@ -22,6 +22,20 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+def check_int64_matmul(p: int, a_shape, b_shape) -> None:
+    """Raise OverflowError unless an int64 product of codes mod p is exact.
+
+    A sum of m products of residues below p stays under m·(p−1)²; int64
+    holds it only while that is below 2⁶³.
+    """
+    m = a_shape[1]
+    if m * (p - 1) ** 2 >= 2 ** 63:
+        raise OverflowError(
+            f"int64 matmul over GF({p}) of shapes {tuple(a_shape)} x {tuple(b_shape)} "
+            f"breaks the bound m·(p−1)² < 2⁶³ (m = {m})"
+        )
+
+
 def matmul(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over F; (n, m) x (m, r) -> (n, r)."""
     a = np.asarray(a)
@@ -30,6 +44,10 @@ def matmul(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m2, r = b.shape
     if m != m2:
         raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
+    if F.k == 1:
+        # prime-field codes are the residues themselves
+        check_int64_matmul(F.p, a.shape, b.shape)
+        return (a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)) % F.p
     out = zeros((n, r))
     # accumulate row-by-row to keep intermediate arrays small
     for i in range(m):
@@ -45,18 +63,6 @@ def matmul(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def matvec(F: Field, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return matmul(F, a, np.asarray(v)[:, None])[:, 0]
-
-
-def scale(F: Field, c: int, a: np.ndarray) -> np.ndarray:
-    return F.smul_arr(c, np.asarray(a))
-
-
-def add(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return F.add_arr(np.asarray(a), np.asarray(b))
-
-
-def sub(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return F.sub_arr(np.asarray(a), np.asarray(b))
 
 
 def rref(F: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -136,17 +142,46 @@ def row_space_basis(F: Field, mat: np.ndarray) -> np.ndarray:
     return red[: len(pivots)]
 
 
+class EchelonBasis:
+    """Rows in reduced echelon form together with their pivot columns.
+
+    Blocks of vectors are reduced against the rows all at once, and the
+    nonzero residue is appended in echelon form (the echelonised spinning of
+    Parker's Meat-Axe).  ``rows`` must already be in reduced echelon form;
+    zero rows are dropped.
+    """
+
+    def __init__(self, F: Field, rows: np.ndarray):
+        rows = np.asarray(rows, dtype=np.int64)
+        self.F = F
+        self.rows = rows[rows.any(axis=1)]
+        self.pivots = (self.rows != 0).argmax(axis=1)
+
+    def reduce(self, block: np.ndarray) -> np.ndarray:
+        """``block − block[:, pivots] · rows``: zero at every pivot column."""
+        block = np.asarray(block, dtype=np.int64)
+        return self.F.sub_arr(block, matmul(self.F, block[:, self.pivots], self.rows))
+
+    def extend(self, block: np.ndarray) -> np.ndarray:
+        """Add the span of ``block``; returns the new echelon rows."""
+        F = self.F
+        res = self.reduce(block)
+        res = res[res.any(axis=1)]
+        if not res.shape[0]:
+            return res
+        red, piv = rref(F, res)
+        new = red[: len(piv)]
+        old = F.sub_arr(self.rows, matmul(F, self.rows[:, piv], new))
+        pivots = np.concatenate([self.pivots, piv])
+        order = np.argsort(pivots)
+        self.rows = np.concatenate([old, new])[order]
+        self.pivots = pivots[order]
+        return new
+
+
 def in_row_space(F: Field, basis_rref: np.ndarray, v: np.ndarray) -> bool:
     """Membership test against a basis already in reduced echelon form."""
-    v = np.array(v, dtype=np.int64)
-    for row in basis_rref:
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            continue
-        c = int(nz[0])
-        if v[c] != 0:
-            v = F.sub_arr(v, F.smul_arr(int(v[c]), row))
-    return not v.any()
+    return not EchelonBasis(F, basis_rref).reduce(np.asarray(v)[None]).any()
 
 
 def closure_under_operators(
@@ -158,25 +193,19 @@ def closure_under_operators(
     """Smallest operator-stable subspace containing the seed rows.
 
     Operators act on column vectors; rows of the result are an echelon basis.
-    Iterates until no operator image leaves the current span (or the span
+    Each round applies every operator to the rows the previous round added
+    (the frontier) until no image leaves the current span (or the span
     reaches ``dim_cap``, when provided, allowing early exit at full space).
     """
-    basis = row_space_basis(F, np.asarray(seed_rows))
-    frontier = basis
+    seed_rows = np.asarray(seed_rows, dtype=np.int64)
+    basis = EchelonBasis(F, zeros((0, seed_rows.shape[1])))
+    frontier = basis.extend(seed_rows)
     while frontier.shape[0]:
-        new_rows = []
-        for op in operators:
-            images = matmul(F, frontier, op.T)  # rows -> rows
-            for img in images:
-                if img.any() and not in_row_space(F, basis, img):
-                    new_rows.append(img.copy())
-                    basis = row_space_basis(F, np.concatenate([basis, img[None, :]]))
-        if not new_rows:
+        new_rows = [basis.extend(matmul(F, frontier, op.T)) for op in operators]
+        frontier = np.concatenate([frontier[:0], *new_rows])
+        if dim_cap is not None and basis.rows.shape[0] >= dim_cap:
             break
-        frontier = np.array(new_rows, dtype=np.int64)
-        if dim_cap is not None and basis.shape[0] >= dim_cap:
-            break
-    return basis
+    return basis.rows
 
 
 def largest_stable_subspace(

@@ -554,37 +554,13 @@ class BabyVerma:
         rad = la.row_space_basis(F, np.array(rad_rows, dtype=np.int64)) \
             if rad_rows else la.zeros((0, d))
         # certify locality: Berlekamp subalgebra of A/nilrad is 1-dimensional
-        rad_rref = rad
-        pivots = []
-        for row in rad_rref:
-            nz = np.nonzero(row)[0]
-            pivots.append(int(nz[0]))
-        compl = [t for t in range(d) if t not in pivots]
+        rad_basis = la.EchelonBasis(F, rad)
+        compl = [t for t in range(d) if t not in rad_basis.pivots]
         if not compl:
             raise RuntimeError("coefficient algebra has zero quotient")
 
-        def reduce_vec(vec: np.ndarray) -> np.ndarray:
-            v = vec.copy()
-            for row in rad_rref:
-                piv = int(np.nonzero(row)[0][0])
-                c = int(v[piv])
-                if c:
-                    v = F.sub_arr(v, F.smul_arr(F.div(c, int(row[piv])), row))
-            return v
-
-        def mul_elements(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-            out = la.zeros(d)
-            for i in np.nonzero(v1)[0]:
-                for j in np.nonzero(v2)[0]:
-                    c = F.mul(int(v1[i]), int(v2[j]))
-                    for tgt, code in mult[(self.basis[int(i)], self.basis[int(j)])]:
-                        ti = self.index[tgt]
-                        out[ti] = F.add(int(out[ti]), F.mul(c, code % F.p))
-            return out
-
-        qdim = len(compl)
-        B = la.zeros((qdim, qdim))
-        for cidx, t in enumerate(compl):
+        images = []
+        for t in compl:
             e = la.zeros(d)
             e[t] = 1
             cur = e
@@ -598,9 +574,8 @@ class BabyVerma:
                         ti = self.index[tgt]
                         nxt[ti] = F.add(int(nxt[ti]), F.mul(cp, code % F.p))
                 cur = nxt
-            red = reduce_vec(F.sub_arr(cur, e))
-            for c2, t2 in enumerate(compl):
-                B[c2, cidx] = red[t2]
+            images.append(F.sub_arr(cur, e))
+        B = rad_basis.reduce(np.array(images))[:, compl].T
         berlekamp_kernel = la.nullspace(F, B)
         if berlekamp_kernel.shape[0] != 1:
             raise RuntimeError(
@@ -657,26 +632,11 @@ class BabyVerma:
         Returns (matrices, parity involution, parities of the quotient basis).
         """
         F = self.F
-        sub = self.maximal_submodule()
-        pivots = [int(np.nonzero(row)[0][0]) for row in sub]
-        compl = [i for i in range(self.dim) if i not in pivots]
-
-        def project(vec: np.ndarray) -> np.ndarray:
-            v = vec.copy()
-            for row in sub:
-                piv = int(np.nonzero(row)[0][0])
-                c = int(v[piv])
-                if c:
-                    v = F.sub_arr(v, F.smul_arr(F.div(c, int(row[piv])), row))
-            return v[compl]
-
-        mats = []
-        for idx in range(self.g.dim):
-            M = self.action_matrix(idx)
-            Q = la.zeros((len(compl), len(compl)))
-            for cidx, i in enumerate(compl):
-                Q[:, cidx] = project(M[:, i])
-            mats.append(Q)
+        sub = la.EchelonBasis(F, self.maximal_submodule())
+        compl = [i for i in range(self.dim) if i not in sub.pivots]
+        # columns of each action matrix, projected along the submodule
+        mats = [sub.reduce(self.action_matrix(idx)[:, compl].T)[:, compl].T
+                for idx in range(self.g.dim)]
         pars = [self.monomial_parity(self.basis[i]) for i in compl]
         S = la.zeros((len(compl), len(compl)))
         for i, pr in enumerate(pars):

@@ -1,6 +1,9 @@
 """Tests for the command-line front-end."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -141,3 +144,31 @@ def test_byte_identical_reports(tmp_path, capsys):
         b1 = (tmp_path / "r1" / f"{name}.json").read_bytes()
         b2 = (tmp_path / "r2" / f"{name}.json").read_bytes()
         assert b1 == b2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def _readme_commands():
+    return [line for block in _readme_blocks("sh") for line in block.splitlines()
+            if line.startswith("superlie ")]
+
+
+def test_readme_lists_every_subcommand():
+    used = {shlex.split(line)[1] for line in _readme_commands()}
+    assert used == {"verma", "kw", "reflect", "sym", "run"}
+
+
+@pytest.mark.parametrize("line", _readme_commands(), ids=lambda line: shlex.split(line)[1])
+def test_readme_command_exits_zero(line, tmp_path, monkeypatch):
+    """Each fenced ``superlie`` line of the README runs as written."""
+    argv = shlex.split(line)[1:]
+    if argv[0] == "run":
+        (config,) = _readme_blocks("ini")
+        (tmp_path / argv[1]).write_text(config)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0

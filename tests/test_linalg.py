@@ -4,7 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_linalg as ref
 from superlie.gf import field_create
 from superlie import linalg as la
 
@@ -198,3 +200,103 @@ def test_supercommutant_of_type_q_fixture():
     (T,) = odd_basis
     assert T[0, 0] == 0 and T[1, 1] == 0
     assert T[1, 0] == F.neg(int(T[0, 1])) and T[0, 1] != 0
+
+
+# -- the echelon kernel against the slow reference it replaced ----------------
+
+FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 4)]  # GF(5^4): q = 625, digit path
+
+
+@st.composite
+def matrices(draw, F, rows, cols):
+    """Codes of a rows x cols matrix over F, often sparse or with repeated rows."""
+    entries = st.integers(0, F.q - 1)
+    if draw(st.booleans()):
+        entries = st.sampled_from([0, 0, 0, 1, F.q - 1])
+    m = np.array(draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)),
+                 dtype=np.int64).reshape(rows, cols)
+    if rows > 1 and draw(st.booleans()):
+        m[-1] = m[0]  # rank-deficient
+    return m
+
+
+@st.composite
+def closure_cases(draw):
+    F = field_create(*draw(st.sampled_from(FIELDS)))
+    n = draw(st.integers(1, 6))
+    seed = draw(matrices(F, draw(st.integers(0, 3)), n))
+    ops = [draw(matrices(F, n, n)) for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        # upper-triangular operators keep the flag stable: closures stop short
+        ops = [np.triu(op) for op in ops]
+    dim_cap = draw(st.one_of(st.none(), st.integers(1, n)))
+    return F, seed, ops, dim_cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_matmul_matches_loop_reference(data):
+    F = field_create(*data.draw(st.sampled_from(FIELDS)))
+    n, m, r = (data.draw(st.integers(0, 6)) for _ in range(3))
+    a = data.draw(matrices(F, n, m))
+    b = data.draw(matrices(F, m, r))
+    got = la.matmul(F, a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ref.matmul_loop(F, a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=closure_cases())
+def test_closure_matches_per_vector_reference(case):
+    F, seed, ops, dim_cap = case
+    got = la.closure_under_operators(F, seed, ops, dim_cap=dim_cap)
+    want = ref.closure_per_vector(F, seed, ops, dim_cap=dim_cap)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_closure_edge_cases_match_reference(p, k):
+    F = field_create(p, k)
+    rng = np.random.default_rng(7)
+    n = 5
+    ops = [np.triu(random_matrix(F, rng, (n, n))) for _ in range(2)]
+    row = random_matrix(F, rng, (1, n))
+    cases = [
+        (la.zeros((1, n)), ops, None),  # zero seed
+        (la.zeros((0, n)), ops, None),  # no seed rows
+        (row, [], None),  # no operators
+        (np.concatenate([row, row, F.smul_arr(2, row)]), ops, None),  # rank 1 seed
+        (la.eye(n)[:1], ops, 1),  # dim_cap reached by the seed
+        (la.eye(n)[-1:], [random_matrix(F, rng, (n, n))], n),
+    ]
+    for seed, operators, cap in cases:
+        got = la.closure_under_operators(F, seed, operators, dim_cap=cap)
+        assert np.array_equal(got, ref.closure_per_vector(F, seed, operators, dim_cap=cap))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_echelon_basis_extend_and_reduce(data):
+    F = field_create(*data.draw(st.sampled_from(FIELDS)))
+    n = data.draw(st.integers(1, 6))
+    first = data.draw(matrices(F, data.draw(st.integers(0, 4)), n))
+    second = data.draw(matrices(F, data.draw(st.integers(0, 4)), n))
+    basis = la.EchelonBasis(F, la.zeros((0, n)))
+    basis.extend(first)
+    added = basis.extend(second)
+    both = np.concatenate([first, second])
+    assert np.array_equal(basis.rows, ref.row_space_basis(F, both))
+    assert added.shape[0] == basis.rows.shape[0] - la.rank(F, first)
+    assert not basis.reduce(both).any()
+    probe = data.draw(matrices(F, 1, n))[0]
+    assert la.in_row_space(F, basis.rows, probe) == ref.in_row_space_per_row(
+        F, basis.rows, probe)
+
+
+def test_int64_bound_names_the_shape():
+    la.check_int64_matmul(7, (3, 2 ** 57), (2 ** 57, 4))  # 36 * 2^57 < 2^63
+    with pytest.raises(OverflowError, match=r"\(3, 4611686018427387904\).*2⁶³"):
+        la.check_int64_matmul(7, (3, 2 ** 62), (2 ** 62, 4))
+    with pytest.raises(OverflowError):
+        la.check_int64_matmul(3037000507, (1, 1), (1, 1))  # (p-1)^2 alone is too big
