@@ -38,13 +38,13 @@ from .envelope import (
     reduced_symmetric,
     theta_map,
 )
-from .gf import field_create
+from .gf import field_create, is_prime
 from .invariants import (
     CoinducedAlgebra,
     check_coassociativity,
     ideal_survey,
 )
-from .kwverify import summary_table, verify_superkw_sweep, write_jsonl
+from .kwverify import InvariantViolation, summary_table, verify_superkw_sweep, write_jsonl
 from .liesuper import LieSuperalgebra, PCharacter, _normalize_label, build_algebra
 from .rootsys import build_root_system, format_weight, parse_root_label
 from .verma import (
@@ -132,7 +132,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def build_for(cfg_algebra: str, p: int) -> LieSuperalgebra:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if not is_prime(p):
         raise UsageError(f"p = {p} is not prime")
     try:
         return build_algebra(cfg_algebra, field_create(p, 1))
@@ -358,9 +358,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     for name in CHECK_ORDER:
         if name not in cfg.checks:
             continue
-        ok, rep = runners[name](g, chis, cfg)
+        try:
+            ok, rep = runners[name](g, chis, cfg)
+        except InvariantViolation as exc:
+            ok, rep = False, {"invariant_violation": str(exc)}
         bundle[name] = {"passed": ok, "report": rep}
         lines.append(f"{name:<12} {'PASS' if ok else 'FAIL'}")
+        if "invariant_violation" in rep:
+            lines.append(f"  invariant violation: {rep['invariant_violation']}")
         all_ok = all_ok and ok
     if out_dir is not None:
         for name in cfg.checks:
@@ -453,7 +458,7 @@ def cmd_kw(args) -> int:
     if not getattr(args, "chi", None):
         cfg.chi_specs = ["zero", "regular_semisimple", "nonregular"]
     code, bundle, lines = run_experiment(cfg, out_dir=args.out)
-    if args.format == "text":
+    if args.format == "text" and "table" in bundle["kw"]["report"]:
         print(bundle["kw"]["report"]["table"])
     _emit(bundle, lines, args.format)
     return code

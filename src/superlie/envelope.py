@@ -319,21 +319,6 @@ class DeformedAlgebra:
             "dimension": self.dimension(),
         }
 
-    def format_element(self, a: dict) -> str:
-        if not a:
-            return "0"
-        parts = []
-        for m in sorted(a, key=lambda mm: (self.degree(mm), mm)):
-            c = a[m]
-            word = []
-            for s, e in enumerate(m):
-                if e:
-                    name = self.g.basis_names[self.order[s]]
-                    word.append(name if e == 1 else f"{name}^{e}")
-            mono = "*".join(word) if word else "1"
-            parts.append(f"{c}*{mono}" if (c != 1 or not word) else mono)
-        return " + ".join(parts)
-
 
 def reduced_enveloping(g: LieSuperalgebra, chi: Optional[PCharacter] = None,
                        order: Optional[Sequence[int]] = None) -> DeformedAlgebra:

@@ -14,7 +14,7 @@ The module offers two layers:
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -143,10 +143,6 @@ def poly_powmod(f: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[in
     return result
 
 
-def poly_deriv(f: Sequence[int], p: int) -> list[int]:
-    return poly_trim([(i * c) % p for i, c in enumerate(f)][1:])
-
-
 def is_irreducible(f: Sequence[int], p: int) -> bool:
     """Rabin irreducibility test for a monic polynomial over GF(p)."""
     f = poly_trim(f)
@@ -176,31 +172,6 @@ def smallest_irreducible_modulus(p: int, k: int) -> tuple[int, ...]:
         if is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")
-
-
-def _rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row-reduce an integer matrix mod p; returns (rref, pivot columns)."""
-    m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        t = r + int(nz[0])
-        if t != r:
-            m[[r, t]] = m[[t, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        other = np.nonzero(m[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            m[other] = (m[other] - np.outer(m[other, c], m[r])) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
 
 
 class Field:
@@ -611,57 +582,3 @@ def arith(a: FieldElement, b, op: str) -> FieldElement:
         return a.inverse()
     raise ValueError(f"unknown field operation {op!r}")
 
-
-class ArtinSchreierResult(NamedTuple):
-    solutions: tuple[FieldElement, ...]
-    extension_required: bool
-
-
-def artin_schreier_solve(c: FieldElement, field: Optional[Field] = None) -> ArtinSchreierResult:
-    """Solve t^p - t = c inside the field of c.
-
-    The map t -> t^p - t is GF(p)-linear, so the equation reduces to a
-    linear system over GF(p) in the power-basis coordinates.  When no
-    solution exists in the field the result is empty with
-    ``extension_required=True``; solutions then live in the extension of
-    degree p (additive Hilbert 90: solvable iff the trace to GF(p) is 0).
-    """
-    if field is not None and field != c.field:
-        raise ValueError("c does not belong to the given field")
-    F = c.field
-    p, k = F.p, F.k
-    cols = []
-    for j in range(k):
-        e = p ** j  # code of basis element x^j
-        cols.append(F._digit_tuples[F.sub(F.frob(e), e)])
-    mat = np.array(cols, dtype=np.int64).T  # (k, k)
-    aug = np.concatenate([mat, np.array(F._digit_tuples[c.code], dtype=np.int64)[:, None]], axis=1)
-    red, pivots = _rref_mod_p(aug, p)
-    if k in pivots:
-        return ArtinSchreierResult((), True)
-    particular = np.zeros(k, dtype=np.int64)
-    for r, col in enumerate(pivots):
-        particular[col] = red[r, k]
-    free = [j for j in range(k) if j not in pivots]
-    kernel = []
-    red_h, piv_h = _rref_mod_p(mat, p)
-    free_h = [j for j in range(k) if j not in piv_h]
-    for fcol in free_h:
-        vec = np.zeros(k, dtype=np.int64)
-        vec[fcol] = 1
-        for r, col in enumerate(piv_h):
-            vec[col] = (-red_h[r, fcol]) % p
-        kernel.append(vec)
-    if len(kernel) != 1:
-        raise RuntimeError("Artin-Schreier kernel should be the prime field")
-    sols = []
-    for t in range(p):
-        digits = (particular + t * kernel[0]) % p
-        sols.append(FieldElement(F, int((digits * F._pows).sum())))
-    del free
-    return ArtinSchreierResult(tuple(sorted(sols, key=lambda e: e.code)), False)
-
-
-def artin_schreier_min_extension(c: FieldElement) -> int:
-    """Smallest j such that t^p - t = c is solvable over GF(p^(k*j))."""
-    return 1 if c.field.trace(c.code) == 0 else c.field.p

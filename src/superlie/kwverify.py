@@ -27,7 +27,11 @@ from . import linalg as la
 from .gf import Field
 from .liesuper import LieSuperalgebra, PCharacter
 from .rootsys import SimpleSystem
-from .verma import VermaSystem, lambda_set
+from .verma import VermaSystem, head_of, lambda_set, walls_type  # noqa: F401 (walls_type re-exported)
+
+
+class InvariantViolation(Exception):
+    """An internal cross-check failed; never reported as skipped."""
 
 
 def kw_divisor(g: LieSuperalgebra, chi: PCharacter) -> int:
@@ -40,32 +44,6 @@ def kw_divisor_ceiling(g: LieSuperalgebra, chi: PCharacter) -> int:
     """The ceiling variant p^(d0/2) * 2^(ceil(d1/2))."""
     cent = g.centralizer(chi)
     return g.p ** (cent.d0 // 2) * 2 ** ((cent.d1 + 1) // 2)
-
-
-def walls_type(F: Field, action_matrices: Sequence[np.ndarray],
-               parity_op: np.ndarray, parities: Sequence[int],
-               check_simple: bool = True) -> str:
-    """"Q" when the module admits an odd endomorphism, else "M".
-
-    An odd endomorphism T satisfies T rho(a) = (-1)^|a| rho(a) T and
-    anticommutes with the parity involution.  With ``check_simple`` the
-    input is screened for visible reducibility: every basis vector must
-    generate the whole space under the action (direct sums and radical
-    vectors fail this; the callers' heads are simple by construction).
-    """
-    n = parity_op.shape[0]
-    if check_simple:
-        for i in range(n):
-            seed = la.eye(n)[i][None, :]
-            closed = la.closure_under_operators(F, seed, action_matrices, dim_cap=n)
-            if closed.shape[0] != n:
-                raise ValueError(
-                    f"basis vector {i} generates a proper submodule — input is reducible"
-                )
-    even_ops = [m for m, pr in zip(action_matrices, parities) if pr == 0]
-    odd_ops = [m for m, pr in zip(action_matrices, parities) if pr == 1]
-    _, o_dim = la.commutant_dim(F, even_ops, odd_ops, parity_op)
-    return "Q" if o_dim else "M"
 
 
 def parity_shift_glue(F: Field, action_matrices: Sequence[np.ndarray],
@@ -102,8 +80,8 @@ class KWReport:
         if skipped is None:
             cent = g.centralizer(chi)
             self.d0, self.d1 = cent.d0, cent.d1
-            self.divisor = g.p ** (cent.d0 // 2) * 2 ** (cent.d1 // 2)
-            self.divisor_ceiling = g.p ** (cent.d0 // 2) * 2 ** ((cent.d1 + 1) // 2)
+            self.divisor = kw_divisor(g, chi)
+            self.divisor_ceiling = kw_divisor_ceiling(g, chi)
         else:
             self.d0 = self.d1 = self.divisor = self.divisor_ceiling = None
         self.simple_dims: list[tuple[tuple, int, str]] = []
@@ -148,14 +126,6 @@ class KWReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _head_of(Z) -> tuple[int, str]:
-    """(head dimension, Walls type) via the certified maximal submodule."""
-    mats, parity_op, _ = Z.quotient_representation()
-    hdim = mats[0].shape[0]
-    wtype = walls_type(Z.F, mats, parity_op, list(Z.g.parities), check_simple=False)
-    return hdim, wtype
-
-
 def verify_superkw_sweep(g: LieSuperalgebra, chi_list: Sequence[PCharacter],
                          k_max: int = 8) -> list[KWReport]:
     """One KWReport per chi, harvesting heads over the whole weight set.
@@ -176,11 +146,14 @@ def verify_superkw_sweep(g: LieSuperalgebra, chi_list: Sequence[PCharacter],
         try:
             for lam in lset:
                 Z = system.module(lam, lset.field)
-                hdim, wtype = _head_of(Z)
+                hdim, wtype = head_of(Z)
                 if chi.is_standard_form():
                     # closure-of-lowest oracle must agree with the head
                     if Z.is_irreducible_oracle() != (hdim == Z.dim):
-                        raise RuntimeError("head/oracle disagreement on standard chi")
+                        raise InvariantViolation(
+                            f"head/oracle disagreement on standard chi at lambda = "
+                            f"{list(lam)} over {lset.field!r}: head dim {hdim} of {Z.dim}"
+                        )
                 rep.add_head(lam, hdim, wtype)
         except RuntimeError as exc:
             reports.append(KWReport(g, chi, skipped=str(exc)))

@@ -297,14 +297,3 @@ def supercommutant_basis(
     ker = nullspace(F, np.concatenate(rows, axis=0))
     return [vec.reshape(n, n) for vec in ker]
 
-
-def commutant_dim(
-    F: Field,
-    even_ops: Sequence[np.ndarray],
-    odd_ops: Sequence[np.ndarray],
-    parity_op: np.ndarray,
-) -> tuple[int, int]:
-    """Dimensions of the even and odd parts of the supercommutant."""
-    even = supercommutant_basis(F, even_ops, odd_ops, parity_op, odd_part=False)
-    odd = supercommutant_basis(F, even_ops, odd_ops, parity_op, odd_part=True)
-    return len(even), len(odd)

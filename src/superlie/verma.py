@@ -13,10 +13,14 @@ positive root vectors) and then evaluating Cartan exponents at lambda and
 positive exponents at zero.
 
 The weight lattice Lambda_chi = {lambda : lambda(h)^p - lambda(h^{[p]}) =
-chi(h)^p} is solved exactly: the defining equations are additive in
-lambda, so over GF(p^k) they reduce to a linear system on the GF(p)-digit
-coordinates; the extension degree k is grown until all p^rank solutions
-appear.
+chi(h)^p} is solved exactly.  On every supported algebra the p-map is the
+identity on the Cartan basis, so each coordinate t = lambda(h) solves the
+Artin-Schreier equation t^p - t = chi(h)^p on its own.  The map
+t -> t^p - t is GF(p)-linear, and its equation has p roots over GF(p^k)
+exactly when the trace of chi(h)^p to GF(p) vanishes there; for chi(h) in
+GF(p) that is k = 1 when chi(h) = 0 and k = p otherwise.  Lambda_chi is
+the product of the per-coordinate roots over the one field that holds
+them all, p^rank weights.
 
 Irreducibility is decided two independent ways and compared:
   * oracle: the spanning closure of the lowest vector under all action
@@ -48,13 +52,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import linalg as la
 from .envelope import DeformedAlgebra
-from .gf import Field, field_create
+from .gf import Field, FieldElement, field_create
 from .liesuper import LieSuperalgebra, PCharacter
 from .rootsys import SimpleSystem, Weight, format_weight, phi_prime_eval
 
@@ -122,68 +126,82 @@ def lambda_residual(g: LieSuperalgebra, F: Field, lam: Sequence[int],
     return out
 
 
-def lambda_set(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> LambdaSet:
-    """Solve the weight equations, extending GF(p) until all p^rank appear.
+class ArtinSchreierResult(NamedTuple):
+    solutions: tuple[FieldElement, ...]
+    extension_required: bool
 
-    Only the Cartan values of chi enter the equations.  The base algebra
-    must live over the prime field so that its structure codes embed
-    unchanged into every extension.
+
+def artin_schreier_solve(c: FieldElement, field: Optional[Field] = None) -> ArtinSchreierResult:
+    """Solve t^p - t = c inside the field of c.
+
+    The map t -> t^p - t is GF(p)-linear, so the equation reduces to a
+    linear system over GF(p) in the power-basis coordinates.  When no
+    solution exists in the field the result is empty with
+    ``extension_required=True``; solutions then live in the extension of
+    degree p (additive Hilbert 90: solvable iff the trace to GF(p) is 0).
+    """
+    if field is not None and field != c.field:
+        raise ValueError("c does not belong to the given field")
+    F = c.field
+    p, k = F.p, F.k
+    Fp = field_create(p, 1)
+    # column j: the digits of x^j mapped through t -> t^p - t
+    mat = np.array([F._digit_tuples[F.sub(F.frob(p ** j), p ** j)] for j in range(k)],
+                   dtype=np.int64).T
+    particular = la.solve(Fp, mat, np.array(F._digit_tuples[c.code], dtype=np.int64))
+    if particular is None:
+        return ArtinSchreierResult((), True)
+    kernel = la.nullspace(Fp, mat)
+    if kernel.shape[0] != 1:
+        raise RuntimeError("Artin-Schreier kernel should be the prime field")
+    sols = [F.from_code(int(((particular + t * kernel[0]) % p) @ F._pows)) for t in range(p)]
+    return ArtinSchreierResult(tuple(sorted(sols, key=lambda e: e.code)), False)
+
+
+def artin_schreier_min_extension(c: FieldElement) -> int:
+    """Smallest j such that t^p - t = c is solvable over GF(p^(k*j))."""
+    return 1 if c.field.trace(c.code) == 0 else c.field.p
+
+
+class PMapNotIdentity(RuntimeError):
+    """The Cartan p-map is not the identity, so lambda(h) do not decouple."""
+
+
+def lambda_set(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> LambdaSet:
+    """Solve the weight equations coordinate by coordinate (Artin-Schreier).
+
+    With h_i^{[p]} = h_i each lambda(h_i) is a root of t^p - t = chi(h_i)^p.
+    The field is GF(p^k) for the least k that holds the roots of every
+    coordinate; ``k_max`` caps k.  Only the Cartan values of chi enter the
+    equations.  The base algebra must live over the prime field so that its
+    structure codes embed unchanged into every extension.
     """
     if g.F.k != 1:
         raise ValueError("lambda solving expects the algebra over the prime field")
     p, r = g.p, g.rank
     P = cartan_p_matrix(g)
+    if not (P == la.eye(r)).all():
+        raise PMapNotIdentity(
+            f"the p-map of {g.label} is not the identity on the Cartan; "
+            "the weight equations do not decouple"
+        )
     chi_h = [int(v) for v in chi.cartan_values()]
-    Fp = field_create(p, 1)
-    for k in range(1, k_max + 1):
-        F = g.F if k == 1 else field_create(p, k)
-        n = r * k
-        M = la.zeros((n, n))
-        rhs = la.zeros(n)
-        for j in range(r):
-            for d in range(k):
-                col = j * k + d
-                e = p ** d  # code of the d-th power-basis element
-                fr = F.frob(e)
-                for dd, dig in enumerate(F._digit_tuples[fr]):
-                    M[j * k + dd, col] = (M[j * k + dd, col] + dig) % p
-                for i in range(r):
-                    c = int(P[i, j])
-                    if c:
-                        prod = F.mul(c, e)
-                        for dd, dig in enumerate(F._digit_tuples[prod]):
-                            M[i * k + dd, col] = (M[i * k + dd, col] - dig) % p
-        for i in range(r):
-            cp = F.pow_int(chi_h[i], p)
-            for dd, dig in enumerate(F._digit_tuples[cp]):
-                rhs[i * k + dd] = dig
-        part = la.solve(Fp, M, rhs)
-        if part is None:
-            continue
-        ker = la.nullspace(Fp, M)
-        if p ** ker.shape[0] != p ** r:
-            continue
-        weights = []
-        for combo in itertools.product(range(p), repeat=ker.shape[0]):
-            digits = part.copy()
-            for c, row in zip(combo, ker):
-                if c:
-                    digits = (digits + c * row) % p
-            lam = tuple(
-                int(sum(int(digits[i * k + d]) * p ** d for d in range(k)))
-                for i in range(r)
-            )
-            weights.append(lam)
-        weights = sorted(set(weights))
-        if len(weights) != p ** r:
-            raise RuntimeError("weight enumeration lost solutions")
-        for lam in weights:
-            if any(lambda_residual(g, F, lam, chi_h, P)):
-                raise RuntimeError("weight fails its defining equation")
-        return LambdaSet(g, chi, F, weights)
-    raise RuntimeError(
-        f"no full weight set within extension degree {k_max}; raise k_max"
-    )
+    rhs = [g.F.pow_int(c, p) for c in chi_h]
+    k = max(artin_schreier_min_extension(g.F.from_code(c)) for c in rhs)
+    if k > k_max:
+        raise RuntimeError(
+            f"no full weight set within extension degree {k_max}; raise k_max"
+        )
+    F = g.F if k == 1 else field_create(p, k)
+    # prime-field codes embed unchanged into F; roots come sorted by code
+    roots = [[t.code for t in artin_schreier_solve(F.from_code(c)).solutions] for c in rhs]
+    weights = list(itertools.product(*roots))
+    if len(weights) != p ** r:
+        raise RuntimeError("weight enumeration lost solutions")
+    for lam in weights:
+        if any(lambda_residual(g, F, lam, chi_h, P)):
+            raise RuntimeError("weight fails its defining equation")
+    return LambdaSet(g, chi, F, weights)
 
 
 def shift_lambda(g: LieSuperalgebra, F: Field, lam: Sequence[int], w: Weight,
@@ -662,19 +680,6 @@ class BabyVerma:
                 return False
         return True
 
-    def head_type(self) -> dict:
-        """Walls type of the simple head: Q iff an odd endomorphism exists."""
-        mats, S, _ = self.quotient_representation()
-        even_ops = [mats[i] for i in range(self.g.dim) if self.g.parities[i] == 0]
-        odd_ops = [mats[i] for i in range(self.g.dim) if self.g.parities[i] == 1]
-        e_dim, o_dim = la.commutant_dim(self.F, even_ops, odd_ops, S)
-        return {
-            "type": "Q" if o_dim else "M",
-            "even_endomorphisms": e_dim,
-            "odd_endomorphisms": o_dim,
-            "commutant_warning": e_dim != 1,
-        }
-
     # -- verdicts --------------------------------------------------------------
 
     def criterion_value(self) -> int:
@@ -741,6 +746,44 @@ class BabyVerma:
 
 
 # ---------------------------------------------------------------------------
+# the Walls type of a simple module
+
+
+def walls_type(F: Field, action_matrices: Sequence[np.ndarray],
+               parity_op: np.ndarray, parities: Sequence[int],
+               check_simple: bool = True) -> str:
+    """"Q" when the module admits an odd endomorphism, else "M".
+
+    An odd endomorphism T satisfies T rho(a) = (-1)^|a| rho(a) T and
+    anticommutes with the parity involution.  With ``check_simple`` the
+    input is screened for visible reducibility: every basis vector must
+    generate the whole space under the action (direct sums and radical
+    vectors fail this; the callers' heads are simple by construction).
+    """
+    n = parity_op.shape[0]
+    if check_simple:
+        for i in range(n):
+            seed = la.eye(n)[i][None, :]
+            closed = la.closure_under_operators(F, seed, action_matrices, dim_cap=n)
+            if closed.shape[0] != n:
+                raise ValueError(
+                    f"basis vector {i} generates a proper submodule — input is reducible"
+                )
+    even_ops = [m for m, pr in zip(action_matrices, parities) if pr == 0]
+    odd_ops = [m for m, pr in zip(action_matrices, parities) if pr == 1]
+    odd = la.supercommutant_basis(F, even_ops, odd_ops, parity_op, odd_part=True)
+    return "Q" if odd else "M"
+
+
+def head_of(Z: BabyVerma) -> tuple[int, str]:
+    """(head dimension, Walls type) via the certified maximal submodule."""
+    mats, parity_op, _ = Z.quotient_representation()
+    hdim = mats[0].shape[0]
+    wtype = walls_type(Z.F, mats, parity_op, list(Z.g.parities), check_simple=False)
+    return hdim, wtype
+
+
+# ---------------------------------------------------------------------------
 # the product criterion
 
 
@@ -771,12 +814,6 @@ def criterion_value(g: LieSuperalgebra, ss: SimpleSystem, lam: Sequence[int],
     """The product prod_even((lam+rho|a)^{p-1}-1) * prod_odd((lam+rho|b))."""
     pair = pairing_at(g, F, lam, shift_rho=ss)
     return phi_prime_eval(ss, g.p, pair).code
-
-
-def is_irreducible_criterion(g: LieSuperalgebra, ss: SimpleSystem,
-                             lam: Sequence[int], F: Field) -> tuple[bool, int]:
-    code = criterion_value(g, ss, lam, F)
-    return code != 0, code
 
 
 def phi_prime_value(g: LieSuperalgebra, ss: SimpleSystem, lam: Sequence[int],
@@ -884,7 +921,7 @@ def semisimplicity_check(g: LieSuperalgebra, chi: PCharacter,
         Z = system.module(lam, F)
         if Z.is_irreducible_oracle():
             dims.append(Z.dim)
-            types.append(Z.head_type())
+            types.append(head_of(Z)[1])
         else:
             all_irred = False
             dims.append(Z.head_dim())
@@ -896,7 +933,7 @@ def semisimplicity_check(g: LieSuperalgebra, chi: PCharacter,
         total = 0
         halves = 0
         for d, t in zip(dims, types):
-            if t["type"] == "Q":
+            if t == "Q":
                 halves += d * d
             else:
                 total += d * d
@@ -912,7 +949,7 @@ def semisimplicity_check(g: LieSuperalgebra, chi: PCharacter,
         "chi": list(chi.cartan_values()),
         "lambda_count": len(lset),
         "dims": dims,
-        "types": [t["type"] if t else None for t in types],
+        "types": types,
         "all_irreducible": all_irred,
         "dimension_sum": accounted,
         "dimension_target": target,

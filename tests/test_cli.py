@@ -14,6 +14,7 @@ from superlie.cli import (
     parse_config,
     run_experiment,
 )
+from superlie.verma import BabyVerma
 
 
 def test_parse_config_full():
@@ -104,6 +105,17 @@ def test_kw_subcommand(capsys):
     assert main(["kw", "--type", "osp(1|2)", "--p", "3"]) == 0
     out = capsys.readouterr().out
     assert "divisor" in out and "pass" in out
+
+
+def test_kw_invariant_violation_is_fail(monkeypatch, capsys):
+    # a closure oracle that contradicts the head is a broken invariant: the
+    # sweep must fail and name the weight, not report the character skipped
+    monkeypatch.setattr(BabyVerma, "is_irreducible_oracle", lambda self: False)
+    assert main(["kw", "--type", "gl(1|1)", "--p", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "skipped" not in out and "PASS" not in out
+    assert re.search(r"^kw +FAIL$", out, re.M)
+    assert "head/oracle disagreement on standard chi at lambda = [" in out
 
 
 def test_sym_subcommand():

@@ -6,8 +6,6 @@ import pytest
 from superlie.gf import (
     Field,
     arith,
-    artin_schreier_min_extension,
-    artin_schreier_solve,
     field_create,
     is_irreducible,
     poly_divmod,
@@ -15,6 +13,7 @@ from superlie.gf import (
     poly_mul,
     smallest_irreducible_modulus,
 )
+from superlie.verma import artin_schreier_min_extension, artin_schreier_solve
 
 
 def brute_smallest_irreducible(p, k):

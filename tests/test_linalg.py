@@ -183,7 +183,8 @@ def test_supercommutant_of_irreducible_type_m():
     sigma = np.diag([1, F.neg(1)]).astype(np.int64)
     even_ops = [np.diag([1, 2]).astype(np.int64)]  # distinct eigenvalues
     odd_ops = [np.array([[0, 1], [0, 0]], dtype=np.int64), np.array([[0, 0], [1, 0]], dtype=np.int64)]
-    even_dim, odd_dim = la.commutant_dim(F, even_ops, odd_ops, sigma)
+    even_dim, odd_dim = (len(la.supercommutant_basis(F, even_ops, odd_ops, sigma, odd_part))
+                         for odd_part in (False, True))
     assert even_dim == 1 and odd_dim == 0
 
 
@@ -194,7 +195,8 @@ def test_supercommutant_of_type_q_fixture():
     sigma = np.diag([1, F.neg(1)]).astype(np.int64)
     even_ops = [np.diag([2, 2]).astype(np.int64)]
     odd_ops = [np.array([[0, 1], [1, 0]], dtype=np.int64)]
-    even_dim, odd_dim = la.commutant_dim(F, even_ops, odd_ops, sigma)
+    even_dim, odd_dim = (len(la.supercommutant_basis(F, even_ops, odd_ops, sigma, odd_part))
+                         for odd_part in (False, True))
     assert even_dim == 1 and odd_dim == 1
     odd_basis = la.supercommutant_basis(F, even_ops, odd_ops, sigma, odd_part=True)
     (T,) = odd_basis

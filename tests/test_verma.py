@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_verma as ref
 from superlie import linalg as la
+from superlie import verma
 from superlie.gf import field_create
 from superlie.liesuper import build_algebra
 from superlie.rootsys import parse_root_label
@@ -76,6 +79,55 @@ def test_lambda_set_stable_under_root_shifts():
         for lam in ls:
             assert shift_lambda(g, F, lam, delta, 1) in ls
             assert shift_lambda(g, F, lam, delta, -1) in ls
+
+
+# Every algebra whose Cartan p-map is the identity; gl(2|2) and sl(3|1) at
+# p = 3 have no regular semisimple character in the prime field.
+LAMBDA_TYPES = ["gl(1|1)", "gl(2|1)", "gl(2|2)", "sl(2|1)", "sl(3|1)",
+                "osp(1|2)", "osp(2|2)"]
+NO_STANDARD_BUCKETS = {("gl(2|2)", 3), ("sl(3|1)", 3)}
+
+
+def _same_lambda_sets(g, chi):
+    new, old = lambda_set(g, chi), ref.lambda_set_scan(g, chi)
+    assert (new.field.p, new.field.k, new.weights) == (old.field.p, old.field.k, old.weights)
+    assert new.field is old.field
+
+
+@pytest.mark.parametrize("label", LAMBDA_TYPES)
+@pytest.mark.parametrize("p", [3, 5])
+def test_lambda_set_matches_scan_on_standard_buckets(label, p):
+    g = build_algebra(label, field_create(p, 1))
+    if (label, p) in NO_STANDARD_BUCKETS:
+        chis = [g.chi_zero()]
+    else:
+        chis = list(standard_characters(g).values())
+    for chi in chis:
+        _same_lambda_sets(g, chi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(label=st.sampled_from(LAMBDA_TYPES), p=st.sampled_from([3, 5]), data=st.data())
+def test_lambda_set_matches_scan_on_explicit_chi(label, p, data):
+    g = build_algebra(label, field_create(p, 1))
+    vals = data.draw(st.lists(st.integers(0, p - 1), min_size=g.rank, max_size=g.rank))
+    _same_lambda_sets(g, g.chi_from_cartan(vals))
+
+
+def test_lambda_set_k_max_below_p_raises():
+    g = build_algebra("gl(1|1)", F5)
+    chi = g.chi_regular_semisimple()
+    with pytest.raises(RuntimeError, match="extension degree 4; raise k_max"):
+        lambda_set(g, chi, k_max=4)
+    assert lambda_set(g, chi, k_max=5).k == 5
+    assert lambda_set(g, g.chi_zero(), k_max=1).k == 1
+
+
+def test_lambda_set_rejects_non_identity_p_map(monkeypatch):
+    g = build_algebra("gl(1|1)", F3)
+    monkeypatch.setattr(verma, "cartan_p_matrix", lambda g_: 2 * la.eye(g_.rank))
+    with pytest.raises(verma.PMapNotIdentity):
+        lambda_set(g, g.chi_zero())
 
 
 # ---------------------------------------------------------------------------
