@@ -2,9 +2,12 @@
 
 An element of GF(p^k) is stored as an integer code ``n = sum_i c_i * p**i``
 where ``(c_0, ..., c_{k-1})`` are the coordinates in the power basis of a
-fixed monic irreducible modulus polynomial.  All operations are table
-driven (discrete logs for multiplication, digit vectors for addition), so
-every computation built on top of this module is exact.
+fixed monic irreducible modulus polynomial.  Scalar and element-wise
+operations are table driven: full q x q tables for small fields, discrete
+logs for multiplication and digit vectors for addition above that.  The
+field also stores the reduction tensor of its power basis, so a matrix
+product can run as one integer product over GF(p) on the digit planes (see
+``linalg.matmul``).  Every computation built on top of this module is exact.
 
 The module offers two layers:
 
@@ -209,16 +212,6 @@ class Field:
             code += (c % self.p) * self.p ** i
         return code
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        da = self._digit_tuple_raw(a)
-        db = self._digit_tuple_raw(b)
-        prod = poly_mul(da, db, self.p)
-        prod = poly_mod(prod, self.modulus, self.p)
-        return self._encode(prod)
-
-    def _digit_tuple_raw(self, code: int) -> list[int]:
-        return [(code // self.p ** i) % self.p for i in range(self.k)]
-
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.q
         pows = p ** np.arange(k, dtype=np.int64)
@@ -226,27 +219,27 @@ class Field:
         self._digits = (codes[:, None] // pows[None, :]) % p  # (q, k)
         self._pows = pows
 
-        # discrete log / exponent tables from a multiplicative generator
-        gen = None
-        for cand in range(2, q):
-            seen = 1
-            cur = cand
-            order = 1
-            while cur != 1:
-                cur = self._mul_raw(cur, cand)
-                order += 1
-                if order > q - 1:
-                    break
-            if order == q - 1:
-                gen = cand
-                break
-        if gen is None:  # q == 3 has generator 2; every field has one
-            raise RuntimeError("no multiplicative generator found")
-        exp = np.empty(q - 1, dtype=np.int64)
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            cur = self._mul_raw(cur, gen)
+        # reduction tensor: x^i · x^j ≡ sum_t W[i, j, t] x^t mod the modulus
+        reduced = [poly_mod([0] * d + [1], self.modulus, p) for d in range(2 * k - 1)]
+        W = np.zeros((k, k, k), dtype=np.int64)
+        for i in range(k):
+            for j in range(k):
+                W[i, j, : len(reduced[i + j])] = reduced[i + j]
+        self._mul_tensor = W
+
+        # generator: the first code c with c^((q−1)/ℓ) ≠ 1 for each prime ℓ | q − 1
+        cofactors = [(q - 1) // ell for ell in _prime_divisors(q - 1)]
+        gen = next(c for c in range(2, q) if all(
+            poly_powmod(self._digits[c].tolist(), e, self.modulus, p) != [1]
+            for e in cofactors))
+        # exp by doubling: the digits of g^0 … g^(2^j − 1) times the k x k
+        # GF(p)-matrix of multiplication by g^(2^j) are those of the next 2^j powers
+        block = np.eye(1, k, dtype=np.int64)
+        step = (self._digits[gen] @ W.reshape(k, k * k)).reshape(k, k) % p
+        while block.shape[0] < q - 1:
+            block = np.concatenate([block, block[: q - 1 - block.shape[0]] @ step % p])
+            step = step @ step % p
+        exp = block @ pows
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         self.generator = gen
@@ -268,7 +261,7 @@ class Field:
         self._neg_l = self._neg.tolist()
         self._inv_l = inv.tolist()
         self._frob_l = frob.tolist()
-        self._digit_tuples = [tuple(row) for row in self._digits.tolist()]
+        self._digit_tuples = list(zip(*self._digits.T.tolist()))
         if q <= _SMALL_TABLE_MAX:
             add_np = self._encode_arr((self._digits[:, None, :] + self._digits[None, :, :]) % p)
             mul_np = np.zeros((q, q), dtype=np.int64)
@@ -555,30 +548,4 @@ class FieldElement:
             else:
                 terms.append(f"{c}x^{i}" if c != 1 else f"x^{i}")
         return " + ".join(terms) if terms else "0"
-
-
-def arith(a: FieldElement, b, op: str) -> FieldElement:
-    """Dispatch a field operation by name.
-
-    Args:
-        a: left operand.
-        b: right operand (a FieldElement, an int exponent for ``pow``, or
-           None for the unary ops ``neg`` / ``inv``).
-        op: one of add, sub, mul, div, pow, neg, inv.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a ** int(b)
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown field operation {op!r}")
 

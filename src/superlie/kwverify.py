@@ -27,11 +27,13 @@ from . import linalg as la
 from .gf import Field
 from .liesuper import LieSuperalgebra, PCharacter
 from .rootsys import SimpleSystem
-from .verma import VermaSystem, head_of, lambda_set, walls_type  # noqa: F401 (walls_type re-exported)
-
-
-class InvariantViolation(Exception):
-    """An internal cross-check failed; never reported as skipped."""
+from .verma import (  # noqa: F401 (walls_type re-exported)
+    InvariantViolation,
+    VermaSystem,
+    head_of,
+    lambda_set,
+    walls_type,
+)
 
 
 def kw_divisor(g: LieSuperalgebra, chi: PCharacter) -> int:

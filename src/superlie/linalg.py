@@ -1,8 +1,10 @@
 """Exact linear algebra over GF(p^k) on integer-code numpy matrices.
 
 Matrices are 2-D ``int64`` arrays whose entries are field codes for a given
-:class:`~superlie.gf.Field`.  Everything reduces to Gauss elimination done
-with the field's scalar tables, so results are exact.
+:class:`~superlie.gf.Field`.  A matrix product is one ``int64`` product over
+GF(p): on the codes themselves for a prime field, on the stacked digit
+planes for GF(p^k).  Gauss elimination uses the field's element-wise
+operations.  Every result is exact.
 """
 
 from __future__ import annotations
@@ -48,17 +50,26 @@ def matmul(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # prime-field codes are the residues themselves
         check_int64_matmul(F.p, a.shape, b.shape)
         return (a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)) % F.p
-    out = zeros((n, r))
-    # accumulate row-by-row to keep intermediate arrays small
-    for i in range(m):
-        col = a[:, i]
-        row = b[i]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        prod = F.mul_arr(col[nz, None], row[None, :])
-        out[nz] = F.add_arr(out[nz], prod)
-    return out
+    # GF(p^k) as k digit planes over GF(p).  The smaller side becomes the
+    # GF(p)-matrix of multiplication by its entries, the other side stacks its
+    # planes along the inner dimension: one int64 product with k·m terms.
+    # W is symmetric in its first two indices, so one reshape serves both
+    # sides: (digits @ Wk)[..., j, t] is digit t of (entry · x^j).
+    k, p = F.k, F.p
+    Wk = F._mul_tensor.reshape(k, k * k)
+    if n <= r:
+        lhs = (F._digits[a] @ Wk).reshape(n, m, k, k).transpose(0, 3, 1, 2)
+        lhs = lhs.reshape(n * k, m * k) % p  # row (i, t), column (s, j)
+        rhs = F._digits[b].transpose(0, 2, 1).reshape(m * k, r)
+        check_int64_matmul(p, lhs.shape, rhs.shape)
+        out = (lhs @ rhs % p).reshape(n, k, r).transpose(0, 2, 1)
+    else:
+        lhs = F._digits[a].reshape(n, m * k)
+        rhs = (F._digits[b] @ Wk).reshape(m, r, k, k).transpose(0, 2, 1, 3)
+        rhs = rhs.reshape(m * k, r * k) % p  # row (s, j), column (c, t)
+        check_int64_matmul(p, lhs.shape, rhs.shape)
+        out = (lhs @ rhs % p).reshape(n, r, k)
+    return out @ F._pows
 
 
 def matvec(F: Field, a: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -167,6 +167,14 @@ class PMapNotIdentity(RuntimeError):
     """The Cartan p-map is not the identity, so lambda(h) do not decouple."""
 
 
+class InvariantViolation(Exception):
+    """An internal cross-check failed; never reported as skipped.
+
+    Not a ``RuntimeError``: that type marks documented scope limits, which
+    callers may record as out of scope.
+    """
+
+
 def lambda_set(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> LambdaSet:
     """Solve the weight equations coordinate by coordinate (Artin-Schreier).
 
@@ -422,7 +430,7 @@ class BabyVerma:
             for _ in range(self._exponent(idx)):
                 vec = self.act(idx, vec)
         if not vec.any():
-            raise RuntimeError("lowest vector vanished — PBW violation")
+            raise InvariantViolation("lowest vector vanished — PBW violation")
         return vec
 
     def phi_via_module(self) -> int:
@@ -627,22 +635,6 @@ class BabyVerma:
 
     def head_dim(self) -> int:
         return self.dim - self.maximal_submodule().shape[0]
-
-    def head_graded_dims(self) -> tuple[int, int]:
-        """Graded dimension of the head (the maximal submodule is graded)."""
-        F = self.F
-        sub = self.maximal_submodule()
-        even_rows = np.array(
-            [np.eye(self.dim, dtype=np.int64)[i] for i in range(self.dim)
-             if self.monomial_parity(self.basis[i]) == 0], dtype=np.int64)
-        odd_rows = np.array(
-            [np.eye(self.dim, dtype=np.int64)[i] for i in range(self.dim)
-             if self.monomial_parity(self.basis[i]) == 1], dtype=np.int64)
-        s0 = la.intersect_row_spaces(F, sub, even_rows).shape[0] if sub.shape[0] else 0
-        s1 = la.intersect_row_spaces(F, sub, odd_rows).shape[0] if sub.shape[0] else 0
-        if s0 + s1 != sub.shape[0]:
-            raise RuntimeError("maximal submodule is not parity-graded")
-        return even_rows.shape[0] - s0, odd_rows.shape[0] - s1
 
     def quotient_representation(self) -> tuple[list[np.ndarray], np.ndarray, list[int]]:
         """Action matrices on Z / maximal submodule, with the induced parity.

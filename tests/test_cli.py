@@ -5,6 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from superlie.cli import (
@@ -116,6 +117,29 @@ def test_kw_invariant_violation_is_fail(monkeypatch, capsys):
     assert "skipped" not in out and "PASS" not in out
     assert re.search(r"^kw +FAIL$", out, re.M)
     assert "head/oracle disagreement on standard chi at lambda = [" in out
+
+
+def test_kw_pbw_violation_is_fail(monkeypatch, capsys):
+    # a vanishing lowest vector breaks PBW: an internal failure, not a scope limit
+    monkeypatch.setattr(BabyVerma, "act", lambda self, idx, vec: np.zeros_like(vec))
+    assert main(["kw", "--type", "gl(1|1)", "--p", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "skipped" not in out and "PASS" not in out
+    assert re.search(r"^kw +FAIL$", out, re.M)
+    assert "lowest vector vanished — PBW violation" in out
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["gl11_p5_verma_phi", "gl21_p3_kw"])
+def test_reports_match_golden_files(name, tmp_path):
+    # configs over GF(5^5) and GF(3^3), which run the extension-field kernels
+    assert main(["run", str(GOLDEN / f"{name}.ini"), "--out", str(tmp_path)]) == 0
+    want = sorted(path.name for path in (GOLDEN / name).iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == want
+    for fname in want:
+        assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes(), fname
 
 
 def test_sym_subcommand():

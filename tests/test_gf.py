@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+import reference_gf as ref
 from superlie.gf import (
     Field,
-    arith,
     field_create,
     is_irreducible,
+    is_prime,
     poly_divmod,
     poly_gcd,
     poly_mul,
@@ -64,9 +65,7 @@ def test_prime_field_arith():
     two = F.element(2)
     assert (two + two).code == 1
     assert two.inverse().code == 2
-    assert arith(two, two, "add").code == 1
-    assert arith(two, None, "inv").code == 2
-    assert arith(two, 4, "pow").code == 1
+    assert (two ** 4).code == 1
 
 
 def test_gf9_generator_square():
@@ -74,6 +73,35 @@ def test_gf9_generator_square():
     F = field_create(3, 2)
     x = F.from_code(3)  # code 3 = 0 + 1*3 is the power-basis element x
     assert (x * x) == F.element(2)
+
+
+# every field of order at most 3125; GF(5^5), GF(7^3) and GF(7^4) among them
+TABLE_FIELDS = [(p, k) for p in range(3, 3126) if is_prime(p)
+                for k in range(1, 8) if p ** k <= 3125]
+
+
+def test_tables_match_orbit_walk_reference():
+    for p, k in TABLE_FIELDS:
+        F = Field(p, k)  # uncached, so each field's tables are freed in turn
+        gen, exp, log = ref.orbit_walk_tables(p, k, F.modulus)
+        assert F.generator == gen, (p, k)
+        assert np.array_equal(F._exp, exp), (p, k)
+        assert np.array_equal(F._log, log), (p, k)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 4), (5, 5), (7, 3)])
+def test_reduction_tensor_reproduces_power_products(p, k):
+    # the code of x^i is p^i; W[i, j] holds the digits of x^i · x^j
+    F = field_create(p, k)
+    W = F._mul_tensor
+    assert W.shape == (k, k, k)
+    for i in range(k):
+        for j in range(k):
+            assert F.mul(p ** i, p ** j) == int(W[i, j] @ F._pows), (i, j)
+
+
+def test_prime_field_reduction_tensor():
+    assert field_create(5)._mul_tensor.tolist() == [[[1]]]
 
 
 def test_mixed_field_arithmetic_rejected():

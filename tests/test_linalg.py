@@ -206,7 +206,8 @@ def test_supercommutant_of_type_q_fixture():
 
 # -- the echelon kernel against the slow reference it replaced ----------------
 
-FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 4)]  # GF(5^4): q = 625, digit path
+# GF(5^4), GF(5^5) (the Verma sweep's field) and GF(7^3): q > 512, no q x q tables
+FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3), (5, 4), (5, 5), (7, 3)]
 
 
 @st.composite
