@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envelope import (
-    DeformedAlgebra,
     _random_element,
     reduced_enveloping,
     reduced_symmetric,
@@ -46,7 +45,7 @@ from .invariants import (
 )
 from .kwverify import InvariantViolation, summary_table, verify_superkw_sweep, write_jsonl
 from .liesuper import LieSuperalgebra, PCharacter, _normalize_label, build_algebra
-from .rootsys import build_root_system, format_weight, parse_root_label
+from .rootsys import build_root_system, parse_root_label
 from .verma import (
     VermaSystem,
     agreement_sweep,
@@ -142,13 +141,11 @@ def build_for(cfg_algebra: str, p: int) -> LieSuperalgebra:
 
 def resolve_chi(g: LieSuperalgebra, spec: str) -> PCharacter:
     spec = spec.strip()
-    if spec == "zero":
-        return g.chi_zero()
-    if spec == "regular_semisimple":
-        return g.chi_regular_semisimple()
-    if spec == "nonregular":
-        chi = g.chi_nonregular_nonzero()
-        return chi if chi is not None else g.chi_zero()
+    if spec in ("zero", "regular_semisimple", "nonregular"):
+        buckets = standard_characters(g)
+        if spec not in buckets:
+            raise UsageError(f"{g.label} has no regular semisimple character over GF({g.p})")
+        return buckets[spec]
     if spec.startswith("explicit:"):
         vals = [int(v) for v in spec.split(":", 1)[1].split(",") if v.strip() != ""]
         return g.chi_from_cartan(vals)

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import itertools
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg as la
-from .gf import Field
 from .liesuper import LieSuperalgebra, PCharacter
 
 _MATRIX_DIM_CAP = 4096
@@ -68,9 +67,6 @@ class DeformedAlgebra:
 
     # -- element helpers -------------------------------------------------------
 
-    def zero_el(self) -> dict:
-        return {}
-
     def one(self) -> dict:
         return {(0,) * self.n_slots: 1}
 
@@ -78,13 +74,6 @@ class DeformedAlgebra:
         m = [0] * self.n_slots
         m[self.slot_of[basis_idx]] = 1
         return {tuple(m): 1}
-
-    def from_coords(self, coords: Sequence[int]) -> dict:
-        out: dict = {}
-        for b, c in enumerate(coords):
-            if c:
-                self._accum(out, self.gen(b), int(c) % self.F.q)
-        return out
 
     def scale(self, c: int, a: dict) -> dict:
         c = int(c) % self.F.q
@@ -275,12 +264,6 @@ class DeformedAlgebra:
 
     def monomial_index(self) -> dict:
         return {m: i for i, m in enumerate(self.basis_monomials())}
-
-    def to_vector(self, a: dict, index: dict) -> np.ndarray:
-        v = la.zeros(len(index))
-        for m, c in a.items():
-            v[index[m]] = c
-        return v
 
     def _op_matrix(self, fn, index: dict) -> np.ndarray:
         n = len(index)

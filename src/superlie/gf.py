@@ -338,10 +338,6 @@ class Field:
             cur = self._frob_l[cur]
         return t
 
-    def from_int(self, n: int) -> int:
-        """Embed an integer (i.e. a prime-field scalar) as a code."""
-        return n % self.p
-
     # -- vectorized operations on numpy arrays of codes ------------------------
 
     def add_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -377,9 +373,6 @@ class Field:
         out = self._exp[(self._log_l[c] + self._log[a]) % (self.q - 1)]
         return np.where(a == 0, 0, out)
 
-    def frob_arr(self, a: np.ndarray) -> np.ndarray:
-        return self._frob[a]
-
     # -- element interface ------------------------------------------------------
 
     def element(self, value) -> "FieldElement":
@@ -410,9 +403,6 @@ class Field:
     def elements(self) -> Iterator["FieldElement"]:
         for code in range(self.q):
             yield FieldElement(self, code)
-
-    def random_codes(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        return rng.integers(0, self.q, size=size, dtype=np.int64)
 
     def describe(self) -> dict:
         return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}

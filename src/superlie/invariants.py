@@ -6,7 +6,9 @@ Koszul signs on odd ones.  Dualizing over a restricted subalgebra q yields
 the function algebra F(g, q) on the coset side, with multiplication carried
 through the coproduct and a g-action by right translation.  The ideal
 machinery locates g-invariant ideals of these and of the reduced symmetric
-algebras, and reports graded and total codimensions.
+algebras through the ``linalg`` kernel (largest stable subspace, operator
+closure), and reports graded and total codimensions from three ranks: those
+of the ideal's projections to the even and the odd coordinates, and its own.
 """
 
 from __future__ import annotations
@@ -67,20 +69,6 @@ def comultiply_monomial(U: DeformedAlgebra, m: tuple) -> dict:
                 put(m1, tuple(n2), c, par2 ^ 1)
         terms = new
     return {k: c for k, (c, _) in terms.items() if c}
-
-
-def comultiply(U: DeformedAlgebra, a: dict) -> dict:
-    F = U.F
-    out: dict = {}
-    for m, c in a.items():
-        for pair, v in comultiply_monomial(U, m).items():
-            cur = out.get(pair)
-            nv = F.add(cur, F.mul(c, v)) if cur is not None else F.mul(c, v)
-            if nv:
-                out[pair] = nv
-            elif cur is not None:
-                del out[pair]
-    return out
 
 
 def check_coassociativity(U: DeformedAlgebra, monomials: Sequence[tuple]) -> bool:
@@ -184,17 +172,8 @@ class CoinducedAlgebra:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def identity(self) -> dict:
-        return {(0,) * len(self.coset_slots): 1}
-
     def dual_basis_element(self, coset_exps: tuple) -> dict:
         return {tuple(coset_exps): 1}
-
-    def element_parity(self, f: dict) -> Optional[int]:
-        pars = {self._parities[self.index[b]] for b in f}
-        if len(pars) == 1:
-            return pars.pop()
-        return None if pars else 0
 
     # -- evaluation and algebra structure --------------------------------------
 
@@ -278,12 +257,6 @@ class CoinducedAlgebra:
                 if val != expected:
                     return False
         return True
-
-    def to_vector(self, f: dict) -> np.ndarray:
-        v = la.zeros(len(self.basis))
-        for b, c in f.items():
-            v[self.index[b]] = c
-        return v
 
     def operator_model(self) -> "OperatorModel":
         n = len(self.basis)
@@ -388,27 +361,23 @@ def invariant_ideal_closure(model: OperatorModel, seed_rows: np.ndarray) -> np.n
 
 
 def graded_codims(model: OperatorModel, ideal_rows: np.ndarray) -> tuple[int, int, int]:
-    """(even codim, odd codim, total codim) of a graded subspace."""
+    """(even codim, odd codim, total codim) of a graded subspace.
+
+    A subspace I is graded exactly when it is the sum of its projections to
+    the even and the odd coordinates, that is when their ranks r0 and r1 add
+    up to rank(I); then r0 and r1 are the dimensions of its two parts.
+    """
     n = model.n
     even_idx = np.nonzero(model.parities == 0)[0]
     odd_idx = np.nonzero(model.parities == 1)[0]
-
-    def coord_rows(idx):
-        rows = la.zeros((idx.size, n))
-        for r, i in enumerate(idx):
-            rows[r, i] = 1
-        return rows
-
     if ideal_rows.shape[0] == 0:
         return even_idx.size, odd_idx.size, n
-    even_part = la.intersect_row_spaces(model.F, ideal_rows, coord_rows(even_idx))
-    odd_part = la.intersect_row_spaces(model.F, ideal_rows, coord_rows(odd_idx))
-    c0 = even_idx.size - even_part.shape[0]
-    c1 = odd_idx.size - odd_part.shape[0]
-    total = n - la.rank(model.F, ideal_rows)
-    if c0 + c1 != total:
+    r0 = la.rank(model.F, ideal_rows[:, even_idx])
+    r1 = la.rank(model.F, ideal_rows[:, odd_idx])
+    r = la.rank(model.F, ideal_rows)
+    if r0 + r1 != r:
         raise RuntimeError("subspace is not graded")
-    return c0, c1, total
+    return even_idx.size - r0, odd_idx.size - r1, n - r
 
 
 def ideal_survey(S: DeformedAlgebra, divisor: int, d_pair: tuple[int, int],

@@ -21,12 +21,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import linalg as la
-from .gf import Field
 from .liesuper import LieSuperalgebra, PCharacter
-from .rootsys import SimpleSystem
 from .verma import (  # noqa: F401 (walls_type re-exported)
     InvariantViolation,
     VermaSystem,
@@ -46,26 +41,6 @@ def kw_divisor_ceiling(g: LieSuperalgebra, chi: PCharacter) -> int:
     """The ceiling variant p^(d0/2) * 2^(ceil(d1/2))."""
     cent = g.centralizer(chi)
     return g.p ** (cent.d0 // 2) * 2 ** ((cent.d1 + 1) // 2)
-
-
-def parity_shift_glue(F: Field, action_matrices: Sequence[np.ndarray],
-                      parity_op: np.ndarray, parities: Sequence[int]):
-    """A module glued to its parity shift; carries a designed odd symmetry.
-
-    The shifted copy negates the odd action matrices, so the swap of the
-    two copies is an odd endomorphism and the glued module has type Q.
-    """
-    n = parity_op.shape[0]
-    glued = []
-    for m, pr in zip(action_matrices, parities):
-        b = la.zeros((2 * n, 2 * n))
-        b[:n, :n] = m
-        b[n:, n:] = F.neg_arr(m) if pr else m
-        glued.append(b)
-    gp = la.zeros((2 * n, 2 * n))
-    gp[:n, :n] = parity_op
-    gp[n:, n:] = F.neg_arr(parity_op)
-    return glued, gp
 
 
 class KWReport:

@@ -5,6 +5,11 @@ Matrices are 2-D ``int64`` arrays whose entries are field codes for a given
 GF(p): on the codes themselves for a prime field, on the stacked digit
 planes for GF(p^k).  Gauss elimination uses the field's element-wise
 operations.  Every result is exact.
+
+Every subspace is computed one way: ``rref`` gives ranks, kernels, solutions
+and row-space bases, and ``EchelonBasis`` reduces and extends a basis kept
+in reduced echelon form.  The systems fed to them are assembled from whole
+arrays (Kronecker products for the commutant), not entry by entry.
 """
 
 from __future__ import annotations
@@ -119,13 +124,10 @@ def nullspace(F: Field, mat: np.ndarray) -> np.ndarray:
     if mat.size == 0:
         return eye(mat.shape[1]) if mat.ndim == 2 else zeros((0, 0))
     red, pivots = rref(F, mat)
-    cols = mat.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = zeros((len(free), cols))
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = F.neg(int(red[r, fc]))
+    free = np.delete(np.arange(mat.shape[1]), pivots)
+    basis = zeros((free.size, mat.shape[1]))
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = F.neg_arr(red[: len(pivots), free].T)
     return basis
 
 
@@ -254,36 +256,20 @@ def largest_stable_subspace(
     return basis
 
 
-def intersect_row_spaces(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Basis of the intersection of two row spaces."""
-    a = row_space_basis(F, np.asarray(a))
-    b = row_space_basis(F, np.asarray(b))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return zeros((0, a.shape[1]))
-    # v in both spans: v = x·a = y·b  ->  [a^T | -b^T]·(x,y) = 0
-    stacked = np.concatenate([a.T, F.neg_arr(b.T)], axis=1)
-    ker = nullspace(F, stacked)
-    if ker.shape[0] == 0:
-        return zeros((0, a.shape[1]))
-    return row_space_basis(F, matmul(F, ker[:, : a.shape[0]], a))
-
-
 def _commutation_constraint(F: Field, op: np.ndarray, s: int) -> np.ndarray:
     """Rows of the linear system T·op − s·op·T = 0 in the flattened unknown T.
 
-    T is flattened row-major, index(i, k) = i*n + k.
+    T is flattened row-major, so vec(T·op) = (I ⊗ opᵀ)·vec(T) and
+    vec(op·T) = (op ⊗ I)·vec(T).  The two Kronecker products share nonzero
+    positions only on the diagonal, so only the diagonal needs field
+    addition; elsewhere the integer sum of the codes is the field sum.
     """
     n = op.shape[0]
-    block = zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            r = i * n + j
-            # (T·op)_{ij} = sum_k T_{ik}·op_{kj}
-            block[r, i * n : (i + 1) * n] = op[:, j]
-            # −s·(op·T)_{ij} = −s·sum_k op_{ik}·T_{kj}
-            idx = np.arange(n) * n + j
-            contrib = F.neg_arr(op[i, :]) if s == 1 else op[i, :].copy()
-            block[r, idx] = F.add_arr(block[r, idx], contrib)
+    ident = eye(n)
+    scaled = F.neg_arr(op) if s == 1 else op
+    block = np.kron(ident, op.T) + np.kron(scaled, ident)
+    diag = np.arange(n * n)
+    block[diag, diag] = F.add_arr(np.tile(op.diagonal(), n), np.repeat(scaled.diagonal(), n))
     return block
 
 

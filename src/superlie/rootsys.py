@@ -182,7 +182,7 @@ class RootSystem:
                 raise ValueError(f"root set not closed under negation at {r}")
         # every odd non-isotropic root must have its double among the even roots
         for b in self.odd_roots:
-            if self.form(b, b) != 0 and b.scale(2).key() not in self._even_set:
+            if not self.is_isotropic(b) and b.scale(2).key() not in self._even_set:
                 raise ValueError(f"non-isotropic odd root {b} without even double")
 
     # -- basic queries ---------------------------------------------------------
@@ -225,19 +225,6 @@ class RootSystem:
     @property
     def all_roots(self) -> tuple[Weight, ...]:
         return self.even_roots + self.odd_roots
-
-    def bar_even(self) -> tuple[Weight, ...]:
-        """Even roots whose half is not an odd root."""
-        return tuple(a for a in self.even_roots if a.scale(Fraction(1, 2)).key() not in self._odd_set)
-
-    def bar_odd(self) -> tuple[Weight, ...]:
-        """Isotropic odd roots."""
-        return tuple(b for b in self.odd_roots if self.form(b, b) == 0)
-
-    def coroot_scale(self, a: Weight) -> Fraction:
-        """The factor c with (lam | a) = c * (lam, a): 2/(a,a) when (a,a) != 0, else 1."""
-        norm = self.form(a, a)
-        return Fraction(2) / norm if norm != 0 else Fraction(1)
 
     def validate_prime(self, p: int) -> None:
         """Reject primes excluded for this type."""
@@ -694,7 +681,7 @@ class SimpleSystem:
             if d.scale(Fraction(1, 2)).key() in rs._odd_set:
                 raise ValueError(f"even simple root {d} has an odd half — invalid system")
             return "type_i", (d,)
-        if rs.form(d, d) == 0:
+        if rs.is_isotropic(d):
             return "type_ii", (d,)
         dd = d.scale(2)
         if not rs.is_even_root(dd):
@@ -781,29 +768,4 @@ def phi_prime_eval(ss: SimpleSystem, p: int, pairing: PairingSource) -> FieldEle
         out = out * (v ** (p - 1) - F.one)
     for b in ss.odd_positives:
         out = out * _lookup(pairing, b)
-    return out
-
-
-def coroot_pairing(
-    ss: SimpleSystem, F: Field, lam_eps: Sequence[FieldElement], lam_delta: Sequence[FieldElement]
-) -> dict[Weight, FieldElement]:
-    """Pairings (lam | a) = c_a * (lam, a) for all positive roots.
-
-    ``lam`` is given by field-valued coordinates against the same eps/delta
-    coordinate basis used by the root system; the form matrices and coroot
-    normalization factors are reduced into F.
-    """
-    rs = ss.rs
-    out = {}
-    for a in ss.positive_roots:
-        total = F.zero
-        for i, le in enumerate(lam_eps):
-            for j, c in enumerate(a.eps):
-                if c:
-                    total = total + le * fraction_to_field(F, rs.feps[i][j] * c)
-        for i, ld in enumerate(lam_delta):
-            for j, c in enumerate(a.delta):
-                if c:
-                    total = total + ld * fraction_to_field(F, rs.fdelta[i][j] * c)
-        out[a] = total * fraction_to_field(F, rs.coroot_scale(a))
     return out

@@ -301,7 +301,7 @@ class VermaSystem:
         entries = []
         for fm, code in prod.items():
             if any(fm[N:]):
-                raise RuntimeError("negative part is not closed under products")
+                raise InvariantViolation("negative part is not closed under products")
             entries.append((fm[:N], int(code)))
         out = tuple(entries)
         self._mult_templates[key] = out
@@ -313,13 +313,6 @@ class VermaSystem:
         if any(lambda_residual(self.g, F, lam, self.chi_h, self._P)):
             raise ValueError("lambda violates lambda(h)^p - lambda(h^[p]) = chi(h)^p")
         return BabyVerma(self, lam, F)
-
-
-def build_verma(g: LieSuperalgebra, chi: PCharacter, lam: Sequence[int],
-                ss: Optional[SimpleSystem] = None,
-                field: Optional[Field] = None) -> "BabyVerma":
-    """One-off construction (sweeps should share a VermaSystem)."""
-    return VermaSystem(g, chi, ss).module(lam, field)
 
 
 class BabyVerma:
@@ -379,38 +372,6 @@ class BabyVerma:
         for i, m in enumerate(self.basis):
             S[i, i] = 1 if self.monomial_parity(m) == 0 else F.neg(1)
         return S
-
-    def verify_relations(self) -> dict:
-        """Bracket, p-th power and odd-square relations on the action matrices."""
-        g, F = self.g, self.F
-        failures = []
-        mats = self.all_action_matrices()
-        for i in range(g.dim):
-            for j in range(g.dim):
-                lhs = la.zeros((self.dim, self.dim))
-                for t in np.nonzero(g.bracket_tensor[i, j])[0]:
-                    lhs = F.add_arr(lhs, F.smul_arr(int(g.bracket_tensor[i, j][t]), mats[t]))
-                rhs = la.matmul(F, mats[i], mats[j])
-                other = la.matmul(F, mats[j], mats[i])
-                if g.parities[i] and g.parities[j]:
-                    rhs = F.add_arr(rhs, other)
-                else:
-                    rhs = F.sub_arr(rhs, other)
-                if not (lhs == rhs).all():
-                    failures.append(f"bracket({i},{j})")
-        for i in range(g.dim):
-            if g.parities[i] == 0:
-                powm = la.eye(self.dim)
-                for _ in range(g.p):
-                    powm = la.matmul(F, powm, mats[i])
-                target = la.zeros((self.dim, self.dim))
-                for t in np.nonzero(g.p_map[i])[0]:
-                    target = F.add_arr(target, F.smul_arr(int(g.p_map[i][t]), mats[t]))
-                cst = F.pow_int(int(self.chi.values[i]), g.p)
-                target = F.add_arr(target, F.smul_arr(cst, la.eye(self.dim)))
-                if not (powm == target).all():
-                    failures.append(f"p-power({i})")
-        return {"passed": not failures, "failures": failures[:10]}
 
     # -- distinguished vectors -------------------------------------------------
 
@@ -475,7 +436,7 @@ class BabyVerma:
         shifts = self._neg_chi_values()
         for s, par in enumerate(self.system.slot_parities):
             if par and shifts[s]:
-                raise RuntimeError("cannot shift an odd letter by a nonzero constant")
+                raise InvariantViolation("cannot shift an odd letter by a nonzero constant")
         rows = []
         for e in self.basis:
             if not any(e):
@@ -583,7 +544,7 @@ class BabyVerma:
         rad_basis = la.EchelonBasis(F, rad)
         compl = [t for t in range(d) if t not in rad_basis.pivots]
         if not compl:
-            raise RuntimeError("coefficient algebra has zero quotient")
+            raise InvariantViolation("coefficient algebra has zero quotient")
 
         images = []
         for t in compl:
@@ -652,25 +613,6 @@ class BabyVerma:
         for i, pr in enumerate(pars):
             S[i, i] = 1 if pr == 0 else F.neg(1)
         return mats, S, pars
-
-    def certify_head(self, rng: Optional[np.random.Generator] = None,
-                     samples: int = 3) -> bool:
-        """Spanning closure of every quotient basis vector (and random vectors)
-        regenerates the full head, certifying its simplicity."""
-        F = self.F
-        mats, _, _ = self.quotient_representation()
-        hdim = mats[0].shape[0]
-        probes = [np.eye(hdim, dtype=np.int64)[i] for i in range(hdim)]
-        if rng is not None:
-            for _ in range(samples):
-                v = F.random_codes(rng, hdim)
-                if v.any():
-                    probes.append(v.astype(np.int64))
-        for v in probes:
-            closed = la.closure_under_operators(F, v[None, :], mats, dim_cap=hdim)
-            if closed.shape[0] != hdim:
-                return False
-        return True
 
     # -- verdicts --------------------------------------------------------------
 
@@ -886,8 +828,14 @@ def standard_characters(g: LieSuperalgebra) -> dict:
 
     Rank-one algebras have no nonzero non-regular character supported on
     the Cartan; the zero character then represents the non-regular bucket.
+    A type with no regular semisimple character over GF(p) (gl(2|2) and
+    sl(3|1) at p = 3) has no regular bucket.
     """
-    out = {"zero": g.chi_zero(), "regular_semisimple": g.chi_regular_semisimple()}
+    out = {"zero": g.chi_zero()}
+    try:
+        out["regular_semisimple"] = g.chi_regular_semisimple()
+    except RuntimeError:
+        pass
     nonreg = g.chi_nonregular_nonzero()
     out["nonregular"] = nonreg if nonreg is not None else g.chi_zero()
     return out
@@ -1024,27 +972,3 @@ def reflection_report(g: LieSuperalgebra, chi: PCharacter, delta: Weight,
         "product_single_constant": prime_single,
         "count": len(lset),
     }
-
-
-def exhaustive_max_submodule(Z: BabyVerma, cap: int = 300000) -> np.ndarray:
-    """Brute-force cross-check: the span of all proper cyclic submodules.
-
-    Enumerates every vector of the module (so only feasible when q^dim is
-    small) and closes each; the union span of the proper closures must be
-    the unique maximal submodule.
-    """
-    F = Z.F
-    total = F.q ** Z.dim
-    if total > cap:
-        raise ValueError(f"state space {total} exceeds cap {cap}")
-    rows = la.zeros((0, Z.dim))
-    for code in range(1, total):
-        vec = la.zeros(Z.dim)
-        c = code
-        for i in range(Z.dim):
-            vec[i] = c % F.q
-            c //= F.q
-        closed = Z.submodule_closure(vec[None, :])
-        if closed.shape[0] < Z.dim:
-            rows = la.row_space_basis(F, np.concatenate([rows, closed]))
-    return rows

@@ -1,9 +1,12 @@
 """Slow reference implementations kept as oracles for the linalg kernels.
 
-These are the original per-column product and the per-vector operator
-closure that ``superlie.linalg`` replaced with the int64 prime-field product
-and the block-echelon closure.  They use only the field's element-wise
-operations and ``linalg.rref``, so they are independent of the new kernels.
+These are the original per-column product, the per-vector operator closure,
+the entry-by-entry commutant system and kernel basis, and the
+intersection-based graded codimensions that ``superlie`` replaced with the
+int64 prime-field product, the block-echelon closure, Kronecker products,
+one fancy-index assignment and projection ranks.  They use only the field's
+element-wise operations and ``linalg.rref``, so they are independent of the
+new kernels.
 """
 
 from __future__ import annotations
@@ -79,3 +82,68 @@ def closure_per_vector(
         if dim_cap is not None and basis.shape[0] >= dim_cap:
             break
     return basis
+
+
+def commutation_constraint_loop(F: Field, op: np.ndarray, s: int) -> np.ndarray:
+    """Rows of T·op − s·op·T = 0 in the row-major flattened T, entry by entry."""
+    n = op.shape[0]
+    block = la.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            r = i * n + j
+            # (T·op)_{ij} = sum_k T_{ik}·op_{kj}
+            block[r, i * n : (i + 1) * n] = op[:, j]
+            # −s·(op·T)_{ij} = −s·sum_k op_{ik}·T_{kj}
+            idx = np.arange(n) * n + j
+            contrib = F.neg_arr(op[i, :]) if s == 1 else op[i, :].copy()
+            block[r, idx] = F.add_arr(block[r, idx], contrib)
+    return block
+
+
+def nullspace_loop(F: Field, mat: np.ndarray) -> np.ndarray:
+    """Kernel basis filled one free column and one pivot at a time."""
+    mat = np.asarray(mat)
+    if mat.size == 0:
+        return la.eye(mat.shape[1]) if mat.ndim == 2 else la.zeros((0, 0))
+    red, pivots = la.rref(F, mat)
+    cols = mat.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = la.zeros((len(free), cols))
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for r, pc in enumerate(pivots):
+            basis[i, pc] = F.neg(int(red[r, fc]))
+    return basis
+
+
+def intersect_row_spaces(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Basis of the intersection of two row spaces."""
+    a = row_space_basis(F, np.asarray(a))
+    b = row_space_basis(F, np.asarray(b))
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return la.zeros((0, a.shape[1]))
+    # v in both spans: v = x·a = y·b  ->  [a^T | -b^T]·(x,y) = 0
+    stacked = np.concatenate([a.T, F.neg_arr(b.T)], axis=1)
+    ker = nullspace_loop(F, stacked)
+    if ker.shape[0] == 0:
+        return la.zeros((0, a.shape[1]))
+    return row_space_basis(F, la.matmul(F, ker[:, : a.shape[0]], a))
+
+
+def graded_codims_intersect(F: Field, parities: np.ndarray,
+                            ideal_rows: np.ndarray) -> tuple[int, int, int]:
+    """(even, odd, total) codimensions from the intersections of the subspace
+    with the even and the odd coordinate subspaces."""
+    n = parities.size
+    even_idx = np.nonzero(parities == 0)[0]
+    odd_idx = np.nonzero(parities == 1)[0]
+    if ideal_rows.shape[0] == 0:
+        return even_idx.size, odd_idx.size, n
+    even_part = intersect_row_spaces(F, ideal_rows, la.eye(n)[even_idx])
+    odd_part = intersect_row_spaces(F, ideal_rows, la.eye(n)[odd_idx])
+    c0 = even_idx.size - even_part.shape[0]
+    c1 = odd_idx.size - odd_part.shape[0]
+    total = n - la.rank(F, ideal_rows)
+    if c0 + c1 != total:
+        raise RuntimeError("subspace is not graded")
+    return c0, c1, total

@@ -11,8 +11,10 @@ import pytest
 from superlie.cli import (
     ExperimentConfig,
     UsageError,
+    build_for,
     main,
     parse_config,
+    resolve_chi,
     run_experiment,
 )
 from superlie.verma import BabyVerma
@@ -127,6 +129,28 @@ def test_kw_pbw_violation_is_fail(monkeypatch, capsys):
     assert "skipped" not in out and "PASS" not in out
     assert re.search(r"^kw +FAIL$", out, re.M)
     assert "lowest vector vanished — PBW violation" in out
+
+
+def test_kw_zero_quotient_is_fail(monkeypatch, capsys):
+    # every element nilpotent: the radical is all of the coefficient algebra,
+    # a broken invariant raised from inside the real radical computation
+    monkeypatch.setattr(BabyVerma, "_coefficient_algebra_tables",
+                        lambda self: ({}, {m: {} for m in self.basis}, True))
+    monkeypatch.setattr(BabyVerma, "maximal_submodule",
+                        lambda self: self._commutative_radical_rows())
+    assert main(["kw", "--type", "gl(1|1)", "--p", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "skipped" not in out and "PASS" not in out
+    assert re.search(r"^kw +FAIL$", out, re.M)
+    assert "coefficient algebra has zero quotient" in out
+
+
+def test_standard_buckets_without_a_regular_character():
+    g = build_for("gl(2|2)", 3)  # no regular semisimple character over GF(3)
+    assert resolve_chi(g, "zero").is_zero()
+    assert resolve_chi(g, "nonregular").cartan_values() == (0, 0, 0, 1)
+    with pytest.raises(UsageError, match="no regular semisimple character over GF"):
+        resolve_chi(g, "regular_semisimple")
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference_gf as ref
+from tooling import random_codes
 from superlie.gf import (
     Field,
     field_create,
@@ -121,7 +122,7 @@ def test_division_by_zero_rejected():
 def test_field_axioms_random(p, k):
     F = field_create(p, k)
     rng = np.random.default_rng(12345 + p * 100 + k)
-    codes = F.random_codes(rng, (1000, 3))
+    codes = random_codes(F, rng, (1000, 3))
     one = F.one
     for a, b, c in codes:
         A, B, C = F.from_code(int(a)), F.from_code(int(b)), F.from_code(int(c))
@@ -140,7 +141,7 @@ def test_field_axioms_random(p, k):
 def test_frobenius_is_homomorphism(p, k):
     F = field_create(p, k)
     rng = np.random.default_rng(7)
-    for a, b in F.random_codes(rng, (200, 2)):
+    for a, b in random_codes(F, rng, (200, 2)):
         A, B = F.from_code(int(a)), F.from_code(int(b))
         assert (A + B).frobenius() == A.frobenius() + B.frobenius()
         assert (A * B).frobenius() == A.frobenius() * B.frobenius()
@@ -213,14 +214,13 @@ def test_vectorized_ops_match_scalar():
     for p, k in [(3, 2), (5, 5)]:
         F = field_create(p, k)
         rng = np.random.default_rng(99)
-        a = F.random_codes(rng, 300)
-        b = F.random_codes(rng, 300)
+        a = random_codes(F, rng, 300)
+        b = random_codes(F, rng, 300)
         assert all(F.add_arr(a, b)[i] == F.add(int(a[i]), int(b[i])) for i in range(300))
         assert all(F.mul_arr(a, b)[i] == F.mul(int(a[i]), int(b[i])) for i in range(300))
         assert all(F.neg_arr(a)[i] == F.neg(int(a[i])) for i in range(300))
         c = int(b[0])
         assert all(F.smul_arr(c, a)[i] == F.mul(c, int(a[i])) for i in range(300))
-        assert all(F.frob_arr(a)[i] == F.frob(int(a[i])) for i in range(300))
 
 
 def test_poly_helpers():

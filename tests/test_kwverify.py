@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from reference_verma import parity_shift_glue
 from superlie.gf import field_create
 from superlie.liesuper import build_algebra
 from superlie.rootsys import parse_root_label
 from superlie.kwverify import (
     kw_divisor,
     kw_divisor_ceiling,
-    parity_shift_glue,
     summary_table,
     verify_superkw_sweep,
     walls_type,

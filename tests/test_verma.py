@@ -16,9 +16,7 @@ from superlie.verma import (
     BabyVerma,
     VermaSystem,
     agreement_sweep,
-    build_verma,
     criterion_value,
-    exhaustive_max_submodule,
     lambda_set,
     pairing_at,
     proportionality_report,
@@ -143,7 +141,7 @@ def test_module_dimensions():
         ("gl(2|1)", 5, 20),
     ]:
         g = build_algebra(label, field_create(p, 1))
-        Z = build_verma(g, g.chi_zero(), (0,) * g.rank)
+        Z = VermaSystem(g, g.chi_zero()).module((0,) * g.rank)
         assert Z.dim == dim, (label, p)
 
 
@@ -168,7 +166,7 @@ def test_action_relations_hold():
         for chi in (g.chi_zero(), g.chi_regular_semisimple()):
             ls = lambda_set(g, chi)
             Z = VermaSystem(g, chi).module(ls.weights[0], ls.field)
-            report = Z.verify_relations()
+            report = ref.verify_relations(Z)
             assert report["passed"], (label, chi.cartan_values(), report)
 
 
@@ -191,14 +189,14 @@ def test_highest_vector_properties():
 
 def test_lowest_vector_frozen_coordinates():
     g = build_algebra("gl(1|1)", F3)
-    Z = build_verma(g, g.chi_zero(), (1, 2))
+    Z = VermaSystem(g, g.chi_zero()).module((1, 2))
     low = Z.lowest_vector()
     expect = la.zeros(2)
     expect[Z.index[(1,)]] = 1
     assert (low == expect).all()
 
     g2 = build_algebra("osp(1|2)", F5)
-    Z2 = build_verma(g2, g2.chi_zero(), (3,))
+    Z2 = VermaSystem(g2, g2.chi_zero()).module((3,))
     low2 = Z2.lowest_vector()
     expect2 = la.zeros(10)
     # slots are (X_{-2delta}, X_{-delta}); the two letters commute
@@ -248,7 +246,7 @@ def test_exhaustive_submodule_cross_check():
         if not system.module(lam, ls.field).is_irreducible_oracle()
     )
     Z = system.module(reducible, ls.field)
-    brute = exhaustive_max_submodule(Z)
+    brute = ref.exhaustive_max_submodule(Z)
     assert (brute == Z.maximal_submodule()).all()
     assert brute.shape[0] == 1
 
@@ -401,9 +399,9 @@ def test_nilpotent_osp_p3_head():
     system = VermaSystem(g, chi)
     for lam in ls:
         Z = system.module(lam, ls.field)
-        assert Z.verify_relations()["passed"]
+        assert ref.verify_relations(Z)["passed"]
         sub = Z.maximal_submodule()
-        brute = exhaustive_max_submodule(Z)
+        brute = ref.exhaustive_max_submodule(Z)
         assert (sub == brute).all()
         assert Z.head_dim() % 3 == 0  # divisor p for this nilpotent orbit
 
@@ -422,9 +420,9 @@ def test_nilpotent_gl21_shifted_strategy():
     ls = lambda_set(g, chi)
     system = VermaSystem(g, chi)
     Z = system.module(ls.weights[0], ls.field)
-    assert Z.verify_relations()["passed"]
+    assert ref.verify_relations(Z)["passed"]
     assert any(Z._neg_chi_values()) and Z._chi_kills_neg_brackets()
     sub = Z.maximal_submodule()
     assert sub.shape[0] < Z.dim
     assert Z.head_dim() + sub.shape[0] == Z.dim
-    assert Z.certify_head(np.random.default_rng(7))
+    assert ref.certify_head(Z, np.random.default_rng(7))

@@ -1,0 +1,33 @@
+"""Small constructors the tests share; the package itself never needs them."""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from superlie import linalg as la
+from superlie.envelope import DeformedAlgebra
+from superlie.gf import Field
+
+
+def random_codes(F: Field, rng: np.random.Generator, size=None) -> np.ndarray:
+    """Uniform random field codes of the given shape."""
+    return rng.integers(0, F.q, size=size, dtype=np.int64)
+
+
+def from_coords(U: DeformedAlgebra, coords: Sequence[int]) -> dict:
+    """The element sum_b coords[b] x_b of U, from basis coordinates of g."""
+    out: dict = {}
+    for b, c in enumerate(coords):
+        if c:
+            out = U.add(out, U.scale(int(c), U.gen(b)))
+    return out
+
+
+def to_vector(a: dict, index: dict) -> np.ndarray:
+    """Coordinates of a PBW element against a monomial index."""
+    v = la.zeros(len(index))
+    for m, c in a.items():
+        v[index[m]] = c
+    return v
