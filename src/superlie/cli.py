@@ -269,12 +269,15 @@ def check_family(g, chis, cfg):
     F = g.F
     chi = chis[0][1]
     U = reduced_enveloping(g, chi)
+    # each sample's t, then its three (a, b) pairs
+    draws = [(int(rng.integers(1, F.q)),
+              [(_random_element(U, rng), _random_element(U, rng)) for _ in range(3)])
+             for _ in range(cfg.samples)]
+    # one target U_{t xi, t} per value of t, kept only while its samples run
     theta_ok = 0
-    for _ in range(cfg.samples):
-        t = int(rng.integers(1, F.q))
+    for t in sorted({t for t, _ in draws}):
         _, tm = theta_map(U, t)
-        if tm.verify(rng, samples=3)["passed"]:
-            theta_ok += 1
+        theta_ok += sum(tm.verify(pairs)["passed"] for t2, pairs in draws if t2 == t)
     assoc_ok = 0
     for _ in range(cfg.samples):
         a, b, c = (_random_element(U, rng) for _ in range(3))

@@ -278,13 +278,10 @@ class CoinducedAlgebra:
                 for bb, c in out.items():
                     mat[self.index[bb], self.index[b2]] = c
             action_ops.append(mat)
-        sigma = la.zeros((n, n))
-        for i, par in enumerate(self._parities):
-            sigma[i, i] = F.neg(1) if par else 1
         parities = np.array(self._parities, dtype=np.int64)
         aug = la.zeros(n)
         aug[self.index[(0,) * len(self.coset_slots)]] = 1
-        return OperatorModel(F, n, parities, mult_ops, action_ops, sigma, aug)
+        return OperatorModel(F, n, parities, mult_ops, action_ops, aug)
 
     def is_g_simple(self) -> bool:
         model = self.operator_model()
@@ -302,17 +299,17 @@ class OperatorModel:
     mult_ops generate the (two-sided, since the parity involution sigma is
     always included) multiplication action; action_ops give the g-action;
     aug_vector is the augmentation functional cutting out the maximal ideal.
+    sigma is read off the basis parities.
     """
 
     def __init__(self, F: Field, n: int, parities: np.ndarray,
-                 mult_ops: list, action_ops: list, sigma: np.ndarray,
-                 aug_vector: np.ndarray):
+                 mult_ops: list, action_ops: list, aug_vector: np.ndarray):
         self.F = F
         self.n = n
         self.parities = parities
         self.mult_ops = mult_ops
         self.action_ops = action_ops
-        self.sigma = sigma
+        self.sigma = np.diag(np.where(parities == 1, F.neg(1), 1)).astype(np.int64)
         self.aug_vector = aug_vector
 
     def all_ops(self) -> list:
@@ -327,15 +324,14 @@ def operator_model_from_symmetric(S: DeformedAlgebra) -> OperatorModel:
     if S.lam != 0:
         raise ValueError("augmentation requires the symmetric member lam = 0")
     F = S.F
-    index = S.monomial_index()
-    n = len(index)
-    mult_ops = [S.left_mult_matrix(i, index) for i in range(S.g.dim)]
-    mult_ops += [S.right_mult_matrix(i, index) for i in range(S.g.dim)]
-    action_ops = [S.action_matrix(i, index) for i in range(S.g.dim)]
-    sigma = S.parity_matrix(index)
+    monomials = S.basis_monomials()
+    n = len(monomials)
+    mult_ops = [S.left_mult_matrix(i) for i in range(S.g.dim)]
+    mult_ops += [S.right_mult_matrix(i) for i in range(S.g.dim)]
+    action_ops = [S.action_matrix(i) for i in range(S.g.dim)]
     parities = np.zeros(n, dtype=np.int64)
     aug = la.zeros(n)
-    for m, i in index.items():
+    for i, m in enumerate(monomials):
         parities[i] = S.monomial_parity(m)
         if parities[i] == 0 and all(
             e == 0 for s, e in enumerate(m) if S.slot_parity[s]
@@ -346,7 +342,7 @@ def operator_model_from_symmetric(S: DeformedAlgebra) -> OperatorModel:
                     val = F.mul(val, F.pow_int(int(S.xi.values[S.order[s]]), e))
             aug[i] = val
         # monomials with odd letters evaluate to zero under the augmentation
-    return OperatorModel(F, n, parities, mult_ops, action_ops, sigma, aug)
+    return OperatorModel(F, n, parities, mult_ops, action_ops, aug)
 
 
 def largest_proper_invariant_ideal(model: OperatorModel) -> np.ndarray:

@@ -366,13 +366,6 @@ class BabyVerma:
     def monomial_parity(self, mono: tuple) -> int:
         return sum(e * sp for e, sp in zip(mono, self.system.slot_parities)) & 1
 
-    def parity_matrix(self) -> np.ndarray:
-        F = self.F
-        S = la.zeros((self.dim, self.dim))
-        for i, m in enumerate(self.basis):
-            S[i, i] = 1 if self.monomial_parity(m) == 0 else F.neg(1)
-        return S
-
     # -- distinguished vectors -------------------------------------------------
 
     def highest_vector(self) -> np.ndarray:

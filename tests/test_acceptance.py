@@ -46,6 +46,7 @@ from superlie.verma import (
     semisimplicity_check,
     standard_characters,
 )
+from tooling import random_pairs
 
 ALGEBRAS = ("gl(1|1)", "gl(2|1)", "osp(1|2)")
 PRIMES = (3, 5)
@@ -269,7 +270,7 @@ def test_criterion_8_deformation_family():
         F = g.F
         for _ in range(34):
             t = int(rng.integers(1, F.q))
-            assert theta_map(U, t)[1].verify(rng, samples=2)["passed"], (label, t)
+            assert theta_map(U, t)[1].verify(random_pairs(U, rng, 2))["passed"], (label, t)
             theta_total += 1
         for _ in range(200):
             a, b, c = (_random_element(U, rng) for _ in range(3))

@@ -156,9 +156,10 @@ def test_standard_buckets_without_a_regular_character():
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["gl11_p5_verma_phi", "gl21_p3_kw"])
+@pytest.mark.parametrize("name", ["gl11_p5_verma_phi", "gl21_p3_kw", "osp22_p5_family"])
 def test_reports_match_golden_files(name, tmp_path):
-    # configs over GF(5^5) and GF(3^3), which run the extension-field kernels
+    # the first two run the extension-field kernels over GF(5^5) and GF(3^3);
+    # the family config runs PBW straightening and the rescaling maps theta_t
     assert main(["run", str(GOLDEN / f"{name}.ini"), "--out", str(tmp_path)]) == 0
     want = sorted(path.name for path in (GOLDEN / name).iterdir())
     assert sorted(path.name for path in tmp_path.iterdir()) == want

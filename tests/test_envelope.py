@@ -1,5 +1,9 @@
 """Tests for the deformed enveloping-algebra family U_{xi,lam}."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,12 +12,13 @@ from superlie.gf import field_create
 from superlie.liesuper import build_algebra
 from superlie.envelope import (
     DeformedAlgebra,
+    ThetaMap,
     _random_element,
     reduced_enveloping,
     reduced_symmetric,
     theta_map,
 )
-from tooling import from_coords, to_vector
+from tooling import from_coords, random_pairs, to_vector
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -143,12 +148,12 @@ def test_theta_isomorphism_and_composition():
     for t in (1, 2):
         dst, th = theta_map(U, t)
         assert dst.lam == F3.mul(2, t)
-        assert th.verify(rng, samples=8)["passed"]
+        assert th.verify(random_pairs(U, rng, 8))["passed"]
     # normalization to lam = 1: t = lam^{-1}
     dst, th = theta_map(U, F3.inv(2))
     assert dst.lam == 1
     assert (dst.xi.values == chi.scale(F3.inv(2)).values).all()
-    assert th.verify(rng, samples=8)["passed"]
+    assert th.verify(random_pairs(U, rng, 8))["passed"]
     # composition theta_{t'} . theta_t = theta_{t' t}
     d1, th1 = theta_map(U, 2)
     d2, th2 = theta_map(d1, 2)
@@ -156,6 +161,16 @@ def test_theta_isomorphism_and_composition():
     for _ in range(10):
         a = _random_element(U, rng)
         assert d2.equal(th2.apply(th1.apply(a)), th3.apply(a))
+
+
+def test_theta_verify_fails_on_a_wrong_scaling():
+    g = build_algebra("gl(1|1)", F3)
+    U = DeformedAlgebra(g, g.chi_from_cartan([1, 2]), lam=1)
+    dst, _ = theta_map(U, 2)
+    # the identity map U_{xi,1} -> U_{2xi,2} breaks x y - y x = lam [x, y]
+    report = ThetaMap(U, dst, 1).verify(random_pairs(U, np.random.default_rng(9), 4))
+    assert not report["generator_products"]
+    assert not report["passed"]
 
 
 def test_theta_rejects_zero():
@@ -207,26 +222,23 @@ def test_action_leibniz_on_products():
 def test_operator_matrices_consistency():
     g = build_algebra("gl(1|1)", F3)
     U = reduced_enveloping(g, g.chi_from_cartan([1, 0]))
-    index = U.monomial_index()
+    index = {m: i for i, m in enumerate(U.basis_monomials())}
     n = len(index)
     assert n == 36
-    lefts = [U.left_mult_matrix(i, index) for i in range(g.dim)]
-    rights = [U.right_mult_matrix(i, index) for i in range(g.dim)]
+    lefts = [U.left_mult_matrix(i) for i in range(g.dim)]
+    rights = [U.right_mult_matrix(i) for i in range(g.dim)]
     # left and right multiplications commute (associativity)
     for L in lefts:
         for R in rights:
             assert (la.matmul(U.F, L, R) == la.matmul(U.F, R, L)).all()
     # action matrix agrees with direct action
     rng = np.random.default_rng(8)
-    A = U.action_matrix(0, index)
+    A = U.action_matrix(0)
     for _ in range(5):
         u = _random_element(U, rng)
         vec = to_vector(u, index)
         direct = to_vector(U.act(0, u), index)
         assert (la.matvec(U.F, A, vec) == direct).all()
-    # parity matrix squares to identity
-    sig = U.parity_matrix(index)
-    assert (la.matmul(U.F, sig, sig) == la.eye(n)).all()
 
 
 def test_matrix_cap_enforced():
@@ -265,3 +277,42 @@ def test_xi_instance_mismatch_rejected():
     g2 = build_algebra("gl(1|1)", F3)
     with pytest.raises(ValueError):
         DeformedAlgebra(g1, g2.chi_zero())
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_python(code: str) -> str:
+    """Run code in a fresh interpreter with superlie importable; its stdout."""
+    proc = subprocess.run([sys.executable, "-c", f"import sys\nsys.path.insert(0, {str(SRC)!r})\n"
+                           + code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_leaves_recursion_limit_unchanged():
+    out = _fresh_python(
+        "before = sys.getrecursionlimit()\n"
+        "import superlie, superlie.cli\n"
+        "print(before, sys.getrecursionlimit())\n"
+    )
+    before, after = out.split()
+    assert before == after
+
+
+def test_cold_generator_times_top_monomial_under_default_limit():
+    # the deepest straightening the engine meets: x_b times the top monomial
+    # of gl(2|2) at p = 3, each on an empty memo
+    out = _fresh_python(
+        "from superlie.gf import field_create\n"
+        "from superlie.liesuper import build_algebra\n"
+        "from superlie.envelope import reduced_enveloping\n"
+        "g = build_algebra('gl(2|2)', field_create(3))\n"
+        "chi = g.chi_from_cartan([1, 2, 0, 1])\n"
+        "for b in range(g.dim):\n"
+        "    U = reduced_enveloping(g, chi)\n"
+        "    top = {tuple(c - 1 for c in U.slot_cap): 1}\n"
+        "    U.multiply(U.gen(b), top)\n"
+        "print(sys.getrecursionlimit())\n"
+    )
+    assert out.split() == ["1000"]

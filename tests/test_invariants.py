@@ -240,6 +240,10 @@ def test_plain_symmetric_algebra_augmentation_ideal():
     g = build_algebra("gl(1|1)", F3)
     S = reduced_symmetric(g)
     model = operator_model_from_symmetric(S)
+    # the parity involution is -1 exactly on the odd monomials, and squares to 1
+    signs = [F3.neg(1) if S.monomial_parity(m) else 1 for m in S.basis_monomials()]
+    assert (np.diag(model.sigma) == signs).all()
+    assert (la.matmul(F3, model.sigma, model.sigma) == la.eye(model.n)).all()
     top = largest_proper_invariant_ideal(model)
     c0, c1, total = graded_codims(model, top)
     assert (c0, c1, total) == (1, 0, 1)

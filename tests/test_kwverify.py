@@ -78,9 +78,10 @@ def test_walls_type_rejects_reducible():
     reducible = next(lam for lam in ls
                      if not system.module(lam, ls.field).is_irreducible_oracle())
     Z = system.module(reducible, ls.field)
+    parity_op = np.diag([ls.field.neg(1) if Z.monomial_parity(m) else 1
+                         for m in Z.basis]).astype(np.int64)
     with pytest.raises(ValueError):
-        walls_type(ls.field, Z.all_action_matrices(), Z.parity_matrix(),
-                   list(g.parities))
+        walls_type(ls.field, Z.all_action_matrices(), parity_op, list(g.parities))
 
 
 def test_parity_shift_glue_is_Q():

@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from superlie import linalg as la
-from superlie.envelope import DeformedAlgebra
+from superlie.envelope import DeformedAlgebra, _random_element
 from superlie.gf import Field
 
 
@@ -31,3 +31,8 @@ def to_vector(a: dict, index: dict) -> np.ndarray:
     for m, c in a.items():
         v[index[m]] = c
     return v
+
+
+def random_pairs(U: DeformedAlgebra, rng: np.random.Generator, n: int) -> list[tuple[dict, dict]]:
+    """n pairs of random three-term elements of U, drawn a then b."""
+    return [(_random_element(U, rng), _random_element(U, rng)) for _ in range(n)]
