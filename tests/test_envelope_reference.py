@@ -42,7 +42,7 @@ def _engines(data, cases):
     values = [0 if g.parities[b] else data.draw(st.integers(0, q - 1))
               for b in range(g.dim)]
     xi = PCharacter(g, values)
-    lam = data.draw(st.sampled_from([0, 1, data.draw(st.integers(0, q - 1))]))
+    lam = data.draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, q - 1)))
     order = data.draw(st.permutations(range(g.dim)))
     return DeformedAlgebra(g, xi, lam, order), ReferenceAlgebra(g, xi, lam, order)
 
