@@ -109,21 +109,17 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = val
     if "algebra" not in values or "p" not in values:
         raise UsageError("config needs at least 'algebra' and 'p'")
-    try:
-        p = int(values["p"])
-    except ValueError:
-        raise UsageError(f"p must be an integer, got {values['p']!r}")
-    cfg = ExperimentConfig(algebra=values["algebra"], p=p)
+    ints = {}
+    for key in [k for k in ("p", "k_max", "samples", "seed") if k in values]:
+        try:
+            ints[key] = int(values[key])
+        except ValueError:
+            raise UsageError(f"{key} must be an integer, got {values[key]!r}")
+    cfg = ExperimentConfig(algebra=values["algebra"], **ints)
     if chi_specs:
         cfg.chi_specs = chi_specs
-    if "k_max" in values:
-        cfg.k_max = int(values["k_max"])
     if "checks" in values:
         cfg.checks = [c.strip() for c in values["checks"].split(",") if c.strip()]
-    if "samples" in values:
-        cfg.samples = int(values["samples"])
-    if "seed" in values:
-        cfg.seed = int(values["seed"])
     unknown = set(cfg.checks) - set(CHECK_ORDER)
     if unknown:
         raise UsageError(f"unknown checks: {sorted(unknown)}")
@@ -146,12 +142,14 @@ def resolve_chi(g: LieSuperalgebra, spec: str) -> PCharacter:
         if spec not in buckets:
             raise UsageError(f"{g.label} has no regular semisimple character over GF({g.p})")
         return buckets[spec]
-    if spec.startswith("explicit:"):
-        vals = [int(v) for v in spec.split(":", 1)[1].split(",") if v.strip() != ""]
-        return g.chi_from_cartan(vals)
-    if spec.startswith("nilpotent_root:"):
-        label = spec.split(":", 1)[1]
-        return g.nilpotent_root_character(parse_root_label(label, g.rs.m, g.rs.n))
+    kind, _, arg = spec.partition(":")
+    try:
+        if kind == "explicit":
+            return g.chi_from_cartan([int(v) for v in arg.split(",") if v.strip()])
+        if kind == "nilpotent_root":
+            return g.nilpotent_root_character(parse_root_label(arg, g.rs.m, g.rs.n))
+    except ValueError as exc:
+        raise UsageError(f"bad chi {spec!r}: {exc}")
     raise UsageError(f"unknown chi descriptor {spec!r}")
 
 
@@ -334,6 +332,8 @@ def check_semisimple(g, chis, cfg):
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Run the configured checks; returns (exit_code, bundle, summary_lines)."""
+    if cfg.samples < 1 or cfg.k_max < 1:
+        raise UsageError(f"samples and k_max must be at least 1, got {cfg.samples}, {cfg.k_max}")
     g = build_for(cfg.algebra, cfg.p)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -388,15 +388,21 @@ def _emit(bundle, lines, fmt):
 # subcommand entry points
 
 
+def _with_flags(cfg: ExperimentConfig, args) -> ExperimentConfig:
+    """``--seed``, ``--k-max`` and ``--samples`` override the config."""
+    for key in ("seed", "k_max", "samples"):
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
+    return cfg
+
+
 def cmd_run(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.k_max is not None:
-        cfg.k_max = args.k_max
-    if args.samples is not None:
-        cfg.samples = args.samples
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config: {exc}")
+    cfg = _with_flags(parse_config(text), args)
     code, bundle, lines = run_experiment(cfg, out_dir=args.out)
     _emit(bundle, lines, args.format)
     return code
@@ -414,13 +420,7 @@ def cmd_list(args) -> int:
 def _single_chi_config(args, checks) -> ExperimentConfig:
     cfg = ExperimentConfig(algebra=args.type, p=args.p, checks=list(checks))
     cfg.chi_specs = [args.chi] if getattr(args, "chi", None) else ["zero"]
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.k_max is not None:
-        cfg.k_max = args.k_max
-    if getattr(args, "samples", None) is not None:
-        cfg.samples = args.samples
-    return cfg
+    return _with_flags(cfg, args)
 
 
 def cmd_verma(args) -> int:

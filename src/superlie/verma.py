@@ -331,6 +331,7 @@ class BabyVerma:
         self.highest_index = system.highest_index
         self._action: dict[int, np.ndarray] = {}
         self._max_submodule: Optional[np.ndarray] = None
+        self._lowest: Optional[np.ndarray] = None
 
     # -- actions ---------------------------------------------------------------
 
@@ -378,14 +379,17 @@ class BabyVerma:
 
     def lowest_vector(self) -> np.ndarray:
         """X_{-alpha_1}^{m_1} ... X_{-alpha_N}^{m_N} . v (rightmost acts first)."""
-        vec = self.highest_vector()
-        for a in reversed(self.system.positives):
-            idx = self.g.root_index[-a]
-            for _ in range(self._exponent(idx)):
-                vec = self.act(idx, vec)
-        if not vec.any():
-            raise InvariantViolation("lowest vector vanished — PBW violation")
-        return vec
+        if self._lowest is None:
+            vec = self.highest_vector()
+            for a in reversed(self.system.positives):
+                idx = self.g.root_index[-a]
+                for _ in range(self._exponent(idx)):
+                    vec = self.act(idx, vec)
+            if not vec.any():
+                raise InvariantViolation("lowest vector vanished — PBW violation")
+            vec.flags.writeable = False  # shared by every later call
+            self._lowest = vec
+        return self._lowest
 
     def phi_via_module(self) -> int:
         """Coefficient of v in X_{alpha_1}^{m_1} ... X_{alpha_N}^{m_N} . lowest."""

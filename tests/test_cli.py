@@ -233,3 +233,26 @@ def test_readme_command_exits_zero(line, tmp_path, monkeypatch):
         (tmp_path / argv[1]).write_text(config)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["run", "{cfg}"], "algebra = gl(1|1)\np = 3\nchecks = family\nsamples = 0\n"),
+    (["run", "{cfg}"], "algebra = gl(1|1)\np = 3\nchecks = sym\nsamples = abc\n"),
+    (["run", "{cfg}", "--k-max", "0"], "algebra = gl(1|1)\np = 3\n"),
+    (["run", "{tmp}/missing.ini"], None),
+    (["sym", "--type", "gl(1|1)", "--p", "3", "--samples", "0"], None),
+    (["sym", "--type", "gl(1|1)", "--p", "3", "--samples", "-1"], None),
+    (["kw", "--type", "gl(1|1)", "--p", "3", "--chi", "explicit:9,9,9"], None),
+    (["kw", "--type", "gl(1|1)", "--p", "3", "--chi", "explicit:a,1"], None),
+    (["kw", "--type", "gl(1|1)", "--p", "3", "--chi", "nilpotent_root:zz"], None),
+])
+def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
+    """Bad input exits 2 with a message: no check passes vacuously, no traceback."""
+    cfg = tmp_path / "bad.ini"
+    if config is not None:
+        cfg.write_text(config)
+    code = main([a.format(cfg=cfg, tmp=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "PASS" not in out and "Traceback" not in err
+    assert err.startswith("usage error: ")

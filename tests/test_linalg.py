@@ -356,3 +356,93 @@ def test_int64_bound_names_the_shape():
         la.check_int64_matmul(7, (3, 2 ** 62), (2 ** 62, 4))
     with pytest.raises(OverflowError):
         la.check_int64_matmul(3037000507, (1, 1), (1, 1))  # (p-1)^2 alone is too big
+
+
+# -- the float64 / int64 product split and the one-block closure rounds ------
+
+
+def _product_macs(F, n, m, r):
+    """Multiply-adds of the one product mod p that ``matmul`` makes."""
+    return F.k * F.k * n * m * r
+
+
+@st.composite
+def products_near_float64_threshold(draw, F):
+    """(a, b) whose product mod p lies just below or just above FLOAT64_MIN_MACS."""
+    n, r = draw(st.integers(4, 24)), draw(st.integers(4, 24))  # n > r and n <= r
+    per_m = _product_macs(F, n, 1, r)
+    if draw(st.booleans()):
+        m = -(-la.FLOAT64_MIN_MACS // per_m) + draw(st.integers(0, 3))
+    else:
+        m = max(1, (la.FLOAT64_MIN_MACS - 1) // per_m - draw(st.integers(0, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    special = np.array([0, 1, F.q - 1], dtype=np.int64)
+    a, b = random_codes(F, rng, (n, m)), random_codes(F, rng, (m, r))
+    if draw(st.booleans()):  # many largest codes: the largest sums a product can reach
+        a, b = special[rng.integers(0, 3, (n, m))], special[rng.integers(0, 3, (m, r))]
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_matmul_matches_loop_reference_on_both_sides_of_float64_threshold(data):
+    F = field_create(*data.draw(st.sampled_from([(3, 1), (7, 1), (7, 3), (5, 5)])))
+    a, b = data.draw(products_near_float64_threshold(F))
+    got = la.matmul(F, a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ref.matmul_loop(F, a, b))
+
+
+def test_float64_guard_at_the_edge_of_its_bound():
+    for p in (3, 7, 3125, 2 ** 31 - 1):
+        m = (2 ** 53 - 1) // (p - 1) ** 2  # the largest m with m·(p−1)² < 2⁵³
+        assert la.fits_float64(p, m)
+        assert not la.fits_float64(p, m + 1)
+    assert not la.fits_float64(94906267, 1)  # (p−1)² alone passes 2⁵³
+
+
+def test_product_past_float64_bound_stays_exact_in_int64():
+    # (p−1)² > 2⁵³ keeps this 16384-term product out of float64; int64 holds it
+    p = 2 ** 31 - 1
+    a = np.full((128, 1), p - 1, dtype=np.int64)
+    b = np.full((1, 128), p - 2, dtype=np.int64)
+    assert 128 * 128 >= la.FLOAT64_MIN_MACS and not la.fits_float64(p, 1)
+    assert (la._residue_product(p, a, b) == (p - 1) * (p - 2) % p).all()
+    with pytest.raises(OverflowError, match="2⁶³"):
+        la._residue_product(p, np.ones((128, 3), np.int64), np.ones((3, 128), np.int64))
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2), (5, 5)])
+def test_closure_rounds_of_both_kinds_match_reference(p, k, monkeypatch):
+    """Rounds with K·f ≤ n extend once with every image, larger ones once per
+    operator; the spy replays that rule and counts rounds of each kind."""
+    F = field_create(p, k)
+    n, K = 12, 3
+    calls = []
+    extend = la.EchelonBasis.extend
+
+    def spy(self, block):
+        new = extend(self, block)
+        calls.append((block.shape[0], new.shape[0]))
+        return new
+
+    monkeypatch.setattr(la.EchelonBasis, "extend", spy)
+    kinds = set()
+    rng = np.random.default_rng(p * k)
+    for trial in range(4):
+        ops = [random_matrix(F, rng, (n, n)) for _ in range(K)]
+        if trial % 2:
+            ops = [np.triu(op) for op in ops]  # stops short of the whole space
+        seed = random_matrix(F, rng, (1 + trial, n))
+        calls.clear()
+        got = la.closure_under_operators(F, seed, ops)
+        assert np.array_equal(got, ref.closure_per_vector(F, seed, ops))
+        f, i = calls[0][1], 1
+        while f:
+            stacked = K * f <= n
+            kinds.add(stacked)
+            round_calls = calls[i: i + (1 if stacked else K)]
+            assert [rows for rows, _ in round_calls] == ([K * f] if stacked else [f] * K)
+            f, i = sum(new for _, new in round_calls), i + len(round_calls)
+        assert i == len(calls)
+    assert kinds == {True, False}

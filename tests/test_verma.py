@@ -204,6 +204,20 @@ def test_lowest_vector_frozen_coordinates():
     assert (low2 == expect2).all()
 
 
+def test_lowest_vector_is_built_once_per_module(monkeypatch):
+    g = build_algebra("osp(1|2)", F5)
+    Z = VermaSystem(g, g.chi_zero()).module((3,))
+    acts = []
+    act = BabyVerma.act
+    monkeypatch.setattr(BabyVerma, "act", lambda self, i, v: acts.append(i) or act(self, i, v))
+    low = Z.lowest_vector()
+    chain = len(acts)
+    Z.verdict()
+    assert Z.lowest_vector() is low and not low.flags.writeable
+    # the verdict adds only phi's raising chain, as long as the lowering one
+    assert chain > 0 and len(acts) == 2 * chain
+
+
 # ---------------------------------------------------------------------------
 # irreducibility: product criterion vs closure oracle
 
