@@ -120,6 +120,8 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.chi_specs = chi_specs
     if "checks" in values:
         cfg.checks = [c.strip() for c in values["checks"].split(",") if c.strip()]
+        if not cfg.checks:
+            raise UsageError("checks names no check")
     unknown = set(cfg.checks) - set(CHECK_ORDER)
     if unknown:
         raise UsageError(f"unknown checks: {sorted(unknown)}")

@@ -404,9 +404,6 @@ class Field:
         for code in range(self.q):
             yield FieldElement(self, code)
 
-    def describe(self) -> dict:
-        return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Field)

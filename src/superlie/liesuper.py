@@ -377,9 +377,12 @@ class LieSuperalgebra:
                     raise RuntimeError(f"coroot normalization failed for {format_weight(root)}")
             self.coroots[root] = coords
 
-    def coroot_value(self, chi_or_lam: Sequence[int], root: Weight) -> int:
-        """Pair cartan-coordinates functional values against H_root."""
-        F = self.F
+    def coroot_value(self, F: Field, chi_or_lam: Sequence[int], root: Weight) -> int:
+        """Pair Cartan-coordinate functional values (codes over F) against H_root.
+
+        Coroot coordinates lie in the prime subfield, so they pair unchanged
+        with values over any extension F of the base field.
+        """
         H = self.coroots[root]
         total = 0
         for ci, lam_v in zip(self.cartan, chi_or_lam):
@@ -529,19 +532,9 @@ class LieSuperalgebra:
                 "is not supported)"
             )
         lam = [int(chi.values[ci]) for ci in self.cartan]
-        return all(self.coroot_value(lam, root) != 0 for root in self.rs.all_roots)
+        return all(self.coroot_value(self.F, lam, root) != 0 for root in self.rs.all_roots)
 
     # -- misc ------------------------------------------------------------------
-
-    def describe(self) -> dict:
-        return {
-            "type": self.label,
-            "p": self.p,
-            "k": self.F.k,
-            "dim_even": self.dim_even,
-            "dim_odd": self.dim_odd,
-            "basis": list(self.basis_names),
-        }
 
     def __repr__(self) -> str:
         return f"LieSuperalgebra({self.label}, {self.F!r})"

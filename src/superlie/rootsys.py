@@ -157,7 +157,6 @@ class RootSystem:
         feps: Sequence[Sequence[Rational]],
         fdelta: Sequence[Sequence[Rational]],
         distinguished: Sequence[Weight],
-        alpha_param: Optional[Fraction] = None,
     ):
         self.label = label
         self.family = family
@@ -168,7 +167,6 @@ class RootSystem:
         self.feps = tuple(tuple(Fraction(c) for c in row) for row in feps)
         self.fdelta = tuple(tuple(Fraction(c) for c in row) for row in fdelta)
         self._distinguished = tuple(distinguished)
-        self.alpha_param = alpha_param
         self._even_set = frozenset(r.key() for r in self.even_roots)
         self._odd_set = frozenset(r.key() for r in self.odd_roots)
         self._validate()
@@ -254,18 +252,6 @@ class RootSystem:
                     seen[key] = nxt
                     queue.append(nxt)
         return sorted(seen.values(), key=lambda s: tuple(r.key() for r in s.simple_roots))
-
-    def describe(self) -> dict:
-        out = {
-            "type": self.label,
-            "m": self.m,
-            "n": self.n,
-            "even_roots": [format_weight(r) for r in self.even_roots],
-            "odd_roots": [format_weight(r) for r in self.odd_roots],
-        }
-        if self.alpha_param is not None:
-            out["alpha"] = str(self.alpha_param)
-        return out
 
     def __repr__(self) -> str:
         return f"RootSystem({self.label})"
@@ -463,7 +449,7 @@ def _build_d21a(alpha: Optional[Rational]) -> RootSystem:
         _eps(m, n, 1).scale(2),
         _eps(m, n, 2).scale(2),
     ]
-    return RootSystem("D(2,1;a)", "D21a", m, n, even, odd, feps, [], simple, alpha_param=alpha)
+    return RootSystem("D(2,1;a)", "D21a", m, n, even, odd, feps, [], simple)
 
 
 def _build_f4() -> RootSystem:
@@ -728,14 +714,6 @@ class SimpleSystem:
                 f"reflection postcondition failed: overlap {overlap} != {self.N}-{len(delta_star)}"
             )
         return new_ss
-
-    def describe(self) -> dict:
-        return {
-            "type": self.rs.label,
-            "simple_roots": [format_weight(r) for r in self.simple_roots],
-            "positive_roots": [format_weight(r) for r in self.positive_roots],
-            "rho": format_weight(self.rho),
-        }
 
     def __repr__(self) -> str:
         simples = ", ".join(format_weight(r) for r in self.simple_roots)

@@ -6,6 +6,13 @@ system lambda(h)^p - lambda(h^{[p]}) = chi(h)^p, for any Cartan p-map matrix
 P, as one linear system on the GF(p)-digit coordinates of lambda over
 GF(p^k), and grows k = 1, 2, ... until all p^rank solutions appear.
 
+``ambient_rows`` is the three-branch maximal-submodule ambient that
+``BabyVerma._ambient_rows`` replaced: the plain nonconstant monomials when
+chi = 0 on n^-, the shifted monomials assembled entry by entry, and the
+nilradical of a commutative coefficient algebra found through the p-th
+power map on GF(p)-digit coordinates, with the q-th powers of Berlekamp's
+test taken one scalar Frobenius at a time.
+
 The other functions check a baby Verma module from outside the pipeline:
 its defining relations on the action matrices, the simplicity of its head,
 its maximal submodule by brute force, and a module of Walls type Q built by
@@ -15,6 +22,7 @@ gluing a module to its parity shift.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +30,13 @@ import numpy as np
 from superlie import linalg as la
 from superlie.gf import Field, field_create
 from superlie.liesuper import LieSuperalgebra, PCharacter
-from superlie.verma import BabyVerma, LambdaSet, cartan_p_matrix, lambda_residual
+from superlie.verma import (
+    BabyVerma,
+    InvariantViolation,
+    LambdaSet,
+    cartan_p_matrix,
+    lambda_residual,
+)
 from tooling import random_codes
 
 
@@ -84,6 +98,129 @@ def lambda_set_scan(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> Lamb
     )
 
 
+def ambient_rows(Z: BabyVerma) -> np.ndarray:
+    """Rows of a space holding every proper submodule of Z, three ways."""
+    if not any(Z._neg_chi_values()):
+        ident = la.eye(Z.dim)
+        return np.array(
+            [ident[i] for i in range(Z.dim) if i != Z.highest_index],
+            dtype=np.int64,
+        )
+    if Z._chi_kills_neg_brackets():
+        return shifted_monomial_rows(Z)
+    return commutative_radical_rows(Z)
+
+
+def shifted_monomial_rows(Z: BabyVerma) -> np.ndarray:
+    """Rows of prod_s (x_s - chi(x_s))^{e_s} for e != 0 in the PBW basis."""
+    F = Z.F
+    shifts = Z._neg_chi_values()
+    for s, par in enumerate(Z.system.slot_parities):
+        if par and shifts[s]:
+            raise InvariantViolation("cannot shift an odd letter by a nonzero constant")
+    rows = []
+    for e in Z.basis:
+        if not any(e):
+            continue
+        row = la.zeros(Z.dim)
+        for f in Z.basis:
+            if any(fv > ev for fv, ev in zip(f, e)):
+                continue
+            c = 1
+            for s, (ev, fv) in enumerate(zip(e, f)):
+                if ev == fv:
+                    continue
+                binco = math.comb(ev, fv) % F.p
+                c = F.mul(c, binco)
+                c = F.mul(c, F.pow_int(F.neg(shifts[s] % F.p), ev - fv))
+            if c:
+                row[Z.index[f]] = c
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+def commutative_radical_rows(Z: BabyVerma) -> np.ndarray:
+    """Nilradical of commutative A = U_chi(n^-), certified local.
+
+    The p-th power map is GF(p)-linear in digit coordinates; iterating it
+    past dim A cuts out exactly the nilpotent elements.  Locality is
+    certified by a one-dimensional Berlekamp subalgebra of A/nilrad.
+    """
+    F = Z.F
+    p, k = F.p, F.k
+    mult, powers, commutative = Z._coefficient_algebra_tables()
+    if not commutative:
+        raise RuntimeError(
+            "no certified maximal-submodule ambient: chi has constants in "
+            "odd squares and the coefficient algebra is noncommutative"
+        )
+    d = Z.dim
+    n = d * k
+
+    def p_power_matrix() -> np.ndarray:
+        # a |-> a^p as a GF(p)-linear map on digit coordinates
+        M = la.zeros((n, n))
+        for t, m in enumerate(Z.basis):
+            pw = powers[m]
+            for dd in range(k):
+                col = t * k + dd
+                cp = F.frob(p ** dd)
+                for tgt, code in pw.items():
+                    val = F.mul(cp, code % p)
+                    s = Z.index[tgt]
+                    for d2, dig in enumerate(F._digit_tuples[val]):
+                        M[s * k + d2, col] = (M[s * k + d2, col] + dig) % p
+        return M
+
+    Fp = field_create(p, 1)
+    P1 = p_power_matrix()
+    reps = 1
+    while p ** reps < d:  # a^(p^reps) = 0 for every nilpotent a once p^reps >= dim A
+        reps += 1
+    PM = P1
+    for _ in range(reps - 1):
+        PM = la.matmul(Fp, P1, PM)
+    ker = la.nullspace(Fp, PM)
+    rad_rows = []
+    for row in ker:
+        vec = la.zeros(d)
+        for t in range(d):
+            code = sum(int(row[t * k + dd]) * p ** dd for dd in range(k))
+            vec[t] = code
+        rad_rows.append(vec)
+    rad = la.row_space_basis(F, np.array(rad_rows, dtype=np.int64)) \
+        if rad_rows else la.zeros((0, d))
+    # certify locality: Berlekamp subalgebra of A/nilrad is 1-dimensional
+    rad_basis = la.EchelonBasis(F, rad)
+    compl = [t for t in range(d) if t not in rad_basis.pivots]
+    if not compl:
+        raise InvariantViolation("coefficient algebra has zero quotient")
+
+    images = []
+    for t in compl:
+        e = la.zeros(d)
+        e[t] = 1
+        cur = e
+        for _ in range(k):  # q-th power = p-th power iterated k times
+            nxt = la.zeros(d)
+            # for commutative A in char p, (sum c_i m_i)^p = sum c_i^p m_i^p
+            for i in np.nonzero(cur)[0]:
+                cp = F.frob(int(cur[i]))
+                for tgt, code in powers[Z.basis[int(i)]].items():
+                    ti = Z.index[tgt]
+                    nxt[ti] = F.add(int(nxt[ti]), F.mul(cp, code % F.p))
+            cur = nxt
+        images.append(F.sub_arr(cur, e))
+    B = rad_basis.reduce(np.array(images))[:, compl].T
+    berlekamp_kernel = la.nullspace(F, B)
+    if berlekamp_kernel.shape[0] != 1:
+        raise RuntimeError(
+            "coefficient algebra is not local over this field; the maximal "
+            "submodule is not unique and the head is left uncomputed"
+        )
+    return rad
+
+
 def verify_relations(Z: BabyVerma) -> dict:
     """Bracket and p-th power relations on the action matrices of Z."""
     g, F = Z.g, Z.F
@@ -122,7 +259,7 @@ def certify_head(Z: BabyVerma, rng: Optional[np.random.Generator] = None,
     """Spanning closure of every quotient basis vector (and random vectors)
     regenerates the full head, certifying its simplicity."""
     F = Z.F
-    mats, _, _ = Z.quotient_representation()
+    mats, _ = Z.quotient_representation()
     hdim = mats[0].shape[0]
     probes = [np.eye(hdim, dtype=np.int64)[i] for i in range(hdim)]
     if rng is not None:

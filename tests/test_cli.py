@@ -245,6 +245,7 @@ def test_readme_command_exits_zero(line, tmp_path, monkeypatch):
     (["kw", "--type", "gl(1|1)", "--p", "3", "--chi", "explicit:9,9,9"], None),
     (["kw", "--type", "gl(1|1)", "--p", "3", "--chi", "explicit:a,1"], None),
     (["kw", "--type", "gl(1|1)", "--p", "3", "--chi", "nilpotent_root:zz"], None),
+    (["run", "{cfg}"], "algebra = gl(1|1)\np = 3\nchecks =\n"),
 ])
 def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
     """Bad input exits 2 with a message: no check passes vacuously, no traceback."""

@@ -232,7 +232,3 @@ def test_poly_helpers():
     assert poly_gcd(poly_mul(f, g, p), g, p) == [(4 * pow(1, -1, 5)) % 5, 1] or True
     assert is_irreducible([1, 0, 1], 3)  # x^2+1 over GF(3)
     assert not is_irreducible([2, 0, 1], 3)  # x^2+2 = (x-1)(x+1) over GF(3)
-
-
-def test_describe():
-    assert field_create(3, 2).describe() == {"p": 3, "k": 2, "modulus": [1, 0, 1]}

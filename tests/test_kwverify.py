@@ -55,7 +55,7 @@ def test_divisor_scale_invariant():
 def test_walls_type_trivial_module_is_M():
     g = build_algebra("gl(1|1)", F3)
     Z = VermaSystem(g, g.chi_zero()).module((0, 0))
-    mats, parity_op, _ = Z.quotient_representation()
+    mats, parity_op = Z.quotient_representation()
     assert mats[0].shape[0] == 1
     assert walls_type(F3, mats, parity_op, list(g.parities)) == "M"
 
@@ -65,7 +65,7 @@ def test_walls_type_gl11_head_is_M():
     chi = g.chi_regular_semisimple()
     ls = lambda_set(g, chi)
     Z = VermaSystem(g, chi).module(ls.weights[0], ls.field)
-    mats, parity_op, _ = Z.quotient_representation()
+    mats, parity_op = Z.quotient_representation()
     assert mats[0].shape[0] == 2
     assert walls_type(ls.field, mats, parity_op, list(g.parities)) == "M"
 
@@ -89,7 +89,7 @@ def test_parity_shift_glue_is_Q():
     chi = g.chi_regular_semisimple()
     ls = lambda_set(g, chi)
     Z = VermaSystem(g, chi).module(ls.weights[0], ls.field)
-    mats, parity_op, _ = Z.quotient_representation()
+    mats, parity_op = Z.quotient_representation()
     glued, gp = parity_shift_glue(ls.field, mats, parity_op, list(g.parities))
     assert walls_type(ls.field, glued, gp, list(g.parities),
                       check_simple=False) == "Q"

@@ -3,11 +3,13 @@
 The check is a name-level reference graph over the package source.  A
 function or method is reached when its bare name is referenced (as a name
 or as an attribute) from a root or from the body of a reached function.
-The roots are ``cli.main``, module-level statements other than imports,
-dunder methods, and the names the benchmark tracer in
-``perfbench/tracing.py`` wraps.  Matching by bare name over-approximates
-what runs, so a function this test reports is certainly never called by
-the package; nested functions count as part of the function around them.
+Inside a method, ``self.name`` for a method ``name`` that the same class
+defines reaches only that class's method.  The roots are ``cli.main``,
+module-level statements other than imports, dunder methods, and the names
+the benchmark tracer in ``perfbench/tracing.py`` wraps.  Matching by bare
+name over-approximates what runs, so a function this test reports is
+certainly never called by the package; nested functions count as part of
+the function around them.
 """
 
 import ast
@@ -22,20 +24,26 @@ ALLOWED = {
     "gf.Field.elements": "public field API: iterate over every element of the field",
     "gf.FieldElement.frobenius": "public element API: the p-power map of an element",
     "gf.FieldElement.inverse": "public element API: multiplicative inverse",
+    "envelope.DeformedAlgebra.act": "public algebra API: the action x . u on PBW "
+                                    "elements, whose matrix is action_matrix",
 }
 
 FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _references(nodes) -> set:
-    """Bare names read by ``nodes``."""
+def _references(nodes, own_methods=None) -> set:
+    """Names read by ``nodes``: bare names, except that ``self.name`` for a
+    method of the enclosing class reads as its qualified name."""
+    own_methods = own_methods or {}
     out = set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 out.add(sub.id)
             elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
+                own = (isinstance(sub.value, ast.Name) and sub.value.id == "self"
+                       and own_methods.get(sub.attr))
+                out.add(own or sub.attr)
     return out
 
 
@@ -45,7 +53,7 @@ def _is_dunder(name: str) -> bool:
 
 def package_graph():
     """(definitions, root names): definitions map a qualified name to its
-    bare name and the names its body reads."""
+    bare name and the names its body reads (see ``_references``)."""
     defs = {}
     roots = set()
     for path in sorted(SRC.glob("*.py")):
@@ -60,10 +68,12 @@ def package_graph():
                 top_level += stmt.decorator_list + [stmt.args]
             elif isinstance(stmt, ast.ClassDef):
                 top_level += stmt.decorator_list + stmt.bases
+                methods = {item.name: f"{mod}.{stmt.name}.{item.name}"
+                           for item in stmt.body if isinstance(item, FUNCTION_NODES)}
                 for item in stmt.body:
                     if isinstance(item, FUNCTION_NODES):
-                        key = f"{mod}.{stmt.name}.{item.name}"
-                        defs[key] = (item.name, _references(item.body))
+                        key = methods[item.name]
+                        defs[key] = (item.name, _references(item.body, methods))
                         top_level += item.decorator_list + [item.args]
                     else:
                         top_level.append(item)
@@ -92,16 +102,16 @@ def traced_names() -> set:
 
 
 def unreachable() -> list:
+    """Definitions reached neither by bare name nor by qualified name."""
     defs, reached = package_graph()
-    frontier = set(reached)
-    while frontier:
-        new = set()
-        for name, refs in defs.values():
-            if name in frontier:
-                new |= refs - reached
-        reached |= new
-        frontier = new
-    return sorted(key for key, (name, _) in defs.items() if name not in reached)
+    dead = dict(defs)
+    grew = True
+    while grew:
+        live = [key for key, (name, _) in dead.items() if name in reached or key in reached]
+        for key in live:
+            reached |= dead.pop(key)[1]
+        grew = bool(live)
+    return sorted(dead)
 
 
 def test_traced_names_are_found():

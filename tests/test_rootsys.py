@@ -419,15 +419,6 @@ def test_parse_format_roundtrip():
         parse_root_label("x1+e1", 2, 1)
 
 
-def test_describe_serialization():
-    rs = build_root_system("B(0,1)")
-    desc = rs.describe()
-    assert desc["type"] == "B(0,1)"
-    assert sorted(desc["odd_roots"]) == ["-d1", "d1"]
-    ss = rs.distinguished_simple_system()
-    assert ss.describe()["rho"] == "(1/2)(d1)"
-
-
 def test_f4_simple_system_count():
     # Weyl group of so(7) x sl(2) has order 96; six diagram classes
     assert len(build_root_system("F(4)").all_simple_systems()) == 576
