@@ -313,14 +313,12 @@ class DeformedAlgebra:
         return self._op_matrix(lambda el: self._act(basis_idx, el))
 
 
-def reduced_enveloping(g: LieSuperalgebra, chi: Optional[PCharacter] = None,
-                       order: Optional[Sequence[int]] = None) -> DeformedAlgebra:
-    return DeformedAlgebra(g, chi, lam=1, order=order)
+def reduced_enveloping(g: LieSuperalgebra, chi: Optional[PCharacter] = None) -> DeformedAlgebra:
+    return DeformedAlgebra(g, chi, lam=1)
 
 
-def reduced_symmetric(g: LieSuperalgebra, chi: Optional[PCharacter] = None,
-                      order: Optional[Sequence[int]] = None) -> DeformedAlgebra:
-    return DeformedAlgebra(g, chi, lam=0, order=order)
+def reduced_symmetric(g: LieSuperalgebra, chi: Optional[PCharacter] = None) -> DeformedAlgebra:
+    return DeformedAlgebra(g, chi, lam=0)
 
 
 def theta_map(src: DeformedAlgebra, t: int) -> tuple[DeformedAlgebra, "ThetaMap"]:

@@ -9,15 +9,15 @@ field also stores the reduction tensor of its power basis, so a matrix
 product can run as one integer product over GF(p) on the digit planes (see
 ``linalg.matmul``).  Every computation built on top of this module is exact.
 
-The module offers two layers:
-
-* ``Field`` methods on raw integer codes (used by the heavy machinery);
-* ``FieldElement``, a thin operator-overloaded wrapper for convenience.
+Every field value in ``superlie`` is such an integer code: ``Field``
+methods do the scalar arithmetic on single codes and the ``*_arr`` methods
+do it element-wise on numpy arrays of codes.  A code carries no field, so
+the caller keeps track of which field its codes belong to.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -180,11 +180,12 @@ def smallest_irreducible_modulus(p: int, k: int) -> tuple[int, ...]:
 class Field:
     """The finite field GF(p^k) with table-driven exact arithmetic.
 
-    Use :func:`field_create` rather than instantiating directly; fields are
-    cached so that elements of the same (p, k) share one instance.
+    Use :func:`field_create` rather than instantiating directly; it caches
+    one instance per (p, k).  The modulus is always the smallest irreducible
+    one, so (p, k) fixes the field and its codes.
     """
 
-    def __init__(self, p: int, k: int = 1, modulus: Optional[Sequence[int]] = None):
+    def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if p == 2:
@@ -194,23 +195,10 @@ class Field:
         self.p = p
         self.k = k
         self.q = p ** k
-        if modulus is None:
-            modulus = smallest_irreducible_modulus(p, k)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if not is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-        self.modulus = modulus
+        self.modulus = smallest_irreducible_modulus(p, k)
         self._build_tables()
 
     # -- construction helpers -------------------------------------------------
-
-    def _encode(self, digits: Sequence[int]) -> int:
-        code = 0
-        for i, c in enumerate(digits):
-            code += (c % self.p) * self.p ** i
-        return code
 
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.q
@@ -373,46 +361,6 @@ class Field:
         out = self._exp[(self._log_l[c] + self._log[a]) % (self.q - 1)]
         return np.where(a == 0, 0, out)
 
-    # -- element interface ------------------------------------------------------
-
-    def element(self, value) -> "FieldElement":
-        """Build an element from an int (prime scalar), code tuple, or element."""
-        if isinstance(value, FieldElement):
-            if value.field is not self:
-                raise ValueError("element belongs to a different field")
-            return value
-        if isinstance(value, (tuple, list)):
-            if len(value) > self.k:
-                raise ValueError("too many coordinates for this field")
-            return FieldElement(self, self._encode(list(value) + [0] * (self.k - len(value))))
-        return FieldElement(self, int(value) % self.p)
-
-    def from_code(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} out of range for {self!r}")
-        return FieldElement(self, code)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for code in range(self.q):
-            yield FieldElement(self, code)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Field)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k, self.modulus))
-
     def __repr__(self) -> str:
         if self.k == 1:
             return f"GF({self.p})"
@@ -428,111 +376,4 @@ def field_create(p: int, k: int = 1) -> Field:
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = Field(p, k)
     return _FIELD_CACHE[key]
-
-
-class FieldElement:
-    """An element of a :class:`Field`, wrapping an integer code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, code: int):
-        self.field = field
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field._digit_tuples[self.code]
-
-    def _check(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("mixed-field arithmetic is not defined")
-            return other
-        if isinstance(other, (int, np.integer)):
-            return self.field.element(int(other))
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.code, other.code))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.code, other.code))
-
-    def __rsub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(other.code, self.code))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, other.code))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.code, other.code))
-
-    def __rtruediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(other.code, self.code))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow_int(self.code, int(e)))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def frobenius(self) -> "FieldElement":
-        """The p-power map a -> a^p."""
-        return FieldElement(self.field, self.field.frob(self.code))
-
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, (int, np.integer)):
-            return self.code == int(other) % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.field.k, self.code))
-
-    def __repr__(self) -> str:
-        if self.field.k == 1:
-            return f"{self.code}"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(f"{c}")
-            elif i == 1:
-                terms.append(f"{c}x" if c != 1 else "x")
-            else:
-                terms.append(f"{c}x^{i}" if c != 1 else f"x^{i}")
-        return " + ".join(terms) if terms else "0"
 

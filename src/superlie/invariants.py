@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg as la
 from .envelope import DeformedAlgebra
 from .gf import Field
-from .liesuper import LieSuperalgebra, PCharacter
+from .liesuper import LieSuperalgebra
 
 # ---------------------------------------------------------------------------
 # comultiplication
@@ -98,30 +98,25 @@ def check_coassociativity(U: DeformedAlgebra, monomials: Sequence[tuple]) -> boo
 class CoinducedAlgebra:
     """F(g, q): q-linear functionals on U_chi(g), an algebra under the coproduct.
 
-    Requires chi to vanish on q so that the one-dimensional trivial q-module
-    exists; the PBW order puts q first, and the dual basis f_(a,b) over coset
-    monomials satisfies f_(a,b)(e^(a',b')) = a! * delta.
+    Here chi = 0, so the one-dimensional trivial q-module exists; the PBW
+    order puts q first, and the dual basis f_(a,b) over coset monomials
+    satisfies f_(a,b)(e^(a',b')) = a! * delta.
     """
 
-    def __init__(self, g: LieSuperalgebra, q_indices: Sequence[int],
-                 chi: Optional[PCharacter] = None):
+    def __init__(self, g: LieSuperalgebra, q_indices: Sequence[int]):
         self.g = g
         self.F = g.F
-        if chi is None:
-            chi = g.chi_zero()
         q_indices = list(q_indices)
         if len(set(q_indices)) != len(q_indices):
             raise ValueError("duplicate indices in the subalgebra")
         self._validate_subalgebra(q_indices)
-        if any(chi.values[i] for i in q_indices):
-            raise ValueError("chi must vanish on the subalgebra")
         coset = [i for i in range(g.dim) if i not in set(q_indices)]
         coset_even = [i for i in coset if g.parities[i] == 0]
         coset_odd = [i for i in coset if g.parities[i] == 1]
         order = q_indices + coset_even + coset_odd
         self.q_indices = q_indices
         self.n_q = len(q_indices)
-        self.U = DeformedAlgebra(g, chi, lam=1, order=order)
+        self.U = DeformedAlgebra(g, g.chi_zero(), lam=1, order=order)
         self.coset_slots = list(range(self.n_q, g.dim))
         caps = [self.U.slot_cap[s] for s in self.coset_slots]
         self.basis = [tuple(t) for t in itertools.product(*[range(c) for c in caps])]

@@ -102,7 +102,7 @@ class Centralizer(NamedTuple):
 class LieSuperalgebra:
     """A matrix-realized restricted Lie superalgebra with root data."""
 
-    def __init__(self, label: str, F: Field, validate: bool = True):
+    def __init__(self, label: str, F: Field):
         self.label, rs_label = _normalize_label(label)
         self.F = F
         self.p = F.p
@@ -111,10 +111,9 @@ class LieSuperalgebra:
         self._build_model()
         self._build_structure()
         self._build_root_dictionary()
-        if validate:
-            report = self.validate()
-            if not report["passed"]:
-                raise RuntimeError(f"algebra validation failed: {report}")
+        report = self.validate()
+        if not report["passed"]:
+            raise RuntimeError(f"algebra validation failed: {report}")
 
     # -- model construction ----------------------------------------------------
 
@@ -328,7 +327,7 @@ class LieSuperalgebra:
                 total += c * v
             for c, v in zip(w.delta, delta_vals):
                 total += c * v
-            out.append(fraction_to_field(self.F, total).code)
+            out.append(fraction_to_field(self.F, total))
         return out
 
     def _build_root_dictionary(self) -> None:

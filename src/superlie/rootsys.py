@@ -6,6 +6,9 @@ vanish).  The classical families use (eps_i, eps_j) = delta_ij and
 (delta_i, delta_j) = -delta_ij; the exceptional types carry their own form
 matrices.  Simple systems, even and odd reflections, rho, and the factored
 irreducibility polynomial all live here; structure constants do not.
+Values in a finite field are integer codes of a ``gf.Field``: rationals
+reduce to codes through ``fraction_to_field``, and the polynomial is
+evaluated on a mapping from positive roots to codes.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .gf import Field, FieldElement
+from .gf import Field
 
 Rational = Union[int, Fraction]
 
@@ -119,12 +122,13 @@ def parse_root_label(label: str, m: int, n: int) -> Weight:
     return Weight(eps, delta)
 
 
-def fraction_to_field(F: Field, x: Rational) -> FieldElement:
-    """Reduce an exact rational into GF(p^k); denominator must be prime to p."""
+def fraction_to_field(F: Field, x: Rational) -> int:
+    """The code of an exact rational in GF(p^k); its denominator must be
+    prime to p."""
     x = Fraction(x)
     if x.denominator % F.p == 0:
         raise ValueError(f"denominator of {x} vanishes mod {F.p}")
-    return F.element(x.numerator) / F.element(x.denominator)
+    return F.div(x.numerator % F.p, x.denominator % F.p)
 
 
 # ---------------------------------------------------------------------------
@@ -720,30 +724,16 @@ class SimpleSystem:
         return f"SimpleSystem({self.rs.label}; {simples})"
 
 
-PairingSource = Union[Mapping[Weight, FieldElement], Callable[[Weight], FieldElement]]
-
-
-def _lookup(pairing: PairingSource, root: Weight) -> FieldElement:
-    if callable(pairing):
-        return pairing(root)
-    if root in pairing:
-        return pairing[root]
-    raise KeyError(f"pairing value missing for root {format_weight(root)}")
-
-
-def phi_prime_eval(ss: SimpleSystem, p: int, pairing: PairingSource) -> FieldElement:
+def phi_prime_eval(ss: SimpleSystem, F: Field, pairing: Mapping[Weight, int]) -> int:
     """The factored irreducibility polynomial evaluated from given pairings.
 
-    Returns prod over even positive roots of ((lam|a)^(p-1) - 1) times prod
-    over odd positive roots of (lam|b), where the (lam|.) values come from
-    ``pairing``.
+    Returns the code of prod over even positive roots of ((lam|a)^(p-1) - 1)
+    times prod over odd positive roots of (lam|b), where ``pairing`` maps
+    each positive root to the code of (lam|.) in F.
     """
-    first = _lookup(pairing, ss.positive_roots[0])
-    F = first.field
-    out = F.one
+    out = 1
     for a in ss.even_positives:
-        v = _lookup(pairing, a)
-        out = out * (v ** (p - 1) - F.one)
+        out = F.mul(out, F.sub(F.pow_int(pairing[a], F.p - 1), 1))
     for b in ss.odd_positives:
-        out = out * _lookup(pairing, b)
+        out = F.mul(out, pairing[b])
     return out

@@ -20,14 +20,16 @@ t -> t^p - t is GF(p)-linear, and its equation has p roots over GF(p^k)
 exactly when the trace of chi(h)^p to GF(p) vanishes there; for chi(h) in
 GF(p) that is k = 1 when chi(h) = 0 and k = p otherwise.  Lambda_chi is
 the product of the per-coordinate roots over the one field that holds
-them all, p^rank weights.
+them all, p^rank weights.  As everywhere in the package, field values are
+integer codes of a ``gf.Field``: a weight is a tuple of codes, and the
+Artin-Schreier solver takes and returns codes.
 
 Irreducibility is decided two independent ways and compared:
   * oracle: the spanning closure of the lowest vector under all action
     matrices (every nonzero submodule contains the lowest vector);
   * criterion: the Harish-Chandra-style product
     prod_even((lambda+rho|alpha)^{p-1} - 1) * prod_odd((lambda+rho|beta))
-    evaluated through coroots.
+    evaluated through coroots, from a mapping of positive roots to codes.
 
 The maximal proper submodule (hence the simple head) is computed by the
 shrinking-iteration of the largest action-stable subspace.  The ambient
@@ -64,7 +66,7 @@ import numpy as np
 
 from . import linalg as la
 from .envelope import DeformedAlgebra
-from .gf import Field, FieldElement, field_create
+from .gf import Field, field_create
 from .liesuper import LieSuperalgebra, PCharacter
 from .rootsys import SimpleSystem, Weight, format_weight, phi_prime_eval
 
@@ -124,40 +126,38 @@ def lambda_residual(g: LieSuperalgebra, F: Field, lam: Sequence[int],
 
 
 class ArtinSchreierResult(NamedTuple):
-    solutions: tuple[FieldElement, ...]
+    solutions: tuple[int, ...]
     extension_required: bool
 
 
-def artin_schreier_solve(c: FieldElement, field: Optional[Field] = None) -> ArtinSchreierResult:
-    """Solve t^p - t = c inside the field of c.
+def artin_schreier_solve(F: Field, c: int) -> ArtinSchreierResult:
+    """Solve t^p - t = c for the code c of an element of F, inside F.
 
     The map t -> t^p - t is GF(p)-linear, so the equation reduces to a
     linear system over GF(p) in the power-basis coordinates.  When no
     solution exists in the field the result is empty with
     ``extension_required=True``; solutions then live in the extension of
     degree p (additive Hilbert 90: solvable iff the trace to GF(p) is 0).
+    Solutions are codes, sorted.
     """
-    if field is not None and field != c.field:
-        raise ValueError("c does not belong to the given field")
-    F = c.field
     p, k = F.p, F.k
     Fp = field_create(p, 1)
     # column j: the digits of x^j mapped through t -> t^p - t
     mat = np.array([F._digit_tuples[F.sub(F.frob(p ** j), p ** j)] for j in range(k)],
                    dtype=np.int64).T
-    particular = la.solve(Fp, mat, np.array(F._digit_tuples[c.code], dtype=np.int64))
+    particular = la.solve(Fp, mat, np.array(F._digit_tuples[c], dtype=np.int64))
     if particular is None:
         return ArtinSchreierResult((), True)
     kernel = la.nullspace(Fp, mat)
     if kernel.shape[0] != 1:
         raise RuntimeError("Artin-Schreier kernel should be the prime field")
-    sols = [F.from_code(int(((particular + t * kernel[0]) % p) @ F._pows)) for t in range(p)]
-    return ArtinSchreierResult(tuple(sorted(sols, key=lambda e: e.code)), False)
+    sols = [int(((particular + t * kernel[0]) % p) @ F._pows) for t in range(p)]
+    return ArtinSchreierResult(tuple(sorted(sols)), False)
 
 
-def artin_schreier_min_extension(c: FieldElement) -> int:
+def artin_schreier_min_extension(F: Field, c: int) -> int:
     """Smallest j such that t^p - t = c is solvable over GF(p^(k*j))."""
-    return 1 if c.field.trace(c.code) == 0 else c.field.p
+    return 1 if F.trace(c) == 0 else F.p
 
 
 class PMapNotIdentity(RuntimeError):
@@ -192,14 +192,14 @@ def lambda_set(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> LambdaSet
         )
     chi_h = [int(v) for v in chi.cartan_values()]
     rhs = [g.F.pow_int(c, p) for c in chi_h]
-    k = max(artin_schreier_min_extension(g.F.from_code(c)) for c in rhs)
+    k = max(artin_schreier_min_extension(g.F, c) for c in rhs)
     if k > k_max:
         raise RuntimeError(
             f"no full weight set within extension degree {k_max}; raise k_max"
         )
     F = g.F if k == 1 else field_create(p, k)
     # prime-field codes embed unchanged into F; roots come sorted by code
-    roots = [[t.code for t in artin_schreier_solve(F.from_code(c)).solutions] for c in rhs]
+    roots = [artin_schreier_solve(F, c).solutions for c in rhs]
     weights = list(itertools.product(*roots))
     if len(weights) != p ** r:
         raise RuntimeError("weight enumeration lost solutions")
@@ -619,25 +619,13 @@ class BabyVerma:
 
 
 def walls_type(F: Field, action_matrices: Sequence[np.ndarray],
-               parity_op: np.ndarray, parities: Sequence[int],
-               check_simple: bool = True) -> str:
-    """"Q" when the module admits an odd endomorphism, else "M".
+               parity_op: np.ndarray, parities: Sequence[int]) -> str:
+    """"Q" when the simple module admits an odd endomorphism, else "M".
 
     An odd endomorphism T satisfies T rho(a) = (-1)^|a| rho(a) T and
-    anticommutes with the parity involution.  With ``check_simple`` the
-    input is screened for visible reducibility: every basis vector must
-    generate the whole space under the action (direct sums and radical
-    vectors fail this; the callers' heads are simple by construction).
+    anticommutes with the parity involution.  Callers pass heads, which
+    are simple by construction; the input is not screened.
     """
-    n = parity_op.shape[0]
-    if check_simple:
-        for i in range(n):
-            seed = la.eye(n)[i][None, :]
-            closed = la.closure_under_operators(F, seed, action_matrices, dim_cap=n)
-            if closed.shape[0] != n:
-                raise ValueError(
-                    f"basis vector {i} generates a proper submodule — input is reducible"
-                )
     even_ops = [m for m, pr in zip(action_matrices, parities) if pr == 0]
     odd_ops = [m for m, pr in zip(action_matrices, parities) if pr == 1]
     odd = la.supercommutant_basis(F, even_ops, odd_ops, parity_op, odd_part=True)
@@ -648,7 +636,7 @@ def head_of(Z: BabyVerma) -> tuple[int, str]:
     """(head dimension, Walls type) via the certified maximal submodule."""
     mats, parity_op = Z.quotient_representation()
     hdim = mats[0].shape[0]
-    wtype = walls_type(Z.F, mats, parity_op, list(Z.g.parities), check_simple=False)
+    wtype = walls_type(Z.F, mats, parity_op, list(Z.g.parities))
     return hdim, wtype
 
 
@@ -656,33 +644,24 @@ def head_of(Z: BabyVerma) -> tuple[int, str]:
 # the product criterion
 
 
-def pairing_at(g: LieSuperalgebra, F: Field, lam: Sequence[int],
-               shift_rho: Optional[SimpleSystem] = None):
-    """Callable root -> (lam (+rho) | root) as a field element over F."""
-    vals = list(int(v) for v in lam)
-    if shift_rho is not None:
-        rho_vals = g.weight_on_cartan(shift_rho.rho)
-        vals = [F.add(a, int(b)) for a, b in zip(vals, rho_vals)]
-
-    def pair(root: Weight):
-        return F.from_code(g.coroot_value(F, vals, root))
-
-    return pair
+def pairing_at(g: LieSuperalgebra, ss: SimpleSystem, lam: Sequence[int],
+               F: Field) -> dict[Weight, int]:
+    """(lam | a) for every positive root a of ss, as codes over F."""
+    return {a: g.coroot_value(F, lam, a) for a in ss.positive_roots}
 
 
 def criterion_value(g: LieSuperalgebra, ss: SimpleSystem, lam: Sequence[int],
                     F: Field) -> int:
     """The product prod_even((lam+rho|a)^{p-1}-1) * prod_odd((lam+rho|b))."""
-    pair = pairing_at(g, F, lam, shift_rho=ss)
-    return phi_prime_eval(ss, g.p, pair).code
+    shifted = shift_lambda(g, F, lam, ss.rho)
+    return phi_prime_eval(ss, F, pairing_at(g, ss, shifted, F))
 
 
 def phi_prime_value(g: LieSuperalgebra, ss: SimpleSystem, lam: Sequence[int],
                     F: Field) -> int:
     """The unshifted product at lam itself (system-dependent only up to a
     global constant)."""
-    pair = pairing_at(g, F, lam, shift_rho=None)
-    return phi_prime_eval(ss, g.p, pair).code
+    return phi_prime_eval(ss, F, pairing_at(g, ss, lam, F))
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,23 @@ def exhaustive_max_submodule(Z: BabyVerma, cap: int = 300000) -> np.ndarray:
     return rows
 
 
+def screen_simple(F: Field, action_matrices: Sequence[np.ndarray]) -> None:
+    """Raise ValueError when the module is visibly reducible.
+
+    Every basis vector must generate the whole space under the action;
+    direct sums and radical vectors fail this.  ``verma.walls_type`` takes
+    its input to be simple and does not screen it.
+    """
+    n = action_matrices[0].shape[0]
+    for i in range(n):
+        seed = la.eye(n)[i][None, :]
+        closed = la.closure_under_operators(F, seed, action_matrices, dim_cap=n)
+        if closed.shape[0] != n:
+            raise ValueError(
+                f"basis vector {i} generates a proper submodule — input is reducible"
+            )
+
+
 def parity_shift_glue(F: Field, action_matrices: Sequence[np.ndarray],
                       parity_op: np.ndarray, parities: Sequence[int]):
     """A module glued to its parity shift; carries a designed odd symmetry.

@@ -63,17 +63,16 @@ def test_field_create_cached():
 
 def test_prime_field_arith():
     F = field_create(3)
-    two = F.element(2)
-    assert (two + two).code == 1
-    assert two.inverse().code == 2
-    assert (two ** 4).code == 1
+    assert F.add(2, 2) == 1
+    assert F.inv(2) == 2
+    assert F.pow_int(2, 4) == 1
 
 
 def test_gf9_generator_square():
     # In GF(9) = GF(3)[x]/(x^2+1) the class of x squares to -1 = 2.
     F = field_create(3, 2)
-    x = F.from_code(3)  # code 3 = 0 + 1*3 is the power-basis element x
-    assert (x * x) == F.element(2)
+    x = 3  # code 3 = 0 + 1*3 is the power-basis element x
+    assert F.mul(x, x) == 2
 
 
 # every field of order at most 3125; GF(5^5), GF(7^3) and GF(7^4) among them
@@ -105,17 +104,10 @@ def test_prime_field_reduction_tensor():
     assert field_create(5)._mul_tensor.tolist() == [[[1]]]
 
 
-def test_mixed_field_arithmetic_rejected():
-    a = field_create(3).element(1)
-    b = field_create(5).element(1)
-    with pytest.raises(ValueError):
-        _ = a + b
-
-
 def test_division_by_zero_rejected():
     F = field_create(3, 2)
     with pytest.raises(ZeroDivisionError):
-        _ = F.one / F.zero
+        F.div(1, 0)
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 2), (5, 5), (7, 1)])
@@ -123,85 +115,83 @@ def test_field_axioms_random(p, k):
     F = field_create(p, k)
     rng = np.random.default_rng(12345 + p * 100 + k)
     codes = random_codes(F, rng, (1000, 3))
-    one = F.one
-    for a, b, c in codes:
-        A, B, C = F.from_code(int(a)), F.from_code(int(b)), F.from_code(int(c))
-        assert (A + B) + C == A + (B + C)
-        assert (A * B) * C == A * (B * C)
-        assert A * (B + C) == A * B + A * C
-        assert A + B == B + A
-        assert A * B == B * A
-        assert A + (-A) == F.zero
-        if not B.is_zero():
-            assert B * B.inverse() == one
-            assert (A / B) * B == A
+    add, mul = F.add, F.mul
+    for a, b, c in codes.tolist():
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert add(a, F.neg(a)) == 0
+        if b != 0:
+            assert mul(b, F.inv(b)) == 1
+            assert mul(F.div(a, b), b) == a
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 2)])
 def test_frobenius_is_homomorphism(p, k):
     F = field_create(p, k)
     rng = np.random.default_rng(7)
-    for a, b in random_codes(F, rng, (200, 2)):
-        A, B = F.from_code(int(a)), F.from_code(int(b))
-        assert (A + B).frobenius() == A.frobenius() + B.frobenius()
-        assert (A * B).frobenius() == A.frobenius() * B.frobenius()
-        assert A.frobenius() == A**p
+    for a, b in random_codes(F, rng, (200, 2)).tolist():
+        assert F.frob(F.add(a, b)) == F.add(F.frob(a), F.frob(b))
+        assert F.frob(F.mul(a, b)) == F.mul(F.frob(a), F.frob(b))
+        assert F.frob(a) == F.pow_int(a, p)
     # Galois group has order k
-    for a in F.elements():
+    for a in range(F.q):
         cur = a
         for _ in range(k):
-            cur = cur.frobenius()
+            cur = F.frob(cur)
         assert cur == a
 
 
 def test_frobenius_fixes_prime_subfield():
     F = field_create(3, 3)
     for c in range(3):
-        assert F.element(c).frobenius() == F.element(c)
+        assert F.frob(c) == c
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
 def test_artin_schreier_matches_exhaustive_search(p, k):
     F = field_create(p, k)
-    for c in F.elements():
-        expected = sorted(t.code for t in F.elements() if t**p - t == c)
-        res = artin_schreier_solve(c, F)
-        assert sorted(e.code for e in res.solutions) == expected
+    for c in range(F.q):
+        expected = [t for t in range(F.q) if F.sub(F.pow_int(t, p), t) == c]
+        res = artin_schreier_solve(F, c)
+        assert sorted(res.solutions) == expected
         assert res.extension_required == (len(expected) == 0)
         if expected:
             # exactly p solutions, closed under adding prime-field constants
             assert len(expected) == p
             s0 = res.solutions[0]
-            shifted = sorted((s0 + F.element(t)).code for t in range(p))
+            shifted = sorted(F.add(s0, t) for t in range(p))
             assert shifted == expected
 
 
 def test_artin_schreier_known_cases():
     F3 = field_create(3)
-    res0 = artin_schreier_solve(F3.zero)
-    assert sorted(e.code for e in res0.solutions) == [0, 1, 2]
-    res1 = artin_schreier_solve(F3.one)
+    res0 = artin_schreier_solve(F3, 0)
+    assert sorted(res0.solutions) == [0, 1, 2]
+    res1 = artin_schreier_solve(F3, 1)
     assert res1.solutions == () and res1.extension_required
     # c = 1 stays insolvable in GF(9) (its trace to GF(3) is 2), and first
     # acquires its 3 solutions in the degree-3 extension GF(27).
     F9 = field_create(3, 2)
-    assert artin_schreier_solve(F9.one).extension_required
+    assert artin_schreier_solve(F9, 1).extension_required
     F27 = field_create(3, 3)
-    sols = artin_schreier_solve(F27.one).solutions
+    sols = artin_schreier_solve(F27, 1).solutions
     assert len(sols) == 3
     for t in sols:
-        assert t**3 - t == F27.one
+        assert F27.sub(F27.pow_int(t, 3), t) == 1
 
 
 def test_artin_schreier_min_extension_degree():
     F3 = field_create(3)
-    assert artin_schreier_min_extension(F3.zero) == 1
-    assert artin_schreier_min_extension(F3.one) == 3
+    assert artin_schreier_min_extension(F3, 0) == 1
+    assert artin_schreier_min_extension(F3, 1) == 3
     F9 = field_create(3, 2)
     # GF(9) elements of nonzero trace need one more degree-3 step
-    for c in F9.elements():
-        want = 1 if any(t**3 - t == c for t in F9.elements()) else 3
-        assert artin_schreier_min_extension(c) == want
+    for c in range(F9.q):
+        want = 1 if any(F9.sub(F9.pow_int(t, 3), t) == c for t in range(F9.q)) else 3
+        assert artin_schreier_min_extension(F9, c) == want
 
 
 def test_trace_surjects_onto_prime_field():

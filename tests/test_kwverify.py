@@ -1,9 +1,8 @@
 """Tests for the dimension-divisibility sweep over simple heads."""
 
-import numpy as np
 import pytest
 
-from reference_verma import parity_shift_glue
+from reference_verma import parity_shift_glue, screen_simple
 from superlie.gf import field_create
 from superlie.liesuper import build_algebra
 from superlie.rootsys import parse_root_label
@@ -57,6 +56,7 @@ def test_walls_type_trivial_module_is_M():
     Z = VermaSystem(g, g.chi_zero()).module((0, 0))
     mats, parity_op = Z.quotient_representation()
     assert mats[0].shape[0] == 1
+    screen_simple(F3, mats)
     assert walls_type(F3, mats, parity_op, list(g.parities)) == "M"
 
 
@@ -67,6 +67,7 @@ def test_walls_type_gl11_head_is_M():
     Z = VermaSystem(g, chi).module(ls.weights[0], ls.field)
     mats, parity_op = Z.quotient_representation()
     assert mats[0].shape[0] == 2
+    screen_simple(ls.field, mats)
     assert walls_type(ls.field, mats, parity_op, list(g.parities)) == "M"
 
 
@@ -78,10 +79,8 @@ def test_walls_type_rejects_reducible():
     reducible = next(lam for lam in ls
                      if not system.module(lam, ls.field).is_irreducible_oracle())
     Z = system.module(reducible, ls.field)
-    parity_op = np.diag([ls.field.neg(1) if Z.monomial_parity(m) else 1
-                         for m in Z.basis]).astype(np.int64)
-    with pytest.raises(ValueError):
-        walls_type(ls.field, Z.all_action_matrices(), parity_op, list(g.parities))
+    with pytest.raises(ValueError, match="input is reducible"):
+        screen_simple(ls.field, Z.all_action_matrices())
 
 
 def test_parity_shift_glue_is_Q():
@@ -91,8 +90,7 @@ def test_parity_shift_glue_is_Q():
     Z = VermaSystem(g, chi).module(ls.weights[0], ls.field)
     mats, parity_op = Z.quotient_representation()
     glued, gp = parity_shift_glue(ls.field, mats, parity_op, list(g.parities))
-    assert walls_type(ls.field, glued, gp, list(g.parities),
-                      check_simple=False) == "Q"
+    assert walls_type(ls.field, glued, gp, list(g.parities)) == "Q"
 
 
 def test_sweep_osp_p5_regular():

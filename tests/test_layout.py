@@ -4,9 +4,10 @@ The check is a name-level reference graph over the package source.  A
 function or method is reached when its bare name is referenced (as a name
 or as an attribute) from a root or from the body of a reached function.
 Inside a method, ``self.name`` for a method ``name`` that the same class
-defines reaches only that class's method.  The roots are ``cli.main``,
-module-level statements other than imports, dunder methods, and the names
-the benchmark tracer in ``perfbench/tracing.py`` wraps.  Matching by bare
+defines reaches only that class's method.  A dunder method is reached when
+its class's name is.  The roots are ``cli.main``, module-level statements
+other than imports, and the names the benchmark tracer in
+``perfbench/tracing.py`` wraps.  Matching by bare
 name over-approximates what runs, so a function this test reports is
 certainly never called by the package; nested functions count as part of
 the function around them.
@@ -19,11 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "superlie"
 TRACING = ROOT / "perfbench" / "tracing.py"
 
-# Public element API that no command happens to call, kept on purpose.
+# Public algebra API that no command happens to call, kept on purpose.
 ALLOWED = {
-    "gf.Field.elements": "public field API: iterate over every element of the field",
-    "gf.FieldElement.frobenius": "public element API: the p-power map of an element",
-    "gf.FieldElement.inverse": "public element API: multiplicative inverse",
     "envelope.DeformedAlgebra.act": "public algebra API: the action x . u on PBW "
                                     "elements, whose matrix is action_matrix",
 }
@@ -52,8 +50,9 @@ def _is_dunder(name: str) -> bool:
 
 
 def package_graph():
-    """(definitions, root names): definitions map a qualified name to its
-    bare name and the names its body reads (see ``_references``)."""
+    """(definitions, root names): definitions map a qualified name to the
+    name that reaches it and the names its body reads (see ``_references``).
+    A function is reached by its bare name, a dunder method by its class's."""
     defs = {}
     roots = set()
     for path in sorted(SRC.glob("*.py")):
@@ -73,7 +72,8 @@ def package_graph():
                 for item in stmt.body:
                     if isinstance(item, FUNCTION_NODES):
                         key = methods[item.name]
-                        defs[key] = (item.name, _references(item.body, methods))
+                        trigger = stmt.name if _is_dunder(item.name) else item.name
+                        defs[key] = (trigger, _references(item.body, methods))
                         top_level += item.decorator_list + [item.args]
                     else:
                         top_level.append(item)
@@ -81,7 +81,6 @@ def package_graph():
                 top_level.append(stmt)
         roots |= _references(top_level)
     roots.add("main")
-    roots |= {name for name, _ in defs.values() if _is_dunder(name)}
     roots |= traced_names()
     return defs, roots
 

@@ -233,7 +233,7 @@ def test_phi_gl11_matches_coroot_sum():
     beta = system.positives[0]
     for lam in ls:
         Z = system.module(lam, F)
-        expect = pairing_at(g, F, lam)(beta).code
+        expect = pairing_at(g, system.ss, lam, F)[beta]
         assert Z.phi_via_module() == expect
         assert Z.criterion_value() == expect  # rho pairs to zero with H_beta
 
@@ -434,12 +434,21 @@ def test_nilpotent_osp_p3_head():
         assert Z.head_dim() % 3 == 0  # divisor p for this nilpotent orbit
 
 
-def test_nilpotent_osp_p5_not_local():
-    g = build_algebra("osp(1|2)", F5)
-    chi = g.nilpotent_root_character(parse_root_label("2d1", 0, 1))
+# (p, t) with a split coefficient algebra for chi = t * chi_{2delta} on osp(1|2)
+SPLIT_NILPOTENT_OSP = {(3, 2), (5, 1), (5, 4)}
+
+
+@pytest.mark.parametrize("p,t", [(p, t) for p in (3, 5) for t in range(1, p)])
+def test_nilpotent_osp_not_local_only_where_split(p, t):
+    g = build_algebra("osp(1|2)", field_create(p, 1))
+    chi = g.nilpotent_root_character(parse_root_label("2d1", 0, 1)).scale(t)
     Z = VermaSystem(g, chi).module((0,) * g.rank)
-    with pytest.raises(RuntimeError):
-        Z.maximal_submodule()
+    if (p, t) in SPLIT_NILPOTENT_OSP:
+        with pytest.raises(RuntimeError, match="not local"):
+            Z.maximal_submodule()
+    else:
+        assert Z.head_dim() + Z.maximal_submodule().shape[0] == Z.dim
+        assert ref.certify_head(Z, np.random.default_rng(7))
 
 
 def test_nilpotent_gl21_shifted_strategy():
