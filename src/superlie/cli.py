@@ -475,11 +475,10 @@ def cmd_sym(args) -> int:
     return code
 
 
-def _add_common(sp, with_samples=True):
+def _add_common(sp):
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--k-max", type=int, default=None, dest="k_max")
-    if with_samples:
-        sp.add_argument("--samples", type=int, default=None)
+    sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--out", default=None, metavar="DIR")
     sp.add_argument("--format", choices=("text", "structured"), default="text")
 

@@ -374,9 +374,10 @@ class ThetaMap:
         return report
 
 
-def _random_element(alg: DeformedAlgebra, rng: np.random.Generator, terms: int = 3) -> dict:
+def _random_element(alg: DeformedAlgebra, rng: np.random.Generator) -> dict:
+    """A random element with at most three PBW terms."""
     out: dict = {}
-    for _ in range(terms):
+    for _ in range(3):
         m = tuple(int(rng.integers(0, cap)) for cap in alg.slot_cap)
         c = int(rng.integers(0, alg.F.q))
         if c:

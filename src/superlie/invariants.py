@@ -372,15 +372,13 @@ def graded_codims(model: OperatorModel, ideal_rows: np.ndarray) -> tuple[int, in
 
 
 def ideal_survey(S: DeformedAlgebra, divisor: int, d_pair: tuple[int, int],
-                 seeds: int = 20, rng: Optional[np.random.Generator] = None) -> dict:
+                 seeds: int, rng: np.random.Generator) -> dict:
     """Codimension report for the largest invariant ideal and random closures.
 
     divisor and d_pair = (d0, d1) come from the centralizer of xi; each
     closure codimension is tested for divisibility by divisor, and the
     largest-ideal codimensions are compared to the graded bound.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     model = operator_model_from_symmetric(S)
     top = largest_proper_invariant_ideal(model)
     c0, c1, total = graded_codims(model, top)

@@ -1,16 +1,30 @@
 """Concrete restricted Lie superalgebras over GF(p^k).
 
 Each algebra is realized by explicit matrices inside a general linear
-superalgebra; the bracket is the supercommutator, the p-th power map is the
-matrix p-th power on the even part, and the invariant form is the
-supertrace form.  The basis is ordered Cartan first, then positive root
-vectors by height, then negative root vectors in the mirrored order, which
-downstream modules rely on for deterministic PBW bases.
+superalgebra whose first rows form the even block.  A model is data: its
+size and even block, the model rows that carry eps_i and delta_j, the
+Cartan diagonals with their names, and each root vector as (row, column,
+entry) triples.  gl and sl take the unit matrix E_ab for the root
+mu_a - mu_b; osp(1|2) and osp(2|2) list their triples.  A weight w takes
+the value w(h) = sum_c w_c h[row_c, row_c] on a Cartan diagonal h.
+
+The structure comes from whole arrays.  One product of the stacked basis
+matrices gives every M_i M_j: the supercommutators take their signs from
+the parities, and the supertrace form is read from the diagonals of the
+same products.  The p-th power map is the matrix p-th power on the even
+part, one power of a block-diagonal matrix.  One rref against the
+flattened basis gives the coordinates of every bracket and every p-th
+power.  ``validate`` checks super skew-symmetry, super Jacobi,
+restrictedness and an even, supersymmetric, invariant, nondegenerate form
+as identities between whole arrays.
+
+The basis is ordered Cartan first, then positive root vectors by height,
+then negative root vectors in the mirrored order, which downstream modules
+rely on for deterministic PBW bases.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -25,7 +39,68 @@ from .rootsys import (
     parse_root_label,
 )
 
-_SUPPORTED = ("gl", "sl", "osp(1|2)", "osp(2|2)")
+
+class _Model(NamedTuple):
+    """A matrix model inside gl(size); rows below ``even`` are even."""
+
+    size: int
+    even: int
+    rows: tuple[int, ...]  # model rows of eps_1, ..., eps_m, delta_1, ..., delta_n
+    cartan: Sequence[tuple[str, Sequence[int]]]  # (name, diagonal) per Cartan element
+    roots: dict  # (eps, delta) coordinates -> ((row, column, entry), ...)
+
+
+_OSP_MODELS = {
+    "osp(1|2)": _Model(3, 1, (1,), (("h", (0, 1, -1)),), {
+        ((), (2,)): ((1, 2, 1),),
+        ((), (-2,)): ((2, 1, 1),),
+        ((), (1,)): ((1, 0, 1), (0, 2, -1)),
+        ((), (-1,)): ((2, 0, 1), (0, 1, 1)),
+    }),
+    "osp(2|2)": _Model(4, 2, (0, 2), (("h_e", (1, -1, 0, 0)), ("h_d", (0, 0, 1, -1))), {
+        ((0,), (2,)): ((2, 3, 1),),
+        ((0,), (-2,)): ((3, 2, 1),),
+        ((-1,), (1,)): ((2, 0, 1), (1, 3, -1)),
+        ((-1,), (-1,)): ((3, 0, 1), (1, 2, 1)),
+        ((1,), (1,)): ((2, 1, 1), (0, 3, -1)),
+        ((1,), (-1,)): ((3, 1, 1), (0, 2, 1)),
+    }),
+}
+
+
+def _gl_model(label: str, m: int, n: int) -> _Model:
+    """gl(m|n) with the diagonal Cartan, or sl(m|n) with the simple coroots."""
+    size = m + n
+    unit = np.eye(size, dtype=np.int64)
+    if label.startswith("gl("):
+        cartan = [(f"E{a + 1}{a + 1}", unit[a]) for a in range(size)]
+    else:  # E_aa - E_{a+1,a+1}, except E_mm + E_{m+1,m+1} across the blocks
+        signs = ["-"] * (size - 1)
+        signs[m - 1] = "+"
+        cartan = [(f"E{a + 1}{a + 1}{s}E{a + 2}{a + 2}",
+                   unit[a] + (1 if s == "+" else -1) * unit[a + 1])
+                  for a, s in enumerate(signs)]
+    diffs = [(a, b, (unit[a] - unit[b]).tolist()) for a in range(size) for b in range(size) if a != b]
+    roots = {(tuple(mu[:m]), tuple(mu[m:])): ((a, b, 1),) for a, b, mu in diffs}  # E_ab: mu_a - mu_b
+    return _Model(size, m, tuple(range(size)), cartan, roots)
+
+
+def _negate_where(F: Field, mask: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """-arr where mask holds, arr elsewhere; mask covers the leading axes of arr."""
+    return np.where(mask.reshape(mask.shape + (1,) * (arr.ndim - mask.ndim)), F.neg_arr(arr), arr)
+
+
+def _pth_powers(F: Field, mats: np.ndarray, p: int) -> np.ndarray:
+    """The p-th power of every matrix of a stack (n, s, s), as one block-diagonal power."""
+    n, s, _ = mats.shape
+    idx = np.arange(n)
+    blocks = la.zeros((n, s, n, s))
+    blocks[idx, :, idx, :] = mats
+    diag = blocks.reshape(n * s, n * s)
+    out = diag
+    for _ in range(p - 1):
+        out = la.matmul(F, out, diag)
+    return out.reshape(n, s, n, s)[idx, :, idx, :]
 
 
 def _normalize_label(type_label: str) -> tuple[str, str]:
@@ -118,217 +193,70 @@ class LieSuperalgebra:
     # -- model construction ----------------------------------------------------
 
     def _build_model(self) -> None:
-        rs = self.rs
-        label = self.label
-        ss = rs.distinguished_simple_system()
+        ss = self.rs.distinguished_simple_system()
         self.distinguished = ss
-        if label.startswith(("gl(", "sl(")):
-            m, n = rs.m, rs.n
-            size = m + n
-            self._even_size = m
-
-            def unit(i, j):
-                M = np.zeros((size, size), dtype=np.int64)
-                M[i, j] = 1
-                return M
-
-            def slot(idx: int) -> int:
-                return idx  # eps i -> row i, delta j -> row m + j
-
-            cartan_mats = []
-            cartan_names = []
-            weight_table = []
-            if label.startswith("gl("):
-                for i in range(size):
-                    cartan_mats.append(unit(i, i))
-                    cartan_names.append(f"E{i + 1}{i + 1}")
-                    eps_vals = [Fraction(int(t == i)) for t in range(m)]
-                    delta_vals = [Fraction(int(m + t == i)) for t in range(n)]
-                    weight_table.append((eps_vals, delta_vals))
-            else:
-                for i in range(m - 1):
-                    cartan_mats.append(unit(i, i) - unit(i + 1, i + 1))
-                    cartan_names.append(f"E{i + 1}{i + 1}-E{i + 2}{i + 2}")
-                    eps_vals = [Fraction(int(t == i)) - Fraction(int(t == i + 1)) for t in range(m)]
-                    weight_table.append((eps_vals, [Fraction(0)] * n))
-                cartan_mats.append(unit(m - 1, m - 1) + unit(m, m))
-                cartan_names.append(f"E{m}{m}+E{m + 1}{m + 1}")
-                weight_table.append(
-                    ([Fraction(int(t == m - 1)) for t in range(m)],
-                     [Fraction(int(t == 0)) for t in range(n)])
-                )
-                for j in range(n - 1):
-                    cartan_mats.append(unit(m + j, m + j) - unit(m + j + 1, m + j + 1))
-                    cartan_names.append(f"E{m + j + 1}{m + j + 1}-E{m + j + 2}{m + j + 2}")
-                    delta_vals = [Fraction(int(t == j)) - Fraction(int(t == j + 1)) for t in range(n)]
-                    weight_table.append(([Fraction(0)] * m, delta_vals))
-
-            def root_matrix(root: Weight) -> np.ndarray:
-                src = dst = None
-                for i, c in enumerate(root.eps):
-                    if c == 1:
-                        dst = slot(i)
-                    elif c == -1:
-                        src = slot(i)
-                for j, c in enumerate(root.delta):
-                    if c == 1:
-                        dst = m + j
-                    elif c == -1:
-                        src = m + j
-                return unit(dst, src)
-
-        elif label == "osp(1|2)":
-            size = 3
-            self._even_size = 1
-
-            def unit(i, j):
-                M = np.zeros((size, size), dtype=np.int64)
-                M[i, j] = 1
-                return M
-
-            h = unit(1, 1) - unit(2, 2)
-            cartan_mats = [h]
-            cartan_names = ["h"]
-            weight_table = [([], [Fraction(1)])]
-            dl = Weight([], [1])
-            mats = {
-                dl.scale(2): unit(1, 2),
-                dl.scale(-2): unit(2, 1),
-                dl: unit(1, 0) - unit(0, 2),
-                -dl: unit(2, 0) + unit(0, 1),
-            }
-
-            def root_matrix(root: Weight) -> np.ndarray:
-                return mats[root]
-
-        else:  # osp(2|2)
-            size = 4
-            self._even_size = 2
-
-            def unit(i, j):
-                M = np.zeros((size, size), dtype=np.int64)
-                M[i, j] = 1
-                return M
-
-            cartan_mats = [unit(0, 0) - unit(1, 1), unit(2, 2) - unit(3, 3)]
-            cartan_names = ["h_e", "h_d"]
-            weight_table = [([Fraction(1)], [Fraction(0)]), ([Fraction(0)], [Fraction(1)])]
-            ep = Weight([1], [0])
-            dl = Weight([0], [1])
-            mats = {
-                dl.scale(2): unit(2, 3),
-                dl.scale(-2): unit(3, 2),
-                dl - ep: unit(2, 0) - unit(1, 3),
-                -ep - dl: unit(3, 0) + unit(1, 2),
-                ep + dl: unit(2, 1) - unit(0, 3),
-                ep - dl: unit(3, 1) + unit(0, 2),
-            }
-
-            def root_matrix(root: Weight) -> np.ndarray:
-                return mats[root]
-
-        self.model_size = size
-        self.cartan = list(range(len(cartan_mats)))
-        self.rank = len(cartan_mats)
-        self._weight_table = weight_table
-
-        matrices = list(cartan_mats)
-        names = list(cartan_names)
-        parities = [0] * len(cartan_mats)
-        roots_in_order: list[Optional[Weight]] = [None] * len(cartan_mats)
-        for sign in (1, -1):
-            for r in ss.positive_roots:
-                root = r if sign == 1 else -r
-                matrices.append(root_matrix(root))
-                names.append(f"X[{format_weight(root)}]")
-                parities.append(self.rs.parity(root))
-                roots_in_order.append(root)
-        self.matrices = [M % self.p for M in matrices]
+        model = _OSP_MODELS.get(self.label) or _gl_model(self.label, self.rs.m, self.rs.n)
+        self.model_size = model.size
+        self._even_size = model.even
+        self.rank = len(model.cartan)
+        self.cartan = list(range(self.rank))
+        diagonals = np.array([diag for _, diag in model.cartan], dtype=np.int64)
+        self._weight_matrix = diagonals[:, list(model.rows)].tolist()  # h_i[row_c, row_c]
+        names = [name for name, _ in model.cartan]
+        roots = [None] * self.rank + list(ss.positive_roots) + [-r for r in ss.positive_roots]
+        ints = np.zeros((len(roots), model.size, model.size), dtype=np.int64)
+        ints[:self.rank] = [np.diag(diag) for diag in diagonals]
+        for b, root in enumerate(roots[self.rank:], self.rank):
+            for row, col, entry in model.roots[root.key()]:
+                ints[b, row, col] = entry
+            names.append(f"X[{format_weight(root)}]")
+        # the model entries are 0 and +-1
+        self.matrices = list(self.F.sub_arr(np.maximum(ints, 0), np.maximum(-ints, 0)))
         self.basis_names = names
-        self.parities = np.array(parities, dtype=np.int64)
-        self.basis_roots = roots_in_order
-        self.dim = len(matrices)
+        self.parities = np.array([0] * self.rank + [self.rs.parity(r) for r in roots[self.rank:]],
+                                 dtype=np.int64)
+        self.basis_roots = roots
+        self.dim = len(roots)
         self.dim_even = int((self.parities == 0).sum())
         self.dim_odd = int((self.parities == 1).sum())
 
-    def supertrace(self, M: np.ndarray) -> int:
-        F = self.F
-        total = 0
-        for i in range(self.model_size):
-            v = int(M[i, i])
-            total = F.add(total, v if i < self._even_size else F.neg(v))
-        return total
-
     # -- structure constants ---------------------------------------------------
 
-    def _to_coords(self, M: np.ndarray) -> np.ndarray:
-        x = la.solve(self.F, self._flat_basis.T, M.reshape(-1))
-        if x is None:
-            raise ValueError("matrix outside the span of the algebra basis")
-        return x
-
     def _build_structure(self) -> None:
-        F = self.F
-        self._flat_basis = np.stack([M.reshape(-1) for M in self.matrices])  # (dim, size^2)
-        if la.rank(F, self._flat_basis) != self.dim:
+        F, d, s = self.F, self.dim, self.model_size
+        basis = np.stack(self.matrices)  # (d, s, s)
+        # one product of the stacked matrices: prod[i, j] = M_i M_j
+        prod = la.matmul(F, basis.reshape(d * s, s), basis.transpose(1, 0, 2).reshape(s, d * s))
+        prod = prod.reshape(d, s, d, s).transpose(0, 2, 1, 3)
+        odd = self.parities == 1
+        brackets = F.add_arr(prod, _negate_where(F, ~np.outer(odd, odd), prod.transpose(1, 0, 2, 3)))
+        even = np.flatnonzero(~odd)
+        powers = la.zeros((d, s, s))
+        powers[even] = _pth_powers(F, basis[even], self.p)
+        # coordinates of all d^2 brackets and d p-th powers by one rref
+        targets = np.concatenate([brackets.reshape(d * d, s * s), powers.reshape(d, s * s)])
+        red, pivots = la.rref(F, np.concatenate([basis.reshape(d, s * s).T, targets.T], axis=1))
+        if pivots[:d] != list(range(d)):
             raise RuntimeError("basis matrices are linearly dependent")
-        dim = self.dim
-        self.bracket_tensor = np.zeros((dim, dim, dim), dtype=np.int64)
-        for i in range(dim):
-            for j in range(dim):
-                br = self.bracket_matrices(self.matrices[i], self.matrices[j],
-                                           int(self.parities[i]), int(self.parities[j]))
-                self.bracket_tensor[i, j] = self._to_coords(br)
-        self.ad_matrices = [
-            np.array([self.bracket_tensor[i, j] for j in range(dim)]).T for i in range(dim)
-        ]  # ad_i maps coords of y to coords of [x_i, y]
-        self.p_map = np.zeros((dim, dim), dtype=np.int64)
-        for i in range(dim):
-            if self.parities[i] == 0:
-                M = self.matrices[i]
-                P = np.eye(self.model_size, dtype=np.int64)
-                for _ in range(self.p):
-                    P = la.matmul(F, P, M)
-                self.p_map[i] = self._to_coords(P)
-        self.form = np.zeros((dim, dim), dtype=np.int64)
-        for i in range(dim):
-            for j in range(dim):
-                prod = la.matmul(F, self.matrices[i], self.matrices[j])
-                self.form[i, j] = self.supertrace(prod)
-
-    def bracket_matrices(self, A: np.ndarray, B: np.ndarray, pa: int, pb: int) -> np.ndarray:
-        F = self.F
-        AB = la.matmul(F, A, B)
-        BA = la.matmul(F, B, A)
-        if pa == 1 and pb == 1:
-            return F.add_arr(AB, BA)
-        return F.sub_arr(AB, BA)
-
-    def bracket_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Bracket of two elements given by basis coordinates."""
-        F = self.F
-        out = la.zeros(self.dim)
-        for i in np.nonzero(x)[0]:
-            row = la.zeros(self.dim)
-            for j in np.nonzero(y)[0]:
-                c = F.mul(int(x[i]), int(y[j]))
-                row = F.add_arr(row, F.smul_arr(c, self.bracket_tensor[i, j]))
-            out = F.add_arr(out, row)
-        return out
+        if len(pivots) > d:
+            raise ValueError("matrix outside the span of the algebra basis")
+        coords = red[:d, d:].T
+        self.bracket_tensor = coords[:d * d].reshape(d, d, d)
+        self.p_map = coords[d * d:]
+        # ad_i maps coords of y to coords of [x_i, y]
+        self.ad_matrices = list(np.ascontiguousarray(self.bracket_tensor.transpose(0, 2, 1)))
+        # supertrace form: the diagonals of the same products against the signs of the rows
+        signs = np.array([1] * self._even_size + [F.neg(1)] * (s - self._even_size))
+        diagonals = np.diagonal(prod, axis1=2, axis2=3).reshape(d * d, s)
+        self.form = la.matvec(F, diagonals, signs).reshape(d, d)
 
     # -- root dictionary -------------------------------------------------------
 
     def weight_on_cartan(self, w: Weight) -> list[int]:
-        """Values w(h_i) on the Cartan basis, as field codes."""
-        out = []
-        for eps_vals, delta_vals in self._weight_table:
-            total = Fraction(0)
-            for c, v in zip(w.eps, eps_vals):
-                total += c * v
-            for c, v in zip(w.delta, delta_vals):
-                total += c * v
-            out.append(fraction_to_field(self.F, total))
-        return out
+        """Values w(h_i) = sum_c w_c h_i[row_c, row_c] on the Cartan basis, as field codes."""
+        coords = w.eps + w.delta
+        return [fraction_to_field(self.F, sum(c * v for c, v in zip(coords, row)))
+                for row in self._weight_matrix]
 
     def _build_root_dictionary(self) -> None:
         F = self.F
@@ -346,7 +274,6 @@ class LieSuperalgebra:
                 if not (lhs == rhs).all():
                     raise RuntimeError(f"ad-weight mismatch for root {format_weight(root)}")
         # coroots H_a on the Cartan: solve (t_a, h_j) = a(h_j), then normalize
-        r = self.rank
         cartan_form = self.form[np.ix_(self.cartan, self.cartan)]
         self.coroots: dict[Weight, np.ndarray] = {}
         for root in self.rs.all_roots:
@@ -391,63 +318,41 @@ class LieSuperalgebra:
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> dict:
-        F = self.F
-        dim = self.dim
-        par = self.parities
-        failures = []
-        # super skew-symmetry
-        for i in range(dim):
-            for j in range(dim):
-                lhs = self.bracket_tensor[i, j]
-                rhs = self.bracket_tensor[j, i]
-                if par[i] == 1 and par[j] == 1:
-                    ok = (lhs == rhs).all()
-                else:
-                    ok = (lhs == F.neg_arr(rhs)).all()
-                if not ok:
-                    failures.append(f"skew({i},{j})")
-        # super Jacobi on all triples
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    s1 = F.neg(1) if par[i] and par[k] else 1
-                    s2 = F.neg(1) if par[j] and par[i] else 1
-                    s3 = F.neg(1) if par[k] and par[j] else 1
-                    t1 = F.smul_arr(s1, self.bracket_coords(_unitvec(dim, i), self.bracket_tensor[j, k]))
-                    t2 = F.smul_arr(s2, self.bracket_coords(_unitvec(dim, j), self.bracket_tensor[k, i]))
-                    t3 = F.smul_arr(s3, self.bracket_coords(_unitvec(dim, k), self.bracket_tensor[i, j]))
-                    if F.add_arr(F.add_arr(t1, t2), t3).any():
-                        failures.append(f"jacobi({i},{j},{k})")
+        F, d, p = self.F, self.dim, self.p
+        T = self.bracket_tensor
+        odd = self.parities == 1
+        both_odd = np.outer(odd, odd)
+        failures: list[str] = []
+
+        def flag(kind: str, bad: np.ndarray) -> None:
+            failures.extend(f"{kind}({','.join(map(str, idx))})" for idx in np.argwhere(bad))
+
+        # super skew-symmetry: [x_i, x_j] = -(-1)^{|i||j|} [x_j, x_i]
+        flag("skew", (T != _negate_where(F, ~both_odd, T.transpose(1, 0, 2))).any(axis=2))
+        # super Jacobi: nested[j, k, i] = [x_i, [x_j, x_k]], all triples by one product
+        nested = la.matmul(F, T.reshape(d * d, d), T.transpose(1, 0, 2).reshape(d, d * d))
+        nested = nested.reshape(d, d, d, d)
+        oi, oj, ok = odd[:, None, None], odd[None, :, None], odd[None, None, :]
+        signed = [  # (-1)^{|i||k|} [x_i, [x_j, x_k]] and its cyclic shifts, indexed [i, j, k]
+            _negate_where(F, oi & ok, nested.transpose(2, 0, 1, 3)),
+            _negate_where(F, oj & oi, nested.transpose(1, 2, 0, 3)),
+            _negate_where(F, ok & oj, nested),
+        ]
+        flag("jacobi", F.add_arr(F.add_arr(signed[0], signed[1]), signed[2]).any(axis=3))
         # restrictedness: ad(x^[p]) = (ad x)^p for even x
-        for i in range(dim):
-            if par[i] == 0:
-                adp = la.eye(dim)
-                for _ in range(self.p):
-                    adp = la.matmul(F, adp, self.ad_matrices[i])
-                target = la.zeros((dim, dim))
-                for j in np.nonzero(self.p_map[i])[0]:
-                    target = F.add_arr(target, F.smul_arr(int(self.p_map[i][j]), self.ad_matrices[j]))
-                if not (adp == target).all():
-                    failures.append(f"restricted({i})")
+        even = np.flatnonzero(~odd)
+        ad = np.stack(self.ad_matrices)
+        powers = _pth_powers(F, ad[even], p).reshape(len(even), d * d)
+        target = la.matmul(F, self.p_map[even], ad.reshape(d, d * d))
+        failures.extend(f"restricted({i})" for i in even[(powers != target).any(axis=1)])
         # form: even, supersymmetric, invariant, nondegenerate
-        for i in range(dim):
-            for j in range(dim):
-                if par[i] != par[j] and self.form[i, j] != 0:
-                    failures.append(f"form-odd({i},{j})")
-                sym = self.form[j, i] if not (par[i] and par[j]) else F.neg(int(self.form[j, i]))
-                if self.form[i, j] != sym:
-                    failures.append(f"form-sym({i},{j})")
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    lhs = rhs = 0
-                    for t in np.nonzero(self.bracket_tensor[i, j])[0]:
-                        lhs = F.add(lhs, F.mul(int(self.bracket_tensor[i, j][t]), int(self.form[t, k])))
-                    for t in np.nonzero(self.bracket_tensor[j, k])[0]:
-                        rhs = F.add(rhs, F.mul(int(self.form[i, t]), int(self.bracket_tensor[j, k][t])))
-                    if lhs != rhs:
-                        failures.append(f"form-inv({i},{j},{k})")
-        if la.rank(F, self.form) != dim:
+        form = self.form
+        flag("form-odd", (odd[:, None] != odd[None, :]) & (form != 0))
+        flag("form-sym", form != np.where(both_odd, F.neg_arr(form.T), form.T))
+        bracket_then_form = la.matmul(F, T.reshape(d * d, d), form).reshape(d, d, d)
+        form_of_bracket = la.matmul(F, form, T.reshape(d * d, d).T).reshape(d, d, d)
+        flag("form-inv", bracket_then_form != form_of_bracket)
+        if la.rank(F, form) != d:
             failures.append("form-degenerate")
         return {"passed": not failures, "failures": failures[:20]}
 
@@ -495,27 +400,19 @@ class LieSuperalgebra:
             raise ValueError(f"{format_weight(root)} is not a root")
         if self.parities[idx] != 0:
             raise ValueError("nilpotent characters come from even root vectors")
-        return self.character_from_element(_unitvec(self.dim, idx))
+        return self.character_from_element(la.eye(self.dim)[idx])
 
     def character_from_element(self, coords: Sequence[int]) -> PCharacter:
         coords = np.array([int(c) % self.F.q for c in coords], dtype=np.int64)
         if coords[self.parities == 1].any():
             raise ValueError("character_from_element needs an even element")
-        F = self.F
-        vals = []
-        for j in range(self.dim):
-            total = 0
-            for i in np.nonzero(coords)[0]:
-                total = F.add(total, F.mul(int(coords[i]), int(self.form[i, j])))
-            vals.append(total if self.parities[j] == 0 else 0)
+        vals = la.matvec(self.F, self.form.T, coords)
+        vals[self.parities == 1] = 0
         return PCharacter(self, vals)
 
     def centralizer(self, chi: PCharacter) -> Centralizer:
-        dim = self.dim
-        pair = la.zeros((dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                pair[i, j] = chi.value(self.bracket_tensor[i, j])
+        d = self.dim
+        pair = la.matvec(self.F, self.bracket_tensor.reshape(d * d, d), chi.values).reshape(d, d)
         # y is in g_chi when chi([y, -]) = 0; the conditions decouple by the
         # parity of y, so each codimension is the rank of that parity's rows
         d0 = la.rank(self.F, pair[self.parities == 0])
@@ -533,16 +430,8 @@ class LieSuperalgebra:
         lam = [int(chi.values[ci]) for ci in self.cartan]
         return all(self.coroot_value(self.F, lam, root) != 0 for root in self.rs.all_roots)
 
-    # -- misc ------------------------------------------------------------------
-
     def __repr__(self) -> str:
         return f"LieSuperalgebra({self.label}, {self.F!r})"
-
-
-def _unitvec(dim: int, i: int) -> np.ndarray:
-    v = la.zeros(dim)
-    v[i] = 1
-    return v
 
 
 def build_algebra(type_label: str, F: Field) -> LieSuperalgebra:

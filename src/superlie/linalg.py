@@ -216,14 +216,13 @@ def closure_under_operators(
     F: Field,
     seed_rows: np.ndarray,
     operators: Sequence[np.ndarray],
-    dim_cap: Optional[int] = None,
 ) -> np.ndarray:
     """Smallest operator-stable subspace containing the seed rows.
 
     Operators act on column vectors; rows of the result are an echelon basis.
     Each round applies every operator to the rows the previous round added
-    (the frontier) until no image leaves the current span (or the span
-    reaches ``dim_cap``, when provided, allowing early exit at full space).
+    (the frontier) until no image leaves the current span or the span is
+    the whole space.
     A round whose images total at most n rows extends the basis once, a larger
     one per operator; both add the same span, hence the same echelon rows.
     """
@@ -231,13 +230,11 @@ def closure_under_operators(
     n = seed_rows.shape[1]
     basis = EchelonBasis(F, zeros((0, n)))
     frontier = basis.extend(seed_rows)
-    while frontier.shape[0]:
+    while frontier.shape[0] and basis.rows.shape[0] < n:
         images = [matmul(F, frontier, op.T) for op in operators]
         if len(images) * frontier.shape[0] <= n:
             images = [np.concatenate([frontier[:0], *images])]
         frontier = np.concatenate([frontier[:0], *map(basis.extend, images)])
-        if dim_cap is not None and basis.rows.shape[0] >= dim_cap:
-            break
     return basis.rows
 
 

@@ -22,6 +22,9 @@ from .gf import Field
 
 Rational = Union[int, Fraction]
 
+# The most simple systems ``all_simple_systems`` collects before it raises.
+MAX_SIMPLE_SYSTEMS = 100000
+
 
 class Weight:
     """An element of the weight space, exact rational coordinates."""
@@ -240,7 +243,7 @@ class RootSystem:
     def distinguished_simple_system(self) -> "SimpleSystem":
         return SimpleSystem(self, self._distinguished)
 
-    def all_simple_systems(self, max_systems: int = 100000) -> list["SimpleSystem"]:
+    def all_simple_systems(self) -> list["SimpleSystem"]:
         """Breadth-first closure of the distinguished system under reflections."""
         start = self.distinguished_simple_system()
         seen: dict[frozenset, SimpleSystem] = {start.positive_key(): start}
@@ -251,8 +254,9 @@ class RootSystem:
                 nxt = ss.reflect(d)
                 key = nxt.positive_key()
                 if key not in seen:
-                    if len(seen) >= max_systems:
-                        raise RuntimeError("simple-system closure exceeded cap")
+                    if len(seen) >= MAX_SIMPLE_SYSTEMS:
+                        raise RuntimeError(
+                            f"simple-system closure exceeded MAX_SIMPLE_SYSTEMS = {MAX_SIMPLE_SYSTEMS}")
                     seen[key] = nxt
                     queue.append(nxt)
         return sorted(seen.values(), key=lambda s: tuple(r.key() for r in s.simple_roots))

@@ -263,6 +263,7 @@ class VermaSystem:
         self._P = cartan_p_matrix(g)
         self._templates: dict[tuple[int, tuple], tuple] = {}
         self._mult_templates: dict[tuple[tuple, tuple], tuple] = {}
+        self._ambients: dict[Field, np.ndarray] = {}
 
     def template(self, gen_idx: int, mono: tuple) -> tuple:
         """Symbolic expansion of x_gen . (mono . v) before lambda evaluation.
@@ -303,6 +304,124 @@ class VermaSystem:
         out = tuple(entries)
         self._mult_templates[key] = out
         return out
+
+    def _neg_chi_values(self) -> list[int]:
+        return [int(self.chi.values[b]) for b in self.neg_indices]
+
+    def _chi_kills_neg_brackets(self) -> bool:
+        chi = self.chi
+        for bi in self.neg_indices:
+            for bj in self.neg_indices:
+                if chi.value(self.g.bracket_tensor[bi, bj]):
+                    return False
+        return True
+
+    def _shifted_monomial_rows(self) -> np.ndarray:
+        """Rows of prod_s (x_s - chi(x_s))^{e_s} for e != 0 in the PBW basis.
+
+        With chi([n^-, n^-]) = 0 the shifted letters satisfy the original
+        brackets and have zero p-th powers, so they generate a local
+        algebra whose maximal ideal is spanned by these rows.  Expanding
+        (x - c)^e = sum_f C(e, f) (-c)^(e-f) x^f slot by slot makes the
+        change of basis a Kronecker product; the constant monomial comes
+        first in PBW order, and its row is dropped.
+        """
+        p = self.g.p
+        rows = la.eye(1)
+        for cap, par, c in zip(self.caps, self.slot_parities, self._neg_chi_values()):
+            if par and c:
+                raise InvariantViolation("cannot shift an odd letter by a nonzero constant")
+            T = [[math.comb(e, f) * pow(-c, e - f, p) % p if f <= e else 0
+                  for f in range(cap)] for e in range(cap)]
+            rows = np.kron(rows, np.array(T, dtype=np.int64)) % p
+        return rows[1:]
+
+    def _coefficient_algebra_tables(self):
+        """Multiplication and p-th-power tables of A = U_chi(n^-) (prime codes)."""
+        mult = {}
+        commutative = True
+        for m1 in self.basis:
+            for m2 in self.basis:
+                mult[(m1, m2)] = self.neg_product(m1, m2)
+        for m1 in self.basis:
+            for m2 in self.basis:
+                if dict(mult[(m1, m2)]) != dict(mult[(m2, m1)]):
+                    commutative = False
+        powers = {}
+        for m in self.basis:
+            cur = {m: 1}
+            for _ in range(self.g.p - 1):
+                nxt: dict = {}
+                for mono, c in cur.items():
+                    for tgt, code in mult[(mono, m)]:
+                        v = (nxt.get(tgt, 0) + c * code) % self.g.p
+                        if v:
+                            nxt[tgt] = v
+                        elif tgt in nxt:
+                            del nxt[tgt]
+                cur = nxt
+            powers[m] = cur
+        return mult, powers, commutative
+
+    def _commutative_radical_rows(self, F: Field) -> np.ndarray:
+        """Nilradical of commutative A = U_chi(n^-), certified local.
+
+        For commutative A in characteristic p, (sum c_i m_i)^p =
+        sum c_i^p m_i^p, and the p-th powers of the monomials have
+        prime-field coefficients.  So with P the matrix of m -> m^p,
+        a^(p^r) = 0 iff P^r a = 0, and r with p^r >= dim A cuts out exactly
+        the nilpotent elements.  Over GF(q) the q-th power map is linear,
+        with matrix P^k, and locality is certified by a one-dimensional
+        Berlekamp subalgebra ker(P^k - 1) of A/nilrad.
+        """
+        _, powers, commutative = self._coefficient_algebra_tables()
+        if not commutative:
+            raise RuntimeError(
+                "no certified maximal-submodule ambient: chi has constants in "
+                "odd squares and the coefficient algebra is noncommutative"
+            )
+        d = self.dim
+        P = la.zeros((d, d))
+        for t, m in enumerate(self.basis):
+            for tgt, code in powers[m].items():
+                P[self.index[tgt], t] = code
+
+        def power(e: int) -> np.ndarray:
+            out = P
+            for _ in range(e - 1):
+                out = la.matmul(F, out, P)
+            return out
+
+        r = 1
+        while F.p ** r < d:
+            r += 1
+        rad = la.row_space_basis(F, la.nullspace(F, power(r)))
+        rad_basis = la.EchelonBasis(F, rad)
+        compl = [t for t in range(d) if t not in rad_basis.pivots]
+        if not compl:
+            raise InvariantViolation("coefficient algebra has zero quotient")
+        # one row e_t^q - e_t per monomial t outside the radical's pivots
+        images = F.sub_arr(power(F.k), la.eye(d))[:, compl].T
+        B = rad_basis.reduce(images)[:, compl].T
+        if la.nullspace(F, B).shape[0] != 1:
+            raise RuntimeError(
+                "coefficient algebra is not local over this field; the maximal "
+                "submodule is not unique and the head is left uncomputed"
+            )
+        return rad
+
+    def _ambient_rows(self, F: Field) -> np.ndarray:
+        """Rows over F of a space that contains every proper submodule of each
+        module over F; built once per field and shared read-only."""
+        rows = self._ambients.get(F)
+        if rows is None:
+            if self._chi_kills_neg_brackets():
+                rows = self._shifted_monomial_rows()
+            else:
+                rows = self._commutative_radical_rows(F)
+            rows.flags.writeable = False
+            self._ambients[F] = rows
+        return rows
 
     def module(self, lam: Sequence[int], field: Optional[Field] = None) -> "BabyVerma":
         F = field if field is not None else self.g.F
@@ -400,137 +519,21 @@ class BabyVerma:
     # -- submodules ------------------------------------------------------------
 
     def submodule_closure(self, rows: np.ndarray) -> np.ndarray:
-        return la.closure_under_operators(
-            self.F, rows, self.all_action_matrices(), dim_cap=self.dim
-        )
+        return la.closure_under_operators(self.F, rows, self.all_action_matrices())
 
     def is_irreducible_oracle(self) -> bool:
         closed = self.submodule_closure(self.lowest_vector()[None, :])
         return closed.shape[0] == self.dim
 
-    def _neg_chi_values(self) -> list[int]:
-        return [int(self.chi.values[b]) for b in self.system.neg_indices]
-
-    def _chi_kills_neg_brackets(self) -> bool:
-        chi = self.chi
-        for bi in self.system.neg_indices:
-            for bj in self.system.neg_indices:
-                if chi.value(self.g.bracket_tensor[bi, bj]):
-                    return False
-        return True
-
-    def _shifted_monomial_rows(self) -> np.ndarray:
-        """Rows of prod_s (x_s - chi(x_s))^{e_s} for e != 0 in the PBW basis.
-
-        With chi([n^-, n^-]) = 0 the shifted letters satisfy the original
-        brackets and have zero p-th powers, so they generate a local
-        algebra whose maximal ideal is spanned by these rows.  Expanding
-        (x - c)^e = sum_f C(e, f) (-c)^(e-f) x^f slot by slot makes the
-        change of basis a Kronecker product; the constant monomial comes
-        first in PBW order, and its row is dropped.
-        """
-        p = self.F.p
-        rows = la.eye(1)
-        for cap, par, c in zip(self.system.caps, self.system.slot_parities,
-                               self._neg_chi_values()):
-            if par and c:
-                raise InvariantViolation("cannot shift an odd letter by a nonzero constant")
-            T = [[math.comb(e, f) * pow(-c, e - f, p) % p if f <= e else 0
-                  for f in range(cap)] for e in range(cap)]
-            rows = np.kron(rows, np.array(T, dtype=np.int64)) % p
-        return rows[1:]
-
-    def _coefficient_algebra_tables(self):
-        """Multiplication and p-th-power tables of A = U_chi(n^-) (prime codes)."""
-        sysm = self.system
-        mult = {}
-        commutative = True
-        for m1 in self.basis:
-            for m2 in self.basis:
-                mult[(m1, m2)] = sysm.neg_product(m1, m2)
-        for m1 in self.basis:
-            for m2 in self.basis:
-                if dict(mult[(m1, m2)]) != dict(mult[(m2, m1)]):
-                    commutative = False
-        powers = {}
-        for m in self.basis:
-            cur = {m: 1}
-            for _ in range(self.g.p - 1):
-                nxt: dict = {}
-                for mono, c in cur.items():
-                    for tgt, code in mult[(mono, m)]:
-                        v = (nxt.get(tgt, 0) + c * code) % self.g.p
-                        if v:
-                            nxt[tgt] = v
-                        elif tgt in nxt:
-                            del nxt[tgt]
-                cur = nxt
-            powers[m] = cur
-        return mult, powers, commutative
-
     @property
     def N(self) -> int:
         return self.system.N
-
-    def _commutative_radical_rows(self) -> np.ndarray:
-        """Nilradical of commutative A = U_chi(n^-), certified local.
-
-        For commutative A in characteristic p, (sum c_i m_i)^p =
-        sum c_i^p m_i^p, and the p-th powers of the monomials have
-        prime-field coefficients.  So with P the matrix of m -> m^p,
-        a^(p^r) = 0 iff P^r a = 0, and r with p^r >= dim A cuts out exactly
-        the nilpotent elements.  Over GF(q) the q-th power map is linear,
-        with matrix P^k, and locality is certified by a one-dimensional
-        Berlekamp subalgebra ker(P^k - 1) of A/nilrad.
-        """
-        F = self.F
-        _, powers, commutative = self._coefficient_algebra_tables()
-        if not commutative:
-            raise RuntimeError(
-                "no certified maximal-submodule ambient: chi has constants in "
-                "odd squares and the coefficient algebra is noncommutative"
-            )
-        d = self.dim
-        P = la.zeros((d, d))
-        for t, m in enumerate(self.basis):
-            for tgt, code in powers[m].items():
-                P[self.index[tgt], t] = code
-
-        def power(e: int) -> np.ndarray:
-            out = P
-            for _ in range(e - 1):
-                out = la.matmul(F, out, P)
-            return out
-
-        r = 1
-        while F.p ** r < d:
-            r += 1
-        rad = la.row_space_basis(F, la.nullspace(F, power(r)))
-        rad_basis = la.EchelonBasis(F, rad)
-        compl = [t for t in range(d) if t not in rad_basis.pivots]
-        if not compl:
-            raise InvariantViolation("coefficient algebra has zero quotient")
-        # one row e_t^q - e_t per monomial t outside the radical's pivots
-        images = F.sub_arr(power(F.k), la.eye(d))[:, compl].T
-        B = rad_basis.reduce(images)[:, compl].T
-        if la.nullspace(F, B).shape[0] != 1:
-            raise RuntimeError(
-                "coefficient algebra is not local over this field; the maximal "
-                "submodule is not unique and the head is left uncomputed"
-            )
-        return rad
-
-    def _ambient_rows(self) -> np.ndarray:
-        """Rows of a space that contains every proper submodule."""
-        if self._chi_kills_neg_brackets():
-            return self._shifted_monomial_rows()
-        return self._commutative_radical_rows()
 
     def maximal_submodule(self) -> np.ndarray:
         """Echelon rows of the unique maximal proper submodule."""
         if self._max_submodule is None:
             self._max_submodule = la.largest_stable_subspace(
-                self.F, self._ambient_rows(), self.all_action_matrices())
+                self.F, self.system._ambient_rows(self.F), self.all_action_matrices())
         return self._max_submodule
 
     def head_dim(self) -> int:
@@ -710,10 +713,9 @@ def proportionality_report(system: VermaSystem, lset: LambdaSet) -> dict:
     }
 
 
-def agreement_sweep(g: LieSuperalgebra, chi: PCharacter,
-                    ss: Optional[SimpleSystem] = None, k_max: int = 8) -> dict:
+def agreement_sweep(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> dict:
     """Oracle vs criterion over the full weight set of one character."""
-    system = VermaSystem(g, chi, ss)
+    system = VermaSystem(g, chi)
     lset = lambda_set(g, chi, k_max)
     verdicts = []
     discrepancies = []
@@ -753,8 +755,7 @@ def standard_characters(g: LieSuperalgebra) -> dict:
     return out
 
 
-def semisimplicity_check(g: LieSuperalgebra, chi: PCharacter,
-                         ss: Optional[SimpleSystem] = None, k_max: int = 8) -> dict:
+def semisimplicity_check(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> dict:
     """Semisimplicity of U_chi via the full Verma sweep.
 
     Semisimple iff every baby Verma is irreducible and the Wedderburn
@@ -763,7 +764,7 @@ def semisimplicity_check(g: LieSuperalgebra, chi: PCharacter,
     """
     if not chi.is_standard_form():
         raise ValueError("the semisimplicity sweep needs chi in standard form")
-    system = VermaSystem(g, chi, ss)
+    system = VermaSystem(g, chi)
     lset = lambda_set(g, chi, k_max)
     F = lset.field
     dims = []
@@ -815,7 +816,7 @@ _REFLECTION_SHIFT = {"type_i": 1, "type_ii": -1, "type_iii": 1}
 
 
 def reflection_report(g: LieSuperalgebra, chi: PCharacter, delta: Weight,
-                      ss: Optional[SimpleSystem] = None, k_max: int = 8) -> dict:
+                      k_max: int = 8) -> dict:
     """Everything the simple reflection at delta must satisfy.
 
     * the singular vector in Z(lambda) for the reflected system is nonzero
@@ -826,7 +827,7 @@ def reflection_report(g: LieSuperalgebra, chi: PCharacter, delta: Weight,
       lambda, with matching vanishing sets;
     * the unshifted products of the two systems are pointwise proportional.
     """
-    ss = ss if ss is not None else g.distinguished
+    ss = g.distinguished
     system = VermaSystem(g, chi, ss)
     lset = lambda_set(g, chi, k_max)
     F = lset.field

@@ -11,7 +11,7 @@ new kernels.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ def closure_per_vector(
     F: Field,
     seed_rows: np.ndarray,
     operators: Sequence[np.ndarray],
-    dim_cap: Optional[int] = None,
 ) -> np.ndarray:
     """Operator closure testing each image on its own, re-echelonising the
     basis after every accepted row."""
@@ -79,8 +78,6 @@ def closure_per_vector(
         if not new_rows:
             break
         frontier = np.array(new_rows, dtype=np.int64)
-        if dim_cap is not None and basis.shape[0] >= dim_cap:
-            break
     return basis
 
 

@@ -100,13 +100,13 @@ def lambda_set_scan(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> Lamb
 
 def ambient_rows(Z: BabyVerma) -> np.ndarray:
     """Rows of a space holding every proper submodule of Z, three ways."""
-    if not any(Z._neg_chi_values()):
+    if not any(Z.system._neg_chi_values()):
         ident = la.eye(Z.dim)
         return np.array(
             [ident[i] for i in range(Z.dim) if i != Z.highest_index],
             dtype=np.int64,
         )
-    if Z._chi_kills_neg_brackets():
+    if Z.system._chi_kills_neg_brackets():
         return shifted_monomial_rows(Z)
     return commutative_radical_rows(Z)
 
@@ -114,7 +114,7 @@ def ambient_rows(Z: BabyVerma) -> np.ndarray:
 def shifted_monomial_rows(Z: BabyVerma) -> np.ndarray:
     """Rows of prod_s (x_s - chi(x_s))^{e_s} for e != 0 in the PBW basis."""
     F = Z.F
-    shifts = Z._neg_chi_values()
+    shifts = Z.system._neg_chi_values()
     for s, par in enumerate(Z.system.slot_parities):
         if par and shifts[s]:
             raise InvariantViolation("cannot shift an odd letter by a nonzero constant")
@@ -148,7 +148,7 @@ def commutative_radical_rows(Z: BabyVerma) -> np.ndarray:
     """
     F = Z.F
     p, k = F.p, F.k
-    mult, powers, commutative = Z._coefficient_algebra_tables()
+    mult, powers, commutative = Z.system._coefficient_algebra_tables()
     if not commutative:
         raise RuntimeError(
             "no certified maximal-submodule ambient: chi has constants in "
@@ -268,7 +268,7 @@ def certify_head(Z: BabyVerma, rng: Optional[np.random.Generator] = None,
             if v.any():
                 probes.append(v)
     for v in probes:
-        closed = la.closure_under_operators(F, v[None, :], mats, dim_cap=hdim)
+        closed = la.closure_under_operators(F, v[None, :], mats)
         if closed.shape[0] != hdim:
             return False
     return True
@@ -308,7 +308,7 @@ def screen_simple(F: Field, action_matrices: Sequence[np.ndarray]) -> None:
     n = action_matrices[0].shape[0]
     for i in range(n):
         seed = la.eye(n)[i][None, :]
-        closed = la.closure_under_operators(F, seed, action_matrices, dim_cap=n)
+        closed = la.closure_under_operators(F, seed, action_matrices)
         if closed.shape[0] != n:
             raise ValueError(
                 f"basis vector {i} generates a proper submodule — input is reducible"

@@ -17,7 +17,7 @@ from superlie.cli import (
     resolve_chi,
     run_experiment,
 )
-from superlie.verma import BabyVerma
+from superlie.verma import BabyVerma, VermaSystem
 
 
 def test_parse_config_full():
@@ -134,10 +134,10 @@ def test_kw_pbw_violation_is_fail(monkeypatch, capsys):
 def test_kw_zero_quotient_is_fail(monkeypatch, capsys):
     # every element nilpotent: the radical is all of the coefficient algebra,
     # a broken invariant raised from inside the real radical computation
-    monkeypatch.setattr(BabyVerma, "_coefficient_algebra_tables",
+    monkeypatch.setattr(VermaSystem, "_coefficient_algebra_tables",
                         lambda self: ({}, {m: {} for m in self.basis}, True))
     monkeypatch.setattr(BabyVerma, "maximal_submodule",
-                        lambda self: self._commutative_radical_rows())
+                        lambda self: self.system._commutative_radical_rows(self.F))
     assert main(["kw", "--type", "gl(1|1)", "--p", "3"]) == 1
     out = capsys.readouterr().out
     assert "skipped" not in out and "PASS" not in out
@@ -156,10 +156,12 @@ def test_standard_buckets_without_a_regular_character():
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["gl11_p5_verma_phi", "gl21_p3_kw", "osp22_p5_family"])
+@pytest.mark.parametrize("name", ["gl11_p5_verma_phi", "gl21_p3_kw", "osp22_p5_family",
+                                  "gl21_p3_reflect_semisimple", "osp12_p3_sym_coinduced"])
 def test_reports_match_golden_files(name, tmp_path):
     # the first two run the extension-field kernels over GF(5^5) and GF(3^3);
-    # the family config runs PBW straightening and the rescaling maps theta_t
+    # the family config runs PBW straightening and the rescaling maps theta_t;
+    # the last two read the invariant form, the coroots and the centralizer
     assert main(["run", str(GOLDEN / f"{name}.ini"), "--out", str(tmp_path)]) == 0
     want = sorted(path.name for path in (GOLDEN / name).iterdir())
     assert sorted(path.name for path in tmp_path.iterdir()) == want

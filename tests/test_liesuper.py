@@ -1,5 +1,7 @@
 """Tests for the concrete matrix-realized Lie superalgebras."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from superlie import linalg as la
 from superlie.gf import field_create
 from superlie.liesuper import build_algebra
 from superlie.rootsys import Weight, parse_root_label
+
+from reference_liesuper import bracket_coords
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -274,8 +278,8 @@ def test_exp_ad_is_automorphism_and_preserves_centralizer_dims():
         for _ in range(20):
             a = rng.integers(0, F.q, g.dim)
             b = rng.integers(0, F.q, g.dim)
-            lhs = la.matvec(F, u, g.bracket_coords(a, b))
-            rhs = g.bracket_coords(la.matvec(F, u, a), la.matvec(F, u, b))
+            lhs = la.matvec(F, u, bracket_coords(g, a, b))
+            rhs = bracket_coords(g, la.matvec(F, u, a), la.matvec(F, u, b))
             assert (lhs == rhs).all()
         # centralizer dimensions are conjugation invariants
         for chi in (g.chi_regular_semisimple(), g.chi_zero()):
@@ -297,3 +301,33 @@ def test_supertrace_form_nondegenerate_and_even():
             for j in range(g.dim):
                 if g.parities[i] != g.parities[j]:
                     assert g.form[i, j] == 0
+
+
+# ---------------------------------------------------------------------------
+# validate catches corrupted structure arrays
+
+
+def _corrupted(g, array, index, rng):
+    """A shallow copy of g with one entry of one structure array changed."""
+    h = copy.copy(g)
+    arr = getattr(g, array).copy()
+    arr[index] = g.F.add(int(arr[index]), int(rng.integers(1, g.F.q)))
+    setattr(h, array, arr)
+    h.ad_matrices = [np.ascontiguousarray(t.T) for t in h.bracket_tensor]
+    return h
+
+
+@pytest.mark.parametrize("label,p", [("gl(2|1)", 3), ("osp(1|2)", 5), ("osp(2|2)", 3)])
+def test_validate_flags_each_corrupted_entry(label, p):
+    g = build_algebra(label, field_create(p, 1))
+    rng = np.random.default_rng(11)
+    even = np.flatnonzero(g.parities == 0)
+    cases = []
+    for _ in range(8):
+        cases.append(("bracket_tensor", tuple(rng.integers(0, g.dim, 3)), ("skew(", "jacobi(")))
+        cases.append(("p_map", (rng.choice(even), rng.integers(0, g.dim)), ("restricted(",)))
+        cases.append(("form", tuple(rng.integers(0, g.dim, 2)), ("form-",)))
+    for array, index, kinds in cases:
+        report = _corrupted(g, array, index, rng).validate()
+        assert not report["passed"], (array, index)
+        assert any(name.startswith(kinds) for name in report["failures"]), (array, index, report)

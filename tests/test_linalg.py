@@ -235,8 +235,7 @@ def closure_cases(draw):
     if draw(st.booleans()):
         # upper-triangular operators keep the flag stable: closures stop short
         ops = [np.triu(op) for op in ops]
-    dim_cap = draw(st.one_of(st.none(), st.integers(1, n)))
-    return F, seed, ops, dim_cap
+    return F, seed, ops
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,9 +253,9 @@ def test_matmul_matches_loop_reference(data):
 @settings(max_examples=200, deadline=None)
 @given(case=closure_cases())
 def test_closure_matches_per_vector_reference(case):
-    F, seed, ops, dim_cap = case
-    got = la.closure_under_operators(F, seed, ops, dim_cap=dim_cap)
-    want = ref.closure_per_vector(F, seed, ops, dim_cap=dim_cap)
+    F, seed, ops = case
+    got = la.closure_under_operators(F, seed, ops)
+    want = ref.closure_per_vector(F, seed, ops)
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
 
@@ -269,16 +268,16 @@ def test_closure_edge_cases_match_reference(p, k):
     ops = [np.triu(random_matrix(F, rng, (n, n))) for _ in range(2)]
     row = random_matrix(F, rng, (1, n))
     cases = [
-        (la.zeros((1, n)), ops, None),  # zero seed
-        (la.zeros((0, n)), ops, None),  # no seed rows
-        (row, [], None),  # no operators
-        (np.concatenate([row, row, F.smul_arr(2, row)]), ops, None),  # rank 1 seed
-        (la.eye(n)[:1], ops, 1),  # dim_cap reached by the seed
-        (la.eye(n)[-1:], [random_matrix(F, rng, (n, n))], n),
+        (la.zeros((1, n)), ops),  # zero seed
+        (la.zeros((0, n)), ops),  # no seed rows
+        (row, []),  # no operators
+        (np.concatenate([row, row, F.smul_arr(2, row)]), ops),  # rank 1 seed
+        (la.eye(n), ops),  # the seed spans the whole space
+        (la.eye(n)[-1:], [random_matrix(F, rng, (n, n))]),
     ]
-    for seed, operators, cap in cases:
-        got = la.closure_under_operators(F, seed, operators, dim_cap=cap)
-        assert np.array_equal(got, ref.closure_per_vector(F, seed, operators, dim_cap=cap))
+    for seed, operators in cases:
+        got = la.closure_under_operators(F, seed, operators)
+        assert np.array_equal(got, ref.closure_per_vector(F, seed, operators))
 
 
 @settings(max_examples=100, deadline=None)
@@ -415,7 +414,8 @@ def test_product_past_float64_bound_stays_exact_in_int64():
 @pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2), (5, 5)])
 def test_closure_rounds_of_both_kinds_match_reference(p, k, monkeypatch):
     """Rounds with K·f ≤ n extend once with every image, larger ones once per
-    operator; the spy replays that rule and counts rounds of each kind."""
+    operator, and no round runs once the span is the whole space; the spy
+    replays that rule and counts rounds of each kind."""
     F = field_create(p, k)
     n, K = 12, 3
     calls = []
@@ -438,11 +438,13 @@ def test_closure_rounds_of_both_kinds_match_reference(p, k, monkeypatch):
         got = la.closure_under_operators(F, seed, ops)
         assert np.array_equal(got, ref.closure_per_vector(F, seed, ops))
         f, i = calls[0][1], 1
-        while f:
+        span = f
+        while f and span < n:
             stacked = K * f <= n
             kinds.add(stacked)
             round_calls = calls[i: i + (1 if stacked else K)]
             assert [rows for rows, _ in round_calls] == ([K * f] if stacked else [f] * K)
             f, i = sum(new for _, new in round_calls), i + len(round_calls)
+            span += f
         assert i == len(calls)
     assert kinds == {True, False}

@@ -458,7 +458,7 @@ def test_nilpotent_gl21_shifted_strategy():
     system = VermaSystem(g, chi)
     Z = system.module(ls.weights[0], ls.field)
     assert ref.verify_relations(Z)["passed"]
-    assert any(Z._neg_chi_values()) and Z._chi_kills_neg_brackets()
+    assert any(system._neg_chi_values()) and system._chi_kills_neg_brackets()
     sub = Z.maximal_submodule()
     assert sub.shape[0] < Z.dim
     assert Z.head_dim() + sub.shape[0] == Z.dim
@@ -499,14 +499,16 @@ def test_ambient_matches_reference(label, p):
         system = VermaSystem(g, chi)
         for lam in ls:
             Z = system.module(lam, ls.field)
-            new = _ambient_or_error(Z._ambient_rows)
+            new = _ambient_or_error(lambda: system._ambient_rows(Z.F))
             old = _ambient_or_error(lambda: ref.ambient_rows(Z))
             if isinstance(old, tuple):
                 assert isinstance(new, tuple) and new == old, (chi.values, lam)
             else:
                 assert isinstance(new, np.ndarray) and new.shape == old.shape, (chi.values, lam)
                 assert (new == old).all(), (chi.values, lam)
-            if not Z._chi_kills_neg_brackets():
+                # one ambient per system and field, shared read-only by its modules
+                assert system._ambient_rows(Z.F) is new and not new.flags.writeable
+            if not system._chi_kills_neg_brackets():
                 radical.add((ls.field.q, isinstance(old, tuple)))
     if label == "osp(1|2)":
         # Berlekamp's test both certifies and refuses locality over GF(p^p)
