@@ -1,7 +1,5 @@
 """Tests for the concrete matrix-realized Lie superalgebras."""
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,7 @@ from superlie.liesuper import build_algebra
 from superlie.rootsys import Weight, parse_root_label
 
 from reference_liesuper import bracket_coords
+from tooling import corrupted
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -307,16 +306,6 @@ def test_supertrace_form_nondegenerate_and_even():
 # validate catches corrupted structure arrays
 
 
-def _corrupted(g, array, index, rng):
-    """A shallow copy of g with one entry of one structure array changed."""
-    h = copy.copy(g)
-    arr = getattr(g, array).copy()
-    arr[index] = g.F.add(int(arr[index]), int(rng.integers(1, g.F.q)))
-    setattr(h, array, arr)
-    h.ad_matrices = [np.ascontiguousarray(t.T) for t in h.bracket_tensor]
-    return h
-
-
 @pytest.mark.parametrize("label,p", [("gl(2|1)", 3), ("osp(1|2)", 5), ("osp(2|2)", 3)])
 def test_validate_flags_each_corrupted_entry(label, p):
     g = build_algebra(label, field_create(p, 1))
@@ -328,6 +317,6 @@ def test_validate_flags_each_corrupted_entry(label, p):
         cases.append(("p_map", (rng.choice(even), rng.integers(0, g.dim)), ("restricted(",)))
         cases.append(("form", tuple(rng.integers(0, g.dim, 2)), ("form-",)))
     for array, index, kinds in cases:
-        report = _corrupted(g, array, index, rng).validate()
+        report = corrupted(g, array, index, rng).validate()
         assert not report["passed"], (array, index)
         assert any(name.startswith(kinds) for name in report["failures"]), (array, index, report)

@@ -1,7 +1,5 @@
 """The whole-array construction of the algebras against the loop reference."""
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from superlie.gf import field_create
 from superlie.liesuper import build_algebra
 
 from reference_liesuper import ReferenceLieSuperalgebra, loop_validate
+from tooling import corrupted
 
 TYPES = ["gl(1|1)", "gl(2|1)", "gl(1|2)", "gl(2|2)", "gl(3|1)",
          "sl(2|1)", "sl(1|2)", "sl(3|1)", "osp(1|2)", "osp(2|2)"]
@@ -44,10 +43,6 @@ def test_validate_failures_match_loop_reference(label, p):
     rng = np.random.default_rng(3)
     for name in ("bracket_tensor", "p_map", "form"):
         for _ in range(6):
-            h = copy.copy(g)
-            bad = getattr(g, name).copy()
-            index = tuple(rng.integers(0, n) for n in bad.shape)
-            bad[index] = F.add(int(bad[index]), int(rng.integers(1, p)))
-            setattr(h, name, bad)
-            h.ad_matrices = [np.ascontiguousarray(t.T) for t in h.bracket_tensor]
+            index = tuple(rng.integers(0, n) for n in getattr(g, name).shape)
+            h = corrupted(g, name, index, rng)
             assert h.validate() == loop_validate(h), (name, index)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +32,17 @@ def to_vector(a: dict, index: dict) -> np.ndarray:
     for m, c in a.items():
         v[index[m]] = c
     return v
+
+
+def corrupted(g, array: str, index: tuple, rng: np.random.Generator):
+    """A shallow copy of the algebra g with one entry of one structure array
+    changed by a random nonzero field element, and its ad matrices rebuilt."""
+    h = copy.copy(g)
+    arr = getattr(g, array).copy()
+    arr[index] = g.F.add(int(arr[index]), int(rng.integers(1, g.F.q)))
+    setattr(h, array, arr)
+    h.ad_matrices = [np.ascontiguousarray(t.T) for t in h.bracket_tensor]
+    return h
 
 
 def random_pairs(U: DeformedAlgebra, rng: np.random.Generator, n: int) -> list[tuple[dict, dict]]:
