@@ -43,9 +43,9 @@ from .invariants import (
     check_coassociativity,
     ideal_survey,
 )
-from .kwverify import InvariantViolation, summary_table, verify_superkw_sweep, write_jsonl
+from .kwverify import summary_table, verify_superkw_sweep, write_jsonl
 from .liesuper import LieSuperalgebra, PCharacter, _normalize_label, build_algebra
-from .rootsys import build_root_system, parse_root_label
+from .rootsys import InvariantViolation, build_root_system, parse_root_label
 from .verma import (
     VermaSystem,
     agreement_sweep,
@@ -443,7 +443,11 @@ def cmd_reflect(args) -> int:
         rs = build_root_system(rs_label)
     except ValueError as exc:
         raise UsageError(str(exc))
-    systems = rs.all_simple_systems()
+    try:
+        systems = rs.all_simple_systems()
+    except InvariantViolation as exc:
+        print(f"{args.type}: invariant violation: {exc}")
+        return 1
     print(f"{args.type}: {len(systems)} simple systems, "
           f"all reflection identities verified")
     if args.p is None:

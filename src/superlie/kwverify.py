@@ -22,8 +22,8 @@ import json
 from typing import Optional, Sequence
 
 from .liesuper import LieSuperalgebra, PCharacter
+from .rootsys import InvariantViolation
 from .verma import (  # noqa: F401 (walls_type re-exported)
-    InvariantViolation,
     VermaSystem,
     head_of,
     lambda_set,

@@ -259,49 +259,36 @@ class LieSuperalgebra:
                 for row in self._weight_matrix]
 
     def _build_root_dictionary(self) -> None:
-        F = self.F
-        self.root_index: dict[Weight, int] = {}
-        for idx, root in enumerate(self.basis_roots):
-            if root is not None:
-                self.root_index[root] = idx
-        # verify ad-weights: [h_i, X_a] = a(h_i) X_a for all Cartan h_i
-        for root, idx in self.root_index.items():
-            vals = self.weight_on_cartan(root)
-            for ci, hval in zip(self.cartan, vals):
-                lhs = self.bracket_tensor[ci, idx]
-                rhs = la.zeros(self.dim)
-                rhs[idx] = hval
-                if not (lhs == rhs).all():
-                    raise RuntimeError(f"ad-weight mismatch for root {format_weight(root)}")
-        # coroots H_a on the Cartan: solve (t_a, h_j) = a(h_j), then normalize
-        cartan_form = self.form[np.ix_(self.cartan, self.cartan)]
-        self.coroots: dict[Weight, np.ndarray] = {}
-        for root in self.rs.all_roots:
-            rhs = np.array(self.weight_on_cartan(root), dtype=np.int64)
-            t = la.solve(F, cartan_form, rhs)
-            if t is None:
-                raise RuntimeError("degenerate Cartan form")
-            norm = 0  # a(t_a)
-            for code, val in zip(t, rhs):
-                norm = F.add(norm, F.mul(int(code), int(val)))
-            iso_alg = norm == 0
-            if iso_alg != self.rs.is_isotropic(root):
-                raise RuntimeError("isotropy mismatch between form and root system")
-            coords = la.zeros(self.dim)
-            if iso_alg:
-                for ci, c in zip(self.cartan, t):
-                    coords[ci] = c
-            else:
-                scale = F.div(2 % F.p, norm)
-                for ci, c in zip(self.cartan, t):
-                    coords[ci] = F.mul(scale, int(c))
-                # sanity: a(H_a) = 2 for non-isotropic roots
-                check = 0
-                for ci, val in zip(self.cartan, rhs):
-                    check = F.add(check, F.mul(int(coords[ci]), int(val)))
-                if check != 2 % F.p:
-                    raise RuntimeError(f"coroot normalization failed for {format_weight(root)}")
-            self.coroots[root] = coords
+        F, r = self.F, self.rank
+        vectors = self.basis_roots[r:]
+        self.root_index: dict[Weight, int] = {root: idx for idx, root in enumerate(vectors, r)}
+        values = np.array([self.weight_on_cartan(a) for a in vectors], dtype=np.int64).reshape(-1, r)
+        # ad-weights: [h_i, X_a] = a(h_i) X_a for every Cartan h_i and root vector X_a
+        expected = la.zeros((r, len(vectors), self.dim))
+        k = np.arange(len(vectors))
+        expected[:, k, k + r] = values.T
+        bad = (self.bracket_tensor[self.cartan][:, r:] != expected).any(axis=(0, 2))
+        if bad.any():
+            raise RuntimeError(f"ad-weight mismatch for root {format_weight(vectors[bad.argmax()])}")
+        # coroots H_a on the Cartan: solve (t_a, h_j) = a(h_j) for every root at once, then normalize
+        roots = self.rs.all_roots
+        rhs = values[[self.root_index[a] - r for a in roots]]
+        red, pivots = la.rref(F, np.concatenate([self.form[np.ix_(self.cartan, self.cartan)], rhs.T], axis=1))
+        if pivots[:r] != list(range(r)):
+            raise RuntimeError("degenerate Cartan form")
+        t = red[:r, r:].T
+        norms = np.diagonal(la.matmul(F, t, rhs.T))  # a(t_a)
+        isotropic = norms == 0
+        if any(iso != self.rs.is_isotropic(a) for iso, a in zip(isotropic, roots)):
+            raise RuntimeError("isotropy mismatch between form and root system")
+        scale = [1 if iso else F.div(2 % F.p, int(norm)) for iso, norm in zip(isotropic, norms)]
+        coroots = la.zeros((len(roots), self.dim))
+        coroots[:, self.cartan] = F.mul_arr(t, np.array(scale)[:, None])
+        # sanity: a(H_a) = 2 for non-isotropic roots
+        bad = ~isotropic & (np.diagonal(la.matmul(F, coroots[:, self.cartan], rhs.T)) != 2 % F.p)
+        if bad.any():
+            raise RuntimeError(f"coroot normalization failed for {format_weight(roots[bad.argmax()])}")
+        self.coroots: dict[Weight, np.ndarray] = dict(zip(roots, coroots))
 
     def coroot_value(self, F: Field, chi_or_lam: Sequence[int], root: Weight) -> int:
         """Pair Cartan-coordinate functional values (codes over F) against H_root.

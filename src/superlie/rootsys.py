@@ -6,6 +6,27 @@ vanish).  The classical families use (eps_i, eps_j) = delta_ij and
 (delta_i, delta_j) = -delta_ij; the exceptional types carry their own form
 matrices.  Simple systems, even and odd reflections, rho, and the factored
 irreducibility polynomial all live here; structure constants do not.
+
+Simple systems work on root indices, the positions in ``all_roots``.
+Scaled by one common denominator, the roots become the integer rows of one
+array.  A simple system keeps the indices of its simple roots, and the
+coordinates of every root in them come from one small float solve, rounded
+to integers and certified exactly: coordinates x simple roots == roots, in
+int64.  Each row of coordinates must be all >= 0 or all <= 0; the
+nonnegative rows are the positive roots, their sums the heights, and their
+signed sum 2 rho.
+
+Reflections run on tables that a root system builds on first use: the
+negation of each root, the reflection at each non-isotropic root as a
+permutation of root indices, and the pairs g + h = b that decide which
+positive roots are indecomposable.  An odd isotropic reflection at d swaps
+d and -d in the positive set; every other reflection permutes it.
+``all_simple_systems`` searches breadth first on (simple indices, bitmask
+of positive indices) and checks three identities on every reflection: the
+mapped simple roots are the indecomposable positive roots, -delta* is
+positive, and the old and new positive sets share N - |delta*| roots.  A
+broken identity raises ``InvariantViolation``.
+
 Values in a finite field are integer codes of a ``gf.Field``: rationals
 reduce to codes through ``fraction_to_field``, and the polynomial is
 evaluated on a mapping from positive roots to codes.
@@ -15,8 +36,13 @@ from __future__ import annotations
 
 import math
 import re
+from collections import deque
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from itertools import combinations, product
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from .gf import Field
 
@@ -24,6 +50,14 @@ Rational = Union[int, Fraction]
 
 # The most simple systems ``all_simple_systems`` collects before it raises.
 MAX_SIMPLE_SYSTEMS = 100000
+
+
+class InvariantViolation(Exception):
+    """An internal cross-check failed; never reported as skipped.
+
+    Not a ``RuntimeError``: that type marks documented scope limits, which
+    callers may record as out of scope.
+    """
 
 
 class Weight:
@@ -53,9 +87,6 @@ class Weight:
     def scale(self, c: Rational) -> "Weight":
         c = Fraction(c)
         return Weight([c * a for a in self.eps], [c * a for a in self.delta])
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.eps) and all(a == 0 for a in self.delta)
 
     def key(self) -> tuple:
         return (self.eps, self.delta)
@@ -150,6 +181,25 @@ def _units(count: int, index: int) -> list[Fraction]:
     return v
 
 
+def _bits(mask: int) -> Iterable[int]:
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Reflections(NamedTuple):
+    """Index tables for reflections; entry i belongs to ``all_roots[i]``."""
+
+    neg: tuple[int, ...]  # the index of -root
+    kind: tuple  # (reflection type, delta* indices), None for an even root with an odd half
+    mirror: tuple  # the reflection at a non-isotropic root as an index permutation, else None
+    gram: np.ndarray  # the form on pairs of roots, times a positive constant
+    sums: dict  # (g, h) -> the index of g + h, where that is a root
+    splits: tuple  # the bitmasks of the pairs {g, h} with g + h = root
+
+
 class RootSystem:
     """Even and odd roots of a basic classical type with its invariant form."""
 
@@ -171,19 +221,20 @@ class RootSystem:
         self.n = n
         self.even_roots = tuple(even_roots)
         self.odd_roots = tuple(odd_roots)
+        self.all_roots = self.even_roots + self.odd_roots
         self.feps = tuple(tuple(Fraction(c) for c in row) for row in feps)
         self.fdelta = tuple(tuple(Fraction(c) for c in row) for row in fdelta)
         self._distinguished = tuple(distinguished)
         self._even_set = frozenset(r.key() for r in self.even_roots)
         self._odd_set = frozenset(r.key() for r in self.odd_roots)
+        self._where = {r.key(): i for i, r in enumerate(self.all_roots)}
         self._validate()
 
     def _validate(self) -> None:
-        allk = self._even_set | self._odd_set
         if self._even_set & self._odd_set:
             raise ValueError("a root cannot be both even and odd")
-        for r in list(self.even_roots) + list(self.odd_roots):
-            if (-r).key() not in allk:
+        for r in self.all_roots:
+            if (-r).key() not in self._where:
                 raise ValueError(f"root set not closed under negation at {r}")
         # every odd non-isotropic root must have its double among the even roots
         for b in self.odd_roots:
@@ -214,9 +265,6 @@ class RootSystem:
     def is_odd_root(self, w: Weight) -> bool:
         return w.key() in self._odd_set
 
-    def is_root(self, w: Weight) -> bool:
-        return self.is_even_root(w) or self.is_odd_root(w)
-
     def parity(self, w: Weight) -> int:
         if self.is_even_root(w):
             return 0
@@ -227,10 +275,6 @@ class RootSystem:
     def is_isotropic(self, w: Weight) -> bool:
         return self.form(w, w) == 0
 
-    @property
-    def all_roots(self) -> tuple[Weight, ...]:
-        return self.even_roots + self.odd_roots
-
     def validate_prime(self, p: int) -> None:
         """Reject primes excluded for this type."""
         if p <= 2:
@@ -240,26 +284,132 @@ class RootSystem:
         if self.family in ("D21a", "G3") and p <= 3:
             raise ValueError(f"{self.label}: requires p > 3, got {p}")
 
+    # -- root indices ------------------------------------------------------------
+
+    def _index(self, w: Weight) -> int:
+        i = self._where.get(w.key())
+        if i is None:
+            raise ValueError(f"{w} is not a root of {self.label}")
+        return i
+
+    @cached_property
+    def _integer_roots(self) -> tuple[int, np.ndarray]:
+        """(D, X): row i of the int64 array X is D times the coordinates of root i."""
+        rows = [r.coords() for r in self.all_roots]
+        scale = math.lcm(*(c.denominator for row in rows for c in row))
+        X = np.array([[int(c * scale) for c in row] for row in rows], dtype=np.int64)
+        return scale, X.reshape(len(rows), self.m + self.n)
+
+    @cached_property
+    def _reflections(self) -> _Reflections:
+        _, X = self._integer_roots
+        count, dim = X.shape
+        lookup = {row: i for i, row in enumerate(map(tuple, X.tolist()))}
+        form = ([list(row) + [0] * self.n for row in self.feps]
+                + [[0] * self.m + list(row) for row in self.fdelta])
+        denom = math.lcm(*(Fraction(c).denominator for row in form for c in row))
+        G = np.array([[int(c * denom) for c in row] for row in form], dtype=np.int64)
+        gram = X @ G.reshape(dim, dim) @ X.T
+        neg = tuple(lookup[row] for row in map(tuple, (-X).tolist()))
+        kind, mirror = [], []
+        for i, r in enumerate(self.all_roots):
+            if i < len(self.even_roots):
+                kind.append(None if self.is_odd_root(r.scale(Fraction(1, 2))) else ("type_i", (i,)))
+            elif gram[i, i] == 0:
+                kind.append(("type_ii", (i,)))
+            else:
+                kind.append(("type_iii", (i, self._where[r.scale(2).key()])))
+            if gram[i, i] == 0:
+                mirror.append(None)
+                continue
+            # gram[i, i] s_r(x) = gram[i, i] x - 2 gram[i, x] r, for every root x
+            images = gram[i, i] * X - 2 * gram[i][:, None] * X[i]
+            perm = tuple(lookup.get(row) for row in map(tuple, (images // gram[i, i]).tolist()))
+            if (images % gram[i, i]).any() or None in perm:
+                raise ValueError(f"the reflection at {r} does not permute the roots of {self.label}")
+            mirror.append(perm)
+        sums = {}
+        splits = [[] for _ in range(count)]
+        pair_rows = (X[:, None, :] + X[None, :, :]).reshape(count * count, dim).tolist()
+        for (g, h), row in zip(product(range(count), repeat=2), pair_rows):
+            b = lookup.get(tuple(row))
+            if b is not None:
+                sums[g, h] = b
+                if g <= h:
+                    splits[b].append(1 << g | 1 << h)
+        return _Reflections(neg, tuple(kind), tuple(mirror), gram, sums, tuple(map(tuple, splits)))
+
+    def _kind(self, i: int) -> tuple[str, tuple[int, ...]]:
+        kind = self._reflections.kind[i]
+        if kind is None:
+            raise ValueError(f"even simple root {self.all_roots[i]} has an odd half — invalid system")
+        return kind
+
+    def _reflect(self, simple: tuple[int, ...], mask: int, d: int) -> tuple[tuple[int, ...], int]:
+        """(simple indices, positive bitmask) of the system reflected at the
+        simple root with index d, after checking the reflection identities."""
+        t = self._reflections
+        kind, star = self._kind(d)
+        if kind == "type_ii":  # d and -d swap; b becomes b + d where (d, b) != 0
+            new_mask = mask & ~(1 << d) | 1 << t.neg[d]
+            images = [t.neg[d] if b == d else t.sums.get((b, d)) if t.gram[d, b] else b
+                      for b in simple]
+        else:  # the reflection at d, which for type iii is also the one at 2d
+            perm = t.mirror[d]
+            new_mask = 0
+            for i in _bits(mask):
+                new_mask |= 1 << perm[i]
+            images = [perm[b] for b in simple]
+        indecomposable = {b for b in _bits(new_mask)
+                          if not any(pair & new_mask == pair for pair in t.splits[b])}
+        roots = self.all_roots
+        if set(images) != indecomposable:
+            shown = [roots[i] if i is not None else "no root" for i in images]
+            raise InvariantViolation(
+                f"reflection at {roots[d]}: mapped simple roots {shown} do not match "
+                f"indecomposables {sorted((roots[i] for i in indecomposable), key=Weight.key)}"
+            )
+        for s in star:
+            if not new_mask >> t.neg[s] & 1:
+                raise InvariantViolation(f"reflection postcondition failed: -{roots[s]} not positive")
+        overlap, N = (new_mask & mask).bit_count(), mask.bit_count()
+        if overlap != N - len(star):
+            raise InvariantViolation(
+                f"reflection postcondition failed: overlap {overlap} != {N}-{len(star)}")
+        return tuple(images), new_mask
+
+    def _system(self, simple: tuple[int, ...], mask: int) -> "SimpleSystem":
+        """The simple system on these simple roots, whose positive roots must be mask."""
+        ss = SimpleSystem(self, [self.all_roots[i] for i in simple])
+        if ss._mask != mask:
+            raise InvariantViolation(f"{ss}: its positive roots differ from the reflected ones")
+        return ss
+
+    # -- simple systems ------------------------------------------------------------
+
     def distinguished_simple_system(self) -> "SimpleSystem":
         return SimpleSystem(self, self._distinguished)
 
     def all_simple_systems(self) -> list["SimpleSystem"]:
         """Breadth-first closure of the distinguished system under reflections."""
         start = self.distinguished_simple_system()
-        seen: dict[frozenset, SimpleSystem] = {start.positive_key(): start}
-        queue = [start]
+        seen = {start._mask: start._simple}
+        queue = deque([(start._simple, start._mask)])
         while queue:
-            ss = queue.pop(0)
-            for d in ss.simple_roots:
-                nxt = ss.reflect(d)
-                key = nxt.positive_key()
-                if key not in seen:
+            simple, mask = queue.popleft()
+            for d in simple:
+                nxt, nxt_mask = self._reflect(simple, mask, d)
+                if nxt_mask not in seen:
                     if len(seen) >= MAX_SIMPLE_SYSTEMS:
                         raise RuntimeError(
                             f"simple-system closure exceeded MAX_SIMPLE_SYSTEMS = {MAX_SIMPLE_SYSTEMS}")
-                    seen[key] = nxt
-                    queue.append(nxt)
-        return sorted(seen.values(), key=lambda s: tuple(r.key() for r in s.simple_roots))
+                    seen[nxt_mask] = nxt
+                    queue.append((nxt, nxt_mask))
+        # order the systems by the keys of their simple roots, compared through each root's key rank
+        rank = {i: r for r, i in enumerate(sorted(range(len(self.all_roots)),
+                                                  key=lambda i: self.all_roots[i].key()))}
+        ordered = sorted(seen.items(), key=lambda item: [rank[i] for i in item[1]])
+        return [self._system(simple, mask) for mask, simple in ordered]
 
     def __repr__(self) -> str:
         return f"RootSystem({self.label})"
@@ -313,6 +463,16 @@ def _dlt(m: int, n: int, j: int) -> Weight:
     return Weight([0] * m, _units(n, j))
 
 
+def _pm(weights: Iterable[Weight]) -> list[Weight]:
+    """w, -w for each weight, in order."""
+    return [x for w in weights for x in (w, -w)]
+
+
+def _signed_sums(pairs: Iterable[tuple[Weight, Weight]]) -> list[Weight]:
+    """s u + t v for each pair (u, v), with s and t running over 1, -1."""
+    return [u.scale(s) + v.scale(t) for u, v in pairs for s in (1, -1) for t in (1, -1)]
+
+
 def _build_gl(fam: str, m: int, n: int, label: str) -> RootSystem:
     even = []
     for i in range(m):
@@ -337,32 +497,11 @@ def _build_gl(fam: str, m: int, n: int, label: str) -> RootSystem:
 
 
 def _build_b(m: int, n: int, label: str) -> RootSystem:
-    even: list[Weight] = []
-    odd: list[Weight] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    even.append(_eps(m, n, i).scale(si) + _eps(m, n, j).scale(sj))
-    for i in range(m):
-        even.append(_eps(m, n, i))
-        even.append(-_eps(m, n, i))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    even.append(_dlt(m, n, i).scale(si) + _dlt(m, n, j).scale(sj))
-    for i in range(n):
-        even.append(_dlt(m, n, i).scale(2))
-        even.append(_dlt(m, n, i).scale(-2))
-    for j in range(n):
-        odd.append(_dlt(m, n, j))
-        odd.append(-_dlt(m, n, j))
-    for i in range(m):
-        for j in range(n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    odd.append(_eps(m, n, i).scale(si) + _dlt(m, n, j).scale(sj))
+    eps = [_eps(m, n, i) for i in range(m)]
+    dlt = [_dlt(m, n, j) for j in range(n)]
+    even = (_signed_sums(combinations(eps, 2)) + _pm(eps)
+            + _signed_sums(combinations(dlt, 2)) + _pm(d.scale(2) for d in dlt))
+    odd = _pm(dlt) + _signed_sums(product(eps, dlt))
     simple = [_dlt(m, n, j) - _dlt(m, n, j + 1) for j in range(n - 1)]
     if m == 0:
         simple.append(_dlt(m, n, n - 1))
@@ -377,20 +516,9 @@ def _build_b(m: int, n: int, label: str) -> RootSystem:
 
 def _build_c(n: int, label: str) -> RootSystem:
     m, nd = 1, n - 1
-    even: list[Weight] = []
-    odd: list[Weight] = []
-    for i in range(nd):
-        for j in range(i + 1, nd):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    even.append(_dlt(m, nd, i).scale(si) + _dlt(m, nd, j).scale(sj))
-    for i in range(nd):
-        even.append(_dlt(m, nd, i).scale(2))
-        even.append(_dlt(m, nd, i).scale(-2))
-    for j in range(nd):
-        for se in (1, -1):
-            for sd in (1, -1):
-                odd.append(_eps(m, nd, 0).scale(se) + _dlt(m, nd, j).scale(sd))
+    dlt = [_dlt(m, nd, j) for j in range(nd)]
+    even = _signed_sums(combinations(dlt, 2)) + _pm(d.scale(2) for d in dlt)
+    odd = _signed_sums(product([_eps(m, nd, 0)], dlt))
     simple = [_eps(m, nd, 0) - _dlt(m, nd, 0)]
     simple += [_dlt(m, nd, j) - _dlt(m, nd, j + 1) for j in range(nd - 1)]
     simple.append(_dlt(m, nd, nd - 1).scale(2))
@@ -400,26 +528,11 @@ def _build_c(n: int, label: str) -> RootSystem:
 
 
 def _build_d(m: int, n: int, label: str) -> RootSystem:
-    even: list[Weight] = []
-    odd: list[Weight] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    even.append(_eps(m, n, i).scale(si) + _eps(m, n, j).scale(sj))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    even.append(_dlt(m, n, i).scale(si) + _dlt(m, n, j).scale(sj))
-    for i in range(n):
-        even.append(_dlt(m, n, i).scale(2))
-        even.append(_dlt(m, n, i).scale(-2))
-    for i in range(m):
-        for j in range(n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    odd.append(_eps(m, n, i).scale(si) + _dlt(m, n, j).scale(sj))
+    eps = [_eps(m, n, i) for i in range(m)]
+    dlt = [_dlt(m, n, j) for j in range(n)]
+    even = (_signed_sums(combinations(eps, 2)) + _signed_sums(combinations(dlt, 2))
+            + _pm(d.scale(2) for d in dlt))
+    odd = _signed_sums(product(eps, dlt))
     simple = [_dlt(m, n, j) - _dlt(m, n, j + 1) for j in range(n - 1)]
     simple.append(_dlt(m, n, n - 1) - _eps(m, n, 0))
     simple += [_eps(m, n, i) - _eps(m, n, i + 1) for i in range(m - 1)]
@@ -436,10 +549,7 @@ def _build_d21a(alpha: Optional[Rational]) -> RootSystem:
     if alpha in (0, -1):
         raise ValueError("D(2,1;a) requires alpha not in {0, -1}")
     m, n = 3, 0
-    even = []
-    for i in range(3):
-        even.append(_eps(m, n, i).scale(2))
-        even.append(_eps(m, n, i).scale(-2))
+    even = _pm(_eps(m, n, i).scale(2) for i in range(3))
     odd = []
     for s1 in (1, -1):
         for s2 in (1, -1):
@@ -462,17 +572,8 @@ def _build_d21a(alpha: Optional[Rational]) -> RootSystem:
 
 def _build_f4() -> RootSystem:
     m, n = 3, 1
-    even: list[Weight] = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    even.append(_eps(m, n, i).scale(si) + _eps(m, n, j).scale(sj))
-    for i in range(3):
-        even.append(_eps(m, n, i))
-        even.append(-_eps(m, n, i))
-    even.append(_dlt(m, n, 0))
-    even.append(-_dlt(m, n, 0))
+    eps = [_eps(m, n, i) for i in range(3)]
+    even = _signed_sums(combinations(eps, 2)) + _pm(eps) + _pm([_dlt(m, n, 0)])
     odd = []
     half = Fraction(1, 2)
     for s0 in (1, -1):
@@ -507,21 +608,14 @@ def _build_g3() -> RootSystem:
         return Weight(coords, [0])
 
     dl = Weight([0, 0, 0], [1])
-    even: list[Weight] = []
-    for i in range(3):
-        even.append(ehat(i))
-        even.append(-ehat(i))
+    hats = [ehat(i) for i in range(3)]
+    even = _pm(hats)
     for i in range(3):
         for j in range(3):
             if i != j:
-                even.append(ehat(i) - ehat(j))
-    even.append(dl.scale(2))
-    even.append(dl.scale(-2))
-    odd = [dl, -dl]
-    for i in range(3):
-        for se in (1, -1):
-            for sd in (1, -1):
-                odd.append(ehat(i).scale(se) + dl.scale(sd))
+                even.append(hats[i] - hats[j])
+    even += _pm([dl.scale(2)])
+    odd = _pm([dl]) + _signed_sums(product(hats, [dl]))
     feps = [[Fraction(int(i == j)) - Fraction(1, 3) for j in range(3)] for i in range(3)]
     fdelta = [[Fraction(-2, 3)]]
     simple = [dl + ehat(0), ehat(1), ehat(2) - ehat(1)]
@@ -529,71 +623,8 @@ def _build_g3() -> RootSystem:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational linear solving (small systems)
+# Simple systems
 # ---------------------------------------------------------------------------
-
-def _solve_fraction_many(
-    columns: Sequence[tuple[Fraction, ...]], targets: Sequence[tuple[Fraction, ...]]
-) -> list[Optional[tuple[Fraction, ...]]]:
-    """Solve A c = t for each target t; columns of A given as vectors.
-
-    Returns per-target coefficient tuples, or None when inconsistent.
-    Requires the columns to be linearly independent.
-    """
-    rows = len(columns[0])
-    ncols = len(columns)
-    ntargets = len(targets)
-    aug = [
-        [columns[c][r] for c in range(ncols)] + [targets[t][r] for t in range(ntargets)]
-        for r in range(rows)
-    ]
-    pivots = []
-    rpos = 0
-    for c in range(ncols):
-        sel = None
-        for r in range(rpos, rows):
-            if aug[r][c] != 0:
-                sel = r
-                break
-        if sel is None:
-            raise ValueError("simple roots are linearly dependent")
-        aug[rpos], aug[sel] = aug[sel], aug[rpos]
-        pv = aug[rpos][c]
-        aug[rpos] = [x / pv for x in aug[rpos]]
-        for r in range(rows):
-            if r != rpos and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rpos])]
-        pivots.append(c)
-        rpos += 1
-    out: list[Optional[tuple[Fraction, ...]]] = []
-    for t in range(ntargets):
-        col = ncols + t
-        consistent = all(aug[r][col] == 0 for r in range(rpos, rows))
-        if not consistent:
-            out.append(None)
-            continue
-        coeffs = [Fraction(0)] * ncols
-        for r, c in enumerate(pivots):
-            coeffs[c] = aug[r][col]
-        out.append(tuple(coeffs))
-    return out
-
-
-def _indecomposables(positives: Iterable[Weight]) -> set[Weight]:
-    pos = list(positives)
-    keys = {r.key() for r in pos}
-    out = set()
-    for b in pos:
-        decomposable = False
-        for g in pos:
-            rem = b - g
-            if not rem.is_zero() and rem.key() in keys:
-                decomposable = True
-                break
-        if not decomposable:
-            out.add(b)
-    return out
 
 
 class SimpleSystem:
@@ -601,49 +632,43 @@ class SimpleSystem:
 
     Positive roots are sorted by height, ties broken by descending
     lexicographic order on concatenated (eps, delta) coordinates, so the
-    ordering is deterministic and height-compatible.
+    ordering is deterministic and height-compatible.  ``heights`` holds
+    their heights as ints, in the same order.
     """
 
     def __init__(self, rs: RootSystem, simple_roots: Sequence[Weight]):
         self.rs = rs
         self.simple_roots = tuple(simple_roots)
-        for d in self.simple_roots:
-            if not rs.is_root(d):
-                raise ValueError(f"{d} is not a root of {rs.label}")
-        cols = [d.coords() for d in self.simple_roots]
-        roots = rs.all_roots
-        solved = _solve_fraction_many(cols, [r.coords() for r in roots])
-        positives = []
-        self._coeffs: dict[tuple, tuple[Fraction, ...]] = {}
-        for r, coeffs in zip(roots, solved):
-            if coeffs is None:
-                raise ValueError(f"root {r} outside the span of the simple roots")
-            if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs):
-                if any(c.denominator != 1 for c in coeffs):
-                    raise ValueError(f"root {r} has non-integer coefficients in Pi")
-                positives.append(r)
-                self._coeffs[r.key()] = coeffs
-        total = len(rs.all_roots)
-        if len(positives) * 2 != total:
-            raise ValueError(
-                f"{rs.label}: {len(positives)} positive roots from Pi, expected {total // 2}"
-            )
-        positives.sort(key=lambda r: (self.height(r), tuple(-c for c in r.coords())))
-        self.positive_roots = tuple(positives)
-        self._pos_keys = frozenset(r.key() for r in positives)
-        self.rho = self._compute_rho()
+        self._simple = tuple(rs._index(d) for d in self.simple_roots)
+        scale, X = rs._integer_roots
+        S = X[list(self._simple)]
+        solved, _, rank, _ = np.linalg.lstsq(S.T.astype(float), X.T.astype(float), rcond=None)
+        if rank < len(S):
+            raise ValueError("simple roots are linearly dependent")
+        C = np.rint(solved.T).astype(np.int64)  # row i: the coordinates of root i
+        if not np.array_equal(C @ S, X):
+            raise ValueError(f"{rs.label}: some root is no integer combination of {self.simple_roots}")
+        positive = (C >= 0).all(axis=1)
+        mixed = ~positive & ~(C <= 0).all(axis=1)
+        if mixed.any():
+            raise ValueError(f"root {rs.all_roots[mixed.argmax()]} is neither positive nor negative in Pi")
+        pos = np.flatnonzero(positive)
+        heights = C[pos].sum(axis=1)
+        order = np.lexsort((*(-X[pos]).T[::-1], heights))  # by height, then descending coordinates
+        pos = pos[order]
+        self.positive_roots = tuple(rs.all_roots[i] for i in pos)
+        self.heights = tuple(int(h) for h in heights[order])
+        self._mask = sum(1 << int(i) for i in pos)
+        # 2 rho: even positive roots minus odd ones
+        two_rho = np.where(pos < len(rs.even_roots), 1, -1) @ X[pos]
+        coords = [Fraction(int(c), 2 * scale) for c in two_rho]
+        self.rho = Weight(coords[:rs.m], coords[rs.m:])
 
     # -- queries ---------------------------------------------------------------
 
-    def height(self, r: Weight) -> Fraction:
-        return sum(self._coeffs[r.key()])
-
     def is_positive(self, r: Weight) -> bool:
-        return r.key() in self._pos_keys
-
-    @property
-    def N(self) -> int:
-        return len(self.positive_roots)
+        i = self.rs._where.get(r.key())
+        return i is not None and bool(self._mask >> i & 1)
 
     @property
     def even_positives(self) -> tuple[Weight, ...]:
@@ -653,75 +678,20 @@ class SimpleSystem:
     def odd_positives(self) -> tuple[Weight, ...]:
         return tuple(r for r in self.positive_roots if self.rs.is_odd_root(r))
 
-    def positive_key(self) -> frozenset:
-        return self._pos_keys
-
-    def _compute_rho(self) -> Weight:
-        total = Weight([0] * self.rs.m, [0] * self.rs.n)
-        for r in self.even_positives:
-            total = total + r
-        for r in self.odd_positives:
-            total = total - r
-        return total.scale(Fraction(1, 2))
-
     # -- classification and reflections ---------------------------------------
 
     def classify(self, d: Weight) -> tuple[str, tuple[Weight, ...]]:
         """Type of a simple root: type_i / type_ii / type_iii, with delta*."""
         if d not in self.simple_roots:
             raise ValueError(f"{d} is not a simple root of this system")
-        rs = self.rs
-        if rs.is_even_root(d):
-            if d.scale(Fraction(1, 2)).key() in rs._odd_set:
-                raise ValueError(f"even simple root {d} has an odd half — invalid system")
-            return "type_i", (d,)
-        if rs.is_isotropic(d):
-            return "type_ii", (d,)
-        dd = d.scale(2)
-        if not rs.is_even_root(dd):
-            raise ValueError(f"non-isotropic odd simple root {d} lacks even double")
-        return "type_iii", (d, dd)
-
-    def _even_reflect(self, through: Weight, x: Weight) -> Weight:
-        c = Fraction(2) * self.rs.form(through, x) / self.rs.form(through, through)
-        return x - through.scale(c)
+        kind, star = self.rs._kind(self.rs._index(d))
+        return kind, tuple(self.rs.all_roots[i] for i in star)
 
     def reflect(self, d: Weight) -> "SimpleSystem":
         """The simple system r_d Pi obtained by reflecting at simple root d."""
-        kind, delta_star = self.classify(d)
-        old_pos = list(self.positive_roots)
-        if kind == "type_ii":
-            new_pos = [r for r in old_pos if r != d] + [-d]
-            candidate = []
-            for b in self.simple_roots:
-                if b == d:
-                    candidate.append(-d)
-                elif self.rs.form(d, b) != 0:
-                    candidate.append(b + d)
-                else:
-                    candidate.append(b)
-        else:
-            mirror = d if kind == "type_i" else d.scale(2)
-            new_pos = [self._even_reflect(mirror, r) for r in old_pos]
-            candidate = [self._even_reflect(mirror, b) for b in self.simple_roots]
-        inde = _indecomposables(new_pos)
-        if set(candidate) != inde:
-            raise RuntimeError(
-                f"reflection at {d}: mapped simple roots {candidate} do not match "
-                f"indecomposables {sorted(inde, key=lambda w: w.key())}"
-            )
-        new_ss = SimpleSystem(self.rs, candidate)
-        # postconditions of the reflection
-        new_keys = new_ss._pos_keys
-        for ds in delta_star:
-            if (-ds).key() not in new_keys:
-                raise RuntimeError(f"reflection postcondition failed: -{ds} not positive")
-        overlap = len(new_keys & self._pos_keys)
-        if overlap != self.N - len(delta_star):
-            raise RuntimeError(
-                f"reflection postcondition failed: overlap {overlap} != {self.N}-{len(delta_star)}"
-            )
-        return new_ss
+        self.classify(d)
+        simple, mask = self.rs._reflect(self._simple, self._mask, self.rs._index(d))
+        return self.rs._system(simple, mask)
 
     def __repr__(self) -> str:
         simples = ", ".join(format_weight(r) for r in self.simple_roots)

@@ -68,7 +68,7 @@ from . import linalg as la
 from .envelope import DeformedAlgebra
 from .gf import Field, field_create
 from .liesuper import LieSuperalgebra, PCharacter
-from .rootsys import SimpleSystem, Weight, format_weight, phi_prime_eval
+from .rootsys import InvariantViolation, SimpleSystem, Weight, format_weight, phi_prime_eval
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +162,6 @@ def artin_schreier_min_extension(F: Field, c: int) -> int:
 
 class PMapNotIdentity(RuntimeError):
     """The Cartan p-map is not the identity, so lambda(h) do not decouple."""
-
-
-class InvariantViolation(Exception):
-    """An internal cross-check failed; never reported as skipped.
-
-    Not a ``RuntimeError``: that type marks documented scope limits, which
-    callers may record as out of scope.
-    """
 
 
 def lambda_set(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> LambdaSet:

@@ -3,10 +3,11 @@
 ``ReferenceLieSuperalgebra`` builds every structure array entry by entry: three
 hand-written model branches with a table of ``Fraction`` weights, one
 ``la.solve`` per bracket and per p-th power, and a supertrace per pair.
-The root dictionary (ad-weights, coroots) is the package's own, fed with
-these arrays.  ``loop_validate`` checks the algebra identities one pair or
-triple at a time.  The package builds the same arrays from whole-array
-products and one rref; the tests compare the two array for array.
+The root dictionary checks each ad-weight entry by entry and solves for
+each coroot with its own ``la.solve``.  ``loop_validate`` checks the
+algebra identities one pair or triple at a time.  The package builds the
+same arrays from whole-array products and one rref; the tests compare the
+two array for array.
 """
 
 from __future__ import annotations
@@ -216,6 +217,51 @@ class ReferenceLieSuperalgebra(LieSuperalgebra):
             for j in range(dim):
                 prod = la.matmul(F, self.matrices[i], self.matrices[j])
                 self.form[i, j] = self.supertrace(prod)
+
+    def _build_root_dictionary(self) -> None:
+        F = self.F
+        self.root_index: dict[Weight, int] = {}
+        for idx, root in enumerate(self.basis_roots):
+            if root is not None:
+                self.root_index[root] = idx
+        # verify ad-weights: [h_i, X_a] = a(h_i) X_a for all Cartan h_i
+        for root, idx in self.root_index.items():
+            vals = self.weight_on_cartan(root)
+            for ci, hval in zip(self.cartan, vals):
+                lhs = self.bracket_tensor[ci, idx]
+                rhs = la.zeros(self.dim)
+                rhs[idx] = hval
+                if not (lhs == rhs).all():
+                    raise RuntimeError(f"ad-weight mismatch for root {format_weight(root)}")
+        # coroots H_a on the Cartan: solve (t_a, h_j) = a(h_j), then normalize
+        cartan_form = self.form[np.ix_(self.cartan, self.cartan)]
+        self.coroots: dict[Weight, np.ndarray] = {}
+        for root in self.rs.all_roots:
+            rhs = np.array(self.weight_on_cartan(root), dtype=np.int64)
+            t = la.solve(F, cartan_form, rhs)
+            if t is None:
+                raise RuntimeError("degenerate Cartan form")
+            norm = 0  # a(t_a)
+            for code, val in zip(t, rhs):
+                norm = F.add(norm, F.mul(int(code), int(val)))
+            iso_alg = norm == 0
+            if iso_alg != self.rs.is_isotropic(root):
+                raise RuntimeError("isotropy mismatch between form and root system")
+            coords = la.zeros(self.dim)
+            if iso_alg:
+                for ci, c in zip(self.cartan, t):
+                    coords[ci] = c
+            else:
+                scale = F.div(2 % F.p, norm)
+                for ci, c in zip(self.cartan, t):
+                    coords[ci] = F.mul(scale, int(c))
+                # sanity: a(H_a) = 2 for non-isotropic roots
+                check = 0
+                for ci, val in zip(self.cartan, rhs):
+                    check = F.add(check, F.mul(int(coords[ci]), int(val)))
+                if check != 2 % F.p:
+                    raise RuntimeError(f"coroot normalization failed for {format_weight(root)}")
+            self.coroots[root] = coords
 
     def weight_on_cartan(self, w: Weight) -> list[int]:
         out = []

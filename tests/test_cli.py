@@ -18,6 +18,7 @@ from superlie.cli import (
     run_experiment,
 )
 from superlie.verma import BabyVerma, VermaSystem
+from tooling import gl21_with_corrupt_reflection
 
 
 def test_parse_config_full():
@@ -96,8 +97,29 @@ def test_list_catalog(capsys):
 
 
 def test_reflect_root_only(capsys):
-    assert main(["reflect", "--type", "G(3)"]) == 0
-    assert "simple systems" in capsys.readouterr().out
+    for label, count in (("F(4)", 576), ("G(3)", 96), ("D(2,1;a)", 32)):
+        assert main(["reflect", "--type", label]) == 0
+        assert capsys.readouterr().out == (
+            f"{label}: {count} simple systems, all reflection identities verified\n")
+
+
+def test_reflect_reports_a_broken_reflection_identity(monkeypatch, capsys):
+    """A corrupt reflection table is an invariant violation on both paths:
+    the root-level closure exits 1 with the message, and the model-level
+    check reports FAIL through the run loop."""
+    import superlie.cli as cli
+    import superlie.liesuper as liesuper
+
+    monkeypatch.setattr(cli, "build_root_system", lambda label: gl21_with_corrupt_reflection())
+    assert main(["reflect", "--type", "gl(2|1)"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("gl(2|1): invariant violation: ") and "Traceback" not in out
+    monkeypatch.undo()
+
+    monkeypatch.setattr(liesuper, "build_root_system", lambda label: gl21_with_corrupt_reflection())
+    assert main(["reflect", "--type", "gl(2|1)", "--p", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "reflect      FAIL" in out and "invariant violation: " in out
 
 
 def test_reflect_with_model():

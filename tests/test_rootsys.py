@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reference_rootsys import coroot_pairing
+from reference_rootsys import ReferenceSimpleSystem, coroot_pairing, reference_simple_systems
 from superlie.gf import field_create
 from superlie.rootsys import (
+    InvariantViolation,
     SimpleSystem,
     Weight,
     build_root_system,
@@ -17,11 +18,16 @@ from superlie.rootsys import (
     parse_root_label,
     phi_prime_eval,
 )
-from tooling import random_codes
+from tooling import gl21_with_corrupt_reflection, random_codes
 
 
 def w(label, m, n):
     return parse_root_label(label, m, n)
+
+
+def root_system(label):
+    """The named root system; D(2,1;a) at alpha = 3."""
+    return build_root_system(label, alpha=Fraction(3) if label == "D(2,1;a)" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +159,14 @@ def test_positive_roots_height_sorted_with_integer_coefficients():
     for label in ["gl(2|2)", "B(1,1)", "C(3)", "D(2,1)", "F(4)", "G(3)"]:
         rs = build_root_system(label)
         ss = rs.distinguished_simple_system()
-        assert ss.N * 2 == len(rs.all_roots)
-        heights = [ss.height(r) for r in ss.positive_roots]
+        assert len(ss.positive_roots) * 2 == len(rs.all_roots)
+        heights = list(ss.heights)
+        assert len(heights) == len(ss.positive_roots)
         assert heights == sorted(heights)
-        assert all(h >= 1 and h.denominator == 1 for h in heights)
+        assert all(type(h) is int and h >= 1 for h in heights)
+        height = dict(zip(ss.positive_roots, heights))
         for d in ss.simple_roots:
-            assert ss.height(d) == 1
+            assert height[d] == 1
 
 
 def test_rho_frozen_values():
@@ -219,20 +227,21 @@ def test_reflect_requires_simple_root():
 
 
 def test_reflect_inverse_and_overlap_postconditions():
-    for label in ["gl(2|1)", "B(0,1)", "B(1,1)", "C(2)"]:
-        rs = build_root_system(label)
+    for label in ["gl(2|1)", "B(0,1)", "B(1,1)", "C(2)", "G(3)", "D(2,1;a)", "F(4)"]:
+        rs = root_system(label)
         for ss in rs.all_simple_systems():
+            positives = frozenset(ss.positive_roots)
             for d in ss.simple_roots:
                 _, star = ss.classify(d)
                 new = ss.reflect(d)
                 # -delta* became positive; overlap dropped by exactly |delta*|
                 for ds in star:
                     assert new.is_positive(-ds)
-                overlap = len(new.positive_key() & ss.positive_key())
-                assert overlap == ss.N - len(star)
+                overlap = len(frozenset(new.positive_roots) & positives)
+                assert overlap == len(positives) - len(star)
                 # reflecting back at -d restores the original positive system
                 back = new.reflect(-d)
-                assert back.positive_key() == ss.positive_key()
+                assert frozenset(back.positive_roots) == positives
 
 
 def test_all_simple_systems_counts():
@@ -243,6 +252,11 @@ def test_all_simple_systems_counts():
     assert len(build_root_system("B(1,1)").all_simple_systems()) == 8
     assert len(build_root_system("D(2,1;a)", alpha=Fraction(3)).all_simple_systems()) == 32
     assert len(build_root_system("G(3)").all_simple_systems()) == 96
+    # 3! 3! C(6,3) = 720 and |W(B2)| |W(C2)| C(4,2) = 384; D(3,2) as the
+    # Fraction closure counts it
+    assert len(build_root_system("gl(3|3)").all_simple_systems()) == 720
+    assert len(build_root_system("B(2,2)").all_simple_systems()) == 384
+    assert len(build_root_system("D(3,2)").all_simple_systems()) == 2688
 
 
 def test_gl21_simple_system_count_sign_oracle():
@@ -263,25 +277,26 @@ def test_gl21_simple_system_count_sign_oracle():
 def test_all_simple_systems_traversal_independent():
     rs = build_root_system("gl(2|1)")
     systems = rs.all_simple_systems()
-    keysets = {s.positive_key() for s in systems}
+    keysets = {frozenset(s.positive_roots) for s in systems}
     # restart the closure from a different system: same collection
     other = systems[3]
-    seen = {other.positive_key()}
+    seen = {frozenset(other.positive_roots)}
     queue = [other]
     while queue:
         ss = queue.pop()
         for d in ss.simple_roots:
             nxt = ss.reflect(d)
-            if nxt.positive_key() not in seen:
-                seen.add(nxt.positive_key())
+            if frozenset(nxt.positive_roots) not in seen:
+                seen.add(frozenset(nxt.positive_roots))
                 queue.append(nxt)
     assert seen == keysets
 
 
 def test_odd_reflection_rho_shift():
     """For an isotropic odd simple root d: rho(r_d Pi) = rho(Pi) + d."""
-    for label in ["gl(1|1)", "gl(2|1)", "C(2)", "B(1,1)"]:
-        rs = build_root_system(label)
+    for label in ["gl(1|1)", "gl(2|1)", "C(2)", "B(1,1)", "G(3)", "D(2,1;a)", "F(4)"]:
+        rs = root_system(label)
+        shifts = 0
         for ss in rs.all_simple_systems():
             for d in ss.simple_roots:
                 kind, _ = ss.classify(d)
@@ -289,6 +304,8 @@ def test_odd_reflection_rho_shift():
                     continue
                 new = ss.reflect(d)
                 assert new.rho == ss.rho + d, (label, format_weight(d))
+                shifts += 1
+        assert shifts > 0, label
 
 
 def test_odd_reflection_case_formula():
@@ -423,3 +440,74 @@ def test_parse_format_roundtrip():
 def test_f4_simple_system_count():
     # Weyl group of so(7) x sl(2) has order 96; six diagram classes
     assert len(build_root_system("F(4)").all_simple_systems()) == 576
+
+
+# ---------------------------------------------------------------------------
+# Index-based simple systems against the Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def assert_same_system(ss, ref):
+    assert ss.simple_roots == ref.simple_roots
+    assert ss.positive_roots == ref.positive_roots
+    assert list(ss.heights) == [ref.height(r) for r in ss.positive_roots]
+    assert ss.rho == ref.rho
+
+
+@pytest.mark.parametrize("label", ["gl(1|1)", "gl(2|1)", "gl(2|2)", "sl(2|1)", "B(0,1)",
+                                   "B(1,1)", "C(2)", "C(3)", "D(2,1)", "D(2,1;a)", "G(3)"])
+def test_simple_systems_match_reference_closure(label):
+    """The same systems in the same order, with the same simple roots,
+    positive roots, heights and rho."""
+    rs = root_system(label)
+    systems = rs.all_simple_systems()
+    reference = reference_simple_systems(rs)
+    assert len(systems) == len(reference)
+    for ss, ref in zip(systems, reference):
+        assert_same_system(ss, ref)
+
+
+def test_f4_simple_systems_match_reference_constructor():
+    """Every 23rd of the 576 systems of F(4) against the Fraction constructor,
+    and each of its reflections against the reference reflection."""
+    rs = build_root_system("F(4)")
+    systems = rs.all_simple_systems()
+    for ss in systems[::23]:
+        ref = ReferenceSimpleSystem(rs, ss.simple_roots)
+        assert_same_system(ss, ref)
+        for d in ss.simple_roots:
+            assert_same_system(ss.reflect(d), ref.reflect(d))
+
+
+def test_simple_system_rejects_a_non_basis():
+    rs = build_root_system("gl(2|1)")
+    with pytest.raises(ValueError, match="not a root"):
+        SimpleSystem(rs, [w("e1-e2", 2, 1), w("2e2-2d1", 2, 1)])
+    with pytest.raises(ValueError, match="linearly dependent"):
+        SimpleSystem(rs, [w("e1-e2", 2, 1), w("-e1+e2", 2, 1)])
+    with pytest.raises(ValueError, match="integer combination"):
+        SimpleSystem(rs, [w("e1-e2", 2, 1)])
+    # e2-d1 = (e1-d1) - (e1-e2) has coordinates of both signs
+    with pytest.raises(ValueError, match="neither positive nor negative"):
+        SimpleSystem(rs, [w("e1-e2", 2, 1), w("e1-d1", 2, 1)])
+
+
+def test_corrupt_reflection_table_raises_invariant_violation():
+    rs = gl21_with_corrupt_reflection()
+    with pytest.raises(InvariantViolation):
+        rs.all_simple_systems()
+    ss = rs.distinguished_simple_system()
+    with pytest.raises(InvariantViolation):
+        ss.reflect(ss.simple_roots[0])
+    # an untouched reflection still passes
+    assert ss.reflect(ss.simple_roots[1]).simple_roots == (w("e1-d1", 2, 1), w("-e2+d1", 2, 1))
+
+
+def test_reflection_tables_are_lazy():
+    """Building a root system and its distinguished system does not build
+    the reflection tables; the first reflection does."""
+    rs = build_root_system("gl(2|1)")
+    ss = rs.distinguished_simple_system()
+    assert "_reflections" not in vars(rs)
+    ss.reflect(ss.simple_roots[0])
+    assert "_reflections" in vars(rs)
