@@ -647,7 +647,7 @@ class SimpleSystem:
             raise ValueError("simple roots are linearly dependent")
         C = np.rint(solved.T).astype(np.int64)  # row i: the coordinates of root i
         if not np.array_equal(C @ S, X):
-            raise ValueError(f"{rs.label}: some root is no integer combination of {self.simple_roots}")
+            raise ValueError(f"{rs.label}: some root is not an integer combination of {self.simple_roots}")
         positive = (C >= 0).all(axis=1)
         mixed = ~positive & ~(C <= 0).all(axis=1)
         if mixed.any():
