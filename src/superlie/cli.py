@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envelope import (
+    _MATRIX_DIM_CAP,
     _random_element,
     reduced_enveloping,
     reduced_symmetric,
@@ -45,8 +46,9 @@ from .invariants import (
 )
 from .kwverify import summary_table, verify_superkw_sweep, write_jsonl
 from .liesuper import LieSuperalgebra, PCharacter, _normalize_label, build_algebra
-from .rootsys import InvariantViolation, build_root_system, parse_root_label
+from .rootsys import InvariantViolation, build_root_system
 from .verma import (
+    ExtensionCapExceeded,
     VermaSystem,
     agreement_sweep,
     lambda_set,
@@ -149,7 +151,7 @@ def resolve_chi(g: LieSuperalgebra, spec: str) -> PCharacter:
         if kind == "explicit":
             return g.chi_from_cartan([int(v) for v in arg.split(",") if v.strip()])
         if kind == "nilpotent_root":
-            return g.nilpotent_root_character(parse_root_label(arg, g.rs.m, g.rs.n))
+            return g.nilpotent_root_character(g.rs.index(arg))
     except ValueError as exc:
         raise UsageError(f"bad chi {spec!r}: {exc}")
     raise UsageError(f"unknown chi descriptor {spec!r}")
@@ -337,6 +339,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     if cfg.samples < 1 or cfg.k_max < 1:
         raise UsageError(f"samples and k_max must be at least 1, got {cfg.samples}, {cfg.k_max}")
     g = build_for(cfg.algebra, cfg.p)
+    dense = [name for name in ("sym", "coinduced") if name in cfg.checks]
+    pbw_dim = g.p ** g.dim_even * 2 ** g.dim_odd
+    if dense and pbw_dim > _MATRIX_DIM_CAP:
+        raise UsageError(f"{', '.join(dense)} needs a dense PBW basis of dimension {pbw_dim}, "
+                         f"above the dense-basis cap {_MATRIX_DIM_CAP}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     chis = [(spec, resolve_chi(g, spec)) for spec in cfg.chi_specs]
@@ -364,6 +371,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
             ok, rep = runners[name](g, chis, cfg)
         except InvariantViolation as exc:
             ok, rep = False, {"invariant_violation": str(exc)}
+        except ExtensionCapExceeded as exc:
+            raise UsageError(str(exc))
         bundle[name] = {"passed": ok, "report": rep}
         lines.append(f"{name:<12} {'PASS' if ok else 'FAIL'}")
         if "invariant_violation" in rep:
@@ -435,6 +444,12 @@ def cmd_verma(args) -> int:
 
 
 def cmd_reflect(args) -> int:
+    result = None
+    if args.p is not None:
+        # the module-level suite first, so that a bad type or p fails before any output
+        cfg = _single_chi_config(args, ["reflect"])
+        cfg.chi_specs = ["zero", "regular_semisimple"]
+        result = run_experiment(cfg, out_dir=args.out)
     try:
         _, rs_label = _normalize_label(args.type)
     except ValueError:
@@ -450,11 +465,9 @@ def cmd_reflect(args) -> int:
         return 1
     print(f"{args.type}: {len(systems)} simple systems, "
           f"all reflection identities verified")
-    if args.p is None:
+    if result is None:
         return 0
-    cfg = _single_chi_config(args, ["reflect"])
-    cfg.chi_specs = ["zero", "regular_semisimple"]
-    code, bundle, lines = run_experiment(cfg, out_dir=args.out)
+    code, bundle, lines = result
     _emit(bundle, lines, args.format)
     return code
 

@@ -5,8 +5,11 @@ superalgebra whose first rows form the even block.  A model is data: its
 size and even block, the model rows that carry eps_i and delta_j, the
 Cartan diagonals with their names, and each root vector as (row, column,
 entry) triples.  gl and sl take the unit matrix E_ab for the root
-mu_a - mu_b; osp(1|2) and osp(2|2) list their triples.  A weight w takes
-the value w(h) = sum_c w_c h[row_c, row_c] on a Cartan diagonal h.
+mu_a - mu_b; osp(1|2) and osp(2|2) list their triples, keyed by the
+integer rows of their roots.  A weight, an integer row w over a
+denominator D, takes the value w(h) = sum_c w_c h[row_c, row_c] / D on a
+Cartan diagonal h; the values of every root come from one integer product
+of the root rows with the model's Cartan diagonals.
 
 The structure comes from whole arrays.  One product of the stacked basis
 matrices gives every M_i M_j: the supercommutators take their signs from
@@ -31,13 +34,7 @@ import numpy as np
 
 from . import linalg as la
 from .gf import Field
-from .rootsys import (
-    Weight,
-    build_root_system,
-    format_weight,
-    fraction_to_field,
-    parse_root_label,
-)
+from .rootsys import build_root_system
 
 
 class _Model(NamedTuple):
@@ -47,23 +44,23 @@ class _Model(NamedTuple):
     even: int
     rows: tuple[int, ...]  # model rows of eps_1, ..., eps_m, delta_1, ..., delta_n
     cartan: Sequence[tuple[str, Sequence[int]]]  # (name, diagonal) per Cartan element
-    roots: dict  # (eps, delta) coordinates -> ((row, column, entry), ...)
+    roots: dict  # the integer row of a root -> ((row, column, entry), ...)
 
 
 _OSP_MODELS = {
     "osp(1|2)": _Model(3, 1, (1,), (("h", (0, 1, -1)),), {
-        ((), (2,)): ((1, 2, 1),),
-        ((), (-2,)): ((2, 1, 1),),
-        ((), (1,)): ((1, 0, 1), (0, 2, -1)),
-        ((), (-1,)): ((2, 0, 1), (0, 1, 1)),
+        (2,): ((1, 2, 1),),
+        (-2,): ((2, 1, 1),),
+        (1,): ((1, 0, 1), (0, 2, -1)),
+        (-1,): ((2, 0, 1), (0, 1, 1)),
     }),
     "osp(2|2)": _Model(4, 2, (0, 2), (("h_e", (1, -1, 0, 0)), ("h_d", (0, 0, 1, -1))), {
-        ((0,), (2,)): ((2, 3, 1),),
-        ((0,), (-2,)): ((3, 2, 1),),
-        ((-1,), (1,)): ((2, 0, 1), (1, 3, -1)),
-        ((-1,), (-1,)): ((3, 0, 1), (1, 2, 1)),
-        ((1,), (1,)): ((2, 1, 1), (0, 3, -1)),
-        ((1,), (-1,)): ((3, 1, 1), (0, 2, 1)),
+        (0, 2): ((2, 3, 1),),
+        (0, -2): ((3, 2, 1),),
+        (-1, 1): ((2, 0, 1), (1, 3, -1)),
+        (-1, -1): ((3, 0, 1), (1, 2, 1)),
+        (1, 1): ((2, 1, 1), (0, 3, -1)),
+        (1, -1): ((3, 1, 1), (0, 2, 1)),
     }),
 }
 
@@ -80,8 +77,8 @@ def _gl_model(label: str, m: int, n: int) -> _Model:
         cartan = [(f"E{a + 1}{a + 1}{s}E{a + 2}{a + 2}",
                    unit[a] + (1 if s == "+" else -1) * unit[a + 1])
                   for a, s in enumerate(signs)]
-    diffs = [(a, b, (unit[a] - unit[b]).tolist()) for a in range(size) for b in range(size) if a != b]
-    roots = {(tuple(mu[:m]), tuple(mu[m:])): ((a, b, 1),) for a, b, mu in diffs}  # E_ab: mu_a - mu_b
+    roots = {tuple((unit[a] - unit[b]).tolist()): ((a, b, 1),)  # E_ab: mu_a - mu_b
+             for a in range(size) for b in range(size) if a != b}
     return _Model(size, m, tuple(range(size)), cartan, roots)
 
 
@@ -201,19 +198,20 @@ class LieSuperalgebra:
         self.rank = len(model.cartan)
         self.cartan = list(range(self.rank))
         diagonals = np.array([diag for _, diag in model.cartan], dtype=np.int64)
-        self._weight_matrix = diagonals[:, list(model.rows)].tolist()  # h_i[row_c, row_c]
+        self._weight_matrix = diagonals[:, list(model.rows)]  # h_i[row_c, row_c]
         names = [name for name, _ in model.cartan]
-        roots = [None] * self.rank + list(ss.positive_roots) + [-r for r in ss.positive_roots]
+        rs = self.rs
+        roots = [None] * self.rank + list(ss.positive_roots) + [rs.neg[r] for r in ss.positive_roots]
         ints = np.zeros((len(roots), model.size, model.size), dtype=np.int64)
         ints[:self.rank] = [np.diag(diag) for diag in diagonals]
         for b, root in enumerate(roots[self.rank:], self.rank):
-            for row, col, entry in model.roots[root.key()]:
+            for row, col, entry in model.roots[tuple(rs.roots[root].tolist())]:
                 ints[b, row, col] = entry
-            names.append(f"X[{format_weight(root)}]")
+            names.append(f"X[{rs.labels[root]}]")
         # the model entries are 0 and +-1
         self.matrices = list(self.F.sub_arr(np.maximum(ints, 0), np.maximum(-ints, 0)))
         self.basis_names = names
-        self.parities = np.array([0] * self.rank + [self.rs.parity(r) for r in roots[self.rank:]],
+        self.parities = np.array([0] * self.rank + [rs.parities[r] for r in roots[self.rank:]],
                                  dtype=np.int64)
         self.basis_roots = roots
         self.dim = len(roots)
@@ -252,45 +250,48 @@ class LieSuperalgebra:
 
     # -- root dictionary -------------------------------------------------------
 
-    def weight_on_cartan(self, w: Weight) -> list[int]:
-        """Values w(h_i) = sum_c w_c h_i[row_c, row_c] on the Cartan basis, as field codes."""
-        coords = w.eps + w.delta
-        return [fraction_to_field(self.F, sum(c * v for c, v in zip(coords, row)))
-                for row in self._weight_matrix]
+    def weight_on_cartan(self, rows: np.ndarray, denominator: int) -> np.ndarray:
+        """Values w(h_i) = sum_c w_c h_i[row_c, row_c] / denominator on the
+        Cartan basis, as field codes, for the integer row w (or each row of
+        a 2-d array)."""
+        p = self.p
+        scale = pow(denominator, -1, p)
+        return np.asarray(rows, dtype=np.int64) @ self._weight_matrix.T % p * scale % p
 
     def _build_root_dictionary(self) -> None:
-        F, r = self.F, self.rank
+        F, r, rs = self.F, self.rank, self.rs
         vectors = self.basis_roots[r:]
-        self.root_index: dict[Weight, int] = {root: idx for idx, root in enumerate(vectors, r)}
-        values = np.array([self.weight_on_cartan(a) for a in vectors], dtype=np.int64).reshape(-1, r)
+        self.root_index: dict[int, int] = {root: idx for idx, root in enumerate(vectors, r)}
+        # root_weights[a]: the values of root a on the Cartan basis
+        self.root_weights = self.weight_on_cartan(rs.roots, rs.denominator)
+        values = self.root_weights[vectors]
         # ad-weights: [h_i, X_a] = a(h_i) X_a for every Cartan h_i and root vector X_a
         expected = la.zeros((r, len(vectors), self.dim))
         k = np.arange(len(vectors))
         expected[:, k, k + r] = values.T
         bad = (self.bracket_tensor[self.cartan][:, r:] != expected).any(axis=(0, 2))
         if bad.any():
-            raise RuntimeError(f"ad-weight mismatch for root {format_weight(vectors[bad.argmax()])}")
+            raise RuntimeError(f"ad-weight mismatch for root {rs.labels[vectors[bad.argmax()]]}")
         # coroots H_a on the Cartan: solve (t_a, h_j) = a(h_j) for every root at once, then normalize
-        roots = self.rs.all_roots
-        rhs = values[[self.root_index[a] - r for a in roots]]
+        rhs = self.root_weights
         red, pivots = la.rref(F, np.concatenate([self.form[np.ix_(self.cartan, self.cartan)], rhs.T], axis=1))
         if pivots[:r] != list(range(r)):
             raise RuntimeError("degenerate Cartan form")
         t = red[:r, r:].T
         norms = np.diagonal(la.matmul(F, t, rhs.T))  # a(t_a)
         isotropic = norms == 0
-        if any(iso != self.rs.is_isotropic(a) for iso, a in zip(isotropic, roots)):
+        if (isotropic != (np.diagonal(rs.gram) == 0)).any():
             raise RuntimeError("isotropy mismatch between form and root system")
         scale = [1 if iso else F.div(2 % F.p, int(norm)) for iso, norm in zip(isotropic, norms)]
-        coroots = la.zeros((len(roots), self.dim))
+        coroots = la.zeros((len(rhs), self.dim))
         coroots[:, self.cartan] = F.mul_arr(t, np.array(scale)[:, None])
         # sanity: a(H_a) = 2 for non-isotropic roots
         bad = ~isotropic & (np.diagonal(la.matmul(F, coroots[:, self.cartan], rhs.T)) != 2 % F.p)
         if bad.any():
-            raise RuntimeError(f"coroot normalization failed for {format_weight(roots[bad.argmax()])}")
-        self.coroots: dict[Weight, np.ndarray] = dict(zip(roots, coroots))
+            raise RuntimeError(f"coroot normalization failed for {rs.labels[bad.argmax()]}")
+        self.coroots = coroots  # row a: H_a for the root with index a
 
-    def coroot_value(self, F: Field, chi_or_lam: Sequence[int], root: Weight) -> int:
+    def coroot_value(self, F: Field, chi_or_lam: Sequence[int], root: int) -> int:
         """Pair Cartan-coordinate functional values (codes over F) against H_root.
 
         Coroot coordinates lie in the prime subfield, so they pair unchanged
@@ -379,12 +380,10 @@ class LieSuperalgebra:
             yield self.chi_from_cartan(vals)
 
     def nilpotent_root_character(self, root) -> PCharacter:
-        """chi = form(X_root, .) for a root (given as Weight or label)."""
-        if not isinstance(root, Weight):
-            root = parse_root_label(str(root), self.rs.m, self.rs.n)
-        idx = self.root_index.get(root)
-        if idx is None:
-            raise ValueError(f"{format_weight(root)} is not a root")
+        """chi = form(X_root, .) for a root, given by its index or its label."""
+        if isinstance(root, str):
+            root = self.rs.index(root)
+        idx = self.root_index[root]
         if self.parities[idx] != 0:
             raise ValueError("nilpotent characters come from even root vectors")
         return self.character_from_element(la.eye(self.dim)[idx])
@@ -415,7 +414,7 @@ class LieSuperalgebra:
                 "is not supported)"
             )
         lam = [int(chi.values[ci]) for ci in self.cartan]
-        return all(self.coroot_value(self.F, lam, root) != 0 for root in self.rs.all_roots)
+        return all(self.coroot_value(self.F, lam, root) != 0 for root in range(len(self.coroots)))
 
     def __repr__(self) -> str:
         return f"LieSuperalgebra({self.label}, {self.F!r})"

@@ -29,7 +29,8 @@ Irreducibility is decided two independent ways and compared:
     matrices (every nonzero submodule contains the lowest vector);
   * criterion: the Harish-Chandra-style product
     prod_even((lambda+rho|alpha)^{p-1} - 1) * prod_odd((lambda+rho|beta))
-    evaluated through coroots, from a mapping of positive roots to codes.
+    evaluated through coroots, from the codes of the pairings with the
+    positive roots.  Roots are indices of the algebra's root system.
 
 The maximal proper submodule (hence the simple head) is computed by the
 shrinking-iteration of the largest action-stable subspace.  The ambient
@@ -68,7 +69,7 @@ from . import linalg as la
 from .envelope import DeformedAlgebra
 from .gf import Field, field_create
 from .liesuper import LieSuperalgebra, PCharacter
-from .rootsys import InvariantViolation, SimpleSystem, Weight, format_weight, phi_prime_eval
+from .rootsys import InvariantViolation, SimpleSystem, phi_prime_eval
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +79,7 @@ from .rootsys import InvariantViolation, SimpleSystem, Weight, format_weight, ph
 class LambdaSet:
     """All weights lambda with lambda(h)^p - lambda(h^{[p]}) = chi(h)^p."""
 
-    def __init__(self, g: LieSuperalgebra, chi: PCharacter, field: Field,
-                 weights: list[tuple[int, ...]]):
-        self.g = g
-        self.chi = chi
+    def __init__(self, field: Field, weights: list[tuple[int, ...]]):
         self.field = field
         self.k = field.k
         self.weights = list(weights)
@@ -164,6 +162,10 @@ class PMapNotIdentity(RuntimeError):
     """The Cartan p-map is not the identity, so lambda(h) do not decouple."""
 
 
+class ExtensionCapExceeded(RuntimeError):
+    """The weight set needs a field of degree above ``k_max``."""
+
+
 def lambda_set(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> LambdaSet:
     """Solve the weight equations coordinate by coordinate (Artin-Schreier).
 
@@ -186,7 +188,7 @@ def lambda_set(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> LambdaSet
     rhs = [g.F.pow_int(c, p) for c in chi_h]
     k = max(artin_schreier_min_extension(g.F, c) for c in rhs)
     if k > k_max:
-        raise RuntimeError(
+        raise ExtensionCapExceeded(
             f"no full weight set within extension degree {k_max}; raise k_max"
         )
     F = g.F if k == 1 else field_create(p, k)
@@ -198,15 +200,15 @@ def lambda_set(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> LambdaSet
     for lam in weights:
         if any(lambda_residual(g, F, lam, chi_h, P)):
             raise RuntimeError("weight fails its defining equation")
-    return LambdaSet(g, chi, F, weights)
+    return LambdaSet(F, weights)
 
 
-def shift_lambda(g: LieSuperalgebra, F: Field, lam: Sequence[int], w: Weight,
+def shift_lambda(F: Field, lam: Sequence[int], values: Sequence[int],
                  sign: int = 1) -> tuple[int, ...]:
-    """lambda + sign * w restricted to the Cartan, as field codes."""
-    vals = g.weight_on_cartan(w)
+    """lambda + sign * w on the Cartan, as field codes, for the values of w
+    on the Cartan basis."""
     out = []
-    for lv, wv in zip(lam, vals):
+    for lv, wv in zip(lam, values):
         out.append(F.add(int(lv), F.mul(sign % F.p, int(wv))))
     return tuple(out)
 
@@ -238,10 +240,10 @@ class VermaSystem:
             idx = g.root_index[a]
             if chi.values[idx]:
                 raise ValueError(
-                    f"chi does not vanish on the positive root vector X_{format_weight(a)}"
+                    f"chi does not vanish on the positive root vector X_{g.rs.labels[a]}"
                 )
         # engine slots: X_{-alpha_N}, ..., X_{-alpha_1}, Cartan, X_{alpha_1}, ...
-        self.neg_indices = [g.root_index[-a] for a in reversed(self.positives)]
+        self.neg_indices = [g.root_index[g.rs.neg[a]] for a in reversed(self.positives)]
         self.pos_indices = [g.root_index[a] for a in self.positives]
         order = self.neg_indices + list(g.cartan) + self.pos_indices
         self.U = DeformedAlgebra(g, xi=chi, lam=1, order=order)
@@ -489,8 +491,7 @@ class BabyVerma:
         """X_{-alpha_1}^{m_1} ... X_{-alpha_N}^{m_N} . v (rightmost acts first)."""
         if self._lowest is None:
             vec = self.highest_vector()
-            for a in reversed(self.system.positives):
-                idx = self.g.root_index[-a]
+            for idx in self.system.neg_indices:
                 for _ in range(self._exponent(idx)):
                     vec = self.act(idx, vec)
             if not vec.any():
@@ -502,8 +503,7 @@ class BabyVerma:
     def phi_via_module(self) -> int:
         """Coefficient of v in X_{alpha_1}^{m_1} ... X_{alpha_N}^{m_N} . lowest."""
         vec = self.lowest_vector()
-        for a in reversed(self.system.positives):
-            idx = self.g.root_index[a]
+        for idx in reversed(self.system.pos_indices):
             for _ in range(self._exponent(idx)):
                 vec = self.act(idx, vec)
         return int(vec[self.highest_index])
@@ -516,10 +516,6 @@ class BabyVerma:
     def is_irreducible_oracle(self) -> bool:
         closed = self.submodule_closure(self.lowest_vector()[None, :])
         return closed.shape[0] == self.dim
-
-    @property
-    def N(self) -> int:
-        return self.system.N
 
     def maximal_submodule(self) -> np.ndarray:
         """Echelon rows of the unique maximal proper submodule."""
@@ -570,30 +566,30 @@ class BabyVerma:
 
     # -- reflection helpers ----------------------------------------------------
 
-    def singular_vector(self, delta: Weight) -> tuple[np.ndarray, str]:
+    def singular_vector(self, delta: int) -> tuple[np.ndarray, str]:
         """The singular vector attached to the simple reflection at delta.
 
         type i (even delta): X_{-delta}^{p-1} v; type ii (isotropic odd):
         X_{-delta} v; type iii (odd with 2delta a root):
         X_{-delta} X_{-2delta}^{p-1} v.
         """
-        kind, _ = self.ss.classify(delta)
-        g = self.g
+        kind, star = self.ss.classify(delta)
+        g, neg = self.g, self.g.rs.neg
         vec = self.highest_vector()
         if kind == "type_i":
-            idx = g.root_index[-delta]
+            idx = g.root_index[neg[delta]]
             for _ in range(g.p - 1):
                 vec = self.act(idx, vec)
         elif kind == "type_ii":
-            vec = self.act(g.root_index[-delta], vec)
-        else:
-            idx2 = g.root_index[-(delta.scale(2))]
+            vec = self.act(g.root_index[neg[delta]], vec)
+        else:  # star = (delta, 2 delta)
+            idx2 = g.root_index[neg[star[1]]]
             for _ in range(g.p - 1):
                 vec = self.act(idx2, vec)
-            vec = self.act(g.root_index[-delta], vec)
+            vec = self.act(g.root_index[neg[delta]], vec)
         return vec, kind
 
-    def check_singular(self, delta: Weight) -> dict:
+    def check_singular(self, delta: int) -> dict:
         """Annihilation of the singular vector by the reflected positives."""
         vec, kind = self.singular_vector(delta)
         new_ss = self.ss.reflect(delta)
@@ -640,15 +636,16 @@ def head_of(Z: BabyVerma) -> tuple[int, str]:
 
 
 def pairing_at(g: LieSuperalgebra, ss: SimpleSystem, lam: Sequence[int],
-               F: Field) -> dict[Weight, int]:
-    """(lam | a) for every positive root a of ss, as codes over F."""
-    return {a: g.coroot_value(F, lam, a) for a in ss.positive_roots}
+               F: Field) -> list[int]:
+    """(lam | a) for every positive root a of ss, as codes over F, aligned
+    with ``ss.positive_roots``."""
+    return [g.coroot_value(F, lam, a) for a in ss.positive_roots]
 
 
 def criterion_value(g: LieSuperalgebra, ss: SimpleSystem, lam: Sequence[int],
                     F: Field) -> int:
     """The product prod_even((lam+rho|a)^{p-1}-1) * prod_odd((lam+rho|b))."""
-    shifted = shift_lambda(g, F, lam, ss.rho)
+    shifted = shift_lambda(F, lam, g.weight_on_cartan(*ss.rho))
     return phi_prime_eval(ss, F, pairing_at(g, ss, shifted, F))
 
 
@@ -807,7 +804,7 @@ def semisimplicity_check(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) ->
 _REFLECTION_SHIFT = {"type_i": 1, "type_ii": -1, "type_iii": 1}
 
 
-def reflection_report(g: LieSuperalgebra, chi: PCharacter, delta: Weight,
+def reflection_report(g: LieSuperalgebra, chi: PCharacter, delta: int,
                       k_max: int = 8) -> dict:
     """Everything the simple reflection at delta must satisfy.
 
@@ -835,7 +832,7 @@ def reflection_report(g: LieSuperalgebra, chi: PCharacter, delta: Weight,
         rep = Z.check_singular(delta)
         if not (rep["nonzero"] and rep["annihilated"]):
             singular_ok = False
-        lam2 = shift_lambda(g, F, lam, delta, sign=shift_sign)
+        lam2 = shift_lambda(F, lam, g.root_weights[delta], sign=shift_sign)
         if lam2 not in lset:
             raise RuntimeError("weight set is not stable under the root shift")
         Z2 = reflected.module(lam2, F)
@@ -848,7 +845,7 @@ def reflection_report(g: LieSuperalgebra, chi: PCharacter, delta: Weight,
         "algebra": g.label,
         "p": g.p,
         "chi": list(chi.cartan_values()),
-        "delta": format_weight(delta),
+        "delta": g.rs.labels[delta],
         "reflection_type": kind,
         "singular_vectors_ok": singular_ok,
         "module_shift_constant": shift_constant,

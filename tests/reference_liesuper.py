@@ -3,8 +3,10 @@
 ``ReferenceLieSuperalgebra`` builds every structure array entry by entry: three
 hand-written model branches with a table of ``Fraction`` weights, one
 ``la.solve`` per bracket and per p-th power, and a supertrace per pair.
-The root dictionary checks each ad-weight entry by entry and solves for
-each coroot with its own ``la.solve``.  ``loop_validate`` checks the
+Roots are the ``Fraction`` weights of ``reference_rootsys``, whose
+``all_roots[i]`` is root i of the package.  The root dictionary checks
+each ad-weight entry by entry and solves for each coroot with its own
+``la.solve``.  ``loop_validate`` checks the
 algebra identities one pair or triple at a time.  The package builds the
 same arrays from whole-array products and one rref; the tests compare the
 two array for array.
@@ -18,7 +20,7 @@ import numpy as np
 
 from superlie import linalg as la
 from superlie.liesuper import LieSuperalgebra
-from superlie.rootsys import Weight, format_weight, fraction_to_field
+from reference_rootsys import Weight, as_weight, format_weight, fraction_to_field, reference_root_system
 
 
 def bracket_coords(g: LieSuperalgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -42,6 +44,8 @@ class ReferenceLieSuperalgebra(LieSuperalgebra):
         label = self.label
         ss = rs.distinguished_simple_system()
         self.distinguished = ss
+        self._ref = reference_root_system(rs.label)
+        weights = list(self._ref.all_roots)
         if label.startswith(("gl(", "sl(")):
             m, n = rs.m, rs.n
             size = m + n
@@ -154,11 +158,11 @@ class ReferenceLieSuperalgebra(LieSuperalgebra):
         roots_in_order = [None] * len(cartan_mats)
         for sign in (1, -1):
             for r in ss.positive_roots:
-                root = r if sign == 1 else -r
+                root = weights[r] if sign == 1 else -weights[r]
                 matrices.append(root_matrix(root))
                 names.append(f"X[{format_weight(root)}]")
-                parities.append(self.rs.parity(root))
-                roots_in_order.append(root)
+                parities.append(int(self._ref.is_odd_root(root)))
+                roots_in_order.append(weights.index(root))
         self.matrices = [M % self.p for M in matrices]
         self.basis_names = names
         self.parities = np.array(parities, dtype=np.int64)
@@ -220,24 +224,26 @@ class ReferenceLieSuperalgebra(LieSuperalgebra):
 
     def _build_root_dictionary(self) -> None:
         F = self.F
-        self.root_index: dict[Weight, int] = {}
+        weights = self._ref.all_roots
+        self.root_index: dict[int, int] = {}
         for idx, root in enumerate(self.basis_roots):
             if root is not None:
                 self.root_index[root] = idx
+        self.root_weights = np.array([self._weight_values(w) for w in weights], dtype=np.int64)
         # verify ad-weights: [h_i, X_a] = a(h_i) X_a for all Cartan h_i
         for root, idx in self.root_index.items():
-            vals = self.weight_on_cartan(root)
+            vals = self._weight_values(weights[root])
             for ci, hval in zip(self.cartan, vals):
                 lhs = self.bracket_tensor[ci, idx]
                 rhs = la.zeros(self.dim)
                 rhs[idx] = hval
                 if not (lhs == rhs).all():
-                    raise RuntimeError(f"ad-weight mismatch for root {format_weight(root)}")
+                    raise RuntimeError(f"ad-weight mismatch for root {format_weight(weights[root])}")
         # coroots H_a on the Cartan: solve (t_a, h_j) = a(h_j), then normalize
         cartan_form = self.form[np.ix_(self.cartan, self.cartan)]
-        self.coroots: dict[Weight, np.ndarray] = {}
-        for root in self.rs.all_roots:
-            rhs = np.array(self.weight_on_cartan(root), dtype=np.int64)
+        self.coroots = la.zeros((len(weights), self.dim))
+        for i, root in enumerate(weights):
+            rhs = np.array(self._weight_values(root), dtype=np.int64)
             t = la.solve(F, cartan_form, rhs)
             if t is None:
                 raise RuntimeError("degenerate Cartan form")
@@ -245,7 +251,7 @@ class ReferenceLieSuperalgebra(LieSuperalgebra):
             for code, val in zip(t, rhs):
                 norm = F.add(norm, F.mul(int(code), int(val)))
             iso_alg = norm == 0
-            if iso_alg != self.rs.is_isotropic(root):
+            if iso_alg != self._ref.is_isotropic(root):
                 raise RuntimeError("isotropy mismatch between form and root system")
             coords = la.zeros(self.dim)
             if iso_alg:
@@ -261,9 +267,15 @@ class ReferenceLieSuperalgebra(LieSuperalgebra):
                     check = F.add(check, F.mul(int(coords[ci]), int(val)))
                 if check != 2 % F.p:
                     raise RuntimeError(f"coroot normalization failed for {format_weight(root)}")
-            self.coroots[root] = coords
+            self.coroots[i] = coords
 
-    def weight_on_cartan(self, w: Weight) -> list[int]:
+    def weight_on_cartan(self, rows: np.ndarray, denominator: int) -> np.ndarray:
+        rows = np.asarray(rows)
+        flat = rows.reshape(-1, rows.shape[-1])
+        out = [self._weight_values(as_weight(self.rs, row, denominator)) for row in flat]
+        return np.array(out, dtype=np.int64).reshape(rows.shape[:-1] + (self.rank,))
+
+    def _weight_values(self, w: Weight) -> list[int]:
         out = []
         for eps_vals, delta_vals in self._weight_table:
             total = Fraction(0)

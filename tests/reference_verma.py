@@ -92,7 +92,7 @@ def lambda_set_scan(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> Lamb
         for lam in weights:
             if any(lambda_residual(g, F, lam, chi_h, P)):
                 raise RuntimeError("weight fails its defining equation")
-        return LambdaSet(g, chi, F, weights)
+        return LambdaSet(F, weights)
     raise RuntimeError(
         f"no full weight set within extension degree {k_max}; raise k_max"
     )

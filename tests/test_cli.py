@@ -259,6 +259,16 @@ def test_readme_command_exits_zero(line, tmp_path, monkeypatch):
     assert main(argv) == 0
 
 
+# what the message must name, for rows whose command line contains the key
+NAMED = {
+    "--k-max 1": "k_max",
+    "gl(2|1) --p 5": "dense-basis cap 4096",
+    "checks = coinduced": "dense-basis cap 4096",
+    "F(4) --p 5": "not supported",
+    "--p 4": "is not prime",
+}
+
+
 @pytest.mark.parametrize("argv,config", [
     (["run", "{cfg}"], "algebra = gl(1|1)\np = 3\nchecks = family\nsamples = 0\n"),
     (["run", "{cfg}"], "algebra = gl(1|1)\np = 3\nchecks = sym\nsamples = abc\n"),
@@ -270,9 +280,20 @@ def test_readme_command_exits_zero(line, tmp_path, monkeypatch):
     (["kw", "--type", "gl(1|1)", "--p", "3", "--chi", "explicit:a,1"], None),
     (["kw", "--type", "gl(1|1)", "--p", "3", "--chi", "nilpotent_root:zz"], None),
     (["run", "{cfg}"], "algebra = gl(1|1)\np = 3\nchecks =\n"),
+    # a weight set beyond k_max
+    (["verma", "--type", "gl(1|1)", "--p", "3", "--chi", "regular_semisimple", "--k-max", "1"], None),
+    (["kw", "--type", "gl(1|1)", "--p", "3", "--k-max", "1"], None),
+    (["reflect", "--type", "gl(1|1)", "--p", "3", "--k-max", "1"], None),
+    # a PBW basis above the dense-basis cap
+    (["sym", "--type", "gl(2|1)", "--p", "5"], None),
+    (["run", "{cfg}"], "algebra = gl(2|1)\np = 5\nchecks = coinduced\n"),
+    # reflect checks the type and p before the simple-system closure
+    (["reflect", "--type", "F(4)", "--p", "5"], None),
+    (["reflect", "--type", "gl(2|1)", "--p", "4"], None),
 ])
 def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
-    """Bad input exits 2 with a message: no check passes vacuously, no traceback."""
+    """Bad input exits 2 with one message line: no check passes vacuously,
+    no traceback, and nothing on stdout."""
     cfg = tmp_path / "bad.ini"
     if config is not None:
         cfg.write_text(config)
@@ -280,4 +301,9 @@ def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2
     assert "PASS" not in out and "Traceback" not in err
-    assert err.startswith("usage error: ")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert out == ""
+    line = " ".join(argv + [config or ""]).replace("\n", " ")
+    for key, named in NAMED.items():
+        if key in line:
+            assert named in err, key

@@ -5,7 +5,6 @@ import pytest
 from reference_verma import parity_shift_glue, screen_simple
 from superlie.gf import field_create
 from superlie.liesuper import build_algebra
-from superlie.rootsys import parse_root_label
 from superlie.kwverify import (
     kw_divisor,
     kw_divisor_ceiling,
@@ -36,7 +35,7 @@ def test_divisor_examples():
     g = build_algebra("gl(2|1)", F3)
     assert kw_divisor(g, g.chi_regular_semisimple()) == 12  # d = 2|4
     g = build_algebra("osp(1|2)", F3)
-    nil = g.nilpotent_root_character(parse_root_label("2d1", 0, 1))
+    nil = g.nilpotent_root_character("2d1")
     cent = g.centralizer(nil)
     assert (cent.d0, cent.d1) == (2, 1)
     assert kw_divisor(g, nil) == 3
@@ -46,7 +45,7 @@ def test_divisor_examples():
 def test_divisor_scale_invariant():
     g = build_algebra("gl(2|1)", F3)
     for chi in (g.chi_regular_semisimple(),
-                g.nilpotent_root_character(parse_root_label("e1-e2", 2, 1))):
+                g.nilpotent_root_character("e1-e2")):
         for t in (1, 2):
             assert kw_divisor(g, chi.scale(t)) == kw_divisor(g, chi)
 
@@ -122,21 +121,21 @@ def test_sweep_gl11_regular():
 
 def test_sweep_nilpotent_osp():
     g3 = build_algebra("osp(1|2)", F3)
-    nil3 = g3.nilpotent_root_character(parse_root_label("2d1", 0, 1))
+    nil3 = g3.nilpotent_root_character("2d1")
     (rep3,) = verify_superkw_sweep(g3, [nil3])
     assert rep3.skipped is None and rep3.divisor == 3
     assert all(d % 3 == 0 for _, d, _ in rep3.simple_dims)
     assert rep3.all_divisible
 
     g5 = build_algebra("osp(1|2)", F5)
-    nil5 = g5.nilpotent_root_character(parse_root_label("2d1", 0, 1))
+    nil5 = g5.nilpotent_root_character("2d1")
     (rep5,) = verify_superkw_sweep(g5, [nil5])
     assert rep5.skipped is not None and "local" in rep5.skipped
 
 
 def test_sweep_skips_bad_borel():
     g = build_algebra("osp(1|2)", F3)
-    bad = g.nilpotent_root_character(parse_root_label("-2d1", 0, 1))
+    bad = g.nilpotent_root_character("-2d1")
     (rep,) = verify_superkw_sweep(g, [bad])
     assert rep.skipped is not None and "Borel" in rep.skipped
 

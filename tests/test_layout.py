@@ -130,3 +130,16 @@ def test_allowlist_entries_exist_and_are_unreached():
     assert not missing, f"allowlisted names not defined: {missing}"
     stale = sorted(set(ALLOWED) - set(unreachable()))
     assert not stale, f"allowlisted names that are now reached; drop them: {stale}"
+
+
+def test_no_module_imports_fractions():
+    """Roots and weights are integer rows; Fraction arithmetic lives only in
+    the test oracles."""
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name and name.split(".")[0] == "fractions" for name in names):
+                importers.append(path.name)
+    assert not importers, f"modules importing fractions: {importers}"

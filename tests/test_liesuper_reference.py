@@ -27,12 +27,14 @@ def test_structure_arrays_match_reference(label, p):
     assert g.basis_names == ref.basis_names
     assert g.basis_roots == ref.basis_roots
     assert (g.cartan, g.rank, g.dim_even, g.dim_odd) == (ref.cartan, ref.rank, ref.dim_even, ref.dim_odd)
-    assert list(g.coroots) == list(ref.coroots)
-    assert all(np.array_equal(g.coroots[r], ref.coroots[r]) for r in ref.coroots)
-    for root in g.rs.all_roots:
-        assert g.weight_on_cartan(root) == ref.weight_on_cartan(root)
+    assert list(g.root_index.items()) == list(ref.root_index.items())
+    assert np.array_equal(g.coroots, ref.coroots)
+    assert np.array_equal(g.root_weights, ref.root_weights)
+    for row in g.rs.roots:
+        assert np.array_equal(g.weight_on_cartan(row, g.rs.denominator),
+                              ref.weight_on_cartan(row, g.rs.denominator))
     rho = g.distinguished.rho
-    assert g.weight_on_cartan(rho) == ref.weight_on_cartan(rho)
+    assert np.array_equal(g.weight_on_cartan(*rho), ref.weight_on_cartan(*rho))
 
 
 @pytest.mark.parametrize("label,p", [("gl(1|1)", 5), ("osp(1|2)", 3), ("sl(2|1)", 5)])

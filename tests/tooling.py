@@ -10,7 +10,7 @@ import numpy as np
 from superlie import linalg as la
 from superlie.envelope import DeformedAlgebra, _random_element
 from superlie.gf import Field
-from superlie.rootsys import RootSystem, build_root_system, parse_root_label
+from superlie.rootsys import RootSystem, build_root_system
 
 
 def random_codes(F: Field, rng: np.random.Generator, size=None) -> np.ndarray:
@@ -55,8 +55,7 @@ def gl21_with_corrupt_reflection() -> RootSystem:
     """gl(2|1) with one entry of its reflection table wrong: the reflection
     at e1-e2 fixes e2-d1 instead of sending it to e1-d1."""
     rs = build_root_system("gl(2|1)")
-    index = {r: i for i, r in enumerate(rs.all_roots)}
-    at, image = (index[parse_root_label(label, 2, 1)] for label in ("e1-e2", "e2-d1"))
+    at, image = rs.index("e1-e2"), rs.index("e2-d1")
     tables = rs._reflections
     mirror = list(tables.mirror)
     perm = list(mirror[at])
