@@ -204,11 +204,7 @@ def check_phi(g, chis, cfg):
 
 
 def check_reflect(g, chis, cfg):
-    systems = g.rs.all_simple_systems()
-    report = {
-        "simple_system_count": len(systems),
-        "characters": [],
-    }
+    report = {"simple_system_count": len(g.rs.all_simple_systems()), "characters": []}
     ok = True
     for spec, chi in chis:
         if not chi.is_standard_form():
@@ -444,31 +440,34 @@ def cmd_verma(args) -> int:
 
 
 def cmd_reflect(args) -> int:
-    result = None
     if args.p is not None:
-        # the module-level suite first, so that a bad type or p fails before any output
+        # the module-level suite first, so that a bad type or p fails before any
+        # output; its report holds the simple-system count
         cfg = _single_chi_config(args, ["reflect"])
         cfg.chi_specs = ["zero", "regular_semisimple"]
-        result = run_experiment(cfg, out_dir=args.out)
-    try:
-        _, rs_label = _normalize_label(args.type)
-    except ValueError:
-        rs_label = args.type  # pure root-system types (B/C/D/F/G labels)
-    try:
-        rs = build_root_system(rs_label)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    try:
-        systems = rs.all_simple_systems()
-    except InvariantViolation as exc:
-        print(f"{args.type}: invariant violation: {exc}")
-        return 1
-    print(f"{args.type}: {len(systems)} simple systems, "
-          f"all reflection identities verified")
-    if result is None:
-        return 0
-    code, bundle, lines = result
-    _emit(bundle, lines, args.format)
+        code, bundle, lines = run_experiment(cfg, out_dir=args.out)
+        report = bundle["reflect"]["report"]
+    else:
+        try:
+            _, rs_label = _normalize_label(args.type)
+        except ValueError:
+            rs_label = args.type  # pure root-system types (B/C/D/F/G labels)
+        try:
+            rs = build_root_system(rs_label)
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        code, bundle = 0, None
+        try:
+            report = {"simple_system_count": len(rs.all_simple_systems())}
+        except InvariantViolation as exc:
+            code, report = 1, {"invariant_violation": str(exc)}
+    if "invariant_violation" in report:
+        print(f"{args.type}: invariant violation: {report['invariant_violation']}")
+    else:
+        print(f"{args.type}: {report['simple_system_count']} simple systems, "
+              f"all reflection identities verified")
+    if bundle is not None:
+        _emit(bundle, lines, args.format)
     return code
 
 

@@ -8,8 +8,8 @@ float64 through BLAS if large and every sum stays below 2⁵³, else in
 
 Every subspace is computed one way: ``rref`` gives ranks, kernels, solutions
 and row-space bases, and ``EchelonBasis`` reduces and extends a basis kept
-in reduced echelon form.  The systems fed to them are assembled from whole
-arrays (Kronecker products for the commutant), not entry by entry.
+in reduced echelon form.  Systems are assembled from whole arrays; the
+supercommutant is spun from r seeds, in n·r unknowns rather than n².
 """
 
 from __future__ import annotations
@@ -269,23 +269,6 @@ def largest_stable_subspace(
     return basis
 
 
-def _commutation_constraint(F: Field, op: np.ndarray, s: int) -> np.ndarray:
-    """Rows of the linear system T·op − s·op·T = 0 in the flattened unknown T.
-
-    T is flattened row-major, so vec(T·op) = (I ⊗ opᵀ)·vec(T) and
-    vec(op·T) = (op ⊗ I)·vec(T).  The two Kronecker products share nonzero
-    positions only on the diagonal, so only the diagonal needs field
-    addition; elsewhere the integer sum of the codes is the field sum.
-    """
-    n = op.shape[0]
-    ident = eye(n)
-    scaled = F.neg_arr(op) if s == 1 else op
-    block = np.kron(ident, op.T) + np.kron(scaled, ident)
-    diag = np.arange(n * n)
-    block[diag, diag] = F.add_arr(np.tile(op.diagonal(), n), np.repeat(scaled.diagonal(), n))
-    return block
-
-
 def supercommutant_basis(
     F: Field,
     even_ops: Sequence[np.ndarray],
@@ -295,15 +278,58 @@ def supercommutant_basis(
 ) -> list[np.ndarray]:
     """Matrices spanning the even or odd part of the supercommutant.
 
-    An even T commutes with every operator and with the parity involution;
-    an odd T satisfies T·rho(a) = (−1)^{|a|}·rho(a)·T and anticommutes with
-    the parity involution.
-    """
-    sign = -1 if odd_part else 1
-    n = parity_op.shape[0]
-    rows = [_commutation_constraint(F, op, 1) for op in even_ops]
-    rows += [_commutation_constraint(F, op, sign) for op in odd_ops]
-    rows.append(_commutation_constraint(F, parity_op, sign))
-    ker = nullspace(F, np.concatenate(rows, axis=0))
-    return [vec.reshape(n, n) for vec in ker]
+    T·A_a = s_a·A_a·T for every operator A_a and the parity involution, with
+    s_a = −1 for the odd operators and the involution when T is odd, else 1.
 
+    Solved by spinning (Parker's Meat-Axe).  Seeds v_k, each the first unit
+    vector outside the span so far, spin into a basis B = [b_i].  Where
+    b_i = A_a·b_j, T·b_i = s_a·A_a·T·b_j, so T·b_i = M_i·u for word matrices
+    M_i and u = (T·v_k)_k.  With C_a = B⁻¹·A_a·B the relations read
+    Σ_i C_a[i, j]·M_i·u = s_a·A_a·M_j·u.  T ↦ u is a bijection from the
+    supercommuting T onto their kernel, in n·r unknowns: T = [M_i·u]·B⁻¹.
+    """
+    n = parity_op.shape[0]
+    if n == 0:
+        return []
+    stacked = np.concatenate([*even_ops, *odd_ops, parity_op]).astype(np.int64)
+    K = stacked.shape[0] // n
+    signed = np.arange(K) >= (len(even_ops) if odd_part else K)  # s_a = −1
+    # each spun vector b_i beside its word matrix M_i, which acts on the n unknowns
+    # T·v of the seed v = v_{owner[i]} that b_i comes from: aug[i] = [b_i | M_i]
+    aug, owner, fresh, rounds = zeros((0, n, n + 1)), [], [], []
+    while True:
+        m = aug.shape[0]
+        if not fresh:  # the span is stable: seed it with the first unit vector outside
+            t = rref(F, np.concatenate([aug[:, :, 0].T, eye(n)], axis=1))[1][m] - m
+            seed = np.concatenate([eye(n)[:, [t]], eye(n)], axis=1)
+            aug, owner, fresh = np.concatenate([aug, seed[None]]), owner + [len(set(owner))], [m]
+            continue
+        # A_a·b_j beside s_a·A_a·M_j for the frontier, in one product
+        f = len(fresh)
+        images = matmul(F, stacked, aug[fresh].transpose(1, 0, 2).reshape(n, -1)).reshape(K, n, f, -1)
+        images[signed, :, :, 1:] = F.neg_arr(images[signed, :, :, 1:])
+        rounds.append(images)
+        if m == n:  # a last round only records the images
+            break
+        cand = images[:, :, :, 0].transpose(1, 0, 2).reshape(n, K * f)  # column a·f + j
+        picked = np.array(rref(F, np.concatenate([aug[:, :, 0].T, cand], axis=1))[1][m:], dtype=int) - m
+        a, j = divmod(picked, f)
+        aug = np.concatenate([aug, images[a, :, j]])
+        owner += [owner[fresh[x]] for x in j]
+        fresh = list(range(m, m + picked.size))
+    # the word matrices on all n·r unknowns, zero outside their seed's block
+    r, spun, basis = len(set(owner)), np.concatenate(rounds, axis=2), aug[:, :, 0].T
+    words = zeros((n, n, r, n))
+    words[np.arange(n), :, owner] = aug[:, :, 1:]
+    rhs = zeros((K, n, n, r, n))  # [a, j, row, (k, c)]
+    rhs[:, np.arange(n), :, owner] = spun[:, :, :, 1:].transpose(2, 0, 1, 3)
+    # [B | A_a·B | I] reduces to [I | C_a | B⁻¹]
+    op_basis = spun[:, :, :, 0].transpose(1, 0, 2).reshape(n, K * n)
+    red = rref(F, np.concatenate([basis, op_basis, eye(n)], axis=1))[0]
+    coords, inverse = red[:, n:-n].reshape(n, K, n), red[:, -n:]
+    lhs = matmul(F, coords.transpose(1, 2, 0).reshape(K * n, n), words.reshape(n, -1))
+    cond = F.sub_arr(lhs, rhs.reshape(K * n, -1)).reshape(-1, r * n)
+    ker = nullspace(F, cond[cond.any(axis=1)])
+    values = matmul(F, words.reshape(n * n, -1), ker.T).reshape(n, n, -1)  # [i, row, d]
+    ts = matmul(F, values.transpose(2, 1, 0).reshape(-1, n), inverse)
+    return list(ts.reshape(-1, n, n))

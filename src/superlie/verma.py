@@ -613,9 +613,10 @@ def walls_type(F: Field, action_matrices: Sequence[np.ndarray],
                parity_op: np.ndarray, parities: Sequence[int]) -> str:
     """"Q" when the simple module admits an odd endomorphism, else "M".
 
-    An odd endomorphism T satisfies T rho(a) = (-1)^|a| rho(a) T and
-    anticommutes with the parity involution.  Callers pass heads, which
-    are simple by construction; the input is not screened.
+    An odd T satisfies T rho(a) = (-1)^|a| rho(a) T and anticommutes with the
+    parity involution.  T -> (T v_k) on seeds v_k that generate the module is a
+    bijection onto the kernel ``linalg.supercommutant_basis`` solves.  Callers
+    pass heads, which are simple by construction; the input is not screened.
     """
     even_ops = [m for m, pr in zip(action_matrices, parities) if pr == 0]
     odd_ops = [m for m, pr in zip(action_matrices, parities) if pr == 1]

@@ -1,12 +1,13 @@
 """Slow reference implementations kept as oracles for the linalg kernels.
 
 These are the original per-column product, the per-vector operator closure,
-the entry-by-entry commutant system and kernel basis, and the
-intersection-based graded codimensions that ``superlie`` replaced with the
-int64 prime-field product, the block-echelon closure, Kronecker products,
-one fancy-index assignment and projection ranks.  They use only the field's
-element-wise operations and ``linalg.rref``, so they are independent of the
-new kernels.
+the loop-built kernel basis and the intersection-based graded codimensions
+that ``superlie`` replaced with the int64 prime-field product, the
+block-echelon closure, one fancy-index assignment and projection ranks.
+They use only the field's element-wise operations and ``linalg.rref``, so
+they are independent of the new kernels.  The commutant is kept twice: the
+entry-by-entry constraint system, and the Kronecker solve in all n² entries
+of T that spinning replaced, which reads its kernel with ``linalg.nullspace``.
 """
 
 from __future__ import annotations
@@ -95,6 +96,46 @@ def commutation_constraint_loop(F: Field, op: np.ndarray, s: int) -> np.ndarray:
             contrib = F.neg_arr(op[i, :]) if s == 1 else op[i, :].copy()
             block[r, idx] = F.add_arr(block[r, idx], contrib)
     return block
+
+
+def commutation_constraint(F: Field, op: np.ndarray, s: int) -> np.ndarray:
+    """Rows of the linear system T·op − s·op·T = 0 in the flattened unknown T.
+
+    T is flattened row-major, so vec(T·op) = (I ⊗ opᵀ)·vec(T) and
+    vec(op·T) = (op ⊗ I)·vec(T).  The two Kronecker products share nonzero
+    positions only on the diagonal, so only the diagonal needs field
+    addition; elsewhere the integer sum of the codes is the field sum.
+    """
+    n = op.shape[0]
+    ident = la.eye(n)
+    scaled = F.neg_arr(op) if s == 1 else op
+    block = np.kron(ident, op.T) + np.kron(scaled, ident)
+    diag = np.arange(n * n)
+    block[diag, diag] = F.add_arr(np.tile(op.diagonal(), n), np.repeat(scaled.diagonal(), n))
+    return block
+
+
+def supercommutant_kronecker(
+    F: Field,
+    even_ops: Sequence[np.ndarray],
+    odd_ops: Sequence[np.ndarray],
+    parity_op: np.ndarray,
+    odd_part: bool,
+) -> list[np.ndarray]:
+    """Matrices spanning the even or odd part of the supercommutant, from
+    one Kronecker system in all n² entries of T.
+
+    An even T commutes with every operator and with the parity involution;
+    an odd T satisfies T·rho(a) = (−1)^{|a|}·rho(a)·T and anticommutes with
+    the parity involution.
+    """
+    sign = -1 if odd_part else 1
+    n = parity_op.shape[0]
+    rows = [commutation_constraint(F, op, 1) for op in even_ops]
+    rows += [commutation_constraint(F, op, sign) for op in odd_ops]
+    rows.append(commutation_constraint(F, parity_op, sign))
+    ker = la.nullspace(F, np.concatenate(rows, axis=0))
+    return [vec.reshape(n, n) for vec in ker]
 
 
 def nullspace_loop(F: Field, mat: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+import reference_linalg as ref
 from superlie import linalg as la
 from superlie.envelope import (
     _random_element,
@@ -46,7 +47,7 @@ from superlie.verma import (
     semisimplicity_check,
     standard_characters,
 )
-from tooling import random_pairs
+from tooling import commutant_dims, random_pairs
 
 ALGEBRAS = ("gl(1|1)", "gl(2|1)", "osp(1|2)")
 PRIMES = (3, 5)
@@ -192,6 +193,7 @@ def test_criterion_4_semisimplicity():
 
 
 def test_criterion_5_kw_divisibility():
+    t0 = time.time()
     heads = 0
     for label, p, bucket, g, chi in grid():
         (rep,) = verify_superkw_sweep(g, [chi])
@@ -201,8 +203,24 @@ def test_criterion_5_kw_divisibility():
         if label == "osp(1|2)" and bucket == "regular_semisimple":
             assert rep.divisor == 2 * p
             assert all(d == 2 * p for _, d, _ in rep.simple_dims), (p, rep.simple_dims)
+    elapsed = time.time() - t0
+    assert elapsed < 90, f"criterion-5 sweep took {elapsed:.1f}s"
     print(f"\n[criterion 5] PASS — {heads} simple heads, all divisible by "
-          f"p^(d0/2)·2^(floor(d1/2))")
+          f"p^(d0/2)·2^(floor(d1/2)), {elapsed:.1f}s")
+
+
+def test_criterion_5_commutants_match_kronecker_reference():
+    """Every 29th head of the criterion-5 grid, in grid order, has the same
+    even and odd supercommutant dimensions under spinning as under the
+    n²-unknown Kronecker solve."""
+    cells = [(g, VermaSystem(g, chi), lambda_set(g, chi)) for *_, g, chi in grid()]
+    heads = [(g, system, lset.field, lam) for g, system, lset in cells for lam in lset]
+    assert len(heads) == 582
+    for g, system, F, lam in heads[::29]:
+        mats, parity_op = system.module(lam, F).quotient_representation()
+        args = (F, mats, parity_op, list(g.parities))
+        assert (commutant_dims(la.supercommutant_basis, *args)
+                == commutant_dims(ref.supercommutant_kronecker, *args)), (g.label, lam)
 
 
 def test_criterion_6_invariant_ideals():

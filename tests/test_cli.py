@@ -17,6 +17,7 @@ from superlie.cli import (
     resolve_chi,
     run_experiment,
 )
+from superlie.rootsys import RootSystem
 from superlie.verma import BabyVerma, VermaSystem
 from tooling import gl21_with_corrupt_reflection
 
@@ -120,6 +121,24 @@ def test_reflect_reports_a_broken_reflection_identity(monkeypatch, capsys):
     assert main(["reflect", "--type", "gl(2|1)", "--p", "3"]) == 1
     out = capsys.readouterr().out
     assert "reflect      FAIL" in out and "invariant violation: " in out
+
+
+def test_reflect_enumerates_simple_systems_once(monkeypatch, capsys):
+    """With or without --p, one closure gives the count that the summary prints."""
+    calls = []
+    enumerate_systems = RootSystem.all_simple_systems
+
+    def counted(self):
+        calls.append(self)
+        return enumerate_systems(self)
+
+    monkeypatch.setattr(RootSystem, "all_simple_systems", counted)
+    for argv in (["reflect", "--type", "gl(2|1)"], ["reflect", "--type", "gl(2|1)", "--p", "3"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == 1, argv
+        assert capsys.readouterr().out.startswith(
+            "gl(2|1): 6 simple systems, all reflection identities verified\n")
 
 
 def test_reflect_with_model():

@@ -2,7 +2,9 @@
 
 import pytest
 
+import reference_linalg as ref
 from reference_verma import parity_shift_glue, screen_simple
+from superlie import linalg as la
 from superlie.gf import field_create
 from superlie.liesuper import build_algebra
 from superlie.kwverify import (
@@ -13,7 +15,8 @@ from superlie.kwverify import (
     walls_type,
     write_jsonl,
 )
-from superlie.verma import VermaSystem, lambda_set
+from superlie.verma import VermaSystem, lambda_set, standard_characters
+from tooling import commutant_dims, simple_heads
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -90,6 +93,21 @@ def test_parity_shift_glue_is_Q():
     mats, parity_op = Z.quotient_representation()
     glued, gp = parity_shift_glue(ls.field, mats, parity_op, list(g.parities))
     assert walls_type(ls.field, glued, gp, list(g.parities)) == "Q"
+
+
+def test_kw_heads_commutants_match_kronecker_reference():
+    """The 81 heads of the gl(2|1), p = 3 kw sweep (the kw_heads bench config)
+    have the same even and odd supercommutant dimensions under spinning as
+    under the n²-unknown Kronecker solve."""
+    g = build_algebra("gl(2|1)", F3)
+    heads = 0
+    for chi in standard_characters(g).values():
+        for F, mats, parity_op in simple_heads(g, chi):
+            args = (F, mats, parity_op, list(g.parities))
+            assert (commutant_dims(la.supercommutant_basis, *args)
+                    == commutant_dims(ref.supercommutant_kronecker, *args))
+            heads += 1
+    assert heads == 81
 
 
 def test_sweep_osp_p5_regular():

@@ -11,6 +11,7 @@ from superlie import linalg as la
 from superlie.envelope import DeformedAlgebra, _random_element
 from superlie.gf import Field
 from superlie.rootsys import RootSystem, build_root_system
+from superlie.verma import VermaSystem, lambda_set
 
 
 def random_codes(F: Field, rng: np.random.Generator, size=None) -> np.ndarray:
@@ -63,3 +64,22 @@ def gl21_with_corrupt_reflection() -> RootSystem:
     mirror[at] = tuple(perm)
     rs._reflections = tables._replace(mirror=tuple(mirror))
     return rs
+
+
+def simple_heads(g, chi):
+    """(field, action matrices, parity involution) of the head of every baby
+    Verma of chi, over its whole weight set, as the kw sweep harvests them."""
+    system = VermaSystem(g, chi)
+    lset = lambda_set(g, chi)
+    for lam in lset:
+        mats, parity_op = system.module(lam, lset.field).quotient_representation()
+        yield lset.field, mats, parity_op
+
+
+def commutant_dims(solve, F: Field, action_matrices: Sequence[np.ndarray],
+                   parity_op: np.ndarray, parities: Sequence[int]) -> tuple[int, int]:
+    """(even, odd) dimensions of the supercommutant that ``solve`` spans, for
+    a solve with the signature of ``linalg.supercommutant_basis``."""
+    even = [m for m, pr in zip(action_matrices, parities) if pr == 0]
+    odd = [m for m, pr in zip(action_matrices, parities) if pr == 1]
+    return tuple(len(solve(F, even, odd, parity_op, odd_part)) for odd_part in (False, True))
