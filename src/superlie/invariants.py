@@ -401,9 +401,7 @@ def ideal_survey(S: DeformedAlgebra, divisor: int, d_pair: tuple[int, int],
         # invariant ideal, so some closures have nontrivial codimension
         pool = top if (nseed % 2 and top.shape[0]) else ambient
         coeffs = rng.integers(0, S.F.q, pool.shape[0])
-        seed = la.zeros(model.n)
-        for c, row in zip(coeffs, pool):
-            seed = S.F.add_arr(seed, S.F.smul_arr(int(c), row))
+        seed = la.matmul(S.F, coeffs[None, :], pool)[0]
         if not seed.any():
             seed = pool[0].copy()
         closure = invariant_ideal_closure(model, seed.reshape(1, -1))

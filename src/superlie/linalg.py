@@ -8,8 +8,11 @@ float64 through BLAS if large and every sum stays below 2⁵³, else in
 
 Every subspace is computed one way: ``rref`` gives ranks, kernels, solutions
 and row-space bases, and ``EchelonBasis`` reduces and extends a basis kept
-in reduced echelon form.  Systems are assembled from whole arrays; the
-supercommutant is spun from r seeds, in n·r unknowns rather than n².
+in reduced echelon form.  Every invariant subspace is an operator closure:
+the largest stable subspace is the annihilator of the closure of the
+ambient's annihilator under the transposed operators.  Systems are assembled
+from whole arrays; the supercommutant is spun from r seeds, in n·r unknowns
+rather than n².
 """
 
 from __future__ import annotations
@@ -183,7 +186,7 @@ class EchelonBasis:
         rows = np.asarray(rows, dtype=np.int64)
         self.F = F
         self.rows = rows[rows.any(axis=1)]
-        self.pivots = (self.rows != 0).argmax(axis=1)
+        self.pivots = (self.rows != 0).argmax(axis=1) if rows.shape[1] else zeros(0)
 
     def reduce(self, block: np.ndarray) -> np.ndarray:
         """``block − block[:, pivots] · rows``: zero at every pivot column."""
@@ -243,30 +246,15 @@ def largest_stable_subspace(
 ) -> np.ndarray:
     """Largest subspace of the row-span of ambient_rows stable under all operators.
 
-    Shrinking iteration on a basis B (rows) of the candidate space.  The rows
-    of K span the functionals that vanish on the span of B, so a vector c·B
-    stays in that span under op exactly when K·op·(c·B)ᵀ = 0.  Each step keeps
-    the coefficient vectors c that satisfy this for every operator.  The
-    dimension falls at every step until the span is stable.
+    Rows of the result are its reduced echelon basis, which is unique.  By
+    duality: S is stable under A exactly when its annihilator S⊥ is stable
+    under Aᵀ, and S ⊆ W exactly when S⊥ ⊇ W⊥.  So the largest A-stable S
+    inside W is the annihilator of the smallest Aᵀ-stable space containing
+    W⊥: one closure under the transposed operators between two kernels (the
+    transposed spin of Norton's irreducibility test in the MeatAxe).
     """
-    basis = row_space_basis(F, np.asarray(ambient_rows))
-    n = basis.shape[1]
-    while basis.shape[0]:
-        # functionals vanishing on the current span: f with basis · f = 0
-        K = nullspace(F, basis)
-        if K.shape[0] == 0:
-            # span is the whole ambient coordinate space; it is stable
-            return basis
-        # constraints K · op · basisᵀ · c = 0 on the coefficient vector c
-        blocks = [matmul(F, matmul(F, K, op), basis.T) for op in operators]
-        stacked = np.concatenate([zeros((0, basis.shape[0])), *blocks])
-        coeffs = nullspace(F, stacked)  # rows of coefficient vectors
-        if coeffs.shape[0] == basis.shape[0]:
-            return basis  # already stable
-        if coeffs.shape[0] == 0:
-            return zeros((0, n))
-        basis = row_space_basis(F, matmul(F, coeffs, basis))
-    return basis
+    dual = closure_under_operators(F, nullspace(F, ambient_rows), [op.T for op in operators])
+    return row_space_basis(F, nullspace(F, dual))
 
 
 def supercommutant_basis(

@@ -32,9 +32,10 @@ Irreducibility is decided two independent ways and compared:
     evaluated through coroots, from the codes of the pairings with the
     positive roots.  Roots are indices of the algebra's root system.
 
-The maximal proper submodule (hence the simple head) is computed by the
-shrinking-iteration of the largest action-stable subspace.  The ambient
-space that provably contains every proper submodule depends on chi:
+The maximal proper submodule (hence the simple head) is the largest
+action-stable subspace of an ambient space: the annihilator of the closure
+of the ambient's annihilator under the transposed action matrices.  The
+ambient space that provably contains every proper submodule depends on chi:
 
   * chi vanishing on [n^-, n^-]: replacing each even letter x by
     x - chi(x) yields generators with the same brackets and zero p-th
@@ -97,16 +98,10 @@ class LambdaSet:
 
 def cartan_p_matrix(g: LieSuperalgebra) -> np.ndarray:
     """Matrix P with h_i^{[p]} = sum_j P[i,j] h_j on the Cartan basis."""
-    r = g.rank
-    P = la.zeros((r, r))
-    for i, ci in enumerate(g.cartan):
-        vec = g.p_map[ci]
-        outside = [j for j in range(g.dim) if j not in g.cartan]
-        if vec[outside].any():
-            raise RuntimeError("Cartan is not closed under the p-th power map")
-        for j, cj in enumerate(g.cartan):
-            P[i, j] = vec[cj]
-    return P
+    rows = g.p_map[g.cartan]
+    if np.delete(rows, g.cartan, axis=1).any():
+        raise RuntimeError("Cartan is not closed under the p-th power map")
+    return rows[:, g.cartan]
 
 
 def lambda_residual(g: LieSuperalgebra, F: Field, lam: Sequence[int],

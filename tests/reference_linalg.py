@@ -8,6 +8,9 @@ They use only the field's element-wise operations and ``linalg.rref``, so
 they are independent of the new kernels.  The commutant is kept twice: the
 entry-by-entry constraint system, and the Kronecker solve in all n² entries
 of T that spinning replaced, which reads its kernel with ``linalg.nullspace``.
+The largest stable subspace is kept as the shrinking iteration that the
+annihilator of one transposed closure replaced; it solves a new kernel with
+``linalg.nullspace`` at every step and never calls the closure.
 """
 
 from __future__ import annotations
@@ -79,6 +82,37 @@ def closure_per_vector(
         if not new_rows:
             break
         frontier = np.array(new_rows, dtype=np.int64)
+    return basis
+
+
+def largest_stable_subspace_shrinking(
+    F: Field, ambient_rows: np.ndarray, operators: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Largest subspace of the row-span of ambient_rows stable under all operators.
+
+    Shrinking iteration on a basis B (rows) of the candidate space.  The rows
+    of K span the functionals that vanish on the span of B, so a vector c·B
+    stays in that span under op exactly when K·op·(c·B)ᵀ = 0.  Each step keeps
+    the coefficient vectors c that satisfy this for every operator.  The
+    dimension falls at every step until the span is stable.
+    """
+    basis = la.row_space_basis(F, np.asarray(ambient_rows))
+    n = basis.shape[1]
+    while basis.shape[0]:
+        # functionals vanishing on the current span: f with basis · f = 0
+        K = la.nullspace(F, basis)
+        if K.shape[0] == 0:
+            # span is the whole ambient coordinate space; it is stable
+            return basis
+        # constraints K · op · basisᵀ · c = 0 on the coefficient vector c
+        blocks = [la.matmul(F, la.matmul(F, K, op), basis.T) for op in operators]
+        stacked = np.concatenate([la.zeros((0, basis.shape[0])), *blocks])
+        coeffs = la.nullspace(F, stacked)  # rows of coefficient vectors
+        if coeffs.shape[0] == basis.shape[0]:
+            return basis  # already stable
+        if coeffs.shape[0] == 0:
+            return la.zeros((0, n))
+        basis = la.row_space_basis(F, la.matmul(F, coeffs, basis))
     return basis
 
 

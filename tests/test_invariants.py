@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_linalg as ref
 from superlie import linalg as la
 from superlie.gf import field_create
 from superlie.liesuper import build_algebra
@@ -274,6 +275,18 @@ def test_ideal_survey_gl11():
     assert rep["all_closures_divisible"]
     # the alternating seed scheme produces at least one nontrivial closure
     assert any(c["codim"] >= 4 for c in rep["closures"])
+
+
+def test_largest_ideal_matches_shrinking_reference():
+    """The top ideal of the osp(1|2), p = 3, xi = explicit:1 survey (the sym
+    bench config) has the same rows from the transposed closure as from the
+    shrinking iteration."""
+    g = build_algebra("osp(1|2)", F3)
+    model = operator_model_from_symmetric(reduced_symmetric(g, g.chi_from_cartan([1])))
+    top = largest_proper_invariant_ideal(model)
+    want = ref.largest_stable_subspace_shrinking(model.F, model.max_ideal_rows(), model.all_ops())
+    assert np.array_equal(top, want)
+    assert model.n - top.shape[0] == 36
 
 
 def test_invariant_ideal_closure_stays_inside_top_ideal():

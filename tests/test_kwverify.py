@@ -1,5 +1,6 @@
 """Tests for the dimension-divisibility sweep over simple heads."""
 
+import numpy as np
 import pytest
 
 import reference_linalg as ref
@@ -16,7 +17,7 @@ from superlie.kwverify import (
     write_jsonl,
 )
 from superlie.verma import VermaSystem, lambda_set, standard_characters
-from tooling import commutant_dims, simple_heads
+from tooling import baby_vermas, commutant_dims, simple_heads
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -108,6 +109,19 @@ def test_kw_heads_commutants_match_kronecker_reference():
                     == commutant_dims(ref.supercommutant_kronecker, *args))
             heads += 1
     assert heads == 81
+
+
+def test_kw_heads_maximal_submodules_match_shrinking_reference():
+    """The 81 baby Vermas of the gl(2|1), p = 3 kw sweep (the kw_heads bench
+    config) get the same maximal-submodule rows from the transposed closure
+    as from the shrinking iteration."""
+    g = build_algebra("gl(2|1)", F3)
+    modules = [Z for chi in standard_characters(g).values() for Z in baby_vermas(g, chi)]
+    assert len(modules) == 81
+    for Z in modules:
+        want = ref.largest_stable_subspace_shrinking(
+            Z.F, Z.system._ambient_rows(Z.F), Z.all_action_matrices())
+        assert np.array_equal(Z.maximal_submodule(), want), Z.lam
 
 
 def test_sweep_osp_p5_regular():

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 import reference_linalg as ref
 from reference_verma import parity_shift_glue
@@ -230,7 +232,7 @@ def matrices(draw, F, rows, cols):
 @st.composite
 def closure_cases(draw):
     F = field_create(*draw(st.sampled_from(FIELDS)))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 6))
     seed = draw(matrices(F, draw(st.integers(0, 3)), n))
     ops = [draw(matrices(F, n, n)) for _ in range(draw(st.integers(0, 3)))]
     if draw(st.booleans()):
@@ -281,11 +283,58 @@ def test_closure_edge_cases_match_reference(p, k):
         assert np.array_equal(got, ref.closure_per_vector(F, seed, operators))
 
 
+@st.composite
+def stable_subspace_cases(draw):
+    """(F, ambient rows, operators) on n = 0 to 7 coordinates.
+
+    Operators are drawn as they come, or planted: P·B·P⁻¹ with B block upper
+    triangular leaves the span of P's first c columns stable for every block
+    boundary c, and the transpose of P·B·P⁻¹ in general does not; the
+    ambient then holds one of these spans.  Ambient rows are drawn as they
+    come, with zero or repeated rows, or with full rank.
+    """
+    F = field_create(*draw(st.sampled_from(FIELDS)))
+    n = draw(st.integers(0, 7))
+    planted = n > 1 and draw(st.booleans())
+    ops = [draw(matrices(F, n, n)) for _ in range(draw(st.integers(int(planted), 3)))]
+    P = la.eye(n)
+    if planted:
+        cuts = sorted(set(draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3))))
+        block = np.searchsorted(cuts, np.arange(n), side="right")
+        lower, upper = draw(matrices(F, n, n)), draw(matrices(F, n, n))
+        P = la.matmul(F, np.tril(lower, -1) + la.eye(n), np.triu(upper, 1) + la.eye(n))
+        P_inv = la.rref(F, np.concatenate([P, la.eye(n)], axis=1))[0][:, n:]
+        ops = [la.matmul(F, la.matmul(F, P, op * (block[:, None] <= block[None, :])), P_inv)
+               for op in ops]
+    rows = draw(matrices(F, draw(st.integers(0, n + 1)), n))
+    kind = draw(st.sampled_from(["as drawn", "zero rows", "repeated rows", "full rank"]))
+    if kind == "zero rows":
+        rows[::2] = 0
+    elif kind == "repeated rows":
+        rows = np.concatenate([rows, rows[::-1]])
+    elif kind == "full rank":
+        rows = np.concatenate([rows, P.T])
+    if planted:  # the ambient holds a planted stable span
+        rows = np.concatenate([P.T[: draw(st.sampled_from(cuts))], rows])
+    return F, rows, ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stable_subspace_cases())
+def test_largest_stable_subspace_matches_shrinking_reference(case):
+    """The annihilator of the transposed closure gives the same echelon rows as
+    the shrinking iteration it replaced."""
+    F, ambient, ops = case
+    got = la.largest_stable_subspace(F, ambient, ops)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ref.largest_stable_subspace_shrinking(F, ambient, ops))
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_echelon_basis_extend_and_reduce(data):
     F = field_create(*data.draw(st.sampled_from(FIELDS)))
-    n = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(0, 6))
     first = data.draw(matrices(F, data.draw(st.integers(0, 4)), n))
     second = data.draw(matrices(F, data.draw(st.integers(0, 4)), n))
     basis = la.EchelonBasis(F, la.zeros((0, n)))
@@ -417,6 +466,29 @@ def test_graded_codims_match_intersection_reference(data):
             graded_codims(model, rows)
         return
     assert graded_codims(model, rows) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rref_rank_nullspace_match_sympy(data):
+    """sympy's DomainMatrix over GF(3), GF(5) and GF(7) gives the same reduced
+    rows, pivots, rank and kernel basis (each row scaled to end in 1, as ours
+    is at its free column); its symmetric residues are read mod p."""
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    F, K = field_create(p), GF(p)
+    mat = data.draw(matrices(F, data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))))
+    dm = DomainMatrix([[K(int(x)) for x in row] for row in mat], mat.shape, K)
+
+    def codes(m):
+        return np.array([[int(x) % p for x in row] for row in m.to_list()],
+                        dtype=np.int64).reshape(m.shape)
+
+    red, pivots = la.rref(F, mat)
+    want_red, want_pivots = dm.rref()
+    assert np.array_equal(red, codes(want_red))
+    assert pivots == list(want_pivots)
+    assert la.rank(F, mat) == dm.rank()
+    assert np.array_equal(la.nullspace(F, mat), codes(dm.nullspace(divide_last=True)))
 
 
 def test_int64_bound_names_the_shape():

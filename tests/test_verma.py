@@ -1,5 +1,6 @@
 """Tests for baby Verma modules, their weight sets, and irreducibility."""
 
+import copy
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_verma as ref
+from reference_linalg import largest_stable_subspace_shrinking
 from superlie import linalg as la
 from superlie import verma
 from superlie.gf import field_create
@@ -26,6 +28,7 @@ from superlie.verma import (
     shift_lambda,
     standard_characters,
 )
+from tooling import baby_vermas
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -127,6 +130,16 @@ def test_lambda_set_rejects_non_identity_p_map(monkeypatch):
     monkeypatch.setattr(verma, "cartan_p_matrix", lambda g_: 2 * la.eye(g_.rank))
     with pytest.raises(verma.PMapNotIdentity):
         lambda_set(g, g.chi_zero())
+
+
+def test_cartan_p_matrix_rejects_p_map_leaving_the_cartan():
+    g = build_algebra("gl(2|1)", F3)
+    assert np.array_equal(verma.cartan_p_matrix(g), la.eye(g.rank))
+    h = copy.copy(g)
+    h.p_map = g.p_map.copy()
+    h.p_map[g.cartan[-1], g.dim - 1] = 1
+    with pytest.raises(RuntimeError, match="not closed under the p-th power map"):
+        verma.cartan_p_matrix(h)
 
 
 # ---------------------------------------------------------------------------
@@ -512,3 +525,17 @@ def test_ambient_matches_reference(label, p):
     if label == "osp(1|2)":
         # Berlekamp's test both certifies and refuses locality over GF(p^p)
         assert {(p ** p, False), (p ** p, True)} <= radical
+
+
+def test_gl21_p5_maximal_submodules_match_shrinking_reference():
+    """Every 5th of the 375 gl(2|1), p = 5 baby Vermas of the three standard
+    characters (the verma_sweep bench config, over GF(5) and GF(5^5)) gets
+    the same maximal-submodule rows from the transposed closure as from the
+    shrinking iteration."""
+    g = build_algebra("gl(2|1)", F5)
+    modules = [Z for chi in standard_characters(g).values() for Z in baby_vermas(g, chi)]
+    assert len(modules) == 375 and {Z.F.k for Z in modules} == {1, 5}
+    for Z in modules[::5]:
+        want = largest_stable_subspace_shrinking(
+            Z.F, Z.system._ambient_rows(Z.F), Z.all_action_matrices())
+        assert np.array_equal(Z.maximal_submodule(), want), Z.lam

@@ -66,14 +66,20 @@ def gl21_with_corrupt_reflection() -> RootSystem:
     return rs
 
 
-def simple_heads(g, chi):
-    """(field, action matrices, parity involution) of the head of every baby
-    Verma of chi, over its whole weight set, as the kw sweep harvests them."""
+def baby_vermas(g, chi):
+    """The baby Verma module of every weight of chi, over its weight set's field."""
     system = VermaSystem(g, chi)
     lset = lambda_set(g, chi)
     for lam in lset:
-        mats, parity_op = system.module(lam, lset.field).quotient_representation()
-        yield lset.field, mats, parity_op
+        yield system.module(lam, lset.field)
+
+
+def simple_heads(g, chi):
+    """(field, action matrices, parity involution) of the head of every baby
+    Verma of chi, over its whole weight set, as the kw sweep harvests them."""
+    for Z in baby_vermas(g, chi):
+        mats, parity_op = Z.quotient_representation()
+        yield Z.F, mats, parity_op
 
 
 def commutant_dims(solve, F: Field, action_matrices: Sequence[np.ndarray],
