@@ -15,11 +15,11 @@ The structure comes from whole arrays.  One product of the stacked basis
 matrices gives every M_i M_j: the supercommutators take their signs from
 the parities, and the supertrace form is read from the diagonals of the
 same products.  The p-th power map is the matrix p-th power on the even
-part, one power of a block-diagonal matrix.  One rref against the
-flattened basis gives the coordinates of every bracket and every p-th
-power.  ``validate`` checks super skew-symmetry, super Jacobi,
-restrictedness and an even, supersymmetric, invariant, nondegenerate form
-as identities between whole arrays.
+part, taken matrix by matrix.  One rref against the flattened basis gives
+the coordinates of every bracket and every p-th power.  ``validate``
+checks super skew-symmetry, super Jacobi, restrictedness and an even,
+supersymmetric, invariant, nondegenerate form as identities between whole
+arrays.
 
 The basis is ordered Cartan first, then positive root vectors by height,
 then negative root vectors in the mirrored order, which downstream modules
@@ -88,16 +88,14 @@ def _negate_where(F: Field, mask: np.ndarray, arr: np.ndarray) -> np.ndarray:
 
 
 def _pth_powers(F: Field, mats: np.ndarray, p: int) -> np.ndarray:
-    """The p-th power of every matrix of a stack (n, s, s), as one block-diagonal power."""
-    n, s, _ = mats.shape
-    idx = np.arange(n)
-    blocks = la.zeros((n, s, n, s))
-    blocks[idx, :, idx, :] = mats
-    diag = blocks.reshape(n * s, n * s)
-    out = diag
-    for _ in range(p - 1):
-        out = la.matmul(F, out, diag)
-    return out.reshape(n, s, n, s)[idx, :, idx, :]
+    """The p-th power of every matrix of a stack (n, s, s), one matrix at a time."""
+    powers = []
+    for m in mats:
+        out = m
+        for _ in range(p - 1):
+            out = la.matmul(F, out, m)
+        powers.append(out)
+    return np.array(powers, dtype=np.int64).reshape(mats.shape)
 
 
 def _normalize_label(type_label: str) -> tuple[str, str]:
@@ -127,13 +125,12 @@ class PCharacter:
             raise ValueError("a p-character must vanish on the odd part")
         self.values = vals
 
-    def value(self, coords: np.ndarray) -> int:
-        """chi applied to an element given by basis coordinates (a field code)."""
-        F = self.g.F
-        total = 0
-        for i in np.nonzero(coords)[0]:
-            total = F.add(total, F.mul(int(coords[i]), int(self.values[i])))
-        return total
+    def value(self, coords: np.ndarray) -> np.ndarray:
+        """chi on elements given by basis coordinates along the last axis, as
+        field codes."""
+        coords = np.asarray(coords)
+        flat = coords.reshape(-1, self.g.dim)
+        return la.matvec(self.g.F, flat, self.values).reshape(coords.shape[:-1])
 
     def is_zero(self) -> bool:
         return not self.values.any()
@@ -291,17 +288,17 @@ class LieSuperalgebra:
             raise RuntimeError(f"coroot normalization failed for {rs.labels[bad.argmax()]}")
         self.coroots = coroots  # row a: H_a for the root with index a
 
-    def coroot_value(self, F: Field, chi_or_lam: Sequence[int], root: int) -> int:
+    def coroot_value(self, F: Field, chi_or_lam: Sequence[int], root):
         """Pair Cartan-coordinate functional values (codes over F) against H_root.
 
-        Coroot coordinates lie in the prime subfield, so they pair unchanged
-        with values over any extension F of the base field.
+        ``root`` is one root index, giving a code, or an array of them,
+        giving an array of codes from one product.  Coroot coordinates lie in
+        the prime subfield, so they pair unchanged with values over any
+        extension F of the base field.
         """
-        H = self.coroots[root]
-        total = 0
-        for ci, lam_v in zip(self.cartan, chi_or_lam):
-            total = F.add(total, F.mul(int(H[ci]), int(lam_v)))
-        return total
+        H = self.coroots[np.atleast_1d(root)][:, self.cartan]
+        out = la.matvec(F, H, np.asarray(chi_or_lam, dtype=np.int64))
+        return int(out[0]) if np.ndim(root) == 0 else out
 
     # -- validation ------------------------------------------------------------
 
@@ -413,8 +410,8 @@ class LieSuperalgebra:
                 "chi must vanish on all root vectors (conjugation into standard form "
                 "is not supported)"
             )
-        lam = [int(chi.values[ci]) for ci in self.cartan]
-        return all(self.coroot_value(self.F, lam, root) != 0 for root in range(len(self.coroots)))
+        roots = np.arange(len(self.coroots))
+        return bool(self.coroot_value(self.F, chi.values[self.cartan], roots).all())
 
     def __repr__(self) -> str:
         return f"LieSuperalgebra({self.label}, {self.F!r})"

@@ -12,6 +12,18 @@ reduced enveloping algebra (engine order: negative root vectors, Cartan,
 positive root vectors) and then evaluating Cartan exponents at lambda and
 positive exponents at zero.
 
+Every operator is affine in lambda, rho_lambda(x) = C_0(x) +
+sum_i lambda(h_i) C_i(x) with fixed C_i over GF(p): straightening
+x . (m . v) moves the one letter x rightward through the negative letters
+of m, each bracket replaces x by one basis element, and brackets among
+negative letters, odd squares and p-th powers give negative letters or
+constants.  So a term carries at most one Cartan letter, which meets v as
+lambda(h_i).  A module evaluates its whole operator stack from the sparse
+(position, slot, code) triples of its system at once.  By PBW, Z is the
+coefficient algebra A = U_chi(n^-) as a left A-module, so the C_0 of the
+negative letters are A's faithful left-regular representation, free of
+lambda: A is commutative iff they pairwise commute.
+
 The weight lattice Lambda_chi = {lambda : lambda(h)^p - lambda(h^{[p]}) =
 chi(h)^p} is solved exactly.  On every supported algebra the p-map is the
 identity on the Cartan basis, so each coordinate t = lambda(h) solves the
@@ -43,9 +55,9 @@ ambient space that provably contains every proper submodule depends on chi:
     maximal ideal spanned by the shifted nonconstant monomials.  When
     chi = 0 on n^- the shift is zero and these are the plain monomials.
   * A commutative (rank-one supports in small algebras): let P be the
-    matrix of m -> m^p on the monomials, whose entries lie in GF(p).
-    Then a^(p^r) = 0 exactly when P^r a = 0, so the nilradical is the
-    kernel of P^r once p^r >= dim A.  A is local over GF(q) = GF(p^k) iff
+    matrix of m -> m^p on the monomials, read off the letters' operators;
+    its entries lie in GF(p).  Then a^(p^r) = 0 exactly when P^r a = 0, so
+    the nilradical is the kernel of P^r once p^r >= dim A.  A is local over GF(q) = GF(p^k) iff
     A/nilrad has a one-dimensional Berlekamp subalgebra, the kernel of
     Q - 1 for the q-th power map Q = P^k, and then every proper submodule
     lies inside nilrad . v.  The test needs Q and not P: P alone tests
@@ -107,15 +119,9 @@ def cartan_p_matrix(g: LieSuperalgebra) -> np.ndarray:
 def lambda_residual(g: LieSuperalgebra, F: Field, lam: Sequence[int],
                     chi_h: Sequence[int], P: np.ndarray) -> list[int]:
     """lambda(h_i)^p - lambda(h_i^{[p]}) - chi(h_i)^p per Cartan index."""
-    p, r = g.p, g.rank
-    out = []
-    for i in range(r):
-        total = F.pow_int(int(lam[i]), p)
-        for j in range(r):
-            if P[i, j]:
-                total = F.sub(total, F.mul(int(P[i, j]), int(lam[j])))
-        out.append(F.sub(total, F.pow_int(int(chi_h[i]), p)))
-    return out
+    lam = np.asarray(lam, dtype=np.int64)
+    lhs = F.sub_arr(F._frob[lam], la.matvec(F, P, lam))
+    return F.sub_arr(lhs, F._frob[np.asarray(chi_h, dtype=np.int64)]).tolist()
 
 
 class ArtinSchreierResult(NamedTuple):
@@ -202,10 +208,8 @@ def shift_lambda(F: Field, lam: Sequence[int], values: Sequence[int],
                  sign: int = 1) -> tuple[int, ...]:
     """lambda + sign * w on the Cartan, as field codes, for the values of w
     on the Cartan basis."""
-    out = []
-    for lv, wv in zip(lam, values):
-        out.append(F.add(int(lv), F.mul(sign % F.p, int(wv))))
-    return tuple(out)
+    shift = F.smul_arr(sign % F.p, np.asarray(values, dtype=np.int64))
+    return tuple(F.add_arr(np.asarray(lam, dtype=np.int64), shift).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +251,13 @@ class VermaSystem:
         self.basis = list(itertools.product(*[range(c) for c in self.caps]))
         self.index = {m: i for i, m in enumerate(self.basis)}
         self.dim = len(self.basis)
+        self.exponents = np.array(self.basis, dtype=np.int64).reshape(self.dim, self.N)
+        self.parities = self.exponents @ self.slot_parities & 1  # of each basis vector
         self.highest_index = self.index[(0,) * self.N]
         self.chi_h = [int(v) for v in chi.cartan_values()]
         self._P = cartan_p_matrix(g)
         self._templates: dict[tuple[int, tuple], tuple] = {}
-        self._mult_templates: dict[tuple[tuple, tuple], tuple] = {}
+        self._affine: Optional[tuple[np.ndarray, ...]] = None
         self._ambients: dict[Field, np.ndarray] = {}
 
     def template(self, gen_idx: int, mono: tuple) -> tuple:
@@ -276,34 +282,50 @@ class VermaSystem:
         self._templates[key] = out
         return out
 
-    def neg_product(self, m1: tuple, m2: tuple) -> tuple:
-        """Symbolic product (m1 . m2) inside U(n^-), as (monomial, code) pairs."""
-        key = (m1, m2)
-        hit = self._mult_templates.get(key)
-        if hit is not None:
-            return hit
-        N = self.N
-        pad = (0,) * (self.U.n_slots - N)
-        prod = self.U.multiply({m1 + pad: 1}, {m2 + pad: 1})
-        entries = []
-        for fm, code in prod.items():
-            if any(fm[N:]):
-                raise InvariantViolation("negative part is not closed under products")
-            entries.append((fm[:N], int(code)))
-        out = tuple(entries)
-        self._mult_templates[key] = out
-        return out
+    def _affine_template(self) -> tuple[np.ndarray, ...]:
+        """Every template entry as a sparse affine triple, flattened once.
+
+        Returns (positions, where, slots, codes): entry e adds
+        codes[e] * (1, lambda_1, ..., lambda_r)[slots[e]] at the flat index
+        positions[where[e]] of the (dim g, dim, dim) operator stack.
+        """
+        if self._affine is None:
+            n = self.dim
+            pos, slots, codes = [], [], []
+            for gen in range(self.g.dim):
+                for src, mono in enumerate(self.basis):
+                    for neg, cart, code in self.template(gen, mono):
+                        if sum(cart) > 1:
+                            raise InvariantViolation(f"the template of generator {gen} "
+                                                     "is not affine in lambda")
+                        pos.append((gen * n + self.index[neg]) * n + src)
+                        slots.append(cart.index(1) + 1 if any(cart) else 0)
+                        codes.append(code)
+            positions, where = np.unique(np.array(pos, dtype=np.int64), return_inverse=True)
+            self._affine = (positions, where, np.array(slots, dtype=np.int64),
+                            np.array(codes, dtype=np.int64))
+        return self._affine
+
+    def evaluate(self, F: Field, lam: Sequence[int]) -> np.ndarray:
+        """The read-only stack (dim g, dim, dim) of every generator's operator
+        on Z_chi(lam) over F: one gather of (1, lam), one product, and one sum
+        over repeated positions on the digit planes."""
+        positions, where, slots, codes = self._affine_template()
+        values = F.mul_arr(codes, np.array((1, *lam), dtype=np.int64)[slots])
+        digits = la.zeros((positions.size, F.k))
+        np.add.at(digits, where, F._digits[values])
+        stack = la.zeros(self.g.dim * self.dim ** 2)
+        stack[positions] = digits % F.p @ F._pows
+        stack = stack.reshape(self.g.dim, self.dim, self.dim)
+        stack.flags.writeable = False
+        return stack
 
     def _neg_chi_values(self) -> list[int]:
         return [int(self.chi.values[b]) for b in self.neg_indices]
 
     def _chi_kills_neg_brackets(self) -> bool:
-        chi = self.chi
-        for bi in self.neg_indices:
-            for bj in self.neg_indices:
-                if chi.value(self.g.bracket_tensor[bi, bj]):
-                    return False
-        return True
+        neg = self.neg_indices
+        return not self.chi.value(self.g.bracket_tensor[np.ix_(neg, neg)]).any()
 
     def _shifted_monomial_rows(self) -> np.ndarray:
         """Rows of prod_s (x_s - chi(x_s))^{e_s} for e != 0 in the PBW basis.
@@ -325,32 +347,30 @@ class VermaSystem:
             rows = np.kron(rows, np.array(T, dtype=np.int64)) % p
         return rows[1:]
 
-    def _coefficient_algebra_tables(self):
-        """Multiplication and p-th-power tables of A = U_chi(n^-) (prime codes)."""
-        mult = {}
-        commutative = True
-        for m1 in self.basis:
-            for m2 in self.basis:
-                mult[(m1, m2)] = self.neg_product(m1, m2)
-        for m1 in self.basis:
-            for m2 in self.basis:
-                if dict(mult[(m1, m2)]) != dict(mult[(m2, m1)]):
-                    commutative = False
-        powers = {}
-        for m in self.basis:
-            cur = {m: 1}
-            for _ in range(self.g.p - 1):
-                nxt: dict = {}
-                for mono, c in cur.items():
-                    for tgt, code in mult[(mono, m)]:
-                        v = (nxt.get(tgt, 0) + c * code) % self.g.p
-                        if v:
-                            nxt[tgt] = v
-                        elif tgt in nxt:
-                            del nxt[tgt]
-                cur = nxt
-            powers[m] = cur
-        return mult, powers, commutative
+    def _coefficient_algebra(self) -> tuple[np.ndarray, bool]:
+        """(P, commutative) for A = U_chi(n^-) from the letters' operators L_s:
+        L_m = L_1^{e_1} ... L_N^{e_N} carries the unit to m, and column m of
+        the p-th-power matrix P is L_m^p applied to the unit (prime codes)."""
+        positions, where, slots, _ = self._affine_template()
+        on_letters = np.isin(positions[where] // self.dim ** 2, self.neg_indices)
+        if slots[on_letters].any():
+            raise InvariantViolation("lambda enters the action of a negative root vector")
+        Fp, d, N = self.g.F, self.dim, self.N
+        L = self.evaluate(Fp, (0,) * self.g.rank)[self.neg_indices]
+        # one product: LL[s, :, t, :] = L_s L_t
+        LL = la.matmul(Fp, L.reshape(N * d, d), L.transpose(1, 0, 2).reshape(d, N * d))
+        LL = LL.reshape(N, d, N, d)
+        commutative = bool((LL == LL.transpose(2, 1, 0, 3)).all())
+        P = la.zeros((d, d))
+        P[self.highest_index] = 1  # every column starts at the unit of A
+        for rnd in range(self.g.p):  # column m: m, m^2, ..., m^p
+            for s in reversed(range(N)):  # the rightmost letter acts first
+                for e in range(1, self.caps[s]):
+                    cols = self.exponents[:, s] >= e
+                    P[:, cols] = la.matmul(Fp, L[s], P[:, cols])
+            if rnd == 0 and not np.array_equal(P, la.eye(d)):
+                raise InvariantViolation("the letters do not carry 1 to every PBW monomial")
+        return P, commutative
 
     def _commutative_radical_rows(self, F: Field) -> np.ndarray:
         """Nilradical of commutative A = U_chi(n^-), certified local.
@@ -363,17 +383,13 @@ class VermaSystem:
         with matrix P^k, and locality is certified by a one-dimensional
         Berlekamp subalgebra ker(P^k - 1) of A/nilrad.
         """
-        _, powers, commutative = self._coefficient_algebra_tables()
+        P, commutative = self._coefficient_algebra()
         if not commutative:
             raise RuntimeError(
                 "no certified maximal-submodule ambient: chi has constants in "
                 "odd squares and the coefficient algebra is noncommutative"
             )
         d = self.dim
-        P = la.zeros((d, d))
-        for t, m in enumerate(self.basis):
-            for tgt, code in powers[m].items():
-                P[self.index[tgt], t] = code
 
         def power(e: int) -> np.ndarray:
             out = P
@@ -434,43 +450,25 @@ class BabyVerma:
         self.basis = system.basis
         self.index = system.index
         self.highest_index = system.highest_index
-        self._action: dict[int, np.ndarray] = {}
+        self._stack: Optional[np.ndarray] = None
         self._max_submodule: Optional[np.ndarray] = None
         self._lowest: Optional[np.ndarray] = None
 
     # -- actions ---------------------------------------------------------------
 
-    def _evaluate_cartan(self, cart: tuple, code: int) -> int:
-        F = self.F
-        out = code % F.p  # prime-subfield code embeds unchanged
-        for lv, e in zip(self.lam, cart):
-            if e:
-                out = F.mul(out, F.pow_int(int(lv), e))
-        return out
+    def _operators(self) -> np.ndarray:
+        if self._stack is None:
+            self._stack = self.system.evaluate(self.F, self.lam)
+        return self._stack
 
     def action_matrix(self, gen_idx: int) -> np.ndarray:
-        M = self._action.get(gen_idx)
-        if M is not None:
-            return M
-        F = self.F
-        M = la.zeros((self.dim, self.dim))
-        for src, mono in enumerate(self.basis):
-            for neg, cart, code in self.system.template(gen_idx, mono):
-                c = self._evaluate_cartan(cart, code)
-                if c:
-                    tgt = self.index[neg]
-                    M[tgt, src] = F.add(int(M[tgt, src]), c)
-        self._action[gen_idx] = M
-        return M
+        return self._operators()[gen_idx]
 
     def all_action_matrices(self) -> list[np.ndarray]:
         return [self.action_matrix(i) for i in range(self.g.dim)]
 
     def act(self, gen_idx: int, vec: np.ndarray) -> np.ndarray:
         return la.matvec(self.F, self.action_matrix(gen_idx), vec)
-
-    def monomial_parity(self, mono: tuple) -> int:
-        return sum(e * sp for e, sp in zip(mono, self.system.slot_parities)) & 1
 
     # -- distinguished vectors -------------------------------------------------
 
@@ -527,16 +525,14 @@ class BabyVerma:
 
         Returns (matrices, parity involution).
         """
-        F = self.F
+        F, n = self.F, self.dim
         sub = la.EchelonBasis(F, self.maximal_submodule())
-        compl = [i for i in range(self.dim) if i not in sub.pivots]
-        # columns of each action matrix, projected along the submodule
-        mats = [sub.reduce(self.action_matrix(idx)[:, compl].T)[:, compl].T
-                for idx in range(self.g.dim)]
-        S = la.zeros((len(compl), len(compl)))
-        for i, j in enumerate(compl):
-            S[i, i] = F.neg(1) if self.monomial_parity(self.basis[j]) else 1
-        return mats, S
+        compl = np.delete(np.arange(n), sub.pivots)
+        # every generator's kept columns, projected along the submodule at once
+        kept = self._operators()[:, :, compl].transpose(0, 2, 1).reshape(-1, n)
+        reduced = sub.reduce(kept)[:, compl].reshape(self.g.dim, compl.size, compl.size)
+        S = np.diag(np.where(self.system.parities[compl], F.neg(1), 1))
+        return list(reduced.transpose(0, 2, 1)), S
 
     # -- verdicts --------------------------------------------------------------
 
@@ -635,7 +631,7 @@ def pairing_at(g: LieSuperalgebra, ss: SimpleSystem, lam: Sequence[int],
                F: Field) -> list[int]:
     """(lam | a) for every positive root a of ss, as codes over F, aligned
     with ``ss.positive_roots``."""
-    return [g.coroot_value(F, lam, a) for a in ss.positive_roots]
+    return g.coroot_value(F, lam, ss.positive_roots).tolist()
 
 
 def criterion_value(g: LieSuperalgebra, ss: SimpleSystem, lam: Sequence[int],

@@ -13,6 +13,14 @@ nilradical of a commutative coefficient algebra found through the p-th
 power map on GF(p)-digit coordinates, with the q-th powers of Berlekamp's
 test taken one scalar Frobenius at a time.
 
+``action_matrix`` is the per-entry loop that ``VermaSystem.evaluate``
+replaced: it walks the templates of one generator and evaluates each
+entry's Cartan exponents at lambda one scalar at a time.
+``coefficient_algebra_tables`` straightens every product of two monomials
+of A = U_chi(n^-) (``neg_product``) and iterates m -> m^p on those tables;
+``VermaSystem._coefficient_algebra`` now reads both off the letters'
+operators.
+
 The other functions check a baby Verma module from outside the pipeline:
 its defining relations on the action matrices, the simplicity of its head,
 its maximal submodule by brute force, and a module of Walls type Q built by
@@ -21,6 +29,7 @@ gluing a module to its parity shift.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Optional, Sequence
@@ -34,6 +43,7 @@ from superlie.verma import (
     BabyVerma,
     InvariantViolation,
     LambdaSet,
+    VermaSystem,
     cartan_p_matrix,
     lambda_residual,
 )
@@ -98,6 +108,80 @@ def lambda_set_scan(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> Lamb
     )
 
 
+def _evaluate_cartan(Z: BabyVerma, cart: tuple, code: int) -> int:
+    F = Z.F
+    out = code % F.p  # prime-subfield code embeds unchanged
+    for lv, e in zip(Z.lam, cart):
+        if e:
+            out = F.mul(out, F.pow_int(int(lv), e))
+    return out
+
+
+def action_matrix(Z: BabyVerma, gen_idx: int) -> np.ndarray:
+    """The operator of one generator on Z, summed entry by entry."""
+    F = Z.F
+    M = la.zeros((Z.dim, Z.dim))
+    for src, mono in enumerate(Z.basis):
+        for neg, cart, code in Z.system.template(gen_idx, mono):
+            c = _evaluate_cartan(Z, cart, code)
+            if c:
+                tgt = Z.index[neg]
+                M[tgt, src] = F.add(int(M[tgt, src]), c)
+    return M
+
+
+def neg_product(system: VermaSystem, m1: tuple, m2: tuple) -> tuple:
+    """Symbolic product (m1 . m2) inside U(n^-), as (monomial, code) pairs."""
+    N = system.N
+    pad = (0,) * (system.U.n_slots - N)
+    prod = system.U.multiply({m1 + pad: 1}, {m2 + pad: 1})
+    entries = []
+    for fm, code in prod.items():
+        if any(fm[N:]):
+            raise InvariantViolation("negative part is not closed under products")
+        entries.append((fm[:N], int(code)))
+    return tuple(entries)
+
+
+@functools.lru_cache(maxsize=8)
+def coefficient_algebra_tables(system: VermaSystem):
+    """Multiplication and p-th-power tables of A = U_chi(n^-) (prime codes)."""
+    mult = {}
+    commutative = True
+    for m1 in system.basis:
+        for m2 in system.basis:
+            mult[(m1, m2)] = neg_product(system, m1, m2)
+    for m1 in system.basis:
+        for m2 in system.basis:
+            if dict(mult[(m1, m2)]) != dict(mult[(m2, m1)]):
+                commutative = False
+    powers = {}
+    for m in system.basis:
+        cur = {m: 1}
+        for _ in range(system.g.p - 1):
+            nxt: dict = {}
+            for mono, c in cur.items():
+                for tgt, code in mult[(mono, m)]:
+                    v = (nxt.get(tgt, 0) + c * code) % system.g.p
+                    if v:
+                        nxt[tgt] = v
+                    elif tgt in nxt:
+                        del nxt[tgt]
+            cur = nxt
+        powers[m] = cur
+    return mult, powers, commutative
+
+
+def pth_power_matrix(system: VermaSystem) -> np.ndarray:
+    """Column t: the prime codes of basis[t]^p, from the tables."""
+    _, powers, _ = coefficient_algebra_tables(system)
+    P = la.zeros((system.dim, system.dim))
+    for t, m in enumerate(system.basis):
+        for tgt, code in powers[m].items():
+            P[system.index[tgt], t] = code
+    return P
+
+
 def ambient_rows(Z: BabyVerma) -> np.ndarray:
     """Rows of a space holding every proper submodule of Z, three ways."""
     if not any(Z.system._neg_chi_values()):
@@ -148,7 +232,7 @@ def commutative_radical_rows(Z: BabyVerma) -> np.ndarray:
     """
     F = Z.F
     p, k = F.p, F.k
-    mult, powers, commutative = Z.system._coefficient_algebra_tables()
+    mult, powers, commutative = coefficient_algebra_tables(Z.system)
     if not commutative:
         raise RuntimeError(
             "no certified maximal-submodule ambient: chi has constants in "
@@ -252,6 +336,21 @@ def verify_relations(Z: BabyVerma) -> dict:
             if not (powm == target).all():
                 failures.append(f"p-power({i})")
     return {"passed": not failures, "failures": failures[:10]}
+
+
+def quotient_representation(Z: BabyVerma) -> tuple[list[np.ndarray], np.ndarray]:
+    """Action matrices on Z / maximal submodule, one reduction per generator,
+    with the parity of each kept monomial summed from its letters."""
+    F = Z.F
+    sub = la.EchelonBasis(F, Z.maximal_submodule())
+    compl = [i for i in range(Z.dim) if i not in sub.pivots]
+    mats = [sub.reduce(action_matrix(Z, idx)[:, compl].T)[:, compl].T
+            for idx in range(Z.g.dim)]
+    S = la.zeros((len(compl), len(compl)))
+    for i, j in enumerate(compl):
+        parity = sum(e * sp for e, sp in zip(Z.basis[j], Z.system.slot_parities)) & 1
+        S[i, i] = F.neg(1) if parity else 1
+    return mats, S
 
 
 def certify_head(Z: BabyVerma, rng: Optional[np.random.Generator] = None,

@@ -175,8 +175,8 @@ def test_kw_pbw_violation_is_fail(monkeypatch, capsys):
 def test_kw_zero_quotient_is_fail(monkeypatch, capsys):
     # every element nilpotent: the radical is all of the coefficient algebra,
     # a broken invariant raised from inside the real radical computation
-    monkeypatch.setattr(VermaSystem, "_coefficient_algebra_tables",
-                        lambda self: ({}, {m: {} for m in self.basis}, True))
+    monkeypatch.setattr(VermaSystem, "_coefficient_algebra",
+                        lambda self: (np.zeros((self.dim, self.dim), dtype=np.int64), True))
     monkeypatch.setattr(BabyVerma, "maximal_submodule",
                         lambda self: self.system._commutative_radical_rows(self.F))
     assert main(["kw", "--type", "gl(1|1)", "--p", "3"]) == 1

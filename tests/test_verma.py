@@ -539,3 +539,100 @@ def test_gl21_p5_maximal_submodules_match_shrinking_reference():
         want = largest_stable_subspace_shrinking(
             Z.F, Z.system._ambient_rows(Z.F), Z.all_action_matrices())
         assert np.array_equal(Z.maximal_submodule(), want), Z.lam
+
+
+# ---------------------------------------------------------------------------
+# the operator stack and the coefficient algebra against the entry loops
+
+
+STACK_CASES = AMBIENT_CASES + [("gl(2|1)", 5), ("osp(2|2)", 5)]
+
+
+@pytest.mark.parametrize("label,p", STACK_CASES, ids=[f"{t}-p{p}" for t, p in STACK_CASES])
+def test_operator_stack_matches_entry_loop(label, p):
+    """Every operator of one evaluation of the affine template equals the
+    per-entry sum: every character of ``_ambient_characters`` and every
+    lambda at p = 3, a stride of lambda at p = 5, over GF(p) and GF(p^p)."""
+    g = build_algebra(label, field_create(p, 1))
+    stride = 1 if (label, p) in AMBIENT_CASES else 4
+    fields = set()
+    for chi in _ambient_characters(g):
+        ls = lambda_set(g, chi)
+        system = VermaSystem(g, chi)
+        for lam in ls.weights[::stride]:
+            Z = system.module(lam, ls.field)
+            mats = Z.all_action_matrices()
+            assert all(not m.flags.writeable for m in mats)
+            for i, m in enumerate(mats):
+                assert np.array_equal(m, ref.action_matrix(Z, i)), (chi.values, lam, i)
+            fields.add(ls.field.k)
+    assert fields == {1, p}
+
+
+def test_quotient_representation_matches_per_generator_reduction():
+    g = build_algebra("gl(2|1)", F3)
+    chis = [g.nilpotent_root_character("e1-e2"), g.chi_nonregular_nonzero(), g.chi_zero()]
+    for chi in chis:
+        for Z in baby_vermas(g, chi):
+            mats, S = Z.quotient_representation()
+            want, want_S = ref.quotient_representation(Z)
+            assert len(mats) == len(want) and np.array_equal(S, want_S), (chi.values, Z.lam)
+            assert all(np.array_equal(a, b) for a, b in zip(mats, want)), (chi.values, Z.lam)
+
+
+# (commutative, chi([n^-, n^-]) = 0) of the coefficient algebras of
+# ``_ambient_characters``; the radical path is (True, False)
+ALGEBRA_CLASSES = {"gl(1|1)": {(True, True)}, "osp(1|2)": {(True, True), (True, False)}}
+
+
+@pytest.mark.parametrize("label,p", STACK_CASES, ids=[f"{t}-p{p}" for t, p in STACK_CASES])
+def test_coefficient_algebra_matches_tables(label, p):
+    """The p-th-power matrix and the commutativity flag read off the letters'
+    operators equal those of the straightened multiplication tables."""
+    g = build_algebra(label, field_create(p, 1))
+    seen = set()
+    for chi in _ambient_characters(g):
+        system = VermaSystem(g, chi)
+        P, commutative = system._coefficient_algebra()
+        _, _, want = ref.coefficient_algebra_tables(system)
+        assert commutative == want, chi.values
+        assert np.array_equal(P, ref.pth_power_matrix(system)), chi.values
+        seen.add((commutative, system._chi_kills_neg_brackets()))
+    assert seen == ALGEBRA_CLASSES.get(label, {(False, True)})
+
+
+def _template_with(extra):
+    """A ``VermaSystem.template`` that appends ``extra(self, gen_idx, mono)``."""
+    template = VermaSystem.template
+
+    def patched(self, gen_idx, mono):
+        return template(self, gen_idx, mono) + extra(self, gen_idx, mono)
+    return patched
+
+
+@pytest.mark.parametrize("cart", [(1, 1), (2, 0)])
+def test_template_with_two_cartan_letters_raises(monkeypatch, cart):
+    g = build_algebra("gl(1|1)", F3)
+    monkeypatch.setattr(VermaSystem, "template", _template_with(
+        lambda self, i, mono: ((mono, cart, 1),) if i == self.pos_indices[0] else ()))
+    Z = VermaSystem(g, g.chi_zero()).module((1, 2))
+    with pytest.raises(InvariantViolation, match="not affine in lambda"):
+        Z.action_matrix(0)
+
+
+def test_lambda_on_a_negative_letter_raises(monkeypatch):
+    g = build_algebra("osp(1|2)", F3)
+    monkeypatch.setattr(VermaSystem, "template", _template_with(
+        lambda self, i, mono: ((mono, (1,), 1),) if i == self.neg_indices[-1] else ()))
+    system = VermaSystem(g, g.nilpotent_root_character("2d1"))
+    system.module((0,)).all_action_matrices()  # the stack itself is well defined
+    with pytest.raises(InvariantViolation, match="lambda enters the action"):
+        system._coefficient_algebra()
+
+
+def test_letters_that_miss_a_monomial_raise(monkeypatch):
+    g = build_algebra("gl(1|1)", F3)
+    evaluate = VermaSystem.evaluate
+    monkeypatch.setattr(VermaSystem, "evaluate", lambda self, F, lam: evaluate(self, F, lam) * 0)
+    with pytest.raises(InvariantViolation, match="do not carry 1 to every PBW monomial"):
+        VermaSystem(g, g.chi_zero())._coefficient_algebra()
