@@ -54,17 +54,17 @@ ambient space that provably contains every proper submodule depends on chi:
     powers, so the PBW coefficient algebra A = U_chi(n^-) is local with
     maximal ideal spanned by the shifted nonconstant monomials.  When
     chi = 0 on n^- the shift is zero and these are the plain monomials.
-  * A commutative (rank-one supports in small algebras): let P be the
-    matrix of m -> m^p on the monomials, read off the letters' operators;
-    its entries lie in GF(p).  Then a^(p^r) = 0 exactly when P^r a = 0, so
-    the nilradical is the kernel of P^r once p^r >= dim A.  A is local over GF(q) = GF(p^k) iff
-    A/nilrad has a one-dimensional Berlekamp subalgebra, the kernel of
-    Q - 1 for the q-th power map Q = P^k, and then every proper submodule
-    lies inside nilrad . v.  The test needs Q and not P: P alone tests
-    locality over GF(p), and a residue field GF(p^e) of A stays a field
-    over GF(q) only when gcd(e, k) = 1.  The residue fields reached today
-    are GF(p) and GF(p^2) (osp(1|2) with chi on X_{-2delta}), and k is 1
-    or the odd prime p, so the two tests agree there and the reference
+  * A commutative (rank-one supports in small algebras): let P be the matrix
+    of m -> m^p on the monomials, read off the letters' operators; its
+    entries lie in GF(p).  Then a^(p^r) = 0 exactly when P^r a = 0, so the
+    nilradical is the kernel of P^r once p^r >= dim A.  A is local over
+    GF(q) = GF(p^k) iff A/nilrad has a one-dimensional Berlekamp subalgebra,
+    the kernel of Q - 1 for the q-th power map Q = P^k, and then every
+    proper submodule lies inside nilrad . v.  The test needs Q and not P: P
+    alone tests locality over GF(p), and a residue field GF(p^e) of A stays
+    a field over GF(q) only when gcd(e, k) = 1.  The residue fields reached
+    today are GF(p) and GF(p^2) (osp(1|2) with chi on X_{-2delta}), and k is
+    1 or the odd prime p, so the two tests agree there and the reference
     oracle cannot tell them apart.
 
 Each strategy certifies its own applicability and raises otherwise.
