@@ -49,9 +49,9 @@ from .liesuper import LieSuperalgebra, PCharacter, _normalize_label, build_algeb
 from .rootsys import InvariantViolation, build_root_system
 from .verma import (
     ExtensionCapExceeded,
-    VermaSystem,
+    IncompatibleBorel,
+    VermaLedger,
     agreement_sweep,
-    lambda_set,
     proportionality_report,
     reflection_report,
     semisimplicity_check,
@@ -166,15 +166,21 @@ def _rng(cfg: ExperimentConfig, check: str) -> np.random.Generator:
 # the individual checks; each returns (passed, report-dict)
 
 
-def check_verma(g, chis, cfg):
+def _passed(reports, test) -> bool:
+    """Sets each report's ``passed`` to ``test(report)``; True when all pass."""
+    for rep in reports:
+        rep["passed"] = test(rep)
+    return all(rep["passed"] for rep in reports)
+
+
+def check_verma(g, ledgers):
+    expected = g.p ** g.rank
     per_chi = []
-    ok = True
-    for spec, chi in chis:
-        sweep = agreement_sweep(g, chi, k_max=cfg.k_max)
-        expected = g.p ** g.rank
-        entry = {
+    for spec, ledger in ledgers:
+        sweep = agreement_sweep(ledger)
+        per_chi.append({
             "chi": spec,
-            "chi_cartan": list(chi.cartan_values()),
+            "chi_cartan": sweep["chi"],
             "k": sweep["k"],
             "lambda_count": sweep["lambda_count"],
             "lambda_count_expected": expected,
@@ -182,63 +188,47 @@ def check_verma(g, chis, cfg):
             "irreducible_count": sum(
                 v["irreducible_oracle"] for v in sweep["verdicts"]),
             "discrepancies": sweep["discrepancies"],
-        }
-        ok = ok and sweep["all_agree"] and sweep["lambda_count"] == expected
-        per_chi.append(entry)
+        })
+    ok = all(e["all_agree"] and e["lambda_count"] == expected for e in per_chi)
     return ok, {"characters": per_chi}
 
 
-def check_phi(g, chis, cfg):
-    per_chi = []
-    ok = True
-    for spec, chi in chis:
-        rep = proportionality_report(VermaSystem(g, chi),
-                                     lambda_set(g, chi, cfg.k_max))
-        rep = dict(rep, chi=spec)
-        good = rep["single_constant"] and rep["vanishing_match"] and (
-            rep["constant"] is None or rep["constant"] != 0)
-        rep["passed"] = good
-        ok = ok and good
-        per_chi.append(rep)
+def check_phi(g, ledgers):
+    per_chi = [dict(proportionality_report(ledger), chi=spec) for spec, ledger in ledgers]
+    ok = _passed(per_chi, lambda rep: (rep["single_constant"] and rep["vanishing_match"]
+                                       and rep["constant"] != 0))
     return ok, {"characters": per_chi}
 
 
-def check_reflect(g, chis, cfg):
+def check_reflect(g, ledgers):
     report = {"simple_system_count": len(g.rs.all_simple_systems()), "characters": []}
     ok = True
-    for spec, chi in chis:
-        if not chi.is_standard_form():
+    for spec, ledger in ledgers:
+        if not ledger.chi.is_standard_form():
             report["characters"].append({"chi": spec, "skipped": "nonstandard chi"})
             continue
-        for delta in g.distinguished.simple_roots:
-            rep = reflection_report(g, chi, delta, k_max=cfg.k_max)
-            rep = dict(rep, chi=spec)
-            good = (rep["singular_vectors_ok"]
-                    and rep["module_shift_single_constant"]
-                    and rep["module_shift_vanishing_match"]
-                    and rep["product_single_constant"])
-            rep["passed"] = good
-            ok = ok and good
-            report["characters"].append(rep)
+        reps = [dict(reflection_report(ledger, delta), chi=spec)
+                for delta in g.distinguished.simple_roots]
+        ok = _passed(reps, lambda rep: (rep["singular_vectors_ok"]
+                                        and rep["module_shift_single_constant"]
+                                        and rep["module_shift_vanishing_match"]
+                                        and rep["product_single_constant"])) and ok
+        report["characters"] += reps
     return ok, report
 
 
 def check_sym(g, chis, cfg):
     rng = _rng(cfg, "sym")
     per_chi = []
-    ok = True
     for spec, chi in chis:
         cent = g.centralizer(chi)
         divisor = g.p ** cent.d0 * 2 ** cent.d1
         S = reduced_symmetric(g, chi)
         rep = ideal_survey(S, divisor, (cent.d0, cent.d1),
                            seeds=cfg.samples, rng=rng)
-        rep = dict(rep, chi=spec)
-        good = (rep["largest_ideal_codim"] == divisor
-                and rep["all_closures_divisible"])
-        rep["passed"] = good
-        ok = ok and good
-        per_chi.append(rep)
+        per_chi.append(dict(rep, chi=spec))
+    ok = _passed(per_chi, lambda rep: (rep["largest_ideal_codim"] == rep["divisor"]
+                                       and rep["all_closures_divisible"]))
     return ok, {"characters": per_chi}
 
 
@@ -305,8 +295,8 @@ def check_family(g, chis, cfg):
     return ok, rep
 
 
-def check_kw(g, chis, cfg, out_dir=None):
-    reports = verify_superkw_sweep(g, [chi for _, chi in chis], k_max=cfg.k_max)
+def check_kw(g, ledgers, out_dir=None):
+    reports = verify_superkw_sweep([ledger for _, ledger in ledgers])
     if out_dir is not None:
         write_jsonl(reports, os.path.join(out_dir, "kw.jsonl"))
     ok = all(rep.skipped is not None or (rep.all_divisible and rep.accounting_ok)
@@ -317,14 +307,14 @@ def check_kw(g, chis, cfg, out_dir=None):
     }
 
 
-def check_semisimple(g, chis, cfg):
+def check_semisimple(g, ledgers):
     per_chi = []
     ok = True
-    for spec, chi in chis:
-        if not chi.is_standard_form():
+    for spec, ledger in ledgers:
+        if not ledger.chi.is_standard_form():
             per_chi.append({"chi": spec, "skipped": "nonstandard chi"})
             continue
-        rep = dict(semisimplicity_check(g, chi, k_max=cfg.k_max), chi=spec)
+        rep = dict(semisimplicity_check(ledger), chi=spec)
         ok = ok and rep["verdict_matches"]
         per_chi.append(rep)
     return ok, {"characters": per_chi}
@@ -343,6 +333,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     chis = [(spec, resolve_chi(g, spec)) for spec in cfg.chi_specs]
+    # the Verma checks of this run share one ledger per character
+    ledgers = [(spec, VermaLedger(g, chi, cfg.k_max)) for spec, chi in chis]
     bundle = {"config": {
         "algebra": cfg.algebra, "p": cfg.p, "k_max": cfg.k_max,
         "chi": list(cfg.chi_specs), "checks": list(cfg.checks),
@@ -351,23 +343,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     lines = []
     all_ok = True
     runners = {
-        "verma": check_verma,
-        "phi": check_phi,
-        "reflect": check_reflect,
-        "sym": check_sym,
-        "coinduced": check_coinduced,
-        "family": check_family,
-        "kw": lambda g_, c_, f_: check_kw(g_, c_, f_, out_dir),
-        "semisimple": check_semisimple,
+        "verma": lambda: check_verma(g, ledgers),
+        "phi": lambda: check_phi(g, ledgers),
+        "reflect": lambda: check_reflect(g, ledgers),
+        "sym": lambda: check_sym(g, chis, cfg),
+        "coinduced": lambda: check_coinduced(g, chis, cfg),
+        "family": lambda: check_family(g, chis, cfg),
+        "kw": lambda: check_kw(g, ledgers, out_dir),
+        "semisimple": lambda: check_semisimple(g, ledgers),
     }
     for name in CHECK_ORDER:
         if name not in cfg.checks:
             continue
         try:
-            ok, rep = runners[name](g, chis, cfg)
+            ok, rep = runners[name]()
         except InvariantViolation as exc:
             ok, rep = False, {"invariant_violation": str(exc)}
-        except ExtensionCapExceeded as exc:
+        except (ExtensionCapExceeded, IncompatibleBorel) as exc:
             raise UsageError(str(exc))
         bundle[name] = {"passed": ok, "report": rep}
         lines.append(f"{name:<12} {'PASS' if ok else 'FAIL'}")

@@ -23,12 +23,8 @@ from typing import Optional, Sequence
 
 from .liesuper import LieSuperalgebra, PCharacter
 from .rootsys import InvariantViolation
-from .verma import (  # noqa: F401 (walls_type re-exported)
-    VermaSystem,
-    head_of,
-    lambda_set,
-    walls_type,
-)
+from .verma import BabyVerma, IncompatibleBorel, VermaLedger
+from .verma import walls_type  # noqa: F401 (re-exported)
 
 
 def kw_divisor(g: LieSuperalgebra, chi: PCharacter) -> int:
@@ -103,34 +99,33 @@ class KWReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def verify_superkw_sweep(g: LieSuperalgebra, chi_list: Sequence[PCharacter],
-                         k_max: int = 8) -> list[KWReport]:
-    """One KWReport per chi, harvesting heads over the whole weight set.
+def verify_superkw_sweep(ledgers: Sequence[VermaLedger]) -> list[KWReport]:
+    """One KWReport per ledger's chi, harvesting heads over the whole weight set.
 
     The sweep is deterministic: weight sets are enumerated in sorted
     order and each report's entries are sorted by lambda.
     """
     reports = []
-    for chi in chi_list:
+    for ledger in ledgers:
+        g, chi = ledger.g, ledger.chi
         try:
-            system = VermaSystem(g, chi)
-        except ValueError as exc:
-            rep = KWReport(g, chi, skipped=f"no compatible Borel: {exc}")
-            reports.append(rep)
+            system = ledger.system
+        except IncompatibleBorel as exc:
+            reports.append(KWReport(g, chi, skipped=f"no compatible Borel: {exc}"))
             continue
         rep = KWReport(g, chi)
-        lset = lambda_set(g, chi, k_max)
+        lset = ledger.lset
+        # on standard chi the closure oracle, computed apart, must agree with the head
+        facts = ((BabyVerma.head, BabyVerma.is_irreducible_oracle) if chi.is_standard_form()
+                 else (BabyVerma.head,))
         try:
             for lam in lset:
-                Z = system.module(lam, lset.field)
-                hdim, wtype = head_of(Z)
-                if chi.is_standard_form():
-                    # closure-of-lowest oracle must agree with the head
-                    if Z.is_irreducible_oracle() != (hdim == Z.dim):
-                        raise InvariantViolation(
-                            f"head/oracle disagreement on standard chi at lambda = "
-                            f"{list(lam)} over {lset.field!r}: head dim {hdim} of {Z.dim}"
-                        )
+                (hdim, wtype), *oracle = ledger.facts(lam, *facts)
+                if oracle and oracle[0] != (hdim == system.dim):
+                    raise InvariantViolation(
+                        f"head/oracle disagreement on standard chi at lambda = "
+                        f"{list(lam)} over {lset.field!r}: head dim {hdim} of {system.dim}"
+                    )
                 rep.add_head(lam, hdim, wtype)
         except RuntimeError as exc:
             reports.append(KWReport(g, chi, skipped=str(exc)))

@@ -68,6 +68,10 @@ ambient space that provably contains every proper submodule depends on chi:
     oracle cannot tell them apart.
 
 Each strategy certifies its own applicability and raises otherwise.
+
+The reports of one run read a ``VermaLedger`` per (chi, simple system),
+which computes the system, the weight set and each module's phi, criterion
+value, oracle verdict and head (dimension, Walls type) at most once.
 """
 
 from __future__ import annotations
@@ -117,11 +121,13 @@ def cartan_p_matrix(g: LieSuperalgebra) -> np.ndarray:
 
 
 def lambda_residual(g: LieSuperalgebra, F: Field, lam: Sequence[int],
-                    chi_h: Sequence[int], P: np.ndarray) -> list[int]:
-    """lambda(h_i)^p - lambda(h_i^{[p]}) - chi(h_i)^p per Cartan index."""
+                    chi_h: Sequence[int], P: np.ndarray) -> np.ndarray:
+    """lambda(h_i)^p - lambda(h_i^{[p]}) - chi(h_i)^p per Cartan index, for
+    one weight or for each row of an array of weights (one product)."""
     lam = np.asarray(lam, dtype=np.int64)
-    lhs = F.sub_arr(F._frob[lam], la.matvec(F, P, lam))
-    return F.sub_arr(lhs, F._frob[np.asarray(chi_h, dtype=np.int64)]).tolist()
+    rows = lam.reshape(-1, lam.shape[-1])
+    lhs = F.sub_arr(F._frob[rows], la.matmul(F, rows, P.T))
+    return F.sub_arr(lhs, F._frob[np.asarray(chi_h, dtype=np.int64)]).reshape(lam.shape)
 
 
 class ArtinSchreierResult(NamedTuple):
@@ -167,6 +173,10 @@ class ExtensionCapExceeded(RuntimeError):
     """The weight set needs a field of degree above ``k_max``."""
 
 
+class IncompatibleBorel(ValueError):
+    """chi does not vanish on the positive nilradical of the simple system."""
+
+
 def lambda_set(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> LambdaSet:
     """Solve the weight equations coordinate by coordinate (Artin-Schreier).
 
@@ -198,9 +208,8 @@ def lambda_set(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> LambdaSet
     weights = list(itertools.product(*roots))
     if len(weights) != p ** r:
         raise RuntimeError("weight enumeration lost solutions")
-    for lam in weights:
-        if any(lambda_residual(g, F, lam, chi_h, P)):
-            raise RuntimeError("weight fails its defining equation")
+    if lambda_residual(g, F, weights, chi_h, P).any():
+        raise RuntimeError("weight fails its defining equation")
     return LambdaSet(F, weights)
 
 
@@ -238,7 +247,7 @@ class VermaSystem:
         for a in self.positives:
             idx = g.root_index[a]
             if chi.values[idx]:
-                raise ValueError(
+                raise IncompatibleBorel(
                     f"chi does not vanish on the positive root vector X_{g.rs.labels[a]}"
                 )
         # engine slots: X_{-alpha_N}, ..., X_{-alpha_1}, Cartan, X_{alpha_1}, ...
@@ -304,6 +313,7 @@ class VermaSystem:
             positions, where = np.unique(np.array(pos, dtype=np.int64), return_inverse=True)
             self._affine = (positions, where, np.array(slots, dtype=np.int64),
                             np.array(codes, dtype=np.int64))
+            self._templates.clear()  # a system kept for a run holds only the arrays
         return self._affine
 
     def evaluate(self, F: Field, lam: Sequence[int]) -> np.ndarray:
@@ -431,7 +441,7 @@ class VermaSystem:
     def module(self, lam: Sequence[int], field: Optional[Field] = None) -> "BabyVerma":
         F = field if field is not None else self.g.F
         lam = tuple(int(v) % F.q for v in lam)
-        if any(lambda_residual(self.g, F, lam, self.chi_h, self._P)):
+        if lambda_residual(self.g, F, lam, self.chi_h, self._P).any():
             raise ValueError("lambda violates lambda(h)^p - lambda(h^[p]) = chi(h)^p")
         return BabyVerma(self, lam, F)
 
@@ -456,16 +466,14 @@ class BabyVerma:
 
     # -- actions ---------------------------------------------------------------
 
-    def _operators(self) -> np.ndarray:
+    def operators(self) -> np.ndarray:
+        """The read-only (dim g, dim, dim) stack of every generator's operator."""
         if self._stack is None:
             self._stack = self.system.evaluate(self.F, self.lam)
         return self._stack
 
     def action_matrix(self, gen_idx: int) -> np.ndarray:
-        return self._operators()[gen_idx]
-
-    def all_action_matrices(self) -> list[np.ndarray]:
-        return [self.action_matrix(i) for i in range(self.g.dim)]
+        return self.operators()[gen_idx]
 
     def act(self, gen_idx: int, vec: np.ndarray) -> np.ndarray:
         return la.matvec(self.F, self.action_matrix(gen_idx), vec)
@@ -503,18 +511,16 @@ class BabyVerma:
 
     # -- submodules ------------------------------------------------------------
 
-    def submodule_closure(self, rows: np.ndarray) -> np.ndarray:
-        return la.closure_under_operators(self.F, rows, self.all_action_matrices())
-
     def is_irreducible_oracle(self) -> bool:
-        closed = self.submodule_closure(self.lowest_vector()[None, :])
+        closed = la.closure_under_operators(self.F, self.lowest_vector()[None, :],
+                                            self.operators())
         return closed.shape[0] == self.dim
 
     def maximal_submodule(self) -> np.ndarray:
         """Echelon rows of the unique maximal proper submodule."""
         if self._max_submodule is None:
             self._max_submodule = la.largest_stable_subspace(
-                self.F, self.system._ambient_rows(self.F), self.all_action_matrices())
+                self.F, self.system._ambient_rows(self.F), self.operators())
         return self._max_submodule
 
     def head_dim(self) -> int:
@@ -529,31 +535,20 @@ class BabyVerma:
         sub = la.EchelonBasis(F, self.maximal_submodule())
         compl = np.delete(np.arange(n), sub.pivots)
         # every generator's kept columns, projected along the submodule at once
-        kept = self._operators()[:, :, compl].transpose(0, 2, 1).reshape(-1, n)
+        kept = self.operators()[:, :, compl].transpose(0, 2, 1).reshape(-1, n)
         reduced = sub.reduce(kept)[:, compl].reshape(self.g.dim, compl.size, compl.size)
         S = np.diag(np.where(self.system.parities[compl], F.neg(1), 1))
         return list(reduced.transpose(0, 2, 1)), S
+
+    def head(self) -> tuple[int, str]:
+        """(head dimension, Walls type) via the certified maximal submodule."""
+        mats, parity_op = self.quotient_representation()
+        return self.head_dim(), walls_type(self.F, mats, parity_op, list(self.g.parities))
 
     # -- verdicts --------------------------------------------------------------
 
     def criterion_value(self) -> int:
         return criterion_value(self.g, self.ss, self.lam, self.F)
-
-    def verdict(self) -> dict:
-        phi_m = self.phi_via_module()
-        phi_c = self.criterion_value()
-        return {
-            "algebra": self.g.label,
-            "p": self.g.p,
-            "k": self.F.k,
-            "chi": list(self.chi.cartan_values()),
-            "lambda": list(self.lam),
-            "dimZ": self.dim,
-            "phi_module": phi_m,
-            "phi_product": phi_c,
-            "irreducible_oracle": self.is_irreducible_oracle(),
-            "irreducible_criterion": phi_c != 0,
-        }
 
     # -- reflection helpers ----------------------------------------------------
 
@@ -615,14 +610,6 @@ def walls_type(F: Field, action_matrices: Sequence[np.ndarray],
     return "Q" if odd else "M"
 
 
-def head_of(Z: BabyVerma) -> tuple[int, str]:
-    """(head dimension, Walls type) via the certified maximal submodule."""
-    mats, parity_op = Z.quotient_representation()
-    hdim = mats[0].shape[0]
-    wtype = walls_type(Z.F, mats, parity_op, list(Z.g.parities))
-    return hdim, wtype
-
-
 # ---------------------------------------------------------------------------
 # the product criterion
 
@@ -649,6 +636,57 @@ def phi_prime_value(g: LieSuperalgebra, ss: SimpleSystem, lam: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
+# the ledger: each module's facts, computed once per run
+
+
+def _recall(memo: dict, key, compute):
+    """memo[key], computed on first use; a computation that raised raises the
+    same exception again."""
+    if key not in memo:
+        try:
+            memo[key] = compute()
+        except Exception as exc:
+            memo[key] = exc
+    if isinstance(memo[key], Exception):
+        raise memo[key]
+    return memo[key]
+
+
+class VermaLedger:
+    """One run's facts about every Z_chi(lambda) over one (chi, simple system).
+
+    The system, the weight set (given when another system's ledger already
+    holds it) and each module's scalar facts are computed on first request;
+    a module is built only for a missing fact and dropped with its lambda.
+    """
+
+    def __init__(self, g: LieSuperalgebra, chi: PCharacter, k_max: int = 8, *,
+                 ss: Optional[SimpleSystem] = None, lset: Optional[LambdaSet] = None):
+        self.g, self.chi, self.k_max = g, chi, k_max
+        self.ss = ss if ss is not None else g.distinguished
+        self._memo: dict = {} if lset is None else {"lset": lset}
+        self._facts: dict[tuple, dict] = {}
+
+    @property
+    def system(self) -> VermaSystem:
+        return _recall(self._memo, "system", lambda: VermaSystem(self.g, self.chi, self.ss))
+
+    @property
+    def lset(self) -> LambdaSet:
+        return _recall(self._memo, "lset", lambda: lambda_set(self.g, self.chi, self.k_max))
+
+    def module(self, lam: tuple) -> BabyVerma:
+        """Z(lam) for a weight of the set, which needs no second check."""
+        return BabyVerma(self.system, lam, self.lset.field)
+
+    def facts(self, lam: tuple, *methods) -> list:
+        """The values at Z(lam) of the given scalar ``BabyVerma`` methods."""
+        memo = self._facts.setdefault(lam, {})
+        Z = None if all(m in memo for m in methods) else self.module(lam)
+        return [_recall(memo, m, lambda: m(Z)) for m in methods]
+
+
+# ---------------------------------------------------------------------------
 # sweeps and reports
 
 
@@ -671,22 +709,20 @@ def _proportionality(F: Field, pairs) -> tuple[Optional[int], bool, bool]:
     return constant, single, vanish
 
 
-def proportionality_report(system: VermaSystem, lset: LambdaSet) -> dict:
+def proportionality_report(ledger: VermaLedger) -> dict:
     """phi_via_module vs the criterion product across every lambda.
 
     The two must vanish together, and on the common support their ratio
     must be one fixed nonzero constant.
     """
-    F = lset.field
-    pairs = []
-    for lam in lset:
-        Z = system.module(lam, F)
-        pairs.append((Z.phi_via_module(), Z.criterion_value()))
-    constant, single, vanish = _proportionality(F, pairs)
+    system, lset = ledger.system, ledger.lset
+    pairs = [ledger.facts(lam, BabyVerma.phi_via_module, BabyVerma.criterion_value)
+             for lam in lset]
+    constant, single, vanish = _proportionality(lset.field, pairs)
     return {
         "algebra": system.g.label,
         "p": system.g.p,
-        "chi": list(system.chi.cartan_values()),
+        "chi": list(ledger.chi.cartan_values()),
         "constant": constant,
         "single_constant": single,
         "vanishing_match": vanish,
@@ -694,28 +730,22 @@ def proportionality_report(system: VermaSystem, lset: LambdaSet) -> dict:
     }
 
 
-def agreement_sweep(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> dict:
+def agreement_sweep(ledger: VermaLedger) -> dict:
     """Oracle vs criterion over the full weight set of one character."""
-    system = VermaSystem(g, chi)
-    lset = lambda_set(g, chi, k_max)
+    g, system, lset = ledger.g, ledger.system, ledger.lset
+    common = {"algebra": g.label, "p": g.p, "k": lset.k, "chi": list(ledger.chi.cartan_values())}
     verdicts = []
-    discrepancies = []
     for lam in lset:
-        Z = system.module(lam, lset.field)
-        v = Z.verdict()
-        verdicts.append(v)
-        if v["irreducible_oracle"] != v["irreducible_criterion"]:
-            discrepancies.append(v)
-    return {
-        "algebra": g.label,
-        "p": g.p,
-        "k": lset.k,
-        "chi": list(chi.cartan_values()),
-        "lambda_count": len(lset),
-        "verdicts": verdicts,
-        "discrepancies": discrepancies,
-        "all_agree": not discrepancies,
-    }
+        phi_m, phi_c, oracle = ledger.facts(lam, BabyVerma.phi_via_module,
+                                            BabyVerma.criterion_value,
+                                            BabyVerma.is_irreducible_oracle)
+        verdicts.append({**common, "lambda": list(lam), "dimZ": system.dim,
+                         "phi_module": phi_m, "phi_product": phi_c,
+                         "irreducible_oracle": oracle, "irreducible_criterion": phi_c != 0})
+    discrepancies = [v for v in verdicts
+                     if v["irreducible_oracle"] != v["irreducible_criterion"]]
+    return {**common, "lambda_count": len(lset), "verdicts": verdicts,
+            "discrepancies": discrepancies, "all_agree": not discrepancies}
 
 
 def standard_characters(g: LieSuperalgebra) -> dict:
@@ -736,45 +766,27 @@ def standard_characters(g: LieSuperalgebra) -> dict:
     return out
 
 
-def semisimplicity_check(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> dict:
+def semisimplicity_check(ledger: VermaLedger) -> dict:
     """Semisimplicity of U_chi via the full Verma sweep.
 
     Semisimple iff every baby Verma is irreducible and the Wedderburn
     dimension count matches: sum over lambda of (dim head)^2 weighted by 1
     for type M and 1/2 for type Q equals dim U_chi = p^{n0} 2^{n1}.
     """
+    g, chi = ledger.g, ledger.chi
     if not chi.is_standard_form():
         raise ValueError("the semisimplicity sweep needs chi in standard form")
-    system = VermaSystem(g, chi)
-    lset = lambda_set(g, chi, k_max)
-    F = lset.field
-    dims = []
-    types = []
-    all_irred = True
-    for lam in lset:
-        Z = system.module(lam, F)
-        if Z.is_irreducible_oracle():
-            dims.append(Z.dim)
-            types.append(head_of(Z)[1])
-        else:
-            all_irred = False
-            dims.append(Z.head_dim())
-            types.append(None)
+    system, lset = ledger.system, ledger.lset
+    facts = [ledger.facts(lam, BabyVerma.is_irreducible_oracle, BabyVerma.head) for lam in lset]
+    all_irred = all(oracle for oracle, _ in facts)
+    dims = [system.dim if oracle else hdim for oracle, (hdim, _) in facts]
+    types = [wtype if oracle else None for oracle, (_, wtype) in facts]
     target = g.p ** g.dim_even * 2 ** g.dim_odd
+    halves = sum(d * d for d, t in zip(dims, types) if t == "Q")
     accounted = None
-    sum_matches = False
-    if all_irred:
-        total = 0
-        halves = 0
-        for d, t in zip(dims, types):
-            if t == "Q":
-                halves += d * d
-            else:
-                total += d * d
-        if halves % 2 == 0:
-            accounted = total + halves // 2
-            sum_matches = accounted == target
-    verdict = all_irred and sum_matches
+    if all_irred and halves % 2 == 0:
+        accounted = sum(d * d for d, t in zip(dims, types) if t != "Q") + halves // 2
+    verdict = all_irred and accounted == target
     expected = g.is_regular_semisimple(chi)
     return {
         "algebra": g.label,
@@ -796,8 +808,7 @@ def semisimplicity_check(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) ->
 _REFLECTION_SHIFT = {"type_i": 1, "type_ii": -1, "type_iii": 1}
 
 
-def reflection_report(g: LieSuperalgebra, chi: PCharacter, delta: int,
-                      k_max: int = 8) -> dict:
+def reflection_report(ledger: VermaLedger, delta: int) -> dict:
     """Everything the simple reflection at delta must satisfy.
 
     * the singular vector in Z(lambda) for the reflected system is nonzero
@@ -808,35 +819,31 @@ def reflection_report(g: LieSuperalgebra, chi: PCharacter, delta: int,
       lambda, with matching vanishing sets;
     * the unshifted products of the two systems are pointwise proportional.
     """
-    ss = g.distinguished
-    system = VermaSystem(g, chi, ss)
-    lset = lambda_set(g, chi, k_max)
+    g, ss, lset = ledger.g, ledger.ss, ledger.lset
     F = lset.field
     kind, _ = ss.classify(delta)
-    new_ss = ss.reflect(delta)
-    reflected = VermaSystem(g, chi, new_ss)
+    reflected = VermaLedger(g, ledger.chi, ledger.k_max, ss=ss.reflect(delta), lset=lset)
     shift_sign = _REFLECTION_SHIFT[kind]
     singular_ok = True
     shift_pairs = []
     prime_pairs = []
     for lam in lset:
-        Z = system.module(lam, F)
-        rep = Z.check_singular(delta)
+        rep = ledger.module(lam).check_singular(delta)
         if not (rep["nonzero"] and rep["annihilated"]):
             singular_ok = False
         lam2 = shift_lambda(F, lam, g.root_weights[delta], sign=shift_sign)
         if lam2 not in lset:
             raise RuntimeError("weight set is not stable under the root shift")
-        Z2 = reflected.module(lam2, F)
-        shift_pairs.append((Z2.phi_via_module(), Z.phi_via_module()))
-        prime_pairs.append((phi_prime_value(g, new_ss, lam, F),
+        shift_pairs.append((*reflected.facts(lam2, BabyVerma.phi_via_module),
+                            *ledger.facts(lam, BabyVerma.phi_via_module)))
+        prime_pairs.append((phi_prime_value(g, reflected.ss, lam, F),
                             phi_prime_value(g, ss, lam, F)))
     shift_constant, shift_single, shift_vanish = _proportionality(F, shift_pairs)
     prime_constant, prime_single, _ = _proportionality(F, prime_pairs)
     return {
         "algebra": g.label,
         "p": g.p,
-        "chi": list(chi.cartan_values()),
+        "chi": list(ledger.chi.cartan_values()),
         "delta": g.rs.labels[delta],
         "reflection_type": kind,
         "singular_vectors_ok": singular_ok,

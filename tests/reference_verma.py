@@ -309,7 +309,7 @@ def verify_relations(Z: BabyVerma) -> dict:
     """Bracket and p-th power relations on the action matrices of Z."""
     g, F = Z.g, Z.F
     failures = []
-    mats = Z.all_action_matrices()
+    mats = Z.operators()
     for i in range(g.dim):
         for j in range(g.dim):
             lhs = la.zeros((Z.dim, Z.dim))
@@ -391,7 +391,7 @@ def exhaustive_max_submodule(Z: BabyVerma, cap: int = 300000) -> np.ndarray:
         for i in range(Z.dim):
             vec[i] = c % F.q
             c //= F.q
-        closed = Z.submodule_closure(vec[None, :])
+        closed = la.closure_under_operators(Z.F, vec[None, :], Z.operators())
         if closed.shape[0] < Z.dim:
             rows = la.row_space_basis(F, np.concatenate([rows, closed]))
     return rows

@@ -39,6 +39,7 @@ from superlie.invariants import (
 from superlie.kwverify import verify_superkw_sweep
 from superlie.liesuper import build_algebra
 from superlie.verma import (
+    VermaLedger,
     VermaSystem,
     lambda_set,
     phi_prime_value,
@@ -169,7 +170,7 @@ def test_criterion_3_odd_reflections():
                         assert r == ratio, (label, bucket, lam)
             # shift proportionality between a system and its reflection
             for delta in g.distinguished.simple_roots:
-                rep = reflection_report(g, chi, delta)
+                rep = reflection_report(VermaLedger(g, chi), delta)
                 assert rep["singular_vectors_ok"]
                 assert rep["module_shift_single_constant"]
                 assert rep["module_shift_vanishing_match"]
@@ -180,13 +181,13 @@ def test_criterion_3_odd_reflections():
 
 def test_criterion_4_semisimplicity():
     g = algebra("osp(1|2)", 3)
-    reg = semisimplicity_check(g, g.chi_regular_semisimple())
+    reg = semisimplicity_check(VermaLedger(g, g.chi_regular_semisimple()))
     assert reg["semisimple"] and reg["verdict_matches"]
     assert reg["dimension_sum"] == 108 == reg["dimension_target"]
     # the only non-regular character supported on the Cartan is zero
-    zero = semisimplicity_check(g, g.chi_zero())
+    zero = semisimplicity_check(VermaLedger(g, g.chi_zero()))
     assert not zero["semisimple"] and zero["verdict_matches"]
-    nonreg = semisimplicity_check(g, standard_characters(g)["nonregular"])
+    nonreg = semisimplicity_check(VermaLedger(g, standard_characters(g)["nonregular"]))
     assert not nonreg["semisimple"] and nonreg["verdict_matches"]
     print("\n[criterion 4] PASS — osp(1|2) p=3: regular semisimple gives "
           "sum of squares 108; zero/non-regular are not semisimple")
@@ -196,7 +197,7 @@ def test_criterion_5_kw_divisibility():
     t0 = time.time()
     heads = 0
     for label, p, bucket, g, chi in grid():
-        (rep,) = verify_superkw_sweep(g, [chi])
+        (rep,) = verify_superkw_sweep([VermaLedger(g, chi)])
         assert rep.skipped is None, (label, p, bucket, rep.skipped)
         assert rep.all_divisible and rep.accounting_ok, (label, p, bucket)
         heads += len(rep.simple_dims)

@@ -278,8 +278,15 @@ def test_readme_command_exits_zero(line, tmp_path, monkeypatch):
     assert main(argv) == 0
 
 
+def test_readme_python_snippet_runs():
+    """The README's library example runs as written."""
+    (snippet,) = _readme_blocks("python")
+    exec(compile(snippet, str(README), "exec"), {})
+
+
 # what the message must name, for rows whose command line contains the key
 NAMED = {
+    "nilpotent_root:-e1+e2": "positive root vector X_e1-e2",
     "--k-max 1": "k_max",
     "gl(2|1) --p 5": "dense-basis cap 4096",
     "checks = coinduced": "dense-basis cap 4096",
@@ -309,6 +316,11 @@ NAMED = {
     # reflect checks the type and p before the simple-system closure
     (["reflect", "--type", "F(4)", "--p", "5"], None),
     (["reflect", "--type", "gl(2|1)", "--p", "4"], None),
+    # chi nonzero on a positive root vector of the distinguished Borel
+    (["verma", "--type", "gl(2|1)", "--p", "3", "--chi", "nilpotent_root:-e1+e2"], None),
+    (["run", "{cfg}"], "algebra = gl(2|1)\np = 3\nchi = nilpotent_root:-e1+e2\nchecks = verma\n"),
+    (["run", "{cfg}"], "algebra = gl(2|1)\np = 3\nchi = nilpotent_root:-e1+e2\nchecks = phi\n"),
+    (["run", "{cfg}"], "algebra = gl(2|1)\np = 3\nchi = nilpotent_root:-e1+e2\nchecks = kw,phi\n"),
 ])
 def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
     """Bad input exits 2 with one message line: no check passes vacuously,

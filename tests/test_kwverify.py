@@ -16,7 +16,7 @@ from superlie.kwverify import (
     walls_type,
     write_jsonl,
 )
-from superlie.verma import VermaSystem, lambda_set, standard_characters
+from superlie.verma import VermaLedger, VermaSystem, lambda_set, standard_characters
 from tooling import baby_vermas, commutant_dims, simple_heads
 
 F3 = field_create(3, 1)
@@ -83,7 +83,7 @@ def test_walls_type_rejects_reducible():
                      if not system.module(lam, ls.field).is_irreducible_oracle())
     Z = system.module(reducible, ls.field)
     with pytest.raises(ValueError, match="input is reducible"):
-        screen_simple(ls.field, Z.all_action_matrices())
+        screen_simple(ls.field, Z.operators())
 
 
 def test_parity_shift_glue_is_Q():
@@ -120,13 +120,13 @@ def test_kw_heads_maximal_submodules_match_shrinking_reference():
     assert len(modules) == 81
     for Z in modules:
         want = ref.largest_stable_subspace_shrinking(
-            Z.F, Z.system._ambient_rows(Z.F), Z.all_action_matrices())
+            Z.F, Z.system._ambient_rows(Z.F), Z.operators())
         assert np.array_equal(Z.maximal_submodule(), want), Z.lam
 
 
 def test_sweep_osp_p5_regular():
     g = build_algebra("osp(1|2)", F5)
-    (rep,) = verify_superkw_sweep(g, [g.chi_regular_semisimple()])
+    (rep,) = verify_superkw_sweep([VermaLedger(g, g.chi_regular_semisimple())])
     assert rep.skipped is None
     assert rep.divisor == 10
     assert [d for _, d, _ in rep.simple_dims] == [10] * 5
@@ -136,7 +136,7 @@ def test_sweep_osp_p5_regular():
 
 def test_sweep_osp_p3_zero():
     g = build_algebra("osp(1|2)", F3)
-    (rep,) = verify_superkw_sweep(g, [g.chi_zero()])
+    (rep,) = verify_superkw_sweep([VermaLedger(g, g.chi_zero())])
     assert rep.divisor == 1
     dims = [d for _, d, _ in rep.simple_dims]
     assert len(dims) == 3 and 1 in dims
@@ -145,7 +145,7 @@ def test_sweep_osp_p3_zero():
 
 def test_sweep_gl11_regular():
     g = build_algebra("gl(1|1)", F3)
-    (rep,) = verify_superkw_sweep(g, [g.chi_regular_semisimple()])
+    (rep,) = verify_superkw_sweep([VermaLedger(g, g.chi_regular_semisimple())])
     assert rep.divisor == 2
     assert [d for _, d, _ in rep.simple_dims] == [2] * 9
     assert rep.all_divisible and rep.accounting_ok
@@ -154,21 +154,21 @@ def test_sweep_gl11_regular():
 def test_sweep_nilpotent_osp():
     g3 = build_algebra("osp(1|2)", F3)
     nil3 = g3.nilpotent_root_character("2d1")
-    (rep3,) = verify_superkw_sweep(g3, [nil3])
+    (rep3,) = verify_superkw_sweep([VermaLedger(g3, nil3)])
     assert rep3.skipped is None and rep3.divisor == 3
     assert all(d % 3 == 0 for _, d, _ in rep3.simple_dims)
     assert rep3.all_divisible
 
     g5 = build_algebra("osp(1|2)", F5)
     nil5 = g5.nilpotent_root_character("2d1")
-    (rep5,) = verify_superkw_sweep(g5, [nil5])
+    (rep5,) = verify_superkw_sweep([VermaLedger(g5, nil5)])
     assert rep5.skipped is not None and "local" in rep5.skipped
 
 
 def test_sweep_skips_bad_borel():
     g = build_algebra("osp(1|2)", F3)
     bad = g.nilpotent_root_character("-2d1")
-    (rep,) = verify_superkw_sweep(g, [bad])
+    (rep,) = verify_superkw_sweep([VermaLedger(g, bad)])
     assert rep.skipped is not None and "Borel" in rep.skipped
 
 
@@ -176,10 +176,10 @@ def test_jsonl_deterministic(tmp_path):
     g = build_algebra("gl(1|1)", F3)
     chis = [g.chi_zero(), g.chi_regular_semisimple()]
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_jsonl(verify_superkw_sweep(g, chis), str(out1))
-    write_jsonl(verify_superkw_sweep(g, chis), str(out2))
+    write_jsonl(verify_superkw_sweep([VermaLedger(g, chi) for chi in chis]), str(out1))
+    write_jsonl(verify_superkw_sweep([VermaLedger(g, chi) for chi in chis]), str(out2))
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().strip().split("\n")
     assert len(lines) == 2
-    table = summary_table(verify_superkw_sweep(g, chis))
+    table = summary_table(verify_superkw_sweep([VermaLedger(g, chi) for chi in chis]))
     assert "pass" in table and "FAIL" not in table

@@ -1,0 +1,106 @@
+"""One Verma ledger per character and run: each module's facts are computed
+once and read by every Verma check (verma, phi, reflect, kw, semisimple)."""
+
+import functools
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from superlie import linalg as la
+from superlie import verma
+from superlie.cli import ExperimentConfig, run_experiment
+from superlie.gf import field_create
+from superlie.liesuper import build_algebra
+from superlie.verma import BabyVerma, VermaLedger, cartan_p_matrix, lambda_residual
+
+FIVE = ("verma", "phi", "reflect", "kw", "semisimple")
+BUCKETS = ["zero", "regular_semisimple", "nonregular"]
+
+
+def _count(mp, counts, owner, name, key):
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return orig(*args, **kwargs)
+    mp.setattr(owner, name, counted)
+
+
+def _run_counted(label, p, checks):
+    """(exit code, bundle, work counts) of one run of the three buckets."""
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        _count(mp, counts, verma.VermaSystem, "__init__", "systems")
+        _count(mp, counts, verma, "lambda_set", "lambda_sets")
+        _count(mp, counts, verma, "lambda_residual", "residual_products")
+        _count(mp, counts, BabyVerma, "is_irreducible_oracle", "oracle_closures")
+        _count(mp, counts, la, "largest_stable_subspace", "maximal_submodules")
+        cfg = ExperimentConfig(algebra=label, p=p, chi_specs=list(BUCKETS), checks=list(checks))
+        code, bundle, _ = run_experiment(cfg)
+    return code, bundle, dict(counts)
+
+
+_run = functools.lru_cache(maxsize=None)(_run_counted)
+
+
+def _report(bundle, check) -> str:
+    return json.dumps(bundle[check], sort_keys=True, indent=1)
+
+
+def test_five_checks_do_each_modules_work_once():
+    """gl(2|1), p = 3: 3 distinguished and 6 reflected systems, one weight set
+    per character checked in one product, and one oracle closure and one
+    maximal submodule for each of the 81 distinguished modules."""
+    code, _, counts = _run("gl(2|1)", 3, FIVE)
+    assert code == 0
+    assert counts == {"systems": 9, "lambda_sets": 3, "residual_products": 3,
+                      "oracle_closures": 81, "maximal_submodules": 81}
+
+
+@pytest.mark.parametrize("label,p", [("gl(2|1)", 3), ("gl(1|1)", 5)])
+@pytest.mark.parametrize("check", FIVE)
+def test_combined_report_equals_the_check_run_alone(label, p, check):
+    code, combined, _ = _run(label, p, FIVE)
+    assert code == 0
+    assert _report(combined, check) == _report(_run(label, p, (check,))[1], check)
+
+
+def test_a_second_run_recomputes_everything():
+    first = _run_counted("gl(1|1)", 3, FIVE)
+    second = _run_counted("gl(1|1)", 3, FIVE)
+    assert first == second and first[2]["oracle_closures"] == 27
+
+
+def test_a_fact_that_raised_raises_again(monkeypatch):
+    """osp(1|2), p = 5, chi on X_{2delta}: the coefficient algebra is not
+    local, so the head raises; asked again, the ledger raises the same
+    exception without computing it again."""
+    g = build_algebra("osp(1|2)", field_create(5, 1))
+    ledger = VermaLedger(g, g.nilpotent_root_character("2d1"))
+    quotients = []
+    quotient = BabyVerma.quotient_representation
+    monkeypatch.setattr(BabyVerma, "quotient_representation",
+                        lambda self: quotients.append(self.lam) or quotient(self))
+    lam = ledger.lset.weights[0]
+    with pytest.raises(RuntimeError, match="not local") as first:
+        ledger.facts(lam, BabyVerma.head)
+    with pytest.raises(RuntimeError) as again:
+        ledger.facts(lam, BabyVerma.phi_via_module, BabyVerma.head)
+    assert again.value is first.value and quotients == [lam]
+
+
+def test_lambda_residual_of_a_weight_array_matches_each_row():
+    g = build_algebra("gl(2|1)", field_create(3, 1))
+    lset = VermaLedger(g, g.chi_regular_semisimple()).lset
+    F, P = lset.field, cartan_p_matrix(g)
+    rng = np.random.default_rng(16)
+    lams = rng.integers(0, F.q, size=(40, g.rank))
+    chi_h = [1, 0, 2]
+    rows = lambda_residual(g, F, lams, chi_h, P)
+    assert rows.shape == lams.shape
+    for lam, row in zip(lams, rows):
+        assert np.array_equal(lambda_residual(g, F, lam, chi_h, P), row)
+    assert not lambda_residual(g, F, lset.weights, g.chi_regular_semisimple().cartan_values(),
+                               P).any()

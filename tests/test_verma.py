@@ -16,6 +16,7 @@ from superlie.liesuper import PCharacter, build_algebra
 from superlie.verma import (
     BabyVerma,
     InvariantViolation,
+    VermaLedger,
     VermaSystem,
     _proportionality,
     agreement_sweep,
@@ -226,9 +227,10 @@ def test_lowest_vector_is_built_once_per_module(monkeypatch):
     monkeypatch.setattr(BabyVerma, "act", lambda self, i, v: acts.append(i) or act(self, i, v))
     low = Z.lowest_vector()
     chain = len(acts)
-    Z.verdict()
+    Z.phi_via_module()
+    Z.is_irreducible_oracle()
     assert Z.lowest_vector() is low and not low.flags.writeable
-    # the verdict adds only phi's raising chain, as long as the lowering one
+    # phi and the oracle add only phi's raising chain, as long as the lowering one
     assert chain > 0 and len(acts) == 2 * chain
 
 
@@ -283,19 +285,19 @@ def test_agreement_smoke():
     for label, p in [("osp(1|2)", 3), ("gl(2|1)", 3), ("gl(1|1)", 5)]:
         g = build_algebra(label, field_create(p, 1))
         for name, chi in standard_characters(g).items():
-            sweep = agreement_sweep(g, chi)
+            sweep = agreement_sweep(VermaLedger(g, chi))
             assert sweep["all_agree"], (label, p, name, sweep["discrepancies"][:2])
 
 
 def test_osp_zero_character_all_reducible():
     g = build_algebra("osp(1|2)", F3)
-    sweep = agreement_sweep(g, g.chi_zero())
+    ledger = VermaLedger(g, g.chi_zero())
+    sweep = agreement_sweep(ledger)
     assert sweep["lambda_count"] == 3
     assert all(not v["irreducible_oracle"] for v in sweep["verdicts"])
     assert all(v["phi_module"] == 0 and v["phi_product"] == 0
                for v in sweep["verdicts"])
-    rep = proportionality_report(VermaSystem(g, g.chi_zero()),
-                                 lambda_set(g, g.chi_zero()))
+    rep = proportionality_report(ledger)
     assert rep["single_constant"] and rep["vanishing_match"]
     assert rep["constant"] is None
 
@@ -316,16 +318,15 @@ def test_proportionality_two_constants():
 def test_proportionality_constant_gl11():
     g = build_algebra("gl(1|1)", F3)
     chi = g.chi_regular_semisimple()
-    rep = proportionality_report(VermaSystem(g, chi), lambda_set(g, chi))
+    rep = proportionality_report(VermaLedger(g, chi))
     assert rep["single_constant"] and rep["vanishing_match"]
     assert rep["constant"] == 1
 
 
 def test_verdict_keys():
     g = build_algebra("gl(1|1)", F3)
-    chi = g.chi_zero()
-    Z = VermaSystem(g, chi).module((1, 1))
-    v = Z.verdict()
+    sweep = agreement_sweep(VermaLedger(g, g.chi_zero()))
+    v = next(v for v in sweep["verdicts"] if v["lambda"] == [1, 1])
     assert set(v) == {
         "algebra", "p", "k", "chi", "lambda", "dimZ", "phi_module",
         "phi_product", "irreducible_oracle", "irreducible_criterion",
@@ -339,7 +340,7 @@ def test_verdict_keys():
 
 def test_semisimple_osp_regular():
     g = build_algebra("osp(1|2)", F3)
-    rep = semisimplicity_check(g, g.chi_regular_semisimple())
+    rep = semisimplicity_check(VermaLedger(g, g.chi_regular_semisimple()))
     assert rep["all_irreducible"]
     assert rep["dims"] == [6, 6, 6]
     assert rep["types"] == ["M", "M", "M"]
@@ -349,7 +350,7 @@ def test_semisimple_osp_regular():
 
 def test_not_semisimple_osp_zero():
     g = build_algebra("osp(1|2)", F3)
-    rep = semisimplicity_check(g, g.chi_zero())
+    rep = semisimplicity_check(VermaLedger(g, g.chi_zero()))
     assert not rep["all_irreducible"]
     assert not rep["semisimple"]
     assert rep["verdict_matches"]
@@ -357,7 +358,7 @@ def test_not_semisimple_osp_zero():
 
 def test_semisimple_gl11():
     g = build_algebra("gl(1|1)", F3)
-    rep = semisimplicity_check(g, g.chi_from_cartan((1, 0)))
+    rep = semisimplicity_check(VermaLedger(g, g.chi_from_cartan((1, 0))))
     assert rep["lambda_count"] == 9 and rep["k"] == 3
     assert rep["all_irreducible"] and rep["dims"] == [2] * 9
     assert rep["dimension_sum"] == 36 == rep["dimension_target"]
@@ -367,7 +368,7 @@ def test_semisimple_gl11():
 def test_not_semisimple_gl11_nonregular():
     g = build_algebra("gl(1|1)", F3)
     chi = g.chi_from_cartan((1, 2))  # chi(H_beta) = 0
-    rep = semisimplicity_check(g, chi)
+    rep = semisimplicity_check(VermaLedger(g, chi))
     assert not rep["semisimple"]
     assert rep["verdict_matches"]
 
@@ -408,7 +409,7 @@ def test_reflection_report_gl21_type_ii():
     g = build_algebra("gl(2|1)", F3)
     delta = g.distinguished.simple_roots[1]  # odd isotropic
     for chi in (g.chi_zero(), g.chi_regular_semisimple()):
-        rep = reflection_report(g, chi, delta)
+        rep = reflection_report(VermaLedger(g, chi), delta)
         assert rep["reflection_type"] == "type_ii"
         assert rep["singular_vectors_ok"]
         assert rep["module_shift_single_constant"]
@@ -419,7 +420,7 @@ def test_reflection_report_gl21_type_ii():
 def test_reflection_report_osp_type_iii():
     g = build_algebra("osp(1|2)", F3)
     delta = g.distinguished.simple_roots[0]
-    rep = reflection_report(g, g.chi_regular_semisimple(), delta)
+    rep = reflection_report(VermaLedger(g, g.chi_regular_semisimple()), delta)
     assert rep["reflection_type"] == "type_iii"
     assert rep["singular_vectors_ok"]
     assert rep["module_shift_single_constant"]
@@ -537,7 +538,7 @@ def test_gl21_p5_maximal_submodules_match_shrinking_reference():
     assert len(modules) == 375 and {Z.F.k for Z in modules} == {1, 5}
     for Z in modules[::5]:
         want = largest_stable_subspace_shrinking(
-            Z.F, Z.system._ambient_rows(Z.F), Z.all_action_matrices())
+            Z.F, Z.system._ambient_rows(Z.F), Z.operators())
         assert np.array_equal(Z.maximal_submodule(), want), Z.lam
 
 
@@ -561,8 +562,8 @@ def test_operator_stack_matches_entry_loop(label, p):
         system = VermaSystem(g, chi)
         for lam in ls.weights[::stride]:
             Z = system.module(lam, ls.field)
-            mats = Z.all_action_matrices()
-            assert all(not m.flags.writeable for m in mats)
+            mats = Z.operators()
+            assert not mats.flags.writeable
             for i, m in enumerate(mats):
                 assert np.array_equal(m, ref.action_matrix(Z, i)), (chi.values, lam, i)
             fields.add(ls.field.k)
@@ -625,7 +626,7 @@ def test_lambda_on_a_negative_letter_raises(monkeypatch):
     monkeypatch.setattr(VermaSystem, "template", _template_with(
         lambda self, i, mono: ((mono, (1,), 1),) if i == self.neg_indices[-1] else ()))
     system = VermaSystem(g, g.nilpotent_root_character("2d1"))
-    system.module((0,)).all_action_matrices()  # the stack itself is well defined
+    system.module((0,)).operators()  # the stack itself is well defined
     with pytest.raises(InvariantViolation, match="lambda enters the action"):
         system._coefficient_algebra()
 
