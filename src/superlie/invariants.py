@@ -7,8 +7,10 @@ the function algebra F(g, q) on the coset side, with multiplication carried
 through the coproduct and a g-action by right translation.  The ideal
 machinery locates g-invariant ideals of these and of the reduced symmetric
 algebras through the ``linalg`` kernel (largest stable subspace, operator
-closure), and reports graded and total codimensions from three ranks: those
-of the ideal's projections to the even and the odd coordinates, and its own.
+closure) on one (K, n, n) operator stack per algebra: the multiplications,
+the g-action, then the parity involution.  It reports graded and total
+codimensions from three ranks: those of the ideal's projections to the even
+and the odd coordinates, and its own.
 """
 
 from __future__ import annotations
@@ -254,29 +256,18 @@ class CoinducedAlgebra:
         return True
 
     def operator_model(self) -> "OperatorModel":
-        n = len(self.basis)
-        F = self.F
-        mult_ops = []
-        for b in self.basis:
-            gen = self.dual_basis_element(b)
-            mat = la.zeros((n, n))
-            for b2 in self.basis:
-                out = self.multiply(gen, self.dual_basis_element(b2))
+        n, d = len(self.basis), self.g.dim
+        duals = [self.dual_basis_element(b) for b in self.basis]
+        ops = la.zeros((n + d + 1, n, n))  # multiplications, the g-action, then sigma
+        for k in range(n + d):
+            for j, f in enumerate(duals):
+                out = self.multiply(duals[k], f) if k < n else self.act(k - n, f)
                 for bb, c in out.items():
-                    mat[self.index[bb], self.index[b2]] = c
-            mult_ops.append(mat)
-        action_ops = []
-        for i in range(self.g.dim):
-            mat = la.zeros((n, n))
-            for b2 in self.basis:
-                out = self.act(i, self.dual_basis_element(b2))
-                for bb, c in out.items():
-                    mat[self.index[bb], self.index[b2]] = c
-            action_ops.append(mat)
+                    ops[k, self.index[bb], j] = c
         parities = np.array(self._parities, dtype=np.int64)
         aug = la.zeros(n)
         aug[self.index[(0,) * len(self.coset_slots)]] = 1
-        return OperatorModel(F, n, parities, mult_ops, action_ops, aug)
+        return OperatorModel(self.F, parities, ops, aug)
 
     def is_g_simple(self) -> bool:
         model = self.operator_model()
@@ -289,26 +280,22 @@ class CoinducedAlgebra:
 
 
 class OperatorModel:
-    """A finite-dimensional algebra-with-g-action given by dense operators.
+    """A finite-dimensional algebra-with-g-action given by one operator stack.
 
-    mult_ops generate the (two-sided, since the parity involution sigma is
-    always included) multiplication action; action_ops give the g-action;
-    aug_vector is the augmentation functional cutting out the maximal ideal.
-    sigma is read off the basis parities.
+    ``ops`` is the (K, n, n) stack of the multiplications (two-sided, since
+    the parity involution sigma is always included), then the g-action, then
+    sigma, which the model writes into the last slot from the basis
+    parities.  aug_vector is the augmentation functional cutting out the
+    maximal ideal.
     """
 
-    def __init__(self, F: Field, n: int, parities: np.ndarray,
-                 mult_ops: list, action_ops: list, aug_vector: np.ndarray):
+    def __init__(self, F: Field, parities: np.ndarray, ops: np.ndarray, aug_vector: np.ndarray):
+        ops[-1] = np.diag(np.where(parities == 1, F.neg(1), 1))
         self.F = F
-        self.n = n
+        self.n = parities.size
         self.parities = parities
-        self.mult_ops = mult_ops
-        self.action_ops = action_ops
-        self.sigma = np.diag(np.where(parities == 1, F.neg(1), 1)).astype(np.int64)
+        self.ops = ops
         self.aug_vector = aug_vector
-
-    def all_ops(self) -> list:
-        return self.mult_ops + self.action_ops + [self.sigma]
 
     def max_ideal_rows(self) -> np.ndarray:
         return la.nullspace(self.F, self.aug_vector.reshape(1, -1))
@@ -318,12 +305,13 @@ def operator_model_from_symmetric(S: DeformedAlgebra) -> OperatorModel:
     """Operator model of a reduced symmetric algebra S_xi (lam must be 0)."""
     if S.lam != 0:
         raise ValueError("augmentation requires the symmetric member lam = 0")
-    F = S.F
+    F, d = S.F, S.g.dim
     monomials = S.basis_monomials()
     n = len(monomials)
-    mult_ops = [S.left_mult_matrix(i) for i in range(S.g.dim)]
-    mult_ops += [S.right_mult_matrix(i) for i in range(S.g.dim)]
-    action_ops = [S.action_matrix(i) for i in range(S.g.dim)]
+    ops = la.zeros((3 * d + 1, n, n))  # left and right multiplications, the g-action, sigma
+    for i in range(d):
+        ops[i], ops[d + i], ops[2 * d + i] = (
+            S.left_mult_matrix(i), S.right_mult_matrix(i), S.action_matrix(i))
     parities = np.zeros(n, dtype=np.int64)
     aug = la.zeros(n)
     for i, m in enumerate(monomials):
@@ -337,18 +325,18 @@ def operator_model_from_symmetric(S: DeformedAlgebra) -> OperatorModel:
                     val = F.mul(val, F.pow_int(int(S.xi.values[S.order[s]]), e))
             aug[i] = val
         # monomials with odd letters evaluate to zero under the augmentation
-    return OperatorModel(F, n, parities, mult_ops, action_ops, aug)
+    return OperatorModel(F, parities, ops, aug)
 
 
 def largest_proper_invariant_ideal(model: OperatorModel) -> np.ndarray:
     """Largest g-stable graded ideal inside the maximal ideal, as row basis."""
     ambient = model.max_ideal_rows()
-    return la.largest_stable_subspace(model.F, ambient, model.all_ops())
+    return la.largest_stable_subspace(model.F, ambient, model.ops)
 
 
 def invariant_ideal_closure(model: OperatorModel, seed_rows: np.ndarray) -> np.ndarray:
     """Smallest g-stable graded ideal containing the seed vectors."""
-    return la.closure_under_operators(model.F, seed_rows, model.all_ops())
+    return la.closure_under_operators(model.F, seed_rows, model.ops)
 
 
 def graded_codims(model: OperatorModel, ideal_rows: np.ndarray) -> tuple[int, int, int]:

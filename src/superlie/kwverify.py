@@ -116,11 +116,12 @@ def verify_superkw_sweep(ledgers: Sequence[VermaLedger]) -> list[KWReport]:
         rep = KWReport(g, chi)
         lset = ledger.lset
         # on standard chi the closure oracle, computed apart, must agree with the head
-        facts = ((BabyVerma.head, BabyVerma.is_irreducible_oracle) if chi.is_standard_form()
-                 else (BabyVerma.head,))
+        facts = (BabyVerma.head_dim, BabyVerma.head_type)
+        if chi.is_standard_form():
+            facts += (BabyVerma.is_irreducible_oracle,)
         try:
             for lam in lset:
-                (hdim, wtype), *oracle = ledger.facts(lam, *facts)
+                hdim, wtype, *oracle = ledger.facts(lam, *facts)
                 if oracle and oracle[0] != (hdim == system.dim):
                     raise InvariantViolation(
                         f"head/oracle disagreement on standard chi at lambda = "

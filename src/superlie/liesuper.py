@@ -206,7 +206,7 @@ class LieSuperalgebra:
                 ints[b, row, col] = entry
             names.append(f"X[{rs.labels[root]}]")
         # the model entries are 0 and +-1
-        self.matrices = list(self.F.sub_arr(np.maximum(ints, 0), np.maximum(-ints, 0)))
+        self.matrices = self.F.sub_arr(np.maximum(ints, 0), np.maximum(-ints, 0))  # (d, s, s)
         self.basis_names = names
         self.parities = np.array([0] * self.rank + [rs.parities[r] for r in roots[self.rank:]],
                                  dtype=np.int64)
@@ -218,8 +218,7 @@ class LieSuperalgebra:
     # -- structure constants ---------------------------------------------------
 
     def _build_structure(self) -> None:
-        F, d, s = self.F, self.dim, self.model_size
-        basis = np.stack(self.matrices)  # (d, s, s)
+        F, d, s, basis = self.F, self.dim, self.model_size, self.matrices
         # one product of the stacked matrices: prod[i, j] = M_i M_j
         prod = la.matmul(F, basis.reshape(d * s, s), basis.transpose(1, 0, 2).reshape(s, d * s))
         prod = prod.reshape(d, s, d, s).transpose(0, 2, 1, 3)
@@ -239,7 +238,7 @@ class LieSuperalgebra:
         self.bracket_tensor = coords[:d * d].reshape(d, d, d)
         self.p_map = coords[d * d:]
         # ad_i maps coords of y to coords of [x_i, y]
-        self.ad_matrices = list(np.ascontiguousarray(self.bracket_tensor.transpose(0, 2, 1)))
+        self.ad_matrices = np.ascontiguousarray(self.bracket_tensor.transpose(0, 2, 1))
         # supertrace form: the diagonals of the same products against the signs of the rows
         signs = np.array([1] * self._even_size + [F.neg(1)] * (s - self._even_size))
         diagonals = np.diagonal(prod, axis1=2, axis2=3).reshape(d * d, s)
@@ -326,7 +325,7 @@ class LieSuperalgebra:
         flag("jacobi", F.add_arr(F.add_arr(signed[0], signed[1]), signed[2]).any(axis=3))
         # restrictedness: ad(x^[p]) = (ad x)^p for even x
         even = np.flatnonzero(~odd)
-        ad = np.stack(self.ad_matrices)
+        ad = T.transpose(0, 2, 1)  # ad_i, as ad_matrices holds them
         powers = _pth_powers(F, ad[even], p).reshape(len(even), d * d)
         target = la.matmul(F, self.p_map[even], ad.reshape(d, d * d))
         failures.extend(f"restricted({i})" for i in even[(powers != target).any(axis=1)])

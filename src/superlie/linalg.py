@@ -8,16 +8,17 @@ float64 through BLAS if large and every sum stays below 2⁵³, else in
 
 Every subspace is computed one way: ``rref`` gives ranks, kernels, solutions
 and row-space bases, and ``EchelonBasis`` reduces and extends a basis kept
-in reduced echelon form.  Every invariant subspace is an operator closure:
-the largest stable subspace is the annihilator of the closure of the
-ambient's annihilator under the transposed operators.  Systems are assembled
-from whole arrays; the supercommutant is spun from r seeds, in n·r unknowns
-rather than n².
+in reduced echelon form.  Operators come as one (K, n, n) ``int64`` stack,
+and every invariant subspace is a closure under it, each round mapping its
+whole frontier by one product: the largest stable subspace is the
+annihilator of the closure of the ambient's annihilator under the
+transposed stack, a view.  Systems are assembled from whole arrays; the
+supercommutant is spun from r seeds, in n·r unknowns rather than n².
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -215,56 +216,58 @@ def in_row_space(F: Field, basis_rref: np.ndarray, v: np.ndarray) -> bool:
     return not EchelonBasis(F, basis_rref).reduce(np.asarray(v)[None]).any()
 
 
-def closure_under_operators(
-    F: Field,
-    seed_rows: np.ndarray,
-    operators: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Smallest operator-stable subspace containing the seed rows.
+def closure_under_operators(F: Field, seed_rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Smallest subspace stable under the (K, n, n) operator stack ``ops``
+    that contains the seed rows.
 
     Operators act on column vectors; rows of the result are an echelon basis.
-    Each round applies every operator to the rows the previous round added
-    (the frontier) until no image leaves the current span or the span is
-    the whole space.
-    A round whose images total at most n rows extends the basis once, a larger
-    one per operator; both add the same span, hence the same echelon rows.
+    Each round maps the rows the previous round added (the frontier) under
+    every operator with one product, frontier · [A_1ᵀ | … | A_Kᵀ], until no
+    image leaves the current span or the span is the whole space.  A round
+    whose K·f images (f frontier rows) total at most n rows extends the
+    basis once with all of them, a larger one once per operator; both add
+    the same span, hence the same echelon rows.  The rule is measured: in a
+    large round most images already lie in the span, and reducing each
+    operator's images against the rows the earlier ones added drops them by
+    one product before the elimination, whose Python loop over pivots then
+    runs on few rows (with one extension per round, the ideal_survey bench
+    spent 0.34–0.35 s in its check instead of 0.20–0.21 s, single-threaded
+    on a 2-vCPU Xeon); a small round saves K − 1 eliminations.
     """
     seed_rows = np.asarray(seed_rows, dtype=np.int64)
-    n = seed_rows.shape[1]
+    K, n = ops.shape[0], seed_rows.shape[1]
+    transposed = ops.reshape(K * n, n).T  # [A_1ᵀ | … | A_Kᵀ]: a view of a contiguous stack
     basis = EchelonBasis(F, zeros((0, n)))
     frontier = basis.extend(seed_rows)
     while frontier.shape[0] and basis.rows.shape[0] < n:
-        images = [matmul(F, frontier, op.T) for op in operators]
-        if len(images) * frontier.shape[0] <= n:
-            images = [np.concatenate([frontier[:0], *images])]
-        frontier = np.concatenate([frontier[:0], *map(basis.extend, images)])
+        f = frontier.shape[0]
+        images = matmul(F, frontier, transposed).reshape(f, K, n).transpose(1, 0, 2)
+        if K * f <= n:
+            frontier = basis.extend(images.reshape(K * f, n))
+        else:
+            frontier = np.concatenate([frontier[:0], *map(basis.extend, images)])
     return basis.rows
 
 
-def largest_stable_subspace(
-    F: Field, ambient_rows: np.ndarray, operators: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Largest subspace of the row-span of ambient_rows stable under all operators.
+def largest_stable_subspace(F: Field, ambient_rows: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Largest subspace of the row-span of ambient_rows stable under the
+    (K, n, n) operator stack ``ops``.
 
     Rows of the result are its reduced echelon basis, which is unique.  By
     duality: S is stable under A exactly when its annihilator S⊥ is stable
     under Aᵀ, and S ⊆ W exactly when S⊥ ⊇ W⊥.  So the largest A-stable S
     inside W is the annihilator of the smallest Aᵀ-stable space containing
-    W⊥: one closure under the transposed operators between two kernels (the
-    transposed spin of Norton's irreducibility test in the MeatAxe).
+    W⊥: one closure under the transposed stack, a view, between two kernels
+    (the transposed spin of Norton's irreducibility test in the MeatAxe).
     """
-    dual = closure_under_operators(F, nullspace(F, ambient_rows), [op.T for op in operators])
+    dual = closure_under_operators(F, nullspace(F, ambient_rows), ops.transpose(0, 2, 1))
     return row_space_basis(F, nullspace(F, dual))
 
 
-def supercommutant_basis(
-    F: Field,
-    even_ops: Sequence[np.ndarray],
-    odd_ops: Sequence[np.ndarray],
-    parity_op: np.ndarray,
-    odd_part: bool,
-) -> list[np.ndarray]:
-    """Matrices spanning the even or odd part of the supercommutant.
+def supercommutant_basis(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray,
+                         parity_op: np.ndarray, odd_part: bool) -> np.ndarray:
+    """A (d, n, n) stack spanning the even or odd part of the supercommutant
+    of the even and odd (K, n, n) operator stacks.
 
     T·A_a = s_a·A_a·T for every operator A_a and the parity involution, with
     s_a = −1 for the odd operators and the involution when T is odd, else 1.
@@ -278,8 +281,8 @@ def supercommutant_basis(
     """
     n = parity_op.shape[0]
     if n == 0:
-        return []
-    stacked = np.concatenate([*even_ops, *odd_ops, parity_op]).astype(np.int64)
+        return zeros((0, 0, 0))
+    stacked = np.concatenate([even_ops, odd_ops, parity_op[None]]).reshape(-1, n).astype(np.int64)
     K = stacked.shape[0] // n
     signed = np.arange(K) >= (len(even_ops) if odd_part else K)  # s_a = −1
     # each spun vector b_i beside its word matrix M_i, which acts on the n unknowns
@@ -316,8 +319,10 @@ def supercommutant_basis(
     red = rref(F, np.concatenate([basis, op_basis, eye(n)], axis=1))[0]
     coords, inverse = red[:, n:-n].reshape(n, K, n), red[:, -n:]
     lhs = matmul(F, coords.transpose(1, 2, 0).reshape(K * n, n), words.reshape(n, -1))
-    cond = F.sub_arr(lhs, rhs.reshape(K * n, -1)).reshape(-1, r * n)
+    lhs, rhs = lhs.reshape(-1, r * n), rhs.reshape(-1, r * n)
+    live = lhs.any(axis=1) | rhs.any(axis=1)  # most rows are zero on both sides
+    cond = F.sub_arr(lhs[live], rhs[live])
     ker = nullspace(F, cond[cond.any(axis=1)])
     values = matmul(F, words.reshape(n * n, -1), ker.T).reshape(n, n, -1)  # [i, row, d]
     ts = matmul(F, values.transpose(2, 1, 0).reshape(-1, n), inverse)
-    return list(ts.reshape(-1, n, n))
+    return ts.reshape(-1, n, n)

@@ -37,8 +37,8 @@ integer codes of a ``gf.Field``: a weight is a tuple of codes, and the
 Artin-Schreier solver takes and returns codes.
 
 Irreducibility is decided two independent ways and compared:
-  * oracle: the spanning closure of the lowest vector under all action
-    matrices (every nonzero submodule contains the lowest vector);
+  * oracle: the spanning closure of the lowest vector under the operator
+    stack (every nonzero submodule contains the lowest vector);
   * criterion: the Harish-Chandra-style product
     prod_even((lambda+rho|alpha)^{p-1} - 1) * prod_odd((lambda+rho|beta))
     evaluated through coroots, from the codes of the pairings with the
@@ -46,7 +46,7 @@ Irreducibility is decided two independent ways and compared:
 
 The maximal proper submodule (hence the simple head) is the largest
 action-stable subspace of an ambient space: the annihilator of the closure
-of the ambient's annihilator under the transposed action matrices.  The
+of the ambient's annihilator under the transposed stack, a view.  The
 ambient space that provably contains every proper submodule depends on chi:
 
   * chi vanishing on [n^-, n^-]: replacing each even letter x by
@@ -71,7 +71,8 @@ Each strategy certifies its own applicability and raises otherwise.
 
 The reports of one run read a ``VermaLedger`` per (chi, simple system),
 which computes the system, the weight set and each module's phi, criterion
-value, oracle verdict and head (dimension, Walls type) at most once.
+value, oracle verdict, head dimension and head Walls type at most once, and
+only when a report shows it.
 """
 
 from __future__ import annotations
@@ -526,11 +527,8 @@ class BabyVerma:
     def head_dim(self) -> int:
         return self.dim - self.maximal_submodule().shape[0]
 
-    def quotient_representation(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """Action matrices on Z / maximal submodule, with the induced parity.
-
-        Returns (matrices, parity involution).
-        """
+    def quotient_representation(self) -> tuple[np.ndarray, np.ndarray]:
+        """(operator stack, parity involution) of Z / maximal submodule."""
         F, n = self.F, self.dim
         sub = la.EchelonBasis(F, self.maximal_submodule())
         compl = np.delete(np.arange(n), sub.pivots)
@@ -538,12 +536,11 @@ class BabyVerma:
         kept = self.operators()[:, :, compl].transpose(0, 2, 1).reshape(-1, n)
         reduced = sub.reduce(kept)[:, compl].reshape(self.g.dim, compl.size, compl.size)
         S = np.diag(np.where(self.system.parities[compl], F.neg(1), 1))
-        return list(reduced.transpose(0, 2, 1)), S
+        return reduced.transpose(0, 2, 1), S
 
-    def head(self) -> tuple[int, str]:
-        """(head dimension, Walls type) via the certified maximal submodule."""
-        mats, parity_op = self.quotient_representation()
-        return self.head_dim(), walls_type(self.F, mats, parity_op, list(self.g.parities))
+    def head_type(self) -> str:
+        """The Walls type of the head, via the certified maximal submodule."""
+        return walls_type(self.F, *self.quotient_representation(), self.g.parities)
 
     # -- verdicts --------------------------------------------------------------
 
@@ -595,19 +592,18 @@ class BabyVerma:
 # the Walls type of a simple module
 
 
-def walls_type(F: Field, action_matrices: Sequence[np.ndarray],
-               parity_op: np.ndarray, parities: Sequence[int]) -> str:
+def walls_type(F: Field, ops: np.ndarray, parity_op: np.ndarray, parities: np.ndarray) -> str:
     """"Q" when the simple module admits an odd endomorphism, else "M".
 
-    An odd T satisfies T rho(a) = (-1)^|a| rho(a) T and anticommutes with the
+    ops stacks the generators' operators; the parities array splits it.  An
+    odd T satisfies T rho(a) = (-1)^|a| rho(a) T and anticommutes with the
     parity involution.  T -> (T v_k) on seeds v_k that generate the module is a
     bijection onto the kernel ``linalg.supercommutant_basis`` solves.  Callers
     pass heads, which are simple by construction; the input is not screened.
     """
-    even_ops = [m for m, pr in zip(action_matrices, parities) if pr == 0]
-    odd_ops = [m for m, pr in zip(action_matrices, parities) if pr == 1]
-    odd = la.supercommutant_basis(F, even_ops, odd_ops, parity_op, odd_part=True)
-    return "Q" if odd else "M"
+    odd = la.supercommutant_basis(F, ops[parities == 0], ops[parities == 1], parity_op,
+                                  odd_part=True)
+    return "Q" if len(odd) else "M"
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +653,8 @@ class VermaLedger:
 
     The system, the weight set (given when another system's ledger already
     holds it) and each module's scalar facts are computed on first request;
-    a module is built only for a missing fact and dropped with its lambda.
+    a module is built only for a missing fact and kept until another
+    lambda's module is built.
     """
 
     def __init__(self, g: LieSuperalgebra, chi: PCharacter, k_max: int = 8, *,
@@ -666,6 +663,7 @@ class VermaLedger:
         self.ss = ss if ss is not None else g.distinguished
         self._memo: dict = {} if lset is None else {"lset": lset}
         self._facts: dict[tuple, dict] = {}
+        self._module: Optional[BabyVerma] = None
 
     @property
     def system(self) -> VermaSystem:
@@ -677,7 +675,9 @@ class VermaLedger:
 
     def module(self, lam: tuple) -> BabyVerma:
         """Z(lam) for a weight of the set, which needs no second check."""
-        return BabyVerma(self.system, lam, self.lset.field)
+        if self._module is None or self._module.lam != lam:
+            self._module = BabyVerma(self.system, lam, self.lset.field)
+        return self._module
 
     def facts(self, lam: tuple, *methods) -> list:
         """The values at Z(lam) of the given scalar ``BabyVerma`` methods."""
@@ -777,10 +777,12 @@ def semisimplicity_check(ledger: VermaLedger) -> dict:
     if not chi.is_standard_form():
         raise ValueError("the semisimplicity sweep needs chi in standard form")
     system, lset = ledger.system, ledger.lset
-    facts = [ledger.facts(lam, BabyVerma.is_irreducible_oracle, BabyVerma.head) for lam in lset]
-    all_irred = all(oracle for oracle, _ in facts)
-    dims = [system.dim if oracle else hdim for oracle, (hdim, _) in facts]
-    types = [wtype if oracle else None for oracle, (_, wtype) in facts]
+    dims, types = [], []  # the Walls type only of the simple modules
+    for lam in lset:
+        oracle, hdim = ledger.facts(lam, BabyVerma.is_irreducible_oracle, BabyVerma.head_dim)
+        dims.append(system.dim if oracle else hdim)
+        types.append(ledger.facts(lam, BabyVerma.head_type)[0] if oracle else None)
+    all_irred = None not in types
     target = g.p ** g.dim_even * 2 ** g.dim_odd
     halves = sum(d * d for d, t in zip(dims, types) if t == "Q")
     accounted = None

@@ -219,7 +219,7 @@ def test_criterion_5_commutants_match_kronecker_reference():
     assert len(heads) == 582
     for g, system, F, lam in heads[::29]:
         mats, parity_op = system.module(lam, F).quotient_representation()
-        args = (F, mats, parity_op, list(g.parities))
+        args = (F, mats, parity_op, g.parities)
         assert (commutant_dims(la.supercommutant_basis, *args)
                 == commutant_dims(ref.supercommutant_kronecker, *args)), (g.label, lam)
 

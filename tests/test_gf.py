@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from sympy import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 import reference_gf as ref
 from tooling import random_codes
@@ -78,6 +80,20 @@ def test_gf9_generator_square():
 # every field of order at most 3125; GF(5^5), GF(7^3) and GF(7^4) among them
 TABLE_FIELDS = [(p, k) for p in range(3, 3126) if is_prime(p)
                 for k in range(1, 8) if p ** k <= 3125]
+
+
+def test_moduli_match_sympy_irreducibility():
+    """sympy's gf_irreducible_p, which shares no code with superlie, accepts
+    the modulus of every table field and rejects every monic candidate of the
+    same degree with a smaller code sum_i c_i p^i."""
+    for p, k in TABLE_FIELDS:
+        modulus = smallest_irreducible_modulus(p, k)
+        assert len(modulus) == k + 1 and modulus[-1] == 1, (p, k)
+        assert gf_irreducible_p(list(modulus[::-1]), p, ZZ), (p, k)
+        code = sum(c * p ** i for i, c in enumerate(modulus[:-1]))
+        for m in range(code):
+            coeffs = [(m // p ** i) % p for i in range(k)] + [1]
+            assert not gf_irreducible_p(coeffs[::-1], p, ZZ), (p, k, coeffs)
 
 
 def test_tables_match_orbit_walk_reference():

@@ -60,7 +60,7 @@ def test_walls_type_trivial_module_is_M():
     mats, parity_op = Z.quotient_representation()
     assert mats[0].shape[0] == 1
     screen_simple(F3, mats)
-    assert walls_type(F3, mats, parity_op, list(g.parities)) == "M"
+    assert walls_type(F3, mats, parity_op, g.parities) == "M"
 
 
 def test_walls_type_gl11_head_is_M():
@@ -71,7 +71,7 @@ def test_walls_type_gl11_head_is_M():
     mats, parity_op = Z.quotient_representation()
     assert mats[0].shape[0] == 2
     screen_simple(ls.field, mats)
-    assert walls_type(ls.field, mats, parity_op, list(g.parities)) == "M"
+    assert walls_type(ls.field, mats, parity_op, g.parities) == "M"
 
 
 def test_walls_type_rejects_reducible():
@@ -93,7 +93,7 @@ def test_parity_shift_glue_is_Q():
     Z = VermaSystem(g, chi).module(ls.weights[0], ls.field)
     mats, parity_op = Z.quotient_representation()
     glued, gp = parity_shift_glue(ls.field, mats, parity_op, list(g.parities))
-    assert walls_type(ls.field, glued, gp, list(g.parities)) == "Q"
+    assert walls_type(ls.field, np.array(glued), gp, g.parities) == "Q"
 
 
 def test_kw_heads_commutants_match_kronecker_reference():
@@ -104,7 +104,7 @@ def test_kw_heads_commutants_match_kronecker_reference():
     heads = 0
     for chi in standard_characters(g).values():
         for F, mats, parity_op in simple_heads(g, chi):
-            args = (F, mats, parity_op, list(g.parities))
+            args = (F, mats, parity_op, g.parities)
             assert (commutant_dims(la.supercommutant_basis, *args)
                     == commutant_dims(ref.supercommutant_kronecker, *args))
             heads += 1
@@ -120,7 +120,7 @@ def test_kw_heads_maximal_submodules_match_shrinking_reference():
     assert len(modules) == 81
     for Z in modules:
         want = ref.largest_stable_subspace_shrinking(
-            Z.F, Z.system._ambient_rows(Z.F), Z.operators())
+            Z.F, Z.system._ambient_rows(Z.F), list(Z.operators()))
         assert np.array_equal(Z.maximal_submodule(), want), Z.lam
 
 

@@ -37,6 +37,7 @@ def _run_counted(label, p, checks):
         _count(mp, counts, verma, "lambda_residual", "residual_products")
         _count(mp, counts, BabyVerma, "is_irreducible_oracle", "oracle_closures")
         _count(mp, counts, la, "largest_stable_subspace", "maximal_submodules")
+        _count(mp, counts, la, "supercommutant_basis", "commutants")
         cfg = ExperimentConfig(algebra=label, p=p, chi_specs=list(BUCKETS), checks=list(checks))
         code, bundle, _ = run_experiment(cfg)
     return code, bundle, dict(counts)
@@ -51,12 +52,24 @@ def _report(bundle, check) -> str:
 
 def test_five_checks_do_each_modules_work_once():
     """gl(2|1), p = 3: 3 distinguished and 6 reflected systems, one weight set
-    per character checked in one product, and one oracle closure and one
-    maximal submodule for each of the 81 distinguished modules."""
+    per character checked in one product, and one oracle closure, one
+    maximal submodule and one commutant for each of the 81 distinguished
+    modules."""
     code, _, counts = _run("gl(2|1)", 3, FIVE)
     assert code == 0
     assert counts == {"systems": 9, "lambda_sets": 3, "residual_products": 3,
-                      "oracle_closures": 81, "maximal_submodules": 81}
+                      "oracle_closures": 81, "maximal_submodules": 81, "commutants": 81}
+
+
+def test_semisimple_alone_types_only_the_simple_modules():
+    """semisimple reports the Walls type of the 42 irreducible modules only,
+    and still computes each of the 81 maximal submodules once."""
+    code, bundle, counts = _run("gl(2|1)", 3, ("semisimple",))
+    assert code == 0
+    types = [t for rep in bundle["semisimple"]["report"]["characters"] for t in rep["types"]]
+    assert len(types) == 81 and sum(t is not None for t in types) == 42
+    assert counts == {"systems": 3, "lambda_sets": 3, "residual_products": 3,
+                      "oracle_closures": 81, "maximal_submodules": 81, "commutants": 42}
 
 
 @pytest.mark.parametrize("label,p", [("gl(2|1)", 3), ("gl(1|1)", 5)])
@@ -85,9 +98,9 @@ def test_a_fact_that_raised_raises_again(monkeypatch):
                         lambda self: quotients.append(self.lam) or quotient(self))
     lam = ledger.lset.weights[0]
     with pytest.raises(RuntimeError, match="not local") as first:
-        ledger.facts(lam, BabyVerma.head)
+        ledger.facts(lam, BabyVerma.head_type)
     with pytest.raises(RuntimeError) as again:
-        ledger.facts(lam, BabyVerma.phi_via_module, BabyVerma.head)
+        ledger.facts(lam, BabyVerma.phi_via_module, BabyVerma.head_type)
     assert again.value is first.value and quotients == [lam]
 
 

@@ -14,11 +14,18 @@ from reference_verma import parity_shift_glue
 from superlie.gf import field_create
 from superlie import linalg as la
 from superlie.invariants import graded_codims
+from superlie.liesuper import build_algebra
+from superlie.verma import VermaSystem, lambda_set
 from tooling import random_codes
 
 
 def random_matrix(F, rng, shape):
     return random_codes(F, rng, shape)
+
+
+def stack(ops, n):
+    """The (K, n, n) operator stack of a list of n x n operators."""
+    return np.stack(ops) if len(ops) else la.zeros((0, n, n))
 
 
 def span_vectors(F, rows):
@@ -123,7 +130,7 @@ def test_closure_under_operators_matches_brute_force():
     rng = np.random.default_rng(31)
     n = 4
     for _ in range(15):
-        ops = [random_matrix(F, rng, (n, n)) for _ in range(2)]
+        ops = stack([random_matrix(F, rng, (n, n)) for _ in range(2)], n)
         seed = random_matrix(F, rng, (1, n))
         closure = la.closure_under_operators(F, seed, ops)
         # brute force: keep applying ops to every span vector until stable,
@@ -151,7 +158,7 @@ def test_largest_stable_subspace_matches_brute_force():
     rng = np.random.default_rng(41)
     n = 4
     for trial in range(15):
-        ops = [random_matrix(F, rng, (n, n)) for _ in range(2)]
+        ops = stack([random_matrix(F, rng, (n, n)) for _ in range(2)], n)
         ambient = random_matrix(F, rng, (3, n))
         stable = la.largest_stable_subspace(F, ambient, ops)
         # oracle: v is in the core iff closure(v) stays inside the ambient span
@@ -187,8 +194,8 @@ def test_supercommutant_of_irreducible_type_m():
     # from a module whose even commutant is scalars and odd commutant is zero.
     F = field_create(3)
     sigma = np.diag([1, F.neg(1)]).astype(np.int64)
-    even_ops = [np.diag([1, 2]).astype(np.int64)]  # distinct eigenvalues
-    odd_ops = [np.array([[0, 1], [0, 0]], dtype=np.int64), np.array([[0, 0], [1, 0]], dtype=np.int64)]
+    even_ops = np.array([np.diag([1, 2])], dtype=np.int64)  # distinct eigenvalues
+    odd_ops = np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]]], dtype=np.int64)
     even_dim, odd_dim = (len(la.supercommutant_basis(F, even_ops, odd_ops, sigma, odd_part))
                          for odd_part in (False, True))
     assert even_dim == 1 and odd_dim == 0
@@ -199,8 +206,8 @@ def test_supercommutant_of_type_q_fixture():
     # of the supercommutant is spanned by [[0,t],[-t,0]].
     F = field_create(3)
     sigma = np.diag([1, F.neg(1)]).astype(np.int64)
-    even_ops = [np.diag([2, 2]).astype(np.int64)]
-    odd_ops = [np.array([[0, 1], [1, 0]], dtype=np.int64)]
+    even_ops = np.array([np.diag([2, 2])], dtype=np.int64)
+    odd_ops = np.array([[[0, 1], [1, 0]]], dtype=np.int64)
     even_dim, odd_dim = (len(la.supercommutant_basis(F, even_ops, odd_ops, sigma, odd_part))
                          for odd_part in (False, True))
     assert even_dim == 1 and odd_dim == 1
@@ -234,10 +241,10 @@ def closure_cases(draw):
     F = field_create(*draw(st.sampled_from(FIELDS)))
     n = draw(st.integers(0, 6))
     seed = draw(matrices(F, draw(st.integers(0, 3)), n))
-    ops = [draw(matrices(F, n, n)) for _ in range(draw(st.integers(0, 3)))]
+    ops = stack([draw(matrices(F, n, n)) for _ in range(draw(st.integers(0, 3)))], n)
     if draw(st.booleans()):
         # upper-triangular operators keep the flag stable: closures stop short
-        ops = [np.triu(op) for op in ops]
+        ops = np.triu(ops)
     return F, seed, ops
 
 
@@ -258,7 +265,7 @@ def test_matmul_matches_loop_reference(data):
 def test_closure_matches_per_vector_reference(case):
     F, seed, ops = case
     got = la.closure_under_operators(F, seed, ops)
-    want = ref.closure_per_vector(F, seed, ops)
+    want = ref.closure_per_vector(F, seed, list(ops))
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
 
@@ -268,19 +275,19 @@ def test_closure_edge_cases_match_reference(p, k):
     F = field_create(p, k)
     rng = np.random.default_rng(7)
     n = 5
-    ops = [np.triu(random_matrix(F, rng, (n, n))) for _ in range(2)]
+    ops = stack([np.triu(random_matrix(F, rng, (n, n))) for _ in range(2)], n)
     row = random_matrix(F, rng, (1, n))
     cases = [
         (la.zeros((1, n)), ops),  # zero seed
         (la.zeros((0, n)), ops),  # no seed rows
-        (row, []),  # no operators
+        (row, stack([], n)),  # no operators
         (np.concatenate([row, row, F.smul_arr(2, row)]), ops),  # rank 1 seed
         (la.eye(n), ops),  # the seed spans the whole space
-        (la.eye(n)[-1:], [random_matrix(F, rng, (n, n))]),
+        (la.eye(n)[-1:], stack([random_matrix(F, rng, (n, n))], n)),  # K = 1
     ]
     for seed, operators in cases:
         got = la.closure_under_operators(F, seed, operators)
-        assert np.array_equal(got, ref.closure_per_vector(F, seed, operators))
+        assert np.array_equal(got, ref.closure_per_vector(F, seed, list(operators)))
 
 
 @st.composite
@@ -316,7 +323,7 @@ def stable_subspace_cases(draw):
         rows = np.concatenate([rows, P.T])
     if planted:  # the ambient holds a planted stable span
         rows = np.concatenate([P.T[: draw(st.sampled_from(cuts))], rows])
-    return F, rows, ops
+    return F, rows, stack(ops, n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -327,7 +334,7 @@ def test_largest_stable_subspace_matches_shrinking_reference(case):
     F, ambient, ops = case
     got = la.largest_stable_subspace(F, ambient, ops)
     assert got.dtype == np.int64
-    assert np.array_equal(got, ref.largest_stable_subspace_shrinking(F, ambient, ops))
+    assert np.array_equal(got, ref.largest_stable_subspace_shrinking(F, ambient, list(ops)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -421,7 +428,7 @@ def test_supercommutant_matches_kronecker_reference(data):
         return ref.row_space_basis(F, np.array(ts, dtype=np.int64).reshape(len(ts), n * n))
 
     for odd_part in (False, True):
-        got = la.supercommutant_basis(F, even_ops, odd_ops, parity_op, odd_part)
+        got = la.supercommutant_basis(F, stack(even_ops, n), stack(odd_ops, n), parity_op, odd_part)
         want = ref.supercommutant_kronecker(F, even_ops, odd_ops, parity_op, odd_part)
         assert len(got) == len(want)
         assert np.array_equal(span(got), span(want))
@@ -553,13 +560,8 @@ def test_product_past_float64_bound_stays_exact_in_int64():
         la._residue_product(p, np.ones((128, 3), np.int64), np.ones((3, 128), np.int64))
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2), (5, 5)])
-def test_closure_rounds_of_both_kinds_match_reference(p, k, monkeypatch):
-    """Rounds with K·f ≤ n extend once with every image, larger ones once per
-    operator, and no round runs once the span is the whole space; the spy
-    replays that rule and counts rounds of each kind."""
-    F = field_create(p, k)
-    n, K = 12, 3
+def spy_on_extend(monkeypatch) -> list:
+    """(block rows, new rows) of every ``EchelonBasis.extend`` call from now on."""
     calls = []
     extend = la.EchelonBasis.extend
 
@@ -569,24 +571,81 @@ def test_closure_rounds_of_both_kinds_match_reference(p, k, monkeypatch):
         return new
 
     monkeypatch.setattr(la.EchelonBasis, "extend", spy)
+    return calls
+
+
+def replay_rounds(calls, K, n) -> list[bool]:
+    """Replay one closure's extend calls under the update rule: a round with
+    K·f ≤ n extends once with every image (True), a larger one once per
+    operator (False), and no round runs once the span is the whole space."""
+    f, i = calls[0][1], 1
+    span, kinds = f, []
+    while f and span < n:
+        stacked = K * f <= n
+        kinds.append(stacked)
+        round_calls = calls[i: i + (1 if stacked else K)]
+        assert [rows for rows, _ in round_calls] == ([K * f] if stacked else [f] * K)
+        f, i = sum(new for _, new in round_calls), i + len(round_calls)
+        span += f
+    assert i == len(calls)
+    return kinds
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2), (5, 5)])
+def test_closure_rounds_of_both_kinds_match_reference(p, k, monkeypatch):
+    """Rounds with K·f ≤ n extend once with every image, larger ones once per
+    operator, and no round runs once the span is the whole space; the spy
+    replays that rule and counts rounds of each kind."""
+    F = field_create(p, k)
+    n, K = 12, 3
+    calls = spy_on_extend(monkeypatch)
     kinds = set()
     rng = np.random.default_rng(p * k)
     for trial in range(4):
-        ops = [random_matrix(F, rng, (n, n)) for _ in range(K)]
+        ops = stack([random_matrix(F, rng, (n, n)) for _ in range(K)], n)
         if trial % 2:
-            ops = [np.triu(op) for op in ops]  # stops short of the whole space
+            ops = np.triu(ops)  # stops short of the whole space
         seed = random_matrix(F, rng, (1 + trial, n))
         calls.clear()
         got = la.closure_under_operators(F, seed, ops)
-        assert np.array_equal(got, ref.closure_per_vector(F, seed, ops))
-        f, i = calls[0][1], 1
-        span = f
-        while f and span < n:
-            stacked = K * f <= n
-            kinds.add(stacked)
-            round_calls = calls[i: i + (1 if stacked else K)]
-            assert [rows for rows, _ in round_calls] == ([K * f] if stacked else [f] * K)
-            f, i = sum(new for _, new in round_calls), i + len(round_calls)
-            span += f
-        assert i == len(calls)
+        kinds.update(replay_rounds(calls, K, n))
+        assert np.array_equal(got, ref.closure_per_vector(F, seed, list(ops)))
     assert kinds == {True, False}
+
+
+def test_closures_on_module_stacks_match_references(monkeypatch):
+    """The read-only (9, 20, 20) stack of gl(2|1), p = 5 baby Vermas over
+    GF(5^5), its non-contiguous transposed view and one-operator slices of
+    it: closures of the lowest and of a random vector equal the per-vector
+    closure, and largest stable subspaces the shrinking iteration, with
+    rounds of both update kinds."""
+    g = build_algebra("gl(2|1)", field_create(5))
+    chi = g.chi_nonregular_nonzero()
+    lset = lambda_set(g, chi)
+    F = lset.field
+    assert (F.p, F.k) == (5, 5)
+    system = VermaSystem(g, chi)
+    ambient = system._ambient_rows(F)
+    calls = spy_on_extend(monkeypatch)
+    kinds, proper = set(), set()
+    rng = np.random.default_rng(17)
+    for lam in lset.weights[::40]:
+        Z = system.module(lam, F)
+        ops = Z.operators()
+        assert not ops.flags.writeable and ops.shape == (9, 20, 20)
+        views = [ops, ops.transpose(0, 2, 1), ops[:1], ops[-1:]]
+        assert not views[1].flags.c_contiguous
+        for view in views:
+            K = view.shape[0]
+            for seed in (Z.lowest_vector()[None, :], random_matrix(F, rng, (1, 20))):
+                calls.clear()
+                got = la.closure_under_operators(F, seed, view)
+                kinds.update(replay_rounds(calls, K, 20))
+                assert np.array_equal(got, ref.closure_per_vector(F, seed, list(view)))
+                proper.add(got.shape[0] < 20)
+            calls.clear()
+            stable = la.largest_stable_subspace(F, ambient, view)
+            kinds.update(replay_rounds(calls, K, 20))
+            assert np.array_equal(
+                stable, ref.largest_stable_subspace_shrinking(F, ambient, list(view)))
+    assert kinds == {True, False} and proper == {True, False}

@@ -538,7 +538,7 @@ def test_gl21_p5_maximal_submodules_match_shrinking_reference():
     assert len(modules) == 375 and {Z.F.k for Z in modules} == {1, 5}
     for Z in modules[::5]:
         want = largest_stable_subspace_shrinking(
-            Z.F, Z.system._ambient_rows(Z.F), Z.operators())
+            Z.F, Z.system._ambient_rows(Z.F), list(Z.operators()))
         assert np.array_equal(Z.maximal_submodule(), want), Z.lam
 
 

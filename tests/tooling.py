@@ -43,7 +43,7 @@ def corrupted(g, array: str, index: tuple, rng: np.random.Generator):
     arr = getattr(g, array).copy()
     arr[index] = g.F.add(int(arr[index]), int(rng.integers(1, g.F.q)))
     setattr(h, array, arr)
-    h.ad_matrices = [np.ascontiguousarray(t.T) for t in h.bracket_tensor]
+    h.ad_matrices = np.ascontiguousarray(h.bracket_tensor.transpose(0, 2, 1))
     return h
 
 
@@ -75,17 +75,17 @@ def baby_vermas(g, chi):
 
 
 def simple_heads(g, chi):
-    """(field, action matrices, parity involution) of the head of every baby
+    """(field, operator stack, parity involution) of the head of every baby
     Verma of chi, over its whole weight set, as the kw sweep harvests them."""
     for Z in baby_vermas(g, chi):
-        mats, parity_op = Z.quotient_representation()
-        yield Z.F, mats, parity_op
+        ops, parity_op = Z.quotient_representation()
+        yield Z.F, ops, parity_op
 
 
-def commutant_dims(solve, F: Field, action_matrices: Sequence[np.ndarray],
-                   parity_op: np.ndarray, parities: Sequence[int]) -> tuple[int, int]:
+def commutant_dims(solve, F: Field, ops: np.ndarray, parity_op: np.ndarray,
+                   parities: np.ndarray) -> tuple[int, int]:
     """(even, odd) dimensions of the supercommutant that ``solve`` spans, for
-    a solve with the signature of ``linalg.supercommutant_basis``."""
-    even = [m for m, pr in zip(action_matrices, parities) if pr == 0]
-    odd = [m for m, pr in zip(action_matrices, parities) if pr == 1]
+    a solve with the signature of ``linalg.supercommutant_basis``, of the
+    (dim g, n, n) stack ``ops`` split by the parity array."""
+    even, odd = ops[parities == 0], ops[parities == 1]
     return tuple(len(solve(F, even, odd, parity_op, odd_part)) for odd_part in (False, True))
