@@ -37,8 +37,8 @@ integer codes of a ``gf.Field``: a weight is a tuple of codes, and the
 Artin-Schreier solver takes and returns codes.
 
 Irreducibility is decided two independent ways and compared:
-  * oracle: the spanning closure of the lowest vector under the operator
-    stack (every nonzero submodule contains the lowest vector);
+  * oracle: does the lowest vector generate Z?  Its spin runs under n^+
+    alone when chi vanishes on n^-, and decides irreducibility only then;
   * criterion: the Harish-Chandra-style product
     prod_even((lambda+rho|alpha)^{p-1} - 1) * prod_odd((lambda+rho|beta))
     evaluated through coroots, from the codes of the pairings with the
@@ -269,6 +269,7 @@ class VermaSystem:
         self._templates: dict[tuple[int, tuple], tuple] = {}
         self._affine: Optional[tuple[np.ndarray, ...]] = None
         self._ambients: dict[Field, np.ndarray] = {}
+        self.oracle_ops = slice(None) if any(self._neg_chi_values()) else self.pos_indices
 
     def template(self, gen_idx: int, mono: tuple) -> tuple:
         """Symbolic expansion of x_gen . (mono . v) before lambda evaluation.
@@ -513,8 +514,17 @@ class BabyVerma:
     # -- submodules ------------------------------------------------------------
 
     def is_irreducible_oracle(self) -> bool:
+        """Whether the spin of the lowest vector w is all of Z.
+
+        With chi = 0 on n^-, U_chi(n^-) = U_0(n^-) is local and Frobenius: its
+        top PBW monomial spans its socle, so n^- kills w and every nonzero
+        submodule of Z = U_chi(n^-) . v contains w.  h acts on w by a scalar,
+        so U_chi(g) . w = U_chi(n^+) U_chi(h) U_chi(n^-) . w = U_chi(n^+) . w,
+        and the spin under n^+ alone is Z exactly when Z is irreducible.  For
+        chi nonzero on n^- it spins under every operator, and then decides
+        only whether w generates Z, not irreducibility."""
         closed = la.closure_under_operators(self.F, self.lowest_vector()[None, :],
-                                            self.operators())
+                                            self.operators()[self.system.oracle_ops])
         return closed.shape[0] == self.dim
 
     def maximal_submodule(self) -> np.ndarray:

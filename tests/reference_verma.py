@@ -21,6 +21,11 @@ of A = U_chi(n^-) (``neg_product``) and iterates m -> m^p on those tables;
 ``VermaSystem._coefficient_algebra`` now reads both off the letters'
 operators.
 
+``lowest_vector_closure`` is the all-operator oracle that
+``BabyVerma.is_irreducible_oracle`` replaced: it spins the lowest vector
+under every generator's operator, where the oracle now spins it under n^+
+alone whenever chi vanishes on n^-.
+
 The other functions check a baby Verma module from outside the pipeline:
 its defining relations on the action matrices, the simplicity of its head,
 its maximal submodule by brute force, and a module of Walls type Q built by
@@ -303,6 +308,11 @@ def commutative_radical_rows(Z: BabyVerma) -> np.ndarray:
             "submodule is not unique and the head is left uncomputed"
         )
     return rad
+
+
+def lowest_vector_closure(Z: BabyVerma) -> np.ndarray:
+    """Echelon rows of the spin of the lowest vector under the whole stack."""
+    return la.closure_under_operators(Z.F, Z.lowest_vector()[None, :], Z.operators())
 
 
 def verify_relations(Z: BabyVerma) -> dict:

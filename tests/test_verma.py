@@ -15,6 +15,7 @@ from superlie.gf import field_create
 from superlie.liesuper import PCharacter, build_algebra
 from superlie.verma import (
     BabyVerma,
+    IncompatibleBorel,
     InvariantViolation,
     VermaLedger,
     VermaSystem,
@@ -600,6 +601,100 @@ def test_coefficient_algebra_matches_tables(label, p):
         assert np.array_equal(P, ref.pth_power_matrix(system)), chi.values
         seen.add((commutative, system._chi_kills_neg_brackets()))
     assert seen == ALGEBRA_CLASSES.get(label, {(False, True)})
+
+
+# ---------------------------------------------------------------------------
+# the oracle's n^+ spin against the all-operator reference
+
+
+@pytest.fixture
+def oracle_spins(monkeypatch):
+    """The (operator count, echelon rows) of every closure run after the
+    fixture is set up, in order."""
+    spins = []
+    closure = la.closure_under_operators
+
+    def spy(F, seed_rows, ops):
+        rows = closure(F, seed_rows, ops)
+        spins.append((ops.shape[0], rows))
+        return rows
+    monkeypatch.setattr(la, "closure_under_operators", spy)
+    return spins
+
+
+def _check_oracle(Z, spins):
+    """The oracle's one closure spans what the all-operator spin spans, under
+    the n^+ operators alone where chi vanishes on n^-; there its verdict is
+    also that of the maximal submodule.  Returns whether chi vanishes on n^-."""
+    system = Z.system
+    spins.clear()
+    verdict = Z.is_irreducible_oracle()
+    (K, rows), = spins
+    assert np.array_equal(rows, ref.lowest_vector_closure(Z)), (Z.chi.values, Z.lam)
+    kills = not any(system._neg_chi_values())
+    assert K == (len(system.pos_indices) if kills else Z.g.dim)
+    if kills:
+        assert verdict == (Z.maximal_submodule().shape[0] == 0), (Z.chi.values, Z.lam)
+    return kills
+
+
+@pytest.mark.parametrize("label,p", STACK_CASES, ids=[f"{t}-p{p}" for t, p in STACK_CASES])
+def test_oracle_spin_matches_all_operator_reference(oracle_spins, label, p):
+    """Every character of ``_ambient_characters``, whose nilpotent multiples
+    are nonzero on n^-, so that both branches run (gl(1|1) has no even root
+    and no such multiple); every lambda at p = 3, every third of each
+    character's weights at p = 5."""
+    g = build_algebra(label, field_create(p, 1))
+    branches = set()
+    for chi in _ambient_characters(g):
+        ls = lambda_set(g, chi)
+        system = VermaSystem(g, chi)
+        for lam in ls.weights[:: 1 if p == 3 else len(ls) // 3]:
+            branches.add(_check_oracle(system.module(lam, ls.field), oracle_spins))
+    assert branches == ({True} if label == "gl(1|1)" else {True, False})
+
+
+@pytest.mark.parametrize("label", [t for t, p in AMBIENT_CASES if p == 3])
+def test_oracle_spin_on_every_compatible_system(oracle_spins, label):
+    """p = 3: the zero and the nonregular standard characters and the
+    nilpotent character of each even positive root, on every simple system
+    other than the distinguished one whose n^+ chi kills."""
+    g = build_algebra(label, F3)
+    standard = standard_characters(g)
+    chis = [standard["zero"], standard["nonregular"]] + [
+        g.nilpotent_root_character(a) for a in g.distinguished.positive_roots
+        if g.parities[g.root_index[a]] == 0]
+    distinguished = set(g.distinguished.positive_roots)
+    others = [ss for ss in g.rs.all_simple_systems() if set(ss.positive_roots) != distinguished]
+    skipped = 0
+    for chi in chis:
+        ls = lambda_set(g, chi)
+        for ss in others:
+            try:
+                system = VermaSystem(g, chi, ss)
+            except IncompatibleBorel:
+                skipped += 1
+                continue
+            for lam in ls:
+                _check_oracle(system.module(lam, ls.field), oracle_spins)
+    assert (skipped > 0) == (label != "gl(1|1)")
+
+
+def test_oracle_branch_is_pinned(oracle_spins):
+    """The oracle spins under the 3 operators of n^+ on the standard
+    characters of gl(2|1) (dim 9) and osp(2|2) (dim 8), and under all 5 of
+    osp(1|2), p = 3, with chi on X_{-2delta}."""
+    cases = []
+    for label in ("gl(2|1)", "osp(2|2)"):
+        g = build_algebra(label, F3)
+        cases += [(g, chi, 3) for chi in standard_characters(g).values()]
+    osp = build_algebra("osp(1|2)", F3)
+    cases.append((osp, osp.nilpotent_root_character("2d1"), 5))
+    for g, chi, want in cases:
+        oracle_spins.clear()
+        for Z in baby_vermas(g, chi):
+            Z.is_irreducible_oracle()
+        assert [K for K, _ in oracle_spins] == [want] * g.p ** g.rank, (g.label, chi.values)
 
 
 def _template_with(extra):
