@@ -263,10 +263,6 @@ class DeformedAlgebra:
 
     # -- products and the g-action by superderivations -------------------------
 
-    def mul_by_gen(self, a: dict, basis_idx: int) -> dict:
-        """a * x_b for a basis generator."""
-        return self._monomials(self._fold(self._indexed(a).items(), self.slot_of[basis_idx], {}))
-
     def multiply(self, a: dict, b: dict) -> dict:
         return self._monomials(self._multiply(self._indexed(a), self._indexed(b)))
 
@@ -300,10 +296,6 @@ class DeformedAlgebra:
             out = fn({i: 1})
             mat[list(out), i] = list(out.values())
         return mat
-
-    def left_mult_matrix(self, basis_idx: int) -> np.ndarray:
-        gen = {self._weight[self.slot_of[basis_idx]]: 1}
-        return self._op_matrix(lambda el: self._multiply(gen, el))
 
     def right_mult_matrix(self, basis_idx: int) -> np.ndarray:
         s = self.slot_of[basis_idx]

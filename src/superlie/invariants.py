@@ -7,10 +7,13 @@ the function algebra F(g, q) on the coset side, with multiplication carried
 through the coproduct and a g-action by right translation.  The ideal
 machinery locates g-invariant ideals of these and of the reduced symmetric
 algebras through the ``linalg`` kernel (largest stable subspace, operator
-closure) on one (K, n, n) operator stack per algebra: the multiplications,
-the g-action, then the parity involution.  It reports graded and total
-codimensions from three ranks: those of the ideal's projections to the even
-and the odd coordinates, and its own.
+closure) on one (K, n, n) operator stack per algebra: the multiplications
+from one side, the g-action, then the parity involution.  Both stacks are
+read off tables the engine already has: F(g, q)'s from one coproduct per
+coset monomial and U's right multiplications, S_xi's from its right
+multiplications and derivations.  It reports graded and total codimensions
+from three ranks: those of the ideal's projections to the even and the odd
+coordinates, and its own.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from . import linalg as la
 from .envelope import DeformedAlgebra
 from .gf import Field
 from .liesuper import LieSuperalgebra
+from .rootsys import InvariantViolation
 
 # ---------------------------------------------------------------------------
 # comultiplication
@@ -116,15 +120,15 @@ class CoinducedAlgebra:
         coset_even = [i for i in coset if g.parities[i] == 0]
         coset_odd = [i for i in coset if g.parities[i] == 1]
         order = q_indices + coset_even + coset_odd
-        self.q_indices = q_indices
         self.n_q = len(q_indices)
         self.U = DeformedAlgebra(g, g.chi_zero(), lam=1, order=order)
         self.coset_slots = list(range(self.n_q, g.dim))
         caps = [self.U.slot_cap[s] for s in self.coset_slots]
         self.basis = [tuple(t) for t in itertools.product(*[range(c) for c in caps])]
         self.index = {b: i for i, b in enumerate(self.basis)}
-        self._norms = [self._norm(b) for b in self.basis]
-        self._parities = [self._parity(b) for b in self.basis]
+        # N_b = b! and the parity of f_b, for every coset monomial b
+        self._norms = [math.prod(map(math.factorial, b)) % g.p for b in self.basis]
+        self._parities = [self.U.monomial_parity(self.full_monomial(b)) for b in self.basis]
 
     def _validate_subalgebra(self, idxs: Sequence[int]) -> None:
         g = self.g
@@ -141,19 +145,6 @@ class CoinducedAlgebra:
 
     # -- indexing helpers ------------------------------------------------------
 
-    def _norm(self, coset_exps: tuple) -> int:
-        total = 1
-        for e in coset_exps:
-            total = (total * math.factorial(e)) % self.g.p
-        return total % self.F.q
-
-    def _parity(self, coset_exps: tuple) -> int:
-        par = 0
-        for s, e in zip(self.coset_slots, coset_exps):
-            if e and self.U.slot_parity[s]:
-                par ^= e & 1
-        return par
-
     def full_monomial(self, coset_exps: tuple) -> tuple:
         m = [0] * self.U.n_slots
         for s, e in zip(self.coset_slots, coset_exps):
@@ -169,10 +160,7 @@ class CoinducedAlgebra:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def dual_basis_element(self, coset_exps: tuple) -> dict:
-        return {tuple(coset_exps): 1}
-
-    # -- evaluation and algebra structure --------------------------------------
+    # -- evaluation and the operator model -------------------------------------
 
     def evaluate(self, f: dict, u: dict) -> int:
         """Apply the functional f to an element u of U_chi(g)."""
@@ -187,86 +175,46 @@ class CoinducedAlgebra:
                 total = F.add(total, F.mul(F.mul(c, fv), self._norms[self.index[coset]]))
         return total
 
-    def _homogeneous_parts(self, f: dict) -> list[tuple[int, dict]]:
-        parts: dict = {0: {}, 1: {}}
-        for b, c in f.items():
-            parts[self._parities[self.index[b]]][b] = c
-        return [(par, el) for par, el in parts.items() if el]
-
-    def multiply(self, f1: dict, f2: dict) -> dict:
-        F = self.F
-        out: dict = {}
-        for par2, g2 in self._homogeneous_parts(f2):
-            for _, g1 in self._homogeneous_parts(f1):
-                for e, idx in self.index.items():
-                    full = self.full_monomial(e)
-                    val = 0
-                    for (m1, m2), c in comultiply_monomial(self.U, full).items():
-                        v1 = self.evaluate(g1, {m1: 1})
-                        if not v1:
-                            continue
-                        v2 = self.evaluate(g2, {m2: 1})
-                        if not v2:
-                            continue
-                        term = F.mul(c, F.mul(v1, v2))
-                        if par2 and self.U.monomial_parity(m1):
-                            term = F.neg(term)
-                        val = F.add(val, term)
-                    if val:
-                        coeff = F.div(val, self._norms[idx])
-                        cur = out.get(e)
-                        nv = F.add(cur, coeff) if cur is not None else coeff
-                        if nv:
-                            out[e] = nv
-                        elif cur is not None:
-                            del out[e]
-        return out
-
-    def act(self, basis_idx: int, f: dict) -> dict:
-        """(x . f)(e) = (-1)^{|x|(|f| + |e|)} f(e x)."""
-        F = self.F
-        px = int(self.g.parities[basis_idx])
-        out: dict = {}
-        for parf, part in self._homogeneous_parts(f):
-            for e, idx in self.index.items():
-                shifted = self.U.mul_by_gen({self.full_monomial(e): 1}, basis_idx)
-                val = self.evaluate(part, shifted)
-                if not val:
-                    continue
-                if px and (parf ^ self._parities[idx]):
-                    val = F.neg(val)
-                coeff = F.div(val, self._norms[idx])
-                cur = out.get(e)
-                nv = F.add(cur, coeff) if cur is not None else coeff
-                if nv:
-                    out[e] = nv
-                elif cur is not None:
-                    del out[e]
-        return out
-
     def duality_check(self) -> bool:
         """f_(a,b)(e^(a',b')) = a! delta on the full dual-basis grid."""
         for b1 in self.basis:
-            f = self.dual_basis_element(b1)
             for b2 in self.basis:
-                val = self.evaluate(f, {self.full_monomial(b2): 1})
+                val = self.evaluate({b1: 1}, {self.full_monomial(b2): 1})
                 expected = self._norms[self.index[b1]] if b1 == b2 else 0
                 if val != expected:
                     return False
         return True
 
     def operator_model(self) -> "OperatorModel":
+        """The stack read off one coproduct per coset monomial and U's
+        right multiplications.
+
+        With N = diag(a!) over the coset monomials, f_a·f_b = Σ_c M[c,a,b]·f_c,
+        where M[c,a,b] is the coefficient of e^a ⊗ e^b in Δ(e^c), negated when
+        a and b are both odd, times N_a·N_b/N_c; and
+        x·f_b = Σ_c (−1)^{|x|(|b|+|c|)}·R_x[b,c]·N_b/N_c·f_c, where R_x[b,c] is
+        the coefficient of e^b in e^c·x.  The q slots come first in the PBW
+        order, so a coset monomial's index in U is its index here, and a
+        monomial of U lies in the coset block exactly when its index is below n.
+        """
+        F, U, norms, par = self.F, self.U, self._norms, self._parities
         n, d = len(self.basis), self.g.dim
-        duals = [self.dual_basis_element(b) for b in self.basis]
         ops = la.zeros((n + d + 1, n, n))  # multiplications, the g-action, then sigma
-        for k in range(n + d):
-            for j, f in enumerate(duals):
-                out = self.multiply(duals[k], f) if k < n else self.act(k - n, f)
-                for bb, c in out.items():
-                    ops[k, self.index[bb], j] = c
-        parities = np.array(self._parities, dtype=np.int64)
+        for c, mono in enumerate(self.basis):
+            inv_c = F.inv(norms[c])
+            for (m1, m2), v in comultiply_monomial(U, self.full_monomial(mono)).items():
+                a, b = self.index[self.split(m1)], self.index[self.split(m2)]
+                v = F.mul(F.mul(v, inv_c), F.mul(norms[a], norms[b]))
+                ops[a, c, b] = F.neg(v) if par[a] and par[b] else v
+            for x in range(d):
+                odd_x = self.g.parities[x]
+                for b, v in U._fold(((c, 1),), U.slot_of[x], {}).items():
+                    if b < n:
+                        v = F.mul(v, F.mul(norms[b], inv_c))
+                        ops[n + x, c, b] = F.neg(v) if odd_x and par[b] != par[c] else v
+        parities = np.array(par, dtype=np.int64)
         aug = la.zeros(n)
-        aug[self.index[(0,) * len(self.coset_slots)]] = 1
+        aug[0] = 1  # f |-> f(1) reads the coefficient of f_0, the unit
         return OperatorModel(self.F, parities, ops, aug)
 
     def is_g_simple(self) -> bool:
@@ -282,11 +230,14 @@ class CoinducedAlgebra:
 class OperatorModel:
     """A finite-dimensional algebra-with-g-action given by one operator stack.
 
-    ``ops`` is the (K, n, n) stack of the multiplications (two-sided, since
-    the parity involution sigma is always included), then the g-action, then
-    sigma, which the model writes into the last slot from the basis
-    parities.  aug_vector is the augmentation functional cutting out the
-    maximal ideal.
+    ``ops`` is the (K, n, n) stack of the multiplications from one side,
+    then the g-action, then the parity involution sigma, which the model
+    writes into the last slot from the basis parities.  One side suffices:
+    both algebras modelled here are supercommutative, so x·u = ±u·x gives
+    L_x = R_x∘σ^{|x|}, and a subspace stable under the right (or left)
+    multiplications and σ is stable under the other side too.  Being
+    σ-stable, every such subspace is graded.  aug_vector is the augmentation
+    functional cutting out the maximal ideal.
     """
 
     def __init__(self, F: Field, parities: np.ndarray, ops: np.ndarray, aug_vector: np.ndarray):
@@ -308,10 +259,9 @@ def operator_model_from_symmetric(S: DeformedAlgebra) -> OperatorModel:
     F, d = S.F, S.g.dim
     monomials = S.basis_monomials()
     n = len(monomials)
-    ops = la.zeros((3 * d + 1, n, n))  # left and right multiplications, the g-action, sigma
+    ops = la.zeros((2 * d + 1, n, n))  # right multiplications, the g-action, sigma
     for i in range(d):
-        ops[i], ops[d + i], ops[2 * d + i] = (
-            S.left_mult_matrix(i), S.right_mult_matrix(i), S.action_matrix(i))
+        ops[i], ops[d + i] = S.right_mult_matrix(i), S.action_matrix(i)
     parities = np.zeros(n, dtype=np.int64)
     aug = la.zeros(n)
     for i, m in enumerate(monomials):
@@ -345,6 +295,8 @@ def graded_codims(model: OperatorModel, ideal_rows: np.ndarray) -> tuple[int, in
     A subspace I is graded exactly when it is the sum of its projections to
     the even and the odd coordinates, that is when their ranks r0 and r1 add
     up to rank(I); then r0 and r1 are the dimensions of its two parts.
+    Ideals and closures of an ``OperatorModel`` are sigma-stable, hence
+    graded, so a subspace that is not breaks the model's own invariant.
     """
     n = model.n
     even_idx = np.nonzero(model.parities == 0)[0]
@@ -355,7 +307,8 @@ def graded_codims(model: OperatorModel, ideal_rows: np.ndarray) -> tuple[int, in
     r1 = la.rank(model.F, ideal_rows[:, odd_idx])
     r = la.rank(model.F, ideal_rows)
     if r0 + r1 != r:
-        raise RuntimeError("subspace is not graded")
+        raise InvariantViolation("subspace is not graded, though every operator "
+                                 "stack holds the parity involution")
     return even_idx.size - r0, odd_idx.size - r1, n - r
 
 

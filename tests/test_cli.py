@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from superlie import invariants, linalg as la
 from superlie.cli import (
     ExperimentConfig,
     UsageError,
@@ -214,6 +215,21 @@ def test_sym_subcommand():
     code = main(["sym", "--type", "gl(1|1)", "--p", "3",
                  "--xi", "explicit:1,0", "--samples", "6"])
     assert code == 0
+
+
+def test_sym_non_graded_ideal_is_fail(monkeypatch, capsys):
+    # every operator stack holds sigma, so a non-graded ideal is a broken
+    # invariant: the check fails and says so, with no traceback
+    def non_graded(model):
+        row = la.zeros((1, model.n))
+        row[0, [np.nonzero(model.parities == par)[0][0] for par in (0, 1)]] = 1
+        return row
+    monkeypatch.setattr(invariants, "largest_proper_invariant_ideal", non_graded)
+    assert main(["sym", "--type", "gl(1|1)", "--p", "3",
+                 "--xi", "explicit:1,0", "--samples", "2"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^sym +FAIL$", out, re.M)
+    assert "invariant violation: subspace is not graded" in out
 
 
 def test_verma_subcommand_lambda_flag():

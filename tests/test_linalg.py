@@ -15,6 +15,7 @@ from superlie.gf import field_create
 from superlie import linalg as la
 from superlie.invariants import graded_codims
 from superlie.liesuper import build_algebra
+from superlie.rootsys import InvariantViolation
 from superlie.verma import VermaSystem, lambda_set
 from tooling import random_codes
 
@@ -469,7 +470,7 @@ def test_graded_codims_match_intersection_reference(data):
     try:
         want = ref.graded_codims_intersect(F, parities, rows)
     except RuntimeError:
-        with pytest.raises(RuntimeError, match="not graded"):
+        with pytest.raises(InvariantViolation, match="not graded"):
             graded_codims(model, rows)
         return
     assert graded_codims(model, rows) == want
