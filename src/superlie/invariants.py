@@ -18,6 +18,7 @@ coordinates, and its own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Optional, Sequence
@@ -79,15 +80,16 @@ def comultiply_monomial(U: DeformedAlgebra, m: tuple) -> dict:
 
 def check_coassociativity(U: DeformedAlgebra, monomials: Sequence[tuple]) -> bool:
     F = U.F
+    # Delta of each monomial once per call
+    delta_of = functools.lru_cache(maxsize=None)(lambda m: comultiply_monomial(U, m))
     for m in monomials:
-        delta = comultiply_monomial(U, m)
         left: dict = {}
         right: dict = {}
-        for (m1, m2), c in delta.items():
-            for (a, b), v in comultiply_monomial(U, m1).items():
+        for (m1, m2), c in delta_of(m).items():
+            for (a, b), v in delta_of(m1).items():
                 key = (a, b, m2)
                 left[key] = F.add(left.get(key, 0), F.mul(c, v))
-            for (a, b), v in comultiply_monomial(U, m2).items():
+            for (a, b), v in delta_of(m2).items():
                 key = (m1, a, b)
                 right[key] = F.add(right.get(key, 0), F.mul(c, v))
         left = {k: v for k, v in left.items() if v}

@@ -6,6 +6,9 @@ indices: monomials are exponent tuples, the memo is keyed by
 ``mul``/``add``, and the structure constants are read from the algebra's
 tensors at each step.  It shares no code with the indexed engine, so equal
 products from the two are an independent check.
+
+``multiply_per_monomial`` is the indexed engine's product before it shared
+letter prefixes of the right factor: the oracle for that fold.
 """
 
 from __future__ import annotations
@@ -16,7 +19,24 @@ from typing import Optional, Sequence
 import numpy as np
 
 from superlie import linalg as la
+from superlie.envelope import DeformedAlgebra
 from superlie.liesuper import LieSuperalgebra, PCharacter
+
+
+def multiply_per_monomial(U: DeformedAlgebra, a: dict, b: dict) -> dict:
+    """a * b in U, folding a separately through each monomial of b, letter
+    by letter, with U's one-letter fold ``_fold``."""
+    a, out = U._indexed(a), {}
+    for m, c in U._indexed(b).items():
+        letters = U._letters(m)
+        if not letters:
+            U._accum(out, a, c)
+            continue
+        part = a
+        for s in letters[:-1]:
+            part = U._fold(part.items(), s, {})
+        U._fold(part.items(), letters[-1], out, c)
+    return U._monomials(out)
 
 
 class ReferenceAlgebra:

@@ -13,7 +13,7 @@ from superlie.envelope import DeformedAlgebra
 from superlie.gf import field_create
 from superlie.liesuper import PCharacter, build_algebra
 
-from reference_envelope import ReferenceAlgebra
+from reference_envelope import ReferenceAlgebra, multiply_per_monomial
 
 PRODUCT_CASES = [
     ("gl(1|1)", 3, 1), ("gl(1|1)", 5, 1),
@@ -72,6 +72,18 @@ def test_products_match_reference(data):
             power_u = U.multiply(power_u, base)
             power_r = R.multiply(power_r, base)
         assert power_u == power_r
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_prefix_shared_fold_matches_per_monomial_fold(data):
+    """Right factors with many terms sharing letter prefixes, some of them
+    ending where another goes on: b * c and b * c + b + 1."""
+    U, _ = _engines(data, PRODUCT_CASES)
+    a, b, c = (_element(data, U) for _ in range(3))
+    bc = U.multiply(b, c)
+    for right in (bc, U.add(U.add(bc, b), U.one())):
+        assert U.multiply(a, right) == multiply_per_monomial(U, a, right)
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,11 +1,14 @@
 """Tests for comultiplication, coinduced algebras, and invariant ideals."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import reference_linalg as ref
 from reference_envelope import ReferenceAlgebra
 from reference_invariants import ReferenceCoinduced
+from superlie import invariants
 from superlie import linalg as la
 from superlie.gf import field_create
 from superlie.liesuper import build_algebra
@@ -109,6 +112,30 @@ def test_coassociativity_across_algebras():
         monomials = [tuple(int(rng.integers(0, cap)) for cap in U.slot_cap)
                      for _ in range(6)]
         assert check_coassociativity(U, monomials)
+
+
+def test_coassociativity_takes_each_coproduct_once_and_sees_a_flipped_sign(monkeypatch):
+    """One Delta per monomial within a call; a Delta whose Koszul sign is
+    flipped (an odd letter sent to the first factor gets an extra -1, so
+    Delta(y) = -y (x) 1 + 1 (x) y) still fails the check."""
+    U = reduced_enveloping(build_algebra("osp(1|2)", F3))
+    monomials = U.basis_monomials()
+    exact = invariants.comultiply_monomial
+    calls = Counter()
+
+    def counted(U, m):
+        calls[m] += 1
+        return exact(U, m)
+    monkeypatch.setattr(invariants, "comultiply_monomial", counted)
+    assert check_coassociativity(U, monomials)
+    assert set(calls) == set(monomials) and set(calls.values()) == {1}
+
+    def flipped(U, m):
+        return {(m1, m2): U.F.neg(c) if U.monomial_parity(m1) else c
+                for (m1, m2), c in exact(U, m).items()}
+    monkeypatch.setattr(invariants, "comultiply_monomial", flipped)
+    assert not check_coassociativity(U, monomials)
+    assert not check_coassociativity(U, [m for m in monomials if sum(m) > 1])
 
 
 # ---------------------------------------------------------------------------
