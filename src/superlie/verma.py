@@ -37,8 +37,9 @@ integer codes of a ``gf.Field``: a weight is a tuple of codes, and the
 Artin-Schreier solver takes and returns codes.
 
 Irreducibility is decided two independent ways and compared:
-  * oracle: does the lowest vector generate Z?  Its spin runs under n^+
-    alone when chi vanishes on n^-, and decides irreducibility only then;
+  * oracle: does the lowest vector w generate Z?  When chi vanishes on n^-
+    it decides irreducibility, as the rank of the matrix of the PBW words of
+    n^+ applied to w; otherwise w is spun under every operator;
   * criterion: the Harish-Chandra-style product
     prod_even((lambda+rho|alpha)^{p-1} - 1) * prod_odd((lambda+rho|beta))
     evaluated through coroots, from the codes of the pairings with the
@@ -226,6 +227,17 @@ def shift_lambda(F: Field, lam: Sequence[int], values: Sequence[int],
 # the module template (one straightening pass shared by every lambda)
 
 
+def _pbw_words(F: Field, letters: np.ndarray, exponents: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+    """Column j of ``cols`` times the PBW word prod_s letters[s]^exponents[j, s],
+    in place: the rightmost letter acts first, one product per (slot, power)."""
+    for s in reversed(range(len(letters))):
+        for e in range(1, int(exponents[:, s].max()) + 1):
+            hit = exponents[:, s] >= e
+            cols[:, hit] = la.matmul(F, letters[s], cols[:, hit])
+    return cols
+
+
 class VermaSystem:
     """Template for all Z_chi(lambda) over one (algebra, chi, simple system).
 
@@ -269,7 +281,8 @@ class VermaSystem:
         self._templates: dict[tuple[int, tuple], tuple] = {}
         self._affine: Optional[tuple[np.ndarray, ...]] = None
         self._ambients: dict[Field, np.ndarray] = {}
-        self.oracle_ops = slice(None) if any(self._neg_chi_values()) else self.pos_indices
+        self._lowest: Optional[np.ndarray] = None
+        self.chi_kills_neg = not any(self._neg_chi_values())
 
     def template(self, gen_idx: int, mono: tuple) -> tuple:
         """Symbolic expansion of x_gen . (mono . v) before lambda evaluation.
@@ -359,16 +372,33 @@ class VermaSystem:
             rows = np.kron(rows, np.array(T, dtype=np.int64)) % p
         return rows[1:]
 
-    def _coefficient_algebra(self) -> tuple[np.ndarray, bool]:
-        """(P, commutative) for A = U_chi(n^-) from the letters' operators L_s:
-        L_m = L_1^{e_1} ... L_N^{e_N} carries the unit to m, and column m of
-        the p-th-power matrix P is L_m^p applied to the unit (prime codes)."""
+    def _negative_letters(self) -> np.ndarray:
+        """The negative letters' operators over GF(p) in slot order, free of lambda."""
         positions, where, slots, _ = self._affine_template()
         on_letters = np.isin(positions[where] // self.dim ** 2, self.neg_indices)
         if slots[on_letters].any():
             raise InvariantViolation("lambda enters the action of a negative root vector")
+        return self.evaluate(self.g.F, (0,) * self.g.rank)[self.neg_indices]
+
+    def lowest_vector(self) -> np.ndarray:
+        """w = X_{-alpha_1}^{m_1} ... X_{-alpha_N}^{m_N} . v over GF(p), read-only:
+        the letters are free of lambda, so w is that of every module."""
+        if self._lowest is None:
+            # the letters in n^+ order, as in ``BabyVerma.word_matrix``
+            vec = _pbw_words(self.g.F, self._negative_letters()[::-1], self.exponents[-1:, ::-1],
+                             la.eye(self.dim)[:, [self.highest_index]])[:, 0]
+            if not vec.any():
+                raise InvariantViolation("lowest vector vanished — PBW violation")
+            vec.flags.writeable = False
+            self._lowest = vec
+        return self._lowest
+
+    def _coefficient_algebra(self) -> tuple[np.ndarray, bool]:
+        """(P, commutative) for A = U_chi(n^-) from the letters' operators L_s:
+        L_m = L_1^{e_1} ... L_N^{e_N} carries the unit to m, and column m of
+        the p-th-power matrix P is L_m^p applied to the unit (prime codes)."""
         Fp, d, N = self.g.F, self.dim, self.N
-        L = self.evaluate(Fp, (0,) * self.g.rank)[self.neg_indices]
+        L = self._negative_letters()
         # one product: LL[s, :, t, :] = L_s L_t
         LL = la.matmul(Fp, L.reshape(N * d, d), L.transpose(1, 0, 2).reshape(d, N * d))
         LL = LL.reshape(N, d, N, d)
@@ -376,10 +406,7 @@ class VermaSystem:
         P = la.zeros((d, d))
         P[self.highest_index] = 1  # every column starts at the unit of A
         for rnd in range(self.g.p):  # column m: m, m^2, ..., m^p
-            for s in reversed(range(N)):  # the rightmost letter acts first
-                for e in range(1, self.caps[s]):
-                    cols = self.exponents[:, s] >= e
-                    P[:, cols] = la.matmul(Fp, L[s], P[:, cols])
+            _pbw_words(Fp, L, self.exponents, P)
             if rnd == 0 and not np.array_equal(P, la.eye(d)):
                 raise InvariantViolation("the letters do not carry 1 to every PBW monomial")
         return P, commutative
@@ -463,8 +490,8 @@ class BabyVerma:
         self.index = system.index
         self.highest_index = system.highest_index
         self._stack: Optional[np.ndarray] = None
+        self._words: Optional[np.ndarray] = None
         self._max_submodule: Optional[np.ndarray] = None
-        self._lowest: Optional[np.ndarray] = None
 
     # -- actions ---------------------------------------------------------------
 
@@ -487,29 +514,22 @@ class BabyVerma:
         v[self.highest_index] = 1
         return v
 
-    def _exponent(self, root_idx: int) -> int:
-        return self.g.p - 1 if self.g.parities[root_idx] == 0 else 1
-
     def lowest_vector(self) -> np.ndarray:
-        """X_{-alpha_1}^{m_1} ... X_{-alpha_N}^{m_N} . v (rightmost acts first)."""
-        if self._lowest is None:
-            vec = self.highest_vector()
-            for idx in self.system.neg_indices:
-                for _ in range(self._exponent(idx)):
-                    vec = self.act(idx, vec)
-            if not vec.any():
-                raise InvariantViolation("lowest vector vanished — PBW violation")
-            vec.flags.writeable = False  # shared by every later call
-            self._lowest = vec
-        return self._lowest
+        """X_{-alpha_1}^{m_1} ... X_{-alpha_N}^{m_N} . v, shared by the system."""
+        return self.system.lowest_vector()
+
+    def word_matrix(self) -> np.ndarray:
+        """M = [e^a . w], a over the PBW index set read in n^+ order: column a is
+        X_{alpha_1}^{a_1} ... X_{alpha_N}^{a_N} . w, the last the top word."""
+        if self._words is None:
+            cols = self.lowest_vector()[:, None].repeat(self.dim, axis=1)
+            self._words = _pbw_words(self.F, self.operators()[self.system.pos_indices],
+                                    self.system.exponents[:, ::-1], cols)
+        return self._words
 
     def phi_via_module(self) -> int:
         """Coefficient of v in X_{alpha_1}^{m_1} ... X_{alpha_N}^{m_N} . lowest."""
-        vec = self.lowest_vector()
-        for idx in reversed(self.system.pos_indices):
-            for _ in range(self._exponent(idx)):
-                vec = self.act(idx, vec)
-        return int(vec[self.highest_index])
+        return int(self.word_matrix()[self.highest_index, -1])
 
     # -- submodules ------------------------------------------------------------
 
@@ -520,11 +540,14 @@ class BabyVerma:
         top PBW monomial spans its socle, so n^- kills w and every nonzero
         submodule of Z = U_chi(n^-) . v contains w.  h acts on w by a scalar,
         so U_chi(g) . w = U_chi(n^+) U_chi(h) U_chi(n^-) . w = U_chi(n^+) . w,
-        and the spin under n^+ alone is Z exactly when Z is irreducible.  For
-        chi nonzero on n^- it spins under every operator, and then decides
-        only whether w generates Z, not irreducibility."""
-        closed = la.closure_under_operators(self.F, self.lowest_vector()[None, :],
-                                            self.operators()[self.system.oracle_ops])
+        and Z is irreducible exactly when U_chi(n^+) . w = Z.  As chi(n^+) = 0,
+        U_chi(n^+) is spanned by its PBW monomials e^a, so U_chi(n^+) . w is
+        the column span of ``word_matrix`` and its dimension is rank M.  For
+        chi nonzero on n^- the spin runs under every operator, and then
+        decides only whether w generates Z, not irreducibility."""
+        if self.system.chi_kills_neg:
+            return la.rank(self.F, self.word_matrix()) == self.dim
+        closed = la.closure_under_operators(self.F, self.lowest_vector()[None, :], self.operators())
         return closed.shape[0] == self.dim
 
     def maximal_submodule(self) -> np.ndarray:
@@ -566,21 +589,11 @@ class BabyVerma:
         X_{-delta} v; type iii (odd with 2delta a root):
         X_{-delta} X_{-2delta}^{p-1} v.
         """
-        kind, star = self.ss.classify(delta)
-        g, neg = self.g, self.g.rs.neg
-        vec = self.highest_vector()
-        if kind == "type_i":
-            idx = g.root_index[neg[delta]]
-            for _ in range(g.p - 1):
-                vec = self.act(idx, vec)
-        elif kind == "type_ii":
-            vec = self.act(g.root_index[neg[delta]], vec)
-        else:  # star = (delta, 2 delta)
-            idx2 = g.root_index[neg[star[1]]]
-            for _ in range(g.p - 1):
-                vec = self.act(idx2, vec)
-            vec = self.act(g.root_index[neg[delta]], vec)
-        return vec, kind
+        kind, star = self.ss.classify(delta)  # star: (delta,) or (delta, 2 delta)
+        idx = [self.g.root_index[self.g.rs.neg[a]] for a in star]
+        exps = np.array([[1 if self.g.parities[i] else self.g.p - 1 for i in idx]])
+        vec = _pbw_words(self.F, self.operators()[idx], exps, self.highest_vector()[:, None])
+        return vec[:, 0], kind
 
     def check_singular(self, delta: int) -> dict:
         """Annihilation of the singular vector by the reflected positives."""

@@ -23,8 +23,15 @@ operators.
 
 ``lowest_vector_closure`` is the all-operator oracle that
 ``BabyVerma.is_irreducible_oracle`` replaced: it spins the lowest vector
-under every generator's operator, where the oracle now spins it under n^+
-alone whenever chi vanishes on n^-.
+under every generator's operator, as the oracle still does where chi is
+nonzero on n^-.  ``positive_spin_closure`` is the iterative spin under the
+operators of n^+ alone that the oracle ran where chi vanishes on n^-, before
+the rank of ``BabyVerma.word_matrix`` replaced it there.  ``phi_by_letters``
+is the letter-by-letter product chain that ``BabyVerma.phi_via_module``
+replaced with the top column of the word matrix.  ``lowest_by_letters`` is
+the per-module lowest vector, built letter by letter over the module's own
+field, that ``VermaSystem.lowest_vector`` replaced with one vector per
+system over GF(p).
 
 The other functions check a baby Verma module from outside the pipeline:
 its defining relations on the action matrices, the simplicity of its head,
@@ -313,6 +320,33 @@ def commutative_radical_rows(Z: BabyVerma) -> np.ndarray:
 def lowest_vector_closure(Z: BabyVerma) -> np.ndarray:
     """Echelon rows of the spin of the lowest vector under the whole stack."""
     return la.closure_under_operators(Z.F, Z.lowest_vector()[None, :], Z.operators())
+
+
+def _apply_letters(Z: BabyVerma, indices, vec: np.ndarray) -> np.ndarray:
+    """vec under each root vector of ``indices`` in turn, each to the power
+    p - 1 (even) or 1 (odd), one operator application at a time."""
+    for idx in indices:
+        for _ in range(Z.g.p - 1 if Z.g.parities[idx] == 0 else 1):
+            vec = Z.act(idx, vec)
+    return vec
+
+
+def lowest_by_letters(Z: BabyVerma) -> np.ndarray:
+    """X_{-alpha_1}^{m_1} ... X_{-alpha_N}^{m_N} . v over Z's own field."""
+    return _apply_letters(Z, Z.system.neg_indices, Z.highest_vector())
+
+
+def phi_by_letters(Z: BabyVerma) -> int:
+    """The coefficient of v in X_{alpha_1}^{m_1} ... X_{alpha_N}^{m_N} . w,
+    applied letter by letter to Z's lowest vector w."""
+    vec = _apply_letters(Z, reversed(Z.system.pos_indices), Z.lowest_vector())
+    return int(vec[Z.highest_index])
+
+
+def positive_spin_closure(Z: BabyVerma) -> np.ndarray:
+    """Echelon rows of the spin of the lowest vector under the operators of n^+."""
+    return la.closure_under_operators(Z.F, Z.lowest_vector()[None, :],
+                                      Z.operators()[Z.system.pos_indices])
 
 
 def verify_relations(Z: BabyVerma) -> dict:

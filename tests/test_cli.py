@@ -164,8 +164,10 @@ def test_kw_invariant_violation_is_fail(monkeypatch, capsys):
 
 
 def test_kw_pbw_violation_is_fail(monkeypatch, capsys):
-    # a vanishing lowest vector breaks PBW: an internal failure, not a scope limit
-    monkeypatch.setattr(BabyVerma, "act", lambda self, idx, vec: np.zeros_like(vec))
+    # a vanishing lowest vector breaks PBW: an internal failure, not a scope limit;
+    # zero letters reach the raise in the system's own lowest-vector computation
+    monkeypatch.setattr(VermaSystem, "_negative_letters",
+                        lambda self: np.zeros((self.N, self.dim, self.dim), dtype=np.int64))
     assert main(["kw", "--type", "gl(1|1)", "--p", "3"]) == 1
     out = capsys.readouterr().out
     assert "skipped" not in out and "PASS" not in out

@@ -14,7 +14,6 @@ from superlie import verma
 from superlie.gf import field_create
 from superlie.liesuper import PCharacter, build_algebra
 from superlie.verma import (
-    BabyVerma,
     IncompatibleBorel,
     InvariantViolation,
     VermaLedger,
@@ -220,19 +219,28 @@ def test_lowest_vector_frozen_coordinates():
     assert (low2 == expect2).all()
 
 
-def test_lowest_vector_is_built_once_per_module(monkeypatch):
+def test_lowest_vector_is_built_once_per_system(monkeypatch):
+    """One read-only lowest vector over GF(p) for every weight of the system,
+    here over GF(5^5), equal to each module's letter-by-letter one."""
     g = build_algebra("osp(1|2)", F5)
-    Z = VermaSystem(g, g.chi_zero()).module((3,))
-    acts = []
-    act = BabyVerma.act
-    monkeypatch.setattr(BabyVerma, "act", lambda self, i, v: acts.append(i) or act(self, i, v))
-    low = Z.lowest_vector()
-    chain = len(acts)
-    Z.phi_via_module()
-    Z.is_irreducible_oracle()
-    assert Z.lowest_vector() is low and not low.flags.writeable
-    # phi and the oracle add only phi's raising chain, as long as the lowering one
-    assert chain > 0 and len(acts) == 2 * chain
+    chi = g.chi_regular_semisimple()
+    ls = lambda_set(g, chi)
+    system = VermaSystem(g, chi)
+    builds = []
+    letters = VermaSystem._negative_letters
+    monkeypatch.setattr(VermaSystem, "_negative_letters",
+                        lambda self: builds.append(self) or letters(self))
+    low = system.lowest_vector()
+    chain = len(builds)
+    assert ls.k == 5 and len(ls) == 5
+    for lam in ls:
+        Z = system.module(lam, ls.field)
+        Z.phi_via_module()
+        Z.is_irreducible_oracle()
+        assert Z.lowest_vector() is low and not low.flags.writeable
+        assert np.array_equal(low, ref.lowest_by_letters(Z)), lam
+    # phi and the oracle of every weight evaluate the letters no second time
+    assert chain > 0 and len(builds) == chain
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +612,7 @@ def test_coefficient_algebra_matches_tables(label, p):
 
 
 # ---------------------------------------------------------------------------
-# the oracle's n^+ spin against the all-operator reference
+# the oracle's word matrix and closure against the reference spins
 
 
 @pytest.fixture
@@ -623,18 +631,25 @@ def oracle_spins(monkeypatch):
 
 
 def _check_oracle(Z, spins):
-    """The oracle's one closure spans what the all-operator spin spans, under
-    the n^+ operators alone where chi vanishes on n^-; there its verdict is
-    also that of the maximal submodule.  Returns whether chi vanishes on n^-."""
-    system = Z.system
+    """Where chi vanishes on n^-, the oracle runs no closure, the word matrix
+    spans the n^+ spin of the reference, and the verdict is that of the
+    maximal submodule; elsewhere the oracle's one closure, under every
+    operator, spans the all-operator spin.  The lowest vector and phi are
+    the letter-by-letter ones.  Returns whether chi vanishes on n^-."""
     spins.clear()
     verdict = Z.is_irreducible_oracle()
-    (K, rows), = spins
-    assert np.array_equal(rows, ref.lowest_vector_closure(Z)), (Z.chi.values, Z.lam)
-    kills = not any(system._neg_chi_values())
-    assert K == (len(system.pos_indices) if kills else Z.g.dim)
+    closures, kills = list(spins), not any(Z.system._neg_chi_values())
     if kills:
+        assert closures == [], (Z.chi.values, Z.lam)
+        rows = la.row_space_basis(Z.F, Z.word_matrix().T)
+        assert np.array_equal(rows, ref.positive_spin_closure(Z)), (Z.chi.values, Z.lam)
         assert verdict == (Z.maximal_submodule().shape[0] == 0), (Z.chi.values, Z.lam)
+    else:
+        (K, rows), = closures
+        assert K == Z.g.dim
+        assert np.array_equal(rows, ref.lowest_vector_closure(Z)), (Z.chi.values, Z.lam)
+    assert np.array_equal(Z.lowest_vector(), ref.lowest_by_letters(Z)), (Z.chi.values, Z.lam)
+    assert Z.phi_via_module() == ref.phi_by_letters(Z), (Z.chi.values, Z.lam)
     return kills
 
 
@@ -680,21 +695,28 @@ def test_oracle_spin_on_every_compatible_system(oracle_spins, label):
     assert (skipped > 0) == (label != "gl(1|1)")
 
 
-def test_oracle_branch_is_pinned(oracle_spins):
-    """The oracle spins under the 3 operators of n^+ on the standard
-    characters of gl(2|1) (dim 9) and osp(2|2) (dim 8), and under all 5 of
-    osp(1|2), p = 3, with chi on X_{-2delta}."""
+def test_oracle_branch_is_pinned(oracle_spins, monkeypatch):
+    """The oracle takes the rank of one dim x dim word matrix and runs no
+    closure on the standard characters of gl(2|1) and osp(2|2) (dim Z 12 at
+    p = 3), and spins under all 5 operators of osp(1|2), p = 3, with chi on
+    X_{-2delta}."""
+    ranks = []
+    rank = la.rank
+    monkeypatch.setattr(la, "rank", lambda F, mat: ranks.append(mat.shape) or rank(F, mat))
     cases = []
     for label in ("gl(2|1)", "osp(2|2)"):
         g = build_algebra(label, F3)
-        cases += [(g, chi, 3) for chi in standard_characters(g).values()]
+        cases += [(g, chi, [], [(12, 12)]) for chi in standard_characters(g).values()]
     osp = build_algebra("osp(1|2)", F3)
-    cases.append((osp, osp.nilpotent_root_character("2d1"), 5))
-    for g, chi, want in cases:
+    cases.append((osp, osp.nilpotent_root_character("2d1"), [5], []))
+    for g, chi, closures, words in cases:
         oracle_spins.clear()
+        ranks.clear()
         for Z in baby_vermas(g, chi):
             Z.is_irreducible_oracle()
-        assert [K for K, _ in oracle_spins] == [want] * g.p ** g.rank, (g.label, chi.values)
+        count = g.p ** g.rank
+        assert [K for K, _ in oracle_spins] == closures * count, (g.label, chi.values)
+        assert ranks == words * count, (g.label, chi.values)
 
 
 def _template_with(extra):
