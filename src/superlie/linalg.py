@@ -2,9 +2,15 @@
 
 Matrices are 2-D ``int64`` arrays whose entries are field codes for a given
 :class:`~superlie.gf.Field`.  A matrix product is one exact product mod p,
-of the codes of a prime field or the stacked digit planes of GF(p^k): in
-float64 through BLAS if large and every sum stays below 2⁵³, else in
-``int64``.  Gauss elimination uses the field's element-wise operations.
+of the codes of a prime field or of the digit planes of GF(p^k): in float64
+through BLAS if large and every sum stays below 2⁵³, else in ``int64``,
+reduced mod p in place.  Over GF(p^k), (n, m) x (m, r) expands its k²
+digit products on whichever face is smallest: n·m, with the left factor as
+the GF(p)-matrix of multiplication by its entries; m·r, the same for the
+right factor; or n·r, where all k² plane products come out of one product
+and the reduction tensor of the power basis folds them into k digits.
+Gauss elimination uses the field's element-wise operations; ``nonsingular``
+runs it on a whole stack of small square matrices at once.
 
 Every subspace is computed one way: ``rref`` gives ranks, kernels, solutions
 and row-space bases, and ``EchelonBasis`` reduces and extends a basis kept
@@ -53,17 +59,25 @@ def fits_float64(p: int, m: int) -> bool:
 
 
 # Fewest multiply-adds n·m·r at which a float64 (BLAS) product beats int64.
-# Single-threaded on a 2-vCPU Xeon, int64 vs float64: 12³ 6.2 vs 9.2 µs, 32³ 38 vs 25 µs.
+# Single-threaded on a 2-vCPU Xeon, int64 vs float64, each reduced mod 3 in
+# place: 12³ 6.0 vs 7.4 µs, 16³ 8.9 vs 8.2 µs, (12, 12, 108) 24.9 vs 14.6 µs,
+# 32³ 37.7 vs 15.1 µs, but (108, 108, 1) 15.0 vs 16.3 µs.  At 2¹² kw_heads
+# ran 4% faster and ideal_survey 2.5% slower, each in 5 of 6 bench pairs.
 FLOAT64_MIN_MACS = 2 ** 14
+
+
+def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """The exact integers of x reduced mod p, as int64, reduced in place."""
+    x = x.astype(np.int64, copy=False)
+    return np.remainder(x, p, out=x)
 
 
 def _residue_product(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b mod p`` for matrices of residues mod p, exact."""
     if a.shape[0] * a.shape[1] * b.shape[1] >= FLOAT64_MIN_MACS and fits_float64(p, a.shape[1]):
-        out = a.astype(np.float64) @ b.astype(np.float64)
-        return np.fmod(out, p, out=out).astype(np.int64)
+        return _mod_p(a.astype(np.float64) @ b.astype(np.float64), p)
     check_int64_matmul(p, a.shape, b.shape)
-    return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False) % p
+    return _mod_p(a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False), p)
 
 
 def matmul(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,19 +90,31 @@ def matmul(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
     if F.k == 1:
         return _residue_product(F.p, a, b)  # prime-field codes are the residues
-    # GF(p^k) as k digit planes over GF(p).  The smaller side becomes the
-    # GF(p)-matrix of multiplication by its entries, the other side stacks its
-    # planes along the inner dimension: one product mod p with k·m terms.
-    # W is symmetric in its first two indices, so one reshape serves both
-    # sides: (digits @ Wk)[..., j, t] is digit t of (entry · x^j).
+    # GF(p^k) as k digit planes over GF(p): the k² digit products expand the
+    # smallest face, n·r on ties.  W is symmetric in its first two indices,
+    # so one reshape serves both sides: (digits @ Wk)[..., j, t] is digit t
+    # of (entry · x^j).
     k, p = F.k, F.p
     Wk = F._mul_tensor.reshape(k, k * k)
-    if n <= r:
+    if n * r <= min(n * m, m * r):  # n·r: every plane product, then W on the result
+        lhs = F._digits[a].transpose(2, 0, 1).reshape(k * n, m)  # row (j, i)
+        rhs = F._digits[b].reshape(m, r * k)  # column (c, t)
+        W = Wk.reshape(k * k, k)
+        # each result sums k²·m digit products (< (p−1)²) times an entry of W (< p)
+        if fits_float64(p, k * k * m * (p - 1)):
+            planes = lhs.astype(np.float64) @ rhs.astype(np.float64)
+            W = W.astype(np.float64)
+        else:
+            check_int64_matmul(p, lhs.shape, rhs.shape)
+            planes = _mod_p(lhs @ rhs, p)
+        planes = planes.reshape(k, n, r, k).transpose(1, 2, 0, 3).reshape(n * r, k * k)
+        out = _mod_p(planes @ W, p).reshape(n, r, k)
+    elif n <= r:  # n·m: a as the GF(p)-matrix of multiplication by its entries
         lhs = (F._digits[a] @ Wk).reshape(n, m, k, k).transpose(0, 3, 1, 2)
         lhs = lhs.reshape(n * k, m * k) % p  # row (i, t), column (s, j)
         rhs = F._digits[b].transpose(0, 2, 1).reshape(m * k, r)
         out = _residue_product(p, lhs, rhs).reshape(n, k, r).transpose(0, 2, 1)
-    else:
+    else:  # m·r: b as the GF(p)-matrix of multiplication by its entries
         lhs = F._digits[a].reshape(n, m * k)
         rhs = (F._digits[b] @ Wk).reshape(m, r, k, k).transpose(0, 2, 1, 3)
         rhs = rhs.reshape(m * k, r * k) % p  # row (s, j), column (c, t)
@@ -135,6 +161,31 @@ def rank(F: Field, mat: np.ndarray) -> int:
     if mat.size == 0:
         return 0
     return len(rref(F, mat)[1])
+
+
+def nonsingular(F: Field, stack: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a (B, s, s) stack is invertible, as bool (B,).
+
+    Gauss elimination on the whole stack at once, one column at a time: the
+    first nonzero entry at or below the diagonal is swapped up, and the rows
+    below subtract its row times their entry over it.  A matrix with no such
+    entry is singular; its zero pivot clears nothing, and its verdict stays.
+    """
+    m = np.array(stack, dtype=np.int64)
+    B, s = m.shape[:2]
+    ok = np.ones(B, dtype=bool)
+    batch = np.arange(B)
+    for c in range(s):
+        below = m[:, c:, c] != 0
+        ok &= below.any(axis=1)
+        if c + 1 == s:
+            break
+        t = c + below.argmax(axis=1)
+        m[batch, c], m[batch, t] = m[batch, t], m[batch, c]
+        factors = F.mul_arr(m[:, c + 1:, c], F._inv[m[:, c, c]][:, None])
+        elim = F.mul_arr(factors[:, :, None], m[:, None, c, c + 1:])
+        m[:, c + 1:, c + 1:] = F.sub_arr(m[:, c + 1:, c + 1:], elim)
+    return ok
 
 
 def nullspace(F: Field, mat: np.ndarray) -> np.ndarray:

@@ -39,7 +39,12 @@ Artin-Schreier solver takes and returns codes.
 Irreducibility is decided two independent ways and compared:
   * oracle: does the lowest vector w generate Z?  When chi vanishes on n^-
     it decides irreducibility, as the rank of the matrix of the PBW words of
-    n^+ applied to w; otherwise w is spun under every operator;
+    n^+ applied to w; otherwise w is spun under every operator.  h acts
+    diagonally on the PBW basis, and each word e^a . w is homogeneous, so
+    the word matrix is block diagonal over the h-weight grades mod p, which
+    are free of lambda; a -> cap - 1 - a pairs its columns with its rows,
+    so every block is square and the rank is full iff each block is
+    nonsingular;
   * criterion: the Harish-Chandra-style product
     prod_even((lambda+rho|alpha)^{p-1} - 1) * prod_odd((lambda+rho|beta))
     evaluated through coroots, from the codes of the pairings with the
@@ -238,6 +243,24 @@ def _pbw_words(F: Field, letters: np.ndarray, exponents: np.ndarray,
     return cols
 
 
+def grade_blocks(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, dict]:
+    """(off-block mask, {s: (row indices, column indices) of the (B_s, s)
+    blocks of size s}) of a square matrix whose rows and columns carry the
+    grade keys ``rows`` and ``cols``; a grade with unequal row and column
+    counts raises InvariantViolation."""
+    grades, counts = np.unique(rows, return_counts=True)
+    col_grades, col_counts = np.unique(cols, return_counts=True)
+    if not (np.array_equal(grades, col_grades) and np.array_equal(counts, col_counts)):
+        raise InvariantViolation("a weight grade has unequal row and column counts")
+    row_order, col_order = np.argsort(rows, kind="stable"), np.argsort(cols, kind="stable")
+    starts = np.cumsum(counts) - counts
+    blocks = {}
+    for s in sorted(set(counts.tolist())):  # np.unique(counts) imports numpy.ma: 0.5 MB
+        at = starts[counts == s][:, None] + np.arange(s)
+        blocks[s] = (row_order[at], col_order[at])
+    return rows[:, None] != cols[None, :], blocks
+
+
 class VermaSystem:
     """Template for all Z_chi(lambda) over one (algebra, chi, simple system).
 
@@ -283,6 +306,7 @@ class VermaSystem:
         self._ambients: dict[Field, np.ndarray] = {}
         self._lowest: Optional[np.ndarray] = None
         self.chi_kills_neg = not any(self._neg_chi_values())
+        self._blocks: Optional[tuple] = None
 
     def template(self, gen_idx: int, mono: tuple) -> tuple:
         """Symbolic expansion of x_gen . (mono . v) before lambda evaluation.
@@ -392,6 +416,22 @@ class VermaSystem:
             vec.flags.writeable = False
             self._lowest = vec
         return self._lowest
+
+    def word_blocks(self) -> tuple[np.ndarray, dict]:
+        """The word matrix's blocks over the lambda-free h-weight grades mod p:
+        (mask of the entries off every block, {s: (rows, cols)}), with one
+        (B_s, s) index array pair per block size s.
+
+        With beta_s the weight of the positive root whose negative sits in
+        slot s, basis vector e^b . v has grade -sum b_s beta_s and word
+        e^a . w that of the complementary exponent cap - 1 - a."""
+        if self._blocks is None:
+            beta = self.g.root_weights[self.positives[::-1]]
+            keys = self.g.p ** np.arange(self.g.rank)
+            rows = -self.exponents @ beta % self.g.p @ keys
+            cols = -(np.array(self.caps) - 1 - self.exponents) @ beta % self.g.p @ keys
+            self._blocks = grade_blocks(rows, cols)
+        return self._blocks
 
     def _coefficient_algebra(self) -> tuple[np.ndarray, bool]:
         """(P, commutative) for A = U_chi(n^-) from the letters' operators L_s:
@@ -542,11 +582,21 @@ class BabyVerma:
         so U_chi(g) . w = U_chi(n^+) U_chi(h) U_chi(n^-) . w = U_chi(n^+) . w,
         and Z is irreducible exactly when U_chi(n^+) . w = Z.  As chi(n^+) = 0,
         U_chi(n^+) is spanned by its PBW monomials e^a, so U_chi(n^+) . w is
-        the column span of ``word_matrix`` and its dimension is rank M.  For
-        chi nonzero on n^- the spin runs under every operator, and then
-        decides only whether w generates Z, not irreducibility."""
+        the column span of ``word_matrix`` and its dimension is rank M.  h acts
+        on e^b . v by (lambda + mu_b)(h), and column e^a . w is homogeneous of
+        the weight of row cap - 1 - a, so M is block diagonal over the grades
+        mu mod p with square blocks (``VermaSystem.word_blocks``): M is
+        certified zero off them, and rank M = dim exactly when every block is
+        nonsingular, tested in one stacked call per block size.  For chi
+        nonzero on n^- the spin runs under every operator, and then decides
+        only whether w generates Z, not irreducibility."""
         if self.system.chi_kills_neg:
-            return la.rank(self.F, self.word_matrix()) == self.dim
+            words = self.word_matrix()
+            off, blocks = self.system.word_blocks()
+            if words[off].any():
+                raise InvariantViolation("the word matrix is not block diagonal over the weight grades")
+            return all([la.nonsingular(self.F, words[rows[:, :, None], cols[:, None, :]]).all()
+                        for rows, cols in blocks.values()])  # one call per block size, always
         closed = la.closure_under_operators(self.F, self.lowest_vector()[None, :], self.operators())
         return closed.shape[0] == self.dim
 

@@ -26,7 +26,9 @@ operators.
 under every generator's operator, as the oracle still does where chi is
 nonzero on n^-.  ``positive_spin_closure`` is the iterative spin under the
 operators of n^+ alone that the oracle ran where chi vanishes on n^-, before
-the rank of ``BabyVerma.word_matrix`` replaced it there.  ``phi_by_letters``
+the rank of ``BabyVerma.word_matrix`` replaced it there.
+``word_rank_verdict`` is that dense rank, which the oracle now splits into
+one nonsingularity test per h-weight block.  ``phi_by_letters``
 is the letter-by-letter product chain that ``BabyVerma.phi_via_module``
 replaced with the top column of the word matrix.  ``lowest_by_letters`` is
 the per-module lowest vector, built letter by letter over the module's own
@@ -341,6 +343,11 @@ def phi_by_letters(Z: BabyVerma) -> int:
     applied letter by letter to Z's lowest vector w."""
     vec = _apply_letters(Z, reversed(Z.system.pos_indices), Z.lowest_vector())
     return int(vec[Z.highest_index])
+
+
+def word_rank_verdict(Z: BabyVerma) -> bool:
+    """Whether the dense word matrix has full rank, one ``rref`` of dim x dim."""
+    return la.rank(Z.F, Z.word_matrix()) == Z.dim
 
 
 def positive_spin_closure(Z: BabyVerma) -> np.ndarray:

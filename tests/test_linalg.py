@@ -561,6 +561,73 @@ def test_product_past_float64_bound_stays_exact_in_int64():
         la._residue_product(p, np.ones((128, 3), np.int64), np.ones((3, 128), np.int64))
 
 
+# -- the three faces of a GF(p^k) product, and the stacked nonsingular test ---
+
+# (n, m, r) with n·m, then m·r, then n·r strictly smallest, ties between each
+# pair and all three, and zero-sized dimensions
+FACE_SHAPES = [(2, 5, 9), (3, 7, 11), (9, 5, 2), (11, 7, 3), (4, 9, 3), (6, 13, 5),
+               (3, 3, 7), (7, 3, 3), (20, 20, 10), (5, 5, 5),
+               (0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)]
+
+
+@pytest.mark.parametrize("float64", [True, False], ids=["float64", "int64"])
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 2), (5, 5), (7, 3)])
+def test_matmul_faces_match_loop_reference(p, k, float64, monkeypatch):
+    """Each face's layout equals the column loop, in float64 and (with the
+    float64 certificate refused) in int64; the plane layout runs exactly
+    when n·r is the smallest face, and makes no product of the other two."""
+    F = field_create(p, k)
+    rng = np.random.default_rng(p * k)
+    if not float64:
+        monkeypatch.setattr(la, "fits_float64", lambda p, m: False)
+    residue = la._residue_product
+    calls = []
+    monkeypatch.setattr(la, "_residue_product", lambda *args: calls.append(1) or residue(*args))
+    for n, m, r in FACE_SHAPES:
+        for extreme in (False, True):  # the largest codes reach the largest sums
+            a, b = random_codes(F, rng, (n, m)), random_codes(F, rng, (m, r))
+            if extreme:
+                a, b = np.full_like(a, F.q - 1), np.full_like(b, F.q - 1)
+            calls.clear()
+            got = la.matmul(F, a, b)
+            assert got.dtype == np.int64 and got.shape == (n, r)
+            assert np.array_equal(got, ref.matmul_loop(F, a, b)), (n, m, r, extreme)
+            assert (not calls) == (n * r <= min(n * m, m * r)), (n, m, r)
+
+
+def _rank_is_full(F, block):
+    return len(la.rref(F, block)[1]) == block.shape[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_nonsingular_matches_rref_rank(data):
+    F = field_create(*data.draw(st.sampled_from(FIELDS)))
+    s, B = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 6))
+    blocks = stack([data.draw(matrices(F, s, s)) for _ in range(B)], s)
+    got = la.nonsingular(F, blocks)
+    assert got.dtype == bool and got.shape == (B,)
+    assert got.tolist() == [_rank_is_full(F, X) for X in blocks]
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_nonsingular_finds_planted_singular_blocks(p, k):
+    """A duplicated row, a zero column and a product of two rank-deficient
+    factors, stacked among random blocks, for s = 1…6."""
+    F = field_create(p, k)
+    rng = np.random.default_rng(7 * p + k)
+    for s in range(1, 7):
+        blocks = random_matrix(F, rng, (12, s, s))
+        blocks[0, -1] = blocks[0, 0] if s > 1 else 0
+        blocks[1, :, rng.integers(s)] = 0
+        left, right = random_matrix(F, rng, (s, s)), random_matrix(F, rng, (s, s))
+        left[:, 0], right[-1] = F.smul_arr(2, left[:, -1]) if s > 1 else 0, 0
+        blocks[2] = la.matmul(F, left, right)
+        got = la.nonsingular(F, blocks)
+        assert got.tolist() == [_rank_is_full(F, X) for X in blocks], s
+        assert not got[:3].any() and got[3:].any(), s
+
+
 def spy_on_extend(monkeypatch) -> list:
     """(block rows, new rows) of every ``EchelonBasis.extend`` call from now on."""
     calls = []

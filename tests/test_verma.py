@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ import reference_verma as ref
 from reference_linalg import largest_stable_subspace_shrinking
 from superlie import linalg as la
 from superlie import verma
+from superlie.cli import main
 from superlie.gf import field_create
 from superlie.liesuper import PCharacter, build_algebra
 from superlie.verma import (
+    BabyVerma,
     IncompatibleBorel,
     InvariantViolation,
     VermaLedger,
@@ -631,16 +634,18 @@ def oracle_spins(monkeypatch):
 
 
 def _check_oracle(Z, spins):
-    """Where chi vanishes on n^-, the oracle runs no closure, the word matrix
-    spans the n^+ spin of the reference, and the verdict is that of the
-    maximal submodule; elsewhere the oracle's one closure, under every
-    operator, spans the all-operator spin.  The lowest vector and phi are
-    the letter-by-letter ones.  Returns whether chi vanishes on n^-."""
+    """Where chi vanishes on n^-, the oracle runs no closure, its verdict is
+    the dense rank of the word matrix and that of the maximal submodule, and
+    the word matrix spans the n^+ spin of the reference; elsewhere the
+    oracle's one closure, under every operator, spans the all-operator spin.
+    The lowest vector and phi are the letter-by-letter ones.  Returns whether
+    chi vanishes on n^-."""
     spins.clear()
     verdict = Z.is_irreducible_oracle()
     closures, kills = list(spins), not any(Z.system._neg_chi_values())
     if kills:
         assert closures == [], (Z.chi.values, Z.lam)
+        assert verdict == ref.word_rank_verdict(Z), (Z.chi.values, Z.lam)
         rows = la.row_space_basis(Z.F, Z.word_matrix().T)
         assert np.array_equal(rows, ref.positive_spin_closure(Z)), (Z.chi.values, Z.lam)
         assert verdict == (Z.maximal_submodule().shape[0] == 0), (Z.chi.values, Z.lam)
@@ -696,27 +701,94 @@ def test_oracle_spin_on_every_compatible_system(oracle_spins, label):
 
 
 def test_oracle_branch_is_pinned(oracle_spins, monkeypatch):
-    """The oracle takes the rank of one dim x dim word matrix and runs no
-    closure on the standard characters of gl(2|1) and osp(2|2) (dim Z 12 at
-    p = 3), and spins under all 5 operators of osp(1|2), p = 3, with chi on
-    X_{-2delta}."""
-    ranks = []
-    rank = la.rank
-    monkeypatch.setattr(la, "rank", lambda F, mat: ranks.append(mat.shape) or rank(F, mat))
+    """The oracle tests the word matrix's weight blocks in one stacked call
+    per block size, six 1 x 1 and three 2 x 2 blocks, and runs no closure on
+    the standard characters of gl(2|1) and osp(2|2) (dim Z 12 at p = 3); it
+    spins under all 5 operators of osp(1|2), p = 3, with chi on X_{-2delta}.
+    The graded verdicts are the dense rank's."""
+    stacks = []
+    nonsingular = la.nonsingular
+    monkeypatch.setattr(la, "nonsingular",
+                        lambda F, blocks: stacks.append(blocks.shape) or nonsingular(F, blocks))
     cases = []
     for label in ("gl(2|1)", "osp(2|2)"):
         g = build_algebra(label, F3)
-        cases += [(g, chi, [], [(12, 12)]) for chi in standard_characters(g).values()]
+        cases += [(g, chi, [], [(6, 1, 1), (3, 2, 2)]) for chi in standard_characters(g).values()]
     osp = build_algebra("osp(1|2)", F3)
     cases.append((osp, osp.nilpotent_root_character("2d1"), [5], []))
-    for g, chi, closures, words in cases:
+    for g, chi, closures, blocks in cases:
         oracle_spins.clear()
-        ranks.clear()
+        stacks.clear()
         for Z in baby_vermas(g, chi):
-            Z.is_irreducible_oracle()
+            verdict = Z.is_irreducible_oracle()
+            if not closures:
+                assert verdict == ref.word_rank_verdict(Z), (g.label, chi.values, Z.lam)
         count = g.p ** g.rank
         assert [K for K, _ in oracle_spins] == closures * count, (g.label, chi.values)
-        assert ranks == words * count, (g.label, chi.values)
+        assert stacks == blocks * count, (g.label, chi.values)
+
+
+# ---------------------------------------------------------------------------
+# the weight grades of the word matrix
+
+
+@pytest.mark.parametrize("label,p,census", [
+    ("gl(2|1)", 5, {1: 10, 2: 5}), ("osp(2|2)", 5, {1: 10, 2: 5}),
+    ("sl(2|1)", 5, {1: 10, 2: 5}), ("gl(2|1)", 3, {1: 6, 2: 3}),
+    ("osp(1|2)", 5, {2: 5}), ("gl(2|2)", 5, {1: 50, 4: 50, 6: 25})])
+def test_grade_block_census(label, p, census):
+    """Blocks per size on every standard character; they tile the matrix,
+    and the mask marks exactly the entries off them."""
+    g = build_algebra(label, field_create(p, 1))
+    for chi in standard_characters(g).values():
+        system = VermaSystem(g, chi)
+        off, blocks = system.word_blocks()
+        assert {s: rows.shape[0] for s, (rows, _) in blocks.items()} == census
+        on = np.zeros_like(off)
+        for rows, cols in blocks.values():
+            assert rows.shape == cols.shape
+            on[rows[:, :, None], cols[:, None, :]] = True
+        assert on.sum() == sum(B * s * s for s, B in census.items())
+        assert np.array_equal(on, ~off)
+        # each block's columns are its rows' complementary exponents cap - 1 - a
+        complement = [system.index[tuple(np.array(system.caps) - 1 - e)] for e in system.exponents]
+        for rows, cols in blocks.values():
+            assert np.array_equal(np.sort(np.array(complement)[rows]), np.sort(cols))
+
+
+def test_grade_table_with_unequal_counts_raises():
+    with pytest.raises(InvariantViolation, match="unequal row and column counts"):
+        verma.grade_blocks(np.array([0, 1, 1]), np.array([0, 0, 1]))
+
+
+def _leak_off_block(monkeypatch):
+    """Every word matrix gets a nonzero entry off its weight blocks."""
+    word_matrix = BabyVerma.word_matrix
+
+    def leaky(self):
+        words = word_matrix(self).copy()
+        off, _ = self.system.word_blocks()
+        words[tuple(np.argwhere(off)[0])] = 1
+        return words
+    monkeypatch.setattr(BabyVerma, "word_matrix", leaky)
+
+
+def test_word_matrix_off_its_blocks_raises(monkeypatch):
+    g = build_algebra("gl(2|1)", F3)
+    _leak_off_block(monkeypatch)
+    Z = next(baby_vermas(g, g.chi_zero()))
+    with pytest.raises(InvariantViolation, match="not block diagonal"):
+        Z.is_irreducible_oracle()
+
+
+def test_word_matrix_off_its_blocks_is_fail(monkeypatch, tmp_path, capsys):
+    _leak_off_block(monkeypatch)
+    (tmp_path / "v.cfg").write_text("algebra = gl(2|1)\np = 3\nchi = zero\nchecks = verma\n")
+    assert main(["run", str(tmp_path / "v.cfg")]) == 1
+    out = capsys.readouterr().out
+    assert "skipped" not in out and "PASS" not in out
+    assert re.search(r"^verma +FAIL$", out, re.M)
+    assert "not block diagonal over the weight grades" in out
 
 
 def _template_with(extra):
