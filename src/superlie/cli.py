@@ -10,7 +10,8 @@ kw             dimension-divisibility sweep over the standard characters
 sym            invariant-ideal survey of the reduced symmetric algebra
 
 Config files are flat ``key = value`` lines (``#`` comments allowed); the
-``chi`` key may repeat.  Character descriptors: ``zero``,
+keys are ``algebra``, ``p``, ``chi``, ``checks``, ``samples`` and ``seed``,
+and only ``chi`` may repeat.  Character descriptors: ``zero``,
 ``regular_semisimple``, ``nonregular``, ``explicit:c1,c2,...`` (Cartan
 values), ``nilpotent_root:LABEL`` (for example ``2d1`` or ``e1-e2``).
 
@@ -38,7 +39,7 @@ from .envelope import (
     reduced_symmetric,
     theta_map,
 )
-from .gf import field_create, is_prime
+from .gf import MAX_FIELD_ORDER, field_create, is_prime
 from .invariants import (
     CoinducedAlgebra,
     check_coassociativity,
@@ -87,7 +88,6 @@ class UsageError(Exception):
 class ExperimentConfig:
     algebra: str
     p: int
-    k_max: int = 8
     chi_specs: list = field(default_factory=lambda: ["zero"])
     checks: list = field(default_factory=lambda: ["verma", "phi"])
     samples: int = 20
@@ -105,14 +105,18 @@ def parse_config(text: str) -> ExperimentConfig:
             raise UsageError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key not in ("algebra", "p", "chi", "checks", "samples", "seed"):
+            raise UsageError(f"line {lineno}: unknown config key {key!r}")
         if key == "chi":
             chi_specs.append(val)
+        elif key in values:
+            raise UsageError(f"line {lineno}: config key {key!r} repeats")
         else:
             values[key] = val
     if "algebra" not in values or "p" not in values:
         raise UsageError("config needs at least 'algebra' and 'p'")
     ints = {}
-    for key in [k for k in ("p", "k_max", "samples", "seed") if k in values]:
+    for key in [k for k in ("p", "samples", "seed") if k in values]:
         try:
             ints[key] = int(values[key])
         except ValueError:
@@ -131,6 +135,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def build_for(cfg_algebra: str, p: int) -> LieSuperalgebra:
+    if p > MAX_FIELD_ORDER:
+        raise UsageError(f"p = {p} is above MAX_FIELD_ORDER = {MAX_FIELD_ORDER}")
     if not is_prime(p):
         raise UsageError(f"p = {p} is not prime")
     try:
@@ -322,8 +328,8 @@ def check_semisimple(g, ledgers):
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Run the configured checks; returns (exit_code, bundle, summary_lines)."""
-    if cfg.samples < 1 or cfg.k_max < 1:
-        raise UsageError(f"samples and k_max must be at least 1, got {cfg.samples}, {cfg.k_max}")
+    if cfg.samples < 1:
+        raise UsageError(f"samples must be at least 1, got {cfg.samples}")
     g = build_for(cfg.algebra, cfg.p)
     dense = [name for name in ("sym", "coinduced") if name in cfg.checks]
     pbw_dim = g.p ** g.dim_even * 2 ** g.dim_odd
@@ -334,11 +340,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
         os.makedirs(out_dir, exist_ok=True)
     chis = [(spec, resolve_chi(g, spec)) for spec in cfg.chi_specs]
     # the Verma checks of this run share one ledger per character
-    ledgers = [(spec, VermaLedger(g, chi, cfg.k_max)) for spec, chi in chis]
+    ledgers = [(spec, VermaLedger(g, chi)) for spec, chi in chis]
     bundle = {"config": {
-        "algebra": cfg.algebra, "p": cfg.p, "k_max": cfg.k_max,
-        "chi": list(cfg.chi_specs), "checks": list(cfg.checks),
-        "samples": cfg.samples, "seed": cfg.seed,
+        "algebra": cfg.algebra, "p": cfg.p, "chi": list(cfg.chi_specs),
+        "checks": list(cfg.checks), "samples": cfg.samples, "seed": cfg.seed,
     }}
     lines = []
     all_ok = True
@@ -388,8 +393,8 @@ def _emit(bundle, lines, fmt):
 
 
 def _with_flags(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    """``--seed``, ``--k-max`` and ``--samples`` override the config."""
-    for key in ("seed", "k_max", "samples"):
+    """``--seed`` and ``--samples`` override the config."""
+    for key in ("seed", "samples"):
         if getattr(args, key, None) is not None:
             setattr(cfg, key, getattr(args, key))
     return cfg
@@ -423,8 +428,6 @@ def _single_chi_config(args, checks) -> ExperimentConfig:
 
 
 def cmd_verma(args) -> int:
-    if args.lam != "all":
-        raise UsageError("only '--lambda all' is supported")
     cfg = _single_chi_config(args, ["verma", "phi"])
     code, bundle, lines = run_experiment(cfg, out_dir=args.out)
     _emit(bundle, lines, args.format)
@@ -485,7 +488,6 @@ def cmd_sym(args) -> int:
 
 def _add_common(sp):
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--k-max", type=int, default=None, dest="k_max")
     sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--out", default=None, metavar="DIR")
     sp.add_argument("--format", choices=("text", "structured"), default="text")
@@ -510,7 +512,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--type", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--chi", default="zero")
-    sp.add_argument("--lambda", dest="lam", default="all")
     _add_common(sp)
     sp.set_defaults(func=cmd_verma)
 

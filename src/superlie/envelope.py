@@ -120,18 +120,6 @@ class DeformedAlgebra:
         m[self.slot_of[basis_idx]] = 1
         return {tuple(m): 1}
 
-    def scale(self, c: int, a: dict) -> dict:
-        c = int(c) % self.F.q
-        if c == 0:
-            return {}
-        F = self.F
-        return {m: F.mul(c, v) for m, v in a.items()}
-
-    def add(self, a: dict, b: dict) -> dict:
-        out = dict(a)
-        self._accum(out, b, 1)
-        return out
-
     def sub(self, a: dict, b: dict) -> dict:
         out = dict(a)
         self._accum(out, b, self.F.neg(1))

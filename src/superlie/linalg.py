@@ -24,8 +24,6 @@ supercommutant is spun from r seeds, in n·r unknowns rather than n².
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .gf import Field
@@ -199,21 +197,6 @@ def nullspace(F: Field, mat: np.ndarray) -> np.ndarray:
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = F.neg_arr(red[: len(pivots), free].T)
     return basis
-
-
-def solve(F: Field, mat: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
-    """One solution of mat x = rhs, or None if inconsistent."""
-    mat = np.asarray(mat)
-    rhs = np.asarray(rhs)
-    aug = np.concatenate([mat, rhs[:, None]], axis=1)
-    red, pivots = rref(F, aug)
-    cols = mat.shape[1]
-    if cols in pivots:
-        return None
-    x = zeros(cols)
-    for r, c in enumerate(pivots):
-        x[c] = red[r, cols]
-    return x
 
 
 def row_space_basis(F: Field, mat: np.ndarray) -> np.ndarray:

@@ -25,16 +25,16 @@ negative letters are A's faithful left-regular representation, free of
 lambda: A is commutative iff they pairwise commute.
 
 The weight lattice Lambda_chi = {lambda : lambda(h)^p - lambda(h^{[p]}) =
-chi(h)^p} is solved exactly.  On every supported algebra the p-map is the
-identity on the Cartan basis, so each coordinate t = lambda(h) solves the
-Artin-Schreier equation t^p - t = chi(h)^p on its own.  The map
-t -> t^p - t is GF(p)-linear, and its equation has p roots over GF(p^k)
-exactly when the trace of chi(h)^p to GF(p) vanishes there; for chi(h) in
-GF(p) that is k = 1 when chi(h) = 0 and k = p otherwise.  Lambda_chi is
-the product of the per-coordinate roots over the one field that holds
-them all, p^rank weights.  As everywhere in the package, field values are
-integer codes of a ``gf.Field``: a weight is a tuple of codes, and the
-Artin-Schreier solver takes and returns codes.
+chi(h)^p} is read off the Frobenius table.  On every supported algebra the
+p-map is the identity on the Cartan basis, so each coordinate t = lambda(h)
+solves t^p - t = c with c = chi(h)^p in GF(p) on its own.  That equation has
+its p roots in GF(p) when c = 0 and first in GF(p^p) otherwise, so the
+weight field is GF(p) when chi vanishes on the Cartan and GF(p^p) when it
+does not, never a setting.  The roots of one equation form a coset of the
+kernel GF(p) of t -> t^p - t, so they are p consecutive codes.  Lambda_chi
+is the product of the per-coordinate roots, p^rank weights.  As everywhere
+in the package, field values are integer codes of a ``gf.Field``: a weight
+is a tuple of codes.
 
 Irreducibility is decided two independent ways and compared:
   * oracle: does the lowest vector w generate Z?  When chi vanishes on n^-
@@ -85,13 +85,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg as la
 from .envelope import DeformedAlgebra
-from .gf import Field, field_create
+from .gf import MAX_FIELD_ORDER, Field, field_create
 from .liesuper import LieSuperalgebra, PCharacter
 from .rootsys import InvariantViolation, SimpleSystem, phi_prime_eval
 
@@ -137,86 +137,72 @@ def lambda_residual(g: LieSuperalgebra, F: Field, lam: Sequence[int],
     return F.sub_arr(lhs, F._frob[np.asarray(chi_h, dtype=np.int64)]).reshape(lam.shape)
 
 
-class ArtinSchreierResult(NamedTuple):
-    solutions: tuple[int, ...]
-    extension_required: bool
-
-
-def artin_schreier_solve(F: Field, c: int) -> ArtinSchreierResult:
-    """Solve t^p - t = c for the code c of an element of F, inside F.
-
-    The map t -> t^p - t is GF(p)-linear, so the equation reduces to a
-    linear system over GF(p) in the power-basis coordinates.  When no
-    solution exists in the field the result is empty with
-    ``extension_required=True``; solutions then live in the extension of
-    degree p (additive Hilbert 90: solvable iff the trace to GF(p) is 0).
-    Solutions are codes, sorted.
-    """
-    p, k = F.p, F.k
-    Fp = field_create(p, 1)
-    # column j: the digits of x^j mapped through t -> t^p - t
-    mat = np.array([F._digit_tuples[F.sub(F.frob(p ** j), p ** j)] for j in range(k)],
-                   dtype=np.int64).T
-    particular = la.solve(Fp, mat, np.array(F._digit_tuples[c], dtype=np.int64))
-    if particular is None:
-        return ArtinSchreierResult((), True)
-    kernel = la.nullspace(Fp, mat)
-    if kernel.shape[0] != 1:
-        raise RuntimeError("Artin-Schreier kernel should be the prime field")
-    sols = [int(((particular + t * kernel[0]) % p) @ F._pows) for t in range(p)]
-    return ArtinSchreierResult(tuple(sorted(sols)), False)
-
-
-def artin_schreier_min_extension(F: Field, c: int) -> int:
-    """Smallest j such that t^p - t = c is solvable over GF(p^(k*j))."""
-    return 1 if F.trace(c) == 0 else F.p
-
-
 class PMapNotIdentity(RuntimeError):
     """The Cartan p-map is not the identity, so lambda(h) do not decouple."""
 
 
 class ExtensionCapExceeded(RuntimeError):
-    """The weight set needs a field of degree above ``k_max``."""
+    """The weight set needs a field of order above ``gf.MAX_FIELD_ORDER``."""
 
 
 class IncompatibleBorel(ValueError):
     """chi does not vanish on the positive nilradical of the simple system."""
 
 
-def lambda_set(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> LambdaSet:
-    """Solve the weight equations coordinate by coordinate (Artin-Schreier).
+def coset_roots(F: Field, values: Sequence[int]) -> list[range]:
+    """The codes of the roots in F of t^p - t = c, for each code c of values.
+
+    t -> t^p - t is additive with kernel GF(p), so the roots of one equation
+    form a coset t_0 + GF(p).  Adding a prime-field constant changes only the
+    constant digit, so the coset holds exactly one code with constant digit
+    0, its least, and the roots are that code and the p - 1 codes after it.
+    One difference of the Frobenius table over the q / p codes of constant
+    digit 0 finds every such code; a value with no root in F raises."""
+    bases = np.arange(0, F.q, F.p)
+    images = F.sub_arr(F._frob[bases], bases)
+    roots = []
+    for c in values:
+        hit = bases[images == c]
+        if hit.size != 1:
+            raise InvariantViolation(f"t^p - t = {c} has {hit.size} roots of "
+                                     f"constant digit 0 in {F}, not one")
+        roots.append(range(int(hit[0]), int(hit[0]) + F.p))
+    return roots
+
+
+def lambda_set(g: LieSuperalgebra, chi: PCharacter) -> LambdaSet:
+    """Read the weight set off the Frobenius table, coordinate by coordinate.
 
     With h_i^{[p]} = h_i each lambda(h_i) is a root of t^p - t = chi(h_i)^p.
-    The field is GF(p^k) for the least k that holds the roots of every
-    coordinate; ``k_max`` caps k.  Only the Cartan values of chi enter the
-    equations.  The base algebra must live over the prime field so that its
-    structure codes embed unchanged into every extension.
+    The field is GF(p) when every chi(h_i) is 0 and GF(p^p) otherwise, the
+    least that holds the roots of every coordinate; above
+    ``gf.MAX_FIELD_ORDER`` it raises ``ExtensionCapExceeded``.  Only the
+    Cartan values of chi enter the equations.  The base algebra must live
+    over the prime field so that its structure codes embed unchanged into
+    every extension.  Every weight is certified by ``lambda_residual``.
     """
     if g.F.k != 1:
         raise ValueError("lambda solving expects the algebra over the prime field")
-    p, r = g.p, g.rank
+    p = g.p
     P = cartan_p_matrix(g)
-    if not (P == la.eye(r)).all():
+    if not (P == la.eye(g.rank)).all():
         raise PMapNotIdentity(
             f"the p-map of {g.label} is not the identity on the Cartan; "
             "the weight equations do not decouple"
         )
     chi_h = [int(v) for v in chi.cartan_values()]
     rhs = [g.F.pow_int(c, p) for c in chi_h]
-    k = max(artin_schreier_min_extension(g.F, c) for c in rhs)
-    if k > k_max:
+    k = p if any(rhs) else 1
+    if p ** k > MAX_FIELD_ORDER:
         raise ExtensionCapExceeded(
-            f"no full weight set within extension degree {k_max}; raise k_max"
+            f"the weight set needs GF({p}^{k}), of order {p ** k}, above "
+            f"MAX_FIELD_ORDER = {MAX_FIELD_ORDER}"
         )
     F = g.F if k == 1 else field_create(p, k)
     # prime-field codes embed unchanged into F; roots come sorted by code
-    roots = [artin_schreier_solve(F, c).solutions for c in rhs]
-    weights = list(itertools.product(*roots))
-    if len(weights) != p ** r:
-        raise RuntimeError("weight enumeration lost solutions")
+    weights = list(itertools.product(*coset_roots(F, rhs)))
     if lambda_residual(g, F, weights, chi_h, P).any():
-        raise RuntimeError("weight fails its defining equation")
+        raise InvariantViolation("weight fails its defining equation")
     return LambdaSet(F, weights)
 
 
@@ -730,9 +716,9 @@ class VermaLedger:
     lambda's module is built.
     """
 
-    def __init__(self, g: LieSuperalgebra, chi: PCharacter, k_max: int = 8, *,
+    def __init__(self, g: LieSuperalgebra, chi: PCharacter, *,
                  ss: Optional[SimpleSystem] = None, lset: Optional[LambdaSet] = None):
-        self.g, self.chi, self.k_max = g, chi, k_max
+        self.g, self.chi = g, chi
         self.ss = ss if ss is not None else g.distinguished
         self._memo: dict = {} if lset is None else {"lset": lset}
         self._facts: dict[tuple, dict] = {}
@@ -744,7 +730,7 @@ class VermaLedger:
 
     @property
     def lset(self) -> LambdaSet:
-        return _recall(self._memo, "lset", lambda: lambda_set(self.g, self.chi, self.k_max))
+        return _recall(self._memo, "lset", lambda: lambda_set(self.g, self.chi))
 
     def module(self, lam: tuple) -> BabyVerma:
         """Z(lam) for a weight of the set, which needs no second check."""
@@ -897,7 +883,7 @@ def reflection_report(ledger: VermaLedger, delta: int) -> dict:
     g, ss, lset = ledger.g, ledger.ss, ledger.lset
     F = lset.field
     kind, _ = ss.classify(delta)
-    reflected = VermaLedger(g, ledger.chi, ledger.k_max, ss=ss.reflect(delta), lset=lset)
+    reflected = VermaLedger(g, ledger.chi, ss=ss.reflect(delta), lset=lset)
     shift_sign = _REFLECTION_SHIFT[kind]
     singular_ok = True
     shift_pairs = []

@@ -2,11 +2,11 @@
 
 ``ReferenceLieSuperalgebra`` builds every structure array entry by entry: three
 hand-written model branches with a table of ``Fraction`` weights, one
-``la.solve`` per bracket and per p-th power, and a supertrace per pair.
-Roots are the ``Fraction`` weights of ``reference_rootsys``, whose
+``reference_linalg.solve`` per bracket and per p-th power, and a supertrace
+per pair.  Roots are the ``Fraction`` weights of ``reference_rootsys``, whose
 ``all_roots[i]`` is root i of the package.  The root dictionary checks
 each ad-weight entry by entry and solves for each coroot with its own
-``la.solve``.  ``loop_validate`` checks the
+``solve``.  ``loop_validate`` checks the
 algebra identities one pair or triple at a time.  The package builds the
 same arrays from whole-array products and one rref; the tests compare the
 two array for array.
@@ -20,6 +20,7 @@ import numpy as np
 
 from superlie import linalg as la
 from superlie.liesuper import LieSuperalgebra
+from reference_linalg import solve
 from reference_rootsys import Weight, as_weight, format_weight, fraction_to_field, reference_root_system
 
 
@@ -180,7 +181,7 @@ class ReferenceLieSuperalgebra(LieSuperalgebra):
         return total
 
     def _to_coords(self, M: np.ndarray) -> np.ndarray:
-        x = la.solve(self.F, self._flat_basis.T, M.reshape(-1))
+        x = solve(self.F, self._flat_basis.T, M.reshape(-1))
         if x is None:
             raise ValueError("matrix outside the span of the algebra basis")
         return x
@@ -244,7 +245,7 @@ class ReferenceLieSuperalgebra(LieSuperalgebra):
         self.coroots = la.zeros((len(weights), self.dim))
         for i, root in enumerate(weights):
             rhs = np.array(self._weight_values(root), dtype=np.int64)
-            t = la.solve(F, cartan_form, rhs)
+            t = solve(F, cartan_form, rhs)
             if t is None:
                 raise RuntimeError("degenerate Cartan form")
             norm = 0  # a(t_a)

@@ -10,12 +10,14 @@ entry-by-entry constraint system, and the Kronecker solve in all n² entries
 of T that spinning replaced, which reads its kernel with ``linalg.nullspace``.
 The largest stable subspace is kept as the shrinking iteration that the
 annihilator of one transposed closure replaced; it solves a new kernel with
-``linalg.nullspace`` at every step and never calls the closure.
+``linalg.nullspace`` at every step and never calls the closure.  ``solve``
+returns one solution of a linear system; the reference oracles call it, and
+the package itself no longer needs it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -170,6 +172,21 @@ def supercommutant_kronecker(
     rows.append(commutation_constraint(F, parity_op, sign))
     ker = la.nullspace(F, np.concatenate(rows, axis=0))
     return [vec.reshape(n, n) for vec in ker]
+
+
+def solve(F: Field, mat: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:
+    """One solution of mat x = rhs, or None if inconsistent."""
+    mat = np.asarray(mat)
+    rhs = np.asarray(rhs)
+    aug = np.concatenate([mat, rhs[:, None]], axis=1)
+    red, pivots = la.rref(F, aug)
+    cols = mat.shape[1]
+    if cols in pivots:
+        return None
+    x = la.zeros(cols)
+    for r, c in enumerate(pivots):
+        x[c] = red[r, cols]
+    return x
 
 
 def nullspace_loop(F: Field, mat: np.ndarray) -> np.ndarray:

@@ -5,6 +5,11 @@ replaced with the per-coordinate Artin-Schreier solve.  It writes the whole
 system lambda(h)^p - lambda(h^{[p]}) = chi(h)^p, for any Cartan p-map matrix
 P, as one linear system on the GF(p)-digit coordinates of lambda over
 GF(p^k), and grows k = 1, 2, ... until all p^rank solutions appear.
+``artin_schreier_solve`` is that per-coordinate solve, a k x k linear system
+over GF(p) for t^p - t = c, which ``verma.coset_roots`` replaced with one
+difference of the Frobenius table; ``artin_schreier_min_extension`` picks
+the field from the trace to GF(p), and ``lambda_set_artin_schreier`` is the
+weight solver built on the two.
 
 ``ambient_rows`` is the three-branch maximal-submodule ambient that
 ``BabyVerma._ambient_rows`` replaced: the plain nonconstant monomials when
@@ -46,7 +51,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +66,7 @@ from superlie.verma import (
     cartan_p_matrix,
     lambda_residual,
 )
+from reference_linalg import solve
 from tooling import random_codes
 
 
@@ -81,7 +87,7 @@ def lambda_set_scan(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> Lamb
             for d in range(k):
                 col = j * k + d
                 e = p ** d  # code of the d-th power-basis element
-                fr = F.frob(e)
+                fr = int(F._frob[e])
                 for dd, dig in enumerate(F._digit_tuples[fr]):
                     M[j * k + dd, col] = (M[j * k + dd, col] + dig) % p
                 for i in range(r):
@@ -94,7 +100,7 @@ def lambda_set_scan(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> Lamb
             cp = F.pow_int(chi_h[i], p)
             for dd, dig in enumerate(F._digit_tuples[cp]):
                 rhs[i * k + dd] = dig
-        part = la.solve(Fp, M, rhs)
+        part = solve(Fp, M, rhs)
         if part is None:
             continue
         ker = la.nullspace(Fp, M)
@@ -120,6 +126,61 @@ def lambda_set_scan(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> Lamb
     raise RuntimeError(
         f"no full weight set within extension degree {k_max}; raise k_max"
     )
+
+
+class ArtinSchreierResult(NamedTuple):
+    solutions: tuple[int, ...]
+    extension_required: bool
+
+
+def artin_schreier_solve(F: Field, c: int) -> ArtinSchreierResult:
+    """Solve t^p - t = c for the code c of an element of F, inside F.
+
+    The map t -> t^p - t is GF(p)-linear, so the equation reduces to a
+    linear system over GF(p) in the power-basis coordinates.  When no
+    solution exists in the field the result is empty with
+    ``extension_required=True``; solutions then live in the extension of
+    degree p (additive Hilbert 90: solvable iff the trace to GF(p) is 0).
+    Solutions are codes, sorted.
+    """
+    p, k = F.p, F.k
+    Fp = field_create(p, 1)
+    # column j: the digits of x^j mapped through t -> t^p - t
+    mat = np.array([F._digit_tuples[F.sub(int(F._frob[p ** j]), p ** j)] for j in range(k)],
+                   dtype=np.int64).T
+    particular = solve(Fp, mat, np.array(F._digit_tuples[c], dtype=np.int64))
+    if particular is None:
+        return ArtinSchreierResult((), True)
+    kernel = la.nullspace(Fp, mat)
+    if kernel.shape[0] != 1:
+        raise RuntimeError("Artin-Schreier kernel should be the prime field")
+    sols = [int(((particular + t * kernel[0]) % p) @ F._pows) for t in range(p)]
+    return ArtinSchreierResult(tuple(sorted(sols)), False)
+
+
+def trace(F: Field, a: int) -> int:
+    """Trace of a to the prime field GF(p), as a code (< p)."""
+    t, cur = 0, a
+    for _ in range(F.k):
+        t = F.add(t, cur)
+        cur = int(F._frob[cur])
+    return t
+
+
+def artin_schreier_min_extension(F: Field, c: int) -> int:
+    """Smallest j such that t^p - t = c is solvable over GF(p^(k*j))."""
+    return 1 if trace(F, c) == 0 else F.p
+
+
+def lambda_set_artin_schreier(g: LieSuperalgebra, chi: PCharacter) -> LambdaSet:
+    """The weight set from one Artin-Schreier solve per Cartan coordinate, over
+    the least field that holds every coordinate's roots."""
+    p = g.p
+    rhs = [g.F.pow_int(int(c), p) for c in chi.cartan_values()]
+    k = max(artin_schreier_min_extension(g.F, c) for c in rhs)
+    F = g.F if k == 1 else field_create(p, k)
+    roots = [artin_schreier_solve(F, c).solutions for c in rhs]
+    return LambdaSet(F, list(itertools.product(*roots)))
 
 
 def _evaluate_cartan(Z: BabyVerma, cart: tuple, code: int) -> int:
@@ -262,7 +323,7 @@ def commutative_radical_rows(Z: BabyVerma) -> np.ndarray:
             pw = powers[m]
             for dd in range(k):
                 col = t * k + dd
-                cp = F.frob(p ** dd)
+                cp = int(F._frob[p ** dd])
                 for tgt, code in pw.items():
                     val = F.mul(cp, code % p)
                     s = Z.index[tgt]
@@ -303,7 +364,7 @@ def commutative_radical_rows(Z: BabyVerma) -> np.ndarray:
             nxt = la.zeros(d)
             # for commutative A in char p, (sum c_i m_i)^p = sum c_i^p m_i^p
             for i in np.nonzero(cur)[0]:
-                cp = F.frob(int(cur[i]))
+                cp = int(F._frob[int(cur[i])])
                 for tgt, code in powers[Z.basis[int(i)]].items():
                     ti = Z.index[tgt]
                     nxt[ti] = F.add(int(nxt[ti]), F.mul(cp, code % F.p))

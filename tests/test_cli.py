@@ -29,7 +29,6 @@ def test_parse_config_full():
         # an experiment
         algebra = osp(1|2)
         p = 5
-        k_max = 6
         chi = zero
         chi = regular_semisimple
         chi = nilpotent_root:2d1
@@ -38,7 +37,7 @@ def test_parse_config_full():
         seed = 42
         """
     )
-    assert cfg.algebra == "osp(1|2)" and cfg.p == 5 and cfg.k_max == 6
+    assert cfg.algebra == "osp(1|2)" and cfg.p == 5
     assert cfg.chi_specs == ["zero", "regular_semisimple", "nilpotent_root:2d1"]
     assert cfg.checks == ["verma", "kw"]
     assert cfg.samples == 7 and cfg.seed == 42
@@ -51,6 +50,16 @@ def test_parse_config_errors():
         parse_config("algebra = gl(1|1)\np = 3\nchecks = verma, bogus\n")
     with pytest.raises(UsageError):
         parse_config("algebra = gl(1|1)\np = three\n")
+    # a misspelt key is named, not ignored in favour of the defaults
+    with pytest.raises(UsageError, match="line 3: unknown config key 'chek'"):
+        parse_config("algebra = gl(1|1)\np = 3\nchek = kw\nseeed = 4\n")
+    with pytest.raises(UsageError, match="unknown config key 'k_max'"):
+        parse_config("algebra = gl(1|1)\np = 3\nk_max = 6\n")
+    # only chi may repeat
+    with pytest.raises(UsageError, match="line 4: config key 'seed' repeats"):
+        parse_config("algebra = gl(1|1)\np = 3\nseed = 1\nseed = 2\n")
+    with pytest.raises(UsageError, match="config key 'p' repeats"):
+        parse_config("algebra = gl(1|1)\np = 3\np = 5\n")
 
 
 def test_run_experiment_verma_phi():
@@ -235,10 +244,12 @@ def test_sym_non_graded_ideal_is_fail(monkeypatch, capsys):
 
 
 def test_verma_subcommand_lambda_flag():
+    # the sweep always covers every lambda, so there is no --lambda flag
     assert main(["verma", "--type", "gl(1|1)", "--p", "3",
                  "--chi", "nonregular"]) == 0
-    assert main(["verma", "--type", "gl(1|1)", "--p", "3",
-                 "--lambda", "one"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verma", "--type", "gl(1|1)", "--p", "3", "--lambda", "all"])
+    assert exc.value.code == 2
 
 
 def test_semisimple_via_config(tmp_path):
@@ -305,7 +316,9 @@ def test_readme_python_snippet_runs():
 # what the message must name, for rows whose command line contains the key
 NAMED = {
     "nilpotent_root:-e1+e2": "positive root vector X_e1-e2",
-    "--k-max 1": "k_max",
+    "--p 11": "MAX_FIELD_ORDER",
+    "--p 1048583": "MAX_FIELD_ORDER",
+    "chek = kw": "unknown config key 'chek'",
     "gl(2|1) --p 5": "dense-basis cap 4096",
     "checks = coinduced": "dense-basis cap 4096",
     "F(4) --p 5": "not supported",
@@ -316,7 +329,7 @@ NAMED = {
 @pytest.mark.parametrize("argv,config", [
     (["run", "{cfg}"], "algebra = gl(1|1)\np = 3\nchecks = family\nsamples = 0\n"),
     (["run", "{cfg}"], "algebra = gl(1|1)\np = 3\nchecks = sym\nsamples = abc\n"),
-    (["run", "{cfg}", "--k-max", "0"], "algebra = gl(1|1)\np = 3\n"),
+    (["run", "{cfg}", "--samples", "0"], "algebra = gl(1|1)\np = 3\n"),
     (["run", "{tmp}/missing.ini"], None),
     (["sym", "--type", "gl(1|1)", "--p", "3", "--samples", "0"], None),
     (["sym", "--type", "gl(1|1)", "--p", "3", "--samples", "-1"], None),
@@ -324,10 +337,11 @@ NAMED = {
     (["kw", "--type", "gl(1|1)", "--p", "3", "--chi", "explicit:a,1"], None),
     (["kw", "--type", "gl(1|1)", "--p", "3", "--chi", "nilpotent_root:zz"], None),
     (["run", "{cfg}"], "algebra = gl(1|1)\np = 3\nchecks =\n"),
-    # a weight set beyond k_max
-    (["verma", "--type", "gl(1|1)", "--p", "3", "--chi", "regular_semisimple", "--k-max", "1"], None),
-    (["kw", "--type", "gl(1|1)", "--p", "3", "--k-max", "1"], None),
-    (["reflect", "--type", "gl(1|1)", "--p", "3", "--k-max", "1"], None),
+    # a field above MAX_FIELD_ORDER: the weight field GF(11^11) of a regular
+    # character (reflect always sweeps one), and the first prime above 2^20
+    (["verma", "--type", "gl(1|1)", "--p", "11", "--chi", "regular_semisimple"], None),
+    (["kw", "--type", "gl(1|1)", "--p", "1048583"], None),
+    (["reflect", "--type", "gl(1|1)", "--p", "11"], None),
     # a PBW basis above the dense-basis cap
     (["sym", "--type", "gl(2|1)", "--p", "5"], None),
     (["run", "{cfg}"], "algebra = gl(2|1)\np = 5\nchecks = coinduced\n"),
@@ -339,6 +353,8 @@ NAMED = {
     (["run", "{cfg}"], "algebra = gl(2|1)\np = 3\nchi = nilpotent_root:-e1+e2\nchecks = verma\n"),
     (["run", "{cfg}"], "algebra = gl(2|1)\np = 3\nchi = nilpotent_root:-e1+e2\nchecks = phi\n"),
     (["run", "{cfg}"], "algebra = gl(2|1)\np = 3\nchi = nilpotent_root:-e1+e2\nchecks = kw,phi\n"),
+    # misspelt config keys, which used to run the default checks
+    (["run", "{cfg}"], "algebra = gl(1|1)\np = 3\nchek = kw\nseeed = 4\n"),
 ])
 def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
     """Bad input exits 2 with one message line: no check passes vacuously,

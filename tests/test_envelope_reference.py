@@ -14,6 +14,7 @@ from superlie.gf import field_create
 from superlie.liesuper import PCharacter, build_algebra
 
 from reference_envelope import ReferenceAlgebra, multiply_per_monomial
+from tooling import pbw_add
 
 PRODUCT_CASES = [
     ("gl(1|1)", 3, 1), ("gl(1|1)", 5, 1),
@@ -82,7 +83,7 @@ def test_prefix_shared_fold_matches_per_monomial_fold(data):
     U, _ = _engines(data, PRODUCT_CASES)
     a, b, c = (_element(data, U) for _ in range(3))
     bc = U.multiply(b, c)
-    for right in (bc, U.add(U.add(bc, b), U.one())):
+    for right in (bc, pbw_add(U, pbw_add(U, bc, b), U.one())):
         assert U.multiply(a, right) == multiply_per_monomial(U, a, right)
 
 

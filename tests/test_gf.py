@@ -6,7 +6,9 @@ from sympy import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
 import reference_gf as ref
+from reference_verma import artin_schreier_min_extension, artin_schreier_solve, trace
 from tooling import random_codes
+from superlie import gf
 from superlie.gf import (
     Field,
     field_create,
@@ -17,7 +19,6 @@ from superlie.gf import (
     poly_mul,
     smallest_irreducible_modulus,
 )
-from superlie.verma import artin_schreier_min_extension, artin_schreier_solve
 
 
 def brute_smallest_irreducible(p, k):
@@ -57,6 +58,28 @@ def test_field_create_rejects_bad_input():
         field_create(2, 3)
     with pytest.raises(ValueError):
         Field(3, 0)
+
+
+def test_field_above_the_order_cap_raises_before_any_table(monkeypatch):
+    def never(*args):
+        raise AssertionError("a table or modulus search ran past the cap")
+
+    monkeypatch.setattr(gf, "MAX_FIELD_ORDER", 5 ** 5 - 1)
+    monkeypatch.setattr(gf, "smallest_irreducible_modulus", never)
+    monkeypatch.setattr(Field, "_build_tables", never)
+    with pytest.raises(ValueError, match=r"order 3125, above MAX_FIELD_ORDER = 3124"):
+        Field(5, 5)
+    # a prime above the cap is refused without trial division
+    monkeypatch.setattr(gf, "_prime_divisors", never)
+    with pytest.raises(ValueError, match="MAX_FIELD_ORDER"):
+        Field(1_000_000_007)
+
+
+def test_is_prime_matches_sympy():
+    from sympy import isprime
+    assert [n for n in range(-3, 5000) if is_prime(n)] == [n for n in range(-3, 5000) if isprime(n)]
+    # the largest prime the cap admits, 2^20 - 3, and its odd neighbour 2^20 - 1
+    assert is_prime(gf.MAX_FIELD_ORDER - 3) and not is_prime(gf.MAX_FIELD_ORDER - 1)
 
 
 def test_field_create_cached():
@@ -147,23 +170,24 @@ def test_field_axioms_random(p, k):
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 2)])
 def test_frobenius_is_homomorphism(p, k):
     F = field_create(p, k)
+    frob = F._frob.tolist()
     rng = np.random.default_rng(7)
     for a, b in random_codes(F, rng, (200, 2)).tolist():
-        assert F.frob(F.add(a, b)) == F.add(F.frob(a), F.frob(b))
-        assert F.frob(F.mul(a, b)) == F.mul(F.frob(a), F.frob(b))
-        assert F.frob(a) == F.pow_int(a, p)
+        assert frob[F.add(a, b)] == F.add(frob[a], frob[b])
+        assert frob[F.mul(a, b)] == F.mul(frob[a], frob[b])
+        assert frob[a] == F.pow_int(a, p)
     # Galois group has order k
     for a in range(F.q):
         cur = a
         for _ in range(k):
-            cur = F.frob(cur)
+            cur = frob[cur]
         assert cur == a
 
 
 def test_frobenius_fixes_prime_subfield():
     F = field_create(3, 3)
     for c in range(3):
-        assert F.frob(c) == c
+        assert F._frob[c] == c
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
@@ -212,7 +236,7 @@ def test_artin_schreier_min_extension_degree():
 
 def test_trace_surjects_onto_prime_field():
     F = field_create(3, 3)
-    traces = {F.trace(c) for c in range(F.q)}
+    traces = {trace(F, c) for c in range(F.q)}
     assert traces == {0, 1, 2}
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import reference_verma as ref
 from reference_linalg import largest_stable_subspace_shrinking
 from superlie import linalg as la
-from superlie import verma
+from superlie import gf, verma
 from superlie.cli import main
 from superlie.gf import field_create
 from superlie.liesuper import PCharacter, build_algebra
@@ -23,6 +23,7 @@ from superlie.verma import (
     VermaSystem,
     _proportionality,
     agreement_sweep,
+    coset_roots,
     criterion_value,
     lambda_set,
     pairing_at,
@@ -120,13 +121,50 @@ def test_lambda_set_matches_scan_on_explicit_chi(label, p, data):
     _same_lambda_sets(g, g.chi_from_cartan(vals))
 
 
-def test_lambda_set_k_max_below_p_raises():
+def test_lambda_set_above_field_cap_raises(monkeypatch):
     g = build_algebra("gl(1|1)", F5)
     chi = g.chi_regular_semisimple()
-    with pytest.raises(RuntimeError, match="extension degree 4; raise k_max"):
-        lambda_set(g, chi, k_max=4)
-    assert lambda_set(g, chi, k_max=5).k == 5
-    assert lambda_set(g, g.chi_zero(), k_max=1).k == 1
+    monkeypatch.setattr(verma, "MAX_FIELD_ORDER", 5 ** 5 - 1)
+    with pytest.raises(verma.ExtensionCapExceeded,
+                       match=r"GF\(5\^5\), of order 3125, above MAX_FIELD_ORDER = 3124"):
+        lambda_set(g, chi)
+    assert lambda_set(g, g.chi_zero()).k == 1
+    monkeypatch.setattr(verma, "MAX_FIELD_ORDER", 5 ** 5)
+    assert lambda_set(g, chi).k == 5
+
+
+@pytest.fixture
+def drop_gf77():
+    """GF(7^7) holds about 400 MB of tables; take it out of the field cache
+    once the test that built it ends."""
+    yield
+    gf._FIELD_CACHE.pop((7, 7), None)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_coset_roots_match_artin_schreier_oracle(p, drop_gf77):
+    # every c in GF(p), over GF(p) and over GF(p^p)
+    for F in (field_create(p, 1), field_create(p, p)):
+        for c in range(p):
+            want = ref.artin_schreier_solve(F, c).solutions
+            if want:
+                (got,) = coset_roots(F, [c])
+                assert tuple(got) == want, (F, c)
+            else:
+                with pytest.raises(InvariantViolation, match="has 0 roots"):
+                    coset_roots(F, [c])
+
+
+@pytest.mark.parametrize("label,p", [(label, p) for p in (3, 5) for label in
+                                     ("gl(1|1)", "gl(2|1)", "sl(2|1)", "osp(1|2)", "osp(2|2)")]
+                         + [("gl(1|1)", 7)])
+def test_lambda_set_matches_artin_schreier_weights(label, p, drop_gf77):
+    """The same weights, in the same order and over the same field, as one
+    Artin-Schreier solve per coordinate."""
+    g = build_algebra(label, field_create(p, 1))
+    for chi in standard_characters(g).values():
+        new, old = lambda_set(g, chi), ref.lambda_set_artin_schreier(g, chi)
+        assert new.field is old.field and new.weights == old.weights, (label, p)
 
 
 def test_lambda_set_rejects_non_identity_p_map(monkeypatch):

@@ -19,12 +19,25 @@ def random_codes(F: Field, rng: np.random.Generator, size=None) -> np.ndarray:
     return rng.integers(0, F.q, size=size, dtype=np.int64)
 
 
+def pbw_add(U: DeformedAlgebra, a: dict, b: dict) -> dict:
+    """The sum a + b of two PBW elements of U."""
+    out = dict(a)
+    U._accum(out, b, 1)
+    return out
+
+
+def pbw_scale(U: DeformedAlgebra, c: int, a: dict) -> dict:
+    """The multiple c * a of a PBW element of U, for a field code c."""
+    c = int(c) % U.F.q
+    return {m: U.F.mul(c, v) for m, v in a.items()} if c else {}
+
+
 def from_coords(U: DeformedAlgebra, coords: Sequence[int]) -> dict:
     """The element sum_b coords[b] x_b of U, from basis coordinates of g."""
     out: dict = {}
     for b, c in enumerate(coords):
         if c:
-            out = U.add(out, U.scale(int(c), U.gen(b)))
+            out = pbw_add(U, out, pbw_scale(U, int(c), U.gen(b)))
     return out
 
 
