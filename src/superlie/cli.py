@@ -339,8 +339,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     chis = [(spec, resolve_chi(g, spec)) for spec in cfg.chi_specs]
-    # the Verma checks of this run share one ledger per character
+    # the Verma checks of this run share one ledger per character; a weight
+    # field above the cap is bad input, refused before any check runs
     ledgers = [(spec, VermaLedger(g, chi)) for spec, chi in chis]
+    if {"verma", "phi", "reflect", "kw", "semisimple"} & set(cfg.checks):
+        try:
+            for _, ledger in ledgers:
+                ledger.lset
+        except ExtensionCapExceeded as exc:
+            raise UsageError(str(exc))
     bundle = {"config": {
         "algebra": cfg.algebra, "p": cfg.p, "chi": list(cfg.chi_specs),
         "checks": list(cfg.checks), "samples": cfg.samples, "seed": cfg.seed,
@@ -364,7 +371,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
             ok, rep = runners[name]()
         except InvariantViolation as exc:
             ok, rep = False, {"invariant_violation": str(exc)}
-        except (ExtensionCapExceeded, IncompatibleBorel) as exc:
+        except IncompatibleBorel as exc:
             raise UsageError(str(exc))
         bundle[name] = {"passed": ok, "report": rep}
         lines.append(f"{name:<12} {'PASS' if ok else 'FAIL'}")

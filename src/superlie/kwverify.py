@@ -115,7 +115,8 @@ def verify_superkw_sweep(ledgers: Sequence[VermaLedger]) -> list[KWReport]:
             continue
         rep = KWReport(g, chi)
         lset = ledger.lset
-        # on standard chi the closure oracle, computed apart, must agree with the head
+        # on standard chi, which kills n^-, the oracle is the graded word-matrix test,
+        # apart from the maximal submodule, and must agree with the head
         facts = (BabyVerma.head_dim, BabyVerma.head_type)
         if chi.is_standard_form():
             facts += (BabyVerma.is_irreducible_oracle,)

@@ -18,8 +18,9 @@ in reduced echelon form.  Operators come as one (K, n, n) ``int64`` stack,
 and every invariant subspace is a closure under it, each round mapping its
 whole frontier by one product: the largest stable subspace is the
 annihilator of the closure of the ambient's annihilator under the
-transposed stack, a view.  Systems are assembled from whole arrays; the
-supercommutant is spun from r seeds, in n·r unknowns rather than n².
+transposed stack, a view.  Systems are assembled from whole arrays; the odd
+supercommutant of a simple module is spun from one seed, in n unknowns
+rather than n².
 """
 
 from __future__ import annotations
@@ -27,6 +28,14 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import Field
+
+
+class InvariantViolation(Exception):
+    """An internal cross-check failed; never reported as skipped.
+
+    Not a ``RuntimeError``: that type marks documented scope limits, which
+    callers may record as out of scope.
+    """
 
 
 def zeros(shape) -> np.ndarray:
@@ -299,36 +308,31 @@ def largest_stable_subspace(F: Field, ambient_rows: np.ndarray, ops: np.ndarray)
 
 
 def supercommutant_basis(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray,
-                         parity_op: np.ndarray, odd_part: bool) -> np.ndarray:
-    """A (d, n, n) stack spanning the even or odd part of the supercommutant
-    of the even and odd (K, n, n) operator stacks.
+                         parity_op: np.ndarray) -> np.ndarray:
+    """A (d, n, n) stack spanning the odd part of the supercommutant of the
+    even and odd (K, n, n) operator stacks, on a module that e_0 generates.
 
     T·A_a = s_a·A_a·T for every operator A_a and the parity involution, with
-    s_a = −1 for the odd operators and the involution when T is odd, else 1.
+    s_a = −1 for the odd operators and the involution, else 1.
 
-    Solved by spinning (Parker's Meat-Axe).  Seeds v_k, each the first unit
-    vector outside the span so far, spin into a basis B = [b_i].  Where
-    b_i = A_a·b_j, T·b_i = s_a·A_a·T·b_j, so T·b_i = M_i·u for word matrices
-    M_i and u = (T·v_k)_k.  With C_a = B⁻¹·A_a·B the relations read
-    Σ_i C_a[i, j]·M_i·u = s_a·A_a·M_j·u.  T ↦ u is a bijection from the
-    supercommuting T onto their kernel, in n·r unknowns: T = [M_i·u]·B⁻¹.
+    Solved by spinning (Parker's Meat-Axe).  The seed v = e_0 spins into a
+    basis B = [b_i].  Where b_i = A_a·b_j, T·b_i = s_a·A_a·T·b_j, so
+    T·b_i = M_i·u for word matrices M_i and u = T·v.  With C_a = B⁻¹·A_a·B
+    the relations read Σ_i C_a[i, j]·M_i·u = s_a·A_a·M_j·u.  T ↦ u is a
+    bijection from the odd supercommuting T onto their kernel, in n
+    unknowns: T = [M_i·u]·B⁻¹.  A spin that stops short of n raises
+    ``InvariantViolation``: a simple module is generated by any nonzero vector.
     """
     n = parity_op.shape[0]
     if n == 0:
         return zeros((0, 0, 0))
     stacked = np.concatenate([even_ops, odd_ops, parity_op[None]]).reshape(-1, n).astype(np.int64)
     K = stacked.shape[0] // n
-    signed = np.arange(K) >= (len(even_ops) if odd_part else K)  # s_a = −1
-    # each spun vector b_i beside its word matrix M_i, which acts on the n unknowns
-    # T·v of the seed v = v_{owner[i]} that b_i comes from: aug[i] = [b_i | M_i]
-    aug, owner, fresh, rounds = zeros((0, n, n + 1)), [], [], []
+    signed = np.arange(K) >= len(even_ops)  # s_a = −1
+    # each spun vector b_i beside its word matrix M_i: aug[i] = [b_i | M_i]
+    aug, fresh, rounds = np.concatenate([eye(n)[:, :1], eye(n)], axis=1)[None], [0], []
     while True:
         m = aug.shape[0]
-        if not fresh:  # the span is stable: seed it with the first unit vector outside
-            t = rref(F, np.concatenate([aug[:, :, 0].T, eye(n)], axis=1))[1][m] - m
-            seed = np.concatenate([eye(n)[:, [t]], eye(n)], axis=1)
-            aug, owner, fresh = np.concatenate([aug, seed[None]]), owner + [len(set(owner))], [m]
-            continue
         # A_a·b_j beside s_a·A_a·M_j for the frontier, in one product
         f = len(fresh)
         images = matmul(F, stacked, aug[fresh].transpose(1, 0, 2).reshape(n, -1)).reshape(K, n, f, -1)
@@ -338,22 +342,20 @@ def supercommutant_basis(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray,
             break
         cand = images[:, :, :, 0].transpose(1, 0, 2).reshape(n, K * f)  # column a·f + j
         picked = np.array(rref(F, np.concatenate([aug[:, :, 0].T, cand], axis=1))[1][m:], dtype=int) - m
+        if not picked.size:
+            raise InvariantViolation(f"the spin of e_0 stops at dimension {m} of {n}: "
+                                     "the module is not simple")
         a, j = divmod(picked, f)
         aug = np.concatenate([aug, images[a, :, j]])
-        owner += [owner[fresh[x]] for x in j]
         fresh = list(range(m, m + picked.size))
-    # the word matrices on all n·r unknowns, zero outside their seed's block
-    r, spun, basis = len(set(owner)), np.concatenate(rounds, axis=2), aug[:, :, 0].T
-    words = zeros((n, n, r, n))
-    words[np.arange(n), :, owner] = aug[:, :, 1:]
-    rhs = zeros((K, n, n, r, n))  # [a, j, row, (k, c)]
-    rhs[:, np.arange(n), :, owner] = spun[:, :, :, 1:].transpose(2, 0, 1, 3)
+    spun, basis, words = np.concatenate(rounds, axis=2), aug[:, :, 0].T, aug[:, :, 1:]
+    rhs = spun[:, :, :, 1:].transpose(0, 2, 1, 3)  # [a, j, row, c]
     # [B | A_a·B | I] reduces to [I | C_a | B⁻¹]
     op_basis = spun[:, :, :, 0].transpose(1, 0, 2).reshape(n, K * n)
     red = rref(F, np.concatenate([basis, op_basis, eye(n)], axis=1))[0]
     coords, inverse = red[:, n:-n].reshape(n, K, n), red[:, -n:]
     lhs = matmul(F, coords.transpose(1, 2, 0).reshape(K * n, n), words.reshape(n, -1))
-    lhs, rhs = lhs.reshape(-1, r * n), rhs.reshape(-1, r * n)
+    lhs, rhs = lhs.reshape(-1, n), rhs.reshape(-1, n)
     live = lhs.any(axis=1) | rhs.any(axis=1)  # most rows are zero on both sides
     cond = F.sub_arr(lhs[live], rhs[live])
     ker = nullspace(F, cond[cond.any(axis=1)])

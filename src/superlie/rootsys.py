@@ -50,17 +50,10 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .gf import Field
+from .linalg import InvariantViolation
 
 # The most simple systems ``all_simple_systems`` collects before it raises.
 MAX_SIMPLE_SYSTEMS = 100000
-
-
-class InvariantViolation(Exception):
-    """An internal cross-check failed; never reported as skipped.
-
-    Not a ``RuntimeError``: that type marks documented scope limits, which
-    callers may record as out of scope.
-    """
 
 
 def _label(row: Sequence[int], m: int, denominator: int) -> str:

@@ -656,12 +656,12 @@ def walls_type(F: Field, ops: np.ndarray, parity_op: np.ndarray, parities: np.nd
 
     ops stacks the generators' operators; the parities array splits it.  An
     odd T satisfies T rho(a) = (-1)^|a| rho(a) T and anticommutes with the
-    parity involution.  T -> (T v_k) on seeds v_k that generate the module is a
-    bijection onto the kernel ``linalg.supercommutant_basis`` solves.  Callers
-    pass heads, which are simple by construction; the input is not screened.
+    parity involution.  T -> T e_0 is a bijection onto the kernel
+    ``linalg.supercommutant_basis`` solves.  Callers pass heads, which are
+    simple by construction; a head that e_0 does not span raises
+    ``InvariantViolation``, a certificate that costs nothing.
     """
-    odd = la.supercommutant_basis(F, ops[parities == 0], ops[parities == 1], parity_op,
-                                  odd_part=True)
+    odd = la.supercommutant_basis(F, ops[parities == 0], ops[parities == 1], parity_op)
     return "Q" if len(odd) else "M"
 
 

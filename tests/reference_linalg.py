@@ -7,7 +7,9 @@ block-echelon closure, one fancy-index assignment and projection ranks.
 They use only the field's element-wise operations and ``linalg.rref``, so
 they are independent of the new kernels.  The commutant is kept twice: the
 entry-by-entry constraint system, and the Kronecker solve in all n² entries
-of T that spinning replaced, which reads its kernel with ``linalg.nullspace``.
+of T that spinning replaced, which reads its kernel with ``linalg.nullspace``
+and solves either part; ``linalg.supercommutant_basis`` solves only the odd
+part, on a module that e_0 generates.
 The largest stable subspace is kept as the shrinking iteration that the
 annihilator of one transposed closure replaced; it solves a new kernel with
 ``linalg.nullspace`` at every step and never calls the closure.  ``solve``

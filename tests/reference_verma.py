@@ -513,8 +513,8 @@ def screen_simple(F: Field, action_matrices: Sequence[np.ndarray]) -> None:
     """Raise ValueError when the module is visibly reducible.
 
     Every basis vector must generate the whole space under the action;
-    direct sums and radical vectors fail this.  ``verma.walls_type`` takes
-    its input to be simple and does not screen it.
+    direct sums and radical vectors fail this.  ``verma.walls_type`` checks
+    only that e_0 spans its input.
     """
     n = action_matrices[0].shape[0]
     for i in range(n):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superlie import invariants, linalg as la
+from superlie import cli, invariants, linalg as la
 from superlie.cli import (
     ExperimentConfig,
     UsageError,
@@ -118,7 +118,6 @@ def test_reflect_reports_a_broken_reflection_identity(monkeypatch, capsys):
     """A corrupt reflection table is an invariant violation on both paths:
     the root-level closure exits 1 with the message, and the model-level
     check reports FAIL through the run loop."""
-    import superlie.cli as cli
     import superlie.liesuper as liesuper
 
     monkeypatch.setattr(cli, "build_root_system", lambda label: gl21_with_corrupt_reflection())
@@ -170,6 +169,26 @@ def test_kw_invariant_violation_is_fail(monkeypatch, capsys):
     assert "skipped" not in out and "PASS" not in out
     assert re.search(r"^kw +FAIL$", out, re.M)
     assert "head/oracle disagreement on standard chi at lambda = [" in out
+
+
+def test_kw_reducible_head_is_fail(tmp_path, monkeypatch, capsys):
+    # a head H + H is not simple: the Walls-type solve cannot spin it from e_0,
+    # and the broken invariant fails the check instead of skipping the character
+    quotient = BabyVerma.quotient_representation
+
+    def doubled(self):
+        ops, parity_op = quotient(self)
+        return np.kron(np.eye(2, dtype=np.int64), ops), np.kron(np.eye(2, dtype=np.int64), parity_op)
+
+    monkeypatch.setattr(BabyVerma, "quotient_representation", doubled)
+    cfg = tmp_path / "kw.ini"
+    cfg.write_text("algebra = gl(1|1)\np = 3\nchecks = kw\n")
+    assert main(["run", str(cfg)]) == 1
+    out = capsys.readouterr().out
+    assert "skipped" not in out and "PASS" not in out
+    assert re.search(r"^kw +FAIL$", out, re.M)
+    assert re.search(r"^  invariant violation: the spin of e_0 stops at dimension 1 of 2: "
+                     r"the module is not simple$", out, re.M)
 
 
 def test_kw_pbw_violation_is_fail(monkeypatch, capsys):
@@ -355,16 +374,21 @@ NAMED = {
     (["run", "{cfg}"], "algebra = gl(2|1)\np = 3\nchi = nilpotent_root:-e1+e2\nchecks = kw,phi\n"),
     # misspelt config keys, which used to run the default checks
     (["run", "{cfg}"], "algebra = gl(1|1)\np = 3\nchek = kw\nseeed = 4\n"),
+    # every weight field is read before any check: no zero-character sweep first
+    (["kw", "--type", "gl(2|1)", "--p", "11"], None),
 ])
-def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
+def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys, monkeypatch):
     """Bad input exits 2 with one message line: no check passes vacuously,
-    no traceback, and nothing on stdout."""
+    no traceback, nothing on stdout, and no kw sweep starts."""
     cfg = tmp_path / "bad.ini"
     if config is not None:
         cfg.write_text(config)
+    sweeps, check_kw = [], cli.check_kw
+    monkeypatch.setattr(cli, "check_kw", lambda *args: sweeps.append(args) or check_kw(*args))
     code = main([a.format(cfg=cfg, tmp=tmp_path) for a in argv])
     out, err = capsys.readouterr()
     assert code == 2
+    assert not sweeps
     assert "PASS" not in out and "Traceback" not in err
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert out == ""

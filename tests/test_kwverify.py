@@ -5,9 +5,9 @@ import pytest
 
 import reference_linalg as ref
 from reference_verma import parity_shift_glue, screen_simple
-from superlie import linalg as la
 from superlie.gf import field_create
 from superlie.liesuper import build_algebra
+from superlie.rootsys import InvariantViolation
 from superlie.kwverify import (
     kw_divisor,
     kw_divisor_ceiling,
@@ -17,7 +17,7 @@ from superlie.kwverify import (
     write_jsonl,
 )
 from superlie.verma import VermaLedger, VermaSystem, lambda_set, standard_characters
-from tooling import baby_vermas, commutant_dims, simple_heads
+from tooling import baby_vermas, odd_commutant_dims, simple_heads
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -86,27 +86,29 @@ def test_walls_type_rejects_reducible():
         screen_simple(ls.field, Z.operators())
 
 
-def test_parity_shift_glue_is_Q():
+def test_walls_type_rejects_parity_shift_glue():
+    # V + Pi V has an odd endomorphism, the swap, but V + 0 is a submodule:
+    # the spin of e_0 stops at dim V, and no type is given
     g = build_algebra("gl(1|1)", F3)
     chi = g.chi_regular_semisimple()
     ls = lambda_set(g, chi)
     Z = VermaSystem(g, chi).module(ls.weights[0], ls.field)
     mats, parity_op = Z.quotient_representation()
     glued, gp = parity_shift_glue(ls.field, mats, parity_op, list(g.parities))
-    assert walls_type(ls.field, np.array(glued), gp, g.parities) == "Q"
+    with pytest.raises(InvariantViolation, match="stops at dimension 2 of 4"):
+        walls_type(ls.field, np.array(glued), gp, g.parities)
 
 
 def test_kw_heads_commutants_match_kronecker_reference():
     """The 81 heads of the gl(2|1), p = 3 kw sweep (the kw_heads bench config)
-    have the same even and odd supercommutant dimensions under spinning as
-    under the n²-unknown Kronecker solve."""
+    have the same odd supercommutant dimension under spinning as under the
+    n²-unknown Kronecker solve."""
     g = build_algebra("gl(2|1)", F3)
     heads = 0
     for chi in standard_characters(g).values():
         for F, mats, parity_op in simple_heads(g, chi):
-            args = (F, mats, parity_op, g.parities)
-            assert (commutant_dims(la.supercommutant_basis, *args)
-                    == commutant_dims(ref.supercommutant_kronecker, *args))
+            spun, oracle = odd_commutant_dims(F, mats, parity_op, g.parities)
+            assert spun == oracle
             heads += 1
     assert heads == 81
 

@@ -16,7 +16,7 @@ from superlie import linalg as la
 from superlie.invariants import graded_codims
 from superlie.liesuper import build_algebra
 from superlie.rootsys import InvariantViolation
-from superlie.verma import VermaSystem, lambda_set
+from superlie.verma import VermaSystem, lambda_set, walls_type
 from tooling import random_codes
 
 
@@ -192,30 +192,27 @@ def test_intersect_row_spaces():
 
 def test_supercommutant_of_irreducible_type_m():
     # 2-dim module with even part spanned by e_0, odd by e_1; operators taken
-    # from a module whose even commutant is scalars and odd commutant is zero.
+    # from a module whose odd commutant is zero.
     F = field_create(3)
     sigma = np.diag([1, F.neg(1)]).astype(np.int64)
     even_ops = np.array([np.diag([1, 2])], dtype=np.int64)  # distinct eigenvalues
     odd_ops = np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]]], dtype=np.int64)
-    even_dim, odd_dim = (len(la.supercommutant_basis(F, even_ops, odd_ops, sigma, odd_part))
-                         for odd_part in (False, True))
-    assert even_dim == 1 and odd_dim == 0
+    assert len(la.supercommutant_basis(F, even_ops, odd_ops, sigma)) == 0
+    assert walls_type(F, np.concatenate([even_ops, odd_ops]), sigma, np.array([0, 1, 1])) == "M"
 
 
 def test_supercommutant_of_type_q_fixture():
-    # Operators commuting with the odd involution [[0,1],[1,0]]: the odd part
-    # of the supercommutant is spanned by [[0,t],[-t,0]].
+    # The 1|1 Clifford module: operators commuting with the odd involution
+    # [[0,1],[1,0]].  The odd part of the supercommutant is spanned by
+    # [[0,t],[-t,0]], so this simple module has type Q.
     F = field_create(3)
     sigma = np.diag([1, F.neg(1)]).astype(np.int64)
     even_ops = np.array([np.diag([2, 2])], dtype=np.int64)
     odd_ops = np.array([[[0, 1], [1, 0]]], dtype=np.int64)
-    even_dim, odd_dim = (len(la.supercommutant_basis(F, even_ops, odd_ops, sigma, odd_part))
-                         for odd_part in (False, True))
-    assert even_dim == 1 and odd_dim == 1
-    odd_basis = la.supercommutant_basis(F, even_ops, odd_ops, sigma, odd_part=True)
-    (T,) = odd_basis
+    (T,) = la.supercommutant_basis(F, even_ops, odd_ops, sigma)
     assert T[0, 0] == 0 and T[1, 1] == 0
     assert T[1, 0] == F.neg(int(T[0, 1])) and T[0, 1] != 0
+    assert walls_type(F, np.concatenate([even_ops, odd_ops]), sigma, np.array([0, 1])) == "Q"
 
 
 # -- the echelon kernel against the slow reference it replaced ----------------
@@ -404,14 +401,21 @@ def graded_modules(draw, F, n, n_even_ops, n_odd_ops):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_supercommutant_matches_kronecker_reference(data):
-    """Spinning spans the same even and odd supercommutant as the n²-unknown
-    Kronecker solve, on cyclic and non-cyclic modules alike."""
+    """Spinning e_0 spans the same odd supercommutant as the n²-unknown
+    Kronecker solve on every module that e_0 generates, and raises
+    ``InvariantViolation`` on the others, direct sums among them."""
     F = field_create(*data.draw(st.sampled_from(FIELDS)))
     counts = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
-    shape = data.draw(st.sampled_from(["module", "direct sum", "parity-shift glue"]))
+    shape = data.draw(st.sampled_from(["module", "cyclic", "direct sum", "parity-shift glue"]))
     if shape == "module":
         even_ops, odd_ops, parity_op = data.draw(
             graded_modules(F, data.draw(st.integers(0, 6)), *counts))
+    elif shape == "cyclic":  # the shift e_i -> e_(i+1), split by parity, spins e_0 to all
+        even_ops, odd_ops, parity_op = data.draw(
+            graded_modules(F, data.draw(st.integers(1, 6)), *counts))
+        shift = np.eye(parity_op.shape[0], k=-1, dtype=np.int64)
+        same = parity_op.diagonal()[:, None] == parity_op.diagonal()[None, :]
+        even_ops, odd_ops = even_ops + [shift * same], odd_ops + [shift * ~same]
     elif shape == "direct sum":
         a, b = (data.draw(graded_modules(F, data.draw(st.integers(0, 3)), *counts))
                 for _ in range(2))
@@ -424,21 +428,27 @@ def test_supercommutant_matches_kronecker_reference(data):
                                              [0] * len(even_ops) + [1] * len(odd_ops))
         even_ops, odd_ops = glued[: len(even_ops)], glued[len(even_ops):]
     n = parity_op.shape[0]
+    even_stack, odd_stack = stack(even_ops, n), stack(odd_ops, n)
+    ops = np.concatenate([even_stack, odd_stack, parity_op[None]])
+    spun = la.closure_under_operators(F, la.eye(n)[:1], ops).shape[0]
+    if n and spun < n:
+        with pytest.raises(InvariantViolation, match=f"stops at dimension {spun} of {n}"):
+            la.supercommutant_basis(F, even_stack, odd_stack, parity_op)
+        return
+    got = la.supercommutant_basis(F, even_stack, odd_stack, parity_op)
+    want = ref.supercommutant_kronecker(F, even_ops, odd_ops, parity_op, odd_part=True)
+    assert len(got) == len(want)
 
     def span(ts):
         return ref.row_space_basis(F, np.array(ts, dtype=np.int64).reshape(len(ts), n * n))
 
-    for odd_part in (False, True):
-        got = la.supercommutant_basis(F, stack(even_ops, n), stack(odd_ops, n), parity_op, odd_part)
-        want = ref.supercommutant_kronecker(F, even_ops, odd_ops, parity_op, odd_part)
-        assert len(got) == len(want)
-        assert np.array_equal(span(got), span(want))
-        signed = [(op, False) for op in even_ops] + [(op, odd_part) for op in odd_ops]
-        for T in got:
-            assert T.dtype == np.int64
-            for op, negate in signed + [(parity_op, odd_part)]:
-                right = la.matmul(F, op, T)
-                assert np.array_equal(la.matmul(F, T, op), F.neg_arr(right) if negate else right)
+    assert np.array_equal(span(got), span(want))
+    signed = [(op, False) for op in even_ops] + [(op, True) for op in odd_ops]
+    for T in got:
+        assert T.dtype == np.int64
+        for op, negate in signed + [(parity_op, True)]:
+            right = la.matmul(F, op, T)
+            assert np.array_equal(la.matmul(F, T, op), F.neg_arr(right) if negate else right)
 
 
 @settings(max_examples=150, deadline=None)

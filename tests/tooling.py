@@ -7,6 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
+import reference_linalg as ref
 from superlie import linalg as la
 from superlie.envelope import DeformedAlgebra, _random_element
 from superlie.gf import Field
@@ -95,10 +96,11 @@ def simple_heads(g, chi):
         yield Z.F, ops, parity_op
 
 
-def commutant_dims(solve, F: Field, ops: np.ndarray, parity_op: np.ndarray,
-                   parities: np.ndarray) -> tuple[int, int]:
-    """(even, odd) dimensions of the supercommutant that ``solve`` spans, for
-    a solve with the signature of ``linalg.supercommutant_basis``, of the
-    (dim g, n, n) stack ``ops`` split by the parity array."""
+def odd_commutant_dims(F: Field, ops: np.ndarray, parity_op: np.ndarray,
+                       parities: np.ndarray) -> tuple[int, int]:
+    """Dimensions of the odd supercommutant of the (dim g, n, n) stack
+    ``ops`` split by the parity array: as ``linalg.supercommutant_basis``
+    spins it, and as the n²-unknown Kronecker oracle solves it."""
     even, odd = ops[parities == 0], ops[parities == 1]
-    return tuple(len(solve(F, even, odd, parity_op, odd_part)) for odd_part in (False, True))
+    return (len(la.supercommutant_basis(F, even, odd, parity_op)),
+            len(ref.supercommutant_kronecker(F, even, odd, parity_op, odd_part=True)))
