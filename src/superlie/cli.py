@@ -4,14 +4,22 @@ Subcommands
 -----------
 run <config>   execute the checks named in a flat key=value config file
 list           print the catalog of supported types, primes, and checks
-verma          irreducibility sweep for one algebra and character
-reflect        simple-system reflection suite (root level and module level)
-kw             dimension-divisibility sweep over the standard characters
-sym            invariant-ideal survey of the reduced symmetric algebra
+verma          preset: checks verma, phi; --chi, default zero
+reflect        preset: check reflect on zero and regular_semisimple; without
+               --p, only the simple-system closure of the root system
+kw             preset: check kw; --chi, default zero, regular_semisimple,
+               nonregular
+sym            preset: check sym; --xi, default zero
 
-Config files are flat ``key = value`` lines (``#`` comments allowed); the
-keys are ``algebra``, ``p``, ``chi``, ``checks``, ``samples`` and ``seed``,
-and only ``chi`` may repeat.  Character descriptors: ``zero``,
+A preset (``PRESETS``) is ``run`` on ``--type``, ``--p`` and its checks, with
+the one character its flag names or else its default characters.  With
+``--format structured`` stdout is one JSON document.
+
+Every check takes ``(g, ledgers, cfg)`` and returns ``(passed, report)``, and
+``run_experiment`` writes every report file.  Config files are flat
+``key = value`` lines (``#`` comments allowed); the keys are ``algebra``,
+``p``, ``chi``, ``checks``, ``samples`` and ``seed``, only ``chi`` may
+repeat, and no check may be named twice.  Character descriptors: ``zero``,
 ``regular_semisimple``, ``nonregular``, ``explicit:c1,c2,...`` (Cartan
 values), ``nilpotent_root:LABEL`` (for example ``2d1`` or ``e1-e2``).
 
@@ -45,7 +53,7 @@ from .invariants import (
     check_coassociativity,
     ideal_survey,
 )
-from .kwverify import summary_table, verify_superkw_sweep, write_jsonl
+from .kwverify import summary_table, verify_superkw_sweep
 from .liesuper import LieSuperalgebra, PCharacter, _normalize_label, build_algebra
 from .rootsys import InvariantViolation, build_root_system
 from .verma import (
@@ -128,6 +136,9 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.checks = [c.strip() for c in values["checks"].split(",") if c.strip()]
         if not cfg.checks:
             raise UsageError("checks names no check")
+        repeated = sorted({c for c in cfg.checks if cfg.checks.count(c) > 1})
+        if repeated:
+            raise UsageError(f"checks names {repeated} more than once")
     unknown = set(cfg.checks) - set(CHECK_ORDER)
     if unknown:
         raise UsageError(f"unknown checks: {sorted(unknown)}")
@@ -169,7 +180,9 @@ def _rng(cfg: ExperimentConfig, check: str) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# the individual checks; each returns (passed, report-dict)
+# the individual checks: each takes (g, ledgers, cfg), where ledgers holds one
+# (chi spec, VermaLedger) pair per configured character, and returns
+# (passed, report-dict)
 
 
 def _passed(reports, test) -> bool:
@@ -179,7 +192,7 @@ def _passed(reports, test) -> bool:
     return all(rep["passed"] for rep in reports)
 
 
-def check_verma(g, ledgers):
+def check_verma(g, ledgers, cfg):
     expected = g.p ** g.rank
     per_chi = []
     for spec, ledger in ledgers:
@@ -199,14 +212,14 @@ def check_verma(g, ledgers):
     return ok, {"characters": per_chi}
 
 
-def check_phi(g, ledgers):
+def check_phi(g, ledgers, cfg):
     per_chi = [dict(proportionality_report(ledger), chi=spec) for spec, ledger in ledgers]
     ok = _passed(per_chi, lambda rep: (rep["single_constant"] and rep["vanishing_match"]
                                        and rep["constant"] != 0))
     return ok, {"characters": per_chi}
 
 
-def check_reflect(g, ledgers):
+def check_reflect(g, ledgers, cfg):
     report = {"simple_system_count": len(g.rs.all_simple_systems()), "characters": []}
     ok = True
     for spec, ledger in ledgers:
@@ -223,13 +236,13 @@ def check_reflect(g, ledgers):
     return ok, report
 
 
-def check_sym(g, chis, cfg):
+def check_sym(g, ledgers, cfg):
     rng = _rng(cfg, "sym")
     per_chi = []
-    for spec, chi in chis:
-        cent = g.centralizer(chi)
+    for spec, ledger in ledgers:
+        cent = g.centralizer(ledger.chi)
         divisor = g.p ** cent.d0 * 2 ** cent.d1
-        S = reduced_symmetric(g, chi)
+        S = reduced_symmetric(g, ledger.chi)
         rep = ideal_survey(S, divisor, (cent.d0, cent.d1),
                            seeds=cfg.samples, rng=rng)
         per_chi.append(dict(rep, chi=spec))
@@ -238,7 +251,7 @@ def check_sym(g, chis, cfg):
     return ok, {"characters": per_chi}
 
 
-def check_coinduced(g, chis, cfg):
+def check_coinduced(g, ledgers, cfg):
     borel = list(g.cartan) + [
         i for i, r in enumerate(g.basis_roots)
         if r is not None and g.distinguished.is_positive(r)
@@ -258,10 +271,10 @@ def check_coinduced(g, chis, cfg):
     return ok, rep
 
 
-def check_family(g, chis, cfg):
+def check_family(g, ledgers, cfg):
     rng = _rng(cfg, "family")
     F = g.F
-    chi = chis[0][1]
+    chi = ledgers[0][1].chi
     U = reduced_enveloping(g, chi)
     # each sample's t, then its three (a, b) pairs
     draws = [(int(rng.integers(1, F.q)),
@@ -301,10 +314,8 @@ def check_family(g, chis, cfg):
     return ok, rep
 
 
-def check_kw(g, ledgers, out_dir=None):
+def check_kw(g, ledgers, cfg):
     reports = verify_superkw_sweep([ledger for _, ledger in ledgers])
-    if out_dir is not None:
-        write_jsonl(reports, os.path.join(out_dir, "kw.jsonl"))
     ok = all(rep.skipped is not None or (rep.all_divisible and rep.accounting_ok)
              for rep in reports)
     return ok, {
@@ -313,7 +324,7 @@ def check_kw(g, ledgers, out_dir=None):
     }
 
 
-def check_semisimple(g, ledgers):
+def check_semisimple(g, ledgers, cfg):
     per_chi = []
     ok = True
     for spec, ledger in ledgers:
@@ -338,10 +349,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
                          f"above the dense-basis cap {_MATRIX_DIM_CAP}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    chis = [(spec, resolve_chi(g, spec)) for spec in cfg.chi_specs]
-    # the Verma checks of this run share one ledger per character; a weight
-    # field above the cap is bad input, refused before any check runs
-    ledgers = [(spec, VermaLedger(g, chi)) for spec, chi in chis]
+    # the checks of this run share one ledger per character; a weight field
+    # above the cap is bad input, refused before any check runs
+    ledgers = [(spec, VermaLedger(g, resolve_chi(g, spec))) for spec in cfg.chi_specs]
     if {"verma", "phi", "reflect", "kw", "semisimple"} & set(cfg.checks):
         try:
             for _, ledger in ledgers:
@@ -354,21 +364,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     }}
     lines = []
     all_ok = True
-    runners = {
-        "verma": lambda: check_verma(g, ledgers),
-        "phi": lambda: check_phi(g, ledgers),
-        "reflect": lambda: check_reflect(g, ledgers),
-        "sym": lambda: check_sym(g, chis, cfg),
-        "coinduced": lambda: check_coinduced(g, chis, cfg),
-        "family": lambda: check_family(g, chis, cfg),
-        "kw": lambda: check_kw(g, ledgers, out_dir),
-        "semisimple": lambda: check_semisimple(g, ledgers),
-    }
+    # looked up on each run, so that a wrapper set on cli.check_<name> is called
+    checks = {"verma": check_verma, "phi": check_phi, "reflect": check_reflect,
+              "sym": check_sym, "coinduced": check_coinduced, "family": check_family,
+              "kw": check_kw, "semisimple": check_semisimple}
     for name in CHECK_ORDER:
         if name not in cfg.checks:
             continue
         try:
-            ok, rep = runners[name]()
+            ok, rep = checks[name](g, ledgers, cfg)
         except InvariantViolation as exc:
             ok, rep = False, {"invariant_violation": str(exc)}
         except IncompatibleBorel as exc:
@@ -384,27 +388,53 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(bundle[name], fh, sort_keys=True, indent=1)
                 fh.write("\n")
+        # one line per character; a kw check that raised has no reports
+        if "kw" in cfg.checks and "reports" in bundle["kw"]["report"]:
+            with open(os.path.join(out_dir, "kw.jsonl"), "w", encoding="utf-8") as fh:
+                for rep in bundle["kw"]["report"]["reports"]:
+                    fh.write(json.dumps(rep, sort_keys=True, separators=(",", ":")) + "\n")
     return (0 if all_ok else 1), bundle, lines
-
-
-def _emit(bundle, lines, fmt):
-    if fmt == "structured":
-        print(json.dumps(bundle, sort_keys=True, indent=1))
-    else:
-        for line in lines:
-            print(line)
 
 
 # ---------------------------------------------------------------------------
 # subcommand entry points
 
+# the shortcut subcommands, as presets of ``run`` (see the module docstring)
+# name: (help, checks, default characters, character flag)
+PRESETS = {
+    "verma": ("irreducibility sweep for one character", ("verma", "phi"), ("zero",), "--chi"),
+    "reflect": ("simple-system reflection suite", ("reflect",),
+                ("zero", "regular_semisimple"), None),
+    "kw": ("dimension-divisibility sweep", ("kw",),
+           ("zero", "regular_semisimple", "nonregular"), "--chi"),
+    "sym": ("invariant-ideal survey for S_xi", ("sym",), ("zero",), "--xi"),
+}
 
-def _with_flags(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    """``--seed`` and ``--samples`` override the config."""
+
+def _reflect_line(label: str, report: dict) -> str:
+    if "invariant_violation" in report:
+        return f"{label}: invariant violation: {report['invariant_violation']}"
+    return (f"{label}: {report['simple_system_count']} simple systems, "
+            f"all reflection identities verified")
+
+
+def _run(cfg: ExperimentConfig, args) -> int:
+    """Runs ``cfg`` with the ``--seed`` and ``--samples`` overrides and prints
+    the bundle, or in text format the summary lines after any preset header."""
     for key in ("seed", "samples"):
-        if getattr(args, key, None) is not None:
+        if getattr(args, key) is not None:
             setattr(cfg, key, getattr(args, key))
-    return cfg
+    code, bundle, lines = run_experiment(cfg, out_dir=args.out)
+    if args.format == "structured":
+        print(json.dumps(bundle, sort_keys=True, indent=1))
+        return code
+    if args.command == "reflect":
+        print(_reflect_line(args.type, bundle["reflect"]["report"]))
+    if args.command == "kw" and "table" in bundle["kw"]["report"]:
+        print(bundle["kw"]["report"]["table"])
+    for line in lines:
+        print(line)
+    return code
 
 
 def cmd_run(args) -> int:
@@ -413,10 +443,7 @@ def cmd_run(args) -> int:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config: {exc}")
-    cfg = _with_flags(parse_config(text), args)
-    code, bundle, lines = run_experiment(cfg, out_dir=args.out)
-    _emit(bundle, lines, args.format)
-    return code
+    return _run(parse_config(text), args)
 
 
 def cmd_list(args) -> int:
@@ -428,69 +455,34 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _single_chi_config(args, checks) -> ExperimentConfig:
-    cfg = ExperimentConfig(algebra=args.type, p=args.p, checks=list(checks))
-    cfg.chi_specs = [args.chi] if getattr(args, "chi", None) else ["zero"]
-    return _with_flags(cfg, args)
-
-
-def cmd_verma(args) -> int:
-    cfg = _single_chi_config(args, ["verma", "phi"])
-    code, bundle, lines = run_experiment(cfg, out_dir=args.out)
-    _emit(bundle, lines, args.format)
-    return code
-
-
-def cmd_reflect(args) -> int:
-    if args.p is not None:
-        # the module-level suite first, so that a bad type or p fails before any
-        # output; its report holds the simple-system count
-        cfg = _single_chi_config(args, ["reflect"])
-        cfg.chi_specs = ["zero", "regular_semisimple"]
-        code, bundle, lines = run_experiment(cfg, out_dir=args.out)
-        report = bundle["reflect"]["report"]
+def _reflect_roots(args) -> int:
+    """``reflect`` without ``--p``: the simple-system closure of the root system."""
+    try:
+        _, rs_label = _normalize_label(args.type)
+    except ValueError:
+        rs_label = args.type  # pure root-system types (B/C/D/F/G labels)
+    try:
+        rs = build_root_system(rs_label)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    try:
+        code, report = 0, {"simple_system_count": len(rs.all_simple_systems())}
+    except InvariantViolation as exc:
+        code, report = 1, {"invariant_violation": str(exc)}
+    if args.format == "structured":
+        print(json.dumps(report, sort_keys=True, indent=1))
     else:
-        try:
-            _, rs_label = _normalize_label(args.type)
-        except ValueError:
-            rs_label = args.type  # pure root-system types (B/C/D/F/G labels)
-        try:
-            rs = build_root_system(rs_label)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        code, bundle = 0, None
-        try:
-            report = {"simple_system_count": len(rs.all_simple_systems())}
-        except InvariantViolation as exc:
-            code, report = 1, {"invariant_violation": str(exc)}
-    if "invariant_violation" in report:
-        print(f"{args.type}: invariant violation: {report['invariant_violation']}")
-    else:
-        print(f"{args.type}: {report['simple_system_count']} simple systems, "
-              f"all reflection identities verified")
-    if bundle is not None:
-        _emit(bundle, lines, args.format)
+        print(_reflect_line(args.type, report))
     return code
 
 
-def cmd_kw(args) -> int:
-    cfg = _single_chi_config(args, ["kw"])
-    if not getattr(args, "chi", None):
-        cfg.chi_specs = ["zero", "regular_semisimple", "nonregular"]
-    code, bundle, lines = run_experiment(cfg, out_dir=args.out)
-    if args.format == "text" and "table" in bundle["kw"]["report"]:
-        print(bundle["kw"]["report"]["table"])
-    _emit(bundle, lines, args.format)
-    return code
-
-
-def cmd_sym(args) -> int:
-    cfg = _single_chi_config(args, ["sym"])
-    if args.xi:
-        cfg.chi_specs = [args.xi]
-    code, bundle, lines = run_experiment(cfg, out_dir=args.out)
-    _emit(bundle, lines, args.format)
-    return code
+def cmd_preset(args) -> int:
+    _, checks, chis, _ = PRESETS[args.command]
+    if args.p is None:  # only reflect leaves --p optional
+        return _reflect_roots(args)
+    cfg = ExperimentConfig(algebra=args.type, p=args.p, checks=list(checks),
+                           chi_specs=[args.chi] if getattr(args, "chi", None) else list(chis))
+    return _run(cfg, args)
 
 
 def _add_common(sp):
@@ -515,32 +507,15 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("list", help="print the supported-type catalog")
     sp.set_defaults(func=cmd_list)
 
-    sp = sub.add_parser("verma", help="irreducibility sweep for one character")
-    sp.add_argument("--type", required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--chi", default="zero")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_verma)
-
-    sp = sub.add_parser("reflect", help="simple-system reflection suite")
-    sp.add_argument("--type", required=True)
-    sp.add_argument("--p", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_reflect)
-
-    sp = sub.add_parser("kw", help="dimension-divisibility sweep")
-    sp.add_argument("--type", required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--chi", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_kw)
-
-    sp = sub.add_parser("sym", help="invariant-ideal survey for S_xi")
-    sp.add_argument("--type", required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--xi", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_sym)
+    for name, (help_text, _, _, chi_flag) in PRESETS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--type", required=True)
+        # reflect without --p checks the root system alone
+        sp.add_argument("--p", type=int, required=name != "reflect")
+        if chi_flag is not None:
+            sp.add_argument(chi_flag, dest="chi", default=None, metavar=chi_flag[2:].upper())
+        _add_common(sp)
+        sp.set_defaults(func=cmd_preset)
     return ap
 
 

@@ -18,25 +18,12 @@ certified unique maximal submodule for the head to be well defined.
 
 from __future__ import annotations
 
-import json
 from typing import Optional, Sequence
 
 from .liesuper import LieSuperalgebra, PCharacter
 from .rootsys import InvariantViolation
 from .verma import BabyVerma, IncompatibleBorel, VermaLedger
 from .verma import walls_type  # noqa: F401 (re-exported)
-
-
-def kw_divisor(g: LieSuperalgebra, chi: PCharacter) -> int:
-    """p^(d0/2) * 2^(floor(d1/2)) from the stabilizer codimensions."""
-    cent = g.centralizer(chi)  # raises when d0 is odd
-    return g.p ** (cent.d0 // 2) * 2 ** (cent.d1 // 2)
-
-
-def kw_divisor_ceiling(g: LieSuperalgebra, chi: PCharacter) -> int:
-    """The ceiling variant p^(d0/2) * 2^(ceil(d1/2))."""
-    cent = g.centralizer(chi)
-    return g.p ** (cent.d0 // 2) * 2 ** ((cent.d1 + 1) // 2)
 
 
 class KWReport:
@@ -51,10 +38,12 @@ class KWReport:
         self.standard_form = chi.is_standard_form()
         self.skipped = skipped
         if skipped is None:
-            cent = g.centralizer(chi)
+            cent = g.centralizer(chi)  # raises when d0 is odd
             self.d0, self.d1 = cent.d0, cent.d1
-            self.divisor = kw_divisor(g, chi)
-            self.divisor_ceiling = kw_divisor_ceiling(g, chi)
+            # p^(d0/2) * 2^(floor(d1/2)) and the ceiling variant p^(d0/2) * 2^(ceil(d1/2))
+            even = g.p ** (cent.d0 // 2)
+            self.divisor = even * 2 ** (cent.d1 // 2)
+            self.divisor_ceiling = even * 2 ** ((cent.d1 + 1) // 2)
         else:
             self.d0 = self.d1 = self.divisor = self.divisor_ceiling = None
         self.simple_dims: list[tuple[tuple, int, str]] = []
@@ -95,9 +84,6 @@ class KWReport:
             "accounting_ok": self.accounting_ok,
         }
 
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
 
 def verify_superkw_sweep(ledgers: Sequence[VermaLedger]) -> list[KWReport]:
     """One KWReport per ledger's chi, harvesting heads over the whole weight set.
@@ -135,12 +121,6 @@ def verify_superkw_sweep(ledgers: Sequence[VermaLedger]) -> list[KWReport]:
         rep.finalize()
         reports.append(rep)
     return reports
-
-
-def write_jsonl(reports: Sequence[KWReport], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rep in reports:
-            fh.write(rep.to_json_line() + "\n")
 
 
 def summary_table(reports: Sequence[KWReport]) -> str:

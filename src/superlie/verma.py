@@ -781,7 +781,6 @@ def proportionality_report(ledger: VermaLedger) -> dict:
     return {
         "algebra": system.g.label,
         "p": system.g.p,
-        "chi": list(ledger.chi.cartan_values()),
         "constant": constant,
         "single_constant": single,
         "vanishing_match": vanish,
@@ -853,7 +852,6 @@ def semisimplicity_check(ledger: VermaLedger) -> dict:
         "algebra": g.label,
         "p": g.p,
         "k": lset.k,
-        "chi": list(chi.cartan_values()),
         "lambda_count": len(lset),
         "dims": dims,
         "types": types,
@@ -904,7 +902,6 @@ def reflection_report(ledger: VermaLedger, delta: int) -> dict:
     return {
         "algebra": g.label,
         "p": g.p,
-        "chi": list(ledger.chi.cartan_values()),
         "delta": g.rs.labels[delta],
         "reflection_type": kind,
         "singular_vectors_ok": singular_ok,

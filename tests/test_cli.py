@@ -60,6 +60,9 @@ def test_parse_config_errors():
         parse_config("algebra = gl(1|1)\np = 3\nseed = 1\nseed = 2\n")
     with pytest.raises(UsageError, match="config key 'p' repeats"):
         parse_config("algebra = gl(1|1)\np = 3\np = 5\n")
+    # a check runs once, so naming it twice is a mistake, not a request
+    with pytest.raises(UsageError, match=r"checks names \['phi'\] more than once"):
+        parse_config("algebra = gl(1|1)\np = 3\nchecks = phi,verma,phi\n")
 
 
 def test_run_experiment_verma_phi():
@@ -152,6 +155,49 @@ def test_reflect_enumerates_simple_systems_once(monkeypatch, capsys):
 
 def test_reflect_with_model():
     assert main(["reflect", "--type", "osp(1|2)", "--p", "3"]) == 0
+
+
+# each preset, and the run config it stands for
+PRESET_RUNS = {
+    "verma": (["--type", "gl(1|1)", "--p", "3", "--chi", "regular_semisimple"],
+              "algebra = gl(1|1)\np = 3\nchi = regular_semisimple\nchecks = verma,phi\n"),
+    "kw": (["--type", "gl(1|1)", "--p", "3"],
+           "algebra = gl(1|1)\np = 3\nchi = zero\nchi = regular_semisimple\n"
+           "chi = nonregular\nchecks = kw\n"),
+    "sym": (["--type", "gl(1|1)", "--p", "3", "--xi", "explicit:1,0", "--samples", "3"],
+            "algebra = gl(1|1)\np = 3\nchi = explicit:1,0\nchecks = sym\nsamples = 3\n"),
+    "reflect": (["--type", "gl(1|1)", "--p", "3"],
+                "algebra = gl(1|1)\np = 3\nchi = zero\nchi = regular_semisimple\n"
+                "checks = reflect\n"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_RUNS))
+def test_preset_equals_run(preset, tmp_path, capsys):
+    """A preset writes the same report files, and exits with the same code,
+    as ``superlie run`` on its config."""
+    flags, config = PRESET_RUNS[preset]
+    (tmp_path / "run.ini").write_text(config)
+    code = main([preset, *flags, "--out", str(tmp_path / "preset")])
+    assert main(["run", str(tmp_path / "run.ini"), "--out", str(tmp_path / "run")]) == code
+    names = sorted(path.name for path in (tmp_path / "run").iterdir())
+    assert sorted(path.name for path in (tmp_path / "preset").iterdir()) == names
+    for name in names:
+        assert ((tmp_path / "preset" / name).read_bytes()
+                == (tmp_path / "run" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("argv", [[preset, *PRESET_RUNS[preset][0]] for preset in sorted(PRESET_RUNS)]
+                         + [["reflect", "--type", "gl(2|1)"]], ids=" ".join)
+def test_structured_stdout_is_json(argv, capsys):
+    """In structured format stdout is one JSON document, with no text line
+    before it: the run bundle, or the count report of the root-only reflect."""
+    assert main([*argv, "--format", "structured"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    if "--p" in argv:
+        assert out["config"]["checks"] == parse_config(PRESET_RUNS[argv[0]][1]).checks
+    else:
+        assert out == {"simple_system_count": 6}
 
 
 def test_kw_subcommand(capsys):

@@ -1,21 +1,17 @@
 """Tests for the dimension-divisibility sweep over simple heads."""
 
+import json
+
 import numpy as np
 import pytest
 
 import reference_linalg as ref
 from reference_verma import parity_shift_glue, screen_simple
+from superlie.cli import main
 from superlie.gf import field_create
 from superlie.liesuper import build_algebra
 from superlie.rootsys import InvariantViolation
-from superlie.kwverify import (
-    kw_divisor,
-    kw_divisor_ceiling,
-    summary_table,
-    verify_superkw_sweep,
-    walls_type,
-    write_jsonl,
-)
+from superlie.kwverify import KWReport, verify_superkw_sweep, walls_type
 from superlie.verma import VermaLedger, VermaSystem, lambda_set, standard_characters
 from tooling import baby_vermas, odd_commutant_dims, simple_heads
 
@@ -26,24 +22,24 @@ F5 = field_create(5, 1)
 def test_divisor_examples():
     for label, p in [("gl(1|1)", 3), ("osp(1|2)", 3), ("gl(2|1)", 5)]:
         g = build_algebra(label, field_create(p, 1))
-        assert kw_divisor(g, g.chi_zero()) == 1
+        assert KWReport(g, g.chi_zero()).divisor == 1
     g = build_algebra("osp(1|2)", F5)
-    assert kw_divisor(g, g.chi_regular_semisimple()) == 10
+    assert KWReport(g, g.chi_regular_semisimple()).divisor == 10
     g = build_algebra("osp(1|2)", F3)
-    assert kw_divisor(g, g.chi_regular_semisimple()) == 6
+    assert KWReport(g, g.chi_regular_semisimple()).divisor == 6
     g = build_algebra("gl(1|1)", F3)
     chi = g.character_from_element([1, 0, 0, 0])  # chi(E11)=1, chi(E22)=0
     cent = g.centralizer(chi)
     assert (cent.d0, cent.d1) == (0, 2)
-    assert kw_divisor(g, chi) == 2
+    assert KWReport(g, chi).divisor == 2
     g = build_algebra("gl(2|1)", F3)
-    assert kw_divisor(g, g.chi_regular_semisimple()) == 12  # d = 2|4
+    assert KWReport(g, g.chi_regular_semisimple()).divisor == 12  # d = 2|4
     g = build_algebra("osp(1|2)", F3)
     nil = g.nilpotent_root_character("2d1")
     cent = g.centralizer(nil)
     assert (cent.d0, cent.d1) == (2, 1)
-    assert kw_divisor(g, nil) == 3
-    assert kw_divisor_ceiling(g, nil) == 6
+    assert KWReport(g, nil).divisor == 3
+    assert KWReport(g, nil).divisor_ceiling == 6
 
 
 def test_divisor_scale_invariant():
@@ -51,7 +47,7 @@ def test_divisor_scale_invariant():
     for chi in (g.chi_regular_semisimple(),
                 g.nilpotent_root_character("e1-e2")):
         for t in (1, 2):
-            assert kw_divisor(g, chi.scale(t)) == kw_divisor(g, chi)
+            assert KWReport(g, chi.scale(t)).divisor == KWReport(g, chi).divisor
 
 
 def test_walls_type_trivial_module_is_M():
@@ -175,13 +171,16 @@ def test_sweep_skips_bad_borel():
 
 
 def test_jsonl_deterministic(tmp_path):
-    g = build_algebra("gl(1|1)", F3)
-    chis = [g.chi_zero(), g.chi_regular_semisimple()]
-    out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_jsonl(verify_superkw_sweep([VermaLedger(g, chi) for chi in chis]), str(out1))
-    write_jsonl(verify_superkw_sweep([VermaLedger(g, chi) for chi in chis]), str(out2))
-    assert out1.read_bytes() == out2.read_bytes()
-    lines = out1.read_text().strip().split("\n")
-    assert len(lines) == 2
-    table = summary_table(verify_superkw_sweep([VermaLedger(g, chi) for chi in chis]))
-    assert "pass" in table and "FAIL" not in table
+    cfg = tmp_path / "kw.ini"
+    cfg.write_text("algebra = gl(1|1)\np = 3\nchi = zero\nchi = regular_semisimple\n"
+                   "checks = kw\n")
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["run", str(cfg), "--out", str(out1)]) == 0
+    assert main(["run", str(cfg), "--out", str(out2)]) == 0
+    jsonl = (out1 / "kw.jsonl").read_bytes()
+    assert jsonl == (out2 / "kw.jsonl").read_bytes()
+    # one line per character, each the report that kw.json holds
+    report = json.loads((out1 / "kw.json").read_text())["report"]
+    assert [json.loads(line) for line in jsonl.decode().splitlines()] == report["reports"]
+    assert len(report["reports"]) == 2
+    assert "pass" in report["table"] and "FAIL" not in report["table"]
