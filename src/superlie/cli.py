@@ -116,6 +116,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in ("algebra", "p", "chi", "checks", "samples", "seed"):
             raise UsageError(f"line {lineno}: unknown config key {key!r}")
         if key == "chi":
+            if val in chi_specs:
+                raise UsageError(f"line {lineno}: chi {val!r} repeats")
             chi_specs.append(val)
         elif key in values:
             raise UsageError(f"line {lineno}: config key {key!r} repeats")
@@ -375,12 +377,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
             ok, rep = checks[name](g, ledgers, cfg)
         except InvariantViolation as exc:
             ok, rep = False, {"invariant_violation": str(exc)}
+        except RuntimeError as exc:  # a documented scope limit: U_chi(n^-) not local, say
+            ok, rep = False, {"out_of_scope": str(exc)}
         except IncompatibleBorel as exc:
             raise UsageError(str(exc))
         bundle[name] = {"passed": ok, "report": rep}
         lines.append(f"{name:<12} {'PASS' if ok else 'FAIL'}")
-        if "invariant_violation" in rep:
-            lines.append(f"  invariant violation: {rep['invariant_violation']}")
+        for key in ("invariant_violation", "out_of_scope"):
+            if key in rep:
+                lines.append(f"  {key.replace('_', ' ')}: {rep[key]}")
         all_ok = all_ok and ok
     if out_dir is not None:
         for name in cfg.checks:
@@ -457,6 +462,8 @@ def cmd_list(args) -> int:
 
 def _reflect_roots(args) -> int:
     """``reflect`` without ``--p``: the simple-system closure of the root system."""
+    if any(getattr(args, key) is not None for key in ("out", "seed", "samples")):
+        raise UsageError("--out, --seed and --samples need --p: reflect without it writes no report")
     try:
         _, rs_label = _normalize_label(args.type)
     except ValueError:

@@ -37,38 +37,44 @@ in the package, field values are integer codes of a ``gf.Field``: a weight
 is a tuple of codes.
 
 Irreducibility is decided two independent ways and compared:
-  * oracle: does the lowest vector w generate Z?  When chi vanishes on n^-
-    it decides irreducibility, as the rank of the matrix of the PBW words of
-    n^+ applied to w; otherwise w is spun under every operator.  h acts
-    diagonally on the PBW basis, and each word e^a . w is homogeneous, so
-    the word matrix is block diagonal over the h-weight grades mod p, which
-    are free of lambda; a -> cap - 1 - a pairs its columns with its rows,
-    so every block is square and the rank is full iff each block is
-    nonsingular;
+  * oracle: is the head of Z all of Z?  The head comes from one pairing
+    matrix per module (below).  h acts diagonally on the PBW basis, with
+    lambda-free h-weight grades mod p, and where chi vanishes on n^- the
+    pairing matrix is block diagonal over them with square blocks: it is
+    certified zero off them, and Z is irreducible iff each block is
+    nonsingular, tested in one stacked call per block size;
   * criterion: the Harish-Chandra-style product
     prod_even((lambda+rho|alpha)^{p-1} - 1) * prod_odd((lambda+rho|beta))
     evaluated through coroots, from the codes of the pairings with the
     positive roots.  Roots are indices of the algebra's root system.
 
-The maximal proper submodule (hence the simple head) is the largest
-action-stable subspace of an ambient space: the annihilator of the closure
-of the ambient's annihilator under the transposed stack, a view.  The
-ambient space that provably contains every proper submodule depends on chi:
+The maximal proper submodule (hence the simple head) is read off the same
+pairing matrix.  Let A = U_chi(n^-) with radical I.  Z = A . v is free of
+rank one over A; when A is local, A / I is a field, and a proper submodule
+N with N + IZ = Z would be Z by Nakayama, so every proper submodule lies in
+IZ.  Let pi : Z -> Z/IZ.  A acts on Z/IZ through the field A/I and h
+through the grade projections, and U_chi(g) = A U_chi(n^+) U_chi(h), so the
+maximal submodule is the direct sum over the grades mu of the kernels of
+S[:, Z_mu], where S has the rows pi . e^a for the PBW words e^a of n^+
+(the Shapovalov form where pi is the coefficient of v), all from one pass
+of the transposed letters; phi is the top row of the pass from the
+coefficient of v, times the lowest vector.  pi depends on chi:
 
   * chi vanishing on [n^-, n^-]: replacing each even letter x by
     x - chi(x) yields generators with the same brackets and zero p-th
-    powers, so the PBW coefficient algebra A = U_chi(n^-) is local with
-    maximal ideal spanned by the shifted nonconstant monomials.  When
-    chi = 0 on n^- the shift is zero and these are the plain monomials.
+    powers, so A is local with maximal ideal spanned by the shifted
+    nonconstant monomials, and pi is the character x -> chi(x) of A: one
+    row, pi(f^b . v) = prod_s chi(x_s)^{b_s}.  When chi = 0 on n^- pi is
+    the coefficient of v.
   * A commutative (rank-one supports in small algebras): let P be the matrix
     of m -> m^p on the monomials, read off the letters' operators; its
     entries lie in GF(p).  Then a^(p^r) = 0 exactly when P^r a = 0, so the
     nilradical is the kernel of P^r once p^r >= dim A.  A is local over
     GF(q) = GF(p^k) iff A/nilrad has a one-dimensional Berlekamp subalgebra,
-    the kernel of Q - 1 for the q-th power map Q = P^k, and then every
-    proper submodule lies inside nilrad . v.  The test needs Q and not P: P
-    alone tests locality over GF(p), and a residue field GF(p^e) of A stays
-    a field over GF(q) only when gcd(e, k) = 1.  The residue fields reached
+    the kernel of Q - 1 for the q-th power map Q = P^k, and then pi is the
+    annihilator of nilrad . v.  The test needs Q and not P: P alone tests
+    locality over GF(p), and a residue field GF(p^e) of A stays a field
+    over GF(q) only when gcd(e, k) = 1.  The residue fields reached
     today are GF(p) and GF(p^2) (osp(1|2) with chi on X_{-2delta}), and k is
     1 or the odd prime p, so the two tests agree there and the reference
     oracle cannot tell them apart.
@@ -84,7 +90,6 @@ only when a report shows it.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -229,22 +234,18 @@ def _pbw_words(F: Field, letters: np.ndarray, exponents: np.ndarray,
     return cols
 
 
-def grade_blocks(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, dict]:
-    """(off-block mask, {s: (row indices, column indices) of the (B_s, s)
-    blocks of size s}) of a square matrix whose rows and columns carry the
-    grade keys ``rows`` and ``cols``; a grade with unequal row and column
-    counts raises InvariantViolation."""
-    grades, counts = np.unique(rows, return_counts=True)
-    col_grades, col_counts = np.unique(cols, return_counts=True)
-    if not (np.array_equal(grades, col_grades) and np.array_equal(counts, col_counts)):
-        raise InvariantViolation("a weight grade has unequal row and column counts")
-    row_order, col_order = np.argsort(rows, kind="stable"), np.argsort(cols, kind="stable")
-    starts = np.cumsum(counts) - counts
-    blocks = {}
-    for s in sorted(set(counts.tolist())):  # np.unique(counts) imports numpy.ma: 0.5 MB
-        at = starts[counts == s][:, None] + np.arange(s)
-        blocks[s] = (row_order[at], col_order[at])
-    return rows[:, None] != cols[None, :], blocks
+def _all_words(F: Field, letters: np.ndarray, caps: Sequence[int], start: np.ndarray) -> np.ndarray:
+    """Every PBW word prod_s letters[s]^{b_s}, b_s < caps[s], times the columns
+    of ``start``, as column b * r + j for basis index b and start column j:
+    the rightmost letter acts first, and each slot takes the powers of all
+    the words the later slots formed at once, one product per power."""
+    cols = start
+    for s in reversed(range(len(letters))):
+        powers = [cols]
+        for _ in range(caps[s] - 1):
+            powers.append(la.matmul(F, letters[s], powers[-1]))
+        cols = np.concatenate(powers, axis=1)
+    return cols
 
 
 class VermaSystem:
@@ -289,7 +290,7 @@ class VermaSystem:
         self._P = cartan_p_matrix(g)
         self._templates: dict[tuple[int, tuple], tuple] = {}
         self._affine: Optional[tuple[np.ndarray, ...]] = None
-        self._ambients: dict[Field, np.ndarray] = {}
+        self._pis: dict[Field, np.ndarray] = {}
         self._lowest: Optional[np.ndarray] = None
         self.chi_kills_neg = not any(self._neg_chi_values())
         self._blocks: Optional[tuple] = None
@@ -362,26 +363,6 @@ class VermaSystem:
         neg = self.neg_indices
         return not self.chi.value(self.g.bracket_tensor[np.ix_(neg, neg)]).any()
 
-    def _shifted_monomial_rows(self) -> np.ndarray:
-        """Rows of prod_s (x_s - chi(x_s))^{e_s} for e != 0 in the PBW basis.
-
-        With chi([n^-, n^-]) = 0 the shifted letters satisfy the original
-        brackets and have zero p-th powers, so they generate a local
-        algebra whose maximal ideal is spanned by these rows.  Expanding
-        (x - c)^e = sum_f C(e, f) (-c)^(e-f) x^f slot by slot makes the
-        change of basis a Kronecker product; the constant monomial comes
-        first in PBW order, and its row is dropped.
-        """
-        p = self.g.p
-        rows = la.eye(1)
-        for cap, par, c in zip(self.caps, self.slot_parities, self._neg_chi_values()):
-            if par and c:
-                raise InvariantViolation("cannot shift an odd letter by a nonzero constant")
-            T = [[math.comb(e, f) * pow(-c, e - f, p) % p if f <= e else 0
-                  for f in range(cap)] for e in range(cap)]
-            rows = np.kron(rows, np.array(T, dtype=np.int64)) % p
-        return rows[1:]
-
     def _negative_letters(self) -> np.ndarray:
         """The negative letters' operators over GF(p) in slot order, free of lambda."""
         positions, where, slots, _ = self._affine_template()
@@ -394,7 +375,7 @@ class VermaSystem:
         """w = X_{-alpha_1}^{m_1} ... X_{-alpha_N}^{m_N} . v over GF(p), read-only:
         the letters are free of lambda, so w is that of every module."""
         if self._lowest is None:
-            # the letters in n^+ order, as in ``BabyVerma.word_matrix``
+            # X_{-alpha_1}, ..., X_{-alpha_N}, the last acting first
             vec = _pbw_words(self.g.F, self._negative_letters()[::-1], self.exponents[-1:, ::-1],
                              la.eye(self.dim)[:, [self.highest_index]])[:, 0]
             if not vec.any():
@@ -403,20 +384,23 @@ class VermaSystem:
             self._lowest = vec
         return self._lowest
 
-    def word_blocks(self) -> tuple[np.ndarray, dict]:
-        """The word matrix's blocks over the lambda-free h-weight grades mod p:
-        (mask of the entries off every block, {s: (rows, cols)}), with one
-        (B_s, s) index array pair per block size s.
+    def pairing_blocks(self) -> tuple[np.ndarray, dict]:
+        """The lambda-free h-weight grades mod p of the PBW basis as blocks of
+        the pairing matrix: (mask of the entries off every block, {s: (B_s, s)
+        indices of the grades of size s}).
 
         With beta_s the weight of the positive root whose negative sits in
-        slot s, basis vector e^b . v has grade -sum b_s beta_s and word
-        e^a . w that of the complementary exponent cap - 1 - a."""
+        slot s, basis vector f^b . v has grade -sum b_s beta_s.  Where pi is
+        the coefficient of v, row a of the pairing matrix has the grade of
+        column a."""
         if self._blocks is None:
             beta = self.g.root_weights[self.positives[::-1]]
-            keys = self.g.p ** np.arange(self.g.rank)
-            rows = -self.exponents @ beta % self.g.p @ keys
-            cols = -(np.array(self.caps) - 1 - self.exponents) @ beta % self.g.p @ keys
-            self._blocks = grade_blocks(rows, cols)
+            keys = -self.exponents @ beta % self.g.p @ self.g.p ** np.arange(self.g.rank)
+            counts = np.unique(keys, return_counts=True)[1]
+            order, starts = np.argsort(keys, kind="stable"), np.cumsum(counts) - counts
+            blocks = {s: order[starts[counts == s][:, None] + np.arange(s)]
+                      for s in sorted(set(counts.tolist()))}  # np.unique(counts) imports numpy.ma: 0.5 MB
+            self._blocks = keys[:, None] != keys[None, :], blocks
         return self._blocks
 
     def _coefficient_algebra(self) -> tuple[np.ndarray, bool]:
@@ -480,17 +464,24 @@ class VermaSystem:
             )
         return rad
 
-    def _ambient_rows(self, F: Field) -> np.ndarray:
-        """Rows over F of a space that contains every proper submodule of each
-        module over F; built once per field and shared read-only."""
-        rows = self._ambients.get(F)
+    def _pi_rows(self, F: Field) -> np.ndarray:
+        """Rows over F of pi : Z -> Z/IZ for the radical I of A, one row or, with
+        A local over a larger residue field, more; built once per field and
+        shared read-only.
+
+        With chi([n^-, n^-]) = 0 the letters x_s - c_s, c_s = chi(x_s), span
+        the maximal ideal of A, so pi is the character x_s -> c_s of A:
+        pi(f^b . v) = prod_s c_s^{b_s}, with 0^0 = 1, the PBW words of the
+        scalars c_s on 1.  A p-character vanishes on the odd letters."""
+        rows = self._pis.get(F)
         if rows is None:
             if self._chi_kills_neg_brackets():
-                rows = self._shifted_monomial_rows()
+                scalars = np.array(self._neg_chi_values())[:, None, None]
+                rows = _all_words(self.g.F, scalars, self.caps, la.eye(1))
             else:
-                rows = self._commutative_radical_rows(F)
+                rows = la.nullspace(F, self._commutative_radical_rows(F))
             rows.flags.writeable = False
-            self._ambients[F] = rows
+            self._pis[F] = rows
         return rows
 
     def module(self, lam: Sequence[int], field: Optional[Field] = None) -> "BabyVerma":
@@ -516,7 +507,8 @@ class BabyVerma:
         self.index = system.index
         self.highest_index = system.highest_index
         self._stack: Optional[np.ndarray] = None
-        self._words: Optional[np.ndarray] = None
+        self._last_words: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._singular: Optional[list] = None
         self._max_submodule: Optional[np.ndarray] = None
 
     # -- actions ---------------------------------------------------------------
@@ -544,53 +536,62 @@ class BabyVerma:
         """X_{-alpha_1}^{m_1} ... X_{-alpha_N}^{m_N} . v, shared by the system."""
         return self.system.lowest_vector()
 
-    def word_matrix(self) -> np.ndarray:
-        """M = [e^a . w], a over the PBW index set read in n^+ order: column a is
-        X_{alpha_1}^{a_1} ... X_{alpha_N}^{a_N} . w, the last the top word."""
-        if self._words is None:
-            cols = self.lowest_vector()[:, None].repeat(self.dim, axis=1)
-            self._words = _pbw_words(self.F, self.operators()[self.system.pos_indices],
-                                    self.system.exponents[:, ::-1], cols)
-        return self._words
-
     def phi_via_module(self) -> int:
-        """Coefficient of v in X_{alpha_1}^{m_1} ... X_{alpha_N}^{m_N} . lowest."""
-        return int(self.word_matrix()[self.highest_index, -1])
+        """Coefficient of v in X_{alpha_1}^{m_1} ... X_{alpha_N}^{m_N} . lowest:
+        the top row of the words on the coefficient of v, times the lowest
+        vector."""
+        top = self._words(la.eye(self.dim)[[self.highest_index]])[-1:]
+        return int(la.matmul(self.F, top, self.lowest_vector()[:, None])[0, 0])
 
     # -- submodules ------------------------------------------------------------
 
-    def is_irreducible_oracle(self) -> bool:
-        """Whether the spin of the lowest vector w is all of Z.
+    def _words(self, rows: np.ndarray) -> np.ndarray:
+        """[rows_i . e^a] for every PBW word e^a of n^+ read in n^+ order, as
+        row a * len(rows) + i, from one pass of the transposed n^+ letters in
+        reverse order.  The last pass is kept: where pi is the coefficient of
+        v, phi and the pairing matrix share it."""
+        if self._last_words is None or not np.array_equal(self._last_words[0], rows):
+            letters = self.operators()[self.system.pos_indices].transpose(0, 2, 1)[::-1]
+            self._last_words = rows, _all_words(self.F, letters, self.system.caps, rows.T).T
+        return self._last_words[1]
 
-        With chi = 0 on n^-, U_chi(n^-) = U_0(n^-) is local and Frobenius: its
-        top PBW monomial spans its socle, so n^- kills w and every nonzero
-        submodule of Z = U_chi(n^-) . v contains w.  h acts on w by a scalar,
-        so U_chi(g) . w = U_chi(n^+) U_chi(h) U_chi(n^-) . w = U_chi(n^+) . w,
-        and Z is irreducible exactly when U_chi(n^+) . w = Z.  As chi(n^+) = 0,
-        U_chi(n^+) is spanned by its PBW monomials e^a, so U_chi(n^+) . w is
-        the column span of ``word_matrix`` and its dimension is rank M.  h acts
-        on e^b . v by (lambda + mu_b)(h), and column e^a . w is homogeneous of
-        the weight of row cap - 1 - a, so M is block diagonal over the grades
-        mu mod p with square blocks (``VermaSystem.word_blocks``): M is
-        certified zero off them, and rank M = dim exactly when every block is
-        nonsingular, tested in one stacked call per block size.  For chi
-        nonzero on n^- the spin runs under every operator, and then decides
-        only whether w generates Z, not irreducibility."""
-        if self.system.chi_kills_neg:
-            words = self.word_matrix()
-            off, blocks = self.system.word_blocks()
-            if words[off].any():
-                raise InvariantViolation("the word matrix is not block diagonal over the weight grades")
-            return all([la.nonsingular(self.F, words[rows[:, :, None], cols[:, None, :]]).all()
-                        for rows, cols in blocks.values()])  # one call per block size, always
-        closed = la.closure_under_operators(self.F, self.lowest_vector()[None, :], self.operators())
-        return closed.shape[0] == self.dim
+    def pairing_matrix(self) -> np.ndarray:
+        """S with row (a, i) = pi_i . e^a, for pi : Z -> Z/IZ."""
+        return self._words(self.system._pi_rows(self.F))
+
+    def _singular_grades(self) -> list[tuple]:
+        """(columns, S[:, columns]) of S, the pairing matrix, over each grade
+        where it has a kernel.  Where chi vanishes on n^-, S is certified zero
+        off its square grade blocks, and the singular ones are found in one
+        stacked test per block size, with no elimination."""
+        if self._singular is None:
+            F, S = self.F, self.pairing_matrix()
+            off, blocks = self.system.pairing_blocks()
+            if not self.system.chi_kills_neg:
+                self._singular = [(at, S[:, at]) for idx in blocks.values() for at in idx
+                                  if la.rank(F, S[:, at]) < at.size]
+            elif S[off].any():
+                raise InvariantViolation(f"the pairing matrix at lambda = {list(self.lam)} is "
+                                         "not block diagonal over the weight grades")
+            else:  # one call per block size, always
+                squares = {s: S[idx[:, :, None], idx[:, None, :]] for s, idx in blocks.items()}
+                self._singular = [(blocks[s][i], squares[s][i]) for s in blocks
+                                  for i in np.flatnonzero(~la.nonsingular(F, squares[s]))]
+        return self._singular
+
+    def is_irreducible_oracle(self) -> bool:
+        """Whether every grade block of the pairing matrix has full rank, so
+        that the maximal submodule is zero."""
+        return not self._singular_grades()
 
     def maximal_submodule(self) -> np.ndarray:
-        """Echelon rows of the unique maximal proper submodule."""
+        """Echelon rows of the unique maximal proper submodule: the direct sum
+        over the grades mu of the kernels of S[:, Z_mu]."""
         if self._max_submodule is None:
-            self._max_submodule = la.largest_stable_subspace(
-                self.F, self.system._ambient_rows(self.F), self.operators())
+            kernels = [la.zeros((0, self.dim))] + [
+                la.nullspace(self.F, block) @ la.eye(self.dim)[cols]  # in Z's coordinates
+                for cols, block in self._singular_grades()]
+            self._max_submodule = la.row_space_basis(self.F, np.concatenate(kernels))
         return self._max_submodule
 
     def head_dim(self) -> int:
@@ -837,9 +838,9 @@ def semisimplicity_check(ledger: VermaLedger) -> dict:
     system, lset = ledger.system, ledger.lset
     dims, types = [], []  # the Walls type only of the simple modules
     for lam in lset:
-        oracle, hdim = ledger.facts(lam, BabyVerma.is_irreducible_oracle, BabyVerma.head_dim)
-        dims.append(system.dim if oracle else hdim)
-        types.append(ledger.facts(lam, BabyVerma.head_type)[0] if oracle else None)
+        (hdim,) = ledger.facts(lam, BabyVerma.head_dim)
+        dims.append(hdim)
+        types.append(ledger.facts(lam, BabyVerma.head_type)[0] if hdim == system.dim else None)
     all_irred = None not in types
     target = g.p ** g.dim_even * 2 ** g.dim_odd
     halves = sum(d * d for d, t in zip(dims, types) if t == "Q")

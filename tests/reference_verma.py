@@ -11,12 +11,15 @@ difference of the Frobenius table; ``artin_schreier_min_extension`` picks
 the field from the trace to GF(p), and ``lambda_set_artin_schreier`` is the
 weight solver built on the two.
 
-``ambient_rows`` is the three-branch maximal-submodule ambient that
-``BabyVerma._ambient_rows`` replaced: the plain nonconstant monomials when
-chi = 0 on n^-, the shifted monomials assembled entry by entry, and the
+``ambient_rows`` is the three-branch maximal-submodule ambient IZ, for I
+the radical of the coefficient algebra A: the plain nonconstant monomials
+when chi = 0 on n^-, the shifted monomials assembled entry by entry, and the
 nilradical of a commutative coefficient algebra found through the p-th
 power map on GF(p)-digit coordinates, with the q-th powers of Berlekamp's
-test taken one scalar Frobenius at a time.
+test taken one scalar Frobenius at a time.  Its annihilator is the map
+pi : Z -> Z/IZ that ``VermaSystem._pi_rows`` builds, and the largest
+submodule inside it, found by ``reference_linalg``'s shrinking iteration,
+is the maximal submodule that ``BabyVerma`` reads off its pairing matrix.
 
 ``action_matrix`` is the per-entry loop that ``VermaSystem.evaluate``
 replaced: it walks the templates of one generator and evaluates each
@@ -26,17 +29,15 @@ of A = U_chi(n^-) (``neg_product``) and iterates m -> m^p on those tables;
 ``VermaSystem._coefficient_algebra`` now reads both off the letters'
 operators.
 
-``lowest_vector_closure`` is the all-operator oracle that
-``BabyVerma.is_irreducible_oracle`` replaced: it spins the lowest vector
-under every generator's operator, as the oracle still does where chi is
-nonzero on n^-.  ``positive_spin_closure`` is the iterative spin under the
-operators of n^+ alone that the oracle ran where chi vanishes on n^-, before
-the rank of ``BabyVerma.word_matrix`` replaced it there.
-``word_rank_verdict`` is that dense rank, which the oracle now splits into
-one nonsingularity test per h-weight block.  ``phi_by_letters``
-is the letter-by-letter product chain that ``BabyVerma.phi_via_module``
-replaced with the top column of the word matrix.  ``lowest_by_letters`` is
-the per-module lowest vector, built letter by letter over the module's own
+``lowest_vector_closure`` spins the lowest vector under every generator's
+operator, as the irreducibility oracle did where chi is nonzero on n^-.
+``positive_spin_closure`` is the spin under the operators of n^+ alone
+that it ran where chi vanishes on n^-, and ``word_matrix`` the dense
+matrix [e^a . w] of the PBW words of n^+ on the lowest vector w whose rank
+replaced that spin; ``word_rank_verdict`` is that rank.  The oracle now
+reads the grade blocks of the pairing matrix.  ``phi_by_letters`` is the
+letter-by-letter product chain for phi.  ``lowest_by_letters`` is the
+per-module lowest vector, built letter by letter over the module's own
 field, that ``VermaSystem.lowest_vector`` replaced with one vector per
 system over GF(p).
 
@@ -63,6 +64,7 @@ from superlie.verma import (
     InvariantViolation,
     LambdaSet,
     VermaSystem,
+    _pbw_words,
     cartan_p_matrix,
     lambda_residual,
 )
@@ -406,9 +408,16 @@ def phi_by_letters(Z: BabyVerma) -> int:
     return int(vec[Z.highest_index])
 
 
+def word_matrix(Z: BabyVerma) -> np.ndarray:
+    """M = [e^a . w], a over the PBW index set read in n^+ order: column a is
+    X_{alpha_1}^{a_1} ... X_{alpha_N}^{a_N} . w, the last the top word."""
+    cols = Z.lowest_vector()[:, None].repeat(Z.dim, axis=1)
+    return _pbw_words(Z.F, Z.operators()[Z.system.pos_indices], Z.system.exponents[:, ::-1], cols)
+
+
 def word_rank_verdict(Z: BabyVerma) -> bool:
     """Whether the dense word matrix has full rank, one ``rref`` of dim x dim."""
-    return la.rank(Z.F, Z.word_matrix()) == Z.dim
+    return la.rank(Z.F, word_matrix(Z)) == Z.dim
 
 
 def positive_spin_closure(Z: BabyVerma) -> np.ndarray:

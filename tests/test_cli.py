@@ -63,6 +63,9 @@ def test_parse_config_errors():
     # a check runs once, so naming it twice is a mistake, not a request
     with pytest.raises(UsageError, match=r"checks names \['phi'\] more than once"):
         parse_config("algebra = gl(1|1)\np = 3\nchecks = phi,verma,phi\n")
+    # so is a character: it would be swept twice
+    with pytest.raises(UsageError, match="line 5: chi 'zero' repeats"):
+        parse_config("algebra = gl(1|1)\np = 3\nchi = zero\nchi = nonregular\nchi = zero\n")
 
 
 def test_run_experiment_verma_phi():
@@ -207,14 +210,22 @@ def test_kw_subcommand(capsys):
 
 
 def test_kw_invariant_violation_is_fail(monkeypatch, capsys):
-    # a closure oracle that contradicts the head is a broken invariant: the
-    # sweep must fail and name the weight, not report the character skipped
-    monkeypatch.setattr(BabyVerma, "is_irreducible_oracle", lambda self: False)
+    # a pairing matrix with an entry off its weight blocks is a broken
+    # invariant: the sweep must fail and name the weight, not report the
+    # character skipped
+    pairing_matrix = BabyVerma.pairing_matrix
+
+    def leaky(self):
+        S = pairing_matrix(self).copy()
+        S[tuple(np.argwhere(self.system.pairing_blocks()[0])[0])] = 1
+        return S
+    monkeypatch.setattr(BabyVerma, "pairing_matrix", leaky)
     assert main(["kw", "--type", "gl(1|1)", "--p", "3"]) == 1
     out = capsys.readouterr().out
     assert "skipped" not in out and "PASS" not in out
     assert re.search(r"^kw +FAIL$", out, re.M)
-    assert "head/oracle disagreement on standard chi at lambda = [" in out
+    assert re.search(r"^  invariant violation: the pairing matrix at lambda = \[\d+, \d+\] is not "
+                     r"block diagonal over the weight grades$", out, re.M)
 
 
 def test_kw_reducible_head_is_fail(tmp_path, monkeypatch, capsys):
@@ -237,16 +248,17 @@ def test_kw_reducible_head_is_fail(tmp_path, monkeypatch, capsys):
                      r"the module is not simple$", out, re.M)
 
 
-def test_kw_pbw_violation_is_fail(monkeypatch, capsys):
+def test_pbw_violation_is_fail(monkeypatch, capsys):
     # a vanishing lowest vector breaks PBW: an internal failure, not a scope limit;
-    # zero letters reach the raise in the system's own lowest-vector computation
+    # zero letters reach the raise in the system's own lowest-vector computation,
+    # which phi reads, in the verma check and in the phi check
     monkeypatch.setattr(VermaSystem, "_negative_letters",
                         lambda self: np.zeros((self.N, self.dim, self.dim), dtype=np.int64))
-    assert main(["kw", "--type", "gl(1|1)", "--p", "3"]) == 1
+    assert main(["verma", "--type", "gl(1|1)", "--p", "3"]) == 1
     out = capsys.readouterr().out
     assert "skipped" not in out and "PASS" not in out
-    assert re.search(r"^kw +FAIL$", out, re.M)
-    assert "lowest vector vanished — PBW violation" in out
+    assert re.search(r"^verma +FAIL$", out, re.M) and re.search(r"^phi +FAIL$", out, re.M)
+    assert out.count("lowest vector vanished — PBW violation") == 2
 
 
 def test_kw_zero_quotient_is_fail(monkeypatch, capsys):
@@ -388,6 +400,10 @@ NAMED = {
     "checks = coinduced": "dense-basis cap 4096",
     "F(4) --p 5": "not supported",
     "--p 4": "is not prime",
+    "chi = zero chi = zero": "chi 'zero' repeats",
+    "F(4) --out": "--out, --seed and --samples need --p",
+    "F(4) --seed": "--out, --seed and --samples need --p",
+    "F(4) --samples": "--out, --seed and --samples need --p",
 }
 
 
@@ -422,6 +438,13 @@ NAMED = {
     (["run", "{cfg}"], "algebra = gl(1|1)\np = 3\nchek = kw\nseeed = 4\n"),
     # every weight field is read before any check: no zero-character sweep first
     (["kw", "--type", "gl(2|1)", "--p", "11"], None),
+    # a character named twice, which would be swept twice
+    (["run", "{cfg}"], "algebra = gl(1|1)\np = 3\nchi = zero\nchi = zero\nchecks = kw\n"),
+    # root-only reflect writes no report and draws nothing: each flag that
+    # would need one is refused, and no directory is made
+    (["reflect", "--type", "F(4)", "--out", "{tmp}/out", "--seed", "3"], None),
+    (["reflect", "--type", "F(4)", "--seed", "3"], None),
+    (["reflect", "--type", "F(4)", "--samples", "5"], None),
 ])
 def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys, monkeypatch):
     """Bad input exits 2 with one message line: no check passes vacuously,
@@ -438,6 +461,7 @@ def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys, monkeypatch)
     assert "PASS" not in out and "Traceback" not in err
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert out == ""
+    assert not (tmp_path / "out").exists()
     line = " ".join(argv + [config or ""]).replace("\n", " ")
     for key, named in NAMED.items():
         if key in line:

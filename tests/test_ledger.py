@@ -35,8 +35,8 @@ def _run_counted(label, p, checks):
         _count(mp, counts, verma.VermaSystem, "__init__", "systems")
         _count(mp, counts, verma, "lambda_set", "lambda_sets")
         _count(mp, counts, verma, "lambda_residual", "residual_products")
-        _count(mp, counts, BabyVerma, "is_irreducible_oracle", "oracle_closures")
-        _count(mp, counts, la, "largest_stable_subspace", "maximal_submodules")
+        _count(mp, counts, BabyVerma, "is_irreducible_oracle", "oracles")
+        _count(mp, counts, BabyVerma, "pairing_matrix", "pairing_matrices")
         _count(mp, counts, la, "supercommutant_basis", "commutants")
         cfg = ExperimentConfig(algebra=label, p=p, chi_specs=list(BUCKETS), checks=list(checks))
         code, bundle, _ = run_experiment(cfg)
@@ -52,24 +52,26 @@ def _report(bundle, check) -> str:
 
 def test_five_checks_do_each_modules_work_once():
     """gl(2|1), p = 3: 3 distinguished and 6 reflected systems, one weight set
-    per character checked in one product, and one oracle closure, one
-    maximal submodule and one commutant for each of the 81 distinguished
-    modules."""
+    per character checked in one product, and one oracle verdict and one
+    commutant for each of the 81 distinguished modules.  The pairing matrix
+    is built once per module object: for the oracle by the verma check and
+    again for the head by the kw check, since the ledger keeps one module."""
     code, _, counts = _run("gl(2|1)", 3, FIVE)
     assert code == 0
     assert counts == {"systems": 9, "lambda_sets": 3, "residual_products": 3,
-                      "oracle_closures": 81, "maximal_submodules": 81, "commutants": 81}
+                      "oracles": 81, "pairing_matrices": 162, "commutants": 81}
 
 
 def test_semisimple_alone_types_only_the_simple_modules():
     """semisimple reports the Walls type of the 42 irreducible modules only,
-    and still computes each of the 81 maximal submodules once."""
+    reads irreducibility off the head dimension, with no separate oracle
+    verdict, and builds each of the 81 pairing matrices once."""
     code, bundle, counts = _run("gl(2|1)", 3, ("semisimple",))
     assert code == 0
     types = [t for rep in bundle["semisimple"]["report"]["characters"] for t in rep["types"]]
     assert len(types) == 81 and sum(t is not None for t in types) == 42
     assert counts == {"systems": 3, "lambda_sets": 3, "residual_products": 3,
-                      "oracle_closures": 81, "maximal_submodules": 81, "commutants": 42}
+                      "pairing_matrices": 81, "commutants": 42}
 
 
 @pytest.mark.parametrize("label,p", [("gl(2|1)", 3), ("gl(1|1)", 5)])
@@ -83,7 +85,7 @@ def test_combined_report_equals_the_check_run_alone(label, p, check):
 def test_a_second_run_recomputes_everything():
     first = _run_counted("gl(1|1)", 3, FIVE)
     second = _run_counted("gl(1|1)", 3, FIVE)
-    assert first == second and first[2]["oracle_closures"] == 27
+    assert first == second and first[2]["oracles"] == 27
 
 
 def test_a_fact_that_raised_raises_again(monkeypatch):

@@ -10,7 +10,7 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 import reference_linalg as ref
-from reference_verma import parity_shift_glue
+from reference_verma import ambient_rows, parity_shift_glue
 from superlie.gf import field_create
 from superlie import linalg as la
 from superlie.invariants import graded_codims
@@ -703,7 +703,7 @@ def test_closures_on_module_stacks_match_references(monkeypatch):
     F = lset.field
     assert (F.p, F.k) == (5, 5)
     system = VermaSystem(g, chi)
-    ambient = system._ambient_rows(F)
+    ambient = ambient_rows(system.module(lset.weights[0], F))
     calls = spy_on_extend(monkeypatch)
     kinds, proper = set(), set()
     rng = np.random.default_rng(17)

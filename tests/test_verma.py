@@ -529,7 +529,7 @@ def test_nilpotent_gl21_shifted_strategy():
 
 
 # ---------------------------------------------------------------------------
-# the maximal-submodule ambient against the three-branch reference
+# pi and the maximal submodule against the three-branch reference ambient
 
 
 AMBIENT_CASES = [("gl(1|1)", 3), ("gl(2|1)", 3), ("osp(1|2)", 3), ("osp(2|2)", 3),
@@ -555,41 +555,93 @@ def _ambient_or_error(build):
 
 @pytest.mark.parametrize("label,p", AMBIENT_CASES, ids=[f"{t}-p{p}" for t, p in AMBIENT_CASES])
 def test_ambient_matches_reference(label, p):
+    """pi's rows span the annihilator of the reference ambient IZ, or both
+    raise the same error; pi has one row except where the residue field of
+    A is larger than the module's field (osp(1|2) with chi on X_{-2delta})."""
     g = build_algebra(label, field_create(p, 1))
-    radical = set()
+    radical, rows = set(), set()
     for chi in _ambient_characters(g):
         ls = lambda_set(g, chi)
         system = VermaSystem(g, chi)
         for lam in ls:
             Z = system.module(lam, ls.field)
-            new = _ambient_or_error(lambda: system._ambient_rows(Z.F))
-            old = _ambient_or_error(lambda: ref.ambient_rows(Z))
+            new = _ambient_or_error(lambda: system._pi_rows(Z.F))
+            old = _ambient_or_error(lambda: la.nullspace(Z.F, ref.ambient_rows(Z)))
             if isinstance(old, tuple):
                 assert isinstance(new, tuple) and new == old, (chi.values, lam)
             else:
-                assert isinstance(new, np.ndarray) and new.shape == old.shape, (chi.values, lam)
-                assert (new == old).all(), (chi.values, lam)
-                # one ambient per system and field, shared read-only by its modules
-                assert system._ambient_rows(Z.F) is new and not new.flags.writeable
+                assert isinstance(new, np.ndarray), (chi.values, lam)
+                assert np.array_equal(la.row_space_basis(Z.F, new),
+                                      la.row_space_basis(Z.F, old)), (chi.values, lam)
+                # one pi per system and field, shared read-only by its modules
+                assert system._pi_rows(Z.F) is new and not new.flags.writeable
+                rows.add(new.shape[0])
             if not system._chi_kills_neg_brackets():
                 radical.add((ls.field.q, isinstance(old, tuple)))
     if label == "osp(1|2)":
         # Berlekamp's test both certifies and refuses locality over GF(p^p)
         assert {(p ** p, False), (p ** p, True)} <= radical
+    assert rows == ({1, 2} if label == "osp(1|2)" else {1})
 
 
 def test_gl21_p5_maximal_submodules_match_shrinking_reference():
     """Every 5th of the 375 gl(2|1), p = 5 baby Vermas of the three standard
     characters (the verma_sweep bench config, over GF(5) and GF(5^5)) gets
-    the same maximal-submodule rows from the transposed closure as from the
-    shrinking iteration."""
+    the same maximal-submodule rows from the pairing matrix as from the
+    shrinking iteration inside the reference ambient."""
     g = build_algebra("gl(2|1)", F5)
     modules = [Z for chi in standard_characters(g).values() for Z in baby_vermas(g, chi)]
     assert len(modules) == 375 and {Z.F.k for Z in modules} == {1, 5}
     for Z in modules[::5]:
-        want = largest_stable_subspace_shrinking(
-            Z.F, Z.system._ambient_rows(Z.F), list(Z.operators()))
+        want = largest_stable_subspace_shrinking(Z.F, ref.ambient_rows(Z), list(Z.operators()))
         assert np.array_equal(Z.maximal_submodule(), want), Z.lam
+
+
+# the nilpotent characters on which the pairing matrix is checked, beside
+# the standard ones; osp(1|2) at p = 3 has a two-row pi
+NILPOTENT_CASES = {("gl(2|1)", 3): "e1-e2", ("gl(2|1)", 5): "e1-e2",
+                   ("osp(2|2)", 3): "2d1", ("osp(1|2)", 3): "2d1"}
+HEAD_CASES = [(label, p) for label in ("gl(1|1)", "osp(1|2)", "gl(2|1)", "sl(2|1)", "osp(2|2)")
+              for p in (3, 5)]
+
+
+@pytest.mark.parametrize("label,p", HEAD_CASES, ids=[f"{t}-p{p}" for t, p in HEAD_CASES])
+def test_maximal_submodule_matches_shrinking_reference(label, p):
+    """Every module of every standard character, and of the listed nilpotent
+    one: the maximal submodule read off the pairing matrix has the rows of
+    the largest stable subspace inside the reference ambient, and the oracle
+    says whether it is zero."""
+    g = build_algebra(label, field_create(p, 1))
+    chis = list(standard_characters(g).values())
+    if (label, p) in NILPOTENT_CASES:
+        chis.append(g.nilpotent_root_character(NILPOTENT_CASES[label, p]))
+    for chi in chis:
+        for Z in baby_vermas(g, chi):
+            want = largest_stable_subspace_shrinking(Z.F, ref.ambient_rows(Z), list(Z.operators()))
+            assert np.array_equal(Z.maximal_submodule(), want), (chi.values, Z.lam)
+            assert Z.is_irreducible_oracle() == (want.shape[0] == 0), (chi.values, Z.lam)
+
+
+@pytest.mark.parametrize("label", ["gl(1|1)", "osp(1|2)", "gl(2|1)", "osp(2|2)"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_phi_matches_letter_chain(label, p):
+    """phi, the top row of the words on the coefficient of v times the lowest
+    vector, is the letter-by-letter chain's on every standard character."""
+    g = build_algebra(label, field_create(p, 1))
+    for chi in standard_characters(g).values():
+        for Z in baby_vermas(g, chi):
+            assert Z.phi_via_module() == ref.phi_by_letters(Z), (chi.values, Z.lam)
+
+
+def test_nilpotent_oracle_is_the_lowest_vector_spin():
+    """gl(2|1), p = 3, chi on X_{-(e1-e2)}: on all 27 modules the oracle says
+    irreducible exactly when the lowest vector spins to all of Z."""
+    g = build_algebra("gl(2|1)", F3)
+    modules = list(baby_vermas(g, g.nilpotent_root_character("e1-e2")))
+    assert len(modules) == 27
+    verdicts = [Z.is_irreducible_oracle() for Z in modules]
+    assert verdicts == [ref.lowest_vector_closure(Z).shape[0] == Z.dim for Z in modules]
+    assert set(verdicts) == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +705,7 @@ def test_coefficient_algebra_matches_tables(label, p):
 
 
 # ---------------------------------------------------------------------------
-# the oracle's word matrix and closure against the reference spins
+# the oracle against the reference word matrix and spins
 
 
 @pytest.fixture
@@ -672,25 +724,27 @@ def oracle_spins(monkeypatch):
 
 
 def _check_oracle(Z, spins):
-    """Where chi vanishes on n^-, the oracle runs no closure, its verdict is
-    the dense rank of the word matrix and that of the maximal submodule, and
-    the word matrix spans the n^+ spin of the reference; elsewhere the
-    oracle's one closure, under every operator, spans the all-operator spin.
-    The lowest vector and phi are the letter-by-letter ones.  Returns whether
-    chi vanishes on n^-."""
+    """The oracle runs no closure, and its verdict says whether the maximal
+    submodule is zero.  Where chi vanishes on n^-, the verdict is the dense
+    rank of the word matrix, which spans the n^+ spin of the reference;
+    elsewhere it is whether the all-operator spin of the lowest vector is Z,
+    or, where A is not local, the oracle raises the reference ambient's
+    error.  The lowest vector and phi are the letter-by-letter ones.
+    Returns whether chi vanishes on n^-."""
     spins.clear()
-    verdict = Z.is_irreducible_oracle()
-    closures, kills = list(spins), not any(Z.system._neg_chi_values())
-    if kills:
-        assert closures == [], (Z.chi.values, Z.lam)
+    verdict = _ambient_or_error(Z.is_irreducible_oracle)
+    kills = not any(Z.system._neg_chi_values())
+    assert spins == [], (Z.chi.values, Z.lam)
+    if isinstance(verdict, tuple):
+        assert not kills and verdict == _ambient_or_error(lambda: ref.ambient_rows(Z))
+    elif kills:
         assert verdict == ref.word_rank_verdict(Z), (Z.chi.values, Z.lam)
-        rows = la.row_space_basis(Z.F, Z.word_matrix().T)
+        rows = la.row_space_basis(Z.F, ref.word_matrix(Z).T)
         assert np.array_equal(rows, ref.positive_spin_closure(Z)), (Z.chi.values, Z.lam)
-        assert verdict == (Z.maximal_submodule().shape[0] == 0), (Z.chi.values, Z.lam)
     else:
-        (K, rows), = closures
-        assert K == Z.g.dim
-        assert np.array_equal(rows, ref.lowest_vector_closure(Z)), (Z.chi.values, Z.lam)
+        assert verdict == (ref.lowest_vector_closure(Z).shape[0] == Z.dim), (Z.chi.values, Z.lam)
+    if not isinstance(verdict, tuple):
+        assert verdict == (Z.maximal_submodule().shape[0] == 0), (Z.chi.values, Z.lam)
     assert np.array_equal(Z.lowest_vector(), ref.lowest_by_letters(Z)), (Z.chi.values, Z.lam)
     assert Z.phi_via_module() == ref.phi_by_letters(Z), (Z.chi.values, Z.lam)
     return kills
@@ -699,8 +753,8 @@ def _check_oracle(Z, spins):
 @pytest.mark.parametrize("label,p", STACK_CASES, ids=[f"{t}-p{p}" for t, p in STACK_CASES])
 def test_oracle_spin_matches_all_operator_reference(oracle_spins, label, p):
     """Every character of ``_ambient_characters``, whose nilpotent multiples
-    are nonzero on n^-, so that both branches run (gl(1|1) has no even root
-    and no such multiple); every lambda at p = 3, every third of each
+    are nonzero on n^-, so that both kinds of pi occur (gl(1|1) has no even
+    root and no such multiple); every lambda at p = 3, every third of each
     character's weights at p = 5."""
     g = build_algebra(label, field_create(p, 1))
     branches = set()
@@ -739,11 +793,12 @@ def test_oracle_spin_on_every_compatible_system(oracle_spins, label):
 
 
 def test_oracle_branch_is_pinned(oracle_spins, monkeypatch):
-    """The oracle tests the word matrix's weight blocks in one stacked call
-    per block size, six 1 x 1 and three 2 x 2 blocks, and runs no closure on
-    the standard characters of gl(2|1) and osp(2|2) (dim Z 12 at p = 3); it
-    spins under all 5 operators of osp(1|2), p = 3, with chi on X_{-2delta}.
-    The graded verdicts are the dense rank's."""
+    """The oracle tests the pairing matrix's weight blocks in one stacked
+    call per block size, six 1 x 1 and three 2 x 2 blocks, on the standard
+    characters of gl(2|1) and osp(2|2) (dim Z 12 at p = 3), and makes no
+    such call on osp(1|2), p = 3, with chi on X_{-2delta}; no oracle runs a
+    closure.  The graded verdicts are the dense rank's, the others the
+    all-operator spin's."""
     stacks = []
     nonsingular = la.nonsingular
     monkeypatch.setattr(la, "nonsingular",
@@ -751,23 +806,23 @@ def test_oracle_branch_is_pinned(oracle_spins, monkeypatch):
     cases = []
     for label in ("gl(2|1)", "osp(2|2)"):
         g = build_algebra(label, F3)
-        cases += [(g, chi, [], [(6, 1, 1), (3, 2, 2)]) for chi in standard_characters(g).values()]
+        cases += [(g, chi, [(6, 1, 1), (3, 2, 2)]) for chi in standard_characters(g).values()]
     osp = build_algebra("osp(1|2)", F3)
-    cases.append((osp, osp.nilpotent_root_character("2d1"), [5], []))
-    for g, chi, closures, blocks in cases:
+    cases.append((osp, osp.nilpotent_root_character("2d1"), []))
+    for g, chi, blocks in cases:
         oracle_spins.clear()
         stacks.clear()
-        for Z in baby_vermas(g, chi):
-            verdict = Z.is_irreducible_oracle()
-            if not closures:
-                assert verdict == ref.word_rank_verdict(Z), (g.label, chi.values, Z.lam)
-        count = g.p ** g.rank
-        assert [K for K, _ in oracle_spins] == closures * count, (g.label, chi.values)
-        assert stacks == blocks * count, (g.label, chi.values)
+        modules = list(baby_vermas(g, chi))
+        verdicts = [Z.is_irreducible_oracle() for Z in modules]
+        assert oracle_spins == [], (g.label, chi.values)
+        assert stacks == blocks * g.p ** g.rank, (g.label, chi.values)
+        want = ref.word_rank_verdict if blocks else (
+            lambda Z: ref.lowest_vector_closure(Z).shape[0] == Z.dim)
+        assert verdicts == [want(Z) for Z in modules], (g.label, chi.values)
 
 
 # ---------------------------------------------------------------------------
-# the weight grades of the word matrix
+# the weight grades of the pairing matrix
 
 
 @pytest.mark.parametrize("label,p,census", [
@@ -776,42 +831,40 @@ def test_oracle_branch_is_pinned(oracle_spins, monkeypatch):
     ("osp(1|2)", 5, {2: 5}), ("gl(2|2)", 5, {1: 50, 4: 50, 6: 25})])
 def test_grade_block_census(label, p, census):
     """Blocks per size on every standard character; they tile the matrix,
-    and the mask marks exactly the entries off them."""
+    the mask marks exactly the entries off them, and each block is one
+    eigenspace of the Cartan, whose operators are diagonal."""
     g = build_algebra(label, field_create(p, 1))
     for chi in standard_characters(g).values():
         system = VermaSystem(g, chi)
-        off, blocks = system.word_blocks()
-        assert {s: rows.shape[0] for s, (rows, _) in blocks.items()} == census
+        off, blocks = system.pairing_blocks()
+        assert {s: idx.shape[0] for s, idx in blocks.items()} == census
         on = np.zeros_like(off)
-        for rows, cols in blocks.values():
-            assert rows.shape == cols.shape
-            on[rows[:, :, None], cols[:, None, :]] = True
+        for idx in blocks.values():
+            on[idx[:, :, None], idx[:, None, :]] = True
         assert on.sum() == sum(B * s * s for s, B in census.items())
         assert np.array_equal(on, ~off)
-        # each block's columns are its rows' complementary exponents cap - 1 - a
-        complement = [system.index[tuple(np.array(system.caps) - 1 - e)] for e in system.exponents]
-        for rows, cols in blocks.values():
-            assert np.array_equal(np.sort(np.array(complement)[rows]), np.sort(cols))
-
-
-def test_grade_table_with_unequal_counts_raises():
-    with pytest.raises(InvariantViolation, match="unequal row and column counts"):
-        verma.grade_blocks(np.array([0, 1, 1]), np.array([0, 0, 1]))
+        ls = lambda_set(g, chi)
+        cartan = system.module(ls.weights[-1], ls.field).operators()[g.cartan]
+        diagonal = np.einsum("kii->ik", cartan)
+        assert np.array_equal(cartan, np.einsum("ik,ij->kij", diagonal, la.eye(system.dim)))
+        weights = [{tuple(diagonal[i]) for i in at} for idx in blocks.values() for at in idx]
+        assert all(len(w) == 1 for w in weights) and len(set.union(*weights)) == len(weights)
 
 
 def _leak_off_block(monkeypatch):
-    """Every word matrix gets a nonzero entry off its weight blocks."""
-    word_matrix = BabyVerma.word_matrix
+    """Every pairing matrix gets a nonzero entry off its weight blocks."""
+    pairing_matrix = BabyVerma.pairing_matrix
 
     def leaky(self):
-        words = word_matrix(self).copy()
-        off, _ = self.system.word_blocks()
-        words[tuple(np.argwhere(off)[0])] = 1
-        return words
-    monkeypatch.setattr(BabyVerma, "word_matrix", leaky)
+        S = pairing_matrix(self).copy()
+        off, _ = self.system.pairing_blocks()
+        S[tuple(np.argwhere(off)[0])] = 1
+        return S
+    monkeypatch.setattr(BabyVerma, "pairing_matrix", leaky)
 
 
 def test_word_matrix_off_its_blocks_raises(monkeypatch):
+    """The pairing matrix, which replaced the word matrix, off its blocks."""
     g = build_algebra("gl(2|1)", F3)
     _leak_off_block(monkeypatch)
     Z = next(baby_vermas(g, g.chi_zero()))
@@ -820,6 +873,7 @@ def test_word_matrix_off_its_blocks_raises(monkeypatch):
 
 
 def test_word_matrix_off_its_blocks_is_fail(monkeypatch, tmp_path, capsys):
+    """The same leak fails the verma check with the certificate's text."""
     _leak_off_block(monkeypatch)
     (tmp_path / "v.cfg").write_text("algebra = gl(2|1)\np = 3\nchi = zero\nchecks = verma\n")
     assert main(["run", str(tmp_path / "v.cfg")]) == 1
@@ -827,6 +881,97 @@ def test_word_matrix_off_its_blocks_is_fail(monkeypatch, tmp_path, capsys):
     assert "skipped" not in out and "PASS" not in out
     assert re.search(r"^verma +FAIL$", out, re.M)
     assert "not block diagonal over the weight grades" in out
+
+
+# ---------------------------------------------------------------------------
+# mutations of the pairing matrix's inputs change a head or raise
+
+# standard and nilpotent characters with reducible and simple modules: (algebra, p, chi spec)
+MUTATION_CASES = [("gl(2|1)", 3, "zero"), ("gl(2|1)", 3, "regular_semisimple"),
+                  ("gl(2|1)", 3, "nonregular"), ("gl(2|1)", 3, "e1-e2"),
+                  ("gl(2|1)", 5, "regular_semisimple"), ("gl(2|1)", 5, "e1-e2"),
+                  ("osp(2|2)", 3, "2d1"), ("osp(1|2)", 3, "2d1"), ("osp(1|2)", 5, "zero"),
+                  ("sl(2|1)", 5, "nonregular")]
+
+
+def _submodules(label, p, spec):
+    """The maximal submodule of every module of the case, or the exception
+    the first one raised."""
+    g = build_algebra(label, field_create(p, 1))
+    buckets = standard_characters(g)
+    chi = buckets[spec] if spec in buckets else g.nilpotent_root_character(spec)
+    try:
+        return [Z.maximal_submodule() for Z in baby_vermas(g, chi)]
+    except InvariantViolation as exc:
+        return exc
+
+
+def _changed(label, p, spec, mutate, monkeypatch):
+    """Whether the mutation changes a maximal submodule of the case (True),
+    raises a broken invariant ("raised"), or leaves every one as it is."""
+    want = _submodules(label, p, spec)
+    with monkeypatch.context() as mp:
+        mutate(mp)
+        got = _submodules(label, p, spec)
+    if isinstance(got, InvariantViolation):
+        return "raised"
+    return any(not np.array_equal(a, b) for a, b in zip(want, got))
+
+
+def test_dropping_one_grade_kernel_changes_a_head(monkeypatch):
+    """Every case with a reducible module loses a head's rows when the first
+    singular grade is dropped."""
+    grades = BabyVerma._singular_grades
+    outcomes = {}
+    for label, p, spec in MUTATION_CASES:
+        reducible = any(S.shape[0] for S in _submodules(label, p, spec))
+        outcomes[label, p, spec] = reducible, _changed(
+            label, p, spec,
+            lambda mp: mp.setattr(BabyVerma, "_singular_grades", lambda self: grades(self)[1:]),
+            monkeypatch)
+    assert all(changed is True for reducible, changed in outcomes.values() if reducible), outcomes
+    assert sum(reducible for reducible, _ in outcomes.values()) >= 6, outcomes
+
+
+def test_a_wrong_pi_changes_a_head(monkeypatch):
+    """On each nilpotent case, the coefficient of v in place of pi changes a
+    head, and so does dropping one of the two rows of osp(1|2)'s pi.  pi of
+    the character scaled by 2, pi_2(f^b . v) = 2^{|b|} pi(f^b . v), is one
+    scalar times pi on each grade there, so it changes none."""
+    pi_rows = VermaSystem._pi_rows
+
+    def scaled(self, F):
+        weights = np.array([F.pow_int(2, int(n)) for n in self.exponents.sum(axis=1)])
+        return F.mul_arr(pi_rows(self, F), weights[None, :])
+    mutations = {"v": lambda self, F: la.eye(self.dim)[[self.highest_index]],
+                 "one row": lambda self, F: pi_rows(self, F)[:1], "scaled": scaled}
+    outcomes = {}
+    for label, p, spec in MUTATION_CASES:
+        if spec in ("e1-e2", "2d1"):
+            for name, wrong in mutations.items():
+                outcomes[label, p, name] = _changed(
+                    label, p, spec, lambda mp: mp.setattr(VermaSystem, "_pi_rows", wrong), monkeypatch)
+    assert outcomes == {(label, p, name): name == "v" or (label, name) == ("osp(1|2)", "one row")
+                        for label, p, name in outcomes}, outcomes
+    assert len(outcomes) == 12
+
+
+def test_perturbing_a_positive_letter_changes_a_head_or_raises(monkeypatch):
+    """One entry of the first n^+ letter's operator changed: where chi
+    vanishes on n^-, the block certificate raises; elsewhere a head changes,
+    except on osp(1|2), p = 3, whose three modules are simple and stay so."""
+    operators = BabyVerma.operators
+
+    def perturbed(self):
+        ops = operators(self).copy()
+        pos = self.system.pos_indices[0]
+        ops[pos, 0, -1] = self.F.add(int(ops[pos, 0, -1]), 1)
+        return ops
+    for label, p, spec in MUTATION_CASES:
+        outcome = _changed(label, p, spec, lambda mp: mp.setattr(BabyVerma, "operators", perturbed),
+                           monkeypatch)
+        standard = spec in ("zero", "regular_semisimple", "nonregular")
+        assert outcome == ("raised" if standard else label != "osp(1|2)"), (label, p, spec)
 
 
 def _template_with(extra):
