@@ -11,7 +11,11 @@ integer divisibility, including the ceiling-variant bookkeeping used for
 type-Q heads (dim/2 divisible by p^(d0/2) * 2^(ceil(d1/2) - 1)).  Each head
 is Z / rad Z with rad Z read off the module's pairing matrix
 (``verma.BabyVerma.maximal_submodule``), the computation the irreducibility
-oracle reads too.
+oracle reads too.  Head dimensions and Walls types are constant along the
+Frobenius orbits of the weight set, since the module at sigma(lambda) is
+the module at lambda with sigma applied to every matrix entry: the ledger
+computes them at one weight per orbit, p times fewer heads wherever chi is
+nonzero on the Cartan, and every weight still reports its own head.
 
 Characters outside the reach of the Verma pipeline are skipped with an
 explicit reason rather than silently dropped: chi must vanish on the

@@ -34,7 +34,11 @@ does not, never a setting.  The roots of one equation form a coset of the
 kernel GF(p) of t -> t^p - t, so they are p consecutive codes.  Lambda_chi
 is the product of the per-coordinate roots, p^rank weights.  As everywhere
 in the package, field values are integer codes of a ``gf.Field``: a weight
-is a tuple of codes.
+is a tuple of codes.  The Frobenius sigma(x) = x^p fixes the GF(p) data of
+the equations, so it permutes Lambda_chi, sigma(lambda)_i = lambda_i +
+chi(h_i)^p: every orbit has p weights when chi is nonzero on the Cartan and
+one otherwise.  The weight set walks its orbits once through the Frobenius
+table and raises if an image falls outside it.
 
 Irreducibility is decided two independent ways and compared:
   * oracle: is the head of Z all of Z?  The head comes from one pairing
@@ -84,7 +88,17 @@ Each strategy certifies its own applicability and raises otherwise.
 The reports of one run read a ``VermaLedger`` per (chi, simple system),
 which computes the system, the weight set and each module's phi, criterion
 value, oracle verdict, head dimension and head Walls type at most once, and
-only when a report shows it.
+only when a report shows it.  Every template code lies in GF(p), so the
+stack at sigma(lambda) is sigma of the stack at lambda, entrywise, and so
+are the pairing matrix, its kernels and the head (pi's rows are fixed by
+sigma, and reduced echelon forms commute with a field automorphism).
+So the oracle verdict, the head dimension and the Walls type are constant on
+each orbit, and phi, a GF(p)-polynomial in lambda, satisfies phi(sigma
+lambda) = sigma(phi(lambda)).  The ledger computes these facts at one
+representative per orbit and carries them to the other weights, exactly:
+the criterion, cheap and independent, is computed at every weight.  Each
+ledger first certifies stack(sigma . rep) = sigma(stack(rep)) on one orbit,
+which a template code outside GF(p) breaks.
 """
 
 from __future__ import annotations
@@ -106,13 +120,37 @@ from .rootsys import InvariantViolation, SimpleSystem, phi_prime_eval
 
 
 class LambdaSet:
-    """All weights lambda with lambda(h)^p - lambda(h^{[p]}) = chi(h)^p."""
+    """All weights lambda with lambda(h)^p - lambda(h^{[p]}) = chi(h)^p, with
+    their orbits under the Frobenius sigma, which permutes them."""
 
     def __init__(self, field: Field, weights: list[tuple[int, ...]]):
         self.field = field
         self.k = field.k
         self.weights = list(weights)
         self._set = set(self.weights)
+        self._orbits: Optional[dict[tuple, tuple[tuple, int]]] = None
+
+    def orbit(self, lam: tuple) -> tuple[tuple, int]:
+        """(rep, j) with lam = sigma^j(rep), rep the first weight of lam's
+        sigma-orbit in the set's order."""
+        if self._orbits is None:
+            self._orbits = self._walk()
+        return self._orbits[lam]
+
+    def _walk(self) -> dict[tuple, tuple[tuple, int]]:
+        """Each weight's orbit, walked once through ``Field._frob``; a sigma
+        image outside the set raises ``InvariantViolation``."""
+        frob, orbits = self.field._frob, {}
+        for rep in self.weights:
+            lam, j = rep, 0
+            while lam not in orbits:  # sigma is injective, so the walk closes at rep
+                orbits[lam] = rep, j
+                image = tuple(frob[list(lam)].tolist())
+                if image not in self._set:
+                    raise InvariantViolation(f"sigma({list(lam)}) = {list(image)} is not "
+                                             "in the weight set")
+                lam, j = image, j + 1
+        return orbits
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -708,13 +746,25 @@ def _recall(memo: dict, key, compute):
     return memo[key]
 
 
+# The facts read off the operator stack.  stack(sigma . lambda) is sigma of
+# stack(lambda) entrywise, so ranks, dimensions and Walls types are the same
+# along a sigma-orbit, and phi, a GF(p)-polynomial in lambda, goes through the
+# Frobenius.  Any other fact (the criterion) is computed at its own weight.
+# Facts are matched by method name, which a functools.wraps wrapper keeps.
+_SIGMA_INVARIANT = ("head_dim", "is_irreducible_oracle", "head_type")
+_SIGMA_EQUIVARIANT = ("phi_via_module",)
+
+
 class VermaLedger:
     """One run's facts about every Z_chi(lambda) over one (chi, simple system).
 
     The system, the weight set (given when another system's ledger already
-    holds it) and each module's scalar facts are computed on first request;
-    a module is built only for a missing fact and kept until another
-    lambda's module is built.
+    holds it, orbits included) and each module's scalar facts are computed
+    on first request.  A fact read off the operator stack is computed at the
+    representative of lambda's sigma-orbit and carried to lambda, after one
+    certificate per ledger that the stack is sigma-equivariant.  A module is
+    built only for a missing fact and kept until another lambda's module is
+    built.
     """
 
     def __init__(self, g: LieSuperalgebra, chi: PCharacter, *,
@@ -740,10 +790,40 @@ class VermaLedger:
         return self._module
 
     def facts(self, lam: tuple, *methods) -> list:
-        """The values at Z(lam) of the given scalar ``BabyVerma`` methods."""
+        """The values at Z(lam), lam a weight of the set, of the given scalar
+        ``BabyVerma`` methods."""
+        rep, j = self.lset.orbit(lam)
+        frob = self.lset.field._frob
+        out = []
+        for m in methods:
+            if m.__name__ not in _SIGMA_INVARIANT + _SIGMA_EQUIVARIANT:
+                out.append(self._fact(lam, m))
+                continue
+            value = self._fact(rep, m, stacked=True)
+            if m.__name__ in _SIGMA_EQUIVARIANT:
+                for _ in range(j):
+                    value = int(frob[value])
+            out.append(value)
+        return out
+
+    def _fact(self, lam: tuple, m, stacked: bool = False):
         memo = self._facts.setdefault(lam, {})
-        Z = None if all(m in memo for m in methods) else self.module(lam)
-        return [_recall(memo, m, lambda: m(Z)) for m in methods]
+        if stacked and m not in memo:
+            image = tuple(self.lset.field._frob[list(lam)].tolist())
+            if image != lam:
+                _recall(self._memo, "equivariance", lambda: self._certify(lam, image))
+        return _recall(memo, m, lambda: m(self.module(lam)))
+
+    def _certify(self, rep: tuple, image: tuple) -> bool:
+        """stack(sigma . rep) = sigma(stack(rep)) entrywise, on the first orbit
+        of size > 1 whose facts are computed; the stack at rep is the one its
+        facts read, so the certificate costs one evaluation."""
+        F = self.lset.field
+        if not np.array_equal(F._frob[self.module(rep).operators()],
+                              self.system.evaluate(F, image)):
+            raise InvariantViolation(f"the stack at sigma(lambda) = {list(image)} is not sigma "
+                                     f"of the stack at lambda = {list(rep)}")
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -888,9 +968,11 @@ def reflection_report(ledger: VermaLedger, delta: int) -> dict:
     shift_pairs = []
     prime_pairs = []
     for lam in lset:
-        rep = ledger.module(lam).check_singular(delta)
-        if not (rep["nonzero"] and rep["annihilated"]):
-            singular_ok = False
+        # the singular vector at sigma . lambda is sigma of the one at lambda
+        if lset.orbit(lam)[1] == 0:
+            rep = ledger.module(lam).check_singular(delta)
+            if not (rep["nonzero"] and rep["annihilated"]):
+                singular_ok = False
         lam2 = shift_lambda(F, lam, g.root_weights[delta], sign=shift_sign)
         if lam2 not in lset:
             raise RuntimeError("weight set is not stable under the root shift")

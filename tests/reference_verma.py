@@ -41,6 +41,10 @@ per-module lowest vector, built letter by letter over the module's own
 field, that ``VermaSystem.lowest_vector`` replaced with one vector per
 system over GF(p).
 
+``direct_facts`` is the full per-lambda sweep that the ledger's
+Frobenius-orbit derivation replaced: every module built on its own, every
+fact computed at its own weight.
+
 The other functions check a baby Verma module from outside the pipeline:
 its defining relations on the action matrices, the simplicity of its head,
 its maximal submodule by brute force, and a module of Walls type Q built by
@@ -67,6 +71,7 @@ from superlie.verma import (
     _pbw_words,
     cartan_p_matrix,
     lambda_residual,
+    lambda_set,
 )
 from reference_linalg import solve
 from tooling import random_codes
@@ -183,6 +188,19 @@ def lambda_set_artin_schreier(g: LieSuperalgebra, chi: PCharacter) -> LambdaSet:
     F = g.F if k == 1 else field_create(p, k)
     roots = [artin_schreier_solve(F, c).solutions for c in rhs]
     return LambdaSet(F, list(itertools.product(*roots)))
+
+
+def direct_facts(g: LieSuperalgebra, chi: PCharacter, methods: Sequence,
+                 weights: Optional[Sequence[tuple]] = None) -> dict[tuple, list]:
+    """{lambda: [m(Z(lambda)) for m in methods]} over the given weights (the
+    whole weight set by default), each Z(lambda) built directly as
+    ``BabyVerma(system, lambda, F)``."""
+    system, lset = VermaSystem(g, chi), lambda_set(g, chi)
+    out = {}
+    for lam in (lset if weights is None else weights):
+        Z = BabyVerma(system, lam, lset.field)
+        out[lam] = [m(Z) for m in methods]
+    return out
 
 
 def _evaluate_cartan(Z: BabyVerma, cart: tuple, code: int) -> int:
