@@ -276,7 +276,8 @@ def check_coinduced(g, ledgers, cfg):
 def check_family(g, ledgers, cfg):
     rng = _rng(cfg, "family")
     F = g.F
-    chi = ledgers[0][1].chi
+    [(_, ledger)] = ledgers
+    chi = ledger.chi
     U = reduced_enveloping(g, chi)
     # each sample's t, then its three (a, b) pairs
     draws = [(int(rng.integers(1, F.q)),
@@ -343,6 +344,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Run the configured checks; returns (exit_code, bundle, summary_lines)."""
     if cfg.samples < 1:
         raise UsageError(f"samples must be at least 1, got {cfg.samples}")
+    if "family" in cfg.checks and len(cfg.chi_specs) > 1:
+        raise UsageError(f"family checks one character; the config names "
+                         f"{len(cfg.chi_specs)}: {', '.join(cfg.chi_specs)}")
     g = build_for(cfg.algebra, cfg.p)
     dense = [name for name in ("sym", "coinduced") if name in cfg.checks]
     pbw_dim = g.p ** g.dim_even * 2 ** g.dim_odd

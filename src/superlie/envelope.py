@@ -14,10 +14,13 @@ below 2.  Outside this module an element is a dict {exponent tuple: coeff}.
 
 Inside, the straightening engine works on integers: a monomial is its
 mixed-radix PBW index, slot n-1 least significant, which is its position in
-``basis_monomials()``.  The memo maps ``index * n_slots + s`` to the product
-of that monomial with the generator in slot s, as a tuple of (index, coeff)
-pairs, which for the common one-term row takes under half the memory of a
-dict; it is filled recursively the first time a product is asked for.
+``basis_monomials()``.  The memo is one row table per generator slot:
+``_memo[s][m]`` is the product of monomial m with the generator in slot s, as
+a tuple of (index, coeff) pairs, which for the common one-term row takes under
+half the memory of a dict; it is filled recursively the first time a product
+is asked for.  A row folds the defining relations it needs inline, from lists
+of (slot, code) pairs: lam [x_j, x_s] per pair of slots, and each slot's odd
+square or p-th power relation.
 
 A product a * b folds a through the letters of b's monomials, one memo row
 per letter; with b's letter sequences sorted, each common prefix is folded
@@ -79,7 +82,7 @@ class DeformedAlgebra:
         self.slot_parity = tuple(int(g.parities[b]) for b in self.order)
         self.slot_cap = tuple(2 if par else self.p for par in self.slot_parity)
         n = self.n_slots = g.dim
-        self._memo: dict[int, tuple] = {}
+        self._memo: list[dict[int, tuple]] = [{} for _ in range(n)]
         # the weight of slot s in a monomial's index
         self._weight = [1] * n
         for s in range(n - 2, -1, -1):
@@ -95,6 +98,9 @@ class DeformedAlgebra:
         for b, c, k in zip(*np.nonzero(g.bracket_tensor)):
             self._bracket[b][self.slot_of[c]].append(
                 (self.slot_of[k], int(g.bracket_tensor[b, c, k])))
+        # _lam_bracket[j][s]: lam [generator in slot j, generator in slot s]
+        self._lam_bracket = [[[(k, self._mul_l[self.lam][c]) for k, c in self._bracket[b][s]]
+                              if self.lam else [] for s in range(n)] for b in self.order]
         # _top[s]: the generator in slot s raised to its cap, as (slot, coeff)
         # terms of degree one, and _top_const[s] its constant term
         half_lam = F.div(self.lam, 2 % self.p)
@@ -168,11 +174,11 @@ class DeformedAlgebra:
 
     def _fold(self, terms, s: int, out: dict, coeff: int = 1) -> dict:
         """out += coeff * (sum of the (index, coeff) terms) * x_s; returns out."""
-        memo, n, mul_l, add_l = self._memo, self.n_slots, self._mul_l, self._add_l
+        memo, mul_l, add_l = self._memo[s], self._mul_l, self._add_l
         get = out.get
         row_c = mul_l[coeff]
         for mono, v in terms:
-            row = memo.get(mono * n + s)
+            row = memo.get(mono)
             if row is None:
                 row = self._mul_mono_slot(mono, s)
             row_v = mul_l[row_c[v]]
@@ -197,30 +203,39 @@ class DeformedAlgebra:
             # no letter right of slot s
             e = m // w_s % cap[s]
             if e + 1 < cap[s]:
-                out[m + w_s] = 1
-            else:
-                # odd square x^2 = (lam/2) [x, x]; even power x^p = lam^{p-1} x^{[p]} + xi(x)^p
-                m0 = m - e * w_s
-                for k, c in self._top[s]:
-                    self._fold(((m0, 1),), k, out, c)
-                if self._top_const[s]:
-                    self._accum(out, {m0: 1}, self._top_const[s])
+                row = self._memo[s][m] = ((m + w_s, 1),)
+                return row
+            # odd square x^2 = (lam/2) [x, x]; even power x^p = lam^{p-1} x^{[p]} + xi(x)^p
+            m0, relation, const = m - e * w_s, self._top[s], self._top_const[s]
         else:
-            # peel the rightmost letter x_j past x_s
+            # peel the rightmost letter x_j past x_s; x_j x_s = +-x_s x_j + lam [x_j, x_s]
             j, rest = self.n_slots - 1, m
             while rest % cap[j] == 0:
                 rest //= cap[j]
                 j -= 1
-            m1 = m - self._weight[j]
+            m0 = m - self._weight[j]
             sign = self._neg_l[1] if self.slot_parity[j] and self.slot_parity[s] else 1
-            a = self._memo.get(m1 * self.n_slots + s)
+            a = self._memo[s].get(m0)
             if a is None:
-                a = self._mul_mono_slot(m1, s)
+                a = self._mul_mono_slot(m0, s)
             self._fold(a, j, out, sign)
-            if self.lam:
-                for k, c in self._bracket[self.order[j]][s]:
-                    self._fold(((m1, 1),), k, out, self._mul_l[self.lam][c])
-        row = self._memo[m * self.n_slots + s] = tuple(out.items())
+            relation, const = self._lam_bracket[j][s], 0
+        # out += c * m0 * x_k over the relation's degree-one terms (k, c), then its constant
+        mul_l, add_l, get = self._mul_l, self._add_l, out.get
+        for k, c in relation:
+            row = self._memo[k].get(m0)
+            if row is None:
+                row = self._mul_mono_slot(m0, k)
+            row_c = mul_l[c]
+            for m2, w in row:
+                w = add_l[get(m2, 0)][row_c[w]]
+                if w:
+                    out[m2] = w
+                else:
+                    del out[m2]
+        if const:
+            self._accum(out, {m0: 1}, const)
+        row = self._memo[s][m] = tuple(out.items())
         return row
 
     def _fold_letters(self, part: dict, seqs: Sequence[tuple], out: dict, depth: int = 0) -> dict:

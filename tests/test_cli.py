@@ -401,6 +401,7 @@ NAMED = {
     "F(4) --p 5": "not supported",
     "--p 4": "is not prime",
     "chi = zero chi = zero": "chi 'zero' repeats",
+    "chi = regular_semisimple checks = family": "zero, regular_semisimple",
     "F(4) --out": "--out, --seed and --samples need --p",
     "F(4) --seed": "--out, --seed and --samples need --p",
     "F(4) --samples": "--out, --seed and --samples need --p",
@@ -445,6 +446,9 @@ NAMED = {
     (["reflect", "--type", "F(4)", "--out", "{tmp}/out", "--seed", "3"], None),
     (["reflect", "--type", "F(4)", "--seed", "3"], None),
     (["reflect", "--type", "F(4)", "--samples", "5"], None),
+    # family checks one character: a second one would go unchecked
+    (["run", "{cfg}"],
+     "algebra = gl(1|1)\np = 3\nchi = zero\nchi = regular_semisimple\nchecks = family\n"),
 ])
 def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys, monkeypatch):
     """Bad input exits 2 with one message line: no check passes vacuously,

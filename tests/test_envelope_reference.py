@@ -7,6 +7,7 @@ without them (GF(5^5)), random characters, lam and PBW orders.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from superlie.envelope import DeformedAlgebra
@@ -101,3 +102,28 @@ def test_operator_matrices_match_reference(data):
     assert np.array_equal(left, R.left_mult_matrix(x))
     assert np.array_equal(U.right_mult_matrix(x), R.right_mult_matrix(x))
     assert np.array_equal(U.action_matrix(x), R.action_matrix(x))
+
+
+# prime fields, GF(9) with scalar tables and GF(5^5) without them
+ROW_CASES = [("gl(1|1)", 3, 1), ("gl(1|1)", 5, 1), ("osp(1|2)", 3, 1),
+             ("gl(1|1)", 3, 2), ("gl(1|1)", 5, 5)]
+
+
+@pytest.mark.parametrize("case", ROW_CASES, ids=[f"{a}-GF({p}^{k})" for a, p, k in ROW_CASES])
+def test_every_row_of_the_slot_tables_matches_reference(case):
+    """Every (monomial, slot) row m * x_s of the straightening tables, for
+    lam = 0, 1, 2, a nonzero xi and the default and reversed PBW orders."""
+    g = _algebra(*case)
+    xi = PCharacter(g, [0 if g.parities[b] else 1 + b % 2 for b in range(g.dim)])
+    for lam in (0, 1, 2):
+        for order in (range(g.dim), range(g.dim - 1, -1, -1)):
+            U, R = DeformedAlgebra(g, xi, lam, order), ReferenceAlgebra(g, xi, lam, order)
+            dim = U.dimension()
+            for s in range(U.n_slots):
+                for m in range(dim):
+                    if m not in U._memo[s]:
+                        U._mul_mono_slot(m, s)
+            for s, table in enumerate(U._memo):
+                assert sorted(table) == list(range(dim))
+                for m, row in table.items():
+                    assert U._monomials(dict(row)) == R._mul_mono_slot(U._exponents(m), s)

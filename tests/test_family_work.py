@@ -3,7 +3,7 @@ samples, and each rescaling map's generator and p-th power checks computed
 once however many samples share the map."""
 
 import functools
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -26,10 +26,9 @@ def _count(mp, counts, owner, name, key):
 
 
 def _break_one_bracket(dst):
-    """Double [x_j, x_s] for the first slots s < j that have a bracket, which
-    straightening x_j * x_s in dst reads."""
-    for j in range(dst.n_slots):
-        row = dst._bracket[dst.order[j]]
+    """Double lam [x_j, x_s] for the first slots s < j that have a bracket,
+    which straightening x_j * x_s in dst reads."""
+    for j, row in enumerate(dst._lam_bracket):
         for s in range(j):
             if row[s]:
                 row[s] = [(k, dst.F.mul(2, c)) for k, c in row[s]]
@@ -37,11 +36,22 @@ def _break_one_bracket(dst):
     raise AssertionError("no bracket to break")
 
 
+def _break_one_power(dst):
+    """Add 1 to the constant xi(x)^p of x^p for the first even slot, which
+    straightening x^p in dst reads."""
+    s = dst.slot_parity.index(0)
+    dst._top_const[s] = dst.F.add(dst._top_const[s], 1)
+
+
+BREAKS = {"bracket": _break_one_bracket, "power": _break_one_power}
+
+
 @functools.lru_cache(maxsize=None)
-def _run_counted(tamper_t=None):
-    """(exit code, family report, work counts, samples per t) of one run,
-    with the target algebra of theta_{tamper_t} given a wrong bracket."""
-    counts, samples_at = Counter(), Counter()
+def _run_counted(tamper_t=None, tamper=None):
+    """(exit code, family report, work counts, the verify report of each
+    sample per t) of one run, with the target algebra of theta_{tamper_t}
+    broken by BREAKS[tamper]."""
+    counts, reports_at = Counter(), defaultdict(list)
     with pytest.MonkeyPatch.context() as mp:
         _count(mp, counts, envelope.DeformedAlgebra, "__init__", "algebras")
         _count(mp, counts, envelope.ThetaMap, "_respects", "product_checks")
@@ -49,24 +59,25 @@ def _run_counted(tamper_t=None):
         verify = envelope.ThetaMap.verify
 
         def verify_counted(self, pairs):
-            samples_at[self.t] += 1
-            return verify(self, pairs)
+            reports_at[self.t].append(verify(self, pairs))
+            return reports_at[self.t][-1]
         mp.setattr(envelope.ThetaMap, "verify", verify_counted)
         theta_map = cli.theta_map
 
         def tampered(src, t):
             dst, tm = theta_map(src, t)
             if t == tamper_t:
-                _break_one_bracket(dst)
+                BREAKS[tamper](dst)
             return dst, tm
         mp.setattr(cli, "theta_map", tampered)
         code, bundle, _ = run_experiment(ExperimentConfig(**CFG))
-    return code, bundle["family"]["report"], dict(counts), dict(samples_at)
+    return code, bundle["family"]["report"], dict(counts), dict(reports_at)
 
 
 def test_one_algebra_per_member_and_generator_checks_once_per_map():
-    code, report, counts, samples_at = _run_counted()
+    code, report, counts, reports_at = _run_counted()
     assert code == 0 and report["theta_verified"] == CFG["samples"]
+    samples_at = {t: len(reports) for t, reports in reports_at.items()}
     assert samples_at == {1: 1, 2: 5, 3: 3, 4: 1}
     # U (which theta_1 maps to itself), U_{t xi, t} for t = 2, 3, 4, and S
     assert counts["algebras"] == 5
@@ -76,7 +87,17 @@ def test_one_algebra_per_member_and_generator_checks_once_per_map():
 
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_a_broken_target_fails_every_sample_of_its_map(t):
-    code, report, _, samples_at = _run_counted(t)
+    code, report, _, reports_at = _run_counted(t, "bracket")
     assert code != 0
-    assert report["theta_verified"] == CFG["samples"] - samples_at[t]
+    assert report["theta_verified"] == CFG["samples"] - len(reports_at[t])
     assert report["associativity_verified"] == CFG["samples"]
+    assert not any(rep["generator_products"] for rep in reports_at[t])
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_a_wrong_power_constant_fails_the_p_power_check_of_its_map(t):
+    code, report, _, reports_at = _run_counted(t, "power")
+    assert code != 0
+    assert report["theta_verified"] == CFG["samples"] - len(reports_at[t])
+    assert report["associativity_verified"] == CFG["samples"]
+    assert all(not rep["p_powers"] and rep["generator_products"] for rep in reports_at[t])
