@@ -10,17 +10,17 @@ family U_{xi,lam} is generated by a copy of g subject to
 so lam = 1 gives the reduced enveloping algebra U_xi and lam = 0 the reduced
 symmetric algebra S_xi.  Elements are stored in the PBW basis determined by a
 chosen total order on the basis of g: even exponents below p, odd exponents
-below 2.  Outside this module an element is a dict {exponent tuple: coeff}.
+below 2.  An element is a dict {PBW index: coeff}, where a monomial's index is
+its mixed-radix number, slot n-1 least significant, and so its position in
+``basis_monomials()``; ``_exponents`` reads a monomial's exponents off it.
 
-Inside, the straightening engine works on integers: a monomial is its
-mixed-radix PBW index, slot n-1 least significant, which is its position in
-``basis_monomials()``.  The memo is one row table per generator slot:
-``_memo[s][m]`` is the product of monomial m with the generator in slot s, as
-a tuple of (index, coeff) pairs, which for the common one-term row takes under
-half the memory of a dict; it is filled recursively the first time a product
-is asked for.  A row folds the defining relations it needs inline, from lists
-of (slot, code) pairs: lam [x_j, x_s] per pair of slots, and each slot's odd
-square or p-th power relation.
+The straightening engine works on these integers.  The memo is one row table
+per generator slot: ``_memo[s][m]`` is the product of monomial m with the
+generator in slot s, as a tuple of (index, coeff) pairs, which for the common
+one-term row takes under half the memory of a dict; it is filled recursively
+the first time a product is asked for.  A row folds the defining relations it
+needs inline, from lists of (slot, code) pairs: lam [x_j, x_s] per pair of
+slots, and each slot's odd square or p-th power relation.
 
 A product a * b folds a through the letters of b's monomials, one memo row
 per letter; with b's letter sequences sorted, each common prefix is folded
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -119,12 +118,10 @@ class DeformedAlgebra:
     # -- element helpers -------------------------------------------------------
 
     def one(self) -> dict:
-        return {(0,) * self.n_slots: 1}
+        return {0: 1}
 
     def gen(self, basis_idx: int) -> dict:
-        m = [0] * self.n_slots
-        m[self.slot_of[basis_idx]] = 1
-        return {tuple(m): 1}
+        return {self._weight[self.slot_of[basis_idx]]: 1}
 
     def sub(self, a: dict, b: dict) -> dict:
         out = dict(a)
@@ -154,18 +151,11 @@ class DeformedAlgebra:
 
     # -- PBW indices -----------------------------------------------------------
 
-    def _indexed(self, a: dict) -> dict:
-        w = self._weight
-        return {sum(map(mul, m, w)): c for m, c in a.items()}
-
     def _exponents(self, idx: int) -> tuple:
         m = [0] * self.n_slots
         for s in range(self.n_slots - 1, -1, -1):
             idx, m[s] = divmod(idx, self.slot_cap[s])
         return tuple(m)
-
-    def _monomials(self, a: dict) -> dict:
-        return {self._exponents(i): c for i, c in a.items()}
 
     def _letters(self, idx: int) -> tuple:
         return tuple(s for s, e in enumerate(self._exponents(idx)) for _ in range(e))
@@ -257,10 +247,13 @@ class DeformedAlgebra:
             self._fold_letters(self._fold(part.items(), s, {}), list(group), out, depth + 1)
         return out
 
-    def _multiply(self, a: dict, b: dict) -> dict:
+    # -- products and the g-action by superderivations -------------------------
+
+    def multiply(self, a: dict, b: dict) -> dict:
         return self._fold_letters(a, sorted((self._letters(m), c) for m, c in b.items()), {})
 
-    def _act(self, basis_idx: int, a: dict) -> dict:
+    def act(self, basis_idx: int, a: dict) -> dict:
+        """x . u = sum over letter positions of u with [x, letter] substituted."""
         odd_x = int(self.g.parities[basis_idx])
         brackets = self._bracket[basis_idx]
         out: dict = {}
@@ -276,15 +269,6 @@ class DeformedAlgebra:
                 par ^= self.slot_parity[s]
         return out
 
-    # -- products and the g-action by superderivations -------------------------
-
-    def multiply(self, a: dict, b: dict) -> dict:
-        return self._monomials(self._multiply(self._indexed(a), self._indexed(b)))
-
-    def act(self, basis_idx: int, a: dict) -> dict:
-        """x . u = sum over letter positions of u with [x, letter] substituted."""
-        return self._monomials(self._act(basis_idx, self._indexed(a)))
-
     # -- basis enumeration and operator matrices -------------------------------
 
     def dimension(self) -> int:
@@ -293,19 +277,23 @@ class DeformedAlgebra:
             d *= cap
         return d
 
-    def basis_monomials(self) -> list[tuple]:
-        """The PBW monomials in index order."""
+    def _dense_dimension(self) -> int:
+        """The dimension, refused above the dense-basis cap."""
         dim = self.dimension()
         if dim > _MATRIX_DIM_CAP:
             raise ValueError(
                 f"dimension {dim} exceeds the dense-basis cap {_MATRIX_DIM_CAP}"
             )
-        ranges = [range(cap) for cap in self.slot_cap]
-        return [tuple(m) for m in itertools.product(*ranges)]
+        return dim
+
+    def basis_monomials(self) -> list[tuple]:
+        """The PBW monomials' exponents in index order."""
+        self._dense_dimension()
+        return list(itertools.product(*[range(cap) for cap in self.slot_cap]))
 
     def _op_matrix(self, fn) -> np.ndarray:
-        """Matrix of a linear operator given on indexed elements, in index order."""
-        n = len(self.basis_monomials())
+        """Matrix of a linear operator on elements, in index order."""
+        n = self._dense_dimension()
         mat = la.zeros((n, n))
         for i in range(n):
             out = fn({i: 1})
@@ -317,7 +305,7 @@ class DeformedAlgebra:
         return self._op_matrix(lambda el: self._fold(el.items(), s, {}))
 
     def action_matrix(self, basis_idx: int) -> np.ndarray:
-        return self._op_matrix(lambda el: self._act(basis_idx, el))
+        return self._op_matrix(lambda el: self.act(basis_idx, el))
 
 
 def reduced_enveloping(g: LieSuperalgebra, chi: Optional[PCharacter] = None) -> DeformedAlgebra:
@@ -352,8 +340,8 @@ class ThetaMap:
                           for d in range(sum(src.slot_cap) - src.n_slots + 1)]
 
     def apply(self, a: dict) -> dict:
-        F, scale = self.src.F, self._tinv_pow
-        return {m: F.mul(c, scale[sum(m)]) for m, c in a.items()}
+        F, scale, exponents = self.src.F, self._tinv_pow, self.src._exponents
+        return {m: F.mul(c, scale[sum(exponents(m))]) for m, c in a.items()}
 
     def _respects(self, a: dict, b: dict) -> bool:
         """theta(a b) == theta(a) theta(b)."""
@@ -392,7 +380,7 @@ def _random_element(alg: DeformedAlgebra, rng: np.random.Generator) -> dict:
     """A random element with at most three PBW terms."""
     out: dict = {}
     for _ in range(3):
-        m = tuple(int(rng.integers(0, cap)) for cap in alg.slot_cap)
+        m = sum(int(rng.integers(0, cap)) * w for cap, w in zip(alg.slot_cap, alg._weight))
         c = int(rng.integers(0, alg.F.q))
         if c:
             alg._accum(out, {m: 1}, c)

@@ -157,25 +157,25 @@ class CoinducedAlgebra:
     # -- evaluation and the operator model -------------------------------------
 
     def evaluate(self, f: dict, u: dict) -> int:
-        """Apply the functional f to an element u of U_chi(g)."""
+        """Apply the functional f, as {coset index: coeff} over the dual basis,
+        to an element u of U_chi(g).  The q slots come first in the PBW order,
+        so the monomials of U with trivial q-part are its indices below n, each
+        the coset monomial of the same index, and f vanishes on the others."""
         F = self.F
         total = 0
         for m, c in u.items():
-            coset = self.split(m)
-            if coset is None:
-                continue
-            fv = f.get(coset)
+            fv = f.get(m)
             if fv:
-                total = F.add(total, F.mul(F.mul(c, fv), self._norms[self.index[coset]]))
+                total = F.add(total, F.mul(F.mul(c, fv), self._norms[m]))
         return total
 
     def duality_check(self) -> bool:
         """f_(a,b)(e^(a',b')) = a! delta on the full dual-basis grid."""
-        for b1 in self.basis:
-            for b2 in self.basis:
-                val = self.evaluate({b1: 1}, {self.full_monomial(b2): 1})
-                expected = self._norms[self.index[b1]] if b1 == b2 else 0
-                if val != expected:
+        n = len(self.basis)
+        for i in range(n):
+            for j in range(n):
+                expected = self._norms[i] if i == j else 0
+                if self.evaluate({i: 1}, {j: 1}) != expected:
                     return False
         return True
 

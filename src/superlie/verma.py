@@ -324,8 +324,6 @@ class VermaSystem:
         self.exponents = np.array(self.basis, dtype=np.int64).reshape(self.dim, self.N)
         self.parities = self.exponents @ self.slot_parities & 1  # of each basis vector
         self.highest_index = self.index[(0,) * self.N]
-        self.chi_h = [int(v) for v in chi.cartan_values()]
-        self._P = cartan_p_matrix(g)
         self._templates: dict[tuple[int, tuple], tuple] = {}
         self._affine: Optional[tuple[np.ndarray, ...]] = None
         self._pis: dict[Field, np.ndarray] = {}
@@ -343,11 +341,11 @@ class VermaSystem:
         hit = self._templates.get(key)
         if hit is not None:
             return hit
-        g, N, r = self.g, self.N, self.g.rank
-        full = mono + (0,) * (self.U.n_slots - N)
-        prod = self.U.multiply(self.U.gen(gen_idx), {full: 1})
+        U, N, r = self.U, self.N, self.g.rank
+        prod = U.multiply(U.gen(gen_idx), {self.index[mono] * U._weight[N - 1]: 1})
         entries = []
-        for fm, code in prod.items():
+        for i, code in prod.items():
+            fm = U._exponents(i)
             if any(fm[N + r:]):
                 continue
             entries.append((fm[:N], fm[N:N + r], int(code)))
@@ -521,13 +519,6 @@ class VermaSystem:
             rows.flags.writeable = False
             self._pis[F] = rows
         return rows
-
-    def module(self, lam: Sequence[int], field: Optional[Field] = None) -> "BabyVerma":
-        F = field if field is not None else self.g.F
-        lam = tuple(int(v) % F.q for v in lam)
-        if lambda_residual(self.g, F, lam, self.chi_h, self._P).any():
-            raise ValueError("lambda violates lambda(h)^p - lambda(h^[p]) = chi(h)^p")
-        return BabyVerma(self, lam, F)
 
 
 class BabyVerma:

@@ -24,10 +24,11 @@ from superlie.liesuper import LieSuperalgebra, PCharacter
 
 
 def multiply_per_monomial(U: DeformedAlgebra, a: dict, b: dict) -> dict:
-    """a * b in U, folding a separately through each monomial of b, letter
-    by letter, with U's one-letter fold ``_fold``."""
-    a, out = U._indexed(a), {}
-    for m, c in U._indexed(b).items():
+    """a * b in U, for elements keyed by PBW index, folding a separately
+    through each monomial of b, letter by letter, with U's one-letter fold
+    ``_fold``."""
+    out: dict = {}
+    for m, c in b.items():
         letters = U._letters(m)
         if not letters:
             U._accum(out, a, c)
@@ -36,7 +37,7 @@ def multiply_per_monomial(U: DeformedAlgebra, a: dict, b: dict) -> dict:
         for s in letters[:-1]:
             part = U._fold(part.items(), s, {})
         U._fold(part.items(), letters[-1], out, c)
-    return U._monomials(out)
+    return out
 
 
 class ReferenceAlgebra:

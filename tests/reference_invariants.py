@@ -16,6 +16,7 @@ from superlie import linalg as la
 from superlie.invariants import CoinducedAlgebra, comultiply_monomial
 
 from reference_envelope import ReferenceAlgebra
+from tooling import pbw_indexed
 
 
 class ReferenceCoinduced:
@@ -44,6 +45,12 @@ class ReferenceCoinduced:
     def dual_basis_element(self, coset_exps: tuple) -> dict:
         return {tuple(coset_exps): 1}
 
+    def _evaluate(self, f: dict, u: dict) -> int:
+        """``CoinducedAlgebra.evaluate`` of f over coset exponents on u over
+        the exponents of U, both converted to their indices."""
+        C = self.C
+        return C.evaluate({C.index[b]: c for b, c in f.items()}, pbw_indexed(C.U, u))
+
     def _homogeneous_parts(self, f: dict) -> list[tuple[int, dict]]:
         C = self.C
         parts: dict = {0: {}, 1: {}}
@@ -70,10 +77,10 @@ class ReferenceCoinduced:
                 for e in C.basis:
                     val = 0
                     for (m1, m2), c in comultiply_monomial(C.U, C.full_monomial(e)).items():
-                        v1 = C.evaluate(g1, {m1: 1})
+                        v1 = self._evaluate(g1, {m1: 1})
                         if not v1:
                             continue
-                        v2 = C.evaluate(g2, {m2: 1})
+                        v2 = self._evaluate(g2, {m2: 1})
                         if not v2:
                             continue
                         term = F.mul(c, F.mul(v1, v2))
@@ -92,7 +99,7 @@ class ReferenceCoinduced:
         for parf, part in self._homogeneous_parts(f):
             for e in C.basis:
                 shifted = self.R.mul_by_gen({C.full_monomial(e): 1}, basis_idx)
-                val = C.evaluate(part, shifted)
+                val = self._evaluate(part, shifted)
                 if not val:
                     continue
                 if px and (parf ^ self._parities[C.index[e]]):

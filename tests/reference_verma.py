@@ -74,7 +74,7 @@ from superlie.verma import (
     lambda_set,
 )
 from reference_linalg import solve
-from tooling import random_codes
+from tooling import pbw_indexed, pbw_tuples, random_codes
 
 
 def lambda_set_scan(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> LambdaSet:
@@ -227,9 +227,9 @@ def action_matrix(Z: BabyVerma, gen_idx: int) -> np.ndarray:
 
 def neg_product(system: VermaSystem, m1: tuple, m2: tuple) -> tuple:
     """Symbolic product (m1 . m2) inside U(n^-), as (monomial, code) pairs."""
-    N = system.N
-    pad = (0,) * (system.U.n_slots - N)
-    prod = system.U.multiply({m1 + pad: 1}, {m2 + pad: 1})
+    U, N = system.U, system.N
+    pad = (0,) * (U.n_slots - N)
+    prod = pbw_tuples(U, U.multiply(pbw_indexed(U, {m1 + pad: 1}), pbw_indexed(U, {m2 + pad: 1})))
     entries = []
     for fm, code in prod.items():
         if any(fm[N:]):

@@ -46,7 +46,7 @@ from superlie.verma import (
     semisimplicity_check,
     standard_characters,
 )
-from tooling import odd_commutant_dims, random_pairs
+from tooling import module, odd_commutant_dims, random_pairs
 
 ALGEBRAS = ("gl(1|1)", "gl(2|1)", "osp(1|2)")
 PRIMES = (3, 5)
@@ -80,7 +80,7 @@ def sweep_cell(label, p, bucket):
         lset = lambda_set(g, chi)
         verdicts = []
         for lam in lset:
-            Z = system.module(lam, lset.field)
+            Z = module(system, lam, lset.field)
             phi_m = Z.phi_via_module()
             phi_c = Z.criterion_value()
             verdicts.append({
@@ -146,7 +146,7 @@ def test_criterion_3_odd_reflections():
             for ss in systems:
                 system = VermaSystem(g, chi, ss)
                 for lam in lset:
-                    Z = system.module(lam, lset.field)
+                    Z = module(system, lam, lset.field)
                     total_modules += 1
                     for delta in ss.simple_roots:
                         rep = Z.check_singular(delta)
@@ -216,7 +216,7 @@ def test_criterion_5_commutants_match_kronecker_reference():
     heads = [(g, system, lset.field, lam) for g, system, lset in cells for lam in lset]
     assert len(heads) == 582
     for g, system, F, lam in heads[::29]:
-        mats, parity_op = system.module(lam, F).quotient_representation()
+        mats, parity_op = module(system, lam, F).quotient_representation()
         spun, oracle = odd_commutant_dims(F, mats, parity_op, g.parities)
         assert spun == oracle, (g.label, lam)
 

@@ -19,7 +19,8 @@ from superlie.envelope import (
     theta_map,
 )
 from reference_envelope import ReferenceAlgebra
-from tooling import from_coords, pbw_add, pbw_scale, random_pairs, to_vector
+from tooling import (from_coords, pbw_add, pbw_indexed, pbw_scale, pbw_tuples, random_pairs,
+                     to_vector)
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -207,7 +208,7 @@ def test_action_leibniz_on_products():
         for _ in range(5):
             # u must be parity-homogeneous for the graded Leibniz rule
             m = tuple(int(rng.integers(0, cap)) for cap in U.slot_cap)
-            u = {m: 1 + int(rng.integers(0, U.F.q - 1))}
+            u = pbw_indexed(U, {m: 1 + int(rng.integers(0, U.F.q - 1))})
             v = _random_element(U, rng)
             lhs = U.act(x, U.multiply(u, v))
             t1 = U.multiply(U.act(x, u), v)
@@ -235,8 +236,8 @@ def test_operator_matrices_consistency():
     A = U.action_matrix(0)
     for _ in range(5):
         u = _random_element(U, rng)
-        vec = to_vector(u, index)
-        direct = to_vector(U.act(0, u), index)
+        vec = to_vector(pbw_tuples(U, u), index)
+        direct = to_vector(pbw_tuples(U, U.act(0, u)), index)
         assert (la.matvec(U.F, A, vec) == direct).all()
 
 
@@ -246,6 +247,8 @@ def test_matrix_cap_enforced():
     assert U.dimension() == 3**8 * 2**8
     with pytest.raises(ValueError):
         U.basis_monomials()
+    with pytest.raises(ValueError):
+        U.right_mult_matrix(0)
 
 
 def test_custom_engine_order():
@@ -310,7 +313,7 @@ def test_cold_generator_times_top_monomial_under_default_limit():
         "chi = g.chi_from_cartan([1, 2, 0, 1])\n"
         "for b in range(g.dim):\n"
         "    U = reduced_enveloping(g, chi)\n"
-        "    top = {tuple(c - 1 for c in U.slot_cap): 1}\n"
+        "    top = {U.dimension() - 1: 1}  # the top monomial's index\n"
         "    U.multiply(U.gen(b), top)\n"
         "print(sys.getrecursionlimit())\n"
     )

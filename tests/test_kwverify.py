@@ -13,7 +13,7 @@ from superlie.liesuper import build_algebra
 from superlie.rootsys import InvariantViolation
 from superlie.kwverify import KWReport, verify_superkw_sweep, walls_type
 from superlie.verma import VermaLedger, VermaSystem, lambda_set, standard_characters
-from tooling import baby_vermas, odd_commutant_dims, simple_heads
+from tooling import baby_vermas, module, odd_commutant_dims, simple_heads
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -52,7 +52,7 @@ def test_divisor_scale_invariant():
 
 def test_walls_type_trivial_module_is_M():
     g = build_algebra("gl(1|1)", F3)
-    Z = VermaSystem(g, g.chi_zero()).module((0, 0))
+    Z = module(VermaSystem(g, g.chi_zero()), (0, 0))
     mats, parity_op = Z.quotient_representation()
     assert mats[0].shape[0] == 1
     screen_simple(F3, mats)
@@ -63,7 +63,7 @@ def test_walls_type_gl11_head_is_M():
     g = build_algebra("gl(1|1)", F3)
     chi = g.chi_regular_semisimple()
     ls = lambda_set(g, chi)
-    Z = VermaSystem(g, chi).module(ls.weights[0], ls.field)
+    Z = module(VermaSystem(g, chi), ls.weights[0], ls.field)
     mats, parity_op = Z.quotient_representation()
     assert mats[0].shape[0] == 2
     screen_simple(ls.field, mats)
@@ -76,8 +76,8 @@ def test_walls_type_rejects_reducible():
     ls = lambda_set(g, chi)
     system = VermaSystem(g, chi)
     reducible = next(lam for lam in ls
-                     if not system.module(lam, ls.field).is_irreducible_oracle())
-    Z = system.module(reducible, ls.field)
+                     if not module(system, lam, ls.field).is_irreducible_oracle())
+    Z = module(system, reducible, ls.field)
     with pytest.raises(ValueError, match="input is reducible"):
         screen_simple(ls.field, Z.operators())
 
@@ -88,7 +88,7 @@ def test_walls_type_rejects_parity_shift_glue():
     g = build_algebra("gl(1|1)", F3)
     chi = g.chi_regular_semisimple()
     ls = lambda_set(g, chi)
-    Z = VermaSystem(g, chi).module(ls.weights[0], ls.field)
+    Z = module(VermaSystem(g, chi), ls.weights[0], ls.field)
     mats, parity_op = Z.quotient_representation()
     glued, gp = parity_shift_glue(ls.field, mats, parity_op, list(g.parities))
     with pytest.raises(InvariantViolation, match="stops at dimension 2 of 4"):

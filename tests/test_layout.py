@@ -21,10 +21,7 @@ SRC = ROOT / "src" / "superlie"
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 # Public algebra API that no command happens to call, kept on purpose.
-ALLOWED = {
-    "envelope.DeformedAlgebra.act": "public algebra API: the action x . u on PBW "
-                                    "elements, whose matrix is action_matrix",
-}
+ALLOWED: dict = {}
 
 FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 

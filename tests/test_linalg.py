@@ -17,7 +17,7 @@ from superlie.invariants import graded_codims
 from superlie.liesuper import build_algebra
 from superlie.rootsys import InvariantViolation
 from superlie.verma import VermaSystem, lambda_set, walls_type
-from tooling import random_codes
+from tooling import module, random_codes
 
 
 def random_matrix(F, rng, shape):
@@ -703,12 +703,12 @@ def test_closures_on_module_stacks_match_references(monkeypatch):
     F = lset.field
     assert (F.p, F.k) == (5, 5)
     system = VermaSystem(g, chi)
-    ambient = ambient_rows(system.module(lset.weights[0], F))
+    ambient = ambient_rows(module(system, lset.weights[0], F))
     calls = spy_on_extend(monkeypatch)
     kinds, proper = set(), set()
     rng = np.random.default_rng(17)
     for lam in lset.weights[::40]:
-        Z = system.module(lam, F)
+        Z = module(system, lam, F)
         ops = Z.operators()
         assert not ops.flags.writeable and ops.shape == (9, 20, 20)
         views = [ops, ops.transpose(0, 2, 1), ops[:1], ops[-1:]]

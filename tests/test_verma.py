@@ -33,7 +33,7 @@ from superlie.verma import (
     shift_lambda,
     standard_characters,
 )
-from tooling import baby_vermas
+from tooling import baby_vermas, module
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -197,7 +197,7 @@ def test_module_dimensions():
         ("gl(2|1)", 5, 20),
     ]:
         g = build_algebra(label, field_create(p, 1))
-        Z = VermaSystem(g, g.chi_zero()).module((0,) * g.rank)
+        Z = module(VermaSystem(g, g.chi_zero()), (0,) * g.rank)
         assert Z.dim == dim, (label, p)
 
 
@@ -213,7 +213,7 @@ def test_rejects_invalid_lambda():
     chi = g.chi_regular_semisimple()
     system = VermaSystem(g, chi)
     with pytest.raises(ValueError):
-        system.module((0,))  # chi needs lambda outside the prime field
+        module(system, (0,))  # chi needs lambda outside the prime field
 
 
 def test_action_relations_hold():
@@ -221,7 +221,7 @@ def test_action_relations_hold():
         g = build_algebra(label, field_create(p, 1))
         for chi in (g.chi_zero(), g.chi_regular_semisimple()):
             ls = lambda_set(g, chi)
-            Z = VermaSystem(g, chi).module(ls.weights[0], ls.field)
+            Z = module(VermaSystem(g, chi), ls.weights[0], ls.field)
             report = ref.verify_relations(Z)
             assert report["passed"], (label, chi.cartan_values(), report)
 
@@ -232,7 +232,7 @@ def test_highest_vector_properties():
     ls = lambda_set(g, chi)
     system = VermaSystem(g, chi)
     lam = ls.weights[5]
-    Z = system.module(lam, ls.field)
+    Z = module(system, lam, ls.field)
     v = Z.highest_vector()
     for a in system.positives:
         assert not Z.act(g.root_index[a], v).any()
@@ -245,14 +245,14 @@ def test_highest_vector_properties():
 
 def test_lowest_vector_frozen_coordinates():
     g = build_algebra("gl(1|1)", F3)
-    Z = VermaSystem(g, g.chi_zero()).module((1, 2))
+    Z = module(VermaSystem(g, g.chi_zero()), (1, 2))
     low = Z.lowest_vector()
     expect = la.zeros(2)
     expect[Z.index[(1,)]] = 1
     assert (low == expect).all()
 
     g2 = build_algebra("osp(1|2)", F5)
-    Z2 = VermaSystem(g2, g2.chi_zero()).module((3,))
+    Z2 = module(VermaSystem(g2, g2.chi_zero()), (3,))
     low2 = Z2.lowest_vector()
     expect2 = la.zeros(10)
     # slots are (X_{-2delta}, X_{-delta}); the two letters commute
@@ -275,7 +275,7 @@ def test_lowest_vector_is_built_once_per_system(monkeypatch):
     chain = len(builds)
     assert ls.k == 5 and len(ls) == 5
     for lam in ls:
-        Z = system.module(lam, ls.field)
+        Z = module(system, lam, ls.field)
         Z.phi_via_module()
         Z.is_irreducible_oracle()
         assert Z.lowest_vector() is low and not low.flags.writeable
@@ -296,7 +296,7 @@ def test_phi_gl11_matches_coroot_sum():
     system = VermaSystem(g, chi)
     assert len(system.positives) == 1  # beta
     for lam in ls:
-        Z = system.module(lam, F)
+        Z = module(system, lam, F)
         (expect,) = pairing_at(g, system.ss, lam, F)
         assert Z.phi_via_module() == expect
         assert Z.criterion_value() == expect  # rho pairs to zero with H_beta
@@ -309,7 +309,7 @@ def test_oracle_gl11_head_dimensions():
     system = VermaSystem(g, chi)
     seen = {1: 0, 2: 0}
     for lam in ls:
-        Z = system.module(lam, ls.field)
+        Z = module(system, lam, ls.field)
         hd = Z.head_dim()
         seen[hd] += 1
         assert Z.is_irreducible_oracle() == (hd == 2)
@@ -323,9 +323,9 @@ def test_exhaustive_submodule_cross_check():
     system = VermaSystem(g, chi)
     reducible = next(
         lam for lam in ls
-        if not system.module(lam, ls.field).is_irreducible_oracle()
+        if not module(system, lam, ls.field).is_irreducible_oracle()
     )
-    Z = system.module(reducible, ls.field)
+    Z = module(system, reducible, ls.field)
     brute = ref.exhaustive_max_submodule(Z)
     assert (brute == Z.maximal_submodule()).all()
     assert brute.shape[0] == 1
@@ -436,7 +436,7 @@ def test_singular_vectors_gl21():
         system = VermaSystem(g, chi)
         for delta in ss.simple_roots:
             for lam in ls.weights[::5]:
-                Z = system.module(lam, ls.field)
+                Z = module(system, lam, ls.field)
                 rep = Z.check_singular(delta)
                 kinds[rep["reflection_type"]] = True
                 assert rep["nonzero"] and rep["annihilated"], (delta, lam)
@@ -450,7 +450,7 @@ def test_singular_vector_osp_type_iii():
         ls = lambda_set(g, chi)
         system = VermaSystem(g, chi)
         for lam in ls:
-            rep = system.module(lam, ls.field).check_singular(delta)
+            rep = module(system, lam, ls.field).check_singular(delta)
             assert rep["reflection_type"] == "type_iii"
             assert rep["nonzero"] and rep["annihilated"]
 
@@ -489,7 +489,7 @@ def test_nilpotent_osp_p3_head():
     assert ls.k == 1 and len(ls) == 3
     system = VermaSystem(g, chi)
     for lam in ls:
-        Z = system.module(lam, ls.field)
+        Z = module(system, lam, ls.field)
         assert ref.verify_relations(Z)["passed"]
         sub = Z.maximal_submodule()
         brute = ref.exhaustive_max_submodule(Z)
@@ -505,7 +505,7 @@ SPLIT_NILPOTENT_OSP = {(3, 2), (5, 1), (5, 4)}
 def test_nilpotent_osp_not_local_only_where_split(p, t):
     g = build_algebra("osp(1|2)", field_create(p, 1))
     chi = g.nilpotent_root_character("2d1").scale(t)
-    Z = VermaSystem(g, chi).module((0,) * g.rank)
+    Z = module(VermaSystem(g, chi), (0,) * g.rank)
     if (p, t) in SPLIT_NILPOTENT_OSP:
         with pytest.raises(RuntimeError, match="not local"):
             Z.maximal_submodule()
@@ -519,7 +519,7 @@ def test_nilpotent_gl21_shifted_strategy():
     chi = g.nilpotent_root_character("e1-e2")
     ls = lambda_set(g, chi)
     system = VermaSystem(g, chi)
-    Z = system.module(ls.weights[0], ls.field)
+    Z = module(system, ls.weights[0], ls.field)
     assert ref.verify_relations(Z)["passed"]
     assert any(system._neg_chi_values()) and system._chi_kills_neg_brackets()
     sub = Z.maximal_submodule()
@@ -564,7 +564,7 @@ def test_ambient_matches_reference(label, p):
         ls = lambda_set(g, chi)
         system = VermaSystem(g, chi)
         for lam in ls:
-            Z = system.module(lam, ls.field)
+            Z = module(system, lam, ls.field)
             new = _ambient_or_error(lambda: system._pi_rows(Z.F))
             old = _ambient_or_error(lambda: la.nullspace(Z.F, ref.ambient_rows(Z)))
             if isinstance(old, tuple):
@@ -663,7 +663,7 @@ def test_operator_stack_matches_entry_loop(label, p):
         ls = lambda_set(g, chi)
         system = VermaSystem(g, chi)
         for lam in ls.weights[::stride]:
-            Z = system.module(lam, ls.field)
+            Z = module(system, lam, ls.field)
             mats = Z.operators()
             assert not mats.flags.writeable
             for i, m in enumerate(mats):
@@ -762,7 +762,7 @@ def test_oracle_spin_matches_all_operator_reference(oracle_spins, label, p):
         ls = lambda_set(g, chi)
         system = VermaSystem(g, chi)
         for lam in ls.weights[:: 1 if p == 3 else len(ls) // 3]:
-            branches.add(_check_oracle(system.module(lam, ls.field), oracle_spins))
+            branches.add(_check_oracle(module(system, lam, ls.field), oracle_spins))
     assert branches == ({True} if label == "gl(1|1)" else {True, False})
 
 
@@ -788,7 +788,7 @@ def test_oracle_spin_on_every_compatible_system(oracle_spins, label):
                 skipped += 1
                 continue
             for lam in ls:
-                _check_oracle(system.module(lam, ls.field), oracle_spins)
+                _check_oracle(module(system, lam, ls.field), oracle_spins)
     assert (skipped > 0) == (label != "gl(1|1)")
 
 
@@ -844,7 +844,7 @@ def test_grade_block_census(label, p, census):
         assert on.sum() == sum(B * s * s for s, B in census.items())
         assert np.array_equal(on, ~off)
         ls = lambda_set(g, chi)
-        cartan = system.module(ls.weights[-1], ls.field).operators()[g.cartan]
+        cartan = module(system, ls.weights[-1], ls.field).operators()[g.cartan]
         diagonal = np.einsum("kii->ik", cartan)
         assert np.array_equal(cartan, np.einsum("ik,ij->kij", diagonal, la.eye(system.dim)))
         weights = [{tuple(diagonal[i]) for i in at} for idx in blocks.values() for at in idx]
@@ -988,7 +988,7 @@ def test_template_with_two_cartan_letters_raises(monkeypatch, cart):
     g = build_algebra("gl(1|1)", F3)
     monkeypatch.setattr(VermaSystem, "template", _template_with(
         lambda self, i, mono: ((mono, cart, 1),) if i == self.pos_indices[0] else ()))
-    Z = VermaSystem(g, g.chi_zero()).module((1, 2))
+    Z = module(VermaSystem(g, g.chi_zero()), (1, 2))
     with pytest.raises(InvariantViolation, match="not affine in lambda"):
         Z.action_matrix(0)
 
@@ -998,7 +998,7 @@ def test_lambda_on_a_negative_letter_raises(monkeypatch):
     monkeypatch.setattr(VermaSystem, "template", _template_with(
         lambda self, i, mono: ((mono, (1,), 1),) if i == self.neg_indices[-1] else ()))
     system = VermaSystem(g, g.nilpotent_root_character("2d1"))
-    system.module((0,)).operators()  # the stack itself is well defined
+    module(system, (0,)).operators()  # the stack itself is well defined
     with pytest.raises(InvariantViolation, match="lambda enters the action"):
         system._coefficient_algebra()
 

@@ -12,12 +12,34 @@ from superlie import linalg as la
 from superlie.envelope import DeformedAlgebra, _random_element
 from superlie.gf import Field
 from superlie.rootsys import RootSystem, build_root_system
-from superlie.verma import VermaSystem, lambda_set
+from superlie.verma import BabyVerma, VermaSystem, cartan_p_matrix, lambda_residual, lambda_set
 
 
 def random_codes(F: Field, rng: np.random.Generator, size=None) -> np.ndarray:
     """Uniform random field codes of the given shape."""
     return rng.integers(0, F.q, size=size, dtype=np.int64)
+
+
+def pbw_indexed(U: DeformedAlgebra, a: dict) -> dict:
+    """The element a of U, given as {exponent tuple: coeff}, as {PBW index: coeff}."""
+    return {sum(e * w for e, w in zip(m, U._weight)): c for m, c in a.items()}
+
+
+def pbw_tuples(U: DeformedAlgebra, a: dict) -> dict:
+    """The element a of U as {exponent tuple: coeff}, the tuple-keyed oracles' format."""
+    return {U._exponents(i): c for i, c in a.items()}
+
+
+def tuple_random_element(U: DeformedAlgebra, rng: np.random.Generator) -> dict:
+    """``envelope._random_element``'s draw, made on exponent tuples: the same
+    rng calls in the same order, with the tuple element as the result."""
+    out: dict = {}
+    for _ in range(3):
+        m = tuple(int(rng.integers(0, cap)) for cap in U.slot_cap)
+        c = int(rng.integers(0, U.F.q))
+        if c:
+            U._accum(out, {m: 1}, c)
+    return out
 
 
 def pbw_add(U: DeformedAlgebra, a: dict, b: dict) -> dict:
@@ -43,7 +65,7 @@ def from_coords(U: DeformedAlgebra, coords: Sequence[int]) -> dict:
 
 
 def to_vector(a: dict, index: dict) -> np.ndarray:
-    """Coordinates of a PBW element against a monomial index."""
+    """Coordinates of a tuple-keyed PBW element against a monomial index."""
     v = la.zeros(len(index))
     for m, c in a.items():
         v[index[m]] = c
@@ -80,12 +102,24 @@ def gl21_with_corrupt_reflection() -> RootSystem:
     return rs
 
 
+def module(system: VermaSystem, lam: Sequence[int], F: Field | None = None) -> BabyVerma:
+    """Z_chi(lam) of the system over F, the algebra's field by default; a
+    weight that fails lambda(h)^p - lambda(h^[p]) = chi(h)^p is refused."""
+    g = system.g
+    F = F if F is not None else g.F
+    lam = tuple(int(v) % F.q for v in lam)
+    chi_h = [int(v) for v in system.chi.cartan_values()]
+    if lambda_residual(g, F, lam, chi_h, cartan_p_matrix(g)).any():
+        raise ValueError("lambda violates lambda(h)^p - lambda(h^[p]) = chi(h)^p")
+    return BabyVerma(system, lam, F)
+
+
 def baby_vermas(g, chi):
     """The baby Verma module of every weight of chi, over its weight set's field."""
     system = VermaSystem(g, chi)
     lset = lambda_set(g, chi)
     for lam in lset:
-        yield system.module(lam, lset.field)
+        yield module(system, lam, lset.field)
 
 
 def simple_heads(g, chi):
