@@ -22,9 +22,9 @@ the first time a product is asked for.  A row folds the defining relations it
 needs inline, from lists of (slot, code) pairs: lam [x_j, x_s] per pair of
 slots, and each slot's odd square or p-th power relation.
 
-A product a * b folds a through the letters of b's monomials, one memo row
-per letter; with b's letter sequences sorted, each common prefix is folded
-once before it branches, and a sequence ending at a branch takes its share.
+A product a * b uses Horner's rule on b's last letters: a * b = b(1) a +
+sum_j (a * b_j) x_j, where b_j holds b's monomials ending in x_j, less that
+letter, so a sum of monomials that end alike is folded through x_j once.
 """
 
 from __future__ import annotations
@@ -157,9 +157,6 @@ class DeformedAlgebra:
             idx, m[s] = divmod(idx, self.slot_cap[s])
         return tuple(m)
 
-    def _letters(self, idx: int) -> tuple:
-        return tuple(s for s, e in enumerate(self._exponents(idx)) for _ in range(e))
-
     # -- straightening core ----------------------------------------------------
 
     def _fold(self, terms, s: int, out: dict, coeff: int = 1) -> dict:
@@ -228,45 +225,46 @@ class DeformedAlgebra:
         row = self._memo[s][m] = tuple(out.items())
         return row
 
-    def _fold_letters(self, part: dict, seqs: Sequence[tuple], out: dict, depth: int = 0) -> dict:
-        """out += sum of coeff * part * x_{letters[depth]} * x_{letters[depth + 1]} * ... over
-        the sorted (letters, coeff) pairs of seqs, which share letters[:depth]."""
-        if len(seqs) == 1:
-            (letters, coeff), = seqs
-            if len(letters) == depth:
-                self._accum(out, part, coeff)
-                return out
-            for s in letters[depth:-1]:
-                part = self._fold(part.items(), s, {})
-            return self._fold(part.items(), letters[-1], out, coeff)
-        # the sequence that ends here, if any, sorts first
-        if seqs and len(seqs[0][0]) == depth:
-            self._accum(out, part, seqs[0][1])
-            seqs = seqs[1:]
-        for s, group in itertools.groupby(seqs, key=lambda lc: lc[0][depth]):
-            self._fold_letters(self._fold(part.items(), s, {}), list(group), out, depth + 1)
+    def _horner(self, a: dict, b: dict, out: dict) -> dict:
+        """out += a * b by Horner's rule on the last letters of b's monomials."""
+        cap, weight, parts = self.slot_cap, self._weight, {}
+        for m, c in b.items():
+            if m == 0:
+                self._accum(out, a, c)
+                continue
+            # the rightmost letter x_j of m, peeled as in _mul_mono_slot
+            j, rest = self.n_slots - 1, m
+            while rest % cap[j] == 0:
+                rest //= cap[j]
+                j -= 1
+            parts.setdefault(j, {})[m - weight[j]] = c
+        for j, part in parts.items():
+            # a monomial that is x_j alone folds a straight through x_j
+            lone = len(part) == 1 and part.get(0)
+            self._fold((a if lone else self._horner(a, part, {})).items(), j, out, lone or 1)
         return out
 
     # -- products and the g-action by superderivations -------------------------
 
     def multiply(self, a: dict, b: dict) -> dict:
-        return self._fold_letters(a, sorted((self._letters(m), c) for m, c in b.items()), {})
+        return self._horner(a, b, {})
 
     def act(self, basis_idx: int, a: dict) -> dict:
         """x . u = sum over letter positions of u with [x, letter] substituted."""
-        odd_x = int(self.g.parities[basis_idx])
-        brackets = self._bracket[basis_idx]
+        odd_x, brackets = int(self.g.parities[basis_idx]), self._bracket[basis_idx]
         out: dict = {}
         for m, c in a.items():
-            letters = self._letters(m)
-            prefix, par = 0, 0
-            for i, s in enumerate(letters):
-                signed = self._neg_l[c] if odd_x and par else c
-                for k, v in brackets[s]:
-                    leaf = ((k, *letters[i + 1:]), self._mul_l[signed][v])
-                    self._fold_letters({prefix: 1}, [leaf], out)
-                prefix += self._weight[s]
-                par ^= self.slot_parity[s]
+            # Horner's rule on m's letters x_s: part * x_s + prefix [x, x_s] is the next part
+            part, prefix, par = {}, 0, 0
+            for s, e in enumerate(self._exponents(m)):
+                for _ in range(e):
+                    part = self._fold(part.items(), s, {})
+                    signed = self._mul_l[self._neg_l[c] if odd_x and par else c]
+                    for k, v in brackets[s]:
+                        self._fold(((prefix, 1),), k, part, signed[v])
+                    prefix += self._weight[s]
+                    par ^= self.slot_parity[s]
+            self._accum(out, part, 1)
         return out
 
     # -- basis enumeration and operator matrices -------------------------------
@@ -338,10 +336,12 @@ class ThetaMap:
         # t^{-d} for every PBW degree d
         self._tinv_pow = [src.F.pow_int(tinv, d)
                           for d in range(sum(src.slot_cap) - src.n_slots + 1)]
+        self._digits = tuple(zip(src._weight, src.slot_cap))
 
     def apply(self, a: dict) -> dict:
-        F, scale, exponents = self.src.F, self._tinv_pow, self.src._exponents
-        return {m: F.mul(c, scale[sum(exponents(m))]) for m, c in a.items()}
+        F, scale, digits = self.src.F, self._tinv_pow, self._digits
+        # a term's degree is the sum of its index's mixed-radix digits
+        return {m: F.mul(c, scale[sum(m // w % cap for w, cap in digits)]) for m, c in a.items()}
 
     def _respects(self, a: dict, b: dict) -> bool:
         """theta(a b) == theta(a) theta(b)."""

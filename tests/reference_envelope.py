@@ -7,8 +7,10 @@ indices: monomials are exponent tuples, the memo is keyed by
 tensors at each step.  It shares no code with the indexed engine, so equal
 products from the two are an independent check.
 
-``multiply_per_monomial`` is the indexed engine's product before it shared
-letter prefixes of the right factor: the oracle for that fold.
+``multiply_per_monomial`` folds a through every monomial of b on its own,
+letter by letter, with the indexed engine's one-letter fold: it groups none
+of b's monomials, so it is the oracle for the engine's Horner's rule, which
+sums the monomials that end in the same letter before folding through it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def multiply_per_monomial(U: DeformedAlgebra, a: dict, b: dict) -> dict:
     ``_fold``."""
     out: dict = {}
     for m, c in b.items():
-        letters = U._letters(m)
+        letters = [s for s, e in enumerate(U._exponents(m)) for _ in range(e)]
         if not letters:
             U._accum(out, a, c)
             continue

@@ -120,6 +120,31 @@ def test_associativity_random_triples():
     assert count >= 200
 
 
+def test_words_ending_in_one_letter_fold_through_it_once(monkeypatch):
+    """a * (x_0 x_j + x_1 x_j + ... + x_{j-1} x_j), j the last slot: the words
+    share no prefix, so Horner's rule folds a through x_0, ..., x_{j-1} once
+    each and their sum through x_j once, N + 1 folds where folding a along
+    each word takes 2N."""
+    g = build_algebra("osp(2|2)", F5)
+    U = reduced_enveloping(g, g.chi_regular_semisimple())
+    j = U.n_slots - 1
+    b = {U._weight[s] + U._weight[j]: 1 + s % 4 for s in range(j)}
+    a = _random_element(U, np.random.default_rng(5))
+    assert len(b) >= 3 and len(a) >= 2
+    # warm the memo, so that every fold of the counted product is one of multiply's
+    want = U.multiply(a, b)
+    folds = []
+    fold = U._fold
+
+    def counted(terms, s, out, coeff=1):
+        folds.append(s)
+        return fold(terms, s, out, coeff)
+    monkeypatch.setattr(U, "_fold", counted)
+    assert U.multiply(a, b) == want
+    assert folds.count(j) == 1
+    assert sorted(folds) == list(range(j + 1))
+
+
 def test_supercommutativity_at_lambda_zero():
     g = build_algebra("osp(2|2)", F3)
     S = reduced_symmetric(g, g.chi_regular_semisimple())

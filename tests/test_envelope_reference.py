@@ -8,10 +8,13 @@ The cases cover prime fields, a field with scalar tables (GF(9)) and one
 without them (GF(5^5)), random characters, lam and PBW orders.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superlie.cli import parse_config, run_experiment
 from superlie.envelope import DeformedAlgebra, _random_element, theta_map
 from superlie.gf import field_create
 from superlie.liesuper import PCharacter, build_algebra
@@ -81,14 +84,35 @@ def test_products_match_reference(data):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_prefix_shared_fold_matches_per_monomial_fold(data):
-    """Right factors with many terms sharing letter prefixes, some of them
-    ending where another goes on: b * c and b * c + b + 1."""
+def test_horner_fold_matches_per_monomial_fold(data):
+    """Right factors with many terms, many of them ending in the same letter
+    and some a prefix of another: b * c and b * c + b + 1; and a one-word
+    right factor, which Horner's rule peels one letter at a time."""
     U, _ = _engines(data, PRODUCT_CASES)
     a, b, c = (pbw_indexed(U, _element(data, U)) for _ in range(3))
+    word = pbw_indexed(U, _element(data, U, terms=1))
     bc = U.multiply(b, c)
-    for right in (bc, pbw_add(U, pbw_add(U, bc, b), U.one())):
+    for right in (bc, pbw_add(U, pbw_add(U, bc, b), U.one()), word):
         assert U.multiply(a, right) == multiply_per_monomial(U, a, right)
+
+
+def test_family_check_products_match_per_monomial_fold(monkeypatch):
+    """Every product the family check of the golden osp(2|2), p = 5 config
+    (seed 3, 6 samples) asks for: the theta pairs on both sides, a * b, b * c,
+    (a * b) * c and a * (b * c), and the generator products and powers."""
+    multiply, seen = DeformedAlgebra.multiply, []
+
+    def checked(U, a, b):
+        out = multiply(U, a, b)
+        assert out == multiply_per_monomial(U, a, b)
+        seen.append(len(b))
+        return out
+    monkeypatch.setattr(DeformedAlgebra, "multiply", checked)
+    cfg = parse_config((Path(__file__).parent / "golden" / "osp22_p5_family.ini").read_text())
+    code, bundle, _ = run_experiment(cfg)
+    assert code == 0 and bundle["family"]["report"]["associativity_verified"] == cfg.samples
+    # the right factors b * c of a * (b * c) have tens of terms
+    assert len(seen) > 4 * cfg.samples and max(seen) >= 10
 
 
 @settings(max_examples=20, deadline=None)

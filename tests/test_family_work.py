@@ -56,6 +56,7 @@ def _run_counted(tamper_t=None, tamper=None):
         _count(mp, counts, envelope.DeformedAlgebra, "__init__", "algebras")
         _count(mp, counts, envelope.ThetaMap, "_respects", "product_checks")
         _count(mp, counts, envelope.ThetaMap, "_respects_power", "power_checks")
+        _count(mp, counts, envelope.DeformedAlgebra, "multiply", "multiplies")
         verify = envelope.ThetaMap.verify
 
         def verify_counted(self, pairs):
@@ -83,6 +84,17 @@ def test_one_algebra_per_member_and_generator_checks_once_per_map():
     assert counts["algebras"] == 5
     assert counts["power_checks"] == DIM * len(samples_at)
     assert counts["product_checks"] == DIM * DIM * len(samples_at) + 3 * CFG["samples"]
+
+
+def test_multiply_is_called_once_per_product_the_check_asks_for():
+    """The bench tracer times envelope.multiply by wrapping the public
+    ``multiply``, so its call count is the check's products: two per theta
+    check (theta(a b) and theta(a) theta(b)), p per side of a p-th power
+    check, four per associativity sample and two per pair of S's generators."""
+    _, _, counts, reports_at = _run_counted()
+    maps, p = len(reports_at), CFG["p"]
+    theta = 2 * (DIM * DIM * maps + 3 * CFG["samples"]) + 2 * p * DIM * maps
+    assert counts["multiplies"] == theta + 4 * CFG["samples"] + 2 * DIM * DIM == 550
 
 
 @pytest.mark.parametrize("t", [2, 3, 4])
