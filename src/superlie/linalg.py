@@ -19,8 +19,8 @@ and every invariant subspace is a closure under it, each round mapping its
 whole frontier by one product: the largest stable subspace is the
 annihilator of the closure of the ambient's annihilator under the
 transposed stack, a view.  Systems are assembled from whole arrays; the odd
-supercommutant of a simple module is spun from one seed, in n unknowns
-rather than n².
+supercommutant of a simple module is spun from one seed, in the unknowns of
+T·e_0 its caller names, not n².
 """
 
 from __future__ import annotations
@@ -308,31 +308,35 @@ def largest_stable_subspace(F: Field, ambient_rows: np.ndarray, ops: np.ndarray)
 
 
 def supercommutant_basis(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray,
-                         parity_op: np.ndarray) -> np.ndarray:
-    """A (d, n, n) stack spanning the odd part of the supercommutant of the
-    even and odd (K, n, n) operator stacks, on a module that e_0 generates.
+                         parity_op: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """A (d, n, n) stack spanning the odd supercommuting T of the even and odd
+    (K, n, n) operator stacks with u = T·e_0 on the coordinates ``coords``
+    alone, on a module that e_0 generates.
 
     T·A_a = s_a·A_a·T for every operator A_a and the parity involution, with
     s_a = −1 for the odd operators and the involution, else 1.
 
     Solved by spinning (Parker's Meat-Axe).  The seed v = e_0 spins into a
     basis B = [b_i].  Where b_i = A_a·b_j, T·b_i = s_a·A_a·T·b_j, so
-    T·b_i = M_i·u for word matrices M_i and u = T·v.  With C_a = B⁻¹·A_a·B
-    the relations read Σ_i C_a[i, j]·M_i·u = s_a·A_a·M_j·u.  T ↦ u is a
-    bijection from the odd supercommuting T onto their kernel, in n
-    unknowns: T = [M_i·u]·B⁻¹.  A spin that stops short of n raises
-    ``InvariantViolation``: a simple module is generated by any nonzero vector.
+    T·b_i = M_i·u for word matrices M_i, with r = len(coords) columns, the
+    unknowns of u.  With C_a = B⁻¹·A_a·B the relations read
+    Σ_i C_a[i, j]·M_i·u = s_a·A_a·M_j·u, and T = [M_i·u]·B⁻¹.  With no
+    coordinates the spin runs alone, a certificate with no word columns.  A
+    spin that stops short of n raises ``InvariantViolation``: a simple module
+    is generated by any nonzero vector.
     """
-    n = parity_op.shape[0]
+    n, r = parity_op.shape[0], len(coords)
     if n == 0:
         return zeros((0, 0, 0))
     stacked = np.concatenate([even_ops, odd_ops, parity_op[None]]).reshape(-1, n).astype(np.int64)
     K = stacked.shape[0] // n
     signed = np.arange(K) >= len(even_ops)  # s_a = −1
     # each spun vector b_i beside its word matrix M_i: aug[i] = [b_i | M_i]
-    aug, fresh, rounds = np.concatenate([eye(n)[:, :1], eye(n)], axis=1)[None], [0], []
+    aug, fresh, rounds = np.concatenate([eye(n)[:, :1], eye(n)[:, coords]], axis=1)[None], [0], []
     while True:
         m = aug.shape[0]
+        if m == n and not r:
+            return zeros((0, n, n))
         # A_a·b_j beside s_a·A_a·M_j for the frontier, in one product
         f = len(fresh)
         images = matmul(F, stacked, aug[fresh].transpose(1, 0, 2).reshape(n, -1)).reshape(K, n, f, -1)
@@ -353,9 +357,9 @@ def supercommutant_basis(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray,
     # [B | A_a·B | I] reduces to [I | C_a | B⁻¹]
     op_basis = spun[:, :, :, 0].transpose(1, 0, 2).reshape(n, K * n)
     red = rref(F, np.concatenate([basis, op_basis, eye(n)], axis=1))[0]
-    coords, inverse = red[:, n:-n].reshape(n, K, n), red[:, -n:]
-    lhs = matmul(F, coords.transpose(1, 2, 0).reshape(K * n, n), words.reshape(n, -1))
-    lhs, rhs = lhs.reshape(-1, n), rhs.reshape(-1, n)
+    c_a, inverse = red[:, n:-n].reshape(n, K, n), red[:, -n:]
+    lhs = matmul(F, c_a.transpose(1, 2, 0).reshape(K * n, n), words.reshape(n, -1))
+    lhs, rhs = lhs.reshape(-1, r), rhs.reshape(-1, r)
     live = lhs.any(axis=1) | rhs.any(axis=1)  # most rows are zero on both sides
     cond = F.sub_arr(lhs[live], rhs[live])
     ker = nullspace(F, cond[cond.any(axis=1)])

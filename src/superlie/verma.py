@@ -639,7 +639,7 @@ class BabyVerma:
 
     def head_type(self) -> str:
         """The Walls type of the head, via the certified maximal submodule."""
-        return walls_type(self.F, *self.quotient_representation(), self.g.parities)
+        return walls_type(self.F, *self.quotient_representation(), self.g.parities, self.g.cartan)
 
     # -- verdicts --------------------------------------------------------------
 
@@ -681,17 +681,25 @@ class BabyVerma:
 # the Walls type of a simple module
 
 
-def walls_type(F: Field, ops: np.ndarray, parity_op: np.ndarray, parities: np.ndarray) -> str:
+def walls_type(F: Field, ops: np.ndarray, parity_op: np.ndarray, parities: np.ndarray,
+               cartan: Sequence[int]) -> str:
     """"Q" when the simple module admits an odd endomorphism, else "M".
 
     ops stacks the generators' operators; the parities array splits it.  An
     odd T satisfies T rho(a) = (-1)^|a| rho(a) T and anticommutes with the
-    parity involution.  T -> T e_0 is a bijection onto the kernel
-    ``linalg.supercommutant_basis`` solves.  Callers pass heads, which are
-    simple by construction; a head that e_0 does not span raises
-    ``InvariantViolation``, a certificate that costs nothing.
+    parity involution, so T e_0 has the other parity and lies in e_0's weight
+    space under the Cartan operators ops[cartan], read off their diagonals
+    (``InvariantViolation`` if they or the involution are not diagonal).
+    T -> T e_0 is a bijection onto the kernel ``linalg.supercommutant_basis``
+    solves on those coordinates alone, none on most heads.  The spin of e_0
+    runs even then: a head that e_0 does not span raises ``InvariantViolation``.
     """
-    odd = la.supercommutant_basis(F, ops[parities == 0], ops[parities == 1], parity_op)
+    diagonal = np.concatenate([ops[list(cartan)], parity_op[None]])
+    if (diagonal * (1 - la.eye(parity_op.shape[0]))).any():
+        raise InvariantViolation("a Cartan operator or the parity involution is not diagonal")
+    d = diagonal.diagonal(axis1=1, axis2=2)
+    reach = np.flatnonzero((d[:-1] == d[:-1, :1]).all(axis=0) & (d[-1] != d[-1, :1]))
+    odd = la.supercommutant_basis(F, ops[parities == 0], ops[parities == 1], parity_op, reach)
     return "Q" if len(odd) else "M"
 
 

@@ -5,11 +5,13 @@ the loop-built kernel basis and the intersection-based graded codimensions
 that ``superlie`` replaced with the int64 prime-field product, the
 block-echelon closure, one fancy-index assignment and projection ranks.
 They use only the field's element-wise operations and ``linalg.rref``, so
-they are independent of the new kernels.  The commutant is kept twice: the
-entry-by-entry constraint system, and the Kronecker solve in all n² entries
+they are independent of the new kernels.  The commutant is kept three times:
+the entry-by-entry constraint system; the Kronecker solve in all n² entries
 of T that spinning replaced, which reads its kernel with ``linalg.nullspace``
-and solves either part; ``linalg.supercommutant_basis`` solves only the odd
-part, on a module that e_0 generates.
+and solves either part; and the spin of e_0 in all n unknowns of u = T·e_0,
+whose word matrices are n × n.  ``linalg.supercommutant_basis`` solves only
+the odd part, on a module that e_0 generates, with u on the coordinates its
+caller names, which ``verma.walls_type`` reads off e_0's weight space.
 The largest stable subspace is kept as the shrinking iteration that the
 annihilator of one transposed closure replaced; it solves a new kernel with
 ``linalg.nullspace`` at every step and never calls the closure.  ``solve``
@@ -174,6 +176,59 @@ def supercommutant_kronecker(
     rows.append(commutation_constraint(F, parity_op, sign))
     ker = la.nullspace(F, np.concatenate(rows, axis=0))
     return [vec.reshape(n, n) for vec in ker]
+
+
+def supercommutant_spin_full(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray,
+                             parity_op: np.ndarray) -> np.ndarray:
+    """A (d, n, n) stack spanning the odd part of the supercommutant, spun
+    from e_0 with u = T·e_0 free in all n coordinates: the solve that
+    ``linalg.supercommutant_basis`` restricted to the coordinates T·e_0 can
+    reach, whose memory grows as K·n³.
+
+    The seed e_0 spins into a basis B = [b_i], each beside its word matrix
+    M_i with T·b_i = M_i·u: where b_i = A_a·b_j, T·b_i = s_a·A_a·M_j·u.  With
+    C_a = B⁻¹·A_a·B the relations read Σ_i C_a[i, j]·M_i·u = s_a·A_a·M_j·u,
+    and T = [M_i·u]·B⁻¹.  A spin that stops short of n raises
+    ``InvariantViolation``.
+    """
+    n = parity_op.shape[0]
+    if n == 0:
+        return la.zeros((0, 0, 0))
+    stacked = np.concatenate([even_ops, odd_ops, parity_op[None]]).reshape(-1, n).astype(np.int64)
+    K = stacked.shape[0] // n
+    signed = np.arange(K) >= len(even_ops)  # s_a = −1
+    # each spun vector b_i beside its word matrix M_i: aug[i] = [b_i | M_i]
+    aug, fresh, rounds = np.concatenate([la.eye(n)[:, :1], la.eye(n)], axis=1)[None], [0], []
+    while True:
+        m = aug.shape[0]
+        f = len(fresh)
+        images = la.matmul(F, stacked, aug[fresh].transpose(1, 0, 2).reshape(n, -1)).reshape(K, n, f, -1)
+        images[signed, :, :, 1:] = F.neg_arr(images[signed, :, :, 1:])
+        rounds.append(images)
+        if m == n:  # a last round only records the images
+            break
+        cand = images[:, :, :, 0].transpose(1, 0, 2).reshape(n, K * f)  # column a·f + j
+        picked = np.array(la.rref(F, np.concatenate([aug[:, :, 0].T, cand], axis=1))[1][m:], dtype=int) - m
+        if not picked.size:
+            raise la.InvariantViolation(f"the spin of e_0 stops at dimension {m} of {n}: "
+                                        "the module is not simple")
+        a, j = divmod(picked, f)
+        aug = np.concatenate([aug, images[a, :, j]])
+        fresh = list(range(m, m + picked.size))
+    spun, basis, words = np.concatenate(rounds, axis=2), aug[:, :, 0].T, aug[:, :, 1:]
+    rhs = spun[:, :, :, 1:].transpose(0, 2, 1, 3)  # [a, j, row, c]
+    # [B | A_a·B | I] reduces to [I | C_a | B⁻¹]
+    op_basis = spun[:, :, :, 0].transpose(1, 0, 2).reshape(n, K * n)
+    red = la.rref(F, np.concatenate([basis, op_basis, la.eye(n)], axis=1))[0]
+    coords, inverse = red[:, n:-n].reshape(n, K, n), red[:, -n:]
+    lhs = la.matmul(F, coords.transpose(1, 2, 0).reshape(K * n, n), words.reshape(n, -1))
+    lhs, rhs = lhs.reshape(-1, n), rhs.reshape(-1, n)
+    live = lhs.any(axis=1) | rhs.any(axis=1)  # most rows are zero on both sides
+    cond = F.sub_arr(lhs[live], rhs[live])
+    ker = la.nullspace(F, cond[cond.any(axis=1)])
+    values = la.matmul(F, words.reshape(n * n, -1), ker.T).reshape(n, n, -1)  # [i, row, d]
+    ts = la.matmul(F, values.transpose(2, 1, 0).reshape(-1, n), inverse)
+    return ts.reshape(-1, n, n)
 
 
 def solve(F: Field, mat: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:

@@ -210,15 +210,15 @@ def test_criterion_5_kw_divisibility():
 
 def test_criterion_5_commutants_match_kronecker_reference():
     """Every 29th head of the criterion-5 grid, in grid order, has the same
-    odd supercommutant dimension under spinning as under the n²-unknown
-    Kronecker solve."""
+    odd supercommutant dimension under spinning, with T·e_0 in e_0's weight
+    space or anywhere, as under the n²-unknown Kronecker solve."""
     cells = [(g, VermaSystem(g, chi), lambda_set(g, chi)) for *_, g, chi in grid()]
     heads = [(g, system, lset.field, lam) for g, system, lset in cells for lam in lset]
     assert len(heads) == 582
     for g, system, F, lam in heads[::29]:
         mats, parity_op = module(system, lam, F).quotient_representation()
-        spun, oracle = odd_commutant_dims(F, mats, parity_op, g.parities)
-        assert spun == oracle, (g.label, lam)
+        restricted, spun, oracle = odd_commutant_dims(F, mats, parity_op, g.parities, g.cartan)
+        assert restricted == spun == oracle, (g.label, lam)
 
 
 def test_criterion_6_invariant_ideals():

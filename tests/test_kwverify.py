@@ -8,12 +8,13 @@ import pytest
 import reference_linalg as ref
 from reference_verma import ambient_rows, parity_shift_glue, screen_simple
 from superlie.cli import main
+from superlie import linalg as la
 from superlie.gf import field_create
 from superlie.liesuper import build_algebra
 from superlie.rootsys import InvariantViolation
 from superlie.kwverify import KWReport, verify_superkw_sweep, walls_type
-from superlie.verma import VermaLedger, VermaSystem, lambda_set, standard_characters
-from tooling import baby_vermas, module, odd_commutant_dims, simple_heads
+from superlie.verma import BabyVerma, VermaLedger, VermaSystem, lambda_set, standard_characters
+from tooling import baby_vermas, module, odd_commutant_dims, simple_heads, top_weight_coords
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -56,7 +57,7 @@ def test_walls_type_trivial_module_is_M():
     mats, parity_op = Z.quotient_representation()
     assert mats[0].shape[0] == 1
     screen_simple(F3, mats)
-    assert walls_type(F3, mats, parity_op, g.parities) == "M"
+    assert walls_type(F3, mats, parity_op, g.parities, g.cartan) == "M"
 
 
 def test_walls_type_gl11_head_is_M():
@@ -67,7 +68,7 @@ def test_walls_type_gl11_head_is_M():
     mats, parity_op = Z.quotient_representation()
     assert mats[0].shape[0] == 2
     screen_simple(ls.field, mats)
-    assert walls_type(ls.field, mats, parity_op, g.parities) == "M"
+    assert walls_type(ls.field, mats, parity_op, g.parities, g.cartan) == "M"
 
 
 def test_walls_type_rejects_reducible():
@@ -92,21 +93,82 @@ def test_walls_type_rejects_parity_shift_glue():
     mats, parity_op = Z.quotient_representation()
     glued, gp = parity_shift_glue(ls.field, mats, parity_op, list(g.parities))
     with pytest.raises(InvariantViolation, match="stops at dimension 2 of 4"):
-        walls_type(ls.field, np.array(glued), gp, g.parities)
+        walls_type(ls.field, np.array(glued), gp, g.parities, g.cartan)
 
 
 def test_kw_heads_commutants_match_kronecker_reference():
     """The 81 heads of the gl(2|1), p = 3 kw sweep (the kw_heads bench config)
-    have the same odd supercommutant dimension under spinning as under the
-    n²-unknown Kronecker solve."""
+    have the same odd supercommutant dimension under spinning, with T·e_0 in
+    e_0's weight space or anywhere, as under the n²-unknown Kronecker solve.
+    The weight space of e_0 holds no odd vector in any of them, so the
+    restricted solve is the spin alone."""
     g = build_algebra("gl(2|1)", F3)
     heads = 0
     for chi in standard_characters(g).values():
         for F, mats, parity_op in simple_heads(g, chi):
-            spun, oracle = odd_commutant_dims(F, mats, parity_op, g.parities)
-            assert spun == oracle
+            assert top_weight_coords(mats, parity_op, g.cartan).size == 0
+            restricted, spun, oracle = odd_commutant_dims(F, mats, parity_op, g.parities, g.cartan)
+            assert restricted == spun == oracle
             heads += 1
     assert heads == 81
+
+
+@pytest.mark.parametrize("p, bucket, with_odd", [(3, "zero", 1), (3, "regular_semisimple", 3),
+                                                   (5, "zero", 2), (5, "regular_semisimple", 5)])
+def test_osp12_odd_top_weight_heads_match_kronecker_reference(p, bucket, with_odd):
+    """Every osp(1|2) head whose top weight space (e_0's, under the Cartan
+    operators) holds an odd vector, at p = 3 and 5 and χ = 0 and regular:
+    the solve on those odd vectors alone, the solve with T·e_0 anywhere and
+    the Kronecker oracle agree, and so does the Walls type."""
+    g = build_algebra("osp(1|2)", field_create(p, 1))
+    found = 0
+    for F, mats, parity_op in simple_heads(g, standard_characters(g)[bucket]):
+        if top_weight_coords(mats, parity_op, g.cartan).size:
+            restricted, spun, oracle = odd_commutant_dims(F, mats, parity_op, g.parities, g.cartan)
+            assert restricted == spun == oracle
+            assert walls_type(F, mats, parity_op, g.parities, g.cartan) == "MQ"[oracle > 0]
+            found += 1
+    assert found == with_odd
+
+
+def test_gl22_odd_top_weight_heads_match_full_spin_reference():
+    """Heads of gl(2|2), p = 3, χ = 0 whose top weight space holds odd
+    vectors: solving for T·e_0 on those alone spans the same odd
+    supercommutant as the spin with T·e_0 free in all n coordinates."""
+    g = build_algebra("gl(2|2)", F3)
+    system = VermaSystem(g, g.chi_zero())
+    for lam, n, coords in [((0, 1, 1, 0), 52, [51]), ((1, 0, 1, 2), 52, [51]),
+                           ((0, 1, 0, 2), 96, [83, 91])]:
+        mats, parity_op = module(system, lam, F3).quotient_representation()
+        assert mats.shape[1] == n
+        reach = top_weight_coords(mats, parity_op, g.cartan)
+        assert reach.tolist() == coords
+        even, odd = mats[g.parities == 0], mats[g.parities == 1]
+        got = la.supercommutant_basis(F3, even, odd, parity_op, reach)
+        want = ref.supercommutant_spin_full(F3, even, odd, parity_op)
+        assert len(got) == len(want)
+        span = [la.row_space_basis(F3, ts.reshape(len(ts), n * n)) for ts in (got, want)]
+        assert np.array_equal(*span)
+
+
+def test_head_type_rejects_off_diagonal_cartan(monkeypatch):
+    # the head in a basis that mixes two even coordinates of different
+    # weights: its Cartan operators are no longer diagonal
+    g = build_algebra("gl(2|1)", F3)
+    system = VermaSystem(g, g.chi_zero())
+    mats, parity_op = module(system, (0, 1, 0)).quotient_representation()  # dim 12
+    d, even = np.diagonal(mats[g.cartan], axis1=1, axis2=2), parity_op.diagonal() == 1
+    i, j = next((i, j) for i in range(len(even)) for j in range(i)
+                if even[i] and even[j] and (d[:, i] != d[:, j]).any())
+    P, P_inv = la.eye(len(even)), la.eye(len(even))
+    P[i, j], P_inv[i, j] = 1, F3.neg(1)
+    quotient = BabyVerma.quotient_representation
+    monkeypatch.setattr(BabyVerma, "quotient_representation", lambda self: (
+        np.array([la.matmul(F3, la.matmul(F3, P_inv, m), P) for m in quotient(self)[0]]),
+        parity_op))
+    assert walls_type(F3, mats, parity_op, g.parities, g.cartan) == "M"
+    with pytest.raises(InvariantViolation, match="not diagonal"):
+        module(system, (0, 1, 0)).head_type()
 
 
 def test_kw_heads_maximal_submodules_match_shrinking_reference():

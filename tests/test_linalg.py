@@ -197,22 +197,43 @@ def test_supercommutant_of_irreducible_type_m():
     sigma = np.diag([1, F.neg(1)]).astype(np.int64)
     even_ops = np.array([np.diag([1, 2])], dtype=np.int64)  # distinct eigenvalues
     odd_ops = np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]]], dtype=np.int64)
-    assert len(la.supercommutant_basis(F, even_ops, odd_ops, sigma)) == 0
-    assert walls_type(F, np.concatenate([even_ops, odd_ops]), sigma, np.array([0, 1, 1])) == "M"
+    assert len(la.supercommutant_basis(F, even_ops, odd_ops, sigma, np.array([1]))) == 0
+    # as a Cartan operator, the even one puts e_1 outside e_0's weight space:
+    # the solve is the spin alone
+    assert walls_type(F, np.concatenate([even_ops, odd_ops]), sigma, np.array([0, 1, 1]), [0]) == "M"
 
 
 def test_supercommutant_of_type_q_fixture():
     # The 1|1 Clifford module: operators commuting with the odd involution
     # [[0,1],[1,0]].  The odd part of the supercommutant is spanned by
-    # [[0,t],[-t,0]], so this simple module has type Q.
+    # [[0,t],[-t,0]], so this simple module has type Q.  Its even operator,
+    # read as a Cartan operator, is scalar: e_0's weight space holds e_1.
     F = field_create(3)
     sigma = np.diag([1, F.neg(1)]).astype(np.int64)
     even_ops = np.array([np.diag([2, 2])], dtype=np.int64)
     odd_ops = np.array([[[0, 1], [1, 0]]], dtype=np.int64)
-    (T,) = la.supercommutant_basis(F, even_ops, odd_ops, sigma)
+    (T,) = la.supercommutant_basis(F, even_ops, odd_ops, sigma, np.array([1]))
     assert T[0, 0] == 0 and T[1, 1] == 0
     assert T[1, 0] == F.neg(int(T[0, 1])) and T[0, 1] != 0
-    assert walls_type(F, np.concatenate([even_ops, odd_ops]), sigma, np.array([0, 1])) == "Q"
+    # u = T·e_0 on no coordinate: only T = 0 is left
+    assert len(la.supercommutant_basis(F, even_ops, odd_ops, sigma, np.array([], dtype=int))) == 0
+    assert walls_type(F, np.concatenate([even_ops, odd_ops]), sigma, np.array([0, 1]), [0]) == "Q"
+
+
+def test_walls_type_rejects_off_diagonal_cartan():
+    # the same Clifford module in the basis e_0 + e_1, e_1: its Cartan
+    # operator is still scalar, but the involution is not diagonal
+    F = field_create(3)
+    sigma = np.diag([1, F.neg(1)]).astype(np.int64)
+    ops = np.array([np.diag([2, 2]), [[0, 1], [1, 0]]], dtype=np.int64)
+    P, P_inv = np.array([[1, 0], [1, 1]]), np.array([[1, 0], [F.neg(1), 1]])
+    conj = [la.matmul(F, la.matmul(F, P_inv, m), P) for m in (*ops, sigma)]
+    with pytest.raises(InvariantViolation, match="not diagonal"):
+        walls_type(F, np.array(conj[:2]), conj[2], np.array([0, 1]), [0])
+    # a Cartan operator with an off-diagonal entry
+    cartan = np.array([[2, 1], [0, 2]], dtype=np.int64)
+    with pytest.raises(InvariantViolation, match="not diagonal"):
+        walls_type(F, np.array([cartan, ops[1]]), sigma, np.array([0, 1]), [0])
 
 
 # -- the echelon kernel against the slow reference it replaced ----------------
@@ -401,8 +422,9 @@ def graded_modules(draw, F, n, n_even_ops, n_odd_ops):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_supercommutant_matches_kronecker_reference(data):
-    """Spinning e_0 spans the same odd supercommutant as the n²-unknown
-    Kronecker solve on every module that e_0 generates, and raises
+    """Spinning e_0, with T·e_0 on every coordinate of the other parity, spans
+    the same odd supercommutant as the n²-unknown Kronecker solve on every
+    module that e_0 generates, and raises
     ``InvariantViolation`` on the others, direct sums among them."""
     F = field_create(*data.draw(st.sampled_from(FIELDS)))
     counts = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
@@ -431,11 +453,12 @@ def test_supercommutant_matches_kronecker_reference(data):
     even_stack, odd_stack = stack(even_ops, n), stack(odd_ops, n)
     ops = np.concatenate([even_stack, odd_stack, parity_op[None]])
     spun = la.closure_under_operators(F, la.eye(n)[:1], ops).shape[0]
+    other = np.flatnonzero(parity_op.diagonal() != parity_op.diagonal()[:1])  # T·e_0 anywhere
     if n and spun < n:
         with pytest.raises(InvariantViolation, match=f"stops at dimension {spun} of {n}"):
-            la.supercommutant_basis(F, even_stack, odd_stack, parity_op)
+            la.supercommutant_basis(F, even_stack, odd_stack, parity_op, other)
         return
-    got = la.supercommutant_basis(F, even_stack, odd_stack, parity_op)
+    got = la.supercommutant_basis(F, even_stack, odd_stack, parity_op, other)
     want = ref.supercommutant_kronecker(F, even_ops, odd_ops, parity_op, odd_part=True)
     assert len(got) == len(want)
 

@@ -130,11 +130,25 @@ def simple_heads(g, chi):
         yield Z.F, ops, parity_op
 
 
+def top_weight_coords(ops: np.ndarray, parity_op: np.ndarray, cartan) -> np.ndarray:
+    """The coordinates that T·e_0 can reach for an odd T: those whose diagonal
+    entry in every Cartan operator ops[c] equals e_0's and whose parity
+    differs from e_0's, read one coordinate at a time."""
+    n = parity_op.shape[0]
+    return np.array([i for i in range(n) if parity_op[i, i] != parity_op[0, 0]
+                     and all(ops[c][i, i] == ops[c][0, 0] for c in cartan)], dtype=int)
+
+
 def odd_commutant_dims(F: Field, ops: np.ndarray, parity_op: np.ndarray,
-                       parities: np.ndarray) -> tuple[int, int]:
+                       parities: np.ndarray, cartan) -> tuple[int, int, int]:
     """Dimensions of the odd supercommutant of the (dim g, n, n) stack
     ``ops`` split by the parity array: as ``linalg.supercommutant_basis``
-    spins it, and as the n²-unknown Kronecker oracle solves it."""
+    solves it with T·e_0 on the coordinates ``top_weight_coords`` reads off
+    the Cartan operators ops[cartan], the same with T·e_0 on every coordinate
+    of the other parity, and as the n²-unknown Kronecker oracle solves it."""
     even, odd = ops[parities == 0], ops[parities == 1]
-    return (len(la.supercommutant_basis(F, even, odd, parity_op)),
+    return (len(la.supercommutant_basis(F, even, odd, parity_op,
+                                        top_weight_coords(ops, parity_op, cartan))),
+            len(la.supercommutant_basis(F, even, odd, parity_op,
+                                        top_weight_coords(ops, parity_op, []))),
             len(ref.supercommutant_kronecker(F, even, odd, parity_op, odd_part=True)))
