@@ -82,6 +82,7 @@ class DeformedAlgebra:
         self.slot_cap = tuple(2 if par else self.p for par in self.slot_parity)
         n = self.n_slots = g.dim
         self._memo: list[dict[int, tuple]] = [{} for _ in range(n)]
+        self._degree: dict[int, int] = {}  # PBW degree of each index a ThetaMap scaled
         # the weight of slot s in a monomial's index
         self._weight = [1] * n
         for s in range(n - 2, -1, -1):
@@ -123,11 +124,6 @@ class DeformedAlgebra:
     def gen(self, basis_idx: int) -> dict:
         return {self._weight[self.slot_of[basis_idx]]: 1}
 
-    def sub(self, a: dict, b: dict) -> dict:
-        out = dict(a)
-        self._accum(out, b, self.F.neg(1))
-        return out
-
     def _accum(self, out: dict, src: dict, coeff: int) -> None:
         F = self.F
         for m, v in src.items():
@@ -140,7 +136,8 @@ class DeformedAlgebra:
                 del out[m]
 
     def equal(self, a: dict, b: dict) -> bool:
-        return self.sub(a, b) == {}
+        """a == b: no element the engine builds holds a zero coefficient."""
+        return a == b
 
     def monomial_parity(self, m: tuple) -> int:
         par = 0
@@ -290,12 +287,12 @@ class DeformedAlgebra:
         return list(itertools.product(*[range(cap) for cap in self.slot_cap]))
 
     def _op_matrix(self, fn) -> np.ndarray:
-        """Matrix of a linear operator on elements, in index order."""
+        """Matrix of a linear operator on elements, in index order, by one scatter."""
         n = self._dense_dimension()
+        entries = [(m, i, c) for i in range(n) for m, c in fn({i: 1}).items()]
+        rows, cols, codes = np.array(entries, dtype=np.int64).reshape(-1, 3).T
         mat = la.zeros((n, n))
-        for i in range(n):
-            out = fn({i: 1})
-            mat[list(out), i] = list(out.values())
+        mat[rows, cols] = codes
         return mat
 
     def right_mult_matrix(self, basis_idx: int) -> np.ndarray:
@@ -333,15 +330,18 @@ class ThetaMap:
         self.dst = dst
         self.t = t
         tinv = src.F.inv(t)
-        # t^{-d} for every PBW degree d
-        self._tinv_pow = [src.F.pow_int(tinv, d)
-                          for d in range(sum(src.slot_cap) - src.n_slots + 1)]
-        self._digits = tuple(zip(src._weight, src.slot_cap))
+        # the scalar table row of t^{-d} for every PBW degree d
+        self._scale = [src._mul_l[src.F.pow_int(tinv, d)]
+                       for d in range(sum(src.slot_cap) - src.n_slots + 1)]
 
     def apply(self, a: dict) -> dict:
-        F, scale, digits = self.src.F, self._tinv_pow, self._digits
-        # a term's degree is the sum of its index's mixed-radix digits
-        return {m: F.mul(c, scale[sum(m // w % cap for w, cap in digits)]) for m, c in a.items()}
+        degree, out = self.src._degree, {}
+        for m, c in a.items():
+            d = degree.get(m)
+            if d is None:  # a term's degree is the sum of its exponents
+                d = degree[m] = sum(self.src._exponents(m))
+            out[m] = self._scale[d][c]
+        return out
 
     def _respects(self, a: dict, b: dict) -> bool:
         """theta(a b) == theta(a) theta(b)."""

@@ -12,8 +12,8 @@ from one side, the g-action, then the parity involution.  Both stacks are
 read off tables the engine already has: F(g, q)'s from one coproduct per
 coset monomial and U's right multiplications, S_xi's from its right
 multiplications and derivations.  It reports graded and total codimensions
-from three ranks: those of the ideal's projections to the even and the odd
-coordinates, and its own.
+read off the ideal's reduced echelon rows: each row is homogeneous, and the
+even and the odd pivots count the dimensions of the two parts.
 """
 
 from __future__ import annotations
@@ -286,22 +286,25 @@ def invariant_ideal_closure(model: OperatorModel, seed_rows: np.ndarray) -> np.n
 def graded_codims(model: OperatorModel, ideal_rows: np.ndarray) -> tuple[int, int, int]:
     """(even codim, odd codim, total codim) of a graded subspace.
 
-    A subspace I is graded exactly when it is the sum of its projections to
-    the even and the odd coordinates, that is when their ranks r0 and r1 add
-    up to rank(I); then r0 and r1 are the dimensions of its two parts.
-    Ideals and closures of an ``OperatorModel`` are sigma-stable, hence
-    graded, so a subspace that is not breaks the model's own invariant.
+    A subspace is graded exactly when every row of its reduced echelon basis,
+    which is unique, is homogeneous; then its even and its odd pivots count
+    the dimensions of its two parts.  The rows are eliminated once, and only
+    when they are not reduced already (in any order): ``closure_under_operators``
+    and ``largest_stable_subspace`` return reduced rows.  Ideals and closures
+    of an ``OperatorModel`` are sigma-stable, hence graded, so a row that
+    mixes parities breaks the model's own invariant.
     """
-    n = model.n
-    even_idx = np.nonzero(model.parities == 0)[0]
-    odd_idx = np.nonzero(model.parities == 1)[0]
-    r0 = la.rank(model.F, ideal_rows[:, even_idx])
-    r1 = la.rank(model.F, ideal_rows[:, odd_idx])
-    r = la.rank(model.F, ideal_rows)
-    if r0 + r1 != r:
+    rows, par = np.asarray(ideal_rows, dtype=np.int64), model.parities
+    lead = (rows != 0).argmax(axis=1) if rows.size else la.zeros(0)
+    if lead.size < len(rows) or (rows[:, lead] != la.eye(lead.size)).any():
+        red, lead = la.rref(model.F, rows)
+        rows, lead = red[: len(lead)], np.array(lead, dtype=np.int64)
+    if ((rows != 0) & (par != par[lead][:, None])).any():
         raise InvariantViolation("subspace is not graded, though every operator "
                                  "stack holds the parity involution")
-    return even_idx.size - r0, odd_idx.size - r1, n - r
+    r1, n1 = int(par[lead].sum()), int(par.sum())
+    r0, n0 = lead.size - r1, model.n - n1
+    return n0 - r0, n1 - r1, model.n - lead.size
 
 
 def ideal_survey(S: DeformedAlgebra, divisor: int, d_pair: tuple[int, int],

@@ -3,7 +3,8 @@
 These are the original per-column product, the per-vector operator closure,
 the loop-built kernel basis and the intersection-based graded codimensions
 that ``superlie`` replaced with the int64 prime-field product, the
-block-echelon closure, one fancy-index assignment and projection ranks.
+block-echelon closure, one fancy-index assignment and the pivot counts of
+reduced echelon rows.
 They use only the field's element-wise operations and ``linalg.rref``, so
 they are independent of the new kernels.  The commutant is kept three times:
 the entry-by-entry constraint system; the Kronecker solve in all n² entries
@@ -12,6 +13,9 @@ and solves either part; and the spin of e_0 in all n unknowns of u = T·e_0,
 whose word matrices are n × n.  ``linalg.supercommutant_basis`` solves only
 the odd part, on a module that e_0 generates, with u on the coordinates its
 caller names, which ``verma.walls_type`` reads off e_0's weight space.
+``rref_tables`` and ``EchelonBasisTables`` keep the elimination and the
+echelon updates with every row update through the field's tables, which
+prime fields replaced with updates on residues mod p.
 The largest stable subspace is kept as the shrinking iteration that the
 annihilator of one transposed closure replaced; it solves a new kernel with
 ``linalg.nullspace`` at every step and never calls the closure.  ``solve``
@@ -229,6 +233,57 @@ def supercommutant_spin_full(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray
     values = la.matmul(F, words.reshape(n * n, -1), ker.T).reshape(n, n, -1)  # [i, row, d]
     ts = la.matmul(F, values.transpose(2, 1, 0).reshape(-1, n), inverse)
     return ts.reshape(-1, n, n)
+
+
+def rref_tables(F: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """``linalg.rref`` with every row update through the field's element-wise
+    tables, as it ran before prime fields updated rows on residues mod p."""
+    m = np.array(mat, dtype=np.int64)
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        t = r + int(nz[0])
+        if t != r:
+            m[[r, t]] = m[[t, r]]
+        m[r] = F.smul_arr(F.inv(int(m[r, c])), m[r])
+        other = np.nonzero(m[:, c])[0]
+        other = other[other != r]
+        if other.size:
+            m[other] = F.sub_arr(m[other], F.mul_arr(m[other, c][:, None], m[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+class EchelonBasisTables(la.EchelonBasis):
+    """``linalg.EchelonBasis`` with its reduction and its update of the old
+    rows subtracted through the field's tables, and ``rref_tables`` for the
+    new rows."""
+
+    def reduce(self, block: np.ndarray) -> np.ndarray:
+        block = np.asarray(block, dtype=np.int64)
+        return self.F.sub_arr(block, la.matmul(self.F, block[:, self.pivots], self.rows))
+
+    def extend(self, block: np.ndarray) -> np.ndarray:
+        F = self.F
+        res = self.reduce(block)
+        res = res[res.any(axis=1)]
+        if not res.shape[0]:
+            return res
+        red, piv = rref_tables(F, res)
+        new = red[: len(piv)]
+        old = F.sub_arr(self.rows, la.matmul(F, self.rows[:, piv], new))
+        pivots = np.concatenate([self.pivots, piv])
+        order = np.argsort(pivots)
+        self.rows = np.concatenate([old, new])[order]
+        self.pivots = pivots[order]
+        return new
 
 
 def solve(F: Field, mat: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:

@@ -287,11 +287,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("name", ["gl11_p5_verma_phi", "gl21_p3_kw", "osp22_p5_family",
-                                  "gl21_p3_reflect_semisimple", "osp12_p3_sym_coinduced"])
+                                  "gl21_p3_reflect_semisimple", "osp12_p3_sym_coinduced",
+                                  "osp12_p3_sym_bench_s3", "osp12_p3_sym_bench_s101"])
 def test_reports_match_golden_files(name, tmp_path):
     # the first two run the extension-field kernels over GF(5^5) and GF(3^3);
     # the family config runs PBW straightening and the rescaling maps theta_t;
-    # the last two read the invariant form, the coroots and the centralizer
+    # the next two read the invariant form, the coroots and the centralizer;
+    # the last two are the ideal_survey bench config at program seeds 3 and
+    # 101: ten seeded closures in the 108-dimensional S_xi over GF(3)
     assert main(["run", str(GOLDEN / f"{name}.ini"), "--out", str(tmp_path)]) == 0
     want = sorted(path.name for path in (GOLDEN / name).iterdir())
     assert sorted(path.name for path in tmp_path.iterdir()) == want

@@ -19,8 +19,8 @@ from superlie.envelope import (
     theta_map,
 )
 from reference_envelope import ReferenceAlgebra
-from tooling import (from_coords, pbw_add, pbw_indexed, pbw_scale, pbw_tuples, random_pairs,
-                     to_vector)
+from tooling import (from_coords, pbw_add, pbw_indexed, pbw_scale, pbw_sub, pbw_tuples,
+                     random_pairs, to_vector)
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -57,7 +57,7 @@ def test_commutator_relations_all_pairs():
                 if g.parities[i] and g.parities[j]:
                     lhs = pbw_add(U, lhs, ba)
                 else:
-                    lhs = U.sub(lhs, ba)
+                    lhs = pbw_sub(U, lhs, ba)
                 rhs = pbw_scale(U, lam, from_coords(U, g.bracket_tensor[i, j]))
                 assert U.equal(lhs, rhs)
 
@@ -217,7 +217,7 @@ def test_action_is_module_structure():
                 if g.parities[i] and g.parities[j]:
                     lhs = pbw_add(U, lhs, swap)
                 else:
-                    lhs = U.sub(lhs, swap)
+                    lhs = pbw_sub(U, lhs, swap)
                 rhs = {}
                 for k in np.nonzero(g.bracket_tensor[i, j])[0]:
                     rhs = pbw_add(U, rhs, pbw_scale(U, int(g.bracket_tensor[i, j][k]),
@@ -293,7 +293,7 @@ def test_custom_engine_order():
             if g.parities[i] and g.parities[j]:
                 lhs = pbw_add(U, lhs, ba)
             else:
-                lhs = U.sub(lhs, ba)
+                lhs = pbw_sub(U, lhs, ba)
             assert U.equal(lhs, from_coords(U, g.bracket_tensor[i, j]))
     with pytest.raises(ValueError):
         DeformedAlgebra(g, order=[0, 0, 1, 2, 3])

@@ -1,6 +1,7 @@
 """Tests for comultiplication, coinduced algebras, and invariant ideals."""
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from reference_envelope import ReferenceAlgebra
 from reference_invariants import ReferenceCoinduced
 from superlie import invariants
 from superlie import linalg as la
+from superlie.cli import parse_config, run_experiment
 from superlie.gf import field_create
 from superlie.liesuper import build_algebra
 from superlie.rootsys import InvariantViolation
@@ -305,6 +307,34 @@ def test_ideal_survey_gl11():
     assert rep["all_closures_divisible"]
     # the alternating seed scheme produces at least one nontrivial closure
     assert any(c["codim"] >= 4 for c in rep["closures"])
+
+
+def test_ideal_survey_bench_config_reads_codims_without_elimination(monkeypatch):
+    """One run of the ideal_survey bench config (osp(1|2), p = 3, the golden
+    osp12_p3_sym_bench_s3) reads all eleven graded codimensions off reduced
+    echelon rows: no rref call from graded_codims, at most 144 in all (177
+    when each took three ranks)."""
+    calls, inside = Counter(), []
+    rref, graded = la.rref, invariants.graded_codims
+
+    def counted_rref(F, mat):
+        calls["graded_codims" if inside else "elsewhere"] += 1
+        return rref(F, mat)
+
+    def flagged(model, rows):
+        calls["codims"] += 1
+        inside.append(True)
+        try:
+            return graded(model, rows)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(la, "rref", counted_rref)
+    monkeypatch.setattr(invariants, "graded_codims", flagged)
+    golden = Path(__file__).resolve().parent / "golden" / "osp12_p3_sym_bench_s3.ini"
+    code, bundle, _ = run_experiment(parse_config(golden.read_text()))
+    assert code == 0 and bundle["sym"]["passed"]
+    assert calls["codims"] == 11 and calls["graded_codims"] == 0
+    assert 0 < calls["elsewhere"] <= 144
 
 
 def test_largest_ideal_matches_shrinking_reference():

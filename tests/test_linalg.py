@@ -11,7 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 
 import reference_linalg as ref
 from reference_verma import ambient_rows, parity_shift_glue
-from superlie.gf import field_create
+from superlie.gf import MAX_FIELD_ORDER, Field, field_create, is_prime
 from superlie import linalg as la
 from superlie.invariants import graded_codims
 from superlie.liesuper import build_algebra
@@ -375,6 +375,43 @@ def test_echelon_basis_extend_and_reduce(data):
         F, basis.rows, probe)
 
 
+def _check_residue_updates(F, mat, block):
+    """``rref`` and ``EchelonBasis.reduce``/``extend`` against their
+    table-driven oracles: the same echelon rows, pivots and residues."""
+    red, pivots = la.rref(F, mat)
+    want_red, want_pivots = ref.rref_tables(F, mat)
+    assert np.array_equal(red, want_red) and pivots == want_pivots
+    n = mat.shape[1]
+    basis, oracle = la.EchelonBasis(F, la.zeros((0, n))), ref.EchelonBasisTables(F, la.zeros((0, n)))
+    assert np.array_equal(basis.extend(mat), oracle.extend(mat))
+    assert np.array_equal(basis.reduce(block), oracle.reduce(block))
+    assert np.array_equal(basis.extend(block), oracle.extend(block))
+    assert np.array_equal(basis.rows, oracle.rows)
+    assert np.array_equal(basis.pivots, oracle.pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_residue_row_updates_match_table_reference(data):
+    F = field_create(*data.draw(st.sampled_from(FIELDS)))
+    n = data.draw(st.integers(0, 7))
+    mat = data.draw(matrices(F, data.draw(st.integers(0, 7)), n))
+    block = data.draw(matrices(F, data.draw(st.integers(0, 4)), n))
+    _check_residue_updates(F, mat, block)
+
+
+def test_residue_row_updates_near_the_largest_field_order():
+    # every c·y < p² < 2⁴⁰ of the largest prime field fits int64
+    p = max(q for q in range(MAX_FIELD_ORDER - 64, MAX_FIELD_ORDER) if is_prime(q))
+    F = Field(p)  # uncached: its scalar lists take about 350 MB until the test ends
+    rng = np.random.default_rng(11)
+    for rows, cols, rank in [(6, 9, 4), (9, 6, 5), (8, 8, 8), (7, 10, 2)]:
+        low = la.matmul(F, random_codes(F, rng, (rows, rank)), random_codes(F, rng, (rank, cols)))
+        low[0] = rng.integers(p - 3, p, cols)  # codes at the top of the range
+        block = np.concatenate([low[1:3], random_codes(F, rng, (2, cols))])
+        _check_residue_updates(F, low, block)
+
+
 # -- array-built systems against the entry-by-entry loops they replaced ------
 
 
@@ -507,6 +544,52 @@ def test_graded_codims_match_intersection_reference(data):
             graded_codims(model, rows)
         return
     assert graded_codims(model, rows) == want
+
+
+def _counted_rref(mp):
+    """Wrap ``la.rref``; returns the list its calls append to."""
+    calls, rref = [], la.rref
+
+    def counted(F, mat):
+        calls.append(np.shape(mat))
+        return rref(F, mat)
+    mp.setattr(la, "rref", counted)
+    return calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_graded_codims_on_reduced_rows_match_unreduced_and_reference(data):
+    F = field_create(*data.draw(st.sampled_from(FIELDS)))
+    n = data.draw(st.integers(0, 8))
+    parities = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                        dtype=np.int64)
+    rows = data.draw(matrices(F, data.draw(st.integers(0, 6)), n))
+    rows[::2, parities == 1] = 0  # homogeneous rows, so a graded span
+    rows[1::2, parities == 0] = 0
+    mix = data.draw(matrices(F, rows.shape[0], rows.shape[0]))
+    unreduced = np.concatenate([la.matmul(F, mix, rows), rows])
+    reduced = la.row_space_basis(F, unreduced)
+    model = SimpleNamespace(F=F, n=n, parities=parities)
+    want = ref.graded_codims_intersect(F, parities, unreduced)
+    assert graded_codims(model, unreduced) == want
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counted_rref(mp)
+        assert graded_codims(model, reduced) == want
+        assert graded_codims(model, reduced[::-1]) == want  # reduced in another order
+    assert calls == []
+
+
+def test_graded_codims_rejects_a_reduced_row_that_mixes_parities(monkeypatch):
+    F = field_create(3, 1)
+    model = SimpleNamespace(F=F, n=4, parities=np.array([0, 1, 0, 1], dtype=np.int64))
+    calls = _counted_rref(monkeypatch)
+    # reduced echelon rows; the first has an even pivot and an odd entry
+    rows = np.array([[1, 0, 0, 2], [0, 1, 0, 0]], dtype=np.int64)
+    with pytest.raises(InvariantViolation, match="not graded"):
+        graded_codims(model, rows)
+    assert calls == []  # read off the rows as given
+    assert graded_codims(model, np.array([[1, 0, 2, 0], [0, 1, 0, 2]])) == (1, 1, 2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -49,6 +49,13 @@ def pbw_add(U: DeformedAlgebra, a: dict, b: dict) -> dict:
     return out
 
 
+def pbw_sub(U: DeformedAlgebra, a: dict, b: dict) -> dict:
+    """The difference a - b of two PBW elements of U."""
+    out = dict(a)
+    U._accum(out, b, U.F.neg(1))
+    return out
+
+
 def pbw_scale(U: DeformedAlgebra, c: int, a: dict) -> dict:
     """The multiple c * a of a PBW element of U, for a field code c."""
     c = int(c) % U.F.q
