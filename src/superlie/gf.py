@@ -29,6 +29,26 @@ _SMALL_TABLE_MAX = 512  # build full q x q scalar tables below this order
 # the next one, GF(11^11), would hold 2.9e11 codes.
 MAX_FIELD_ORDER = 2 ** 20
 
+# Fewest elements at which x − p·(x // p) beats np.remainder: numpy divides
+# int64 by a scalar through libdivide (multiplication by a precomputed
+# inverse, Granlund and Montgomery 1994), np.remainder does not.  Single-
+# threaded on a 2-vCPU Xeon, numpy 2.4, mod 3, in place: 95 elements 1.0
+# (remainder) vs 1.8 µs, 384 2.2 vs 2.5 µs, 640 3.2 vs 3.2 µs, 1,024 4.9 vs
+# 4.1 µs, 6,480 27 vs 17 µs, 30,000 122 vs 64 µs; mod 1,048,573 the same.
+MOD_DIV_MIN_SIZE = 640
+
+
+def mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """The exact integers of x reduced mod p, as int64, reduced in place; on
+    all of int64, since x − p·(x // p) lies in [0, p) even where int64 wraps."""
+    x = x.astype(np.int64, copy=False)
+    if x.size < MOD_DIV_MIN_SIZE:
+        return np.remainder(x, p, out=x)
+    quotient = x // p
+    quotient *= p
+    x -= quotient
+    return x
+
 
 def is_prime(n: int) -> bool:
     return n >= 2 and _prime_divisors(n) == [n]
@@ -318,7 +338,7 @@ class Field:
             return self._add_np[a, b]
         da = self._digits[a]
         db = self._digits[b]
-        return self._encode_arr((da + db) % self.p)
+        return self._encode_arr(mod_p(da + db, self.p))
 
     def sub_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.add_arr(a, self._neg[b])

@@ -4,11 +4,12 @@ Matrices are 2-D ``int64`` arrays whose entries are field codes for a given
 :class:`~superlie.gf.Field`.  A matrix product is one exact product mod p,
 of the codes of a prime field or of the digit planes of GF(p^k): in float64
 through BLAS if large and every sum stays below 2⁵³, else in ``int64``,
-reduced mod p in place.  Over GF(p^k), (n, m) x (m, r) expands its k²
-digit products on whichever face is smallest: n·m, with the left factor as
-the GF(p)-matrix of multiplication by its entries; m·r, the same for the
-right factor; or n·r, where all k² plane products come out of one product
-and the reduction tensor of the power basis folds them into k digits.
+reduced by ``gf.mod_p`` in place.  Over GF(p^k), (n, m) x (m, r) expands
+its k² digit products on whichever face is smallest: n·m, with the left
+factor as the GF(p)-matrix of multiplication by its entries; m·r, the same
+for the right factor; or n·r, where all k² plane products come out of one
+product and the reduction tensor of the power basis folds them into k
+digits.  ``_right_factor`` expands a right factor once for many products.
 Gauss elimination updates rows mod p over a prime field, else through the
 field's tables; ``nonsingular`` runs it on a stack of small square matrices.
 
@@ -16,18 +17,20 @@ Every subspace is computed one way: ``rref`` gives ranks, kernels, solutions
 and row-space bases, and ``EchelonBasis`` reduces and extends a basis kept
 in reduced echelon form.  Operators come as one (K, n, n) ``int64`` stack,
 and every invariant subspace is a closure under it, each round mapping its
-whole frontier by one product: the largest stable subspace is the
-annihilator of the closure of the ambient's annihilator under the
-transposed stack, a view.  Systems are assembled from whole arrays; the odd
-supercommutant of a simple module is spun from one seed, in the unknowns of
-T·e_0 its caller names, not n².
+whole frontier by one product with the stack, expanded once per call: the
+largest stable subspace is the annihilator of the closure of the ambient's
+annihilator under the transposed stack, a view.  Systems are assembled from
+whole arrays; the odd supercommutant of a simple module is spun from one
+seed, in the unknowns of T·e_0 its caller names, not n².
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .gf import Field
+from .gf import Field, mod_p
 
 
 class InvariantViolation(Exception):
@@ -73,25 +76,35 @@ def fits_float64(p: int, m: int) -> bool:
 FLOAT64_MIN_MACS = 2 ** 14
 
 
-def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
-    """The exact integers of x reduced mod p, as int64, reduced in place."""
-    x = x.astype(np.int64, copy=False)
-    return np.remainder(x, p, out=x)
+def _right_factor(F: Field, b: np.ndarray, rows: int):
+    """x ↦ x·b over F for b of shape (m, …), its trailing axes read as one,
+    expanded once: over GF(p^k) its digit planes, row (j, s) digit j of b[s].
+    Float64 when x·b of ``rows`` rows makes FLOAT64_MIN_MACS multiply-adds
+    and every sum stays below 2⁵³, else int64."""
+    k, p = F.k, F.p
+    m, r = b.shape[0], math.prod(b.shape[1:])
+    large = rows * k * k * m * r >= FLOAT64_MIN_MACS and fits_float64(p, k * m)
+    if not large:
+        check_int64_matmul(p, (rows * k, k * m), (k * m, r))
+    dtype = np.float64 if large else np.int64
+    rhs = np.ascontiguousarray(b if k == 1 else F._digits.T[:, b], dtype=dtype).reshape(k * m, r)
 
+    def times(x: np.ndarray) -> np.ndarray:
+        n = x.shape[0]
+        if k > 1:  # (digits @ W)[..., j, t] is digit t of (entry · x^j)
+            x = (F._digits[x] @ F._mul_tensor.reshape(k, k * k)).reshape(n, m, k, k).transpose(0, 3, 2, 1)
+            x = mod_p(x.reshape(n * k, k * m), p)  # row (i, t), column (j, s)
+        out = mod_p(x.astype(dtype, copy=False) @ rhs, p)
+        return out if k == 1 else out.reshape(n, k, r).transpose(0, 2, 1) @ F._pows
 
-def _residue_product(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b mod p`` for matrices of residues mod p, exact."""
-    if a.shape[0] * a.shape[1] * b.shape[1] >= FLOAT64_MIN_MACS and fits_float64(p, a.shape[1]):
-        return _mod_p(a.astype(np.float64) @ b.astype(np.float64), p)
-    check_int64_matmul(p, a.shape, b.shape)
-    return _mod_p(a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False), p)
+    return times
 
 
 def _sub_scaled(F: Field, x: np.ndarray, y: np.ndarray, c=None) -> np.ndarray:
     """x − c·y element-wise over F (x − y without c): over a prime field, whose
     codes are the residues, (x − c·y) mod p in int64, exact as c·y < p² ≤ 2⁴⁰."""
     if F.k == 1:
-        return _mod_p(x - (y if c is None else c * y), F.p)
+        return mod_p(x - (y if c is None else c * y), F.p)
     return F.sub_arr(x, y if c is None else F.mul_arr(c, y))
 
 
@@ -103,38 +116,24 @@ def matmul(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m2, r = b.shape
     if m != m2:
         raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
-    if F.k == 1:
-        return _residue_product(F.p, a, b)  # prime-field codes are the residues
     # GF(p^k) as k digit planes over GF(p): the k² digit products expand the
-    # smallest face, n·r on ties.  W is symmetric in its first two indices,
-    # so one reshape serves both sides: (digits @ Wk)[..., j, t] is digit t
-    # of (entry · x^j).
+    # smallest face, n·r on ties, else n·m; m·r is n·m of (a·b)ᵀ = bᵀ·aᵀ
+    if F.k == 1 or n * r > min(n * m, m * r):
+        return _right_factor(F, b, n)(a) if F.k == 1 or n <= r else _right_factor(F, a.T, r)(b.T).T
+    # n·r: every plane product, then the reduction tensor W on the result
     k, p = F.k, F.p
-    Wk = F._mul_tensor.reshape(k, k * k)
-    if n * r <= min(n * m, m * r):  # n·r: every plane product, then W on the result
-        lhs = F._digits[a].transpose(2, 0, 1).reshape(k * n, m)  # row (j, i)
-        rhs = F._digits[b].reshape(m, r * k)  # column (c, t)
-        W = Wk.reshape(k * k, k)
-        # each result sums k²·m digit products (< (p−1)²) times an entry of W (< p)
-        if fits_float64(p, k * k * m * (p - 1)):
-            planes = lhs.astype(np.float64) @ rhs.astype(np.float64)
-            W = W.astype(np.float64)
-        else:
-            check_int64_matmul(p, lhs.shape, rhs.shape)
-            planes = _mod_p(lhs @ rhs, p)
-        planes = planes.reshape(k, n, r, k).transpose(1, 2, 0, 3).reshape(n * r, k * k)
-        out = _mod_p(planes @ W, p).reshape(n, r, k)
-    elif n <= r:  # n·m: a as the GF(p)-matrix of multiplication by its entries
-        lhs = (F._digits[a] @ Wk).reshape(n, m, k, k).transpose(0, 3, 1, 2)
-        lhs = lhs.reshape(n * k, m * k) % p  # row (i, t), column (s, j)
-        rhs = F._digits[b].transpose(0, 2, 1).reshape(m * k, r)
-        out = _residue_product(p, lhs, rhs).reshape(n, k, r).transpose(0, 2, 1)
-    else:  # m·r: b as the GF(p)-matrix of multiplication by its entries
-        lhs = F._digits[a].reshape(n, m * k)
-        rhs = (F._digits[b] @ Wk).reshape(m, r, k, k).transpose(0, 2, 1, 3)
-        rhs = rhs.reshape(m * k, r * k) % p  # row (s, j), column (c, t)
-        out = _residue_product(p, lhs, rhs).reshape(n, r, k)
-    return out @ F._pows
+    lhs = F._digits[a].transpose(2, 0, 1).reshape(k * n, m)  # row (j, i)
+    rhs = F._digits[b].reshape(m, r * k)  # column (c, t)
+    W = F._mul_tensor.reshape(k * k, k)
+    # each result sums k²·m digit products (< (p−1)²) times an entry of W (< p)
+    if fits_float64(p, k * k * m * (p - 1)):
+        planes = lhs.astype(np.float64) @ rhs.astype(np.float64)
+        W = W.astype(np.float64)
+    else:
+        check_int64_matmul(p, lhs.shape, rhs.shape)
+        planes = mod_p(lhs @ rhs, p)
+    planes = planes.reshape(k, n, r, k).transpose(1, 2, 0, 3).reshape(n * r, k * k)
+    return mod_p(planes @ W, p).reshape(n, r, k) @ F._pows
 
 
 def matvec(F: Field, a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -276,7 +275,8 @@ def closure_under_operators(F: Field, seed_rows: np.ndarray, ops: np.ndarray) ->
 
     Operators act on column vectors; rows of the result are an echelon basis.
     Each round maps the rows the previous round added (the frontier) under
-    every operator with one product, frontier · [A_1ᵀ | … | A_Kᵀ], until no
+    every operator with one product, frontier · [A_1ᵀ | … | A_Kᵀ], its right
+    factor expanded once, straight from the stack or its view, until no
     image leaves the current span or the span is the whole space.  A round
     whose K·f images (f frontier rows) total at most n rows extends the
     basis once with all of them, a larger one once per operator; both add
@@ -290,12 +290,12 @@ def closure_under_operators(F: Field, seed_rows: np.ndarray, ops: np.ndarray) ->
     """
     seed_rows = np.asarray(seed_rows, dtype=np.int64)
     K, n = ops.shape[0], seed_rows.shape[1]
-    transposed = ops.reshape(K * n, n).T  # [A_1ᵀ | … | A_Kᵀ]: a view of a contiguous stack
+    times = _right_factor(F, ops.transpose(2, 0, 1), 1)  # x ↦ x·[A_1ᵀ | … | A_Kᵀ]
     basis = EchelonBasis(F, zeros((0, n)))
     frontier = basis.extend(seed_rows)
     while frontier.shape[0] and basis.rows.shape[0] < n:
         f = frontier.shape[0]
-        images = matmul(F, frontier, transposed).reshape(f, K, n).transpose(1, 0, 2)
+        images = times(frontier).reshape(f, K, n).transpose(1, 0, 2)
         if K * f <= n:
             frontier = basis.extend(images.reshape(K * f, n))
         else:
@@ -328,7 +328,8 @@ def supercommutant_basis(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray,
     s_a = −1 for the odd operators and the involution, else 1.
 
     Solved by spinning (Parker's Meat-Axe).  The seed v = e_0 spins into a
-    basis B = [b_i].  Where b_i = A_a·b_j, T·b_i = s_a·A_a·T·b_j, so
+    basis B = [b_i], each round by one product Xᵀ·[A_1ᵀ | … | A_Kᵀ] with the
+    stack expanded once.  Where b_i = A_a·b_j, T·b_i = s_a·A_a·T·b_j, so
     T·b_i = M_i·u for word matrices M_i, with r = len(coords) columns, the
     unknowns of u.  With C_a = B⁻¹·A_a·B the relations read
     Σ_i C_a[i, j]·M_i·u = s_a·A_a·M_j·u, and T = [M_i·u]·B⁻¹.  With no
@@ -339,8 +340,9 @@ def supercommutant_basis(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray,
     n, r = parity_op.shape[0], len(coords)
     if n == 0:
         return zeros((0, 0, 0))
-    stacked = np.concatenate([even_ops, odd_ops, parity_op[None]]).reshape(-1, n).astype(np.int64)
-    K = stacked.shape[0] // n
+    ops = np.concatenate([even_ops, odd_ops, parity_op[None]])
+    K = ops.shape[0]
+    times = _right_factor(F, ops.transpose(2, 0, 1), 1)  # x ↦ x·[A_1ᵀ | … | A_Kᵀ]
     signed = np.arange(K) >= len(even_ops)  # s_a = −1
     # each spun vector b_i beside its word matrix M_i: aug[i] = [b_i | M_i]
     aug, fresh, rounds = np.concatenate([eye(n)[:, :1], eye(n)[:, coords]], axis=1)[None], [0], []
@@ -350,7 +352,8 @@ def supercommutant_basis(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray,
             return zeros((0, n, n))
         # A_a·b_j beside s_a·A_a·M_j for the frontier, in one product
         f = len(fresh)
-        images = matmul(F, stacked, aug[fresh].transpose(1, 0, 2).reshape(n, -1)).reshape(K, n, f, -1)
+        images = times(aug[fresh].transpose(0, 2, 1).reshape(-1, n)).reshape(f, -1, K, n)
+        images = images.transpose(2, 3, 0, 1)  # [a, i, j, c]
         images[signed, :, :, 1:] = F.neg_arr(images[signed, :, :, 1:])
         rounds.append(images)
         if m == n:  # a last round only records the images

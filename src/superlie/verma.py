@@ -110,7 +110,7 @@ import numpy as np
 
 from . import linalg as la
 from .envelope import DeformedAlgebra
-from .gf import MAX_FIELD_ORDER, Field, field_create
+from .gf import MAX_FIELD_ORDER, Field, field_create, mod_p
 from .liesuper import LieSuperalgebra, PCharacter
 from .rootsys import InvariantViolation, SimpleSystem, phi_prime_eval
 
@@ -387,7 +387,7 @@ class VermaSystem:
         digits = la.zeros((positions.size, F.k))
         np.add.at(digits, where, F._digits[values])
         stack = la.zeros(self.g.dim * self.dim ** 2)
-        stack[positions] = digits % F.p @ F._pows
+        stack[positions] = mod_p(digits, F.p) @ F._pows
         stack = stack.reshape(self.g.dim, self.dim, self.dim)
         stack.flags.writeable = False
         return stack

@@ -16,6 +16,8 @@ caller names, which ``verma.walls_type`` reads off e_0's weight space.
 ``rref_tables`` and ``EchelonBasisTables`` keep the elimination and the
 echelon updates with every row update through the field's tables, which
 prime fields replaced with updates on residues mod p.
+``mod_p_remainder`` is the reduction mod p as ``np.remainder`` alone, before
+large arrays were reduced by floor division.
 The largest stable subspace is kept as the shrinking iteration that the
 annihilator of one transposed closure replaced; it solves a new kernel with
 ``linalg.nullspace`` at every step and never calls the closure.  ``solve``
@@ -49,6 +51,11 @@ def matmul_loop(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             continue
         out[nz] = F.add_arr(out[nz], F.mul_arr(col[nz, None], b[i][None, :]))
     return out
+
+
+def mod_p_remainder(x: np.ndarray, p: int) -> np.ndarray:
+    """The exact integers of x reduced mod p, as int64, by ``np.remainder``."""
+    return np.remainder(np.asarray(x).astype(np.int64), p)
 
 
 def row_space_basis(F: Field, mat: np.ndarray) -> np.ndarray:

@@ -11,13 +11,13 @@ from sympy.polys.matrices import DomainMatrix
 
 import reference_linalg as ref
 from reference_verma import ambient_rows, parity_shift_glue
-from superlie.gf import MAX_FIELD_ORDER, Field, field_create, is_prime
+from superlie.gf import MAX_FIELD_ORDER, MOD_DIV_MIN_SIZE, Field, field_create, is_prime, mod_p
 from superlie import linalg as la
 from superlie.invariants import graded_codims
 from superlie.liesuper import build_algebra
 from superlie.rootsys import InvariantViolation
 from superlie.verma import VermaSystem, lambda_set, walls_type
-from tooling import module, random_codes
+from tooling import module, random_codes, simple_heads, spy_on_right_factors
 
 
 def random_matrix(F, rng, shape):
@@ -671,10 +671,11 @@ def test_product_past_float64_bound_stays_exact_in_int64():
     p = 2 ** 31 - 1
     a = np.full((128, 1), p - 1, dtype=np.int64)
     b = np.full((1, 128), p - 2, dtype=np.int64)
+    F = SimpleNamespace(p=p, k=1)  # above MAX_FIELD_ORDER; the product reads p and k only
     assert 128 * 128 >= la.FLOAT64_MIN_MACS and not la.fits_float64(p, 1)
-    assert (la._residue_product(p, a, b) == (p - 1) * (p - 2) % p).all()
+    assert (la._right_factor(F, b, 128)(a) == (p - 1) * (p - 2) % p).all()
     with pytest.raises(OverflowError, match="2⁶³"):
-        la._residue_product(p, np.ones((128, 3), np.int64), np.ones((3, 128), np.int64))
+        la._right_factor(F, np.ones((3, 128), np.int64), 128)
 
 
 # -- the three faces of a GF(p^k) product, and the stacked nonsingular test ---
@@ -696,9 +697,9 @@ def test_matmul_faces_match_loop_reference(p, k, float64, monkeypatch):
     rng = np.random.default_rng(p * k)
     if not float64:
         monkeypatch.setattr(la, "fits_float64", lambda p, m: False)
-    residue = la._residue_product
+    right_factor = la._right_factor
     calls = []
-    monkeypatch.setattr(la, "_residue_product", lambda *args: calls.append(1) or residue(*args))
+    monkeypatch.setattr(la, "_right_factor", lambda *args: calls.append(1) or right_factor(*args))
     for n, m, r in FACE_SHAPES:
         for extreme in (False, True):  # the largest codes reach the largest sums
             a, b = random_codes(F, rng, (n, m)), random_codes(F, rng, (m, r))
@@ -833,3 +834,103 @@ def test_closures_on_module_stacks_match_references(monkeypatch):
             assert np.array_equal(
                 stable, ref.largest_stable_subspace_shrinking(F, ambient, list(view)))
     assert kinds == {True, False} and proper == {True, False}
+
+
+# -- one reduction mod p, and each operator stack expanded once --------------
+
+MOD_PRIMES = sorted({p for p, _ in FIELDS}) + [1048573]
+MOD_SIZES = [0, 1, 95, MOD_DIV_MIN_SIZE - 1, MOD_DIV_MIN_SIZE, MOD_DIV_MIN_SIZE + 1,
+             3 * MOD_DIV_MIN_SIZE]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mod_p_matches_remainder_reference(data):
+    """Any int64, the ranges that row updates and products reach, and exact
+    float64 integers below 2⁵³, on both sides of MOD_DIV_MIN_SIZE."""
+    p, size = data.draw(st.sampled_from(MOD_PRIMES)), data.draw(st.sampled_from(MOD_SIZES))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    kind = data.draw(st.sampled_from(["int64", "residues", "float64"]))
+    if kind == "int64":
+        info = np.iinfo(np.int64)
+        x = rng.integers(info.min, info.max, size, dtype=np.int64, endpoint=True)
+        x[: 4] = [info.min, info.max, -p, p][: size]
+    elif kind == "residues":  # x − c·y of a row update up to a product's m·(p−1)²
+        x = rng.integers(-(p - 1) ** 2, 10 ** 4 * (p - 1) ** 2, size, dtype=np.int64)
+    else:
+        bound = (2 ** 53 - 1) // (p - 1) ** 2 * (p - 1) ** 2  # a fits_float64 sum
+        assert la.fits_float64(p, bound // (p - 1) ** 2)
+        x = rng.integers(-bound, bound, size, endpoint=True).astype(np.float64)
+        x[: 2] = [bound, -bound][: size]
+    want = ref.mod_p_remainder(x, p)
+    got = mod_p(x.copy(), p)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    if kind != "float64":
+        assert mod_p(x, p) is x  # reduced in place
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_right_factor_products_match_matmul(data):
+    """x ↦ x·b over GF(p), GF(9) and GF(5⁵), for frontiers of zero rows up,
+    with b given as a (m, K, n) view with its trailing axes read as one."""
+    F = field_create(*data.draw(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 5)])))
+    m, K, n = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 3)), data.draw(st.integers(0, 7))
+    ops = data.draw(matrices(F, K * n, m)).reshape(K, n, m)
+    b = ops.transpose(2, 0, 1)  # [A_1ᵀ | … | A_Kᵀ] as a view, as the closure passes it
+    wide = b.reshape(m, K * n)
+    times = la._right_factor(F, b, data.draw(st.integers(1, 2 ** 12)))
+    for rows in (0, data.draw(st.integers(1, 6))):
+        x = data.draw(matrices(F, rows, m))
+        got = times(x)
+        assert got.dtype == np.int64 and got.shape == (rows, K * n)
+        assert np.array_equal(got, la.matmul(F, x, wide))
+        assert np.array_equal(got, ref.matmul_loop(F, x, wide))
+
+
+def stack_expansions(expansions) -> list:
+    """The (shape, products) of each whole operator stack expanded: the
+    closure and the spin pass a (n, K, n) view, a product a matrix."""
+    return [tuple(e) for e in expansions if len(e[0]) == 3]
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 5)])
+def test_closure_expands_its_stack_once(p, k, monkeypatch):
+    """A shift and its multiples move e_0 one coordinate per round: n − 1
+    rounds, one expansion of the stack, and one for the transposed stack of
+    a largest stable subspace."""
+    F = field_create(p, k)
+    n, K = 12, 3
+    shift = np.eye(n, k=-1, dtype=np.int64)
+    ops = np.stack([shift, F.smul_arr(2, shift), np.triu(random_codes(F, np.random.default_rng(k), (n, n)))])
+    expansions = spy_on_right_factors(monkeypatch)
+    got = la.closure_under_operators(F, la.eye(n)[:1], ops)
+    assert got.shape[0] == n
+    assert stack_expansions(expansions) == [((n, K, n), n - 1)]
+    expansions.clear()
+    la.largest_stable_subspace(F, la.eye(n)[:-1], ops)
+    ((shape, rounds),) = stack_expansions(expansions)
+    assert shape == (n, K, n) and rounds >= 1
+
+
+@pytest.mark.parametrize("p,chi", [(3, "zero"), (5, "regular")])
+def test_spin_expands_its_stack_once(p, chi, monkeypatch):
+    """One expansion of the (K, n, n) stack per supercommutant_basis call,
+    however many rounds the spin of e_0 runs, on gl(2|1) heads over GF(3)
+    and GF(5⁵)."""
+    g = build_algebra("gl(2|1)", field_create(p))
+    chi = g.chi_zero() if chi == "zero" else g.chi_regular_semisimple()
+    parities = np.asarray(g.parities)
+    expansions = spy_on_right_factors(monkeypatch)
+    heads = 0
+    for F, ops, parity_op in itertools.islice(simple_heads(g, chi), 4):
+        n = parity_op.shape[0]
+        if n < 3:
+            continue
+        expansions.clear()
+        coords = np.arange(1, n)[parity_op.diagonal()[1:] != parity_op[0, 0]][:2]
+        la.supercommutant_basis(F, ops[parities == 0], ops[parities == 1], parity_op, coords)
+        ((shape, rounds),) = stack_expansions(expansions)
+        assert shape == (n, len(ops) + 1, n) and rounds >= 2
+        heads += 1
+    assert heads

@@ -20,6 +20,27 @@ def random_codes(F: Field, rng: np.random.Generator, size=None) -> np.ndarray:
     return rng.integers(0, F.q, size=size, dtype=np.int64)
 
 
+def spy_on_right_factors(monkeypatch) -> list:
+    """One [shape, products] entry for every right factor that
+    ``linalg._right_factor`` expands from now on: the factor's shape, and
+    how many products were made with its expansion so far."""
+    expansions = []
+    right_factor = la._right_factor
+
+    def spy(F, b, rows):
+        times, entry = right_factor(F, b, rows), [b.shape, 0]
+        expansions.append(entry)
+
+        def counted(x):
+            entry[1] += 1
+            return times(x)
+
+        return counted
+
+    monkeypatch.setattr(la, "_right_factor", spy)
+    return expansions
+
+
 def pbw_indexed(U: DeformedAlgebra, a: dict) -> dict:
     """The element a of U, given as {exponent tuple: coeff}, as {PBW index: coeff}."""
     return {sum(e * w for e, w in zip(m, U._weight)): c for m, c in a.items()}
