@@ -11,17 +11,22 @@ closure) on one (K, n, n) operator stack per algebra: the multiplications
 from one side, the g-action, then the parity involution.  Both stacks are
 read off tables the engine already has: F(g, q)'s from one coproduct per
 coset monomial and U's right multiplications, S_xi's from its right
-multiplications and derivations.  It reports graded and total codimensions
-read off the ideal's reduced echelon rows: each row is homogeneous, and the
-even and the odd pivots count the dimensions of the two parts.
+multiplications and derivations.  F(g, q)'s stack is checked against the
+relations it must satisfy: g's brackets and p-th powers (chi = 0) on the
+g-action rows, and supercommutativity and associativity, the dual of the
+coproduct's coassociativity, on the multiplication rows.  Each relation
+is checked for every pair at once, from stacked products, and a failure
+is reported by the name of the first relation broken.  It reports graded
+and total codimensions read off the ideal's reduced echelon rows: each row
+is homogeneous, and the even and the odd pivots count the dimensions of
+the two parts.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,27 +75,6 @@ def comultiply_monomial(U: DeformedAlgebra, m: tuple) -> dict:
     return {k: c for k, (c, _) in terms.items()}
 
 
-def check_coassociativity(U: DeformedAlgebra, monomials: Sequence[tuple]) -> bool:
-    F = U.F
-    # Delta of each monomial once per call
-    delta_of = functools.lru_cache(maxsize=None)(lambda m: comultiply_monomial(U, m))
-    for m in monomials:
-        left: dict = {}
-        right: dict = {}
-        for (m1, m2), c in delta_of(m).items():
-            for (a, b), v in delta_of(m1).items():
-                key = (a, b, m2)
-                left[key] = F.add(left.get(key, 0), F.mul(c, v))
-            for (a, b), v in delta_of(m2).items():
-                key = (m1, a, b)
-                right[key] = F.add(right.get(key, 0), F.mul(c, v))
-        left = {k: v for k, v in left.items() if v}
-        right = {k: v for k, v in right.items() if v}
-        if left != right:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # coinduced function algebras
 
@@ -116,9 +100,7 @@ class CoinducedAlgebra:
         order = q_indices + coset_even + coset_odd
         self.n_q = len(q_indices)
         self.U = DeformedAlgebra(g, g.chi_zero(), lam=1, order=order)
-        self.coset_slots = list(range(self.n_q, g.dim))
-        caps = [self.U.slot_cap[s] for s in self.coset_slots]
-        self.basis = [tuple(t) for t in itertools.product(*[range(c) for c in caps])]
+        self.basis = list(itertools.product(*map(range, self.U.slot_cap[self.n_q:])))
         self.index = {b: i for i, b in enumerate(self.basis)}
         # N_b = b! and the parity of f_b, for every coset monomial b
         self._norms = [math.prod(map(math.factorial, b)) % g.p for b in self.basis]
@@ -140,44 +122,13 @@ class CoinducedAlgebra:
     # -- indexing helpers ------------------------------------------------------
 
     def full_monomial(self, coset_exps: tuple) -> tuple:
-        m = [0] * self.U.n_slots
-        for s, e in zip(self.coset_slots, coset_exps):
-            m[s] = e
-        return tuple(m)
-
-    def split(self, m: tuple) -> Optional[tuple]:
-        """Coset exponents if the q-part of m is trivial, else None."""
-        if any(m[s] for s in range(self.n_q)):
-            return None
-        return tuple(m[s] for s in self.coset_slots)
+        """The exponents in U of a coset monomial: the q slots come first."""
+        return (0,) * self.n_q + tuple(coset_exps)
 
     def dimension(self) -> int:
         return len(self.basis)
 
-    # -- evaluation and the operator model -------------------------------------
-
-    def evaluate(self, f: dict, u: dict) -> int:
-        """Apply the functional f, as {coset index: coeff} over the dual basis,
-        to an element u of U_chi(g).  The q slots come first in the PBW order,
-        so the monomials of U with trivial q-part are its indices below n, each
-        the coset monomial of the same index, and f vanishes on the others."""
-        F = self.F
-        total = 0
-        for m, c in u.items():
-            fv = f.get(m)
-            if fv:
-                total = F.add(total, F.mul(F.mul(c, fv), self._norms[m]))
-        return total
-
-    def duality_check(self) -> bool:
-        """f_(a,b)(e^(a',b')) = a! delta on the full dual-basis grid."""
-        n = len(self.basis)
-        for i in range(n):
-            for j in range(n):
-                expected = self._norms[i] if i == j else 0
-                if self.evaluate({i: 1}, {j: 1}) != expected:
-                    return False
-        return True
+    # -- the operator model and its relations ----------------------------------
 
     def operator_model(self) -> "OperatorModel":
         """The stack read off one coproduct per coset monomial and U's
@@ -196,8 +147,9 @@ class CoinducedAlgebra:
         ops = la.zeros((n + d + 1, n, n))  # multiplications, the g-action, then sigma
         for c, mono in enumerate(self.basis):
             inv_c = F.inv(norms[c])
+            # the coproduct splits the letters of e^c, so neither factor has a q-letter
             for (m1, m2), v in comultiply_monomial(U, self.full_monomial(mono)).items():
-                a, b = self.index[self.split(m1)], self.index[self.split(m2)]
+                a, b = self.index[m1[self.n_q:]], self.index[m2[self.n_q:]]
                 v = F.mul(F.mul(v, inv_c), F.mul(norms[a], norms[b]))
                 ops[a, c, b] = F.neg(v) if par[a] and par[b] else v
             for x in range(d):
@@ -211,10 +163,24 @@ class CoinducedAlgebra:
         aug[0] = 1  # f |-> f(1) reads the coefficient of f_0, the unit
         return OperatorModel(self.F, parities, ops, aug)
 
-    def is_g_simple(self) -> bool:
-        model = self.operator_model()
-        ideal = largest_proper_invariant_ideal(model)
-        return ideal.shape[0] == 0
+    def relation_failures(self, model: "OperatorModel") -> list[str]:
+        """The relations that the stack of ``operator_model`` breaks, as names,
+        in order: g's defining relations on the g-action rows
+        (``LieSuperalgebra.relation_failures``), then, on the multiplication
+        rows L_a, f_a·f_b = (−1)^{|a||b|}·f_b·f_a and L_a·L_b = Σ_c (f_a·f_b)_c·L_c
+        for every pair.  This associativity is dual to the coassociativity of
+        Δ, so a wrong Koszul sign in ``comultiply_monomial`` breaks it."""
+        F, n, g = self.F, self.dimension(), self.g
+        failures = g.relation_failures(model.ops[n:n + g.dim])
+        mults, odd = model.ops[:n], model.parities == 1
+        prods = mults.transpose(0, 2, 1)  # prods[a, b]: the coordinates of f_a·f_b
+        swapped = prods.transpose(1, 0, 2)
+        swapped = np.where(np.outer(odd, odd)[:, :, None], F.neg_arr(swapped), swapped)
+        failures += [f"supercommutative({a},{b})"
+                     for a, b in np.argwhere((prods != swapped).any(axis=2))]
+        left = la.pairwise_products(F, mults).reshape(n * n, n * n)
+        bad = (left != la.matmul(F, prods.reshape(n * n, n), mults.reshape(n, n * n))).any(axis=1)
+        return failures + [f"associative({a},{b})" for a, b in np.argwhere(bad.reshape(n, n))]
 
 
 # ---------------------------------------------------------------------------

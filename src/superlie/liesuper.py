@@ -19,7 +19,8 @@ part, taken matrix by matrix.  One rref against the flattened basis gives
 the coordinates of every bracket and every p-th power.  ``validate``
 checks super skew-symmetry, super Jacobi, restrictedness and an even,
 supersymmetric, invariant, nondegenerate form as identities between whole
-arrays.
+arrays.  ``relation_failures`` checks that a stack of operators represents
+g at chi = 0, with the same stacked products applied to the operators.
 
 The basis is ordered Cartan first, then positive root vectors by height,
 then negative root vectors in the mirrored order, which downstream modules
@@ -85,6 +86,12 @@ def _gl_model(label: str, m: int, n: int) -> _Model:
 def _negate_where(F: Field, mask: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """-arr where mask holds, arr elsewhere; mask covers the leading axes of arr."""
     return np.where(mask.reshape(mask.shape + (1,) * (arr.ndim - mask.ndim)), F.neg_arr(arr), arr)
+
+
+def _supercommutators(F: Field, prod: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """M_i M_j - (-1)^{|i||j|} M_j M_i from prod[i, j] = M_i M_j, where M_i
+    has parity odd[i]."""
+    return F.add_arr(prod, _negate_where(F, ~np.outer(odd, odd), prod.transpose(1, 0, 2, 3)))
 
 
 def _pth_powers(F: Field, mats: np.ndarray, p: int) -> np.ndarray:
@@ -219,11 +226,10 @@ class LieSuperalgebra:
 
     def _build_structure(self) -> None:
         F, d, s, basis = self.F, self.dim, self.model_size, self.matrices
-        # one product of the stacked matrices: prod[i, j] = M_i M_j
-        prod = la.matmul(F, basis.reshape(d * s, s), basis.transpose(1, 0, 2).reshape(s, d * s))
-        prod = prod.reshape(d, s, d, s).transpose(0, 2, 1, 3)
         odd = self.parities == 1
-        brackets = F.add_arr(prod, _negate_where(F, ~np.outer(odd, odd), prod.transpose(1, 0, 2, 3)))
+        # one product of the stacked matrices: prod[i, j] = M_i M_j
+        prod = la.pairwise_products(F, basis)
+        brackets = _supercommutators(F, prod, odd)
         even = np.flatnonzero(~odd)
         powers = la.zeros((d, s, s))
         powers[even] = _pth_powers(F, basis[even], self.p)
@@ -339,6 +345,24 @@ class LieSuperalgebra:
         if la.rank(F, form) != d:
             failures.append("form-degenerate")
         return {"passed": not failures, "failures": failures[:20]}
+
+    def relation_failures(self, ops: np.ndarray) -> list[str]:
+        """The defining relations at chi = 0 that x_i |-> ops[i], a (dim, n, n)
+        stack, breaks, as names, in order: the super bracket
+        ops_i ops_j - (-1)^{|i||j|} ops_j ops_i = sum_k T[i, j, k] ops_k of every
+        pair, then ops_i^p = sum_k x_i^[p]_k ops_k of every even x_i.  Every
+        pair comes from two stacked products, as ``validate`` checks g on ad."""
+        F, d, n, names = self.F, self.dim, ops.shape[-1], self.basis_names
+        odd = self.parities == 1
+        flat = ops.reshape(d, n * n)
+        brackets = _supercommutators(F, la.pairwise_products(F, ops), odd).reshape(d * d, n * n)
+        want = la.matmul(F, self.bracket_tensor.reshape(d * d, d), flat)
+        bad = (brackets != want).any(axis=1).reshape(d, d)
+        failures = [f"bracket({names[i]},{names[j]})" for i, j in np.argwhere(bad)]
+        even = np.flatnonzero(~odd)
+        powers = _pth_powers(F, ops[even], self.p).reshape(len(even), n * n)
+        bad = (powers != la.matmul(F, self.p_map[even], flat)).any(axis=1)
+        return failures + [f"p-power({names[i]})" for i in even[bad]]
 
     # -- characters ------------------------------------------------------------
 

@@ -136,6 +136,13 @@ def matmul(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return mod_p(planes @ W, p).reshape(n, r, k) @ F._pows
 
 
+def pairwise_products(F: Field, stack: np.ndarray) -> np.ndarray:
+    """prod[i, j] = stack[i] @ stack[j] for a (K, n, n) stack, from one product."""
+    k, n, _ = stack.shape
+    prod = matmul(F, stack.reshape(k * n, n), stack.transpose(1, 0, 2).reshape(n, k * n))
+    return prod.reshape(k, n, k, n).transpose(0, 2, 1, 3)
+
+
 def matvec(F: Field, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return matmul(F, a, np.asarray(v)[:, None])[:, 0]
 

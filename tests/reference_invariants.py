@@ -1,22 +1,55 @@
-"""The dictionary algebra F(g, q) kept as the oracle for ``superlie.invariants``.
+"""Oracles for ``superlie.invariants``: the dictionary algebra F(g, q), the
+coassociativity sweep and the duality check.
 
-This is how ``CoinducedAlgebra`` multiplied and acted before its operator
-stack was read off tables: functionals are dicts {coset exponents: coeff},
-a product evaluates both factors on the coproduct of every basis monomial
-again, and the g-action evaluates f on e·x straightened by the tuple-keyed
-reference engine of ``reference_envelope``.  It shares with the package
-only the coproduct, the coset basis and ``CoinducedAlgebra.evaluate``.
+``ReferenceCoinduced`` is how ``CoinducedAlgebra`` multiplied and acted
+before its operator stack was read off tables: functionals are dicts
+{coset exponents: coeff}, evaluated against U's PBW monomials by the dual
+basis f_b(e^b') = b!·δ, a product evaluates both factors on the coproduct
+of every basis monomial again, and the g-action evaluates f on e·x
+straightened by the tuple-keyed reference engine of ``reference_envelope``.
+It shares with the package only the coproduct and the coset basis.
+
+``check_coassociativity`` and ``duality_check`` are the coinduced check's
+former parts.  Neither reads g's brackets: the first reads only p and the
+slot parities, and the second compares the evaluation with its definition.
+The package checks F(g, q)'s operator stack against g's relations instead
+(``CoinducedAlgebra.relation_failures``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import Sequence
 
+from superlie import invariants
 from superlie import linalg as la
+from superlie.envelope import DeformedAlgebra
 from superlie.invariants import CoinducedAlgebra, comultiply_monomial
 
 from reference_envelope import ReferenceAlgebra
-from tooling import pbw_indexed
+
+
+def check_coassociativity(U: DeformedAlgebra, monomials: Sequence[tuple]) -> bool:
+    """(Δ ⊗ 1)Δ = (1 ⊗ Δ)Δ on each monomial, with Δ of each monomial taken
+    once per call from ``invariants.comultiply_monomial``."""
+    F = U.F
+    delta_of = functools.lru_cache(maxsize=None)(lambda m: invariants.comultiply_monomial(U, m))
+    for m in monomials:
+        left: dict = {}
+        right: dict = {}
+        for (m1, m2), c in delta_of(m).items():
+            for (a, b), v in delta_of(m1).items():
+                key = (a, b, m2)
+                left[key] = F.add(left.get(key, 0), F.mul(c, v))
+            for (a, b), v in delta_of(m2).items():
+                key = (m1, a, b)
+                right[key] = F.add(right.get(key, 0), F.mul(c, v))
+        left = {k: v for k, v in left.items() if v}
+        right = {k: v for k, v in right.items() if v}
+        if left != right:
+            return False
+    return True
 
 
 class ReferenceCoinduced:
@@ -27,6 +60,7 @@ class ReferenceCoinduced:
         self.F = C.F
         self.R = ReferenceAlgebra(C.g, C.g.chi_zero(), lam=1, order=C.U.order)
         self._norms = [self._norm(b) for b in C.basis]
+        self._q_part = (0,) * C.n_q  # the q slots come first in the PBW order
         self._parities = [self._parity(b) for b in C.basis]
 
     def _norm(self, coset_exps: tuple) -> int:
@@ -37,8 +71,8 @@ class ReferenceCoinduced:
 
     def _parity(self, coset_exps: tuple) -> int:
         par = 0
-        for s, e in zip(self.C.coset_slots, coset_exps):
-            if e and self.R.slot_parity[s]:
+        for odd, e in zip(self.R.slot_parity[self.C.n_q:], coset_exps):
+            if e and odd:
                 par ^= e & 1
         return par
 
@@ -46,10 +80,21 @@ class ReferenceCoinduced:
         return {tuple(coset_exps): 1}
 
     def _evaluate(self, f: dict, u: dict) -> int:
-        """``CoinducedAlgebra.evaluate`` of f over coset exponents on u over
-        the exponents of U, both converted to their indices."""
-        C = self.C
-        return C.evaluate({C.index[b]: c for b, c in f.items()}, pbw_indexed(C.U, u))
+        """f over coset exponents on u over the exponents of U.  The q slots
+        come first in the PBW order, and f vanishes on every monomial with
+        a q-letter; on the others f_b(e^b') = N_b·δ."""
+        F, n_q = self.F, self.C.n_q
+        total = 0
+        for m, c in u.items():
+            fv = 0 if any(m[:n_q]) else f.get(m[n_q:])
+            if fv:
+                total = F.add(total, F.mul(F.mul(c, fv), self._norm(m[n_q:])))
+        return total
+
+    def duality_check(self) -> bool:
+        """f_b(e^b') = N_b·δ on the full dual-basis grid."""
+        return all(self._evaluate({b: 1}, {self._q_part + b2: 1}) == (self._norm(b) if b == b2 else 0)
+                   for b in self.C.basis for b2 in self.C.basis)
 
     def _homogeneous_parts(self, f: dict) -> list[tuple[int, dict]]:
         C = self.C
@@ -76,7 +121,7 @@ class ReferenceCoinduced:
             for _, g1 in self._homogeneous_parts(f1):
                 for e in C.basis:
                     val = 0
-                    for (m1, m2), c in comultiply_monomial(C.U, C.full_monomial(e)).items():
+                    for (m1, m2), c in comultiply_monomial(C.U, self._q_part + e).items():
                         v1 = self._evaluate(g1, {m1: 1})
                         if not v1:
                             continue
@@ -98,7 +143,7 @@ class ReferenceCoinduced:
         out: dict = {}
         for parf, part in self._homogeneous_parts(f):
             for e in C.basis:
-                shifted = self.R.mul_by_gen({C.full_monomial(e): 1}, basis_idx)
+                shifted = self.R.mul_by_gen({self._q_part + e: 1}, basis_idx)
                 val = self._evaluate(part, shifted)
                 if not val:
                     continue

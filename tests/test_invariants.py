@@ -8,7 +8,7 @@ import pytest
 
 import reference_linalg as ref
 from reference_envelope import ReferenceAlgebra
-from reference_invariants import ReferenceCoinduced
+from reference_invariants import ReferenceCoinduced, check_coassociativity
 from superlie import invariants
 from superlie import linalg as la
 from superlie.cli import parse_config, run_experiment
@@ -19,7 +19,6 @@ from superlie.envelope import DeformedAlgebra, reduced_enveloping, reduced_symme
 from superlie.invariants import (
     CoinducedAlgebra,
     OperatorModel,
-    check_coassociativity,
     comultiply_monomial,
     graded_codims,
     ideal_survey,
@@ -107,12 +106,14 @@ def test_supercocommutativity():
 
 
 def test_coassociativity_across_algebras():
-    for label, F in [("gl(1|1)", F3), ("osp(1|2)", F5), ("osp(2|2)", F3)]:
-        g = build_algebra(label, F)
-        U = reduced_enveloping(g)
-        rng = np.random.default_rng(2)
-        monomials = [tuple(int(rng.integers(0, cap)) for cap in U.slot_cap)
-                     for _ in range(6)]
+    """The oracle sweep: every monomial of gl(1|1) and osp(1|2) at p = 3,
+    and random ones at p = 5 and on osp(2|2)."""
+    rng = np.random.default_rng(2)
+    for label, F in [("gl(1|1)", F3), ("osp(1|2)", F3), ("gl(1|1)", F5),
+                     ("osp(1|2)", F5), ("osp(2|2)", F3)]:
+        U = reduced_enveloping(build_algebra(label, F))
+        monomials = (U.basis_monomials() if F is F3 and label != "osp(2|2)" else
+                     [tuple(int(rng.integers(0, cap)) for cap in U.slot_cap) for _ in range(12)])
         assert check_coassociativity(U, monomials)
 
 
@@ -144,9 +145,9 @@ def test_coassociativity_takes_each_coproduct_once_and_sees_a_flipped_sign(monke
 # coinduced algebras
 
 
-def _pairs():
-    g1 = build_algebra("gl(1|1)", F3)
-    g2 = build_algebra("osp(1|2)", F3)
+def _pairs(F=F3):
+    g1 = build_algebra("gl(1|1)", F)
+    g2 = build_algebra("osp(1|2)", F)
     return [
         (g1, borel(g1)),
         (g2, borel(g2)),
@@ -160,8 +161,9 @@ def test_coinduced_dimensions():
 
 
 def test_duality_exhaustive():
-    for g, q in _pairs():
-        assert CoinducedAlgebra(g, q).duality_check()
+    for F in (F3, F5):
+        for g, q in _pairs(F):
+            assert ReferenceCoinduced(CoinducedAlgebra(g, q)).duality_check()
 
 
 def _left(F, ops, v):
@@ -244,7 +246,79 @@ def test_table_stack_matches_dict_algebra(label, p, q):
 
 def test_g_simplicity_of_coinduced_pairs():
     for g, q in _pairs():
-        assert CoinducedAlgebra(g, q).is_g_simple()
+        assert largest_proper_invariant_ideal(CoinducedAlgebra(g, q).operator_model()).shape[0] == 0
+
+
+@pytest.mark.parametrize("label,p", [(label, p) for label in ("gl(1|1)", "osp(1|2)", "gl(2|1)")
+                                     for p in (3, 5)] + [("osp(2|2)", 3)])
+def test_relation_check_passes_on_intact_models(label, p):
+    g = build_algebra(label, field_create(p, 1))
+    for q in (borel(g), [i for i in range(g.dim) if g.parities[i] == 0]):
+        C = CoinducedAlgebra(g, q)
+        assert C.relation_failures(C.operator_model()) == []
+
+
+# (caught, tried) for each way of breaking one term of one bracket that the
+# straightening reads, on the Borel model at p = 3
+BRACKET_BREAKS = {"gl(1|1)": (2, 6), "osp(1|2)": (6, 8), "gl(2|1)": (15, 24),
+                  "osp(2|2)": (13, 21)}
+
+
+@pytest.mark.parametrize("label", BRACKET_BREAKS)
+def test_relation_check_catches_every_bracket_break_the_stack_sees(label):
+    """Double, then drop, each term (x_k, c) of each bracket lam [x_j, x_s],
+    j > s, that straightening reads, on a fresh F(g, Borel) each time.
+    Every break that changes the stack fails the check and names the first
+    broken relation.  Every miss leaves the stack unchanged, so no check on
+    F(g, q) can see it.  Each miss is one of two kinds: a bracket of two
+    letters of q, which the straightening of a coset monomial times a
+    generator never reads, since the letter it peels is a coset letter; or
+    a term x_k in q, which lands only on monomials with a q-letter, where
+    every functional of F(g, q) vanishes."""
+    g = build_algebra(label, F3)
+    q = borel(g)
+    intact = CoinducedAlgebra(g, q)
+    ops, n_q = intact.operator_model().ops, intact.n_q
+    lam_bracket = intact.U._lam_bracket
+    breaks = [(j, s, t) for j in range(g.dim) for s in range(j)
+              for t in range(len(lam_bracket[j][s]))]
+    for way in ("double", "drop"):
+        caught = 0
+        for j, s, t in breaks:
+            C = CoinducedAlgebra(g, q)
+            row = list(lam_bracket[j][s])
+            k, c = row.pop(t)
+            if way == "double":
+                row.insert(t, (k, g.F.add(c, c)))
+            C.U._lam_bracket[j][s] = row
+            model = C.operator_model()
+            failures = C.relation_failures(model)
+            if failures:
+                caught += 1
+                assert not np.array_equal(model.ops, ops)
+                assert failures[0].startswith("bracket(") or failures[0].startswith("p-power(")
+            else:
+                assert np.array_equal(model.ops, ops), (way, j, s, t)
+                assert j < n_q or (s < n_q and k < n_q), (way, j, s, t)
+        assert (caught, len(breaks)) == BRACKET_BREAKS[label], way
+
+
+@pytest.mark.parametrize("label,p", [(label, p) for label in ("gl(1|1)", "osp(1|2)", "gl(2|1)")
+                                     for p in (3, 5)])
+def test_relation_check_sees_a_flipped_koszul_sign(label, p, monkeypatch):
+    """A coproduct whose odd letters sent to the first factor pick up an
+    extra -1 breaks both supercommutativity and associativity, the dual of
+    coassociativity, of F(g, Borel), and leaves the g-action rows intact."""
+    g = build_algebra(label, field_create(p, 1))
+    exact = invariants.comultiply_monomial
+
+    def flipped(U, m):
+        return {(m1, m2): U.F.neg(c) if U.monomial_parity(m1) else c
+                for (m1, m2), c in exact(U, m).items()}
+    monkeypatch.setattr(invariants, "comultiply_monomial", flipped)
+    C = CoinducedAlgebra(g, borel(g))
+    failures = C.relation_failures(C.operator_model())
+    assert {name.split("(")[0] for name in failures} == {"supercommutative", "associative"}
 
 
 def test_subalgebra_validation():

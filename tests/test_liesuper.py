@@ -7,7 +7,8 @@ from superlie import linalg as la
 from superlie.gf import field_create
 from superlie.liesuper import build_algebra
 from reference_liesuper import bracket_coords
-from tooling import corrupted
+from reference_verma import verify_relations
+from tooling import baby_vermas, corrupted
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -311,3 +312,47 @@ def test_validate_flags_each_corrupted_entry(label, p):
         report = corrupted(g, array, index, rng).validate()
         assert not report["passed"], (array, index)
         assert any(name.startswith(kinds) for name in report["failures"]), (array, index, report)
+
+
+# ---------------------------------------------------------------------------
+# the relation check on operator stacks
+
+
+@pytest.mark.parametrize("label", ["gl(1|1)", "gl(2|1)", "sl(2|1)", "osp(1|2)", "osp(2|2)",
+                                   "gl(2|2)"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_relation_check_accepts_ad_and_sees_a_corrupted_p_map(label, p):
+    """ad is a representation of g, so it satisfies every relation; after
+    one row of p_map is changed, ad breaks that row's p-th power relation."""
+    g = build_algebra(label, field_create(p, 1))
+    assert g.relation_failures(g.ad_matrices) == []
+    rng = np.random.default_rng(5)
+    for i in np.flatnonzero(g.parities == 0):
+        h = corrupted(g, "p_map", (i, rng.integers(0, g.dim)), rng)
+        assert h.relation_failures(h.ad_matrices) == [f"p-power({g.basis_names[i]})"]
+
+
+def test_relation_check_agrees_with_the_loop_reference_on_baby_vermas():
+    """On every chi = 0 baby Verma of gl(2|1), p = 3, intact and with one
+    random entry of its stack changed, the stacked check fails the same
+    relations, in the same order, as the pair-by-pair ``verify_relations``."""
+    g = build_algebra("gl(2|1)", F3)
+    rng = np.random.default_rng(3)
+    names = {f"bracket({i},{j})": f"bracket({a},{b})"
+             for i, a in enumerate(g.basis_names) for j, b in enumerate(g.basis_names)}
+    names.update({f"p-power({i})": f"p-power({a})" for i, a in enumerate(g.basis_names)})
+    modules = 0
+    for Z in baby_vermas(g, g.chi_zero()):
+        for broken in (False, True):
+            if broken:
+                stack = Z.operators().copy()
+                index = tuple(rng.integers(0, n) for n in stack.shape)
+                stack[index] = g.F.add(int(stack[index]), int(rng.integers(1, g.F.q)))
+                Z._stack = stack
+            want = verify_relations(Z)
+            got = g.relation_failures(Z.operators())
+            assert (not got) == want["passed"]
+            assert got[:10] == [names[name] for name in want["failures"]]
+            assert got or not broken
+        modules += 1
+    assert modules == 27
