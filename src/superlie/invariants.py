@@ -16,7 +16,10 @@ relations it must satisfy: g's brackets and p-th powers (chi = 0) on the
 g-action rows, and supercommutativity and associativity, the dual of the
 coproduct's coassociativity, on the multiplication rows.  Each relation
 is checked for every pair at once, from stacked products, and a failure
-is reported by the name of the first relation broken.  It reports graded
+is reported by the name of the first relation broken.  Associativity
+multiplies n^2 x n^2 matrices for n = dim F(g, q), so ``coinduced_dimension``
+refuses an F(g, q) with n^2 above the dense-basis cap before it is built;
+U's own PBW basis, never built here, is not bounded.  It reports graded
 and total codimensions read off the ideal's reduced echelon rows: each row
 is homogeneous, and the even and the odd pivots count the dimensions of
 the two parts.
@@ -31,9 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg as la
-from .envelope import DeformedAlgebra
+from .envelope import _MATRIX_DIM_CAP, DeformedAlgebra
 from .gf import Field
-from .liesuper import LieSuperalgebra
+from .liesuper import LieSuperalgebra, _negate_where
 from .rootsys import InvariantViolation
 
 # ---------------------------------------------------------------------------
@@ -79,6 +82,18 @@ def comultiply_monomial(U: DeformedAlgebra, m: tuple) -> dict:
 # coinduced function algebras
 
 
+def coinduced_dimension(g: LieSuperalgebra, q_indices: Sequence[int]) -> int:
+    """n = dim F(g, q), p per even and 2 per odd basis element outside q;
+    ``ValueError`` when n^2, the size of the associativity product, is above
+    the dense-basis cap."""
+    coset = np.delete(g.parities, list(q_indices))
+    n = g.p ** int((coset == 0).sum()) * 2 ** int(coset.sum())
+    if n * n > _MATRIX_DIM_CAP:
+        raise ValueError(f"coinduced needs F(g, q) of dimension {n}, whose associativity check has "
+                         f"n^2 = {n * n} rows, above the dense-basis cap {_MATRIX_DIM_CAP}")
+    return n
+
+
 class CoinducedAlgebra:
     """F(g, q): q-linear functionals on U_chi(g), an algebra under the coproduct.
 
@@ -94,6 +109,7 @@ class CoinducedAlgebra:
         if len(set(q_indices)) != len(q_indices):
             raise ValueError("duplicate indices in the subalgebra")
         self._validate_subalgebra(q_indices)
+        coinduced_dimension(g, q_indices)
         coset = [i for i in range(g.dim) if i not in set(q_indices)]
         coset_even = [i for i in coset if g.parities[i] == 0]
         coset_odd = [i for i in coset if g.parities[i] == 1]
@@ -163,6 +179,11 @@ class CoinducedAlgebra:
         aug[0] = 1  # f |-> f(1) reads the coefficient of f_0, the unit
         return OperatorModel(self.F, parities, ops, aug)
 
+    def relation_count(self) -> int:
+        """How many relations ``relation_failures`` checks: g's brackets and even
+        p-th powers, then supercommutativity and associativity of each pair."""
+        return self.g.dim ** 2 + self.g.dim_even + 2 * self.dimension() ** 2
+
     def relation_failures(self, model: "OperatorModel") -> list[str]:
         """The relations that the stack of ``operator_model`` breaks, as names,
         in order: g's defining relations on the g-action rows
@@ -174,8 +195,7 @@ class CoinducedAlgebra:
         failures = g.relation_failures(model.ops[n:n + g.dim])
         mults, odd = model.ops[:n], model.parities == 1
         prods = mults.transpose(0, 2, 1)  # prods[a, b]: the coordinates of f_a·f_b
-        swapped = prods.transpose(1, 0, 2)
-        swapped = np.where(np.outer(odd, odd)[:, :, None], F.neg_arr(swapped), swapped)
+        swapped = _negate_where(F, np.outer(odd, odd), prods.transpose(1, 0, 2))
         failures += [f"supercommutative({a},{b})"
                      for a, b in np.argwhere((prods != swapped).any(axis=2))]
         left = la.pairwise_products(F, mults).reshape(n * n, n * n)

@@ -16,11 +16,13 @@ matrices gives every M_i M_j: the supercommutators take their signs from
 the parities, and the supertrace form is read from the diagonals of the
 same products.  The p-th power map is the matrix p-th power on the even
 part, taken matrix by matrix.  One rref against the flattened basis gives
-the coordinates of every bracket and every p-th power.  ``validate``
-checks super skew-symmetry, super Jacobi, restrictedness and an even,
-supersymmetric, invariant, nondegenerate form as identities between whole
-arrays.  ``relation_failures`` checks that a stack of operators represents
-g at chi = 0, with the same stacked products applied to the operators.
+the coordinates of every bracket and every p-th power.
+``relation_failures`` checks that a stack of operators represents g at
+chi = 0, from stacked products of the operators.  ``validate`` checks super
+skew-symmetry and an even, supersymmetric, invariant, nondegenerate form as
+identities between whole arrays, and runs ``relation_failures`` on ad: given
+skew-symmetry, ad satisfies g's relations exactly when super Jacobi and
+restrictedness hold.
 
 The basis is ordered Cartan first, then positive root vectors by height,
 then negative root vectors in the mirrored order, which downstream modules
@@ -293,22 +295,20 @@ class LieSuperalgebra:
             raise RuntimeError(f"coroot normalization failed for {rs.labels[bad.argmax()]}")
         self.coroots = coroots  # row a: H_a for the root with index a
 
-    def coroot_value(self, F: Field, chi_or_lam: Sequence[int], root):
-        """Pair Cartan-coordinate functional values (codes over F) against H_root.
-
-        ``root`` is one root index, giving a code, or an array of them,
-        giving an array of codes from one product.  Coroot coordinates lie in
-        the prime subfield, so they pair unchanged with values over any
-        extension F of the base field.
+    def coroot_value(self, F: Field, functionals: np.ndarray, roots: Sequence[int]) -> np.ndarray:
+        """(f | H_a) for every row f of a (W, rank) array of Cartan-coordinate
+        functional values (codes over F) and every root index a of ``roots``,
+        as a (W, len(roots)) array of codes from one product.  Coroot
+        coordinates lie in the prime subfield, so they pair unchanged with
+        values over any extension F of the base field.
         """
-        H = self.coroots[np.atleast_1d(root)][:, self.cartan]
-        out = la.matvec(F, H, np.asarray(chi_or_lam, dtype=np.int64))
-        return int(out[0]) if np.ndim(root) == 0 else out
+        H = self.coroots[np.asarray(roots, dtype=np.int64)][:, self.cartan]
+        return la.matmul(F, np.asarray(functionals, dtype=np.int64), H.T)
 
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> dict:
-        F, d, p = self.F, self.dim, self.p
+        F, d = self.F, self.dim
         T = self.bracket_tensor
         odd = self.parities == 1
         both_odd = np.outer(odd, odd)
@@ -319,22 +319,9 @@ class LieSuperalgebra:
 
         # super skew-symmetry: [x_i, x_j] = -(-1)^{|i||j|} [x_j, x_i]
         flag("skew", (T != _negate_where(F, ~both_odd, T.transpose(1, 0, 2))).any(axis=2))
-        # super Jacobi: nested[j, k, i] = [x_i, [x_j, x_k]], all triples by one product
-        nested = la.matmul(F, T.reshape(d * d, d), T.transpose(1, 0, 2).reshape(d, d * d))
-        nested = nested.reshape(d, d, d, d)
-        oi, oj, ok = odd[:, None, None], odd[None, :, None], odd[None, None, :]
-        signed = [  # (-1)^{|i||k|} [x_i, [x_j, x_k]] and its cyclic shifts, indexed [i, j, k]
-            _negate_where(F, oi & ok, nested.transpose(2, 0, 1, 3)),
-            _negate_where(F, oj & oi, nested.transpose(1, 2, 0, 3)),
-            _negate_where(F, ok & oj, nested),
-        ]
-        flag("jacobi", F.add_arr(F.add_arr(signed[0], signed[1]), signed[2]).any(axis=3))
-        # restrictedness: ad(x^[p]) = (ad x)^p for even x
-        even = np.flatnonzero(~odd)
-        ad = T.transpose(0, 2, 1)  # ad_i, as ad_matrices holds them
-        powers = _pth_powers(F, ad[even], p).reshape(len(even), d * d)
-        target = la.matmul(F, self.p_map[even], ad.reshape(d, d * d))
-        failures.extend(f"restricted({i})" for i in even[(powers != target).any(axis=1)])
+        # with skew-symmetry, ad is a restricted representation exactly when
+        # super Jacobi and ad(x^[p]) = (ad x)^p hold
+        failures += self.relation_failures(T.transpose(0, 2, 1))
         # form: even, supersymmetric, invariant, nondegenerate
         form = self.form
         flag("form-odd", (odd[:, None] != odd[None, :]) & (form != 0))
@@ -351,7 +338,7 @@ class LieSuperalgebra:
         stack, breaks, as names, in order: the super bracket
         ops_i ops_j - (-1)^{|i||j|} ops_j ops_i = sum_k T[i, j, k] ops_k of every
         pair, then ops_i^p = sum_k x_i^[p]_k ops_k of every even x_i.  Every
-        pair comes from two stacked products, as ``validate`` checks g on ad."""
+        pair comes from two stacked products."""
         F, d, n, names = self.F, self.dim, ops.shape[-1], self.basis_names
         odd = self.parities == 1
         flat = ops.reshape(d, n * n)
@@ -434,7 +421,7 @@ class LieSuperalgebra:
                 "is not supported)"
             )
         roots = np.arange(len(self.coroots))
-        return bool(self.coroot_value(self.F, chi.values[self.cartan], roots).all())
+        return bool(self.coroot_value(self.F, chi.values[self.cartan][None], roots).all())
 
     def __repr__(self) -> str:
         return f"LieSuperalgebra({self.label}, {self.F!r})"

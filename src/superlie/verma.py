@@ -48,9 +48,9 @@ Irreducibility is decided two independent ways and compared:
     certified zero off them, and Z is irreducible iff each block is
     nonsingular, tested in one stacked call per block size;
   * criterion: the Harish-Chandra-style product
-    prod_even((lambda+rho|alpha)^{p-1} - 1) * prod_odd((lambda+rho|beta))
-    evaluated through coroots, from the codes of the pairings with the
-    positive roots.  Roots are indices of the algebra's root system.
+    prod_even((lambda+rho|alpha)^{p-1} - 1) * prod_odd((lambda+rho|beta)),
+    on a whole array of weights from one product of lambda + rho with the
+    coroots of the positive roots, which are root indices.
 
 The maximal proper submodule (hence the simple head) is read off the same
 pairing matrix.  Let A = U_chi(n^-) with radical I.  Z = A . v is free of
@@ -86,19 +86,20 @@ coefficient of v, times the lowest vector.  pi depends on chi:
 Each strategy certifies its own applicability and raises otherwise.
 
 The reports of one run read a ``VermaLedger`` per (chi, simple system),
-which computes the system, the weight set and each module's phi, criterion
-value, oracle verdict, head dimension and head Walls type at most once, and
-only when a report shows it.  Every template code lies in GF(p), so the
-stack at sigma(lambda) is sigma of the stack at lambda, entrywise, and so
-are the pairing matrix, its kernels and the head (pi's rows are fixed by
-sigma, and reduced echelon forms commute with a field automorphism).
+which computes the system, the weight set, the criterion over the whole
+weight set and each module's phi, oracle verdict, head dimension and head
+Walls type at most once, and only when a report shows it.  Every template
+code lies in GF(p), so the stack at sigma(lambda) is sigma of the stack at
+lambda, entrywise, and so are the pairing matrix, its kernels and the head
+(pi's rows are fixed by sigma, and reduced echelon forms commute with a
+field automorphism).
 So the oracle verdict, the head dimension and the Walls type are constant on
 each orbit, and phi, a GF(p)-polynomial in lambda, satisfies phi(sigma
-lambda) = sigma(phi(lambda)).  The ledger computes these facts at one
-representative per orbit and carries them to the other weights, exactly:
-the criterion, cheap and independent, is computed at every weight.  Each
-ledger first certifies stack(sigma . rep) = sigma(stack(rep)) on one orbit,
-which a template code outside GF(p) breaks.
+lambda) = sigma(phi(lambda)).  The ledger computes these facts, the only
+ones it reads off a module, at one representative per orbit and carries
+them to the other weights, exactly.  Each ledger first certifies
+stack(sigma . rep) = sigma(stack(rep)) on one orbit, which a template code
+outside GF(p) breaks.
 """
 
 from __future__ import annotations
@@ -247,14 +248,6 @@ def lambda_set(g: LieSuperalgebra, chi: PCharacter) -> LambdaSet:
     if lambda_residual(g, F, weights, chi_h, P).any():
         raise InvariantViolation("weight fails its defining equation")
     return LambdaSet(F, weights)
-
-
-def shift_lambda(F: Field, lam: Sequence[int], values: Sequence[int],
-                 sign: int = 1) -> tuple[int, ...]:
-    """lambda + sign * w on the Cartan, as field codes, for the values of w
-    on the Cartan basis."""
-    shift = F.smul_arr(sign % F.p, np.asarray(values, dtype=np.int64))
-    return tuple(F.add_arr(np.asarray(lam, dtype=np.int64), shift).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +436,10 @@ class VermaSystem:
         """(P, commutative) for A = U_chi(n^-) from the letters' operators L_s:
         L_m = L_1^{e_1} ... L_N^{e_N} carries the unit to m, and column m of
         the p-th-power matrix P is L_m^p applied to the unit (prime codes)."""
-        Fp, d, N = self.g.F, self.dim, self.N
+        Fp, d = self.g.F, self.dim
         L = self._negative_letters()
-        # one product: LL[s, :, t, :] = L_s L_t
-        LL = la.matmul(Fp, L.reshape(N * d, d), L.transpose(1, 0, 2).reshape(d, N * d))
-        LL = LL.reshape(N, d, N, d)
-        commutative = bool((LL == LL.transpose(2, 1, 0, 3)).all())
+        LL = la.pairwise_products(Fp, L)  # LL[s, t] = L_s L_t
+        commutative = bool((LL == LL.transpose(1, 0, 2, 3)).all())
         P = la.zeros((d, d))
         P[self.highest_index] = 1  # every column starts at the unit of A
         for rnd in range(self.g.p):  # column m: m, m^2, ..., m^p
@@ -641,11 +632,6 @@ class BabyVerma:
         """The Walls type of the head, via the certified maximal submodule."""
         return walls_type(self.F, *self.quotient_representation(), self.g.parities, self.g.cartan)
 
-    # -- verdicts --------------------------------------------------------------
-
-    def criterion_value(self) -> int:
-        return criterion_value(self.g, self.ss, self.lam, self.F)
-
     # -- reflection helpers ----------------------------------------------------
 
     def singular_vector(self, delta: int) -> tuple[np.ndarray, str]:
@@ -707,25 +693,17 @@ def walls_type(F: Field, ops: np.ndarray, parity_op: np.ndarray, parities: np.nd
 # the product criterion
 
 
-def pairing_at(g: LieSuperalgebra, ss: SimpleSystem, lam: Sequence[int],
-               F: Field) -> list[int]:
-    """(lam | a) for every positive root a of ss, as codes over F, aligned
-    with ``ss.positive_roots``."""
-    return g.coroot_value(F, lam, ss.positive_roots).tolist()
-
-
-def criterion_value(g: LieSuperalgebra, ss: SimpleSystem, lam: Sequence[int],
-                    F: Field) -> int:
-    """The product prod_even((lam+rho|a)^{p-1}-1) * prod_odd((lam+rho|b))."""
-    shifted = shift_lambda(F, lam, g.weight_on_cartan(*ss.rho))
-    return phi_prime_eval(ss, F, pairing_at(g, ss, shifted, F))
-
-
-def phi_prime_value(g: LieSuperalgebra, ss: SimpleSystem, lam: Sequence[int],
-                    F: Field) -> int:
-    """The unshifted product at lam itself (system-dependent only up to a
-    global constant)."""
-    return phi_prime_eval(ss, F, pairing_at(g, ss, lam, F))
+def criterion_values(g: LieSuperalgebra, ss: SimpleSystem, F: Field,
+                     weights: Sequence[Sequence[int]], shift: bool = True) -> np.ndarray:
+    """The product prod_even((lam+rho|a)^{p-1}-1) * prod_odd((lam+rho|b)) at
+    every row lam of a (W, rank) weight array over F, from one pairing
+    product; with ``shift`` False, the product at lam itself (system-dependent
+    only up to a global constant)."""
+    lam = np.asarray(weights, dtype=np.int64).reshape(-1, g.rank)
+    if shift:
+        lam = F.add_arr(lam, g.weight_on_cartan(*ss.rho))
+    pairings = g.coroot_value(F, lam, ss.positive_roots)
+    return np.array([phi_prime_eval(ss, F, row) for row in pairings.tolist()], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -745,11 +723,11 @@ def _recall(memo: dict, key, compute):
     return memo[key]
 
 
-# The facts read off the operator stack.  stack(sigma . lambda) is sigma of
-# stack(lambda) entrywise, so ranks, dimensions and Walls types are the same
-# along a sigma-orbit, and phi, a GF(p)-polynomial in lambda, goes through the
-# Frobenius.  Any other fact (the criterion) is computed at its own weight.
-# Facts are matched by method name, which a functools.wraps wrapper keeps.
+# The facts a ledger keeps, all read off the operator stack (the criterion
+# reads none).  stack(sigma . lambda) is sigma of stack(lambda) entrywise, so
+# ranks, dimensions and Walls types are the same along a sigma-orbit, and phi,
+# a GF(p)-polynomial in lambda, goes through the Frobenius.  Facts are matched
+# by method name, which a functools.wraps wrapper keeps.
 _SIGMA_INVARIANT = ("head_dim", "is_irreducible_oracle", "head_type")
 _SIGMA_EQUIVARIANT = ("phi_via_module",)
 
@@ -758,12 +736,12 @@ class VermaLedger:
     """One run's facts about every Z_chi(lambda) over one (chi, simple system).
 
     The system, the weight set (given when another system's ledger already
-    holds it, orbits included) and each module's scalar facts are computed
-    on first request.  A fact read off the operator stack is computed at the
-    representative of lambda's sigma-orbit and carried to lambda, after one
-    certificate per ledger that the stack is sigma-equivariant.  A module is
-    built only for a missing fact and kept until another lambda's module is
-    built.
+    holds it, orbits included), the criterion table and each module's scalar
+    facts are computed on first request.  A fact is read off the operator
+    stack at the representative of lambda's sigma-orbit and carried to
+    lambda, after one certificate per ledger that the stack is
+    sigma-equivariant.  A module is built only for a missing fact and kept
+    until another lambda's module is built.
     """
 
     def __init__(self, g: LieSuperalgebra, chi: PCharacter, *,
@@ -782,6 +760,13 @@ class VermaLedger:
     def lset(self) -> LambdaSet:
         return _recall(self._memo, "lset", lambda: lambda_set(self.g, self.chi))
 
+    def criterion(self, lam: tuple) -> int:
+        """The criterion at a weight of the set, from one ``criterion_values``
+        call over the whole set."""
+        weights, F = self.lset.weights, self.lset.field
+        return _recall(self._memo, "criterion", lambda: dict(zip(
+            weights, criterion_values(self.g, self.ss, F, weights).tolist())))[lam]
+
     def module(self, lam: tuple) -> BabyVerma:
         """Z(lam) for a weight of the set, which needs no second check."""
         if self._module is None or self._module.lam != lam:
@@ -790,24 +775,25 @@ class VermaLedger:
 
     def facts(self, lam: tuple, *methods) -> list:
         """The values at Z(lam), lam a weight of the set, of the given scalar
-        ``BabyVerma`` methods."""
+        ``BabyVerma`` methods, each read off the stack at lam's orbit
+        representative and carried to lam; any other method raises
+        ``ValueError``."""
         rep, j = self.lset.orbit(lam)
         frob = self.lset.field._frob
         out = []
         for m in methods:
             if m.__name__ not in _SIGMA_INVARIANT + _SIGMA_EQUIVARIANT:
-                out.append(self._fact(lam, m))
-                continue
-            value = self._fact(rep, m, stacked=True)
+                raise ValueError(f"{m.__name__} is not a fact read off the operator stack")
+            value = self._fact(rep, m)
             if m.__name__ in _SIGMA_EQUIVARIANT:
                 for _ in range(j):
                     value = int(frob[value])
             out.append(value)
         return out
 
-    def _fact(self, lam: tuple, m, stacked: bool = False):
+    def _fact(self, lam: tuple, m):
         memo = self._facts.setdefault(lam, {})
-        if stacked and m not in memo:
+        if m not in memo:
             image = tuple(self.lset.field._frob[list(lam)].tolist())
             if image != lam:
                 _recall(self._memo, "equivariance", lambda: self._certify(lam, image))
@@ -855,7 +841,7 @@ def proportionality_report(ledger: VermaLedger) -> dict:
     must be one fixed nonzero constant.
     """
     system, lset = ledger.system, ledger.lset
-    pairs = [ledger.facts(lam, BabyVerma.phi_via_module, BabyVerma.criterion_value)
+    pairs = [(*ledger.facts(lam, BabyVerma.phi_via_module), ledger.criterion(lam))
              for lam in lset]
     constant, single, vanish = _proportionality(lset.field, pairs)
     return {
@@ -874,9 +860,9 @@ def agreement_sweep(ledger: VermaLedger) -> dict:
     common = {"algebra": g.label, "p": g.p, "k": lset.k, "chi": list(ledger.chi.cartan_values())}
     verdicts = []
     for lam in lset:
-        phi_m, phi_c, oracle = ledger.facts(lam, BabyVerma.phi_via_module,
-                                            BabyVerma.criterion_value,
-                                            BabyVerma.is_irreducible_oracle)
+        phi_m, oracle = ledger.facts(lam, BabyVerma.phi_via_module,
+                                     BabyVerma.is_irreducible_oracle)
+        phi_c = ledger.criterion(lam)
         verdicts.append({**common, "lambda": list(lam), "dimZ": system.dim,
                          "phi_module": phi_m, "phi_product": phi_c,
                          "irreducible_oracle": oracle, "irreducible_criterion": phi_c != 0})
@@ -962,23 +948,21 @@ def reflection_report(ledger: VermaLedger, delta: int) -> dict:
     F = lset.field
     kind, _ = ss.classify(delta)
     reflected = VermaLedger(g, ledger.chi, ss=ss.reflect(delta), lset=lset)
-    shift_sign = _REFLECTION_SHIFT[kind]
+    step = F.smul_arr(_REFLECTION_SHIFT[kind] % F.p, g.root_weights[delta])
     singular_ok = True
     shift_pairs = []
-    prime_pairs = []
-    for lam in lset:
+    for lam, lam2 in zip(lset, map(tuple, F.add_arr(np.array(lset.weights), step).tolist())):
         # the singular vector at sigma . lambda is sigma of the one at lambda
         if lset.orbit(lam)[1] == 0:
             rep = ledger.module(lam).check_singular(delta)
             if not (rep["nonzero"] and rep["annihilated"]):
                 singular_ok = False
-        lam2 = shift_lambda(F, lam, g.root_weights[delta], sign=shift_sign)
         if lam2 not in lset:
             raise RuntimeError("weight set is not stable under the root shift")
         shift_pairs.append((*reflected.facts(lam2, BabyVerma.phi_via_module),
                             *ledger.facts(lam, BabyVerma.phi_via_module)))
-        prime_pairs.append((phi_prime_value(g, reflected.ss, lam, F),
-                            phi_prime_value(g, ss, lam, F)))
+    prime_pairs = zip(criterion_values(g, reflected.ss, F, lset.weights, shift=False).tolist(),
+                      criterion_values(g, ss, F, lset.weights, shift=False).tolist())
     shift_constant, shift_single, shift_vanish = _proportionality(F, shift_pairs)
     prime_constant, prime_single, _ = _proportionality(F, prime_pairs)
     return {

@@ -288,12 +288,6 @@ class ReferenceLieSuperalgebra(LieSuperalgebra):
         return out
 
 
-def _unitvec(dim: int, i: int) -> np.ndarray:
-    v = la.zeros(dim)
-    v[i] = 1
-    return v
-
-
 def loop_validate(g: LieSuperalgebra) -> dict:
     """``validate`` one pair or triple at a time: the same failure names, in
     index order within each kind, and the same first 20."""
@@ -312,29 +306,32 @@ def loop_validate(g: LieSuperalgebra) -> dict:
                 ok = (lhs == F.neg_arr(rhs)).all()
             if not ok:
                 failures.append(f"skew({i},{j})")
-    # super Jacobi on all triples
+    # ad, built from the bracket tensor, against g's relations: the super
+    # bracket of every pair (super Jacobi), then every even p-th power
+    ad = [la.zeros((dim, dim)) for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
-            for k in range(dim):
-                s1 = F.neg(1) if par[i] and par[k] else 1
-                s2 = F.neg(1) if par[j] and par[i] else 1
-                s3 = F.neg(1) if par[k] and par[j] else 1
-                t1 = F.smul_arr(s1, bracket_coords(g, _unitvec(dim, i), g.bracket_tensor[j, k]))
-                t2 = F.smul_arr(s2, bracket_coords(g, _unitvec(dim, j), g.bracket_tensor[k, i]))
-                t3 = F.smul_arr(s3, bracket_coords(g, _unitvec(dim, k), g.bracket_tensor[i, j]))
-                if F.add_arr(F.add_arr(t1, t2), t3).any():
-                    failures.append(f"jacobi({i},{j},{k})")
-    # restrictedness: ad(x^[p]) = (ad x)^p for even x
+            ad[i][:, j] = g.bracket_tensor[i, j]
+    names = g.basis_names
+    for i in range(dim):
+        for j in range(dim):
+            lhs = la.zeros((dim, dim))
+            for t in np.nonzero(g.bracket_tensor[i, j])[0]:
+                lhs = F.add_arr(lhs, F.smul_arr(int(g.bracket_tensor[i, j][t]), ad[t]))
+            ij, ji = la.matmul(F, ad[i], ad[j]), la.matmul(F, ad[j], ad[i])
+            rhs = F.add_arr(ij, ji) if par[i] and par[j] else F.sub_arr(ij, ji)
+            if not (lhs == rhs).all():
+                failures.append(f"bracket({names[i]},{names[j]})")
     for i in range(dim):
         if par[i] == 0:
             adp = la.eye(dim)
             for _ in range(g.p):
-                adp = la.matmul(F, adp, g.ad_matrices[i])
+                adp = la.matmul(F, adp, ad[i])
             target = la.zeros((dim, dim))
             for j in np.nonzero(g.p_map[i])[0]:
-                target = F.add_arr(target, F.smul_arr(int(g.p_map[i][j]), g.ad_matrices[j]))
+                target = F.add_arr(target, F.smul_arr(int(g.p_map[i][j]), ad[j]))
             if not (adp == target).all():
-                failures.append(f"restricted({i})")
+                failures.append(f"p-power({names[i]})")
     # form: even, supersymmetric, invariant, nondegenerate
     for i in range(dim):
         for j in range(dim):

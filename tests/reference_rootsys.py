@@ -18,10 +18,10 @@ closure on top of it.  The package works on root indices and integer
 coordinates instead; the tests compare the two system for system.
 
 ``superlie`` pairs weights with coroots through the matrix model of an
-algebra (``verma.pairing_at``).  The exceptional and large types are root
-combinatorics only, so their tests pair through the invariant form of the
-root system instead: (lam | a) = c_a * (lam, a), with c_a = 2 / (a, a) for
-a non-isotropic root and 1 for an isotropic one.
+algebra (``LieSuperalgebra.coroot_value``).  The exceptional and large
+types are root combinatorics only, so their tests pair through the
+invariant form of the root system instead: (lam | a) = c_a * (lam, a),
+with c_a = 2 / (a, a) for a non-isotropic root and 1 for an isotropic one.
 """
 
 from __future__ import annotations

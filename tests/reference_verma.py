@@ -43,7 +43,10 @@ system over GF(p).
 
 ``direct_facts`` is the full per-lambda sweep that the ledger's
 Frobenius-orbit derivation replaced: every module built on its own, every
-fact computed at its own weight.
+fact computed at its own weight.  ``criterion_at`` is the per-weight
+criterion that ``verma.criterion_values`` replaced with one product over a
+whole weight array: lambda + rho, its pairing with each coroot and the
+product, one scalar at a time.
 
 The other functions check a baby Verma module from outside the pipeline:
 its defining relations on the action matrices, the simplicity of its head,
@@ -63,6 +66,7 @@ import numpy as np
 from superlie import linalg as la
 from superlie.gf import Field, field_create
 from superlie.liesuper import LieSuperalgebra, PCharacter
+from superlie.rootsys import SimpleSystem
 from superlie.verma import (
     BabyVerma,
     InvariantViolation,
@@ -200,6 +204,24 @@ def direct_facts(g: LieSuperalgebra, chi: PCharacter, methods: Sequence,
     for lam in (lset if weights is None else weights):
         Z = BabyVerma(system, lam, lset.field)
         out[lam] = [m(Z) for m in methods]
+    return out
+
+
+def criterion_at(g: LieSuperalgebra, ss: SimpleSystem, lam: Sequence[int], F: Field,
+                 shift: bool = True) -> int:
+    """prod_even((lam+rho|a)^{p-1} - 1) * prod_odd((lam+rho|b)) at one weight
+    lam over F, or the product at lam itself when shift is False."""
+    lam = [int(v) for v in lam]
+    if shift:
+        rho = g.weight_on_cartan(*ss.rho)
+        lam = [F.add(v, int(r)) for v, r in zip(lam, rho)]
+    out = 1
+    for a in ss.positive_roots:
+        pairing = 0
+        for v, h in zip(lam, g.coroots[a][g.cartan]):
+            pairing = F.add(pairing, F.mul(v, int(h)))
+        factor = pairing if g.rs.parities[a] else F.sub(F.pow_int(pairing, F.p - 1), 1)
+        out = F.mul(out, factor)
     return out
 
 

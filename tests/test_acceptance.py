@@ -41,8 +41,8 @@ from superlie.liesuper import build_algebra
 from superlie.verma import (
     VermaLedger,
     VermaSystem,
+    criterion_values,
     lambda_set,
-    phi_prime_value,
     proportionality_report,
     reflection_report,
     semisimplicity_check,
@@ -82,10 +82,10 @@ def sweep_cell(label, p, bucket):
         system = VermaSystem(g, chi)
         lset = lambda_set(g, chi)
         verdicts = []
-        for lam in lset:
+        criterion = criterion_values(g, system.ss, lset.field, lset.weights).tolist()
+        for lam, phi_c in zip(lset, criterion):
             Z = module(system, lam, lset.field)
             phi_m = Z.phi_via_module()
-            phi_c = Z.criterion_value()
             verdicts.append({
                 "lambda": lam,
                 "phi_module": phi_m,
@@ -158,11 +158,11 @@ def test_criterion_3_odd_reflections():
             # pointwise proportionality of the unshifted product across systems
             F = lset.field
             base = systems[0]
+            base_values = criterion_values(g, base, F, lset.weights, shift=False).tolist()
             for other in systems[1:]:
                 ratio = None
-                for lam in lset:
-                    f1 = phi_prime_value(g, base, lam, F)
-                    f2 = phi_prime_value(g, other, lam, F)
+                other_values = criterion_values(g, other, F, lset.weights, shift=False).tolist()
+                for lam, f1, f2 in zip(lset, base_values, other_values):
                     assert (f1 == 0) == (f2 == 0), (label, bucket, lam)
                     if f1:
                         r = F.div(f2, f1)

@@ -339,6 +339,19 @@ def test_coinduced_gl21_p3_takes_under_a_second():
     assert elapsed < 1.0, f"coinduced on gl(2|1), p = 3 took {elapsed:.2f} s CPU"
 
 
+@pytest.mark.parametrize("label,n", [("gl(2|1)", 20), ("osp(2|2)", 20)])
+def test_coinduced_passes_where_only_u_is_above_the_cap(label, n, capsys, tmp_path):
+    """At p = 5, U's PBW basis (50,000 and 10,000 monomials) is above the
+    dense-basis cap, but the check reads only F(g, Borel)'s stack: n^2 is
+    under the cap, and the check runs and passes."""
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"algebra = {label}\np = 5\nchecks = coinduced\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert re.search(r"^coinduced +PASS$", capsys.readouterr().out, re.M)
+    rep = json.loads((tmp_path / "out" / "coinduced.json").read_text())["report"]
+    assert rep["dim"] == n and rep["relations_failed"] == 0 and rep["g_simple"]
+
+
 def test_coinduced_broken_bracket_is_fail_naming_the_relation(monkeypatch, capsys, tmp_path):
     class Broken(invariants.CoinducedAlgebra):
         """F(g, Borel) whose straightening doubles every bracket of its last letter."""
@@ -463,9 +476,10 @@ NAMED = {
     (["verma", "--type", "gl(1|1)", "--p", "11", "--chi", "regular_semisimple"], None),
     (["kw", "--type", "gl(1|1)", "--p", "1048583"], None),
     (["reflect", "--type", "gl(1|1)", "--p", "11"], None),
-    # a PBW basis above the dense-basis cap
+    # a PBW basis above the dense-basis cap, and an F(g, Borel) of dimension
+    # n = 144 whose associativity check multiplies n^2 x n^2 matrices
     (["sym", "--type", "gl(2|1)", "--p", "5"], None),
-    (["run", "{cfg}"], "algebra = gl(2|1)\np = 5\nchecks = coinduced\n"),
+    (["run", "{cfg}"], "algebra = gl(2|2)\np = 3\nchecks = coinduced\n"),
     # reflect checks the type and p before the simple-system closure
     (["reflect", "--type", "F(4)", "--p", "5"], None),
     (["reflect", "--type", "gl(2|1)", "--p", "4"], None),

@@ -142,7 +142,7 @@ def test_coroot_normalization_identity():
         g = build_algebra(label, F)
         for root, row in enumerate(g.rs.roots):
             vals = g.weight_on_cartan(row, g.rs.denominator)
-            pairing = g.coroot_value(F, vals_to_cartan(g, vals), root)
+            (pairing,) = g.coroot_value(F, [vals_to_cartan(g, vals)], [root])[0]
             if g.rs.gram[root, root] != 0:
                 assert pairing == 2 % F.p
             else:
@@ -305,8 +305,8 @@ def test_validate_flags_each_corrupted_entry(label, p):
     even = np.flatnonzero(g.parities == 0)
     cases = []
     for _ in range(8):
-        cases.append(("bracket_tensor", tuple(rng.integers(0, g.dim, 3)), ("skew(", "jacobi(")))
-        cases.append(("p_map", (rng.choice(even), rng.integers(0, g.dim)), ("restricted(",)))
+        cases.append(("bracket_tensor", tuple(rng.integers(0, g.dim, 3)), ("skew(", "bracket(")))
+        cases.append(("p_map", (rng.choice(even), rng.integers(0, g.dim)), ("p-power(",)))
         cases.append(("form", tuple(rng.integers(0, g.dim, 2)), ("form-",)))
     for array, index, kinds in cases:
         report = corrupted(g, array, index, rng).validate()

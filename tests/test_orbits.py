@@ -18,8 +18,8 @@ from superlie.verma import (
     standard_characters,
 )
 
-FACTS = (BabyVerma.phi_via_module, BabyVerma.criterion_value, BabyVerma.is_irreducible_oracle,
-         BabyVerma.head_dim, BabyVerma.head_type)
+FACTS = (BabyVerma.phi_via_module, BabyVerma.is_irreducible_oracle, BabyVerma.head_dim,
+         BabyVerma.head_type)
 ALGEBRAS = ["gl(1|1)", "osp(1|2)", "gl(2|1)", "sl(2|1)", "osp(2|2)"]
 
 
@@ -57,10 +57,14 @@ def test_every_orbit_has_p_weights_off_the_prime_field(label, p, orbits):
 
 
 def _matches_direct(g, chi, facts, weights=None):
+    """The ledger's facts and criterion at each weight equal those computed
+    directly at that weight."""
     ledger = VermaLedger(g, chi)
-    weights = list(ledger.lset) if weights is None else weights
-    want = ref.direct_facts(g, chi, facts, weights)
-    return {lam: ledger.facts(lam, *facts) for lam in weights} == want
+    lset = ledger.lset
+    weights = list(lset) if weights is None else weights
+    want = {lam: [ref.criterion_at(g, ledger.ss, lam, lset.field), *values]
+            for lam, values in ref.direct_facts(g, chi, facts, weights).items()}
+    return {lam: [ledger.criterion(lam), *ledger.facts(lam, *facts)] for lam in weights} == want
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -136,10 +140,10 @@ def test_a_template_code_outside_the_prime_field_breaks_the_certificate(label, p
 
 
 def test_the_criterion_needs_no_certificate():
-    """The criterion is computed at its own weight and reads no stack, so a
+    """The criterion is evaluated on the weights and reads no stack, so a
     broken template leaves it as it is."""
     ledger = _perturbed_ledger("gl(2|1)", 3)
     g = build_algebra("gl(2|1)", field_create(3, 1))
     clean = VermaLedger(g, g.chi_regular_semisimple())
-    assert ([ledger.facts(lam, BabyVerma.criterion_value) for lam in ledger.lset]
-            == [clean.facts(lam, BabyVerma.criterion_value) for lam in clean.lset])
+    assert ([ledger.criterion(lam) for lam in ledger.lset]
+            == [clean.criterion(lam) for lam in clean.lset])

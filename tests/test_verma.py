@@ -12,25 +12,25 @@ import reference_verma as ref
 from reference_linalg import largest_stable_subspace_shrinking
 from superlie import linalg as la
 from superlie import gf, verma
-from superlie.cli import main
+from superlie.cli import main, parse_config, run_experiment
 from superlie.gf import field_create
-from superlie.liesuper import PCharacter, build_algebra
+from superlie.liesuper import LieSuperalgebra, PCharacter, build_algebra
 from superlie.verma import (
     BabyVerma,
     IncompatibleBorel,
     InvariantViolation,
     VermaLedger,
     VermaSystem,
+    _SIGMA_EQUIVARIANT,
+    _SIGMA_INVARIANT,
     _proportionality,
     agreement_sweep,
     coset_roots,
-    criterion_value,
+    criterion_values,
     lambda_set,
-    pairing_at,
     proportionality_report,
     reflection_report,
     semisimplicity_check,
-    shift_lambda,
     standard_characters,
 )
 from tooling import baby_vermas, module
@@ -84,8 +84,8 @@ def test_lambda_set_stable_under_root_shifts():
     F = ls.field
     for delta in g.distinguished.simple_roots:
         for lam in ls:
-            assert shift_lambda(F, lam, g.root_weights[delta], 1) in ls
-            assert shift_lambda(F, lam, g.root_weights[delta], -1) in ls
+            assert F.add_arr(np.array(lam), g.root_weights[delta]) in ls
+            assert F.sub_arr(np.array(lam), g.root_weights[delta]) in ls
 
 
 # Every algebra whose Cartan p-map is the identity; gl(2|2) and sl(3|1) at
@@ -295,11 +295,61 @@ def test_phi_gl11_matches_coroot_sum():
     F = ls.field
     system = VermaSystem(g, chi)
     assert len(system.positives) == 1  # beta
-    for lam in ls:
+    criterion = criterion_values(g, system.ss, F, ls.weights)
+    for lam, value in zip(ls, criterion):
         Z = module(system, lam, F)
-        (expect,) = pairing_at(g, system.ss, lam, F)
+        (expect,) = g.coroot_value(F, [lam], system.ss.positive_roots)[0]
         assert Z.phi_via_module() == expect
-        assert Z.criterion_value() == expect  # rho pairs to zero with H_beta
+        assert value == expect  # rho pairs to zero with H_beta
+
+
+CRITERION_TYPES = ["gl(1|1)", "osp(1|2)", "gl(2|1)", "sl(2|1)", "osp(2|2)"]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("label", CRITERION_TYPES)
+def test_criterion_values_match_the_per_weight_reference(label, p):
+    """The criterion over the whole weight set, shifted by rho and not,
+    equals the per-weight product at every weight, for every standard
+    character and every simple system."""
+    g = build_algebra(label, field_create(p, 1))
+    for chi in standard_characters(g).values():
+        lset = lambda_set(g, chi)
+        for ss in g.rs.all_simple_systems():
+            for shift in (True, False):
+                want = [ref.criterion_at(g, ss, lam, lset.field, shift) for lam in lset]
+                got = criterion_values(g, ss, lset.field, lset.weights, shift=shift)
+                assert got.tolist() == want, (chi.cartan_values(), ss, shift)
+
+
+def test_a_verma_phi_run_makes_one_criterion_product_per_ledger(monkeypatch):
+    """verma and phi read the criterion of every weight from one table per
+    character: one coroot product per ledger, however many weights."""
+    cfg = parse_config("algebra = gl(2|1)\np = 3\nchi = explicit:0,0,0\n"
+                       "chi = explicit:1,2,0\nchecks = verma,phi\n")
+    products, coroot_value = [], LieSuperalgebra.coroot_value
+
+    def spy(self, F, functionals, roots):
+        products.append(np.shape(functionals))
+        return coroot_value(self, F, functionals, roots)
+
+    monkeypatch.setattr(LieSuperalgebra, "coroot_value", spy)
+    code, _, _ = run_experiment(cfg)
+    assert code == 0
+    assert products == [(27, 3), (27, 3)]
+
+
+def test_facts_refuses_a_method_off_the_stack():
+    """Every name in the sigma tables is a ``BabyVerma`` method, and the
+    ledger refuses any other method rather than run it per weight."""
+    for name in _SIGMA_INVARIANT + _SIGMA_EQUIVARIANT:
+        assert callable(getattr(BabyVerma, name)), name
+    g = build_algebra("gl(1|1)", F3)
+    ledger = VermaLedger(g, g.chi_zero())
+    lam = ledger.lset.weights[0]
+    for m in (BabyVerma.maximal_submodule, BabyVerma.lowest_vector):
+        with pytest.raises(ValueError, match=m.__name__):
+            ledger.facts(lam, BabyVerma.head_dim, m)
 
 
 def test_oracle_gl11_head_dimensions():
