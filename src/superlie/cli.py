@@ -43,6 +43,7 @@ import numpy as np
 from .envelope import (
     _MATRIX_DIM_CAP,
     _random_element,
+    gc_paused,
     reduced_enveloping,
     reduced_symmetric,
     theta_map,
@@ -277,6 +278,7 @@ def check_coinduced(g, ledgers, cfg):
     return not failures and rep["g_simple"], rep
 
 
+@gc_paused()
 def check_family(g, ledgers, cfg):
     rng = _rng(cfg, "family")
     F = g.F

@@ -25,11 +25,18 @@ slots, and each slot's odd square or p-th power relation.
 A product a * b uses Horner's rule on b's last letters: a * b = b(1) a +
 sum_j (a * b_j) x_j, where b_j holds b's monomials ending in x_j, less that
 letter, so a sum of monomials that end alike is folded through x_j once.
+
+The engine allocates only ints, dicts of ints and tuples of int pairs, so it
+makes no reference cycles, yet its memo rows start collections of the cyclic
+collector that walk the memo and free nothing.  ``gc_paused`` pauses it for a
+whole check; a pause per product leaves each product's rows one young pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import itertools
 from typing import Optional, Sequence
 
@@ -301,6 +308,17 @@ class DeformedAlgebra:
 
     def action_matrix(self, basis_idx: int) -> np.ndarray:
         return self._op_matrix(lambda el: self.act(basis_idx, el))
+
+
+@contextlib.contextmanager
+def gc_paused():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def reduced_enveloping(g: LieSuperalgebra, chi: Optional[PCharacter] = None) -> DeformedAlgebra:

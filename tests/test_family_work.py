@@ -1,14 +1,18 @@
 """check_family's straightening work: one algebra per member of the family it
-samples, and each rescaling map's generator and p-th power checks computed
-once however many samples share the map."""
+samples, each rescaling map's generator and p-th power checks computed once
+however many samples share the map, and the cyclic collector paused for the
+whole check, which makes no reference cycles."""
 
 import functools
+import gc
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
 
 from superlie import cli, envelope
-from superlie.cli import ExperimentConfig, run_experiment
+from superlie.cli import ExperimentConfig, parse_config, run_experiment
+from superlie.verma import VermaLedger
 
 # osp(1|2), p = 5, seed 0 draws t = 1 once, t = 2 five times, t = 3 three
 # times and t = 4 once
@@ -113,3 +117,69 @@ def test_a_wrong_power_constant_fails_the_p_power_check_of_its_map(t):
     assert report["theta_verified"] == CFG["samples"] - len(reports_at[t])
     assert report["associativity_verified"] == CFG["samples"]
     assert all(not rep["p_powers"] and rep["generator_products"] for rep in reports_at[t])
+
+
+GOLDEN_FAMILY = Path(__file__).resolve().parent / "golden" / "osp22_p5_family.ini"
+ACYCLIC = {
+    "golden-osp(2|2)-p5": lambda: parse_config(GOLDEN_FAMILY.read_text()),
+    "osp(1|2)-p5-zero": lambda: ExperimentConfig(**CFG),
+    "gl(2|1)-p3-regular": lambda: ExperimentConfig(**dict(
+        CFG, algebra="gl(2|1)", p=3, chi_specs=["regular_semisimple"], samples=3)),
+}
+
+
+def _family_args(cfg):
+    """check_family's arguments for cfg, built as run_experiment builds them."""
+    g = cli.build_for(cfg.algebra, cfg.p)
+    return g, [(spec, VermaLedger(g, cli.resolve_chi(g, spec))) for spec in cfg.chi_specs], cfg
+
+
+@pytest.fixture
+def collector_on():
+    """The collector on at the start of the test and again after it."""
+    gc.enable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("name", ACYCLIC)
+def test_the_family_check_leaves_no_cyclic_garbage(name, collector_on):
+    """The premise of pausing the collector: with it off, the check's
+    algebras, memos and elements are all freed by reference counting."""
+    args = _family_args(ACYCLIC[name]())
+    gc.collect()
+    gc.disable()
+    ok, _ = cli.check_family(*args)
+    assert ok
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("caller_on", [True, False])
+def test_every_product_runs_with_the_collector_off_and_its_state_returns(
+        caller_on, monkeypatch, collector_on):
+    seen = []
+    multiply = envelope.DeformedAlgebra.multiply
+
+    def recorded(self, a, b):
+        seen.append(gc.isenabled())
+        return multiply(self, a, b)
+    monkeypatch.setattr(envelope.DeformedAlgebra, "multiply", recorded)
+    args = _family_args(ExperimentConfig(**CFG))
+    if not caller_on:
+        gc.disable()
+    ok, _ = cli.check_family(*args)
+    assert ok and len(seen) == 550 and not any(seen)
+    assert gc.isenabled() == caller_on
+
+
+def test_the_collector_is_on_again_after_the_check_raises(monkeypatch, collector_on):
+    class Boom(Exception):
+        pass
+
+    def failing(self, a, b):
+        assert not gc.isenabled()
+        raise Boom
+    monkeypatch.setattr(envelope.DeformedAlgebra, "multiply", failing)
+    with pytest.raises(Boom):
+        cli.check_family(*_family_args(ExperimentConfig(**CFG)))
+    assert gc.isenabled()
