@@ -411,7 +411,7 @@ class LieSuperalgebra:
         d0 = la.rank(self.F, pair[self.parities == 0])
         d1 = la.rank(self.F, pair[self.parities == 1])
         if d0 % 2 != 0:
-            raise RuntimeError(f"even centralizer codimension {d0} is odd — artifact bug")
+            raise la.InvariantViolation(f"even centralizer codimension {d0} is odd — artifact bug")
         return Centralizer(d0, d1)
 
     def is_regular_semisimple(self, chi: PCharacter) -> bool:

@@ -20,8 +20,8 @@ and every invariant subspace is a closure under it, each round mapping its
 whole frontier by one product with the stack, expanded once per call: the
 largest stable subspace is the annihilator of the closure of the ambient's
 annihilator under the transposed stack, a view.  Systems are assembled from
-whole arrays; the odd supercommutant of a simple module is spun from one
-seed, in the unknowns of T·e_0 its caller names, not n².
+whole arrays; the odd supercommutant of a simple module is solved in the
+unknowns of T on one generating vector that its caller names, not n².
 """
 
 from __future__ import annotations
@@ -250,7 +250,10 @@ class EchelonBasis:
         self.pivots = (self.rows != 0).argmax(axis=1) if rows.shape[1] else zeros(0)
 
     def reduce(self, block: np.ndarray) -> np.ndarray:
-        """``block − block[:, pivots] · rows``: zero at every pivot column."""
+        """``block − block[:, pivots] · rows``: zero at every pivot column; a
+        copy of the block when there are no rows."""
+        if not self.rows.shape[0]:
+            return np.array(block, dtype=np.int64)
         block = np.asarray(block, dtype=np.int64)
         return _sub_scaled(self.F, block, matmul(self.F, block[:, self.pivots], self.rows))
 
@@ -326,64 +329,29 @@ def largest_stable_subspace(F: Field, ambient_rows: np.ndarray, ops: np.ndarray)
 
 
 def supercommutant_basis(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray,
-                         parity_op: np.ndarray, coords: np.ndarray) -> np.ndarray:
+                         parity_op: np.ndarray, words: np.ndarray) -> np.ndarray:
     """A (d, n, n) stack spanning the odd supercommuting T of the even and odd
-    (K, n, n) operator stacks with u = T·e_0 on the coordinates ``coords``
-    alone, on a module that e_0 generates.
+    (K, n, n) operator stacks, on a module with T·e_i = M_i·u for the word
+    matrices M_i = words[i] of an (n, n, r) array and some u in F^r.
 
     T·A_a = s_a·A_a·T for every operator A_a and the parity involution, with
-    s_a = −1 for the odd operators and the involution, else 1.
-
-    Solved by spinning (Parker's Meat-Axe).  The seed v = e_0 spins into a
-    basis B = [b_i], each round by one product Xᵀ·[A_1ᵀ | … | A_Kᵀ] with the
-    stack expanded once.  Where b_i = A_a·b_j, T·b_i = s_a·A_a·T·b_j, so
-    T·b_i = M_i·u for word matrices M_i, with r = len(coords) columns, the
-    unknowns of u.  With C_a = B⁻¹·A_a·B the relations read
-    Σ_i C_a[i, j]·M_i·u = s_a·A_a·M_j·u, and T = [M_i·u]·B⁻¹.  With no
-    coordinates the spin runs alone, a certificate with no word columns.  A
-    spin that stops short of n raises ``InvariantViolation``: a simple module
-    is generated by any nonzero vector.
+    s_a = −1 for the odd operators and the involution, else 1.  Column j of
+    it reads Σ_i A_a[i, j]·M_i·u = s_a·A_a·M_j·u, whose two sides over every
+    a and j are two products; T = [M_i·u] for each u of the kernel.  With no
+    unknowns T = 0.
     """
-    n, r = parity_op.shape[0], len(coords)
-    if n == 0:
-        return zeros((0, 0, 0))
+    n, r = parity_op.shape[0], words.shape[-1]
+    if not r:
+        return zeros((0, n, n))
     ops = np.concatenate([even_ops, odd_ops, parity_op[None]])
     K = ops.shape[0]
-    times = _right_factor(F, ops.transpose(2, 0, 1), 1)  # x ↦ x·[A_1ᵀ | … | A_Kᵀ]
+    lhs = matmul(F, ops.transpose(0, 2, 1).reshape(K * n, n), words.reshape(n, n * r))
+    rhs = matmul(F, ops.reshape(K * n, n), words.transpose(1, 0, 2).reshape(n, n * r))
+    rhs = rhs.reshape(K, n, n, r).transpose(0, 2, 1, 3)  # [a, j, row, c], as lhs
     signed = np.arange(K) >= len(even_ops)  # s_a = −1
-    # each spun vector b_i beside its word matrix M_i: aug[i] = [b_i | M_i]
-    aug, fresh, rounds = np.concatenate([eye(n)[:, :1], eye(n)[:, coords]], axis=1)[None], [0], []
-    while True:
-        m = aug.shape[0]
-        if m == n and not r:
-            return zeros((0, n, n))
-        # A_a·b_j beside s_a·A_a·M_j for the frontier, in one product
-        f = len(fresh)
-        images = times(aug[fresh].transpose(0, 2, 1).reshape(-1, n)).reshape(f, -1, K, n)
-        images = images.transpose(2, 3, 0, 1)  # [a, i, j, c]
-        images[signed, :, :, 1:] = F.neg_arr(images[signed, :, :, 1:])
-        rounds.append(images)
-        if m == n:  # a last round only records the images
-            break
-        cand = images[:, :, :, 0].transpose(1, 0, 2).reshape(n, K * f)  # column a·f + j
-        picked = np.array(rref(F, np.concatenate([aug[:, :, 0].T, cand], axis=1))[1][m:], dtype=int) - m
-        if not picked.size:
-            raise InvariantViolation(f"the spin of e_0 stops at dimension {m} of {n}: "
-                                     "the module is not simple")
-        a, j = divmod(picked, f)
-        aug = np.concatenate([aug, images[a, :, j]])
-        fresh = list(range(m, m + picked.size))
-    spun, basis, words = np.concatenate(rounds, axis=2), aug[:, :, 0].T, aug[:, :, 1:]
-    rhs = spun[:, :, :, 1:].transpose(0, 2, 1, 3)  # [a, j, row, c]
-    # [B | A_a·B | I] reduces to [I | C_a | B⁻¹]
-    op_basis = spun[:, :, :, 0].transpose(1, 0, 2).reshape(n, K * n)
-    red = rref(F, np.concatenate([basis, op_basis, eye(n)], axis=1))[0]
-    c_a, inverse = red[:, n:-n].reshape(n, K, n), red[:, -n:]
-    lhs = matmul(F, c_a.transpose(1, 2, 0).reshape(K * n, n), words.reshape(n, -1))
+    rhs[signed] = F.neg_arr(rhs[signed])
     lhs, rhs = lhs.reshape(-1, r), rhs.reshape(-1, r)
     live = lhs.any(axis=1) | rhs.any(axis=1)  # most rows are zero on both sides
     cond = F.sub_arr(lhs[live], rhs[live])
     ker = nullspace(F, cond[cond.any(axis=1)])
-    values = matmul(F, words.reshape(n * n, -1), ker.T).reshape(n, n, -1)  # [i, row, d]
-    ts = matmul(F, values.transpose(2, 1, 0).reshape(-1, n), inverse)
-    return ts.reshape(-1, n, n)
+    return matmul(F, words.reshape(n * n, r), ker.T).reshape(n, n, -1).transpose(2, 1, 0)

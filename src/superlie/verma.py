@@ -617,11 +617,16 @@ class BabyVerma:
     def head_dim(self) -> int:
         return self.dim - self.maximal_submodule().shape[0]
 
+    def _kept(self) -> tuple[la.EchelonBasis, np.ndarray]:
+        """The maximal submodule's echelon basis and the PBW indices off its pivots."""
+        sub = la.EchelonBasis(self.F, self.maximal_submodule())
+        return sub, np.delete(np.arange(self.dim), sub.pivots)
+
     def quotient_representation(self) -> tuple[np.ndarray, np.ndarray]:
-        """(operator stack, parity involution) of Z / maximal submodule."""
+        """(operator stack, parity involution) of Z / maximal submodule, on the
+        images of the kept PBW vectors; Z's own stack when Z is simple."""
         F, n = self.F, self.dim
-        sub = la.EchelonBasis(F, self.maximal_submodule())
-        compl = np.delete(np.arange(n), sub.pivots)
+        sub, compl = self._kept()
         # every generator's kept columns, projected along the submodule at once
         kept = self.operators()[:, :, compl].transpose(0, 2, 1).reshape(-1, n)
         reduced = sub.reduce(kept)[:, compl].reshape(self.g.dim, compl.size, compl.size)
@@ -629,8 +634,13 @@ class BabyVerma:
         return reduced.transpose(0, 2, 1), S
 
     def head_type(self) -> str:
-        """The Walls type of the head, via the certified maximal submodule."""
-        return walls_type(self.F, *self.quotient_representation(), self.g.parities, self.g.cartan)
+        """The Walls type of the head, in its basis of kept PBW words on the
+        image of v."""
+        ops, parity_op = self.quotient_representation()
+        sub, kept = self._kept()
+        top = sub.reduce(self.highest_vector()[None])[0, kept]
+        return walls_type(self.F, ops, parity_op, self.g.parities, self.g.cartan,
+                          self.system.neg_indices, self.system.caps, kept, top)
 
     # -- reflection helpers ----------------------------------------------------
 
@@ -668,25 +678,44 @@ class BabyVerma:
 
 
 def walls_type(F: Field, ops: np.ndarray, parity_op: np.ndarray, parities: np.ndarray,
-               cartan: Sequence[int]) -> str:
-    """"Q" when the simple module admits an odd endomorphism, else "M".
+               cartan: Sequence[int], letters: Sequence[int], caps: Sequence[int],
+               kept: np.ndarray, top: np.ndarray) -> str:
+    """"Q" when the simple head Z/M of a baby Verma admits an odd endomorphism,
+    else "M".
 
-    ops stacks the generators' operators; the parities array splits it.  An
-    odd T satisfies T rho(a) = (-1)^|a| rho(a) T and anticommutes with the
-    parity involution, so T e_0 has the other parity and lies in e_0's weight
-    space under the Cartan operators ops[cartan], read off their diagonals
-    (``InvariantViolation`` if they or the involution are not diagonal).
-    T -> T e_0 is a bijection onto the kernel ``linalg.supercommutant_basis``
-    solves on those coordinates alone, none on most heads.  The spin of e_0
-    runs even then: a head that e_0 does not span raises ``InvariantViolation``.
+    ops stacks the generators' operators on the head, split by the parities
+    array, in its basis e_b = f^b.w: w = ``top`` is the image of v, and f^b
+    the PBW word in the n^- letters ops[letters], exponents below ``caps``,
+    of each index b in ``kept``.  One pass of the letters on w must give the
+    identity at the kept indices, the certificate that w generates the head.
+    An odd T satisfies T rho(a) = (-1)^|a| rho(a) T and anticommutes with the
+    parity involution, so T e_b = (-1)^|b| f^b.u with u = T w of the other
+    parity in w's weight space under the Cartan operators ops[cartan], read
+    off their diagonals.  The same pass on those coordinates, none on most
+    heads, gives the word matrices that ``linalg.supercommutant_basis``
+    solves for u.  A broken certificate, or a Cartan operator or involution
+    that is not diagonal, raises ``InvariantViolation``.
     """
+    n = parity_op.shape[0]
     diagonal = np.concatenate([ops[list(cartan)], parity_op[None]])
-    if (diagonal * (1 - la.eye(parity_op.shape[0]))).any():
+    if (diagonal * (1 - la.eye(n))).any():
         raise InvariantViolation("a Cartan operator or the parity involution is not diagonal")
     d = diagonal.diagonal(axis1=1, axis2=2)
-    reach = np.flatnonzero((d[:-1] == d[:-1, :1]).all(axis=0) & (d[-1] != d[-1, :1]))
-    odd = la.supercommutant_basis(F, ops[parities == 0], ops[parities == 1], parity_op, reach)
-    return "Q" if len(odd) else "M"
+    at = d[:, np.argmax(top != 0)]  # w's weight, then its parity
+    reach = np.flatnonzero((d[:-1] == at[:-1, None]).all(axis=0) & (d[-1] != at[-1]))
+    words = None
+    if top.shape == (n,) == (len(kept),):
+        start = np.concatenate([top[:, None], la.eye(n)[:, reach]], axis=1)
+        words = _all_words(F, ops[list(letters)], caps, start).reshape(n, -1, 1 + reach.size)[:, kept]
+    if words is None or not np.array_equal(words[:, :, 0], la.eye(n)):
+        raise InvariantViolation(f"the n^- words on the image of v are not the basis of the "
+                                 f"{n}-dimensional head at its {len(kept)} kept PBW indices: "
+                                 "v does not generate it")
+    words = words[:, :, 1:].transpose(1, 0, 2)  # [b, row, c]
+    odd = np.array(np.unravel_index(kept, caps)).T @ parities[list(letters)] % 2 == 1
+    words[odd] = F.neg_arr(words[odd])
+    return "Q" if len(la.supercommutant_basis(F, ops[parities == 0], ops[parities == 1],
+                                              parity_op, words)) else "M"
 
 
 # ---------------------------------------------------------------------------
@@ -958,7 +987,7 @@ def reflection_report(ledger: VermaLedger, delta: int) -> dict:
             if not (rep["nonzero"] and rep["annihilated"]):
                 singular_ok = False
         if lam2 not in lset:
-            raise RuntimeError("weight set is not stable under the root shift")
+            raise InvariantViolation("weight set is not stable under the root shift")
         shift_pairs.append((*reflected.facts(lam2, BabyVerma.phi_via_module),
                             *ledger.facts(lam, BabyVerma.phi_via_module)))
     prime_pairs = zip(criterion_values(g, reflected.ss, F, lset.weights, shift=False).tolist(),

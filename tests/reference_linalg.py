@@ -10,9 +10,9 @@ they are independent of the new kernels.  The commutant is kept three times:
 the entry-by-entry constraint system; the Kronecker solve in all n² entries
 of T that spinning replaced, which reads its kernel with ``linalg.nullspace``
 and solves either part; and the spin of e_0 in all n unknowns of u = T·e_0,
-whose word matrices are n × n.  ``linalg.supercommutant_basis`` solves only
-the odd part, on a module that e_0 generates, with u on the coordinates its
-caller names, which ``verma.walls_type`` reads off e_0's weight space.
+whose word matrices are n × n.  ``spin_words`` is that spin with u on the
+coordinates its caller names; it spans a module from e_0 with no PBW basis
+at hand, which ``verma.walls_type`` has, and so never spins.
 ``rref_tables`` and ``EchelonBasisTables`` keep the elimination and the
 echelon updates with every row update through the field's tables, which
 prime fields replaced with updates on residues mod p.
@@ -189,35 +189,31 @@ def supercommutant_kronecker(
     return [vec.reshape(n, n) for vec in ker]
 
 
-def supercommutant_spin_full(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray,
-                             parity_op: np.ndarray) -> np.ndarray:
-    """A (d, n, n) stack spanning the odd part of the supercommutant, spun
-    from e_0 with u = T·e_0 free in all n coordinates: the solve that
-    ``linalg.supercommutant_basis`` restricted to the coordinates T·e_0 can
-    reach, whose memory grows as K·n³.
+def spin_words(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray, parity_op: np.ndarray,
+               coords: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The spin of e_0 under the even and odd (K, n, n) stacks and the parity
+    involution, each spun vector beside its word matrix: (B, words) with the
+    spun basis B = [b_i] as columns and T·b_i = words[i]·u for every odd
+    supercommuting T, where u = T·e_0 lies on the coordinates ``coords``.
 
-    The seed e_0 spins into a basis B = [b_i], each beside its word matrix
-    M_i with T·b_i = M_i·u: where b_i = A_a·b_j, T·b_i = s_a·A_a·M_j·u.  With
-    C_a = B⁻¹·A_a·B the relations read Σ_i C_a[i, j]·M_i·u = s_a·A_a·M_j·u,
-    and T = [M_i·u]·B⁻¹.  A spin that stops short of n raises
-    ``InvariantViolation``.
+    Each round maps the newest vectors under every operator: where
+    b_i = A_a·b_j, T·b_i = s_a·A_a·M_j·u, with s_a = −1 for the odd operators
+    and the involution, else 1.  A spin that stops short of n raises
+    ``InvariantViolation``: a simple module is generated by any nonzero vector.
     """
-    n = parity_op.shape[0]
+    n, r = parity_op.shape[0], len(coords)
     if n == 0:
-        return la.zeros((0, 0, 0))
+        return la.zeros((0, 0)), la.zeros((0, 0, r))
     stacked = np.concatenate([even_ops, odd_ops, parity_op[None]]).reshape(-1, n).astype(np.int64)
     K = stacked.shape[0] // n
     signed = np.arange(K) >= len(even_ops)  # s_a = −1
     # each spun vector b_i beside its word matrix M_i: aug[i] = [b_i | M_i]
-    aug, fresh, rounds = np.concatenate([la.eye(n)[:, :1], la.eye(n)], axis=1)[None], [0], []
-    while True:
-        m = aug.shape[0]
-        f = len(fresh)
+    aug = np.concatenate([la.eye(n)[:, :1], la.eye(n)[:, list(coords)]], axis=1)[None]
+    fresh = [0]
+    while aug.shape[0] < n:
+        m, f = aug.shape[0], len(fresh)
         images = la.matmul(F, stacked, aug[fresh].transpose(1, 0, 2).reshape(n, -1)).reshape(K, n, f, -1)
         images[signed, :, :, 1:] = F.neg_arr(images[signed, :, :, 1:])
-        rounds.append(images)
-        if m == n:  # a last round only records the images
-            break
         cand = images[:, :, :, 0].transpose(1, 0, 2).reshape(n, K * f)  # column a·f + j
         picked = np.array(la.rref(F, np.concatenate([aug[:, :, 0].T, cand], axis=1))[1][m:], dtype=int) - m
         if not picked.size:
@@ -226,10 +222,31 @@ def supercommutant_spin_full(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray
         a, j = divmod(picked, f)
         aug = np.concatenate([aug, images[a, :, j]])
         fresh = list(range(m, m + picked.size))
-    spun, basis, words = np.concatenate(rounds, axis=2), aug[:, :, 0].T, aug[:, :, 1:]
-    rhs = spun[:, :, :, 1:].transpose(0, 2, 1, 3)  # [a, j, row, c]
+    return aug[:, :, 0].T, aug[:, :, 1:]
+
+
+def supercommutant_spin_full(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray,
+                             parity_op: np.ndarray) -> np.ndarray:
+    """A (d, n, n) stack spanning the odd part of the supercommutant, spun
+    from e_0 with u = T·e_0 free in all n coordinates, whose memory grows as
+    K·n³.
+
+    With the spun basis B and word matrices M_i of ``spin_words`` and
+    C_a = B⁻¹·A_a·B, the relations read Σ_i C_a[i, j]·M_i·u = s_a·A_a·M_j·u,
+    and T = [M_i·u]·B⁻¹.
+    """
+    n = parity_op.shape[0]
+    if n == 0:
+        return la.zeros((0, 0, 0))
+    basis, words = spin_words(F, even_ops, odd_ops, parity_op, range(n))
+    stacked = np.concatenate([even_ops, odd_ops, parity_op[None]]).reshape(-1, n).astype(np.int64)
+    K = stacked.shape[0] // n
+    signed = np.arange(K) >= len(even_ops)  # s_a = −1
+    rhs = la.matmul(F, stacked, words.transpose(1, 0, 2).reshape(n, -1)).reshape(K, n, n, n)
+    rhs[signed] = F.neg_arr(rhs[signed])
+    rhs = rhs.transpose(0, 2, 1, 3)  # [a, j, row, c]
     # [B | A_a·B | I] reduces to [I | C_a | B⁻¹]
-    op_basis = spun[:, :, :, 0].transpose(1, 0, 2).reshape(n, K * n)
+    op_basis = la.matmul(F, stacked, basis).reshape(K, n, n).transpose(1, 0, 2).reshape(n, K * n)
     red = la.rref(F, np.concatenate([basis, op_basis, la.eye(n)], axis=1))[0]
     coords, inverse = red[:, n:-n].reshape(n, K, n), red[:, -n:]
     lhs = la.matmul(F, coords.transpose(1, 2, 0).reshape(K * n, n), words.reshape(n, -1))

@@ -213,14 +213,14 @@ def test_criterion_5_kw_divisibility():
 
 def test_criterion_5_commutants_match_kronecker_reference():
     """Every 29th head of the criterion-5 grid, in grid order, has the same
-    odd supercommutant dimension under spinning, with T·e_0 in e_0's weight
-    space or anywhere, as under the n²-unknown Kronecker solve."""
+    odd supercommutant dimension in its PBW word basis, with T on the image
+    of v in its weight space, and in its spun word basis, with T·e_0
+    anywhere, as under the n²-unknown Kronecker solve."""
     cells = [(g, VermaSystem(g, chi), lambda_set(g, chi)) for *_, g, chi in grid()]
     heads = [(g, system, lset.field, lam) for g, system, lset in cells for lam in lset]
     assert len(heads) == 582
     for g, system, F, lam in heads[::29]:
-        mats, parity_op = module(system, lam, F).quotient_representation()
-        restricted, spun, oracle = odd_commutant_dims(F, mats, parity_op, g.parities, g.cartan)
+        restricted, spun, oracle = odd_commutant_dims(module(system, lam, F))
         assert restricted == spun == oracle, (g.label, lam)
 
 

@@ -5,11 +5,12 @@ import re
 import shlex
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from superlie import cli, invariants, linalg as la
+from superlie import cli, invariants, liesuper, linalg as la
 from superlie.cli import (
     ExperimentConfig,
     UsageError,
@@ -20,7 +21,7 @@ from superlie.cli import (
     run_experiment,
 )
 from superlie.rootsys import RootSystem
-from superlie.verma import BabyVerma, VermaSystem
+from superlie.verma import BabyVerma, LambdaSet, VermaSystem
 from tooling import gl21_with_corrupt_reflection
 
 
@@ -230,8 +231,9 @@ def test_kw_invariant_violation_is_fail(monkeypatch, capsys):
 
 
 def test_kw_reducible_head_is_fail(tmp_path, monkeypatch, capsys):
-    # a head H + H is not simple: the Walls-type solve cannot spin it from e_0,
-    # and the broken invariant fails the check instead of skipping the character
+    # a head H + H is not simple: the PBW words on the image of v, one per
+    # kept index of H, cannot be its basis, and the broken invariant fails the
+    # check instead of skipping the character
     quotient = BabyVerma.quotient_representation
 
     def doubled(self):
@@ -245,8 +247,41 @@ def test_kw_reducible_head_is_fail(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "skipped" not in out and "PASS" not in out
     assert re.search(r"^kw +FAIL$", out, re.M)
-    assert re.search(r"^  invariant violation: the spin of e_0 stops at dimension 1 of 2: "
-                     r"the module is not simple$", out, re.M)
+    assert re.search(r"^  invariant violation: the n\^- words on the image of v are not the basis "
+                     r"of the 2-dimensional head at its 1 kept PBW indices: v does not generate it$",
+                     out, re.M)
+
+
+def test_an_odd_even_centralizer_codimension_is_an_invariant_violation(monkeypatch, capsys):
+    # chi([., .]) on g_0 is alternating, so its rank d0 is even; an odd rank
+    # is a broken invariant, never a scope limit
+    build = cli.build_for
+
+    def built(*args):
+        g = build(*args)  # validated with the true ranks
+        odd_rank = SimpleNamespace(**{**vars(la), "rank": lambda F, mat: la.rank(F, mat) | 1})
+        monkeypatch.setattr(liesuper, "la", odd_rank)
+        return g
+
+    monkeypatch.setattr(cli, "build_for", built)
+    assert main(["kw", "--type", "gl(1|1)", "--p", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "out of scope" not in out and "PASS" not in out
+    assert re.search(r"^kw +FAIL$", out, re.M)
+    assert re.search(r"^  invariant violation: even centralizer codimension 1 is odd — artifact bug$",
+                     out, re.M)
+
+
+def test_a_weight_set_unstable_under_a_root_shift_is_an_invariant_violation(monkeypatch, capsys):
+    # root weights lie in GF(p), so every coset weight set is stable under
+    # the root shifts; a weight set that is not breaks an invariant
+    monkeypatch.setattr(LambdaSet, "__contains__", lambda self, lam: False)
+    assert main(["reflect", "--type", "gl(1|1)", "--p", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "out of scope" not in out and "PASS" not in out
+    assert re.search(r"^reflect +FAIL$", out, re.M)
+    assert re.search(r"^  invariant violation: weight set is not stable under the root shift$",
+                     out, re.M)
 
 
 def test_pbw_violation_is_fail(monkeypatch, capsys):

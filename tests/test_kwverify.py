@@ -14,7 +14,7 @@ from superlie.liesuper import build_algebra
 from superlie.rootsys import InvariantViolation
 from superlie.kwverify import KWReport, verify_superkw_sweep, walls_type
 from superlie.verma import BabyVerma, VermaLedger, VermaSystem, lambda_set, standard_characters
-from tooling import baby_vermas, module, odd_commutant_dims, simple_heads, top_weight_coords
+from tooling import baby_vermas, head_solve, module, odd_commutant_dims, top_weight_coords
 
 F3 = field_create(3, 1)
 F5 = field_create(5, 1)
@@ -57,7 +57,7 @@ def test_walls_type_trivial_module_is_M():
     mats, parity_op = Z.quotient_representation()
     assert mats[0].shape[0] == 1
     screen_simple(F3, mats)
-    assert walls_type(F3, mats, parity_op, g.parities, g.cartan) == "M"
+    assert Z.head_type() == "M"
 
 
 def test_walls_type_gl11_head_is_M():
@@ -68,7 +68,7 @@ def test_walls_type_gl11_head_is_M():
     mats, parity_op = Z.quotient_representation()
     assert mats[0].shape[0] == 2
     screen_simple(ls.field, mats)
-    assert walls_type(ls.field, mats, parity_op, g.parities, g.cartan) == "M"
+    assert Z.head_type() == "M"
 
 
 def test_walls_type_rejects_reducible():
@@ -85,29 +85,54 @@ def test_walls_type_rejects_reducible():
 
 def test_walls_type_rejects_parity_shift_glue():
     # V + Pi V has an odd endomorphism, the swap, but V + 0 is a submodule:
-    # the spin of e_0 stops at dim V, and no type is given
+    # the two PBW words on v do not span the glued module, and no type is given
     g = build_algebra("gl(1|1)", F3)
     chi = g.chi_regular_semisimple()
     ls = lambda_set(g, chi)
-    Z = module(VermaSystem(g, chi), ls.weights[0], ls.field)
+    system = VermaSystem(g, chi)
+    Z = module(system, ls.weights[0], ls.field)
     mats, parity_op = Z.quotient_representation()
     glued, gp = parity_shift_glue(ls.field, mats, parity_op, list(g.parities))
-    with pytest.raises(InvariantViolation, match="stops at dimension 2 of 4"):
-        walls_type(ls.field, np.array(glued), gp, g.parities, g.cartan)
+    with pytest.raises(InvariantViolation, match="basis of the 4-dimensional head at its 2 kept "
+                                                 "PBW indices: v does not generate it"):
+        walls_type(ls.field, np.array(glued), gp, g.parities, g.cartan, system.neg_indices,
+                   system.caps, np.arange(2), la.eye(4)[0])
+
+
+def test_head_type_rejects_a_scaled_letter(monkeypatch):
+    # twice an n^- letter carries v to twice a kept PBW vector: the words on
+    # v are not the head's basis, whatever the operators' other relations
+    g = build_algebra("gl(2|1)", F3)
+    system = VermaSystem(g, g.chi_zero())
+    letter = system.neg_indices[0]
+    quotient = BabyVerma.quotient_representation
+
+    def scaled(self):
+        ops, parity_op = quotient(self)
+        ops = ops.copy()
+        ops[letter] = F3.smul_arr(2, ops[letter])
+        return ops, parity_op
+
+    assert module(system, (0, 1, 0)).head_type() == "M"
+    monkeypatch.setattr(BabyVerma, "quotient_representation", scaled)
+    with pytest.raises(InvariantViolation, match="v does not generate it"):
+        module(system, (0, 1, 0)).head_type()
 
 
 def test_kw_heads_commutants_match_kronecker_reference():
     """The 81 heads of the gl(2|1), p = 3 kw sweep (the kw_heads bench config)
-    have the same odd supercommutant dimension under spinning, with T·e_0 in
-    e_0's weight space or anywhere, as under the n²-unknown Kronecker solve.
-    The weight space of e_0 holds no odd vector in any of them, so the
-    restricted solve is the spin alone."""
+    have the same odd supercommutant dimension in their PBW word basis, with
+    T on the image of v in its weight space, and in their spun word basis,
+    with T·e_0 anywhere, as under the n²-unknown Kronecker solve.  The weight
+    space of e_0 holds no odd vector in any of them, so the head's solve has
+    no unknowns."""
     g = build_algebra("gl(2|1)", F3)
     heads = 0
     for chi in standard_characters(g).values():
-        for F, mats, parity_op in simple_heads(g, chi):
+        for Z in baby_vermas(g, chi):
+            mats, parity_op = Z.quotient_representation()
             assert top_weight_coords(mats, parity_op, g.cartan).size == 0
-            restricted, spun, oracle = odd_commutant_dims(F, mats, parity_op, g.parities, g.cartan)
+            restricted, spun, oracle = odd_commutant_dims(Z)
             assert restricted == spun == oracle
             heads += 1
     assert heads == 81
@@ -118,33 +143,37 @@ def test_kw_heads_commutants_match_kronecker_reference():
 def test_osp12_odd_top_weight_heads_match_kronecker_reference(p, bucket, with_odd):
     """Every osp(1|2) head whose top weight space (e_0's, under the Cartan
     operators) holds an odd vector, at p = 3 and 5 and χ = 0 and regular:
-    the solve on those odd vectors alone, the solve with T·e_0 anywhere and
-    the Kronecker oracle agree, and so does the Walls type."""
+    the head's solve on those odd vectors alone, the spun solve with T·e_0
+    anywhere and the Kronecker oracle agree, and so does the Walls type."""
     g = build_algebra("osp(1|2)", field_create(p, 1))
     found = 0
-    for F, mats, parity_op in simple_heads(g, standard_characters(g)[bucket]):
+    for Z in baby_vermas(g, standard_characters(g)[bucket]):
+        mats, parity_op = Z.quotient_representation()
         if top_weight_coords(mats, parity_op, g.cartan).size:
-            restricted, spun, oracle = odd_commutant_dims(F, mats, parity_op, g.parities, g.cartan)
+            restricted, spun, oracle = odd_commutant_dims(Z)
             assert restricted == spun == oracle
-            assert walls_type(F, mats, parity_op, g.parities, g.cartan) == "MQ"[oracle > 0]
+            assert Z.head_type() == "MQ"[oracle > 0]
             found += 1
     assert found == with_odd
 
 
 def test_gl22_odd_top_weight_heads_match_full_spin_reference():
     """Heads of gl(2|2), p = 3, χ = 0 whose top weight space holds odd
-    vectors: solving for T·e_0 on those alone spans the same odd
+    vectors: the head's solve for T on the image of v, in its PBW word basis
+    with those odd vectors alone as unknowns, spans the same odd
     supercommutant as the spin with T·e_0 free in all n coordinates."""
     g = build_algebra("gl(2|2)", F3)
     system = VermaSystem(g, g.chi_zero())
     for lam, n, coords in [((0, 1, 1, 0), 52, [51]), ((1, 0, 1, 2), 52, [51]),
                            ((0, 1, 0, 2), 96, [83, 91])]:
-        mats, parity_op = module(system, lam, F3).quotient_representation()
+        Z = module(system, lam, F3)
+        mats, parity_op = Z.quotient_representation()
         assert mats.shape[1] == n
         reach = top_weight_coords(mats, parity_op, g.cartan)
         assert reach.tolist() == coords
         even, odd = mats[g.parities == 0], mats[g.parities == 1]
-        got = la.supercommutant_basis(F3, even, odd, parity_op, reach)
+        words, got = head_solve(Z)
+        assert words.shape == (n, n, len(coords))
         want = ref.supercommutant_spin_full(F3, even, odd, parity_op)
         assert len(got) == len(want)
         span = [la.row_space_basis(F3, ts.reshape(len(ts), n * n)) for ts in (got, want)]
@@ -157,6 +186,7 @@ def test_head_type_rejects_off_diagonal_cartan(monkeypatch):
     g = build_algebra("gl(2|1)", F3)
     system = VermaSystem(g, g.chi_zero())
     mats, parity_op = module(system, (0, 1, 0)).quotient_representation()  # dim 12
+    assert module(system, (0, 1, 0)).head_type() == "M"
     d, even = np.diagonal(mats[g.cartan], axis1=1, axis2=2), parity_op.diagonal() == 1
     i, j = next((i, j) for i in range(len(even)) for j in range(i)
                 if even[i] and even[j] and (d[:, i] != d[:, j]).any())
@@ -166,7 +196,6 @@ def test_head_type_rejects_off_diagonal_cartan(monkeypatch):
     monkeypatch.setattr(BabyVerma, "quotient_representation", lambda self: (
         np.array([la.matmul(F3, la.matmul(F3, P_inv, m), P) for m in quotient(self)[0]]),
         parity_op))
-    assert walls_type(F3, mats, parity_op, g.parities, g.cartan) == "M"
     with pytest.raises(InvariantViolation, match="not diagonal"):
         module(system, (0, 1, 0)).head_type()
 

@@ -17,7 +17,7 @@ from superlie.invariants import graded_codims
 from superlie.liesuper import build_algebra
 from superlie.rootsys import InvariantViolation
 from superlie.verma import VermaSystem, lambda_set, walls_type
-from tooling import module, random_codes, simple_heads, spy_on_right_factors
+from tooling import module, random_codes, spun_commutant, spy_on_right_factors
 
 
 def random_matrix(F, rng, shape):
@@ -190,17 +190,36 @@ def test_intersect_row_spaces():
         assert got == expected
 
 
+def test_reduce_against_no_rows_copies_the_block(monkeypatch):
+    """An empty basis reduces a block to a copy of it, with no product."""
+    F = field_create(5, 5)
+    block = random_codes(F, np.random.default_rng(0), (6, 4))
+    calls, matmul = [], la.matmul
+    monkeypatch.setattr(la, "matmul", lambda *args: calls.append(args) or matmul(*args))
+    out = la.EchelonBasis(F, la.zeros((0, 4))).reduce(block)
+    assert not calls
+    assert np.array_equal(out, block) and not np.shares_memory(out, block)
+    la.EchelonBasis(F, la.eye(4)[:1]).reduce(block)
+    assert calls  # the spy sees the product of a basis with rows
+
+
 def test_supercommutant_of_irreducible_type_m():
-    # 2-dim module with even part spanned by e_0, odd by e_1; operators taken
-    # from a module whose odd commutant is zero.
+    # 2-dim module with even part spanned by e_0, odd by e_1 = L·e_0 for the
+    # second odd operator L; operators taken from a module whose odd
+    # commutant is zero.  With u = T·e_0 on e_1, T·e_0 = u and T·e_1 = −L·u.
     F = field_create(3)
     sigma = np.diag([1, F.neg(1)]).astype(np.int64)
     even_ops = np.array([np.diag([1, 2])], dtype=np.int64)  # distinct eigenvalues
     odd_ops = np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]]], dtype=np.int64)
-    assert len(la.supercommutant_basis(F, even_ops, odd_ops, sigma, np.array([1]))) == 0
+    words = np.array([[[0], [1]], [[0], [0]]], dtype=np.int64)
+    assert len(la.supercommutant_basis(F, even_ops, odd_ops, sigma, words)) == 0
     # as a Cartan operator, the even one puts e_1 outside e_0's weight space:
-    # the solve is the spin alone
-    assert walls_type(F, np.concatenate([even_ops, odd_ops]), sigma, np.array([0, 1, 1]), [0]) == "M"
+    # the solve has no unknowns
+    ops = np.concatenate([even_ops, odd_ops])
+    assert walls_type(F, ops, sigma, np.array([0, 1, 1]), [0], [2], [2], np.arange(2), la.eye(2)[0]) == "M"
+    # the first odd operator kills e_0: its words give e_0 and 0, no basis
+    with pytest.raises(InvariantViolation, match="v does not generate it"):
+        walls_type(F, ops, sigma, np.array([0, 1, 1]), [0], [1], [2], np.arange(2), la.eye(2)[0])
 
 
 def test_supercommutant_of_type_q_fixture():
@@ -208,16 +227,19 @@ def test_supercommutant_of_type_q_fixture():
     # [[0,1],[1,0]].  The odd part of the supercommutant is spanned by
     # [[0,t],[-t,0]], so this simple module has type Q.  Its even operator,
     # read as a Cartan operator, is scalar: e_0's weight space holds e_1.
+    # e_1 is the odd operator X on e_0; with u = T·e_0 on e_1, T·e_1 = −X·u.
     F = field_create(3)
     sigma = np.diag([1, F.neg(1)]).astype(np.int64)
     even_ops = np.array([np.diag([2, 2])], dtype=np.int64)
     odd_ops = np.array([[[0, 1], [1, 0]]], dtype=np.int64)
-    (T,) = la.supercommutant_basis(F, even_ops, odd_ops, sigma, np.array([1]))
+    words = np.array([[[0], [1]], [[F.neg(1)], [0]]], dtype=np.int64)
+    (T,) = la.supercommutant_basis(F, even_ops, odd_ops, sigma, words)
     assert T[0, 0] == 0 and T[1, 1] == 0
     assert T[1, 0] == F.neg(int(T[0, 1])) and T[0, 1] != 0
     # u = T·e_0 on no coordinate: only T = 0 is left
-    assert len(la.supercommutant_basis(F, even_ops, odd_ops, sigma, np.array([], dtype=int))) == 0
-    assert walls_type(F, np.concatenate([even_ops, odd_ops]), sigma, np.array([0, 1]), [0]) == "Q"
+    assert len(la.supercommutant_basis(F, even_ops, odd_ops, sigma, words[:, :, :0])) == 0
+    ops = np.concatenate([even_ops, odd_ops])
+    assert walls_type(F, ops, sigma, np.array([0, 1]), [0], [1], [2], np.arange(2), la.eye(2)[0]) == "Q"
 
 
 def test_walls_type_rejects_off_diagonal_cartan():
@@ -228,12 +250,13 @@ def test_walls_type_rejects_off_diagonal_cartan():
     ops = np.array([np.diag([2, 2]), [[0, 1], [1, 0]]], dtype=np.int64)
     P, P_inv = np.array([[1, 0], [1, 1]]), np.array([[1, 0], [F.neg(1), 1]])
     conj = [la.matmul(F, la.matmul(F, P_inv, m), P) for m in (*ops, sigma)]
+    head = [1], [2], np.arange(2), la.eye(2)[0]  # letters, caps, kept, image of v
     with pytest.raises(InvariantViolation, match="not diagonal"):
-        walls_type(F, np.array(conj[:2]), conj[2], np.array([0, 1]), [0])
+        walls_type(F, np.array(conj[:2]), conj[2], np.array([0, 1]), [0], *head)
     # a Cartan operator with an off-diagonal entry
     cartan = np.array([[2, 1], [0, 2]], dtype=np.int64)
     with pytest.raises(InvariantViolation, match="not diagonal"):
-        walls_type(F, np.array([cartan, ops[1]]), sigma, np.array([0, 1]), [0])
+        walls_type(F, np.array([cartan, ops[1]]), sigma, np.array([0, 1]), [0], *head)
 
 
 # -- the echelon kernel against the slow reference it replaced ----------------
@@ -459,10 +482,11 @@ def graded_modules(draw, F, n, n_even_ops, n_odd_ops):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_supercommutant_matches_kronecker_reference(data):
-    """Spinning e_0, with T·e_0 on every coordinate of the other parity, spans
-    the same odd supercommutant as the n²-unknown Kronecker solve on every
-    module that e_0 generates, and raises
-    ``InvariantViolation`` on the others, direct sums among them."""
+    """The solve in the spun word basis of e_0, with T·e_0 on every
+    coordinate of the other parity, spans the same odd supercommutant as the
+    n²-unknown Kronecker solve on every module that e_0 generates, and the
+    spin raises ``InvariantViolation`` on the others, direct sums among
+    them."""
     F = field_create(*data.draw(st.sampled_from(FIELDS)))
     counts = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
     shape = data.draw(st.sampled_from(["module", "cyclic", "direct sum", "parity-shift glue"]))
@@ -493,9 +517,9 @@ def test_supercommutant_matches_kronecker_reference(data):
     other = np.flatnonzero(parity_op.diagonal() != parity_op.diagonal()[:1])  # T·e_0 anywhere
     if n and spun < n:
         with pytest.raises(InvariantViolation, match=f"stops at dimension {spun} of {n}"):
-            la.supercommutant_basis(F, even_stack, odd_stack, parity_op, other)
+            spun_commutant(F, even_stack, odd_stack, parity_op, other)
         return
-    got = la.supercommutant_basis(F, even_stack, odd_stack, parity_op, other)
+    got = spun_commutant(F, even_stack, odd_stack, parity_op, other)
     want = ref.supercommutant_kronecker(F, even_ops, odd_ops, parity_op, odd_part=True)
     assert len(got) == len(want)
 
@@ -911,26 +935,3 @@ def test_closure_expands_its_stack_once(p, k, monkeypatch):
     la.largest_stable_subspace(F, la.eye(n)[:-1], ops)
     ((shape, rounds),) = stack_expansions(expansions)
     assert shape == (n, K, n) and rounds >= 1
-
-
-@pytest.mark.parametrize("p,chi", [(3, "zero"), (5, "regular")])
-def test_spin_expands_its_stack_once(p, chi, monkeypatch):
-    """One expansion of the (K, n, n) stack per supercommutant_basis call,
-    however many rounds the spin of e_0 runs, on gl(2|1) heads over GF(3)
-    and GF(5⁵)."""
-    g = build_algebra("gl(2|1)", field_create(p))
-    chi = g.chi_zero() if chi == "zero" else g.chi_regular_semisimple()
-    parities = np.asarray(g.parities)
-    expansions = spy_on_right_factors(monkeypatch)
-    heads = 0
-    for F, ops, parity_op in itertools.islice(simple_heads(g, chi), 4):
-        n = parity_op.shape[0]
-        if n < 3:
-            continue
-        expansions.clear()
-        coords = np.arange(1, n)[parity_op.diagonal()[1:] != parity_op[0, 0]][:2]
-        la.supercommutant_basis(F, ops[parities == 0], ops[parities == 1], parity_op, coords)
-        ((shape, rounds),) = stack_expansions(expansions)
-        assert shape == (n, len(ops) + 1, n) and rounds >= 2
-        heads += 1
-    assert heads

@@ -733,6 +733,21 @@ def test_quotient_representation_matches_per_generator_reduction():
             assert all(np.array_equal(a, b) for a, b in zip(mats, want)), (chi.values, Z.lam)
 
 
+def test_quotient_of_a_simple_module_is_its_stack():
+    """With no maximal submodule the head is Z itself: its quotient stack is
+    Z's own, in the PBW basis, over GF(3) and GF(3^3)."""
+    g = build_algebra("gl(2|1)", F3)
+    simple = 0
+    for chi in (g.chi_zero(), g.chi_regular_semisimple()):
+        for Z in baby_vermas(g, chi):
+            if Z.is_irreducible_oracle():
+                mats, S = Z.quotient_representation()
+                assert np.array_equal(mats, Z.operators()) and not np.shares_memory(mats, Z.operators())
+                assert np.array_equal(S.diagonal() == 1, Z.system.parities == 0)
+                simple += 1
+    assert simple == 6 + 27  # 6 of 27 at chi = 0, all 27 at the regular chi
+
+
 # (commutative, chi([n^-, n^-]) = 0) of the coefficient algebras of
 # ``_ambient_characters``; the radical path is (True, False)
 ALGEBRA_CLASSES = {"gl(1|1)": {(True, True)}, "osp(1|2)": {(True, True), (True, False)}}

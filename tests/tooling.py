@@ -150,14 +150,6 @@ def baby_vermas(g, chi):
         yield module(system, lam, lset.field)
 
 
-def simple_heads(g, chi):
-    """(field, operator stack, parity involution) of the head of every baby
-    Verma of chi, over its whole weight set, as the kw sweep harvests them."""
-    for Z in baby_vermas(g, chi):
-        ops, parity_op = Z.quotient_representation()
-        yield Z.F, ops, parity_op
-
-
 def top_weight_coords(ops: np.ndarray, parity_op: np.ndarray, cartan) -> np.ndarray:
     """The coordinates that T·e_0 can reach for an odd T: those whose diagonal
     entry in every Cartan operator ops[c] equals e_0's and whose parity
@@ -167,16 +159,56 @@ def top_weight_coords(ops: np.ndarray, parity_op: np.ndarray, cartan) -> np.ndar
                      and all(ops[c][i, i] == ops[c][0, 0] for c in cartan)], dtype=int)
 
 
-def odd_commutant_dims(F: Field, ops: np.ndarray, parity_op: np.ndarray,
-                       parities: np.ndarray, cartan) -> tuple[int, int, int]:
-    """Dimensions of the odd supercommutant of the (dim g, n, n) stack
-    ``ops`` split by the parity array: as ``linalg.supercommutant_basis``
-    solves it with T·e_0 on the coordinates ``top_weight_coords`` reads off
-    the Cartan operators ops[cartan], the same with T·e_0 on every coordinate
-    of the other parity, and as the n²-unknown Kronecker oracle solves it."""
-    even, odd = ops[parities == 0], ops[parities == 1]
-    return (len(la.supercommutant_basis(F, even, odd, parity_op,
-                                        top_weight_coords(ops, parity_op, cartan))),
-            len(la.supercommutant_basis(F, even, odd, parity_op,
-                                        top_weight_coords(ops, parity_op, []))),
+def head_solve(Z: BabyVerma) -> tuple[np.ndarray, np.ndarray]:
+    """(word matrices, odd supercommutant stack) of Z's head as
+    ``BabyVerma.head_type`` solves it: the last argument and the result of
+    its one ``linalg.supercommutant_basis`` call."""
+    calls, solve = [], la.supercommutant_basis
+
+    def spy(F, even, odd, parity_op, words):
+        calls.append((words, solve(F, even, odd, parity_op, words)))
+        return calls[-1][1]
+
+    la.supercommutant_basis = spy
+    try:
+        Z.head_type()
+    finally:
+        la.supercommutant_basis = solve
+    (call,) = calls
+    return call
+
+
+def spun_commutant(F: Field, even_ops: np.ndarray, odd_ops: np.ndarray, parity_op: np.ndarray,
+                   coords: Sequence[int]) -> np.ndarray:
+    """The odd supercommutant as ``linalg.supercommutant_basis`` solves it on
+    the module in its spun word basis (``reference_linalg.spin_words``, with
+    T·e_0 on the coordinates ``coords``), carried back to the module's own
+    basis: T = B·T'·B⁻¹."""
+    n = parity_op.shape[0]
+    if n == 0:
+        return la.zeros((0, 0, 0))
+    basis, words = ref.spin_words(F, even_ops, odd_ops, parity_op, coords)
+    inverse = la.rref(F, np.concatenate([basis, la.eye(n)], axis=1))[0][:, n:]
+
+    def spun(stack):  # B⁻¹·A·B for each A of a (K, n, n) stack, and B⁻¹·M for words
+        left = la.matmul(F, inverse, stack.transpose(1, 0, 2).reshape(n, -1))
+        return left.reshape(n, len(stack), stack.shape[2]).transpose(1, 0, 2)
+
+    conj = [la.matmul(F, spun(ops).reshape(-1, n), basis).reshape(-1, n, n)
+            for ops in (even_ops, odd_ops, parity_op[None])]
+    ts = la.supercommutant_basis(F, conj[0], conj[1], conj[2][0], spun(words))
+    return np.array([la.matmul(F, la.matmul(F, basis, t), inverse) for t in ts],
+                    dtype=np.int64).reshape(-1, n, n)
+
+
+def odd_commutant_dims(Z: BabyVerma) -> tuple[int, int, int]:
+    """Dimensions of the odd supercommutant of Z's simple head: as
+    ``BabyVerma.head_type`` solves it, in the head's PBW word basis with T on
+    the image of v in its weight space; in the head's spun word basis with
+    T·e_0 on every coordinate of the other parity; and as the n²-unknown
+    Kronecker oracle solves it."""
+    F, (ops, parity_op) = Z.F, Z.quotient_representation()
+    even, odd = ops[Z.g.parities == 0], ops[Z.g.parities == 1]
+    return (len(head_solve(Z)[1]),
+            len(spun_commutant(F, even, odd, parity_op, top_weight_coords(ops, parity_op, []))),
             len(ref.supercommutant_kronecker(F, even, odd, parity_op, odd_part=True)))
