@@ -430,11 +430,13 @@ PRESETS = {
 }
 
 
-def _reflect_line(label: str, report: dict) -> str:
-    if "invariant_violation" in report:
-        return f"{label}: invariant violation: {report['invariant_violation']}"
-    return (f"{label}: {report['simple_system_count']} simple systems, "
-            f"all reflection identities verified")
+def _reflect_line(label: str, passed: bool, report: dict) -> str:
+    """The reflect header: the verdict, or why there is none."""
+    for key in ("invariant_violation", "out_of_scope"):
+        if key in report:
+            return f"{label}: {key.replace('_', ' ')}: {report[key]}"
+    verdict = "all reflection identities verified" if passed else "a reflection identity failed"
+    return f"{label}: {report['simple_system_count']} simple systems, {verdict}"
 
 
 def _run(cfg: ExperimentConfig, args) -> int:
@@ -448,7 +450,7 @@ def _run(cfg: ExperimentConfig, args) -> int:
         print(json.dumps(bundle, sort_keys=True, indent=1))
         return code
     if args.command == "reflect":
-        print(_reflect_line(args.type, bundle["reflect"]["report"]))
+        print(_reflect_line(args.type, bundle["reflect"]["passed"], bundle["reflect"]["report"]))
     if args.command == "kw" and "table" in bundle["kw"]["report"]:
         print(bundle["kw"]["report"]["table"])
     for line in lines:
@@ -490,10 +492,12 @@ def _reflect_roots(args) -> int:
         code, report = 0, {"simple_system_count": len(rs.all_simple_systems())}
     except InvariantViolation as exc:
         code, report = 1, {"invariant_violation": str(exc)}
+    except RuntimeError as exc:  # the MAX_SIMPLE_SYSTEMS cap
+        code, report = 1, {"out_of_scope": str(exc)}
     if args.format == "structured":
         print(json.dumps(report, sort_keys=True, indent=1))
     else:
-        print(_reflect_line(args.type, report))
+        print(_reflect_line(args.type, code == 0, report))
     return code
 
 

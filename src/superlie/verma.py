@@ -87,19 +87,20 @@ Each strategy certifies its own applicability and raises otherwise.
 
 The reports of one run read a ``VermaLedger`` per (chi, simple system),
 which computes the system, the weight set, the criterion over the whole
-weight set and each module's phi, oracle verdict, head dimension and head
-Walls type at most once, and only when a report shows it.  Every template
-code lies in GF(p), so the stack at sigma(lambda) is sigma of the stack at
-lambda, entrywise, and so are the pairing matrix, its kernels and the head
-(pi's rows are fixed by sigma, and reduced echelon forms commute with a
-field automorphism).
-So the oracle verdict, the head dimension and the Walls type are constant on
-each orbit, and phi, a GF(p)-polynomial in lambda, satisfies phi(sigma
-lambda) = sigma(phi(lambda)).  The ledger computes these facts, the only
-ones it reads off a module, at one representative per orbit and carries
-them to the other weights, exactly.  Each ledger first certifies
-stack(sigma . rep) = sigma(stack(rep)) on one orbit, which a template code
-outside GF(p) breaks.
+weight set and each module's phi, oracle verdict, head dimension, head
+Walls type and singular-vector verdicts at most once, and only when a report
+shows it.  Every template code lies in GF(p), so the stack at sigma(lambda)
+is sigma of the stack at lambda, entrywise, and so are the pairing matrix,
+its kernels, the head and the singular vectors with their images (pi's rows
+are fixed by sigma, and reduced echelon forms commute with a field
+automorphism).
+So the oracle verdict, the head dimension, the Walls type and the
+singular-vector verdicts are constant on each orbit, and phi, a
+GF(p)-polynomial in lambda, satisfies phi(sigma lambda) = sigma(phi(lambda)).
+The ledger computes these facts, the only ones it reads off a module, at
+one representative per orbit and carries them to the other weights,
+exactly.  Each ledger first certifies stack(sigma . rep) = sigma(stack(rep))
+on one orbit, which a template code outside GF(p) breaks.
 """
 
 from __future__ import annotations
@@ -163,26 +164,13 @@ class LambdaSet:
         return tuple(int(v) for v in lam) in self._set
 
 
-def cartan_p_matrix(g: LieSuperalgebra) -> np.ndarray:
-    """Matrix P with h_i^{[p]} = sum_j P[i,j] h_j on the Cartan basis."""
-    rows = g.p_map[g.cartan]
-    if np.delete(rows, g.cartan, axis=1).any():
-        raise RuntimeError("Cartan is not closed under the p-th power map")
-    return rows[:, g.cartan]
-
-
-def lambda_residual(g: LieSuperalgebra, F: Field, lam: Sequence[int],
-                    chi_h: Sequence[int], P: np.ndarray) -> np.ndarray:
-    """lambda(h_i)^p - lambda(h_i^{[p]}) - chi(h_i)^p per Cartan index, for
-    one weight or for each row of an array of weights (one product)."""
+def lambda_residual(F: Field, lam: Sequence[int], chi_h: Sequence[int]) -> np.ndarray:
+    """lambda(h_i)^p - lambda(h_i) - chi(h_i)^p per Cartan index, the p-map
+    being the identity on the Cartan, for one weight or for each row of an
+    array of weights."""
     lam = np.asarray(lam, dtype=np.int64)
-    rows = lam.reshape(-1, lam.shape[-1])
-    lhs = F.sub_arr(F._frob[rows], la.matmul(F, rows, P.T))
-    return F.sub_arr(lhs, F._frob[np.asarray(chi_h, dtype=np.int64)]).reshape(lam.shape)
-
-
-class PMapNotIdentity(RuntimeError):
-    """The Cartan p-map is not the identity, so lambda(h) do not decouple."""
+    lhs = F.sub_arr(F._frob[lam], lam)
+    return F.sub_arr(lhs, F._frob[np.asarray(chi_h, dtype=np.int64)])
 
 
 class ExtensionCapExceeded(RuntimeError):
@@ -218,6 +206,9 @@ def lambda_set(g: LieSuperalgebra, chi: PCharacter) -> LambdaSet:
     """Read the weight set off the Frobenius table, coordinate by coordinate.
 
     With h_i^{[p]} = h_i each lambda(h_i) is a root of t^p - t = chi(h_i)^p.
+    Every Cartan basis element of the models is a diagonal matrix with
+    entries in {0, 1, -1}, its own p-th power, so a p-map that is not the
+    identity on the Cartan raises ``InvariantViolation``.
     The field is GF(p) when every chi(h_i) is 0 and GF(p^p) otherwise, the
     least that holds the roots of every coordinate; above
     ``gf.MAX_FIELD_ORDER`` it raises ``ExtensionCapExceeded``.  Only the
@@ -228,12 +219,8 @@ def lambda_set(g: LieSuperalgebra, chi: PCharacter) -> LambdaSet:
     if g.F.k != 1:
         raise ValueError("lambda solving expects the algebra over the prime field")
     p = g.p
-    P = cartan_p_matrix(g)
-    if not (P == la.eye(g.rank)).all():
-        raise PMapNotIdentity(
-            f"the p-map of {g.label} is not the identity on the Cartan; "
-            "the weight equations do not decouple"
-        )
+    if not np.array_equal(g.p_map[g.cartan], la.eye(g.dim)[g.cartan]):
+        raise InvariantViolation(f"the p-map of {g.label} is not the identity on the Cartan")
     chi_h = [int(v) for v in chi.cartan_values()]
     rhs = [g.F.pow_int(c, p) for c in chi_h]
     k = p if any(rhs) else 1
@@ -245,7 +232,7 @@ def lambda_set(g: LieSuperalgebra, chi: PCharacter) -> LambdaSet:
     F = g.F if k == 1 else field_create(p, k)
     # prime-field codes embed unchanged into F; roots come sorted by code
     weights = list(itertools.product(*coset_roots(F, rhs)))
-    if lambda_residual(g, F, weights, chi_h, P).any():
+    if lambda_residual(F, weights, chi_h).any():
         raise InvariantViolation("weight fails its defining equation")
     return LambdaSet(F, weights)
 
@@ -542,9 +529,6 @@ class BabyVerma:
     def action_matrix(self, gen_idx: int) -> np.ndarray:
         return self.operators()[gen_idx]
 
-    def act(self, gen_idx: int, vec: np.ndarray) -> np.ndarray:
-        return la.matvec(self.F, self.action_matrix(gen_idx), vec)
-
     # -- distinguished vectors -------------------------------------------------
 
     def highest_vector(self) -> np.ndarray:
@@ -642,35 +626,26 @@ class BabyVerma:
         return walls_type(self.F, ops, parity_op, self.g.parities, self.g.cartan,
                           self.system.neg_indices, self.system.caps, kept, top)
 
-    # -- reflection helpers ----------------------------------------------------
+    # -- odd reflections -------------------------------------------------------
 
-    def singular_vector(self, delta: int) -> tuple[np.ndarray, str]:
-        """The singular vector attached to the simple reflection at delta.
-
-        type i (even delta): X_{-delta}^{p-1} v; type ii (isotropic odd):
-        X_{-delta} v; type iii (odd with 2delta a root):
-        X_{-delta} X_{-2delta}^{p-1} v.
-        """
-        kind, star = self.ss.classify(delta)  # star: (delta,) or (delta, 2 delta)
-        idx = [self.g.root_index[self.g.rs.neg[a]] for a in star]
-        exps = np.array([[1 if self.g.parities[i] else self.g.p - 1 for i in idx]])
-        vec = _pbw_words(self.F, self.operators()[idx], exps, self.highest_vector()[:, None])
-        return vec[:, 0], kind
-
-    def check_singular(self, delta: int) -> dict:
-        """Annihilation of the singular vector by the reflected positives."""
-        vec, kind = self.singular_vector(delta)
-        new_ss = self.ss.reflect(delta)
-        killed = []
-        for a in new_ss.positive_roots:
-            img = self.act(self.g.root_index[a], vec)
-            killed.append(not img.any())
-        return {
-            "reflection_type": kind,
-            "nonzero": bool(vec.any()),
-            "annihilated": all(killed),
-            "new_positive_count": len(killed),
-        }
+    def singular_vectors_ok(self) -> tuple[bool, ...]:
+        """Per simple root delta, in ``ss.simple_roots`` order, whether the
+        singular vector of the reflection at delta is nonzero and killed by
+        every positive root vector of ``ss.reflect(delta)``: X_{-delta}^{p-1} v
+        for type i (even delta), X_{-delta} v for type ii (isotropic odd) and
+        X_{-delta} X_{-2delta}^{p-1} v for type iii (odd with 2delta a root).
+        The reflected positives' operators meet the vector in one product."""
+        g, F, ops, n = self.g, self.F, self.operators(), self.dim
+        verdicts = []
+        for delta in self.ss.simple_roots:
+            _, star = self.ss.classify(delta)  # star: (delta,) or (delta, 2 delta)
+            idx = [g.root_index[g.rs.neg[a]] for a in star]
+            exps = np.array([[1 if g.parities[i] else g.p - 1 for i in idx]])
+            vec = _pbw_words(F, ops[idx], exps, self.highest_vector()[:, None])
+            positives = [g.root_index[a] for a in self.ss.reflect(delta).positive_roots]
+            verdicts.append(bool(vec.any())
+                            and not la.matmul(F, ops[positives].reshape(-1, n), vec).any())
+        return tuple(verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -754,10 +729,11 @@ def _recall(memo: dict, key, compute):
 
 # The facts a ledger keeps, all read off the operator stack (the criterion
 # reads none).  stack(sigma . lambda) is sigma of stack(lambda) entrywise, so
-# ranks, dimensions and Walls types are the same along a sigma-orbit, and phi,
-# a GF(p)-polynomial in lambda, goes through the Frobenius.  Facts are matched
-# by method name, which a functools.wraps wrapper keeps.
-_SIGMA_INVARIANT = ("head_dim", "is_irreducible_oracle", "head_type")
+# ranks, dimensions, Walls types and whether a singular vector and its images
+# vanish are the same along a sigma-orbit, and phi, a GF(p)-polynomial in
+# lambda, goes through the Frobenius.  Facts are matched by method name, which
+# a functools.wraps wrapper keeps.
+_SIGMA_INVARIANT = ("head_dim", "is_irreducible_oracle", "head_type", "singular_vectors_ok")
 _SIGMA_EQUIVARIANT = ("phi_via_module",)
 
 
@@ -796,7 +772,7 @@ class VermaLedger:
         return _recall(self._memo, "criterion", lambda: dict(zip(
             weights, criterion_values(self.g, self.ss, F, weights).tolist())))[lam]
 
-    def module(self, lam: tuple) -> BabyVerma:
+    def _module_at(self, lam: tuple) -> BabyVerma:
         """Z(lam) for a weight of the set, which needs no second check."""
         if self._module is None or self._module.lam != lam:
             self._module = BabyVerma(self.system, lam, self.lset.field)
@@ -826,14 +802,14 @@ class VermaLedger:
             image = tuple(self.lset.field._frob[list(lam)].tolist())
             if image != lam:
                 _recall(self._memo, "equivariance", lambda: self._certify(lam, image))
-        return _recall(memo, m, lambda: m(self.module(lam)))
+        return _recall(memo, m, lambda: m(self._module_at(lam)))
 
     def _certify(self, rep: tuple, image: tuple) -> bool:
         """stack(sigma . rep) = sigma(stack(rep)) entrywise, on the first orbit
         of size > 1 whose facts are computed; the stack at rep is the one its
         facts read, so the certificate costs one evaluation."""
         F = self.lset.field
-        if not np.array_equal(F._frob[self.module(rep).operators()],
+        if not np.array_equal(F._frob[self._module_at(rep).operators()],
                               self.system.evaluate(F, image)):
             raise InvariantViolation(f"the stack at sigma(lambda) = {list(image)} is not sigma "
                                      f"of the stack at lambda = {list(rep)}")
@@ -966,7 +942,8 @@ def reflection_report(ledger: VermaLedger, delta: int) -> dict:
     """Everything the simple reflection at delta must satisfy.
 
     * the singular vector in Z(lambda) for the reflected system is nonzero
-      and annihilated by every reflected-positive root vector;
+      and annihilated by every reflected-positive root vector, a ledger fact
+      at every lambda;
     * phi computed in the reflected module at the singular-vector weight
       (lambda + delta for types i/iii, lambda - delta for type ii) is
       proportional to phi in the original module, one constant for all
@@ -978,18 +955,15 @@ def reflection_report(ledger: VermaLedger, delta: int) -> dict:
     kind, _ = ss.classify(delta)
     reflected = VermaLedger(g, ledger.chi, ss=ss.reflect(delta), lset=lset)
     step = F.smul_arr(_REFLECTION_SHIFT[kind] % F.p, g.root_weights[delta])
+    at = ss.simple_roots.index(delta)
     singular_ok = True
     shift_pairs = []
     for lam, lam2 in zip(lset, map(tuple, F.add_arr(np.array(lset.weights), step).tolist())):
-        # the singular vector at sigma . lambda is sigma of the one at lambda
-        if lset.orbit(lam)[1] == 0:
-            rep = ledger.module(lam).check_singular(delta)
-            if not (rep["nonzero"] and rep["annihilated"]):
-                singular_ok = False
+        singular, phi = ledger.facts(lam, BabyVerma.singular_vectors_ok, BabyVerma.phi_via_module)
+        singular_ok = singular_ok and singular[at]
         if lam2 not in lset:
             raise InvariantViolation("weight set is not stable under the root shift")
-        shift_pairs.append((*reflected.facts(lam2, BabyVerma.phi_via_module),
-                            *ledger.facts(lam, BabyVerma.phi_via_module)))
+        shift_pairs.append((*reflected.facts(lam2, BabyVerma.phi_via_module), phi))
     prime_pairs = zip(criterion_values(g, reflected.ss, F, lset.weights, shift=False).tolist(),
                       criterion_values(g, ss, F, lset.weights, shift=False).tolist())
     shift_constant, shift_single, shift_vanish = _proportionality(F, shift_pairs)

@@ -73,12 +73,10 @@ from superlie.verma import (
     LambdaSet,
     VermaSystem,
     _pbw_words,
-    cartan_p_matrix,
-    lambda_residual,
     lambda_set,
 )
 from reference_linalg import solve
-from tooling import pbw_indexed, pbw_tuples, random_codes
+from tooling import cartan_p_matrix, pbw_indexed, pbw_tuples, random_codes, weight_residual
 
 
 def lambda_set_scan(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> LambdaSet:
@@ -131,7 +129,7 @@ def lambda_set_scan(g: LieSuperalgebra, chi: PCharacter, k_max: int = 8) -> Lamb
         if len(weights) != p ** r:
             raise RuntimeError("weight enumeration lost solutions")
         for lam in weights:
-            if any(lambda_residual(g, F, lam, chi_h, P)):
+            if any(weight_residual(g, F, lam, chi_h, P)):
                 raise RuntimeError("weight fails its defining equation")
         return LambdaSet(F, weights)
     raise RuntimeError(
@@ -432,7 +430,7 @@ def _apply_letters(Z: BabyVerma, indices, vec: np.ndarray) -> np.ndarray:
     p - 1 (even) or 1 (odd), one operator application at a time."""
     for idx in indices:
         for _ in range(Z.g.p - 1 if Z.g.parities[idx] == 0 else 1):
-            vec = Z.act(idx, vec)
+            vec = la.matvec(Z.F, Z.action_matrix(idx), vec)
     return vec
 
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from superlie import cli, invariants, liesuper, linalg as la
+from superlie import cli, invariants, liesuper, linalg as la, rootsys, verma
 from superlie.cli import (
     ExperimentConfig,
     UsageError,
@@ -160,6 +160,40 @@ def test_reflect_enumerates_simple_systems_once(monkeypatch, capsys):
 
 def test_reflect_with_model():
     assert main(["reflect", "--type", "osp(1|2)", "--p", "3"]) == 0
+
+
+def test_reflect_line_says_when_an_identity_fails(monkeypatch, capsys):
+    # a wrong type-ii shift breaks the module-shift proportionality: the
+    # header line must not claim the identities verified
+    monkeypatch.setitem(verma._REFLECTION_SHIFT, "type_ii", 1)
+    assert main(["reflect", "--type", "gl(2|1)", "--p", "3"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("gl(2|1): 6 simple systems, a reflection identity failed\n")
+    assert re.search(r"^reflect +FAIL$", out, re.M) and "verified" not in out
+
+
+CAP_MESSAGE = "simple-system closure exceeded MAX_SIMPLE_SYSTEMS = 2"
+
+
+def test_reflect_line_names_the_out_of_scope_reason(monkeypatch, capsys):
+    monkeypatch.setattr(rootsys, "MAX_SIMPLE_SYSTEMS", 2)
+    assert main(["reflect", "--type", "gl(2|1)", "--p", "3"]) == 1
+    assert capsys.readouterr().out == (f"gl(2|1): out of scope: {CAP_MESSAGE}\n"
+                                       "reflect      FAIL\n"
+                                       f"  out of scope: {CAP_MESSAGE}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_root_only_reflect_at_the_cap_is_out_of_scope(monkeypatch, capsys, fmt):
+    # gl(m|n) has (m+n)! simple systems, so gl(5|4) passes the real cap
+    monkeypatch.setattr(rootsys, "MAX_SIMPLE_SYSTEMS", 2)
+    assert main(["reflect", "--type", "gl(2|1)", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if fmt == "text":
+        assert captured.out == f"gl(2|1): out of scope: {CAP_MESSAGE}\n"
+    else:
+        assert json.loads(captured.out) == {"out_of_scope": CAP_MESSAGE}
 
 
 # each preset, and the run config it stands for

@@ -140,3 +140,39 @@ def test_no_module_imports_fractions():
             if any(name and name.split(".")[0] == "fractions" for name in names):
                 importers.append(path.name)
     assert not importers, f"modules importing fractions: {importers}"
+
+
+def _calls(node) -> set:
+    """Names called in ``node``: a bare name, or the attribute of a call."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            out.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return out
+
+
+def test_only_the_ledger_reads_a_baby_verma_module():
+    """Every check reads its modules through ``VermaLedger.facts``: no function
+    outside ``VermaLedger`` builds a ``BabyVerma``, or calls a ledger method
+    that builds one, and inside it only ``_fact`` and ``_certify`` call that
+    method."""
+    tree = ast.parse((SRC / "verma.py").read_text(encoding="utf-8"))
+    [ledger] = [node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "VermaLedger"]
+    methods = [item for item in ledger.body if isinstance(item, FUNCTION_NODES)]
+    makers = {item.name for item in methods if "BabyVerma" in _calls(item)}
+    assert makers, "VermaLedger builds no module"
+    callers = {item.name for item in methods if makers & _calls(item)}
+    assert callers == {"_fact", "_certify"}
+    inside = set(map(id, ast.walk(ledger)))
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        module = tree if path.stem == "verma" else ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(module):
+            if id(node) in inside or not isinstance(node, (ast.ClassDef, *FUNCTION_NODES)):
+                continue
+            body = [stmt for stmt in node.body if not isinstance(stmt, (ast.ClassDef, *FUNCTION_NODES))]
+            if any((makers | {"BabyVerma"}) & _calls(stmt) for stmt in body):
+                readers.append(f"{path.stem}.{node.name}")
+    assert not readers, "modules read outside VermaLedger by: " + ", ".join(readers)

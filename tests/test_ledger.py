@@ -13,7 +13,8 @@ from superlie import verma
 from superlie.cli import ExperimentConfig, run_experiment
 from superlie.gf import field_create
 from superlie.liesuper import build_algebra
-from superlie.verma import BabyVerma, VermaLedger, cartan_p_matrix, lambda_residual
+from superlie.verma import BabyVerma, VermaLedger, lambda_residual
+from tooling import cartan_p_matrix, weight_residual
 
 FIVE = ("verma", "phi", "reflect", "kw", "semisimple")
 BUCKETS = ["zero", "regular_semisimple", "nonregular"]
@@ -39,7 +40,7 @@ def _run_counted(label, p, checks):
         _count(mp, counts, BabyVerma, "is_irreducible_oracle", "oracles")
         _count(mp, counts, BabyVerma, "pairing_matrix", "pairing_matrices")
         _count(mp, counts, la, "supercommutant_basis", "commutants")
-        _count(mp, counts, BabyVerma, "check_singular", "singular_checks")
+        _count(mp, counts, BabyVerma, "singular_vectors_ok", "singular_checks")
         _count(mp, counts, verma.VermaSystem, "evaluate", "stacks")
         cfg = ExperimentConfig(algebra=label, p=p, chi_specs=list(BUCKETS), checks=list(checks))
         code, bundle, _ = run_experiment(cfg)
@@ -56,20 +57,20 @@ def _report(bundle, check) -> str:
 def test_five_checks_do_each_modules_work_once():
     """gl(2|1), p = 3: 3 distinguished and 6 reflected systems, one weight set
     per character checked in one product, and one oracle verdict, one
-    commutant and one singular-vector check per simple root for each of the
-    45 sigma-orbit representatives among the 81 distinguished modules (27 of
-    the zero character over GF(3), 9 orbits of 3 for each character over
-    GF(27)).  The pairing matrix is built once per module object: for the
-    oracle by the verma check and again for the head by the kw check, since
-    the ledger keeps one module.  The 285 stacks: the verma check's 45, 2
-    certificates and 3 systems' letters; reflect's 90 for the singular
-    vectors and, per simple root, 45 for the reflected phi, 2 certificates
-    and 3 systems' letters; kw's 45."""
+    commutant and one singular-vector fact, covering every simple root, for
+    each of the 45 sigma-orbit representatives among the 81 distinguished
+    modules (27 of the zero character over GF(3), 9 orbits of 3 for each
+    character over GF(27)).  The pairing matrix is built once per module
+    object: for the oracle by the verma check and again for the head by the
+    kw check, since the ledger keeps one module.  The 240 stacks: the verma
+    check's 45, 2 certificates and 3 systems' letters; reflect's 45 for the
+    singular vectors and, per simple root, 45 for the reflected phi, 2
+    certificates and 3 systems' letters; kw's 45."""
     code, _, counts = _run("gl(2|1)", 3, FIVE)
     assert code == 0
     assert counts == {"systems": 9, "lambda_sets": 3, "residual_products": 3,
                       "oracles": 45, "pairing_matrices": 90, "commutants": 45,
-                      "singular_checks": 90, "stacks": 285}
+                      "singular_checks": 45, "stacks": 240}
 
 
 def test_no_stack_is_built_off_the_orbit_representatives(monkeypatch):
@@ -145,15 +146,18 @@ def test_a_fact_that_raised_raises_again(monkeypatch):
 
 
 def test_lambda_residual_of_a_weight_array_matches_each_row():
+    """Each row of the array residual is the residual of its weight alone, and
+    equals the scalar residual through the Cartan p-map matrix P = 1."""
     g = build_algebra("gl(2|1)", field_create(3, 1))
     lset = VermaLedger(g, g.chi_regular_semisimple()).lset
     F, P = lset.field, cartan_p_matrix(g)
+    assert np.array_equal(P, la.eye(g.rank))
     rng = np.random.default_rng(16)
     lams = rng.integers(0, F.q, size=(40, g.rank))
     chi_h = [1, 0, 2]
-    rows = lambda_residual(g, F, lams, chi_h, P)
+    rows = lambda_residual(F, lams, chi_h)
     assert rows.shape == lams.shape
     for lam, row in zip(lams, rows):
-        assert np.array_equal(lambda_residual(g, F, lam, chi_h, P), row)
-    assert not lambda_residual(g, F, lset.weights, g.chi_regular_semisimple().cartan_values(),
-                               P).any()
+        assert np.array_equal(lambda_residual(F, lam, chi_h), row)
+        assert row.tolist() == weight_residual(g, F, lam, chi_h, P)
+    assert not lambda_residual(F, lset.weights, g.chi_regular_semisimple().cartan_values()).any()

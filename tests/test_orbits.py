@@ -19,7 +19,7 @@ from superlie.verma import (
 )
 
 FACTS = (BabyVerma.phi_via_module, BabyVerma.is_irreducible_oracle, BabyVerma.head_dim,
-         BabyVerma.head_type)
+         BabyVerma.singular_vectors_ok, BabyVerma.head_type)
 ALGEBRAS = ["gl(1|1)", "osp(1|2)", "gl(2|1)", "sl(2|1)", "osp(2|2)"]
 
 
@@ -133,7 +133,8 @@ def test_a_template_code_outside_the_prime_field_breaks_the_certificate(label, p
     rep, other = lset.weights[0], next(lam for lam in lset if lset.orbit(lam)[1])
     with pytest.raises(InvariantViolation, match="is not sigma of the stack") as first:
         ledger.facts(rep, BabyVerma.head_dim)
-    for m in (BabyVerma.phi_via_module, BabyVerma.is_irreducible_oracle, BabyVerma.head_type):
+    for m in (BabyVerma.phi_via_module, BabyVerma.is_irreducible_oracle, BabyVerma.head_type,
+              BabyVerma.singular_vectors_ok):
         with pytest.raises(InvariantViolation) as again:
             ledger.facts(other, m)
         assert again.value is first.value

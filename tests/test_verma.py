@@ -167,21 +167,25 @@ def test_lambda_set_matches_artin_schreier_weights(label, p, drop_gf77):
         assert new.field is old.field and new.weights == old.weights, (label, p)
 
 
-def test_lambda_set_rejects_non_identity_p_map(monkeypatch):
+def test_lambda_set_rejects_non_identity_p_map():
+    # every model's Cartan basis is its own p-th power, so a p-map that
+    # scales the Cartan is a broken invariant, not a scope limit
     g = build_algebra("gl(1|1)", F3)
-    monkeypatch.setattr(verma, "cartan_p_matrix", lambda g_: 2 * la.eye(g_.rank))
-    with pytest.raises(verma.PMapNotIdentity):
+    g.p_map = g.p_map.copy()
+    g.p_map[g.cartan] = g.F.smul_arr(2, g.p_map[g.cartan])
+    with pytest.raises(InvariantViolation, match="is not the identity on the Cartan"):
         lambda_set(g, g.chi_zero())
 
 
 def test_cartan_p_matrix_rejects_p_map_leaving_the_cartan():
     g = build_algebra("gl(2|1)", F3)
-    assert np.array_equal(verma.cartan_p_matrix(g), la.eye(g.rank))
+    assert np.array_equal(g.p_map[g.cartan], la.eye(g.dim)[g.cartan])
     h = copy.copy(g)
     h.p_map = g.p_map.copy()
     h.p_map[g.cartan[-1], g.dim - 1] = 1
-    with pytest.raises(RuntimeError, match="not closed under the p-th power map"):
-        verma.cartan_p_matrix(h)
+    with pytest.raises(InvariantViolation, match="the p-map of gl\\(2\\|1\\) is not the identity "
+                                                 "on the Cartan"):
+        lambda_set(h, g.chi_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +239,9 @@ def test_highest_vector_properties():
     Z = module(system, lam, ls.field)
     v = Z.highest_vector()
     for a in system.positives:
-        assert not Z.act(g.root_index[a], v).any()
+        assert not la.matvec(Z.F, Z.action_matrix(g.root_index[a]), v).any()
     for i, ci in enumerate(g.cartan):
-        img = Z.act(ci, v)
+        img = la.matvec(Z.F, Z.action_matrix(ci), v)
         expect = la.zeros(Z.dim)
         expect[Z.highest_index] = lam[i]
         assert (img == expect).all()
@@ -480,29 +484,59 @@ def test_not_semisimple_gl11_nonregular():
 def test_singular_vectors_gl21():
     g = build_algebra("gl(2|1)", F3)
     ss = g.distinguished
-    kinds = {}
+    kinds = {ss.classify(delta)[0] for delta in ss.simple_roots}
     for chi in (g.chi_zero(), g.chi_regular_semisimple()):
         ls = lambda_set(g, chi)
         system = VermaSystem(g, chi)
-        for delta in ss.simple_roots:
-            for lam in ls.weights[::5]:
-                Z = module(system, lam, ls.field)
-                rep = Z.check_singular(delta)
-                kinds[rep["reflection_type"]] = True
-                assert rep["nonzero"] and rep["annihilated"], (delta, lam)
-    assert set(kinds) == {"type_i", "type_ii"}
+        for lam in ls.weights[::5]:
+            verdicts = module(system, lam, ls.field).singular_vectors_ok()
+            assert len(verdicts) == len(ss.simple_roots)
+            assert all(verdicts), lam
+    assert kinds == {"type_i", "type_ii"}
 
 
 def test_singular_vector_osp_type_iii():
     g = build_algebra("osp(1|2)", F3)
-    delta = g.distinguished.simple_roots[0]
+    ss = g.distinguished
+    [delta] = ss.simple_roots
+    assert ss.classify(delta)[0] == "type_iii"
     for chi in (g.chi_zero(), g.chi_regular_semisimple()):
         ls = lambda_set(g, chi)
         system = VermaSystem(g, chi)
         for lam in ls:
-            rep = module(system, lam, ls.field).check_singular(delta)
-            assert rep["reflection_type"] == "type_iii"
-            assert rep["nonzero"] and rep["annihilated"]
+            assert module(system, lam, ls.field).singular_vectors_ok() == (True,)
+
+
+def _short_type_i_singular_vector(monkeypatch, p):
+    """X_{-delta}^{p-2} v for the singular vector of every type-i reflection:
+    the only PBW word of one even letter to the power p - 1 is that vector."""
+    pbw_words = verma._pbw_words
+
+    def short(F, letters, exponents, cols):
+        if len(letters) == 1 and exponents.tolist() == [[p - 1]]:
+            exponents = exponents - 1
+        return pbw_words(F, letters, exponents, cols)
+    monkeypatch.setattr(verma, "_pbw_words", short)
+
+
+def test_a_short_type_i_singular_vector_fails_the_fact_and_reflect(monkeypatch, capsys):
+    """gl(2|1), p = 3: with the type-i exponent p - 2, -delta stays a positive
+    root of the reflected system and does not kill X_{-delta}^{p-2} v, so the
+    type-i entry of the fact is false at every weight, the type-ii entry
+    stays true, and reflect fails."""
+    g = build_algebra("gl(2|1)", F3)
+    ss = g.distinguished
+    kinds = [ss.classify(delta)[0] for delta in ss.simple_roots]
+    _short_type_i_singular_vector(monkeypatch, 3)
+    for chi in (g.chi_zero(), g.chi_regular_semisimple()):
+        ledger = VermaLedger(g, chi)
+        for lam in ledger.lset:
+            (verdicts,) = ledger.facts(lam, BabyVerma.singular_vectors_ok)
+            assert verdicts == tuple(kind != "type_i" for kind in kinds), lam
+    assert main(["reflect", "--type", "gl(2|1)", "--p", "3"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("gl(2|1): 6 simple systems, a reflection identity failed\n")
+    assert re.search(r"^reflect +FAIL$", out, re.M) and "verified" not in out
 
 
 def test_reflection_report_gl21_type_ii():
